@@ -57,7 +57,6 @@ from .reduction import (
 )
 from .spaces import (
     AffineMatrixSpace,
-    BlockView,
     OptimalSearchResult,
     Span,
     brute_equivalence_test,

@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .rand import GOLDEN, MASK64
+from .rand import GOLDEN
 
 _CHUNK_ELEMS = 1 << 22
 
@@ -194,8 +194,8 @@ def profile_ranks(
         )
         mats = members_from_coords(coords, base_flat, basis_flat, n, m, p)
         ranks = batch_rank(mats, p, inv_table)
-        if expect_even:
-            assert not (ranks & 1).any(), "alternating member with odd rank"
+        if expect_even and (ranks & 1).any():
+            raise AssertionError("alternating member with odd rank")
         mn = int(ranks.min())
         mx = int(ranks.max())
         i_mn = lo + int((ranks == mn).argmax())

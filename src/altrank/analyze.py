@@ -12,9 +12,9 @@ from typing import Optional, Sequence
 
 from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
-from .fields import Element
-from .matrices import Matrix, Vector, eigenvalues_in_field, mat_vec, span_dim
+from .matrices import Matrix, Vector, eigenvalues_in_field, mat_vec, place_blocks, span_dim, vec_dot
 from .spaces import AffineMatrixSpace, Span
+from .symplectic import is_totally_singular, totally_singular_witness
 
 DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_SAMPLES = 10**5
@@ -57,11 +57,6 @@ class RankProfile:
         return obj
 
 
-def _sampled_coords_prime(sp: AffineMatrixSpace, seed: int, i: int) -> tuple:
-    d = sp.dim
-    return tuple(rand.uniform_below(seed, i * d + j, sp.ctx.p) for j in range(d))
-
-
 def rank_profile(
     sp: AffineMatrixSpace,
     budget: int = DEFAULT_ENUM_BUDGET,
@@ -76,10 +71,11 @@ def rank_profile(
     lexicographically least coordinate tuples attaining each extreme.
     """
     ctx = sp.ctx
+    exhaustive = ctx.p**sp.dim <= budget if ctx.kind == "prime" else sp.dim == 0
+    if not exhaustive and samples < 1:
+        raise ValueError(f"a sampled rank profile needs at least one sample, got {samples}")
     if ctx.kind == "prime":
-        total = ctx.p**sp.dim
-        exhaustive = total <= budget
-        count = total if exhaustive else samples
+        count = ctx.p**sp.dim if exhaustive else samples
         base_flat, basis_flat = sp.flat_arrays()
         mn, mn_idx, mx, mx_idx = _engine.profile_ranks(
             base_flat,
@@ -97,8 +93,8 @@ def rank_profile(
             wmin = _engine.index_to_coords(mn_idx, sp.dim, ctx.p)
             wmax = _engine.index_to_coords(mx_idx, sp.dim, ctx.p)
         else:
-            wmin = _sampled_coords_prime(sp, seed, mn_idx)
-            wmax = _sampled_coords_prime(sp, seed, mx_idx)
+            wmin = sp.coords_for_sample(mn_idx, seed)
+            wmax = sp.coords_for_sample(mx_idx, seed)
         for coords, expect in ((wmin, mn), (wmax, mx)):
             if sp.member_at(coords).rank() != expect:
                 raise AssertionError("engine witness failed exact re-verification")
@@ -261,9 +257,9 @@ def flanders_atkinson_check(
             raise ValueError("gram matrix must be invertible and alternating")
         if not m.is_alternating():
             raise ValueError("alternating mode needs an alternating matrix")
-        j = _embed(gram, n)
+        j = place_blocks(ctx, n, n, [(0, 0, gram)])
     else:
-        j = _embed(Matrix.identity(ctx, r), n)
+        j = place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, r))])
 
     def fail(witness) -> FAReport:
         return FAReport(mode, r, False, None, None, ("hypothesis", witness))
@@ -310,15 +306,6 @@ def flanders_atkinson_check(
                 first = ("moment", (k, prod))
             y = a @ y
     return FAReport(mode, r, True, d_zero, tuple(moments), first)
-
-
-def _embed(block: Matrix, n: int) -> Matrix:
-    ctx = block.ctx
-    rows = [[ctx.zero()] * n for _ in range(n)]
-    for i in range(block.nrows):
-        for jj in range(block.ncols):
-            rows[i][jj] = block[i, jj]
-    return Matrix(ctx, rows)
 
 
 @dataclass(frozen=True)
@@ -386,15 +373,8 @@ def extract_range_lagrangian(ops: Sequence[Matrix], gram: Matrix) -> Optional[li
     if 2 * len(ops) > p * qprime:
         raise ValueError(f"dimension {len(ops)} exceeds the singular-range bound {bound}")
     for u in ops:
-        cols = [tuple(u.col(j)) for j in range(p)]
-        for i in range(p):
-            ki = mat_vec(gram, cols[i])
-            for jj in range(i, p):
-                acc = ctx.zero()
-                for aa, bb in zip(cols[jj], ki):
-                    acc = ctx.add(acc, ctx.mul(aa, bb))
-                if acc != 0:
-                    raise ValueError("a generator's range is not totally singular")
+        if totally_singular_witness(gram, [u.col(j) for j in range(p)]) is not None:
+            raise ValueError("a generator's range is not totally singular")
     if len(ops) < bound:
         return None
 
@@ -407,8 +387,6 @@ def extract_range_lagrangian(ops: Sequence[Matrix], gram: Matrix) -> Optional[li
             f"combined range has dimension {lag.dim}, expected {qprime // 2}"
         )
     basis = lag.basis()
-    from .symplectic import is_totally_singular
-
     if not is_totally_singular(gram, basis):
         raise ContractError("combined range is not totally singular")
     return basis
@@ -440,10 +418,10 @@ def duality_invariant_check(
         if Span(ctx, orbit, width=n).contains(x):
             return False
         kx = mat_vec(k, x)
-        if _dot(ctx, x, kx) != 0:
+        if vec_dot(ctx, x, kx) != 0:
             return False
         for y in orbit:
-            if _dot(ctx, y, kx) != 0:
+            if vec_dot(ctx, y, kx) != 0:
                 return False
         return True
 
@@ -456,10 +434,3 @@ def duality_invariant_check(
         if not check(stream.nonzero_vector(ctx, n)):
             return False
     return True
-
-
-def _dot(ctx, x: Vector, y: Vector) -> Element:
-    acc = ctx.zero()
-    for a, b in zip(x, y):
-        acc = ctx.add(acc, ctx.mul(a, b))
-    return acc

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import analyze
 from .fields import Element, FieldCtx
-from .matrices import Matrix, alternating_from_upper, pfaffian, upper_pairs
+from .matrices import Matrix, alternating_units, pfaffian, place_blocks, upper_pairs
 from .spaces import AffineMatrixSpace
 from .symplectic import FormSpacePair, standard_symplectic
 
@@ -28,40 +28,8 @@ def _unit(ctx: FieldCtx, rows: int, cols: int, i: int, j: int) -> Matrix:
     return Matrix(ctx, data)
 
 
-def _alternating_units(ctx: FieldCtx, n: int) -> list[Matrix]:
-    m = n * (n - 1) // 2
-    return [
-        alternating_from_upper(ctx, n, [1 if t == u else 0 for t in range(m)])
-        for u in range(m)
-    ]
-
-
 def _strictly_upper_units(ctx: FieldCtx, n: int) -> list[Matrix]:
     return [_unit(ctx, n, n, i, j) for i, j in upper_pairs(n)]
-
-
-def _embed(ctx: FieldCtx, n: int, m: int, r0: int, c0: int, block: Matrix) -> Matrix:
-    z = ctx.zero()
-    data = [[z] * m for _ in range(n)]
-    for i in range(block.nrows):
-        for j in range(block.ncols):
-            data[r0 + i][c0 + j] = block[i, j]
-    return Matrix(ctx, data)
-
-
-def _bordered(ctx: FieldCtx, n: int, s: int, a: Matrix, b: Matrix, c: Matrix) -> Matrix:
-    """[[a, b, c], [-b^T, 0, 0], [-c^T, 0, 0]] padded to n x n."""
-    z = ctx.zero()
-    data = [[z] * n for _ in range(n)]
-    for i in range(s):
-        for j in range(s):
-            data[i][j] = a[i, j]
-            data[i][s + j] = b[i, j]
-            data[s + j][i] = ctx.neg(b[i, j])
-        for j in range(n - 2 * s):
-            data[i][2 * s + j] = c[i, j]
-            data[2 * s + j][i] = ctx.neg(c[i, j])
-    return Matrix(ctx, data)
 
 
 def _verify_all_invertible(sp: AffineMatrixSpace, what: str) -> None:
@@ -101,10 +69,9 @@ def build_invertible_alternating(ctx: FieldCtx, s: int) -> AffineMatrixSpace:
     base = standard_symplectic(ctx, s)
     gens: list[Matrix] = []
     for u in _strictly_upper_units(ctx, s):
-        g = _embed(ctx, n, n, 0, s, u) - _embed(ctx, n, n, s, 0, u.T)
-        gens.append(g)
-    for b in _alternating_units(ctx, s):
-        gens.append(_embed(ctx, n, n, s, s, b))
+        gens.append(place_blocks(ctx, n, n, [(0, s, u), (s, 0, -u.T)]))
+    for b in alternating_units(ctx, s):
+        gens.append(place_blocks(ctx, n, n, [(s, s, b)]))
     return AffineMatrixSpace(base, gens, alternating=True)
 
 
@@ -126,17 +93,18 @@ def build_bordered_alternating(
     if inner.dim != s * (s - 1) // 2:
         raise ValueError("inner family must have dimension s(s-1)/2")
     _verify_all_invertible(inner, "inner family")
+
+    def bordered(a, b, c):  # [[a, b, c], [-b^T, 0, 0], [-c^T, 0, 0]]
+        return place_blocks(ctx, n, n, [(0, 0, a), (0, s, b), (s, 0, -b.T), (0, 2 * s, c), (2 * s, 0, -c.T)])
+
     zs = Matrix.zeros(ctx, s, s)
     zc = Matrix.zeros(ctx, s, n - 2 * s)
-    base = _bordered(ctx, n, s, zs, inner.base, zc)
-    gens: list[Matrix] = []
-    for a in _alternating_units(ctx, s):
-        gens.append(_bordered(ctx, n, s, a, zs, zc))
-    for b in inner.basis:
-        gens.append(_bordered(ctx, n, s, zs, b, zc))
+    base = bordered(zs, inner.base, zc)
+    gens = [bordered(a, zs, zc) for a in alternating_units(ctx, s)]
+    gens += [bordered(zs, b, zc) for b in inner.basis]
     for i in range(s):
         for j in range(n - 2 * s):
-            gens.append(_bordered(ctx, n, s, zs, zs, _unit(ctx, s, n - 2 * s, i, j)))
+            gens.append(bordered(zs, zs, _unit(ctx, s, n - 2 * s, i, j)))
     return AffineMatrixSpace(base, gens, alternating=True)
 
 
@@ -166,7 +134,8 @@ def build_row_block_family(
         for j in range(n - 2 * s):
             gens.append(zs.hstack(_unit(ctx, s, n - 2 * s, i, j)))
     sp = AffineMatrixSpace(base, gens)
-    assert sp.shape == (s, w)
+    if sp.shape != (s, w):
+        raise AssertionError("row-block family has the wrong shape")
     return sp
 
 
@@ -190,26 +159,12 @@ def build_corank_one_space(
         raise ValueError("inner family must be alternating of dimension s(s-1)")
     _verify_all_invertible(inner, "inner family")
     n = r + 1
-    base = _border_column(ctx, n, inner.base, Matrix.zeros(ctx, r, 1))
-    gens = [_border_column(ctx, n, h, Matrix.zeros(ctx, r, 1)) for h in inner.basis]
-    zh = Matrix.zeros(ctx, r, r)
+    base = place_blocks(ctx, n, n, [(0, 0, inner.base)])
+    gens = [place_blocks(ctx, n, n, [(0, 0, h)]) for h in inner.basis]
     for i in range(r):
-        gens.append(_border_column(ctx, n, zh, _unit(ctx, r, 1, i, 0)))
+        c = _unit(ctx, r, 1, i, 0)
+        gens.append(place_blocks(ctx, n, n, [(0, r, c), (r, 0, -c.T)]))
     return AffineMatrixSpace(base, gens, alternating=True)
-
-
-def _border_column(ctx: FieldCtx, n: int, h: Matrix, c: Matrix) -> Matrix:
-    r = h.nrows
-    z = ctx.zero()
-    data = [[z] * n for _ in range(n)]
-    for i in range(r):
-        for j in range(r):
-            data[i][j] = h[i, j]
-    for i in range(r):
-        for j in range(n - r):
-            data[i][r + j] = c[i, j]
-            data[r + j][i] = ctx.neg(c[i, j])
-    return Matrix(ctx, data)
 
 
 def build_rank_at_least_space(
@@ -231,16 +186,14 @@ def build_rank_at_least_space(
     if inner.dim != s * (s - 1) or not inner.alternating:
         raise ValueError("inner family must be alternating of dimension s(s-1)")
     _verify_all_invertible(inner, "inner family")
-    base = _embed(ctx, n, n, 0, 0, inner.base)
-    gens = [_embed(ctx, n, n, 0, 0, h) for h in inner.basis]
+    base = place_blocks(ctx, n, n, [(0, 0, inner.base)])
+    gens = [place_blocks(ctx, n, n, [(0, 0, h)]) for h in inner.basis]
     for i in range(r):
         for j in range(n - r):
-            gens.append(
-                _embed(ctx, n, n, 0, r, _unit(ctx, r, n - r, i, j))
-                - _embed(ctx, n, n, r, 0, _unit(ctx, n - r, r, j, i))
-            )
-    for d in _alternating_units(ctx, n - r):
-        gens.append(_embed(ctx, n, n, r, r, d))
+            c = _unit(ctx, r, n - r, i, j)
+            gens.append(place_blocks(ctx, n, n, [(0, r, c), (r, 0, -c.T)]))
+    for d in alternating_units(ctx, n - r):
+        gens.append(place_blocks(ctx, n, n, [(r, r, d)]))
     return AffineMatrixSpace(base, gens, alternating=True)
 
 
@@ -272,9 +225,9 @@ def build_operator_block_space(
     nn = 2 * n
     ops: list[Matrix] = []
     for a in core.basis:
-        ops.append(_embed(ctx, nn, nn, 0, 0, a) + _embed(ctx, nn, nn, n, n, a.T))
-    for b in _alternating_units(ctx, n):
-        ops.append(_embed(ctx, nn, nn, 0, n, b))
+        ops.append(place_blocks(ctx, nn, nn, [(0, 0, a), (n, n, a.T)]))
+    for b in alternating_units(ctx, n):
+        ops.append(place_blocks(ctx, nn, nn, [(0, n, b)]))
     return FormSpacePair(standard_symplectic(ctx, n), tuple(ops))
 
 

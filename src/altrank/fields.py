@@ -76,10 +76,6 @@ class FieldCtx:
 
     # -- identity ----------------------------------------------------------
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.kind == "prime"
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldCtx) and self.kind == other.kind and self.p == other.p
 
@@ -142,9 +138,6 @@ class FieldCtx:
     def div(self, a: Element, b: Element) -> Element:
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a: Element) -> bool:
-        return a == 0
-
     # -- text encoding -------------------------------------------------------
 
     def element_to_str(self, a: Element) -> str:
@@ -155,10 +148,15 @@ class FieldCtx:
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
     def parse_element(self, text: str) -> Element:
+        """Parse the canonical text form; malformed text raises ValueError."""
+        if not isinstance(text, str):
+            raise ValueError(f"field element must be a string, got {text!r}")
         text = text.strip()
         if self.kind == "prime":
             return int(text) % self.p
         if "/" in text:
             num, den = text.split("/")
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in {text!r}")
             return Fraction(int(num), int(den))
         return Fraction(int(text))

@@ -8,7 +8,6 @@ bit for bit across runs and platforms.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .fields import Element, FieldCtx
@@ -50,10 +49,6 @@ class Matrix:
     def identity(ctx: FieldCtx, n: int) -> "Matrix":
         z, o = ctx.zero(), ctx.one()
         return Matrix(ctx, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_rows(ctx: FieldCtx, rows: Sequence[Sequence[Element]]) -> "Matrix":
-        return Matrix(ctx, rows)
 
     # -- basic queries --------------------------------------------------------
 
@@ -236,8 +231,8 @@ class Matrix:
     def rank(self) -> int:
         """Rank by Gaussian elimination; asserts even rank on alternating input."""
         r = _rank_only(self)
-        if self.is_square and self.is_alternating():
-            assert r % 2 == 0, "alternating matrix with odd rank"
+        if r % 2 and self.is_square and self.is_alternating():
+            raise AssertionError("alternating matrix with odd rank")
         return r
 
     def kernel_basis(self) -> list[Vector]:
@@ -323,7 +318,10 @@ class Matrix:
     @staticmethod
     def from_json(obj: dict) -> "Matrix":
         ctx = FieldCtx.parse(obj["field"])
-        m = Matrix(ctx, [[ctx.parse_element(x) for x in row] for row in obj["data"]])
+        data = obj["data"]
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("matrix data must be a list of rows")
+        m = Matrix(ctx, [[ctx.parse_element(x) for x in row] for row in data])
         if m.shape != (obj["rows"], obj["cols"]):
             raise ValueError("declared shape does not match data")
         return m
@@ -378,6 +376,19 @@ def _rank_only(m: Matrix) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def place_blocks(
+    ctx: FieldCtx, nrows: int, ncols: int, blocks: Iterable[tuple[int, int, Matrix]]
+) -> Matrix:
+    """The nrows x ncols zero matrix with each (r0, c0, block) written at row r0,
+    column c0; later blocks overwrite earlier ones where they overlap."""
+    z = ctx.zero()
+    data = [[z] * ncols for _ in range(nrows)]
+    for r0, c0, block in blocks:
+        for i, row in enumerate(block.data):
+            data[r0 + i][c0 : c0 + len(row)] = row
+    return Matrix(ctx, data)
 
 
 # -- Pfaffians ------------------------------------------------------------------
@@ -491,37 +502,15 @@ def alternating_from_upper(ctx: FieldCtx, n: int, coords: Sequence[Element]) -> 
     return Matrix(ctx, rows)
 
 
+def alternating_units(ctx: FieldCtx, n: int) -> list[Matrix]:
+    """The alternating units E_ij - E_ji, i < j, in row-major order of (i, j)."""
+    m = n * (n - 1) // 2
+    return [alternating_from_upper(ctx, n, [1 if t == u else 0 for t in range(m)]) for u in range(m)]
+
+
 def upper_coords(m: Matrix) -> Vector:
     """Strict upper triangle of an alternating matrix, row-major."""
     return tuple(m.data[i][j] for i, j in upper_pairs(m.nrows))
-
-
-# -- structure probes --------------------------------------------------------------
-
-
-def invertible_principal_submatrix(m: Matrix) -> tuple[int, ...]:
-    """Lexicographically least index set I with m[I, I] invertible, |I| = rank.
-
-    Valid for alternating input: a column basis always indexes an invertible
-    principal submatrix, and the two index families coincide, so the greedy
-    lex-least column basis is returned and then verified by Pfaffian.
-    """
-    if not m.is_alternating():
-        raise ValueError("requires an alternating matrix")
-    r = m.rank()
-    chosen: list[int] = []
-    cur_rank = 0
-    for j in range(m.ncols):
-        if len(chosen) == r:
-            break
-        cand = chosen + [j]
-        new_rank = _rank_only(m.submatrix(range(m.nrows), cand))
-        if new_rank > cur_rank:
-            chosen.append(j)
-            cur_rank = new_rank
-    sub = m.submatrix(chosen, chosen)
-    assert pfaffian(sub) != 0, "principal submatrix on column basis must be invertible"
-    return tuple(chosen)
 
 
 def eigenvalues_in_field(m: Matrix) -> list[Element]:
@@ -654,15 +643,3 @@ def span_dim(ctx: FieldCtx, vecs: Sequence[Vector]) -> int:
     if not vecs:
         return 0
     return _rank_only(rows_matrix(ctx, vecs))
-
-
-def in_span(ctx: FieldCtx, vecs: Sequence[Vector], v: Vector) -> bool:
-    """Membership of v in the row span of vecs."""
-    if not vecs:
-        return all(x == 0 for x in v)
-    base = span_dim(ctx, vecs)
-    return span_dim(ctx, list(vecs) + [v]) == base
-
-
-def column_space_contains(m: Matrix, v: Vector) -> bool:
-    return in_span(m.ctx, list(zip(*m.data)) if m.data else [], v)

@@ -10,16 +10,16 @@ yield a failed certificate with witnesses rather than an exception.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import analyze
 from .errors import ContractError
 from .families import build_bordered_alternating, build_row_block_family
-from .fields import FieldCtx
-from .matrices import Matrix, Vector, form_value, mat_vec, rows_matrix, span_dim
-from .spaces import AffineMatrixSpace, BlockView, Span, congruence_act, equivalence_act, spaces_equal
-from .symplectic import symplectic_basis
+from .matrices import Matrix, Vector, alternating_units, form_value, place_blocks, rows_matrix, span_dim
+from .spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act, spaces_equal
+from .symplectic import symplectic_basis, totally_singular_witness
 from .rand import CounterStream, derive_seed
 
 VERDICT_KEYS = (
@@ -99,16 +99,7 @@ def normalize_radical_to_tail(sp: AffineMatrixSpace, s0: Matrix) -> tuple[Matrix
     n = sp.shape[0]
     radical = s0.kernel_basis()
     r = n - len(radical)
-    chosen: list[Vector] = list(radical)
-    complement: list[Vector] = []
-    ident = Matrix.identity(ctx, n)
-    for i in range(n):
-        e = tuple(ident.row(i))
-        if span_dim(ctx, chosen + [e]) > len(chosen):
-            chosen.append(e)
-            complement.append(e)
-        if len(complement) == r:
-            break
+    complement = Span(ctx, radical, width=n).extend_with_units(r)
     p1 = rows_matrix(ctx, complement + list(radical)).transpose()
     moved = p1.T @ s0 @ p1
     k = moved.block(0, r, 0, r)
@@ -166,28 +157,17 @@ def reduce_full_row_rank(
         raise ContractError(
             f"universal column space has dimension {len(wbasis)}, expected {w - s}"
         )
-    chosen = list(wbasis)
-    complement: list[Vector] = []
-    ident = Matrix.identity(ctx, w)
-    for i in range(w):
-        e = tuple(ident.row(i))
-        if span_dim(ctx, chosen + [e]) > len(chosen):
-            chosen.append(e)
-            complement.append(e)
-        if len(complement) == s:
-            break
+    complement = Span(ctx, wbasis, width=w).extend_with_units(s)
     g = rows_matrix(ctx, complement + list(wbasis))
     qprime = g.inverse()
     q = Matrix.identity(ctx, s)
 
     base_b = (t.base @ qprime).block(0, s, 0, s)
     gen_bs = []
-    kept_flats: list[Vector] = []
+    kept = Span(ctx, [], width=s * s)
     for gmat in t.basis:
         b = (gmat @ qprime).block(0, s, 0, s)
-        flat = b.flatten()
-        if span_dim(ctx, kept_flats + [flat]) > len(kept_flats):
-            kept_flats.append(flat)
+        if kept.add(b.flatten()):
             gen_bs.append(b)
     m_space = AffineMatrixSpace(base_b, gen_bs)
     if m_space.dim != s * (s - 1) // 2:
@@ -215,39 +195,21 @@ def totally_singular_rejection(
     """A (member, x, y) witness with x^T member y != 0, or None if the
     candidate subspace is totally singular for the whole affine space."""
     for member in (sp.base, *sp.basis):
-        mx = [mat_vec(member, y) for y in candidate]
-        for i, x in enumerate(candidate):
-            for j in range(i, len(candidate)):
-                acc = sp.ctx.zero()
-                for a, b in zip(x, mx[j]):
-                    acc = sp.ctx.add(acc, sp.ctx.mul(a, b))
-                if acc != 0:
-                    return member, x, candidate[j]
+        hit = totally_singular_witness(member, candidate)
+        if hit is not None:
+            return member, candidate[hit[0]], candidate[hit[1]]
     return None
 
 
-def _rank_two_slab_witness(
-    sp: AffineMatrixSpace, s: int, x: Vector, y: Vector
-) -> Optional[Matrix]:
-    """Rank-2 alternating member of the translation span that pairs x and y.
+def _rank_two_slab_witness(tail: list[Vector], x: Vector, y: Vector, span: Span) -> Matrix:
+    """Rank-2 alternating form that pairs x and y and whose radical contains the tail.
 
-    Requires x, y independent modulo the span of the last n-s coordinates.
-    Built from the first two rows of the inverse of a basis extending
-    (x, y, tail units), so its radical contains that tail.
+    span is the span of x, y and the tail units, with x and y independent
+    modulo the tail.  Built from the first two rows of the inverse of the
+    basis (x, y, tail units) extended by the lowest-index unit vectors.
     """
-    ctx = sp.ctx
-    n = sp.shape[0]
-    ident = Matrix.identity(ctx, n)
-    tail = [tuple(ident.row(i)) for i in range(s, n)]
-    basis = [x, y] + tail
-    if span_dim(ctx, basis) != len(basis):
-        return None
-    for i in range(n):
-        e = tuple(ident.row(i))
-        if span_dim(ctx, basis + [e]) > len(basis):
-            basis.append(e)
-        if len(basis) == n:
-            break
+    ctx = span.ctx
+    basis = [x, y] + tail + span.extend_with_units(span.width - span.dim)
     binv = rows_matrix(ctx, basis).transpose().inverse()
     phi1 = binv.row(0)
     phi2 = binv.row(1)
@@ -282,11 +244,9 @@ def unique_totally_singular_complement(
         raise ContractError("the canonical tail subspace is not totally singular")
 
     # (a) alternating slab matrices supported on the first s coordinates
-    for i in range(s):
-        for j in range(i + 1, s):
-            slab = _pair_form(ctx, n, i, j)
-            if not sp.translation_contains(slab):
-                raise ContractError("leading-block slab is missing from the translation span")
+    for unit in alternating_units(ctx, s):
+        if not sp.translation_contains(place_blocks(ctx, n, n, [(0, 0, unit)])):
+            raise ContractError("leading-block slab is missing from the translation span")
 
     # (b) for every tail coordinate past r the member columns span s directions,
     # which forces the dimension contradiction for any other singular subspace
@@ -320,35 +280,23 @@ def unique_totally_singular_complement(
         if witness is None:
             raise ContractError("a second totally singular complement exists")
         if s >= 2:
-            pair = _independent_pair_mod(ctx, cand, tail_span)
-            if pair is not None:
-                x, y = pair
-                bmat = _rank_two_slab_witness(sp, s, x, y)
-                if bmat is not None and not sp.translation_contains(bmat):
-                    raise ContractError("rank-2 rejection form escaped the translation span")
+            pair = _independent_pair_mod(cand, tail_span)
+            if pair is not None and not sp.translation_contains(_rank_two_slab_witness(tail, *pair)):
+                raise ContractError("rank-2 rejection form escaped the translation span")
         checked += 1
     return tail
 
 
-def _pair_form(ctx: FieldCtx, n: int, i: int, j: int) -> Matrix:
-    z, o = ctx.zero(), ctx.one()
-    data = [[z] * n for _ in range(n)]
-    data[i][j] = o
-    data[j][i] = ctx.neg(o)
-    return Matrix(ctx, data)
-
-
-def _independent_pair_mod(ctx, cand: list[Vector], tail_span: Span):
-    picked = None
+def _independent_pair_mod(cand: list[Vector], tail_span: Span) -> Optional[tuple[Vector, Vector, Span]]:
+    """The first two candidate vectors independent modulo the tail span, with
+    the span of both and the tail, or None."""
+    span = copy(tail_span)
+    picked: list[Vector] = []
     for v in cand:
-        res = tail_span.reduce(v)
-        if all(c == 0 for c in res):
-            continue
-        if picked is None:
-            picked = v
-            continue
-        if span_dim(ctx, [tail_span.reduce(picked), res]) == 2:
-            return picked, v
+        if span.add(v):
+            picked.append(v)
+            if len(picked) == 2:
+                return picked[0], picked[1], span
     return None
 
 
@@ -425,12 +373,10 @@ def canonical_reduction(
 
     kinv = k.inverse()
     ops: list[Matrix] = []
-    flats: list[Vector] = []
+    kept = Span(ctx, [], width=r * (n - r))
     for g in sp1.basis:
-        b = BlockView(g, r).b
-        flat = b.flatten()
-        if span_dim(ctx, flats + [flat]) > len(flats):
-            flats.append(flat)
+        b = g.block(0, r, r, n)
+        if kept.add(b.flatten()):
             ops.append(kinv @ b)
     try:
         lag = analyze.extract_range_lagrangian(ops, k)
@@ -446,28 +392,14 @@ def canonical_reduction(
     cert.verdicts["lagrangian_extraction"] = True
     cert.lagrangian = lag
 
-    sing_ok = True
     for member in (sp1.base, *sp1.basis):
-        a = BlockView(member, r).a
-        for i, x in enumerate(lag):
-            for y in lag[i:]:
-                if form_value(a, x, y) != 0:
-                    sing_ok = False
-                    cert.witnesses["failure"] = {
-                        "step": "lagrangian_singularity",
-                        "member": member.to_json(),
-                    }
-                    break
-            if not sing_ok:
-                break
-        if not sing_ok:
-            break
-    cert.verdicts["lagrangian_singularity"] = sing_ok
-    if not sing_ok:
-        return cert
+        if totally_singular_witness(member.block(0, r, 0, r), lag) is not None:
+            cert.witnesses["failure"] = {"step": "lagrangian_singularity", "member": member.to_json()}
+            return cert
+    cert.verdicts["lagrangian_singularity"] = True
 
     p2r = symplectic_basis(k, lag)
-    p2 = _block_diag(p2r, Matrix.identity(ctx, n - r))
+    p2 = place_blocks(ctx, n, n, [(0, 0, p2r), (r, r, Matrix.identity(ctx, n - r))])
     sp2 = congruence_act(sp1, p2)
     nf_ok = all(
         m.block(s, n, s, n).is_zero() for m in (sp2.base, *sp2.basis)
@@ -479,12 +411,10 @@ def canonical_reduction(
 
     slab_base = sp2.base.block(0, s, s, n)
     slab_gens: list[Matrix] = []
-    kept: list[Vector] = []
+    kept = Span(ctx, [], width=s * (n - s))
     for g in sp2.basis:
         bs = g.block(0, s, s, n)
-        flat = bs.flatten()
-        if span_dim(ctx, kept + [flat]) > len(kept):
-            kept.append(flat)
+        if kept.add(bs.flatten()):
             slab_gens.append(bs)
     slab = AffineMatrixSpace(slab_base, slab_gens)
     try:
@@ -500,7 +430,7 @@ def canonical_reduction(
         return cert
     cert.recovered_M = m_space
 
-    p3t = _block_diag(q.T, qprime)
+    p3t = place_blocks(ctx, n, n, [(0, 0, q.T), (s, s, qprime)])
     p_total = p1 @ p2 @ p3t
     cert.P = p_total
     try:
@@ -523,17 +453,3 @@ def canonical_reduction(
     except ContractError as exc:
         cert.witnesses["failure"] = {"step": "complement_uniqueness", "error": str(exc)}
     return cert
-
-
-def _block_diag(a: Matrix, b: Matrix) -> Matrix:
-    ctx = a.ctx
-    n = a.nrows + b.nrows
-    z = ctx.zero()
-    data = [[z] * n for _ in range(n)]
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            data[i][j] = a[i, j]
-    for i in range(b.nrows):
-        for j in range(b.ncols):
-            data[a.nrows + i][a.ncols + j] = b[i, j]
-    return Matrix(ctx, data)

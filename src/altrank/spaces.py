@@ -8,6 +8,8 @@ partitioned across workers without changing any member.
 
 from __future__ import annotations
 
+from bisect import bisect
+from copy import copy
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -21,28 +23,37 @@ from .matrices import (
     Matrix,
     Vector,
     alternating_from_upper,
+    alternating_units,
     rows_matrix,
-    upper_pairs,
 )
 from .rand import DEFAULT_RATIONAL_BOX, uniform_below
 
 
 class Span:
-    """Row span with a frozen echelon form for exact membership and reduction."""
+    """Row span kept in reduced row echelon form, grown one vector at a time.
+
+    ``rows`` are the nonzero rref rows in pivot order, exactly as
+    ``Matrix.rref`` gives them for the same vectors.
+    """
 
     def __init__(self, ctx: FieldCtx, vecs: Sequence[Vector], width: int | None = None):
-        self.ctx = ctx
         if vecs:
-            self.width = len(vecs[0])
-            R, pivots = rows_matrix(ctx, vecs).rref()
-            self.rows = [R.row(i) for i in range(len(pivots))]
-            self.pivots = list(pivots)
-        else:
-            if width is None:
-                raise ValueError("empty span needs an explicit width")
-            self.width = width
-            self.rows = []
-            self.pivots = []
+            width = len(vecs[0])
+        elif width is None:
+            raise ValueError("empty span needs an explicit width")
+        self.ctx = ctx
+        self.width = width
+        self.rows: list[Vector] = []
+        self.pivots: list[int] = []
+        for v in vecs:
+            self.add(v)
+
+    def __copy__(self) -> "Span":
+        """An independent copy; the rows are tuples, so no elimination is redone."""
+        twin = Span.__new__(Span)
+        twin.ctx, twin.width = self.ctx, self.width
+        twin.rows, twin.pivots = list(self.rows), list(self.pivots)
+        return twin
 
     @property
     def dim(self) -> int:
@@ -55,22 +66,57 @@ class Span:
         """Residual of v after elimination against the echelon rows (linear in v)."""
         if len(v) != self.width:
             raise ValueError("length mismatch")
-        ctx = self.ctx
+        sub, mul = self.ctx.sub, self.ctx.mul
         out = list(v)
+        # An echelon row is zero left of its pivot, so only out[pc:] changes.
         for row, pc in zip(self.rows, self.pivots):
             c = out[pc]
             if c != 0:
-                out = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(out, row)]
+                out[pc:] = [sub(x, mul(c, y)) for x, y in zip(out[pc:], row[pc:])]
         return tuple(out)
 
     def contains(self, v: Vector) -> bool:
         return all(x == 0 for x in self.reduce(v))
 
+    def add(self, v: Vector) -> bool:
+        """Extend the span by v; returns False, leaving it unchanged, if v lies in it."""
+        ctx = self.ctx
+        sub, mul = ctx.sub, ctx.mul
+        res = self.reduce([ctx.normalize(x) for x in v])
+        pc = next((j for j, x in enumerate(res) if x != 0), None)
+        if pc is None:
+            return False
+        inv = ctx.inv(res[pc])
+        new = res[:pc] + tuple([mul(inv, x) for x in res[pc:]])
+        # Clear the new pivot column from the older rows to stay fully reduced;
+        # the new row is zero left of pc, so only row[pc:] changes.
+        for k, row in enumerate(self.rows):
+            c = row[pc]
+            if c != 0:
+                self.rows[k] = row[:pc] + tuple([sub(x, mul(c, y)) for x, y in zip(row[pc:], new[pc:])])
+        at = bisect(self.pivots, pc)
+        self.rows.insert(at, new)
+        self.pivots.insert(at, pc)
+        return True
+
+    def extend_with_units(self, count: int) -> list[Vector]:
+        """Add the lowest-index unit vectors outside the span until ``count`` of
+        them are added (or none is left); returns the added ones in index order."""
+        z, o = self.ctx.zero(), self.ctx.one()
+        added: list[Vector] = []
+        for i in range(self.width):
+            if len(added) == count:
+                break
+            e = tuple(o if t == i else z for t in range(self.width))
+            if self.add(e):
+                added.append(e)
+        return added
+
 
 class AffineMatrixSpace:
     """base + span(basis) inside the matrices of a fixed shape."""
 
-    __slots__ = ("ctx", "base", "basis", "alternating")
+    __slots__ = ("ctx", "base", "basis", "alternating", "_span")
 
     def __init__(self, base: Matrix, basis: Sequence[Matrix], alternating: bool = False):
         ctx = base.ctx
@@ -79,8 +125,8 @@ class AffineMatrixSpace:
                 raise ValueError("field mismatch in basis")
             if g.shape != base.shape:
                 raise ValueError("shape mismatch in basis")
-        flats = [g.flatten() for g in basis]
-        if flats and Span(ctx, flats).dim != len(flats):
+        span = Span(ctx, [g.flatten() for g in basis], width=base.nrows * base.ncols)
+        if span.dim != len(basis):
             raise ValueError("translation basis is linearly dependent")
         if alternating:
             if not base.is_alternating() or any(not g.is_alternating() for g in basis):
@@ -89,6 +135,7 @@ class AffineMatrixSpace:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "alternating", alternating)
+        object.__setattr__(self, "_span", span)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineMatrixSpace is immutable")
@@ -121,15 +168,16 @@ class AffineMatrixSpace:
         return acc
 
     def translation_span(self) -> Span:
-        return Span(self.ctx, [g.flatten() for g in self.basis], width=self.shape[0] * self.shape[1])
+        """A copy of the translation span, free to be extended with ``add``."""
+        return copy(self._span)
 
     def translation_contains(self, m: Matrix) -> bool:
-        return self.translation_span().contains(m.flatten())
+        return self._span.contains(m.flatten())
 
     def contains(self, m: Matrix) -> bool:
         if m.shape != self.shape or m.ctx != self.ctx:
             return False
-        return self.translation_span().contains((m - self.base).flatten())
+        return self._span.contains((m - self.base).flatten())
 
     # -- enumeration and sampling -------------------------------------------------
 
@@ -168,7 +216,6 @@ class AffineMatrixSpace:
     def sample_range(
         self, lo: int, hi: int, seed: int, box: int = DEFAULT_RATIONAL_BOX
     ) -> Iterator[tuple[tuple[Element, ...], Matrix]]:
-        d = self.dim
         for i in range(lo, hi):
             coords = self.coords_for_sample(i, seed, box)
             yield coords, self.member_at(coords)
@@ -218,33 +265,6 @@ class AffineMatrixSpace:
         return sp
 
 
-@dataclass(frozen=True)
-class BlockView:
-    """Named access to the blocks of a square matrix split at index r."""
-
-    matrix: Matrix
-    r: int
-
-    @property
-    def a(self) -> Matrix:
-        return self.matrix.block(0, self.r, 0, self.r)
-
-    @property
-    def b(self) -> Matrix:
-        n = self.matrix.ncols
-        return self.matrix.block(0, self.r, self.r, n)
-
-    @property
-    def c(self) -> Matrix:
-        n = self.matrix.nrows
-        return self.matrix.block(self.r, n, 0, self.r)
-
-    @property
-    def d(self) -> Matrix:
-        n, m = self.matrix.shape
-        return self.matrix.block(self.r, n, self.r, m)
-
-
 # -- group actions ----------------------------------------------------------------------
 
 
@@ -269,7 +289,7 @@ def spaces_equal(x: AffineMatrixSpace, y: AffineMatrixSpace) -> bool:
     """Exact set equality of affine spaces."""
     if x.ctx != y.ctx or x.shape != y.shape or x.dim != y.dim:
         return False
-    span = y.translation_span()
+    span = y._span
     if not span.contains((x.base - y.base).flatten()):
         return False
     return all(span.contains(g.flatten()) for g in x.basis)
@@ -331,7 +351,8 @@ def brute_equivalence_test(
     if witness is None:
         return None
     pm, qm = witness
-    assert spaces_equal(equivalence_act(x, pm, qm), y)
+    if not spaces_equal(equivalence_act(x, pm, qm), y):
+        raise AssertionError("vectorized equivalence witness failed exact re-verification")
     return pm, qm
 
 
@@ -383,7 +404,8 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     for i in range(d):
         num *= q ** (m - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("Gaussian binomial quotient is not exact")
     return num // den
 
 
@@ -441,8 +463,7 @@ def exhaustive_optimal_dimension(
     if total > table_budget:
         raise BudgetExceededError(f"ambient table of {total} entries exceeds {table_budget}")
 
-    units = [alternating_from_upper(ctx, n, [1 if t == u else 0 for t in range(m)]) for u in range(m)]
-    basis_flat = np.array([u.flatten() for u in units], dtype=np.int64)
+    basis_flat = np.array([u.flatten() for u in alternating_units(ctx, n)], dtype=np.int64)
     base_flat = np.zeros(n * n, dtype=np.int64)
     ranks = np.empty(total, dtype=np.int64)
     inv_table = _engine._inverse_table(q)
@@ -484,10 +505,10 @@ def exhaustive_optimal_dimension(
             else []
         )
         witness = AffineMatrixSpace(base, gens, alternating=True)
-        if predicate == "constant-rank":
-            assert all(mat.rank() == r for _, mat in witness.enumerate(10**6))
-        else:
-            assert all(mat.rank() >= r for _, mat in witness.enumerate(10**6))
+        for _, mat in witness.enumerate(10**6):
+            k = mat.rank()
+            if k < r or (predicate == "constant-rank" and k != r):
+                raise AssertionError("optimal-search witness failed exact re-verification")
     return OptimalSearchResult(max_dim=max_dim, exists_by_dim=exists_by_dim, witness=witness)
 
 

@@ -20,6 +20,7 @@ from .matrices import (
     mat_vec,
     rows_matrix,
     span_dim,
+    vec_dot,
 )
 from .spaces import AffineMatrixSpace, Span
 
@@ -47,15 +48,11 @@ def is_totally_singular(gram: Matrix, vecs: Sequence[Vector]) -> bool:
 
 
 def totally_singular_witness(gram: Matrix, vecs: Sequence[Vector]) -> tuple[int, int] | None:
-    """First (i, j) with gram(vecs[i], vecs[j]) != 0, scanning i < j."""
+    """First (i, j) with gram(vecs[i], vecs[j]) != 0, scanning i <= j."""
     images = [mat_vec(gram, v) for v in vecs]
-    ctx = gram.ctx
     for i in range(len(vecs)):
         for j in range(i, len(vecs)):
-            acc = ctx.zero()
-            for a, b in zip(vecs[i], images[j]):
-                acc = ctx.add(acc, ctx.mul(a, b))
-            if acc != 0:
+            if vec_dot(gram.ctx, vecs[i], images[j]) != 0:
                 return (i, j)
     return None
 
@@ -68,6 +65,7 @@ def find_lagrangian(k: Matrix) -> list[Vector]:
     s = n // 2
     ctx = k.ctx
     basis: list[Vector] = []
+    span = Span(ctx, [], width=n)
     while len(basis) < s:
         if basis:
             constraints = rows_matrix(ctx, basis) @ k
@@ -75,7 +73,7 @@ def find_lagrangian(k: Matrix) -> list[Vector]:
         else:
             candidates = [tuple(Matrix.identity(ctx, n).row(i)) for i in range(n)]
         for v in candidates:
-            if span_dim(ctx, basis + [v]) > len(basis):
+            if span.add(v):
                 basis.append(v)
                 break
         else:

@@ -67,6 +67,18 @@ def test_rank_profile_rational_dim_zero():
     assert prof.constant_proved and prof.min_rank == 4
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_rank_profile_rejects_empty_sample(samples):
+    with pytest.raises(ValueError):
+        rank_profile(build_bordered_alternating(F5, 7, 2), budget=10**3, samples=samples)
+    with pytest.raises(ValueError):
+        rank_profile(build_counterexample_plane(Q), budget=0, samples=samples)
+    # the exhaustive paths never read the sample count
+    assert rank_profile(build_bordered_alternating(F3, 5, 1), samples=samples).constant_proved
+    sp = AffineMatrixSpace(standard_symplectic(Q, 2), [], alternating=True)
+    assert rank_profile(sp, samples=samples).constant_proved
+
+
 # -- spectrum scans ----------------------------------------------------------------------
 
 

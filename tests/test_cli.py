@@ -3,11 +3,12 @@ import json
 import pytest
 
 from altrank.cli import dimension_table, main
-from altrank.families import build_bordered_alternating, build_rank_at_least_space
+from altrank.families import build_bordered_alternating, build_counterexample_plane, build_rank_at_least_space
 from altrank.fields import FieldCtx
 
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
+Q = FieldCtx.rational()
 
 
 def run(tmp_path, *argv):
@@ -123,3 +124,28 @@ def test_counterexample_cli(tmp_path):
     }
     assert results["mod_3_rank_drop"]["coords"] == ["1", "1"]
     assert results["mod_5_rank_two"]["coords"] == ["1", "2"]
+
+
+
+@pytest.mark.parametrize(
+    "space, path, value",
+    [
+        ("bordered", ["base", "data"], 5),
+        ("plane", ["basis", 0, "data", 0, 1], "1/0"),
+        ("bordered", ["base", "data", 0, 0], 3),
+    ],
+    ids=["non-list-data", "zero-denominator", "non-string-entry"],
+)
+def test_verify_malformed_space_is_usage_error(tmp_path, capsys, space, path, value):
+    sp = build_bordered_alternating(F5, 5, 1) if space == "bordered" else build_counterexample_plane(Q)
+    obj = sp.to_json()
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(obj))
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "rank-profile", "--sample", "10")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

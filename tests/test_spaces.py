@@ -3,7 +3,7 @@ import pytest
 from altrank.errors import BudgetExceededError
 from altrank.families import build_bordered_alternating
 from altrank.fields import FieldCtx
-from altrank.matrices import Matrix, alternating_from_upper, upper_pairs
+from altrank.matrices import Matrix, alternating_from_upper, span_dim, upper_pairs
 from altrank.rand import CounterStream, derive_seed, random_invertible
 from altrank.spaces import (
     AffineMatrixSpace,
@@ -64,6 +64,89 @@ def test_span_basis_is_echelon():
     sp = Span(F5, [(2, 4, 0), (1, 2, 1)])
     basis = sp.basis()
     assert basis[0][sp.pivots[0]] == 1
+
+
+def _span_inputs(ctx, seed, count=12, width=6):
+    """Seeded vectors of which every third is a combination of earlier ones."""
+    stream = CounterStream(derive_seed(seed, "span-inputs", ctx.to_str()))
+    vecs = []
+    for t in range(count):
+        if t % 3 == 2:
+            a, b = stream.element(ctx, 3), stream.element(ctx, 3)
+            vecs.append(tuple(ctx.add(ctx.mul(a, x), ctx.mul(b, y)) for x, y in zip(vecs[-1], vecs[0])))
+        else:
+            vecs.append(stream.vector(ctx, width, 3))
+    return vecs
+
+
+def _old_unit_extension(ctx, chosen, width, count):
+    """The greedy loop Span.extend_with_units replaces."""
+    chosen, added = list(chosen), []
+    for i in range(width):
+        e = tuple(ctx.one() if t == i else ctx.zero() for t in range(width))
+        if span_dim(ctx, chosen + [e]) > len(chosen):
+            chosen.append(e)
+            added.append(e)
+        if len(added) == count:
+            break
+    return added
+
+
+@pytest.mark.parametrize("ctx", [F5, FieldCtx.prime(7), Q], ids=FieldCtx.to_str)
+def test_span_add_matches_rref_and_span_dim(ctx):
+    for seed in range(4):
+        vecs = _span_inputs(ctx, seed, width=4 + seed)
+        width = len(vecs[0])
+        span = Span(ctx, [], width=width)
+        grew = [span.add(v) for v in vecs]
+        assert grew == [span_dim(ctx, vecs[: t + 1]) > span_dim(ctx, vecs[:t]) for t in range(len(vecs))]
+        r, pivots = Matrix(ctx, vecs).rref()
+        assert span.pivots == list(pivots)
+        assert span.rows == [r.row(i) for i in range(len(pivots))]
+        built = Span(ctx, vecs)
+        assert (built.rows, built.pivots) == (span.rows, span.pivots)
+        assert built.basis() == [tuple(row) for row in span.rows]
+
+
+@pytest.mark.parametrize("ctx", [F5, FieldCtx.prime(7), Q], ids=FieldCtx.to_str)
+def test_span_unit_extension_matches_greedy_loop(ctx):
+    for seed in range(4):
+        chosen = _span_inputs(ctx, seed, width=4 + seed)[:2]  # independent, as the old callers had
+        width = len(chosen[0])
+        assert span_dim(ctx, chosen) == 2
+        for count in range(1, width - 1):
+            expected = _old_unit_extension(ctx, chosen, width, count)
+            assert len(expected) == count
+            assert Span(ctx, chosen).extend_with_units(count) == expected
+
+
+def test_space_queries_build_no_span(monkeypatch):
+    x = build_bordered_alternating(F3, 5, 1)
+    y = congruence_act(x, Matrix.identity(F3, 5))
+    builds = []
+    original = Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", counting_init)
+    member = x.member_at((1, 2, 0))
+    assert x.contains(member)
+    assert x.translation_contains(member - x.base)
+    assert spaces_equal(x, y)
+    assert builds == []
+
+
+def test_translation_span_copy_is_independent():
+    sp = build_bordered_alternating(F3, 5, 1)
+    outside = unit(F3, 5, 0, 0)
+    span = sp.translation_span()
+    assert span.add(outside.flatten())
+    assert span.dim == sp.dim + 1
+    assert sp.translation_span().dim == sp.dim
+    assert not sp.translation_contains(outside)
+    assert not sp.contains(sp.base + outside)
 
 
 # -- AffineMatrixSpace -----------------------------------------------------------------
