@@ -4,12 +4,17 @@ This is infrastructure, not arithmetic authority: entries are canonical
 residues with p < 2^31, every product fits in an int64, and the exact
 object-level linear algebra in :mod:`altrank.matrices` independently covers
 the same operations at small scale (the test suite cross-checks the two).
+
+Alternating members are stored as their strict upper triangles, row-major
+in (i, j), and ranked by skew elimination (``skew_rank``); every other
+stack is ranked by general column elimination (``batch_rank``).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -17,6 +22,8 @@ import numpy as np
 from .rand import GOLDEN
 
 _CHUNK_ELEMS = 1 << 22
+_INT64_MAX = (1 << 63) - 1
+GUARD_MEMBERS = 16  # leading members of each alternating chunk re-ranked by batch_rank
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -99,34 +106,56 @@ def index_to_coords(index: int, dim: int, q: int) -> tuple[int, ...]:
 
 
 def members_from_coords(
-    coords: np.ndarray, base_flat: np.ndarray, basis_flat: np.ndarray, n: int, m: int, p: int
+    coords: np.ndarray, base: np.ndarray, basis: np.ndarray, p: int
 ) -> np.ndarray:
-    if basis_flat.shape[0]:
-        flat = (coords @ basis_flat + base_flat) % p
-    else:
-        flat = np.broadcast_to(base_flat % p, (coords.shape[0], n * m)).copy()
-    return flat.reshape(-1, n, m)
+    """Rows ``(base + coords @ basis) % p``, exact for every p < 2^31.
+
+    Terms are summed in groups small enough that no partial sum leaves int64;
+    for small p that is a single product.
+    """
+    k, dim = coords.shape
+    acc = base % p
+    group = max(1, (_INT64_MAX - (p - 1)) // max(1, (p - 1) ** 2))
+    for t in range(0, dim, group):
+        acc = (coords[:, t : t + group] @ basis[t : t + group] + acc) % p
+    return acc if dim else np.broadcast_to(acc, (k, acc.size)).copy()
+
+
+def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a^(p-2) mod p elementwise (Fermat): the inverse of every nonzero residue."""
+    out = np.ones_like(a)
+    sq = a % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * sq % p
+        sq = sq * sq % p
+        e >>= 1
+    return out
 
 
 def _inverse_table(p: int) -> np.ndarray:
-    if p > (1 << 20):
-        raise ValueError("engine inverse table limited to small moduli")
-    table = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        table[a] = pow(a, -1, p)
+    """Inverses of 0..p-1 (0 maps to 0), a lookup for ``batch_rank``."""
+    table = inverse_mod(np.arange(p, dtype=np.int64), p)
+    table[0] = 0
     return table
 
 
 def batch_rank(mats: np.ndarray, p: int, inv_table: np.ndarray | None = None) -> np.ndarray:
-    """Ranks of a stack of matrices over F_p.  Mutates ``mats``."""
+    """Ranks of a stack of matrices over F_p.  Mutates ``mats``.
+
+    Pivot inverses are looked up in a table of all p residues when p <= k (the
+    table costs about what one column's ``inverse_mod`` on k pivots costs), and
+    computed by ``inverse_mod`` otherwise.
+    """
     k, n, m = mats.shape
-    if inv_table is None:
+    if inv_table is None and p <= k:
         inv_table = _inverse_table(p)
     r = np.zeros(k, dtype=np.int64)
     rows = np.arange(n)
     full = min(n, m)
     for c in range(m):
-        if r.min() >= full:
+        if k == 0 or r.min() >= full:
             break
         col = mats[:, :, c]
         nz = (rows[None, :] >= r[:, None]) & (col != 0)
@@ -139,13 +168,110 @@ def batch_rank(mats: np.ndarray, p: int, inv_table: np.ndarray | None = None) ->
         prow = mats[hidx, piv_h].copy()
         mats[hidx, piv_h] = mats[hidx, rr_h]
         mats[hidx, rr_h] = prow
-        pinv = inv_table[prow[:, c]]
+        pinv = inverse_mod(prow[:, c], p) if inv_table is None else inv_table[prow[:, c]]
         colh = mats[hidx, :, c]
         f = colh * pinv[:, None] % p
         f *= rows[None, :] > rr_h[:, None]
         mats[hidx, :, c:] = (mats[hidx, :, c:] - f[:, :, None] * prow[:, None, c:]) % p
         r += has
     return r
+
+
+@lru_cache(maxsize=None)
+def _skew_maps(n: int):
+    """Index maps of the strict-upper storage of n x n alternating matrices.
+
+    ``pi, pj``: the pair (i, j) at each storage position.  ``at[i], sign[i]``:
+    row i of the full matrix is ``u[at[i]] * sign[i]`` (a[i][Q] = -a[Q][i] for
+    Q < i, and the diagonal reads position 0 with sign 0).  ``start[i]``: the
+    first position of row i, so pairs in rows >= i form the suffix from it.
+    """
+    pi, pj = np.triu_indices(n, 1)
+    at = np.zeros((n, n), dtype=np.int64)
+    at[pi, pj] = at[pj, pi] = np.arange(pi.size)
+    sign = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None])
+    start = np.array([i * n - i * (i + 1) // 2 for i in range(n)])
+    return pi, pj, at, sign, start
+
+
+def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Ranks of a stack of alternating n x n matrices over F_p stored as strict
+    upper triangles, shape (k, n(n-1)/2).  Mutates ``upper``.
+
+    Each step pivots every member on its first nonzero pair (i < j), row-major,
+    and applies the rank-2 update u[P,Q] += (r_j[P] r_i[Q] - r_i[P] r_j[Q]) / a
+    with a = u[i,j] and r_i, r_j rows i and j of the full matrix.  This clears
+    rows and columns i and j, keeps the member alternating and adds 2 to its
+    rank (Bunch's pairwise pivoting).  Members reduced to zero drop out.  Rows
+    above the least pivot row of a step are zero in every member, so each step
+    only touches the storage suffix from that row on.
+    """
+    pi, pj, at, sign, start = _skew_maps(n)
+    rank = np.zeros(upper.shape[0], dtype=np.int64)
+    live = np.arange(upper.shape[0])
+    u = upper
+    lo = 0
+    while live.size and start[lo] < pi.size:
+        s0 = start[lo]
+        t = (u[:, s0:] != 0).argmax(axis=1) + s0
+        a = u[np.arange(live.size), t]
+        has = a != 0
+        if not has.all():
+            live, u, t, a = live[has], u[has], t[has], a[has]
+            if not live.size:
+                break
+        rank[live] += 2
+        i, j = pi[t], pj[t]
+        ri = np.take_along_axis(u, at[i], axis=1) * sign[i]
+        rj = np.take_along_axis(u, at[j], axis=1) * sign[j]
+        si = ri * inverse_mod(a, p)[:, None] % p
+        lo = int(i.min())
+        s0 = start[lo]
+        P, Q = pi[s0:], pj[s0:]
+        # |u + rj*si - si*rj| < p + 2p^2 < 2^63 for p < 2^31
+        w = rj.take(P, axis=1)
+        w *= si.take(Q, axis=1)
+        v = si.take(P, axis=1)
+        v *= rj.take(Q, axis=1)
+        w -= v
+        w += u[:, s0:]
+        np.remainder(w, p, out=u[:, s0:])
+        lo += 1
+    return rank
+
+
+def _full_from_upper(upper: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The (k, n, n) alternating stack stored in ``upper``."""
+    pi, pj = _skew_maps(n)[:2]
+    mats = np.zeros((upper.shape[0], n, n), dtype=np.int64)
+    mats[:, pi, pj] = upper
+    mats[:, pj, pi] = -upper % p
+    return mats
+
+
+def alternating_ranks(upper: np.ndarray, n: int, p: int) -> np.ndarray:
+    """``skew_rank`` with its leading GUARD_MEMBERS members re-ranked by
+    ``batch_rank``; any disagreement raises.  Mutates ``upper``."""
+    check = _full_from_upper(upper[:GUARD_MEMBERS], n, p)
+    ranks = skew_rank(upper, n, p)
+    expect = batch_rank(check, p)
+    bad = np.nonzero(ranks[: expect.size] != expect)[0]
+    if bad.size:
+        raise AssertionError(
+            f"skew elimination gave rank {int(ranks[bad[0]])} where column elimination"
+            f" gives {int(expect[bad[0]])} (chunk member {int(bad[0])})"
+        )
+    return ranks
+
+
+def _ranker(n: int, m: int, p: int, alternating: bool):
+    """(column selection, rank function) for stacks of members over F_p: the
+    strict upper triangle and ``alternating_ranks`` for alternating spaces,
+    every entry and ``batch_rank`` otherwise."""
+    if alternating:
+        pi, pj = _skew_maps(n)[:2]
+        return pi * n + pj, lambda upper: alternating_ranks(upper, n, p)
+    return slice(None), lambda flat: batch_rank(flat.reshape(-1, n, m), p)
 
 
 # -- folded scans -------------------------------------------------------------------
@@ -176,26 +302,25 @@ def profile_ranks(
     exhaustive: bool,
     total: int,
     seed: int = 0,
-    expect_even: bool = False,
+    alternating: bool = False,
     threads: int | None = None,
 ) -> tuple[int, int, int, int]:
     """Fold (min_rank, min_index, max_rank, max_index) over members.
 
     Indices refer to lexicographic enumeration order when exhaustive, or to
     the sample stream position otherwise; ties resolve to the least index
-    regardless of chunking or thread scheduling.
+    regardless of chunking or thread scheduling.  ``alternating`` members are
+    assembled on their strict upper triangles and ranked by ``skew_rank``.
     """
     dim = basis_flat.shape[0]
-    inv_table = _inverse_table(p)
+    cols, ranks_of = _ranker(n, m, p, alternating)
+    base, basis = base_flat[cols], basis_flat[:, cols]
 
     def worker(lo: int, hi: int):
         coords = (
             lex_coords(lo, hi, dim, p) if exhaustive else sampled_coords(seed, lo, hi, dim, p)
         )
-        mats = members_from_coords(coords, base_flat, basis_flat, n, m, p)
-        ranks = batch_rank(mats, p, inv_table)
-        if expect_even and (ranks & 1).any():
-            raise AssertionError("alternating member with odd rank")
+        ranks = ranks_of(members_from_coords(coords, base, basis, p))
         mn = int(ranks.min())
         mx = int(ranks.max())
         i_mn = lo + int((ranks == mn).argmax())
@@ -216,15 +341,15 @@ def rank_counts(
     m: int,
     p: int,
     total: int,
+    alternating: bool = False,
 ) -> np.ndarray:
     """Exhaustive rank multiset as a counts vector of length min(n, m) + 1."""
     dim = basis_flat.shape[0]
-    inv_table = _inverse_table(p)
+    cols, ranks_of = _ranker(n, m, p, alternating)
+    base, basis = base_flat[cols], basis_flat[:, cols]
     counts = np.zeros(min(n, m) + 1, dtype=np.int64)
     for lo, hi in chunk_ranges(0, total, n * m):
-        coords = lex_coords(lo, hi, dim, p)
-        mats = members_from_coords(coords, base_flat, basis_flat, n, m, p)
-        ranks = batch_rank(mats, p, inv_table)
+        ranks = ranks_of(members_from_coords(lex_coords(lo, hi, dim, p), base, basis, p))
         counts += np.bincount(ranks, minlength=counts.size)
     return counts
 
@@ -233,14 +358,13 @@ def unit_eigen_hits(
     basis_flat: np.ndarray, n: int, p: int, total: int, threads: int | None = None
 ) -> np.ndarray:
     """Indices of span members M (lex order) with det(M - I) == 0."""
-    inv_table = _inverse_table(p)
     dim = basis_flat.shape[0]
     neg_ident = (-np.eye(n, dtype=np.int64).reshape(n * n)) % p
 
     def worker(lo: int, hi: int):
         coords = lex_coords(lo, hi, dim, p)
-        mats = members_from_coords(coords, neg_ident, basis_flat, n, n, p)
-        ranks = batch_rank(mats, p, inv_table)
+        mats = members_from_coords(coords, neg_ident, basis_flat, p).reshape(-1, n, n)
+        ranks = batch_rank(mats, p)
         return lo + np.nonzero(ranks < n)[0]
 
     parts = _run_chunks(worker, list(chunk_ranges(0, total, n * n)), resolve_threads(threads))

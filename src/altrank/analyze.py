@@ -86,7 +86,7 @@ def rank_profile(
             exhaustive=exhaustive,
             total=count,
             seed=seed,
-            expect_even=sp.alternating,
+            alternating=sp.alternating,
             threads=threads,
         )
         if exhaustive:

@@ -68,6 +68,8 @@ class FieldCtx:
     @staticmethod
     def parse(text: str) -> "FieldCtx":
         """Parse ``"Fp:<p>"`` or ``"Q"``."""
+        if not isinstance(text, str):
+            raise ValueError(f"field spec must be a string, got {text!r}")
         if text == "Q":
             return FieldCtx.rational()
         if text.startswith("Fp:"):

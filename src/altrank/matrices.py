@@ -317,6 +317,8 @@ class Matrix:
 
     @staticmethod
     def from_json(obj: dict) -> "Matrix":
+        if not isinstance(obj, dict):
+            raise ValueError("matrix must be a JSON object")
         ctx = FieldCtx.parse(obj["field"])
         data = obj["data"]
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):

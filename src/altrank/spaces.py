@@ -23,7 +23,6 @@ from .matrices import (
     Matrix,
     Vector,
     alternating_from_upper,
-    alternating_units,
     rows_matrix,
 )
 from .rand import DEFAULT_RATIONAL_BOX, uniform_below
@@ -257,10 +256,18 @@ class AffineMatrixSpace:
 
     @staticmethod
     def from_json(obj: dict) -> "AffineMatrixSpace":
+        if not isinstance(obj, dict):
+            raise ValueError("space must be a JSON object")
+        if not isinstance(obj["basis"], list):
+            raise ValueError("space basis must be a list of matrices")
+        if not isinstance(obj["alternating"], bool):
+            raise ValueError("space alternating flag must be true or false")
         base = Matrix.from_json(obj["base"])
         basis = [Matrix.from_json(g) for g in obj["basis"]]
-        sp = AffineMatrixSpace(base, basis, alternating=bool(obj["alternating"]))
-        if list(sp.shape) != list(obj["shape"]):
+        if FieldCtx.parse(obj["field"]) != base.ctx:
+            raise ValueError(f"declared field {obj['field']!r} does not match the entries' field")
+        sp = AffineMatrixSpace(base, basis, alternating=obj["alternating"])
+        if obj["shape"] != list(sp.shape):
             raise ValueError("declared shape does not match base")
         return sp
 
@@ -304,7 +311,7 @@ def rank_multiset(sp: AffineMatrixSpace, budget: int = 10**4) -> dict[int, int]:
         raise BudgetExceededError(f"{total} members exceed budget {budget}")
     n, m = sp.shape
     base_flat, basis_flat = sp.flat_arrays()
-    counts = _engine.rank_counts(base_flat, basis_flat, n, m, sp.ctx.p, total)
+    counts = _engine.rank_counts(base_flat, basis_flat, n, m, sp.ctx.p, total, sp.alternating)
     return {r: int(c) for r, c in enumerate(counts) if c}
 
 
@@ -463,14 +470,10 @@ def exhaustive_optimal_dimension(
     if total > table_budget:
         raise BudgetExceededError(f"ambient table of {total} entries exceeds {table_budget}")
 
-    basis_flat = np.array([u.flatten() for u in alternating_units(ctx, n)], dtype=np.int64)
-    base_flat = np.zeros(n * n, dtype=np.int64)
     ranks = np.empty(total, dtype=np.int64)
-    inv_table = _engine._inverse_table(q)
     for lo, hi in _engine.chunk_ranges(0, total, n * n):
-        coords = _engine.lex_coords(lo, hi, m, q)
-        mats = _engine.members_from_coords(coords, base_flat, basis_flat, n, n, q)
-        ranks[lo:hi] = _engine.batch_rank(mats, q, inv_table)
+        # a coordinate tuple over the alternating units is the strict upper triangle
+        ranks[lo:hi] = _engine.alternating_ranks(_engine.lex_coords(lo, hi, m, q), n, q)
     bad = (ranks != r) if predicate == "constant-rank" else (ranks < r)
 
     all_vecs = _engine.lex_coords(0, total, m, q)

@@ -178,6 +178,8 @@ class FormSpacePair:
 
     @staticmethod
     def from_json(obj: dict) -> "FormSpacePair":
+        if not isinstance(obj, dict) or not isinstance(obj["operators"], list):
+            raise ValueError("form-space pair must be a JSON object with a list of operators")
         return FormSpacePair(
             Matrix.from_json(obj["gram"]),
             tuple(Matrix.from_json(u) for u in obj["operators"]),

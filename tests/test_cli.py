@@ -3,7 +3,12 @@ import json
 import pytest
 
 from altrank.cli import dimension_table, main
-from altrank.families import build_bordered_alternating, build_counterexample_plane, build_rank_at_least_space
+from altrank.families import (
+    build_bordered_alternating,
+    build_counterexample_plane,
+    build_operator_block_space,
+    build_rank_at_least_space,
+)
 from altrank.fields import FieldCtx
 
 F3 = FieldCtx.prime(3)
@@ -146,6 +151,48 @@ def test_verify_malformed_space_is_usage_error(tmp_path, capsys, space, path, va
     src = tmp_path / "space.json"
     src.write_text(json.dumps(obj))
     code, text = run(tmp_path, "verify", "--in", str(src), "--check", "rank-profile", "--sample", "10")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("basis", 5),
+        ("base", 5),
+        ("shape", 5),
+        (None, "list"),
+        ("field", 5),
+        ("field", "Fp:7"),
+        ("alternating", "no"),
+    ],
+    ids=["basis-5", "base-5", "shape-5", "top-level-list", "field-5", "field-mismatch", "alternating-string"],
+)
+def test_verify_malformed_space_fields_are_usage_errors(tmp_path, capsys, key, value):
+    obj = build_bordered_alternating(F5, 5, 1).to_json()
+    if key is None:
+        obj = [obj]
+    else:
+        obj[key] = value
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(obj))
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "rank-profile", "--sample", "10")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", [None, "operators", "gram"], ids=["top-level-list", "operators-5", "gram-5"])
+def test_verify_malformed_pair_is_usage_error(tmp_path, capsys, key):
+    obj = build_operator_block_space(F3, 2).to_json()
+    if key is None:
+        obj = [obj]
+    else:
+        obj[key] = 5
+    src = tmp_path / "pair.json"
+    src.write_text(json.dumps(obj))
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "duality")
     err = capsys.readouterr().err
     assert code == 2 and text == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -1,0 +1,175 @@
+"""The batched F_p kernels against each other and against exact elimination.
+
+``skew_rank`` (alternating members on strict-upper storage) is cross-checked
+with the general ``batch_rank`` and with ``Matrix.rank`` on seeded stacks that
+mix ranks, so members finish at different elimination steps.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import altrank
+from altrank import _engine
+from altrank.analyze import rank_profile
+from altrank.families import (
+    build_bordered_alternating,
+    build_corank_one_space,
+    build_rank_at_least_space,
+)
+from altrank.fields import FieldCtx
+from altrank.matrices import Matrix
+
+BIG = 2_147_483_629  # a prime just below 2^31: products of residues reach 2^62
+PRIMES = (2, 3, 5, 7, BIG)
+
+
+def alternating_stack(p: int, n: int, seed: int) -> list[list[list[int]]]:
+    """A shuffled stack of alternating n x n matrices over F_p: the zero matrix,
+    sums of t random rank-two forms x^y for every t <= n/2, and random ones."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for t in list(range(n // 2 + 1)) * 3:
+        a = [[0] * n for _ in range(n)]
+        for _ in range(t):
+            x = [int(v) for v in rng.integers(0, p, n)]
+            y = [int(v) for v in rng.integers(0, p, n)]
+            for i in range(n):
+                for j in range(n):
+                    a[i][j] = (a[i][j] + x[i] * y[j] - y[i] * x[j]) % p
+        mats.append(a)
+    for _ in range(4):
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = int(rng.integers(0, p))
+                a[j][i] = -a[i][j] % p
+        mats.append(a)
+    mats.append([[0] * n for _ in range(n)])
+    return [mats[i] for i in rng.permutation(len(mats))]
+
+
+def upper_of(mats: list, n: int) -> np.ndarray:
+    pi, pj = np.triu_indices(n, 1)
+    full = np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
+    return full[:, pi, pj].copy()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_skew_rank_matches_batch_rank_and_exact(p, n):
+    ctx = FieldCtx.prime(p)
+    mats = alternating_stack(p, n, seed=1000 * n + p % 1000)
+    skew = _engine.skew_rank(upper_of(mats, n), n, p)
+    general = _engine.batch_rank(np.array(mats, dtype=np.int64).reshape(-1, n, n), p)
+    exact = [Matrix(ctx, m).rank() for m in mats]
+    assert [int(r) for r in skew] == [int(r) for r in general] == exact
+    assert 0 in exact
+    if n >= 2:
+        assert len(set(exact)) >= 2  # members leave the stack at different steps
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("k", [0, 1])
+def test_tiny_stacks(p, k):
+    n = 6
+    mats = alternating_stack(p, n, seed=7)[:k]
+    up = upper_of(mats, n) if k else np.zeros((0, n * (n - 1) // 2), dtype=np.int64)
+    full = np.array(mats, dtype=np.int64).reshape(k, n, n)
+    skew = _engine.skew_rank(up.copy(), n, p)
+    assert skew.shape == (k,) and (skew == _engine.batch_rank(full, p)).all()
+    assert (_engine.alternating_ranks(up, n, p) == [Matrix(FieldCtx.prime(p), m).rank() for m in mats]).all()
+
+
+@pytest.mark.parametrize("p", [3, 7, BIG])
+def test_skew_rank_matches_sympy(p):
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    K = GF(p)
+    n = 8
+    mats = alternating_stack(p, n, seed=11)
+    skew = _engine.skew_rank(upper_of(mats, n), n, p)
+    for m, r in zip(mats, skew):
+        assert DomainMatrix([[K(x) for x in row] for row in m], (n, n), K).rank() == r
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_inverse_mod(p):
+    a = np.array(sorted({1, 2 % p or 1, p - 1, p // 2 or 1, (p * 7) // 9 or 1}), dtype=np.int64)
+    assert ((_engine.inverse_mod(a, p) * a) % p == 1).all()
+
+
+def test_members_from_coords_is_exact_near_2_31():
+    rng = np.random.default_rng(5)
+    coords = rng.integers(BIG - 50, BIG, (40, 6))
+    basis = rng.integers(BIG - 50, BIG, (6, 10))
+    base = rng.integers(0, BIG, 10)
+    got = _engine.members_from_coords(coords, base, basis, BIG)
+    want = [
+        [(int(base[c]) + sum(int(coords[i, t]) * int(basis[t, c]) for t in range(6))) % BIG for c in range(10)]
+        for i in range(40)
+    ]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ctx: build_rank_at_least_space(ctx, 4, 2),
+        lambda ctx: build_bordered_alternating(ctx, 5, 1),
+        lambda ctx: build_corank_one_space(ctx, 2),
+    ],
+    ids=["h-bar", "m-tilde-alt", "h-plus"],
+)
+def test_rank_profile_near_2_31(build):
+    sp = build(FieldCtx.prime(BIG))
+    prof = rank_profile(sp, seed=3, samples=300)
+    assert prof.method == "sampled" and prof.checked == 300
+    assert prof.min_rank >= 2 and prof.max_rank <= 4
+    for coords, r in ((prof.witness_min, prof.min_rank), (prof.witness_max, prof.max_rank)):
+        assert sp.member_at(coords).rank() == r
+
+
+WRONG_KERNEL = """
+from altrank import _engine
+from altrank.analyze import rank_profile
+from altrank.families import build_bordered_alternating
+from altrank.fields import FieldCtx
+
+real = _engine.skew_rank
+
+def wrong(upper, n, p):
+    ranks = real(upper, n, p)
+    ranks[3] += 2
+    return ranks
+
+_engine.skew_rank = wrong
+rank_profile(build_bordered_alternating(FieldCtx.prime(3), 5, 1))
+"""
+
+
+def test_guard_catches_a_wrong_kernel_under_optimize():
+    src = str(Path(altrank.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_KERNEL],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: skew elimination gave rank 4" in proc.stderr
+
+
+def test_profile_is_partition_independent_on_the_skew_path():
+    sp = build_rank_at_least_space(FieldCtx.prime(3), 9, 4)
+    samples = 2 * 2**22 // 81 + 7  # three chunks
+    one, two = (rank_profile(sp, seed=5, samples=samples, threads=t) for t in (1, 2))
+    assert one == two
+    assert one.min_rank < one.max_rank
