@@ -211,7 +211,7 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     live = np.arange(upper.shape[0])
     u = upper
     lo = 0
-    while live.size and start[lo] < pi.size:
+    while live.size and lo < n - 1:  # rows from n - 1 on hold no pair
         s0 = start[lo]
         t = (u[:, s0:] != 0).argmax(axis=1) + s0
         a = u[np.arange(live.size), t]

@@ -27,6 +27,8 @@ from .matrices import (
 )
 from .rand import DEFAULT_RATIONAL_BOX, uniform_below
 
+_BLOCK_ELEMS = 1 << 20  # largest temporary of one coset-scan block, in int64 elements
+
 
 class Span:
     """Row span kept in reduced row echelon form, grown one vector at a time.
@@ -416,8 +418,16 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     return num // den
 
 
-def echelon_bases(m: int, d: int, q: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Reduced-echelon representatives of the d-dim subspaces of F_q^m."""
+def _echelon_blocks(
+    m: int, d: int, q: int, per_space: int
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Reduced-echelon representatives of the d-dim subspaces of F_q^m as
+    (pivots, (b, d, m) stack) blocks, in enumeration order.
+
+    Each pivot pattern starts with a block of one space, and blocks grow x4
+    while b * per_space stays within ``_BLOCK_ELEMS`` int64 elements.
+    """
+    limit = max(1, _BLOCK_ELEMS // max(1, per_space))
     for pivots in combinations(range(m), d):
         free = [
             (i, j)
@@ -425,12 +435,22 @@ def echelon_bases(m: int, d: int, q: int) -> Iterator[tuple[tuple[int, ...], np.
             for j in range(pivots[i] + 1, m)
             if j not in pivots
         ]
-        for values in product(range(q), repeat=len(free)):
-            w = np.zeros((d, m), dtype=np.int64)
-            for i, pc in enumerate(pivots):
-                w[i, pc] = 1
-            for (i, j), v in zip(free, values):
-                w[i, j] = v
+        fi, fj = [i for i, _ in free], [j for _, j in free]
+        count = q ** len(free)
+        lo, size = 0, 1
+        while lo < count:
+            hi = min(count, lo + size)
+            w = np.zeros((hi - lo, d, m), dtype=np.int64)
+            w[:, range(d), pivots] = 1
+            w[:, fi, fj] = _engine.lex_coords(lo, hi, len(free), q)
+            yield pivots, w
+            lo, size = hi, min(limit, 4 * size)
+
+
+def echelon_bases(m: int, d: int, q: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Reduced-echelon representatives of the d-dim subspaces of F_q^m."""
+    for pivots, block in _echelon_blocks(m, d, q, d * m):
+        for w in block:
             yield pivots, w
 
 
@@ -453,10 +473,12 @@ def exhaustive_optimal_dimension(
     """Exact maximum dimension of an affine subspace of A_n(F_q) satisfying
     ``predicate`` ("constant-rank" or "rank-at-least" relative to r).
 
-    Enumerates direction spaces as echelon representatives and, for each,
-    classifies every coset in a single vectorized pass over the full ambient
-    rank table.  Both predicates pass to affine subspaces, so the scan walks
-    dimensions upward and stops at the first empty level.
+    Enumerates direction spaces as echelon representatives, a block of them
+    at a time, and counts for every coset of every space in the block how many
+    of its members are bad (or good, whichever side of the ambient rank table
+    is smaller) in one round of numpy calls.  Both predicates pass to affine
+    subspaces, so the scan walks dimensions upward and stops at the first
+    empty level.
     """
     if ctx.kind != "prime":
         raise ValueError("exhaustive search needs a prime field")
@@ -470,13 +492,13 @@ def exhaustive_optimal_dimension(
     if total > table_budget:
         raise BudgetExceededError(f"ambient table of {total} entries exceeds {table_budget}")
 
+    # a coordinate tuple over the alternating units is the strict upper triangle
+    all_vecs = _engine.lex_coords(0, total, m, q)
     ranks = np.empty(total, dtype=np.int64)
     for lo, hi in _engine.chunk_ranges(0, total, n * n):
-        # a coordinate tuple over the alternating units is the strict upper triangle
-        ranks[lo:hi] = _engine.alternating_ranks(_engine.lex_coords(lo, hi, m, q), n, q)
+        ranks[lo:hi] = _engine.alternating_ranks(all_vecs[lo:hi].copy(), n, q)
     bad = (ranks != r) if predicate == "constant-rank" else (ranks < r)
 
-    all_vecs = _engine.lex_coords(0, total, m, q)
     exists_by_dim: dict[int, bool] = {}
     witness = None
     max_dim = -1
@@ -516,16 +538,35 @@ def exhaustive_optimal_dimension(
 
 
 def _coset_scan(all_vecs: np.ndarray, bad: np.ndarray, m: int, d: int, q: int):
-    """First (direction rows, coset representative index) whose coset avoids bad."""
-    key_pows = q ** np.arange(m - d - 1, -1, -1, dtype=np.int64)
-    n_cosets = q ** (m - d)
-    for pivots, w in echelon_bases(m, d, q):
+    """First (direction rows, coset representative index) whose coset avoids bad.
+
+    The coset key of v is the non-pivot part of v - v[piv] @ W read in base q,
+    linear in v, so one matmul keys a whole block of direction spaces.  Only
+    the smaller of the bad and good vectors is keyed: a coset avoids bad
+    exactly when it holds no bad vector, or all q^d of its vectors are good.
+    """
+    count_bad = 2 * int(bad.sum()) <= bad.size
+    side = all_vecs[bad if count_bad else ~bad]
+    full_count = 0 if count_bad else q**d
+    k = m - d
+    key_pows = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    n_cosets = q**k
+    for pivots, w in _echelon_blocks(m, d, q, max(side.shape[0] * k, n_cosets, d * m)):
+        b = w.shape[0]
+        piv = list(pivots)
         nonpiv = [j for j in range(m) if j not in pivots]
-        red = (all_vecs - all_vecs[:, list(pivots)] @ w) % q
-        keys = red[:, nonpiv] @ key_pows
-        bad_counts = np.bincount(keys[bad], minlength=n_cosets)
-        hit = int(np.argmin(bad_counts)) if bad_counts.size else 0
-        if bad_counts[hit] == 0:
-            rep_idx = int(np.argmax(keys == hit))
-            return w, rep_idx
+        w_np = w[:, :, nonpiv]
+        red = side[:, piv] @ w_np.transpose(1, 0, 2).reshape(d, b * k)
+        red = red.reshape(-1, b, k)
+        np.subtract(side[:, None, nonpiv], red, out=red)
+        red %= q
+        keys = red @ key_pows + np.arange(b) * n_cosets
+        counts = np.bincount(keys.ravel(), minlength=b * n_cosets).reshape(b, n_cosets)
+        ok = counts == full_count
+        found = ok.any(axis=1)
+        if found.any():
+            s = int(found.argmax())
+            hit = int(ok[s].argmax())
+            keys = (all_vecs[:, nonpiv] - all_vecs[:, piv] @ w_np[s]) % q @ key_pows
+            return w[s], int(np.argmax(keys == hit))
     return None

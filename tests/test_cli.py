@@ -8,6 +8,7 @@ from altrank.families import (
     build_counterexample_plane,
     build_operator_block_space,
     build_rank_at_least_space,
+    optimal_dimension_formula,
 )
 from altrank.fields import FieldCtx
 
@@ -117,6 +118,17 @@ def test_optimal_search_cli(tmp_path):
     assert code == 0
     results = json.loads(text)["results"]
     assert results["max_dim"] == 2 and results["agrees"]
+
+
+def test_optimal_search_cli_at_n_zero(tmp_path):
+    code, text = run(
+        tmp_path, "optimal-search", "--n", "0", "--r", "0", "--field", "Fp:3",
+        "--predicate", "constant-rank",
+    )
+    assert code == 0
+    results = json.loads(text)["results"]
+    assert results["max_dim"] == 0 == optimal_dimension_formula(0, 0, "constant_rank")
+    assert results["agrees"] and results["exists_by_dim"] == {"0": True}
 
 
 def test_counterexample_cli(tmp_path):

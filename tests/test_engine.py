@@ -23,6 +23,7 @@ from altrank.families import (
 )
 from altrank.fields import FieldCtx
 from altrank.matrices import Matrix
+from altrank.spaces import AffineMatrixSpace, rank_multiset
 
 BIG = 2_147_483_629  # a prime just below 2^31: products of residues reach 2^62
 PRIMES = (2, 3, 5, 7, BIG)
@@ -83,6 +84,18 @@ def test_tiny_stacks(p, k):
     skew = _engine.skew_rank(up.copy(), n, p)
     assert skew.shape == (k,) and (skew == _engine.batch_rank(full, p)).all()
     assert (_engine.alternating_ranks(up, n, p) == [Matrix(FieldCtx.prime(p), m).rank() for m in mats]).all()
+
+
+def test_empty_members_rank_zero():
+    # n = 0: every member is the empty matrix, so the elimination loop must not run
+    for n in (0, 1):
+        up = np.zeros((3, 0), dtype=np.int64)
+        assert _engine.skew_rank(up.copy(), n, 3).tolist() == [0, 0, 0]
+        assert _engine.alternating_ranks(up, n, 3).tolist() == [0, 0, 0]
+        sp = AffineMatrixSpace(Matrix.zeros(FieldCtx.prime(3), n), [], alternating=True)
+        assert rank_multiset(sp) == {0: 1}
+        prof = rank_profile(sp)
+        assert (prof.min_rank, prof.max_rank, prof.checked) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("p", [3, 7, BIG])

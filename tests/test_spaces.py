@@ -1,5 +1,10 @@
+from functools import lru_cache
+from itertools import product
+
+import numpy as np
 import pytest
 
+from altrank import _engine, spaces
 from altrank.errors import BudgetExceededError
 from altrank.families import build_bordered_alternating
 from altrank.fields import FieldCtx
@@ -322,3 +327,104 @@ def test_optimal_search_budgets():
         exhaustive_optimal_dimension(3, 2, F3, "sometimes-rank")
     with pytest.raises(ValueError):
         exhaustive_optimal_dimension(3, 1, F3, "constant-rank")
+
+
+def reference_optimal_search(n: int, r: int, q: int, predicate: str):
+    """Per-space optimal search on the exact layer: every coset member of every
+    echelon direction space is ranked with ``Matrix.rank``.  The first space in
+    ``echelon_bases`` order with a qualifying coset wins, its least qualifying
+    coset (by reduced representative) and that coset's least member."""
+    ctx = FieldCtx.prime(q)
+    m = n * (n - 1) // 2
+    vecs = list(product(range(q), repeat=m))
+
+    @lru_cache(maxsize=None)
+    def good(v):
+        k = alternating_from_upper(ctx, n, list(v)).rank()
+        return k == r if predicate == "constant-rank" else k >= r
+
+    def search(d):
+        for pivots, w in echelon_bases(m, d, q):
+            rows = [tuple(int(x) for x in row) for row in w]
+            cosets: dict[tuple, list] = {}
+            for v in vecs:
+                red = list(v)
+                for row, pc in zip(rows, pivots):
+                    c = red[pc]
+                    red = [(x - c * y) % q for x, y in zip(red, row)]
+                cosets.setdefault(tuple(red), []).append(v)
+            ok = [key for key, members in cosets.items() if all(good(v) for v in members)]
+            if ok:
+                return rows, min(cosets[min(ok)])
+        return None
+
+    exists_by_dim, witness, max_dim = {}, None, -1
+    for d in range(m + 1):
+        found = search(d)
+        exists_by_dim[d] = found is not None
+        if found is None:
+            break
+        max_dim = d
+        rows, rep = found
+        witness = AffineMatrixSpace(
+            alternating_from_upper(ctx, n, list(rep)),
+            [alternating_from_upper(ctx, n, list(row)) for row in rows],
+            alternating=True,
+        )
+    return max_dim, exists_by_dim, witness
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (3, 3), (3, 5), (4, 2)])
+def test_optimal_search_matches_exact_reference(n, q):
+    for r in range(0, n + 1, 2):
+        for predicate in ("constant-rank", "rank-at-least"):
+            res = exhaustive_optimal_dimension(n, r, FieldCtx.prime(q), predicate)
+            max_dim, exists_by_dim, witness = reference_optimal_search(n, r, q, predicate)
+            assert (res.max_dim, res.exists_by_dim) == (max_dim, exists_by_dim), (r, predicate)
+            assert res.witness.to_json() == witness.to_json(), (r, predicate)
+
+
+def per_space_coset_scan(all_vecs, bad, m, d, q):
+    """The coset scan one direction space at a time, every ambient vector keyed."""
+    key_pows = q ** np.arange(m - d - 1, -1, -1)
+    for pivots, w in echelon_bases(m, d, q):
+        nonpiv = [j for j in range(m) if j not in pivots]
+        keys = ((all_vecs - all_vecs[:, list(pivots)] @ w) % q)[:, nonpiv] @ key_pows
+        bad_counts = np.bincount(keys[bad], minlength=q ** (m - d))
+        hit = int(np.argmin(bad_counts))
+        if bad_counts[hit] == 0:
+            return w, int(np.argmax(keys == hit))
+    return None
+
+
+@pytest.mark.parametrize("m,d,q", [(4, 2, 3), (5, 3, 2), (3, 1, 5), (6, 3, 2)])
+def test_blocked_coset_scan_matches_per_space_loop(monkeypatch, m, d, q):
+    # seeded bad sets of three densities put the first qualifying space deep
+    # inside a block, or leave none, and switch which side gets counted
+    all_vecs = _engine.lex_coords(0, q**m, m, q)
+    for density in (0.35, 0.5, 0.65):
+        for seed in range(4):
+            bad = np.random.default_rng([m, d, q, seed]).random(q**m) < density
+            want = per_space_coset_scan(all_vecs, bad, m, d, q)
+            for cap in (spaces._BLOCK_ELEMS, 1, 2000):
+                monkeypatch.setattr(spaces, "_BLOCK_ELEMS", cap)
+                got = spaces._coset_scan(all_vecs, bad, m, d, q)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+
+
+@pytest.mark.parametrize(
+    "n,r,q,predicate",
+    [(4, 4, 3, "constant-rank"), (4, 2, 3, "constant-rank"), (4, 2, 3, "rank-at-least"), (3, 2, 5, "constant-rank")],
+)
+def test_optimal_search_is_independent_of_block_size(monkeypatch, n, r, q, predicate):
+    ctx = FieldCtx.prime(q)
+    want = exhaustive_optimal_dimension(n, r, ctx, predicate)
+    # 1: one space per block; 5000: blocks of a few spaces, growth capped off a power of 4
+    for cap in (1, 5000):
+        monkeypatch.setattr(spaces, "_BLOCK_ELEMS", cap)
+        got = exhaustive_optimal_dimension(n, r, ctx, predicate)
+        assert (got.max_dim, got.exists_by_dim) == (want.max_dim, want.exists_by_dim)
+        assert got.witness.to_json() == want.witness.to_json()
