@@ -7,7 +7,10 @@ the same operations at small scale (the test suite cross-checks the two).
 
 Alternating members are stored as their strict upper triangles, row-major
 in (i, j), and ranked by skew elimination (``skew_rank``); every other
-stack is ranked by general column elimination (``batch_rank``).
+stack is ranked by general column elimination (``batch_rank``), which swaps
+no rows (a pivot row clears itself, so it is zero in every later column) and
+delays its ``% p``: it lets entries leave [0, p) while a tracked bound on
+|entries| plus one more update, (p-1)^2, stays within int64.
 """
 
 from __future__ import annotations
@@ -142,7 +145,23 @@ def _inverse_table(p: int) -> np.ndarray:
 
 
 def batch_rank(mats: np.ndarray, p: int, inv_table: np.ndarray | None = None) -> np.ndarray:
-    """Ranks of a stack of matrices over F_p.  Mutates ``mats``.
+    """Ranks of a stack of matrices over F_p, entries canonical residues.
+    Mutates ``mats``.
+
+    Column elimination without row swaps: column c pivots on its first row
+    that is nonzero mod p, and every row takes the update
+    row -= (col / a) * pivot row on the columns right of c, where a is the
+    pivot.  The pivot row takes it too, with factor 1, so it is zero mod p in
+    every later column and is never picked again; rows stay where they are and
+    no mask of used rows is needed.  When fewer than half of the members pivot
+    in a column, those members are gathered, updated and scattered back;
+    otherwise the update is in place.  Columns up to c are never read again.
+
+    The ``% p`` is delayed (FFLAS-style): each update moves an entry by at
+    most (p-1)^2, so with a bound on |entries| only the column about to be
+    tested and the pivot row are reduced, and the columns still to come are
+    reduced all at once only when one more update could leave int64.  That is
+    never for small p and at every column near 2^31.
 
     Pivot inverses are looked up in a table of all p residues when p <= k (the
     table costs about what one column's ``inverse_mod`` on k pivots costs), and
@@ -152,28 +171,41 @@ def batch_rank(mats: np.ndarray, p: int, inv_table: np.ndarray | None = None) ->
     if inv_table is None and p <= k:
         inv_table = _inverse_table(p)
     r = np.zeros(k, dtype=np.int64)
-    rows = np.arange(n)
+    every = np.arange(k)
     full = min(n, m)
+    step = (p - 1) ** 2  # the most one update moves an entry
+    bound = p - 1  # on |entries| of the columns not yet eliminated
     for c in range(m):
         if k == 0 or r.min() >= full:
             break
-        col = mats[:, :, c]
-        nz = (rows[None, :] >= r[:, None]) & (col != 0)
+        col = mats[:, :, c] % p
+        nz = col != 0
         has = nz.any(axis=1)
-        if not has.any():
+        count = int(np.count_nonzero(has))
+        if not count:
             continue
-        hidx = np.nonzero(has)[0]
-        piv_h = nz.argmax(axis=1)[hidx]
-        rr_h = r[hidx]
-        prow = mats[hidx, piv_h].copy()
-        mats[hidx, piv_h] = mats[hidx, rr_h]
-        mats[hidx, rr_h] = prow
-        pinv = inverse_mod(prow[:, c], p) if inv_table is None else inv_table[prow[:, c]]
-        colh = mats[hidx, :, c]
-        f = colh * pinv[:, None] % p
-        f *= rows[None, :] > rr_h[:, None]
-        mats[hidx, :, c:] = (mats[hidx, :, c:] - f[:, :, None] * prow[:, None, c:]) % p
         r += has
+        if c + 1 == m:
+            break
+        piv = nz.argmax(axis=1)
+        if 2 * count < k:
+            sel = np.nonzero(has)[0]
+            col, piv = col[sel], piv[sel]
+        else:
+            sel = every
+        pinv = col[np.arange(sel.size), piv]  # 0 for a member without a pivot
+        pinv = inverse_mod(pinv, p) if inv_table is None else inv_table[pinv]
+        col *= pinv[:, None]
+        col %= p
+        if bound > _INT64_MAX - step:
+            np.remainder(mats[:, :, c + 1 :], p, out=mats[:, :, c + 1 :])
+            bound = p - 1
+        bound += step
+        upd = col[:, :, None] * (mats[sel, piv, c + 1 :] % p)[:, None, :]
+        if sel is every:
+            mats[:, :, c + 1 :] -= upd
+        else:
+            mats[sel, :, c + 1 :] -= upd
     return r
 
 
@@ -370,3 +402,25 @@ def unit_eigen_hits(
     parts = _run_chunks(worker, list(chunk_ranges(0, total, n * n)), resolve_threads(threads))
     hits = [part for part in parts if part.size]
     return np.sort(np.concatenate(hits)) if hits else np.empty(0, dtype=np.int64)
+
+
+def least_scaled_hit(hits: np.ndarray, dim: int, p: int) -> tuple[int, int]:
+    """The least (index of lam * z, lam) over hits z (lex indices of nonzero
+    coordinate tuples) and lam in 1..p-1.
+
+    Scaling keeps a tuple's leading position, so for each z the least scaled
+    index is taken exactly at lam = 1 / (leading digit of z), which makes
+    that digit 1; ties between hits on one line go to the least lam.
+    """
+    def digits():  # most significant first, one at a time to keep memory O(hits)
+        return (hits // p ** (dim - 1 - t) % p for t in range(dim))
+
+    lead = np.zeros_like(hits)
+    for d in digits():
+        lead = np.where(lead == 0, d, lead)
+    lam = inverse_mod(lead, p)
+    idx = np.zeros_like(hits)
+    for d in digits():
+        idx = idx * p + d * lam % p
+    best = idx.min()
+    return int(best), int(lam[idx == best].min())

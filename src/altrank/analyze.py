@@ -166,18 +166,7 @@ def trivial_spectrum_check(
     hits = _engine.unit_eigen_hits(basis_flat, sp.shape[0], p, total)
     if len(hits) == 0:
         return TrivialSpectrumReport(True, total, None)
-    best = None
-    for z in hits:
-        coords = _engine.index_to_coords(z, sp.dim, p)
-        for lam in range(1, p):
-            scaled = tuple((lam * c) % p for c in coords)
-            idx = 0
-            for c in scaled:
-                idx = idx * p + c
-            cand = (idx, lam)
-            if best is None or cand < best:
-                best = cand
-    idx, lam = best
+    idx, lam = _engine.least_scaled_hit(hits, sp.dim, p)
     member = sp.member_at(_engine.index_to_coords(idx, sp.dim, p))
     if lam not in eigenvalues_in_field(member):
         raise AssertionError("spectrum witness failed exact re-verification")

@@ -567,6 +567,9 @@ def main(argv=None) -> int:
     except (ValueError, BudgetExceededError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # an internal invariant, such as the engine guard
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from altrank import _engine
 from altrank.analyze import (
     duality_invariant_check,
     extract_range_lagrangian,
@@ -17,6 +19,7 @@ from altrank.families import (
 )
 from altrank.fields import FieldCtx
 from altrank.matrices import Matrix
+from altrank.rand import CounterStream, derive_seed, random_matrix
 from altrank.spaces import AffineMatrixSpace
 from altrank.symplectic import FormSpacePair, standard_symplectic
 
@@ -116,6 +119,48 @@ def test_trivial_spectrum_guards():
     rect = AffineMatrixSpace(Matrix.zeros(F3, 2, 3), [])
     with pytest.raises(ValueError):
         trivial_spectrum_check(rect)
+
+
+def reference_least_scaled_hit(hits, dim, p):
+    """The member-major, eigenvalue-minor loop the vectorised witness search
+    replaced: the least (index of lam * z, lam) over hits z and lam in 1..p-1."""
+    best = None
+    for z in hits:
+        coords = _engine.index_to_coords(int(z), dim, p)
+        for lam in range(1, p):
+            idx = 0
+            for c in coords:
+                idx = idx * p + (lam * c) % p
+            if best is None or (idx, lam) < best:
+                best = (idx, lam)
+    return best
+
+
+@pytest.mark.parametrize(
+    "n, dim, p, seed",
+    [(2, 1, 7, 11), (2, 2, 5, 1), (2, 3, 2, 2), (3, 2, 5, 3), (3, 3, 5, 4), (3, 3, 3, 5), (4, 2, 3, 6), (2, 2, 11, 7)],
+)
+def test_spectrum_witness_matches_reference_loop(n, dim, p, seed):
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(seed, "spectrum-witness"))
+    sp = AffineMatrixSpace(Matrix.zeros(ctx, n), [random_matrix(ctx, n, n, stream) for _ in range(dim)])
+    hits = _engine.unit_eigen_hits(sp.flat_arrays()[1], n, p, p**dim)
+    assert hits.size  # a nontrivial spectrum, so there is a witness to find
+    idx, lam = reference_least_scaled_hit(hits, dim, p)
+    rep = trivial_spectrum_check(sp)
+    assert not rep.trivial and rep.checked == p**dim
+    member, got_lam = rep.witness
+    assert (member, got_lam) == (sp.member_at(_engine.index_to_coords(idx, dim, p)), lam)
+
+
+@pytest.mark.parametrize("dim, p", [(1, 2), (3, 2), (2, 3), (3, 5), (2, 7)])
+def test_least_scaled_hit_matches_reference_loop(dim, p):
+    # arbitrary index sets, many with several multiples of one tuple, so ties
+    # between hits on one line decide the eigenvalue
+    rng = np.random.default_rng(100 * dim + p)
+    for _ in range(20):
+        hits = np.unique(rng.integers(1, p**dim, rng.integers(1, 12)))
+        assert _engine.least_scaled_hit(hits, dim, p) == reference_least_scaled_hit(hits, dim, p)
 
 
 # -- rank-degeneration conclusions ---------------------------------------------------------

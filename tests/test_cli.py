@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from altrank import _engine
 from altrank.cli import dimension_table, main
 from altrank.families import (
     build_bordered_alternating,
@@ -208,3 +209,21 @@ def test_verify_malformed_pair_is_usage_error(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert code == 2 and text == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
+    real = _engine.skew_rank
+
+    def wrong(upper, n, p):
+        ranks = real(upper, n, p)
+        ranks[0] += 2
+        return ranks
+
+    monkeypatch.setattr(_engine, "skew_rank", wrong)
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(build_bordered_alternating(F5, 5, 1).to_json()))
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "rank-profile", "--rank", "4")
+    err = capsys.readouterr().err
+    assert code == 3 and text == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: skew elimination gave rank")

@@ -2,7 +2,10 @@
 
 ``skew_rank`` (alternating members on strict-upper storage) is cross-checked
 with the general ``batch_rank`` and with ``Matrix.rank`` on seeded stacks that
-mix ranks, so members finish at different elimination steps.
+mix ranks, so members finish at different elimination steps.  ``batch_rank``
+is also checked on its own on non-square, non-alternating stacks, at primes
+where its delayed reduction never flushes, flushes now and then, and flushes
+at every column.
 """
 
 import os
@@ -26,6 +29,7 @@ from altrank.matrices import Matrix
 from altrank.spaces import AffineMatrixSpace, rank_multiset
 
 BIG = 2_147_483_629  # a prime just below 2^31: products of residues reach 2^62
+MID = 1_073_741_789  # a prime just below 2^30: batch_rank flushes after 7 updates
 PRIMES = (2, 3, 5, 7, BIG)
 
 
@@ -72,6 +76,78 @@ def test_skew_rank_matches_batch_rank_and_exact(p, n):
     assert 0 in exact
     if n >= 2:
         assert len(set(exact)) >= 2  # members leave the stack at different steps
+
+
+def mixed_stack(p: int, n: int, m: int, seed) -> np.ndarray:
+    """A shuffled stack of n x m matrices over F_p: products A @ B of rank at
+    most t for every t <= min(n, m), two of each, twelve uniform ones and the
+    zero matrix, with the first column cleared in 60% of the members so that
+    column 0 pivots in fewer than half of them."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for t in list(range(min(n, m) + 1)) * 2:
+        a = rng.integers(0, p, (n, t)).astype(object)
+        b = rng.integers(0, p, (t, m)).astype(object)
+        mats.append((a @ b % p).astype(np.int64) if t else np.zeros((n, m), dtype=np.int64))
+    mats += [rng.integers(0, p, (n, m)) for _ in range(12)]
+    mats.append(np.zeros((n, m), dtype=np.int64))
+    out = np.stack(mats)[rng.permutation(len(mats))]
+    out[: len(mats) * 3 // 5, :, 0] = 0
+    return out[rng.permutation(len(mats))]
+
+
+def pivots_in_column(ctx, mats, c):
+    """How many members pivot in column c: rank grows when column c is added."""
+    return sum(
+        Matrix(ctx, a[:, : c + 1].tolist()).rank() > (Matrix(ctx, a[:, :c].tolist()).rank() if c else 0)
+        for a in mats
+    )
+
+
+@pytest.mark.parametrize("p", PRIMES + (MID,))
+@pytest.mark.parametrize("n, m", [(2, 5), (5, 2), (3, 7), (7, 3), (4, 4), (6, 10), (10, 6)])
+def test_batch_rank_matches_exact_on_general_stacks(p, n, m):
+    ctx = FieldCtx.prime(p)
+    mats = mixed_stack(p, n, m, seed=[n, m, p])
+    exact = [Matrix(ctx, a.tolist()).rank() for a in mats]
+    assert {0, 1, min(n, m)} <= set(exact)
+    # column 0 takes the gather/scatter update; with a column between it and
+    # the last, some column takes the in-place one
+    k = len(mats)
+    assert 2 * pivots_in_column(ctx, mats, 0) < k
+    assert m < 3 or max(pivots_in_column(ctx, mats, c) for c in range(1, m - 1)) * 2 >= k
+    assert _engine.batch_rank(mats.copy(), p).tolist() == exact
+    if p < 1000:  # a passed table; without one, p <= k builds it and MID, BIG use inverse_mod
+        assert _engine.batch_rank(mats.copy(), p, _engine._inverse_table(p)).tolist() == exact
+
+
+@pytest.mark.parametrize("p", [3, 7, BIG])
+@pytest.mark.parametrize("n, m", [(5, 8), (8, 5)])
+def test_batch_rank_matches_sympy(p, n, m):
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    K = GF(p)
+    mats = mixed_stack(p, n, m, seed=[n, m])
+    ranks = _engine.batch_rank(mats.copy(), p)
+    for a, r in zip(mats, ranks):
+        assert DomainMatrix([[K(int(x)) for x in row] for row in a], (n, m), K).rank() == r
+
+
+def test_unit_eigen_hits_match_exact_determinants():
+    ctx = FieldCtx.prime(5)
+    basis = [
+        Matrix(ctx, [[1, 2, 0], [0, 3, 1], [4, 0, 2]]),
+        Matrix(ctx, [[0, 1, 1], [2, 0, 0], [1, 1, 3]]),
+        Matrix(ctx, [[2, 0, 4], [1, 1, 0], [0, 3, 1]]),
+    ]
+    sp = AffineMatrixSpace(Matrix.zeros(ctx, 3), basis)
+    hits = _engine.unit_eigen_hits(sp.flat_arrays()[1], 3, 5, 125)
+    eye = Matrix.identity(ctx, 3)
+    want = [i for i, (_, m) in enumerate(sp.enumerate()) if (m - eye).det() == 0]
+    assert 0 < len(want) < 125
+    assert hits.tolist() == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
