@@ -3,7 +3,8 @@ counterexample.
 
 Reports are JSON (or TSV for tables) written to stdout or an explicit path,
 byte-identical for a fixed seed and flag set; timing goes to stderr.  Exit
-codes: 0 success, 1 mathematical check failure, 2 usage error.
+codes: 0 success, 1 mathematical check failure, 2 usage error, 3 internal
+check failure.
 """
 
 from __future__ import annotations
@@ -67,20 +68,6 @@ def _report(command: str, ctx: Optional[FieldCtx], parameters: dict, seed: Optio
     }
 
 
-def _rank_expectation(name: str, n: Optional[int], r: Optional[int], s: Optional[int]):
-    if name in ("nonsingular-alt", "standard-symplectic"):
-        return ("constant", 2 * s)
-    if name == "m-tilde-alt":
-        return ("constant", 2 * s)
-    if name == "m-tilde-rect":
-        return ("constant", s)
-    if name == "h-plus":
-        return ("constant", r)
-    if name == "h-bar":
-        return ("at_least", r)
-    return None
-
-
 def build_family(
     name: str,
     ctx: FieldCtx,
@@ -100,29 +87,29 @@ def build_family(
         if s is None:
             raise ValueError("nonsingular-alt needs --s")
         sp = families.build_invertible_alternating(ctx, s)
-        return sp, s * (s - 1), _rank_expectation(name, n, r, s)
+        return sp, s * (s - 1), ("constant", 2 * s)
     if name == "m-tilde-alt":
         if n is None or s is None:
             raise ValueError("m-tilde-alt needs --n and --s")
         sp = families.build_bordered_alternating(ctx, n, s, inner=inner)
-        return sp, s * (n - s - 1), _rank_expectation(name, n, r, s)
+        return sp, s * (n - s - 1), ("constant", 2 * s)
     if name == "h-plus":
         if r is None:
             raise ValueError("h-plus needs --r")
         sp = families.build_corank_one_space(ctx, r, inner=inner)
         sval = r // 2
-        return sp, sval * (sval + 1), _rank_expectation(name, n, r, sval)
+        return sp, sval * (sval + 1), ("constant", r)
     if name == "h-bar":
         if n is None or r is None:
             raise ValueError("h-bar needs --n and --r")
         sp = families.build_rank_at_least_space(ctx, n, r, inner=inner)
         sval = r // 2
-        return sp, n * (n - 1) // 2 - sval * sval, _rank_expectation(name, n, r, sval)
+        return sp, n * (n - 1) // 2 - sval * sval, ("at_least", r)
     if name == "m-tilde-rect":
         if n is None or s is None:
             raise ValueError("m-tilde-rect needs --n and --s")
         sp = families.build_row_block_family(ctx, n, s, inner=inner)
-        return sp, s * (s - 1) // 2 + s * (n - 2 * s), _rank_expectation(name, n, r, s)
+        return sp, s * (s - 1) // 2 + s * (n - 2 * s), ("constant", s)
     if name == "operator-block":
         if n is None:
             raise ValueError("operator-block needs --n")
@@ -137,7 +124,7 @@ def build_family(
         from .symplectic import standard_symplectic
 
         sp = AffineMatrixSpace(standard_symplectic(ctx, s), [], alternating=True)
-        return sp, 0, _rank_expectation(name, n, r, s)
+        return sp, 0, ("constant", 2 * s)
     raise ValueError(f"unknown family {name!r}")
 
 
@@ -218,16 +205,15 @@ def cmd_verify(args) -> int:
     ok = True
     results: dict = {}
     if args.check == "rank-profile":
-        profile = analyze.rank_profile(
-            space, budget=args.budget, seed=args.seed, samples=args.sample
-        )
+        if args.rank is None:
+            profile = analyze.rank_profile(
+                space, budget=args.budget, seed=args.seed, samples=args.sample
+            )
+        else:
+            ok, profile = _verify_rank(
+                space, args.profile_mode, args.rank, args.budget, args.sample, args.seed
+            )
         results["profile"] = profile.to_json(ctx)
-        if args.rank is not None:
-            if args.profile_mode == "constant":
-                ok = profile.min_rank == args.rank and profile.max_rank == args.rank
-            else:
-                ok = profile.min_rank >= args.rank
-            results["verdict"] = ok
     elif args.check == "trivial-spectrum":
         rep = analyze.trivial_spectrum_check(space, args.budget)
         results["report"] = rep.to_json(ctx)
@@ -493,12 +479,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_field=True):
+    def common(p, with_field=True, with_sampling=True, with_budget=True):
         if with_field:
             p.add_argument("--field", required=True, help="Fp:<p> or Q")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10**6, help="max enumerated members")
-        p.add_argument("--sample", type=int, default=10**5, help="sample count past the budget")
+        if with_sampling:
+            p.add_argument("--seed", type=int, default=0)
+        if with_budget:
+            p.add_argument("--budget", type=int, default=10**6, help="max enumerated members")
+        if with_sampling:
+            p.add_argument("--sample", type=int, default=10**5, help="sample count past the budget")
         p.add_argument("--out", default="-", help="output path or - for stdout")
 
     p = sub.add_parser("construct", help="build a named family and verify its contract")
@@ -546,11 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicate", choices=("constant-rank", "rank-at-least"), required=True)
     p.add_argument("--table-budget", type=int, default=10**6)
     p.add_argument("--work-budget", type=int, default=3 * 10**8)
-    common(p)
+    common(p, with_sampling=False, with_budget=False)
     p.set_defaults(func=cmd_optimal_search)
 
     p = sub.add_parser("counterexample", help="field-dependent rank behavior demonstration")
-    common(p, with_field=False)
+    common(p, with_field=False, with_budget=False)
     p.set_defaults(func=cmd_counterexample)
 
     return parser

@@ -32,15 +32,20 @@ def _strictly_upper_units(ctx: FieldCtx, n: int) -> list[Matrix]:
     return [_unit(ctx, n, n, i, j) for i, j in upper_pairs(n)]
 
 
-def _verify_all_invertible(sp: AffineMatrixSpace, what: str) -> None:
-    s = sp.shape[0]
-    if sp.shape != (s, s):
-        raise ValueError(f"{what} must consist of square matrices")
+def _check_inner(
+    ctx: FieldCtx, inner: AffineMatrixSpace, size: int, dim: int, alternating: bool
+) -> None:
+    """The inner-family contract: field, size x size shape, dimension, the
+    alternating flag when asked for, and every member invertible."""
+    if inner.ctx != ctx or inner.shape != (size, size):
+        raise ValueError("inner family has the wrong field or shape")
+    if inner.dim != dim or (alternating and not inner.alternating):
+        raise ValueError(f"inner family must be {'alternating ' if alternating else ''}of dimension {dim}")
     profile = analyze.rank_profile(
-        sp, budget=INNER_VERIFY_BUDGET, seed=0, samples=INNER_VERIFY_SAMPLES
+        inner, budget=INNER_VERIFY_BUDGET, seed=0, samples=INNER_VERIFY_SAMPLES
     )
-    if profile.min_rank < s:
-        raise ValueError(f"{what} contains a singular member")
+    if profile.min_rank < size:
+        raise ValueError("inner family contains a singular member")
 
 
 def build_strictly_upper_space(ctx: FieldCtx, n: int) -> AffineMatrixSpace:
@@ -88,11 +93,7 @@ def build_bordered_alternating(
         raise ValueError("needs s >= 1 and n >= 2s")
     if inner is None:
         inner = build_unitriangular_space(ctx, s)
-    if inner.ctx != ctx or inner.shape != (s, s):
-        raise ValueError("inner family has the wrong field or shape")
-    if inner.dim != s * (s - 1) // 2:
-        raise ValueError("inner family must have dimension s(s-1)/2")
-    _verify_all_invertible(inner, "inner family")
+    _check_inner(ctx, inner, s, s * (s - 1) // 2, alternating=False)
 
     def bordered(a, b, c):  # [[a, b, c], [-b^T, 0, 0], [-c^T, 0, 0]]
         return place_blocks(ctx, n, n, [(0, 0, a), (0, s, b), (s, 0, -b.T), (0, 2 * s, c), (2 * s, 0, -c.T)])
@@ -120,11 +121,7 @@ def build_row_block_family(
         raise ValueError("needs s >= 1 and n >= 2s")
     if inner is None:
         inner = build_unitriangular_space(ctx, s)
-    if inner.ctx != ctx or inner.shape != (s, s):
-        raise ValueError("inner family has the wrong field or shape")
-    if inner.dim != s * (s - 1) // 2:
-        raise ValueError("inner family must have dimension s(s-1)/2")
-    _verify_all_invertible(inner, "inner family")
+    _check_inner(ctx, inner, s, s * (s - 1) // 2, alternating=False)
     w = n - s
     zc = Matrix.zeros(ctx, s, n - 2 * s)
     base = inner.base.hstack(zc)
@@ -144,27 +141,12 @@ def build_corank_one_space(
 ) -> AffineMatrixSpace:
     """Constant-rank-r affine space in the alternating (r+1) x (r+1) matrices.
 
-    Members are [[H, C], [-C^T, 0]] with H in an inner family of invertible
+    This is the rank-at-least family at n = r+1, whose D block is empty:
+    members are [[H, C], [-C^T, 0]] with H in an inner family of invertible
     alternating r x r matrices of dimension s(s-1) and C a free column.
     Total dimension s(s+1), the one-size-up exception to the generic formula.
     """
-    if r < 2 or r % 2 == 1:
-        raise ValueError("rank must be even and positive")
-    s = r // 2
-    if inner is None:
-        inner = build_invertible_alternating(ctx, s)
-    if inner.ctx != ctx or inner.shape != (r, r):
-        raise ValueError("inner family has the wrong field or shape")
-    if inner.dim != s * (s - 1) or not inner.alternating:
-        raise ValueError("inner family must be alternating of dimension s(s-1)")
-    _verify_all_invertible(inner, "inner family")
-    n = r + 1
-    base = place_blocks(ctx, n, n, [(0, 0, inner.base)])
-    gens = [place_blocks(ctx, n, n, [(0, 0, h)]) for h in inner.basis]
-    for i in range(r):
-        c = _unit(ctx, r, 1, i, 0)
-        gens.append(place_blocks(ctx, n, n, [(0, r, c), (r, 0, -c.T)]))
-    return AffineMatrixSpace(base, gens, alternating=True)
+    return build_rank_at_least_space(ctx, r + 1, r, inner)
 
 
 def build_rank_at_least_space(
@@ -181,11 +163,7 @@ def build_rank_at_least_space(
     s = r // 2
     if inner is None:
         inner = build_invertible_alternating(ctx, s)
-    if inner.ctx != ctx or inner.shape != (r, r):
-        raise ValueError("inner family has the wrong field or shape")
-    if inner.dim != s * (s - 1) or not inner.alternating:
-        raise ValueError("inner family must be alternating of dimension s(s-1)")
-    _verify_all_invertible(inner, "inner family")
+    _check_inner(ctx, inner, r, s * (s - 1), alternating=True)
     base = place_blocks(ctx, n, n, [(0, 0, inner.base)])
     gens = [place_blocks(ctx, n, n, [(0, 0, h)]) for h in inner.basis]
     for i in range(r):

@@ -97,13 +97,18 @@ class FieldCtx:
     # -- element arithmetic -------------------------------------------------
 
     def normalize(self, x: Element | str) -> Element:
-        """Coerce ``x`` to canonical form (residue in [0, p) or reduced Fraction)."""
+        """Coerce ``x`` to canonical form (residue in [0, p) or reduced Fraction).
+
+        A plain ``int`` over F_p is tested first: it is by far the most common
+        input, and ``isinstance(x, Fraction)`` goes through the ABC machinery.
+        A Fraction whose denominator is divisible by p raises ZeroDivisionError.
+        """
+        if isinstance(x, int) and self.kind == "prime":
+            return x % self.p
         if isinstance(x, str):
             return self.parse_element(x)
         if self.kind == "prime":
             if isinstance(x, Fraction):
-                if x.denominator == 1:
-                    return x.numerator % self.p
                 return self.div(x.numerator % self.p, x.denominator % self.p)
             return int(x) % self.p
         return x if isinstance(x, Fraction) else Fraction(x)

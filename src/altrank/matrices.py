@@ -2,11 +2,15 @@
 
 All algorithms pivot on the first nonzero entry in column order, never by
 magnitude, so kernels, echelon forms and certificates are reproducible
-bit for bit across runs and platforms.
+bit for bit across runs and platforms.  There are two eliminations: the
+incremental Gauss-Jordan of :class:`Span`, behind ``rref`` and everything
+built on it, and the forward elimination ``_eliminate``, behind ``rank``,
+``det`` and ``span_dim``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -170,10 +174,6 @@ class Matrix:
 
     # -- slicing and stacking ----------------------------------------------------
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
-        d = self.data
-        return Matrix(self.ctx, [[d[i][j] for j in cols] for i in rows])
-
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         return Matrix(self.ctx, [row[c0:c1] for row in self.data[r0:r1]])
 
@@ -181,11 +181,6 @@ class Matrix:
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
         return Matrix(self.ctx, [ra + rb for ra, rb in zip(self.data, other.data)])
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return Matrix(self.ctx, self.data + other.data)
 
     def flatten(self) -> Vector:
         """Row-major vectorization."""
@@ -200,37 +195,15 @@ class Matrix:
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot column indices."""
-        rows = [list(r) for r in self.data]
-        ctx = self.ctx
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if rows[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = ctx.inv(rows[r][c])
-            rows[r] = [ctx.mul(inv, x) for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [
-                        ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return Matrix(ctx, rows), tuple(pivots)
+        """Reduced row echelon form and pivot column indices: the rows of a
+        :class:`Span` of this matrix's rows, padded with zero rows."""
+        span = Span(self.ctx, self.data, width=self.ncols)
+        zero_row = (self.ctx.zero(),) * self.ncols
+        return Matrix(self.ctx, span.rows + [zero_row] * (self.nrows - span.dim)), tuple(span.pivots)
 
     def rank(self) -> int:
         """Rank by Gaussian elimination; asserts even rank on alternating input."""
-        r = _rank_only(self)
+        r = len(_eliminate(self)[0])
         if r % 2 and self.is_square and self.is_alternating():
             raise AssertionError("alternating matrix with odd rank")
         return r
@@ -251,35 +224,18 @@ class Matrix:
         return basis
 
     def det(self) -> Element:
-        """Determinant by forward elimination with tracked row swaps."""
+        """Determinant from the rank elimination: (-1)^swaps times the product
+        of the pivots when the rank is full, zero otherwise."""
         if not self.is_square:
             raise ValueError("determinant of non-square matrix")
-        n = self.nrows
         ctx = self.ctx
-        rows = [list(r) for r in self.data]
-        sign_flip = False
+        pivots, swaps = _eliminate(self)
+        if len(pivots) < self.nrows:
+            return ctx.zero()
         acc = ctx.one()
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if rows[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return ctx.zero()
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                sign_flip = not sign_flip
-            piv = rows[c][c]
+        for piv in pivots:
             acc = ctx.mul(acc, piv)
-            inv = ctx.inv(piv)
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = ctx.mul(rows[i][c], inv)
-                    rows[i] = [
-                        ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[c])
-                    ]
-        return ctx.neg(acc) if sign_flip else acc
+        return ctx.neg(acc) if swaps % 2 else acc
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -329,55 +285,134 @@ class Matrix:
         return m
 
 
-def _rank_only(m: Matrix) -> int:
-    """Rank without the parity assertion (shared by rank and internal callers)."""
-    ctx = m.ctx
+# -- echelon spans -------------------------------------------------------------------
+
+
+class Span:
+    """Row span kept in reduced row echelon form, grown one vector at a time.
+
+    ``rows`` are the nonzero rows of the fully reduced echelon form in pivot
+    order and ``pivots`` their pivot columns; input entries are normalized as
+    ``Matrix`` does.  This is the package's one Gauss-Jordan elimination:
+    ``Matrix.rref`` is a ``Span`` of the matrix's rows.
+    """
+
+    def __init__(self, ctx: FieldCtx, vecs: Sequence[Vector], width: int | None = None):
+        if vecs:
+            width = len(vecs[0])
+        elif width is None:
+            raise ValueError("empty span needs an explicit width")
+        self.ctx = ctx
+        self.width = width
+        self.rows: list[Vector] = []
+        self.pivots: list[int] = []
+        for v in vecs:
+            self.add(v)
+
+    def __copy__(self) -> "Span":
+        """An independent copy; the rows are tuples, so no elimination is redone."""
+        twin = Span.__new__(Span)
+        twin.ctx, twin.width = self.ctx, self.width
+        twin.rows, twin.pivots = list(self.rows), list(self.pivots)
+        return twin
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def basis(self) -> list[Vector]:
+        return [tuple(r) for r in self.rows]
+
+    def reduce(self, v: Vector) -> Vector:
+        """Residual of v after elimination against the echelon rows (linear in v)."""
+        if len(v) != self.width:
+            raise ValueError("length mismatch")
+        sub, mul = self.ctx.sub, self.ctx.mul
+        out = list(v)
+        # An echelon row is zero left of its pivot, so only out[pc:] changes.
+        for row, pc in zip(self.rows, self.pivots):
+            c = out[pc]
+            if c != 0:
+                out[pc:] = [sub(x, mul(c, y)) for x, y in zip(out[pc:], row[pc:])]
+        return tuple(out)
+
+    def contains(self, v: Vector) -> bool:
+        return all(x == 0 for x in self.reduce(v))
+
+    def add(self, v: Vector) -> bool:
+        """Extend the span by v; returns False, leaving it unchanged, if v lies in it."""
+        ctx = self.ctx
+        sub, mul = ctx.sub, ctx.mul
+        res = self.reduce([ctx.normalize(x) for x in v])
+        pc = next((j for j, x in enumerate(res) if x != 0), None)
+        if pc is None:
+            return False
+        inv = ctx.inv(res[pc])
+        new = res[:pc] + tuple([mul(inv, x) for x in res[pc:]])
+        # Clear the new pivot column from the older rows to stay fully reduced;
+        # the new row is zero left of pc, so only row[pc:] changes.
+        for k, row in enumerate(self.rows):
+            c = row[pc]
+            if c != 0:
+                self.rows[k] = row[:pc] + tuple([sub(x, mul(c, y)) for x, y in zip(row[pc:], new[pc:])])
+        at = bisect(self.pivots, pc)
+        self.rows.insert(at, new)
+        self.pivots.insert(at, pc)
+        return True
+
+    def extend_with_units(self, count: int) -> list[Vector]:
+        """Add the lowest-index unit vectors outside the span until ``count`` of
+        them are added (or none is left); returns the added ones in index order."""
+        z, o = self.ctx.zero(), self.ctx.one()
+        added: list[Vector] = []
+        for i in range(self.width):
+            if len(added) == count:
+                break
+            e = tuple(o if t == i else z for t in range(self.width))
+            if self.add(e):
+                added.append(e)
+        return added
+
+
+def _eliminate(m: Matrix) -> tuple[list[Element], int]:
+    """Forward elimination, pivoting on the first nonzero entry of each column:
+    the pivot values in column order and the number of row swaps made."""
+    prime, p = m.ctx.kind == "prime", m.ctx.p
     rows = [list(r) for r in m.data]
     nrows, ncols = m.nrows, m.ncols
-    rank = 0
-    if ctx.kind == "prime":
-        p = ctx.p
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(rank, nrows):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            prow = rows[rank]
-            inv = pow(prow[c], -1, p)
-            for i in range(rank + 1, nrows):
-                ric = rows[i][c]
-                if ric:
-                    f = ric * inv % p
-                    ri = rows[i]
-                    for j in range(c, ncols):
-                        ri[j] = (ri[j] - f * prow[j]) % p
-            rank += 1
-            if rank == nrows:
-                break
-        return rank
+    pivots: list[Element] = []
+    rank = swaps = 0
     for c in range(ncols):
         pivot_row = None
         for i in range(rank, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        if pivot_row != rank:
+            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+            swaps += 1
         prow = rows[rank]
-        inv = ctx.inv(prow[c])
+        piv = prow[c]
+        pivots.append(piv)
+        inv = pow(piv, -1, p) if prime else 1 / piv
         for i in range(rank + 1, nrows):
-            if rows[i][c] != 0:
-                f = ctx.mul(rows[i][c], inv)
-                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], prow)]
+            ric = rows[i][c]
+            if not ric:
+                continue
+            if prime:
+                f = ric * inv % p
+                ri = rows[i]
+                for j in range(c, ncols):
+                    ri[j] = (ri[j] - f * prow[j]) % p
+            else:
+                f = ric * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return pivots, swaps
 
 
 def place_blocks(
@@ -510,11 +545,6 @@ def alternating_units(ctx: FieldCtx, n: int) -> list[Matrix]:
     return [alternating_from_upper(ctx, n, [1 if t == u else 0 for t in range(m)]) for u in range(m)]
 
 
-def upper_coords(m: Matrix) -> Vector:
-    """Strict upper triangle of an alternating matrix, row-major."""
-    return tuple(m.data[i][j] for i, j in upper_pairs(m.nrows))
-
-
 def eigenvalues_in_field(m: Matrix) -> list[Element]:
     """Eigenvalues lying in the ground field, ascending.
 
@@ -644,4 +674,4 @@ def rows_matrix(ctx: FieldCtx, vecs: Sequence[Vector]) -> Matrix:
 def span_dim(ctx: FieldCtx, vecs: Sequence[Vector]) -> int:
     if not vecs:
         return 0
-    return _rank_only(rows_matrix(ctx, vecs))
+    return len(_eliminate(rows_matrix(ctx, vecs))[0])

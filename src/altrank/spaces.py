@@ -8,7 +8,6 @@ partitioned across workers without changing any member.
 
 from __future__ import annotations
 
-from bisect import bisect
 from copy import copy
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -21,97 +20,13 @@ from .errors import BudgetExceededError
 from .fields import Element, FieldCtx
 from .matrices import (
     Matrix,
-    Vector,
+    Span,
     alternating_from_upper,
     rows_matrix,
 )
 from .rand import DEFAULT_RATIONAL_BOX, uniform_below
 
 _BLOCK_ELEMS = 1 << 20  # largest temporary of one coset-scan block, in int64 elements
-
-
-class Span:
-    """Row span kept in reduced row echelon form, grown one vector at a time.
-
-    ``rows`` are the nonzero rref rows in pivot order, exactly as
-    ``Matrix.rref`` gives them for the same vectors.
-    """
-
-    def __init__(self, ctx: FieldCtx, vecs: Sequence[Vector], width: int | None = None):
-        if vecs:
-            width = len(vecs[0])
-        elif width is None:
-            raise ValueError("empty span needs an explicit width")
-        self.ctx = ctx
-        self.width = width
-        self.rows: list[Vector] = []
-        self.pivots: list[int] = []
-        for v in vecs:
-            self.add(v)
-
-    def __copy__(self) -> "Span":
-        """An independent copy; the rows are tuples, so no elimination is redone."""
-        twin = Span.__new__(Span)
-        twin.ctx, twin.width = self.ctx, self.width
-        twin.rows, twin.pivots = list(self.rows), list(self.pivots)
-        return twin
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def basis(self) -> list[Vector]:
-        return [tuple(r) for r in self.rows]
-
-    def reduce(self, v: Vector) -> Vector:
-        """Residual of v after elimination against the echelon rows (linear in v)."""
-        if len(v) != self.width:
-            raise ValueError("length mismatch")
-        sub, mul = self.ctx.sub, self.ctx.mul
-        out = list(v)
-        # An echelon row is zero left of its pivot, so only out[pc:] changes.
-        for row, pc in zip(self.rows, self.pivots):
-            c = out[pc]
-            if c != 0:
-                out[pc:] = [sub(x, mul(c, y)) for x, y in zip(out[pc:], row[pc:])]
-        return tuple(out)
-
-    def contains(self, v: Vector) -> bool:
-        return all(x == 0 for x in self.reduce(v))
-
-    def add(self, v: Vector) -> bool:
-        """Extend the span by v; returns False, leaving it unchanged, if v lies in it."""
-        ctx = self.ctx
-        sub, mul = ctx.sub, ctx.mul
-        res = self.reduce([ctx.normalize(x) for x in v])
-        pc = next((j for j, x in enumerate(res) if x != 0), None)
-        if pc is None:
-            return False
-        inv = ctx.inv(res[pc])
-        new = res[:pc] + tuple([mul(inv, x) for x in res[pc:]])
-        # Clear the new pivot column from the older rows to stay fully reduced;
-        # the new row is zero left of pc, so only row[pc:] changes.
-        for k, row in enumerate(self.rows):
-            c = row[pc]
-            if c != 0:
-                self.rows[k] = row[:pc] + tuple([sub(x, mul(c, y)) for x, y in zip(row[pc:], new[pc:])])
-        at = bisect(self.pivots, pc)
-        self.rows.insert(at, new)
-        self.pivots.insert(at, pc)
-        return True
-
-    def extend_with_units(self, count: int) -> list[Vector]:
-        """Add the lowest-index unit vectors outside the span until ``count`` of
-        them are added (or none is left); returns the added ones in index order."""
-        z, o = self.ctx.zero(), self.ctx.one()
-        added: list[Vector] = []
-        for i in range(self.width):
-            if len(added) == count:
-                break
-            e = tuple(o if t == i else z for t in range(self.width))
-            if self.add(e):
-                added.append(e)
-        return added
 
 
 class AffineMatrixSpace:

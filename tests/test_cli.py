@@ -132,6 +132,16 @@ def test_optimal_search_cli_at_n_zero(tmp_path):
     assert results["agrees"] and results["exists_by_dim"] == {"0": True}
 
 
+def test_optimal_search_rejects_sampling_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(
+            tmp_path, "optimal-search", "--n", "3", "--r", "2", "--field", "Fp:3",
+            "--predicate", "constant-rank", "--budget", "5",
+        )
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_counterexample_cli(tmp_path):
     code, text = run(tmp_path, "counterexample", "--sample", "200")
     assert code == 0

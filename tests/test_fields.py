@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +48,22 @@ def test_normalize_prime():
     assert f7.normalize(9) == 2
     assert f7.normalize(-1) == 6
     assert f7.normalize(Fraction(1, 2)) == f7.inv(2)
+
+
+@pytest.mark.parametrize(
+    "x, residue",
+    [(True, 1), (np.int64(-3), 2), (-3, 2), (Fraction(10, 5), 2), (Fraction(1, 2), 3)],
+)
+def test_normalize_coerces_int_like_and_fraction_inputs(x, residue):
+    got = FieldCtx.prime(5).normalize(x)
+    assert got == residue and type(got) is int
+    got = FieldCtx.rational().normalize(x)
+    assert got == Fraction(x) and type(got) is Fraction
+
+
+def test_normalize_rejects_denominator_divisible_by_p():
+    with pytest.raises(ZeroDivisionError):
+        FieldCtx.prime(5).normalize(Fraction(1, 5))
 
 
 def test_normalize_rational():

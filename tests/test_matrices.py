@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from altrank.fields import FieldCtx
 from altrank.matrices import (
     Matrix,
+    _eliminate,
     alternating_from_upper,
     eigenvalues_in_field,
     pfaffian,
@@ -85,6 +87,67 @@ def test_det_matches_permutation_oracle():
         for ctx in (F5, Q):
             m = random_matrix(ctx, n, n, stream, box=5)
             assert m.det() == det_permutation_oracle(m)
+
+
+def oracle_cases(ctx, seed):
+    """Seeded matrices, square and not, with sparse rows, duplicated rows and
+    zero leading columns, so singular inputs and row swaps of both parities occur."""
+    rng = random.Random(seed)
+    box = 9
+
+    def element():
+        if ctx.kind == "prime":
+            return rng.randrange(ctx.p)
+        return Fraction(rng.randint(-box, box), rng.randint(1, box))
+
+    for trial in range(80):
+        n = rng.randint(1, 6)
+        m = n if trial % 2 else rng.randint(1, 6)
+        density = (0.3, 0.6, 1.0)[trial % 3]
+        rows = [[element() if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
+        if trial % 5 == 0:
+            for row in rows:
+                row[0] = 0
+        if trial % 7 == 0 and n > 1:
+            rows[-1] = list(rows[0])
+        yield Matrix(ctx, rows)
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.prime(2), F5, F7, FieldCtx.prime(2_147_483_629), Q])
+def test_exact_layer_matches_sympy(ctx):
+    pytest.importorskip("sympy")
+    from sympy import GF, QQ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
+    K = QQ if ctx.kind == "rational" else GF(ctx.p)
+
+    def to_k(x):
+        return QQ(x.numerator, x.denominator) if ctx.kind == "rational" else K(x)
+
+    def to_dm(a):
+        return DomainMatrix([[to_k(x) for x in row] for row in a.data], a.shape, K)
+
+    parities = set()
+    for a in oracle_cases(ctx, derive_seed(5, "sympy", ctx.to_str())):
+        ref = to_dm(a)
+        red, pivots = a.rref()
+        ref_red, ref_pivots = ref.rref()
+        assert to_dm(red) == ref_red and pivots == tuple(ref_pivots)
+        assert a.rank() == ref.rank()
+        assert len(a.kernel_basis()) == ref.nullspace().shape[0]
+        if not a.is_square:
+            continue
+        assert to_k(a.det()) == ref.det()
+        if a.det() == 0:
+            with pytest.raises(ValueError):
+                a.inverse()
+            with pytest.raises(DMNonInvertibleMatrixError):
+                ref.inv()
+        else:
+            assert to_dm(a.inverse()) == ref.inv()
+            parities.add(_eliminate(a)[1] % 2)
+    assert parities == {0, 1}
 
 
 def test_inverse_and_solve():

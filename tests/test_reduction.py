@@ -98,6 +98,19 @@ def test_reduce_full_row_rank_guards():
         reduce_full_row_rank(rank_deficient)
 
 
+def test_reduce_full_row_rank_rejects_singular_recovered_family():
+    # B runs over I + t*E00 with C free: the recovered family diag(1 + t, 1)
+    # is singular at t = 4, and rank_certified skips the profile that would see it.
+    def slab(block, c):
+        return Matrix(F5, [[block[0][0], block[0][1], c[0]], [block[1][0], block[1][1], c[1]]])
+
+    base = slab([[1, 0], [0, 1]], [0, 0])
+    gens = [slab([[1, 0], [0, 0]], [0, 0]), slab([[0, 0], [0, 0]], [1, 0]), slab([[0, 0], [0, 0]], [0, 1])]
+    t = AffineMatrixSpace(base, gens)
+    with pytest.raises(ContractError, match="recovered family contains a singular member"):
+        reduce_full_row_rank(t, rank_certified=True)
+
+
 # -- totally singular complements ------------------------------------------------------------
 
 

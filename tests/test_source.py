@@ -1,4 +1,7 @@
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import altrank
@@ -12,3 +15,30 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_perfbench_wrapped_names_exist():
+    """Every name the benchmark's tracer wraps resolves in the package, so a
+    rename fails here rather than in ``perfbench/run.py --trace 1``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    missing = []
+    for modname, attr, _ in spans.TARGETS:
+        mod = importlib.import_module(f"altrank.{modname}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(mod, cls_name, None)
+            if cls is None or meth not in vars(cls):
+                missing.append(f"{modname}.{attr}")
+        elif not callable(getattr(mod, attr, None)):
+            missing.append(f"{modname}.{attr}")
+    for modname, attr in spans.GENERATORS:
+        fn = getattr(importlib.import_module(f"altrank.{modname}"), attr, None)
+        if not inspect.isgeneratorfunction(fn):
+            missing.append(f"{modname}.{attr}")
+    if not callable(getattr(importlib.import_module("altrank._engine"), "resolve_threads", None)):
+        missing.append("_engine.resolve_threads")
+    assert missing == []
