@@ -54,6 +54,19 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _load_input(path: str, key: str):
+    """The space (key "space") or form-space pair (key "pair") in a JSON file:
+    either the bare object or a ``construct`` report, which holds it under key."""
+    obj = _load_json(path)
+    if isinstance(obj, dict) and isinstance(obj.get(key), dict):
+        obj = obj[key]
+    parse = FormSpacePair.from_json if key == "pair" else AffineMatrixSpace.from_json
+    try:
+        return parse(obj)
+    except KeyError as exc:
+        raise ValueError(f"{key} JSON is missing the key {exc.args[0]!r}") from None
+
+
 def _stderr_time(label: str, t0: float) -> None:
     print(f"[time] {label}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
 
@@ -144,7 +157,7 @@ def cmd_construct(args) -> int:
     ctx = FieldCtx.parse(args.field)
     inner = None
     if args.inner is not None:
-        inner = AffineMatrixSpace.from_json(_load_json(args.inner))
+        inner = _load_input(args.inner, "space")
     t0 = time.perf_counter()
     built, expected, expectation = build_family(
         args.family, ctx, n=args.n, r=args.r, s=args.s, inner=inner
@@ -186,10 +199,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    obj = _load_json(getattr(args, "in"))
-    t0 = time.perf_counter()
     if args.check == "duality":
-        pair = FormSpacePair.from_json(obj)
+        pair = _load_input(getattr(args, "in"), "pair")
+        t0 = time.perf_counter()
         ctx = pair.ctx
         holds = analyze.duality_invariant_check(pair, seed=args.seed)
         report = _report("verify", ctx, {"check": args.check}, args.seed)
@@ -198,7 +210,8 @@ def cmd_verify(args) -> int:
         _emit_json(report, args.out)
         return 0 if holds else 1
 
-    space = AffineMatrixSpace.from_json(obj)
+    space = _load_input(getattr(args, "in"), "space")
+    t0 = time.perf_counter()
     ctx = space.ctx
     params = {"check": args.check, "rank": args.rank, "profile_mode": args.profile_mode}
     report = _report("verify", ctx, params, args.seed)
@@ -251,7 +264,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    space = AffineMatrixSpace.from_json(_load_json(getattr(args, "in")))
+    space = _load_input(getattr(args, "in"), "space")
     t0 = time.perf_counter()
     cert = reduction.canonical_reduction(
         space,

@@ -9,6 +9,7 @@ anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Integral
 from typing import Union
 
 Element = Union[int, Fraction]
@@ -102,6 +103,8 @@ class FieldCtx:
         A plain ``int`` over F_p is tested first: it is by far the most common
         input, and ``isinstance(x, Fraction)`` goes through the ABC machinery.
         A Fraction whose denominator is divisible by p raises ZeroDivisionError.
+        Over Q an integral input such as ``numpy.int64`` becomes a Python
+        ``int`` first, so the Fraction's numerator never wraps at 64 bits.
         """
         if isinstance(x, int) and self.kind == "prime":
             return x % self.p
@@ -111,7 +114,9 @@ class FieldCtx:
             if isinstance(x, Fraction):
                 return self.div(x.numerator % self.p, x.denominator % self.p)
             return int(x) % self.p
-        return x if isinstance(x, Fraction) else Fraction(x)
+        if isinstance(x, Fraction):
+            return x
+        return Fraction(int(x)) if isinstance(x, Integral) else Fraction(x)
 
     def zero(self) -> Element:
         return 0 if self.kind == "prime" else Fraction(0)

@@ -38,6 +38,18 @@ class Matrix:
         object.__setattr__(self, "nrows", len(data))
         object.__setattr__(self, "ncols", width)
 
+    @staticmethod
+    def _trusted(ctx: FieldCtx, data: tuple[Vector, ...]) -> "Matrix":
+        """A matrix over ``data`` as given: a tuple of equal-length tuples of
+        canonical entries.  Only for results of this module's own arithmetic,
+        which are canonical already; outside input goes through ``Matrix(...)``."""
+        m = object.__new__(Matrix)
+        object.__setattr__(m, "ctx", ctx)
+        object.__setattr__(m, "data", data)
+        object.__setattr__(m, "nrows", len(data))
+        object.__setattr__(m, "ncols", len(data[0]) if data else 0)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -111,56 +123,56 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         add = self.ctx.add
-        return Matrix(
+        return Matrix._trusted(
             self.ctx,
-            [
-                [add(a, b) for a, b in zip(ra, rb)]
+            tuple(
+                tuple([add(a, b) for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.data, other.data)
-            ],
+            ),
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         sub = self.ctx.sub
-        return Matrix(
+        return Matrix._trusted(
             self.ctx,
-            [
-                [sub(a, b) for a, b in zip(ra, rb)]
+            tuple(
+                tuple([sub(a, b) for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.data, other.data)
-            ],
+            ),
         )
 
     def __neg__(self) -> "Matrix":
         neg = self.ctx.neg
-        return Matrix(self.ctx, [[neg(a) for a in row] for row in self.data])
+        return Matrix._trusted(self.ctx, tuple(tuple([neg(a) for a in row]) for row in self.data))
 
     def scale(self, c: Element) -> "Matrix":
         mul, c = self.ctx.mul, self.ctx.normalize(c)
-        return Matrix(self.ctx, [[mul(c, a) for a in row] for row in self.data])
+        return Matrix._trusted(self.ctx, tuple(tuple([mul(c, a) for a in row]) for row in self.data))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ctx != other.ctx:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        bt = list(zip(*other.data))
         if self.ctx.kind == "prime":
             p = self.ctx.p
-            bt = list(zip(*other.data))
-            return Matrix(
+            return Matrix._trusted(
                 self.ctx,
-                [
-                    [sum(a * b for a, b in zip(row, col)) % p for col in bt]
+                tuple(
+                    tuple([sum([a * b for a, b in zip(row, col)]) % p for col in bt])
                     for row in self.data
-                ],
+                ),
             )
-        bt = list(zip(*other.data))
-        return Matrix(
+        z = self.ctx.zero()
+        return Matrix._trusted(
             self.ctx,
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data],
+            tuple(tuple([sum([a * b for a, b in zip(row, col)], z) for col in bt]) for row in self.data),
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ctx, list(zip(*self.data))) if self.data else self
+        return Matrix._trusted(self.ctx, tuple(zip(*self.data))) if self.data else self
 
     @property
     def T(self) -> "Matrix":
@@ -175,12 +187,14 @@ class Matrix:
     # -- slicing and stacking ----------------------------------------------------
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        return Matrix(self.ctx, [row[c0:c1] for row in self.data[r0:r1]])
+        return Matrix._trusted(self.ctx, tuple(row[c0:c1] for row in self.data[r0:r1]))
 
     def hstack(self, other: "Matrix") -> "Matrix":
+        if self.ctx != other.ctx:
+            raise ValueError("field mismatch")
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Matrix(self.ctx, [ra + rb for ra, rb in zip(self.data, other.data)])
+        return Matrix._trusted(self.ctx, tuple(ra + rb for ra, rb in zip(self.data, other.data)))
 
     def flatten(self) -> Vector:
         """Row-major vectorization."""
@@ -199,7 +213,8 @@ class Matrix:
         :class:`Span` of this matrix's rows, padded with zero rows."""
         span = Span(self.ctx, self.data, width=self.ncols)
         zero_row = (self.ctx.zero(),) * self.ncols
-        return Matrix(self.ctx, span.rows + [zero_row] * (self.nrows - span.dim)), tuple(span.pivots)
+        rows = tuple(span.rows) + (zero_row,) * (self.nrows - span.dim)
+        return Matrix._trusted(self.ctx, rows), tuple(span.pivots)
 
     def rank(self) -> int:
         """Rank by Gaussian elimination; asserts even rank on alternating input."""
@@ -327,13 +342,13 @@ class Span:
         """Residual of v after elimination against the echelon rows (linear in v)."""
         if len(v) != self.width:
             raise ValueError("length mismatch")
-        sub, mul = self.ctx.sub, self.ctx.mul
+        p = self.ctx.p
         out = list(v)
         # An echelon row is zero left of its pivot, so only out[pc:] changes.
         for row, pc in zip(self.rows, self.pivots):
             c = out[pc]
             if c != 0:
-                out[pc:] = [sub(x, mul(c, y)) for x, y in zip(out[pc:], row[pc:])]
+                out[pc:] = _sub_multiple(p, out[pc:], c, row[pc:])
         return tuple(out)
 
     def contains(self, v: Vector) -> bool:
@@ -342,7 +357,7 @@ class Span:
     def add(self, v: Vector) -> bool:
         """Extend the span by v; returns False, leaving it unchanged, if v lies in it."""
         ctx = self.ctx
-        sub, mul = ctx.sub, ctx.mul
+        mul = ctx.mul
         res = self.reduce([ctx.normalize(x) for x in v])
         pc = next((j for j, x in enumerate(res) if x != 0), None)
         if pc is None:
@@ -354,7 +369,7 @@ class Span:
         for k, row in enumerate(self.rows):
             c = row[pc]
             if c != 0:
-                self.rows[k] = row[:pc] + tuple([sub(x, mul(c, y)) for x, y in zip(row[pc:], new[pc:])])
+                self.rows[k] = row[:pc] + tuple(_sub_multiple(ctx.p, row[pc:], c, new[pc:]))
         at = bisect(self.pivots, pc)
         self.rows.insert(at, new)
         self.pivots.insert(at, pc)
@@ -372,6 +387,14 @@ class Span:
             if self.add(e):
                 added.append(e)
         return added
+
+
+def _sub_multiple(p: int | None, xs: Sequence[Element], c: Element, ys: Sequence[Element]) -> list[Element]:
+    """xs - c * ys entrywise: over F_p (modulus p) as one ``% p`` per entry, the
+    same residues as ``ctx.sub(x, ctx.mul(c, y))``; over Q (p is None) exactly."""
+    if p:
+        return [(x - c * y) % p for x, y in zip(xs, ys)]
+    return [x - c * y for x, y in zip(xs, ys)]
 
 
 def _eliminate(m: Matrix) -> tuple[list[Element], int]:
@@ -650,15 +673,15 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     ctx = m.ctx
     if ctx.kind == "prime":
         p = ctx.p
-        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in m.data)
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m.data)
+        return tuple([sum([a * b for a, b in zip(row, v)]) % p for row in m.data])
+    return tuple([sum([a * b for a, b in zip(row, v)]) for row in m.data])
 
 
 def vec_dot(ctx: FieldCtx, u: Vector, v: Vector) -> Element:
     if len(u) != len(v):
         raise ValueError("length mismatch")
     if ctx.kind == "prime":
-        return sum(a * b for a, b in zip(u, v)) % ctx.p
+        return sum([a * b for a, b in zip(u, v)]) % ctx.p
     return sum((a * b for a, b in zip(u, v)), ctx.zero())
 
 

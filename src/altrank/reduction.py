@@ -200,18 +200,27 @@ def totally_singular_rejection(
 def _rank_two_slab_witness(tail: list[Vector], x: Vector, y: Vector, span: Span) -> Matrix:
     """Rank-2 alternating form that pairs x and y and whose radical contains the tail.
 
-    span is the span of x, y and the tail units, with x and y independent
-    modulo the tail.  Built from the first two rows of the inverse of the
-    basis (x, y, tail units) extended by the lowest-index unit vectors.
+    tail is a list of unit vectors and span the span of x, y and the tail,
+    with x and y independent modulo the tail.  The form is phi1 ^ phi2 for
+    the functionals dual to x and y in the basis (x, y, tail units) extended
+    by the lowest-index unit vectors.  Both functionals vanish off the two
+    coordinates a < b that no unit covers, so the form is
+    (x_a y_b - x_b y_a)^-1 (E_ab - E_ba).
     """
     ctx = span.ctx
-    basis = [x, y] + tail + span.extend_with_units(span.width - span.dim)
-    binv = rows_matrix(ctx, basis).transpose().inverse()
-    phi1 = binv.row(0)
-    phi2 = binv.row(1)
-    col1 = rows_matrix(ctx, [phi1]).transpose()
-    col2 = rows_matrix(ctx, [phi2]).transpose()
-    bmat = col1 @ rows_matrix(ctx, [phi2]) - col2 @ rows_matrix(ctx, [phi1])
+    one = ctx.one()
+    covered = {u.index(one) for u in tail + span.extend_with_units(span.width - span.dim)}
+    free = [t for t in range(span.width) if t not in covered]
+    if len(free) != 2:
+        raise AssertionError("the units do not leave exactly two coordinates uncovered")
+    a, b = free
+    d = ctx.sub(ctx.mul(x[a], y[b]), ctx.mul(x[b], y[a]))
+    if d == 0:
+        raise AssertionError("the defining pair is dependent modulo the tail")
+    rows = [[ctx.zero()] * span.width for _ in range(span.width)]
+    rows[a][b] = ctx.inv(d)
+    rows[b][a] = ctx.neg(rows[a][b])
+    bmat = Matrix(ctx, rows)
     if form_value(bmat, x, y) == 0:
         raise AssertionError("dual-basis form lost its defining pair")
     return bmat
@@ -434,16 +443,15 @@ def canonical_reduction(
     except ValueError as exc:
         cert.witnesses["failure"] = {"step": "set_equality", "error": str(exc)}
         return cert
-    eq_ok = spaces_equal(congruence_act(sp, p_total), target)
+    moved = congruence_act(sp, p_total)
+    eq_ok = spaces_equal(moved, target)
     cert.verdicts["set_equality"] = eq_ok
     if not eq_ok:
         cert.witnesses["failure"] = {"step": "set_equality"}
         return cert
 
     try:
-        unique_totally_singular_complement(
-            congruence_act(sp, p_total), s, seed=seed, candidates=candidates
-        )
+        unique_totally_singular_complement(moved, s, seed=seed, candidates=candidates)
         cert.verdicts["complement_uniqueness"] = True
         cert.witnesses["complement_candidates_rejected"] = candidates
     except ContractError as exc:

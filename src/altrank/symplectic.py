@@ -48,10 +48,15 @@ def is_totally_singular(gram: Matrix, vecs: Sequence[Vector]) -> bool:
 
 
 def totally_singular_witness(gram: Matrix, vecs: Sequence[Vector]) -> tuple[int, int] | None:
-    """First (i, j) with gram(vecs[i], vecs[j]) != 0, scanning i <= j."""
-    images = [mat_vec(gram, v) for v in vecs]
+    """First (i, j) with gram(vecs[i], vecs[j]) != 0, scanning i <= j.
+
+    gram @ vecs[j] is computed when the scan first reaches column j, so a
+    candidate rejected early costs only the images it used."""
+    images: list[Vector] = []
     for i in range(len(vecs)):
         for j in range(i, len(vecs)):
+            if j == len(images):
+                images.append(mat_vec(gram, vecs[j]))
             if vec_dot(gram.ctx, vecs[i], images[j]) != 0:
                 return (i, j)
     return None

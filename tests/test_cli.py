@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +220,46 @@ def test_verify_malformed_pair_is_usage_error(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert code == 2 and text == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def readme_commands():
+    """The argument lists of the ``altrank`` lines in README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("altrank ")]
+
+
+@pytest.mark.parametrize("consumer", ["verify", "reduce"])
+def test_readme_construct_pipelines_run_as_written(tmp_path, monkeypatch, capsys, consumer):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    at = next(i for i, argv in enumerate(commands) if argv[0] == consumer)
+    assert commands[at - 1][0] == "construct"
+    assert main(commands[at - 1]) == 0
+    assert main(commands[at]) == 0, capsys.readouterr().err
+
+
+def test_verify_duality_reads_a_construct_report(tmp_path):
+    src = tmp_path / "pair.json"
+    assert main(["construct", "--family", "operator-block", "--field", "Fp:3", "--n", "2", "--out", str(src)]) == 0
+    assert "pair" in json.loads(src.read_text())
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "duality")
+    assert code == 0 and json.loads(text)["results"]["holds"] is True
+
+
+@pytest.mark.parametrize("key", ["basis", "field", "rows"])
+def test_verify_space_missing_key_names_it(tmp_path, capsys, key):
+    obj = build_bordered_alternating(F5, 5, 1).to_json()
+    if key == "rows":
+        del obj["base"]["rows"]
+    else:
+        del obj[key]
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps({"command": "construct", "space": obj}))
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "rank-profile", "--sample", "10")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err == f"error: space JSON is missing the key {key!r}\n"
 
 
 def test_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):

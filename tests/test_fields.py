@@ -61,6 +61,15 @@ def test_normalize_coerces_int_like_and_fraction_inputs(x, residue):
     assert got == Fraction(x) and type(got) is Fraction
 
 
+def test_normalize_rational_keeps_numpy_integers_exact():
+    q = FieldCtx.rational()
+    got = q.normalize(np.int64(-3))
+    assert got == -3 and type(got.numerator) is int
+    big = q.normalize(np.int64(2**62))
+    assert type(big.numerator) is int
+    assert big * 4 == Fraction(2**64)
+
+
 def test_normalize_rejects_denominator_divisible_by_p():
     with pytest.raises(ZeroDivisionError):
         FieldCtx.prime(5).normalize(Fraction(1, 5))

@@ -16,7 +16,7 @@ from altrank.matrices import (
     pfaffian_expansion,
     upper_pairs,
 )
-from altrank.rand import CounterStream, derive_seed, random_alternating, random_matrix
+from altrank.rand import CounterStream, derive_seed, random_alternating, random_invertible, random_matrix
 
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
@@ -161,6 +161,40 @@ def test_inverse_and_solve():
     assert singular.solve((1, 0)) is None
     with pytest.raises(ValueError):
         singular.inverse()
+
+
+def assert_canonical(m):
+    """Entries as ``Matrix(...)`` stores them: an int in [0, p) over F_p, a
+    Fraction over Q, in a tuple of equal-length tuples."""
+    ctx = m.ctx
+    assert type(m.data) is tuple and len(m.data) == m.nrows
+    for row in m.data:
+        assert type(row) is tuple and len(row) == m.ncols
+        for x in row:
+            if ctx.kind == "prime":
+                assert type(x) is int and 0 <= x < ctx.p
+            else:
+                assert type(x) is Fraction
+    assert Matrix(ctx, m.data) == m
+
+
+@pytest.mark.parametrize("ctx", [F5, F7, FieldCtx.prime(2_147_483_629), Q])
+def test_arithmetic_results_are_canonical(ctx):
+    stream = CounterStream(derive_seed(13, "canonical", ctx.to_str()))
+    for n in (1, 3, 4):
+        a = random_matrix(ctx, n, n, stream, box=7)
+        b = random_matrix(ctx, n, n, stream, box=7)
+        c = random_matrix(ctx, n, n + 2, stream, box=7)
+        inv = random_invertible(ctx, n, stream, box=7)
+        for m in (
+            a @ b, a @ c, a + b, a - b, -a, a.scale(3), a.T, c.T,
+            c.block(0, n, 1, n + 1), a.hstack(c), a.rref()[0], c.rref()[0],
+            inv.inverse(), inv @ inv.inverse(),
+        ):
+            assert_canonical(m)
+        assert inv @ inv.inverse() == Matrix.identity(ctx, n)
+    with pytest.raises(ValueError):
+        Matrix.identity(F5, 2).hstack(Matrix.identity(F7, 2))
 
 
 def test_alternating_from_upper_layout():

@@ -1,3 +1,5 @@
+from copy import copy
+
 import pytest
 
 from altrank.errors import ContractError
@@ -7,10 +9,11 @@ from altrank.families import (
     build_row_block_family,
 )
 from altrank.fields import FieldCtx
-from altrank.matrices import Matrix, alternating_from_upper, form_value, upper_pairs
+from altrank.matrices import Matrix, Span, alternating_from_upper, form_value, rows_matrix, upper_pairs
 from altrank.rand import CounterStream, derive_seed, random_invertible
 from altrank.reduction import (
     VERDICT_KEYS,
+    _rank_two_slab_witness,
     canonical_reduction,
     find_rank_r_member,
     normalize_radical_to_tail,
@@ -131,6 +134,60 @@ def test_unique_complement_positive():
     tail = unique_totally_singular_complement(sp, 2, seed=0, candidates=50)
     ident = Matrix.identity(F5, 7)
     assert tail == [tuple(ident.row(i)) for i in range(2, 7)]
+
+
+def dual_basis_slab_witness(tail, x, y, span):
+    """Reference for the rank-2 slab form: phi1 phi2^T - phi2 phi1^T from the
+    first two rows of the inverse of the basis (x, y, tail units, lowest-index
+    units), as the reduction built it before the closed form."""
+    ctx = span.ctx
+    basis = [x, y] + tail + span.extend_with_units(span.width - span.dim)
+    binv = rows_matrix(ctx, basis).transpose().inverse()
+    phi1, phi2 = rows_matrix(ctx, [binv.row(0)]), rows_matrix(ctx, [binv.row(1)])
+    return phi1.T @ phi2 - phi2.T @ phi1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 2_147_483_629])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_rank_two_slab_witness_matches_dual_basis_reference(p, s):
+    ctx = FieldCtx.prime(p)
+    n = 2 * s + 3
+    ident = Matrix.identity(ctx, n)
+    tail = [ident.row(t) for t in range(s, n)]
+    tail_span = Span(ctx, tail)
+    stream = CounterStream(derive_seed(99, "slab-witness", p, s))
+    free_pairs = set()
+    checked = 0
+    while checked < 12:
+        # x and y supported, off the tail, on a random set of 2..s leading
+        # coordinates, so the uncovered pair (a, b) moves around
+        support = {t for t in range(s) if stream.below(2)}
+        x, y = (
+            tuple(c if t in support or t >= s else 0 for t, c in enumerate(stream.vector(ctx, n)))
+            for _ in range(2)
+        )
+        span = copy(tail_span)
+        if not (span.add(x) and span.add(y)):
+            continue
+        expected = dual_basis_slab_witness(tail, x, y, copy(span))
+        got = _rank_two_slab_witness(tail, x, y, span)
+        assert got == expected
+        assert got.is_alternating() and got.rank() == 2 and form_value(got, x, y) == 1
+        free_pairs.add(tuple(t for t in range(n) if any(got.row(t))))
+        checked += 1
+    assert len(free_pairs) > 1 or s == 2
+
+
+def test_rank_two_slab_witness_dependent_pair_is_internal_fault():
+    # y = 2x, but the span passed in holds x, z and the tail: the units leave
+    # two coordinates free, and the 2x2 determinant of x and y on them is zero
+    ctx = F5
+    ident = Matrix.identity(ctx, 7)
+    tail = [ident.row(t) for t in range(2, 7)]
+    x, y, z = (1, 2, 0, 0, 0, 0, 0), (2, 4, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)
+    span = Span(ctx, tail + [x, z])
+    with pytest.raises(AssertionError, match="dependent"):
+        _rank_two_slab_witness(tail, x, y, span)
 
 
 def test_unique_complement_guards():

@@ -42,3 +42,17 @@ def test_perfbench_wrapped_names_exist():
     if not callable(getattr(importlib.import_module("altrank._engine"), "resolve_threads", None)):
         missing.append("_engine.resolve_threads")
     assert missing == []
+
+
+def test_trusted_matrix_constructor_is_private():
+    """``Matrix._trusted`` skips normalization, so only ``matrices.py`` (whose
+    own arithmetic yields canonical entries) may call it; input from anywhere
+    else goes through ``Matrix(...)``."""
+    found = []
+    for path in sorted(Path(altrank.__file__).parent.glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if "_trusted(" in line:
+                found.append(f"{path.name}:{lineno}")
+    assert found == []

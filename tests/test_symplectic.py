@@ -2,12 +2,13 @@ import pytest
 
 from altrank.families import build_operator_block_space, build_strictly_upper_space
 from altrank.fields import FieldCtx
-from altrank.matrices import Matrix, form_value, pfaffian
+from altrank.matrices import Matrix, form_value, mat_vec, pfaffian, place_blocks, vec_dot
 from altrank.rand import (
     CounterStream,
     derive_seed,
     random_alternating,
     random_invertible_alternating,
+    random_matrix,
 )
 from altrank.spaces import AffineMatrixSpace, spaces_equal
 from altrank.symplectic import (
@@ -54,6 +55,39 @@ def test_totally_singular_witness():
     assert not is_totally_singular(k, bad)
     i, j = totally_singular_witness(k, bad)
     assert form_value(k, bad[i], bad[j]) != 0
+
+
+def eager_totally_singular_witness(gram, vecs):
+    """Reference scan with every image gram @ v computed up front."""
+    images = [mat_vec(gram, v) for v in vecs]
+    for i in range(len(vecs)):
+        for j in range(i, len(vecs)):
+            if vec_dot(gram.ctx, vecs[i], images[j]) != 0:
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("alternating", [True, False], ids=["alternating", "general"])
+def test_lazy_totally_singular_witness_matches_eager_reference(alternating):
+    # The gram lives on the leading k x k block, so vectors supported on the
+    # last n - k coordinates lie in its radical; a few dense vectors at random
+    # positions put the first hit anywhere in the scan, or nowhere.
+    n, k = 6, 3
+    hits = set()
+    for trial in range(120):
+        ctx = (F3, F5, F7)[trial % 3]
+        stream = CounterStream(derive_seed(17, "witness", trial))
+        block = random_alternating(ctx, k, stream) if alternating else random_matrix(ctx, k, k, stream)
+        gram = place_blocks(ctx, n, n, [(0, 0, block)])
+        vecs = []
+        for _ in range(2 + stream.below(5)):
+            v = stream.vector(ctx, n)
+            vecs.append(v if stream.below(3) == 0 else (0,) * k + v[k:])
+        expected = eager_totally_singular_witness(gram, vecs)
+        assert totally_singular_witness(gram, vecs) == expected
+        hits.add(expected)
+    assert None in hits
+    assert len({hit for hit in hits if hit is not None and hit[0] > 0}) >= 3
 
 
 def test_find_lagrangian_dimension():
