@@ -4,6 +4,10 @@ This is infrastructure, not arithmetic authority: entries are canonical
 residues with p < 2^31, every product fits in an int64, and the exact
 object-level linear algebra in :mod:`altrank.matrices` independently covers
 the same operations at small scale (the test suite cross-checks the two).
+The same kernels serve sampled rank profiles over Q: ``profile_ranks`` ranks
+integer members modulo several primes and keeps the largest rank, which is
+the rank over Q once the primes' product exceeds a bound on every minor
+(:func:`altrank.analyze.rank_profile` picks the primes).
 
 Alternating members are stored as their strict upper triangles, row-major
 in (i, j), and ranked by skew elimination (``skew_rank``); every other
@@ -17,8 +21,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
-from typing import Callable, Iterator
+from functools import lru_cache, reduce
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -303,7 +307,7 @@ def _ranker(n: int, m: int, p: int, alternating: bool):
     if alternating:
         pi, pj = _skew_maps(n)[:2]
         return pi * n + pj, lambda upper: alternating_ranks(upper, n, p)
-    return slice(None), lambda flat: batch_rank(flat.reshape(-1, n, m), p)
+    return slice(None), lambda flat: batch_rank(flat.reshape(len(flat), n, m), p)
 
 
 # -- folded scans -------------------------------------------------------------------
@@ -325,11 +329,10 @@ def _run_chunks(worker: Callable, ranges: list[tuple[int, int]], threads: int):
 
 
 def profile_ranks(
-    base_flat: np.ndarray,
-    basis_flat: np.ndarray,
+    residues: Sequence[tuple[int, np.ndarray, np.ndarray]],
     n: int,
     m: int,
-    p: int,
+    q: int,
     *,
     exhaustive: bool,
     total: int,
@@ -339,20 +342,29 @@ def profile_ranks(
 ) -> tuple[int, int, int, int]:
     """Fold (min_rank, min_index, max_rank, max_index) over members.
 
-    Indices refer to lexicographic enumeration order when exhaustive, or to
-    the sample stream position otherwise; ties resolve to the least index
-    regardless of chunking or thread scheduling.  ``alternating`` members are
-    assembled on their strict upper triangles and ranked by ``skew_rank``.
+    Member i is ``base + c @ basis`` for the i-th coordinate tuple c over
+    [0, q): in lexicographic enumeration order when exhaustive, or the i-th
+    seeded draw otherwise.  ``residues`` holds (p, base_flat, basis_flat) for
+    each of one or more primes p >= q, with canonical residue entries; a
+    member's rank is the largest of its ranks modulo these primes, so one prime
+    gives ranks over F_p.  Ties resolve to the least index regardless of
+    chunking or thread scheduling.  ``alternating`` members are assembled on
+    their strict upper triangles and ranked by ``skew_rank``.
     """
-    dim = basis_flat.shape[0]
-    cols, ranks_of = _ranker(n, m, p, alternating)
-    base, basis = base_flat[cols], basis_flat[:, cols]
+    dim = residues[0][2].shape[0]
+    mods = []
+    for p, base_flat, basis_flat in residues:
+        cols, ranks_of = _ranker(n, m, p, alternating)
+        mods.append((p, base_flat[cols], basis_flat[:, cols], ranks_of))
 
     def worker(lo: int, hi: int):
         coords = (
-            lex_coords(lo, hi, dim, p) if exhaustive else sampled_coords(seed, lo, hi, dim, p)
+            lex_coords(lo, hi, dim, q) if exhaustive else sampled_coords(seed, lo, hi, dim, q)
         )
-        ranks = ranks_of(members_from_coords(coords, base, basis, p))
+        ranks = reduce(np.maximum, (
+            ranks_of(members_from_coords(coords, base, basis, p))
+            for p, base, basis, ranks_of in mods
+        ))
         mn = int(ranks.min())
         mx = int(ranks.max())
         i_mn = lo + int((ranks == mn).argmax())

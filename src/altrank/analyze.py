@@ -7,11 +7,15 @@ pure arithmetic in this package before they are reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
+from .fields import prime_below
 from .matrices import Matrix, Vector, eigenvalues_in_field, mat_vec, place_blocks, span_dim, vec_dot
 from .spaces import AffineMatrixSpace, Span
 from .symplectic import is_totally_singular, totally_singular_witness
@@ -66,59 +70,84 @@ def rank_profile(
 ) -> RankProfile:
     """Min/max rank over all members (exhaustive) or a seeded sample.
 
-    Exhaustive mode runs when the member count is finite and within budget;
-    only exhaustive profiles can prove rank constancy.  Witnesses are the
-    lexicographically least coordinate tuples attaining each extreme.
+    Exhaustive mode runs when the member count is finite and within budget
+    (over Q only at dimension zero); only exhaustive profiles can prove rank
+    constancy.  Witnesses are the least enumeration or sample indices attaining
+    each extreme, and each is re-ranked by the exact arithmetic.
+
+    Over Q the sampled coordinates are integers in [-box, box] (``box`` is
+    ``rand.DEFAULT_RATIONAL_BOX``) and the members are ranked by the F_p
+    engine modulo several primes (see ``_rational_residues``); the largest
+    of those ranks is the exact rank over Q.  ``threads`` splits the chunks
+    over either field and never changes the result.
     """
     ctx = sp.ctx
-    exhaustive = ctx.p**sp.dim <= budget if ctx.kind == "prime" else sp.dim == 0
+    if ctx.kind == "prime":
+        q = ctx.p
+        exhaustive = q**sp.dim <= budget
+        residues = [(q, *sp.flat_arrays())]
+    else:
+        q = 2 * rand.DEFAULT_RATIONAL_BOX + 1
+        exhaustive = sp.dim == 0
+        residues = _rational_residues(sp, rand.DEFAULT_RATIONAL_BOX)
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled rank profile needs at least one sample, got {samples}")
-    if ctx.kind == "prime":
-        count = ctx.p**sp.dim if exhaustive else samples
-        base_flat, basis_flat = sp.flat_arrays()
-        mn, mn_idx, mx, mx_idx = _engine.profile_ranks(
-            base_flat,
-            basis_flat,
-            sp.shape[0],
-            sp.shape[1],
-            ctx.p,
-            exhaustive=exhaustive,
-            total=count,
-            seed=seed,
-            alternating=sp.alternating,
-            threads=threads,
-        )
-        if exhaustive:
-            wmin = _engine.index_to_coords(mn_idx, sp.dim, ctx.p)
-            wmax = _engine.index_to_coords(mx_idx, sp.dim, ctx.p)
-        else:
-            wmin = sp.coords_for_sample(mn_idx, seed)
-            wmax = sp.coords_for_sample(mx_idx, seed)
-        for coords, expect in ((wmin, mn), (wmax, mx)):
-            if sp.member_at(coords).rank() != expect:
-                raise AssertionError("engine witness failed exact re-verification")
-        return RankProfile(
-            mn, mx, mn == mx, "exhaustive" if exhaustive else "sampled",
-            count, None if exhaustive else seed, wmin, wmax,
-        )
+    count = q**sp.dim if exhaustive else samples
+    mn, mn_idx, mx, mx_idx = _engine.profile_ranks(
+        residues,
+        sp.shape[0],
+        sp.shape[1],
+        q,
+        exhaustive=exhaustive,
+        total=count,
+        seed=seed,
+        alternating=sp.alternating,
+        threads=threads,
+    )
+    if exhaustive:
+        wmin = _engine.index_to_coords(mn_idx, sp.dim, q)
+        wmax = _engine.index_to_coords(mx_idx, sp.dim, q)
+    else:
+        wmin = sp.coords_for_sample(mn_idx, seed)
+        wmax = sp.coords_for_sample(mx_idx, seed)
+    for coords, expect in ((wmin, mn), (wmax, mx)):
+        if sp.member_at(coords).rank() != expect:
+            raise AssertionError("engine witness failed exact re-verification")
+    return RankProfile(
+        mn, mx, mn == mx, "exhaustive" if exhaustive else "sampled",
+        count, None if exhaustive else seed, wmin, wmax,
+    )
 
-    # Rational field: finite work only for dimension zero, otherwise sample.
-    if sp.dim == 0:
-        r = sp.base.rank()
-        return RankProfile(r, r, True, "exhaustive", 1, None, (), ())
-    mn = mx = None
-    wmin = wmax = ()
-    for i in range(samples):
-        coords = sp.coords_for_sample(i, seed)
-        r = sp.member_at(coords).rank()
-        if sp.alternating and r % 2 != 0:
-            raise AssertionError("alternating member with odd rank")
-        if mn is None or r < mn:
-            mn, wmin = r, coords
-        if mx is None or r > mx:
-            mx, wmax = r, coords
-    return RankProfile(mn, mx, mn == mx, "sampled", samples, seed, wmin, wmax)
+
+def _rational_residues(sp: AffineMatrixSpace, box: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Engine arrays (p, base_flat, basis_flat), one per prime, whose largest
+    rank is the rank over Q of every member ``base + c @ basis`` with c in
+    [-box, box]^dim.  The base is shifted by ``-box * sum(basis)``, so the
+    engine's coordinates are c + box, in [0, 2 box + 1).
+
+    Scaling by the lcm L of all denominators keeps every rank and makes every
+    entry of a scaled member an integer of absolute value at most A, the
+    largest |L base_e| + box * sum_t |L basis_te|.  By Hadamard's bound every
+    minor is then at most (k A^2)^(k/2) in absolute value, k = min(n, m).  A
+    rank mod p never exceeds the rank over Q, and a nonzero maximal minor
+    smaller than the product of the primes is nonzero modulo one of them; so
+    primes are taken downward from 2^31 until (prod p)^2 > (k A^2)^k.
+    """
+    flats = [sp.base.flatten(), *(g.flatten() for g in sp.basis)]
+    lcm = math.lcm(*(x.denominator for flat in flats for x in flat))
+    ints = np.array(
+        [[x.numerator * (lcm // x.denominator) for x in flat] for flat in flats], dtype=object
+    )
+    base, basis = ints[0] - box * ints[1:].sum(axis=0), ints[1:]
+    a = max(abs(ints[0]) + box * abs(basis).sum(axis=0), default=0)
+    k = min(sp.shape)
+    bound = (k * a * a) ** k
+    residues, product, p = [], 1, 1 << 31
+    while not residues or product * product <= bound:
+        p = prime_below(p)
+        product *= p
+        residues.append((p, (base % p).astype(np.int64), (basis % p).astype(np.int64)))
+    return residues
 
 
 @dataclass(frozen=True)

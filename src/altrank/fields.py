@@ -9,6 +9,8 @@ anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 from numbers import Integral
 from typing import Union
 
@@ -25,12 +27,16 @@ def is_prime(n: int) -> bool:
         return True
     if n % 2 == 0:
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+@lru_cache(maxsize=None)
+def prime_below(n: int) -> int:
+    """The largest prime less than n (n > 2)."""
+    c = n - 1
+    while not is_prime(c):
+        c -= 1
+    return c
 
 
 class FieldCtx:

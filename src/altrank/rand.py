@@ -81,7 +81,12 @@ class CounterStream:
                 return x
 
     def vector(self, ctx: FieldCtx, n: int, box: int = DEFAULT_RATIONAL_BOX):
-        return tuple(self.element(ctx, box) for _ in range(n))
+        """n elements from consecutive counters, as n calls of ``element``."""
+        lo, seed = self.counter, self.seed
+        self.counter += n
+        if ctx.kind == "prime":
+            return tuple(uniform_below(seed, c, ctx.p) for c in range(lo, lo + n))
+        return tuple(Fraction(uniform_below(seed, c, 2 * box + 1) - box) for c in range(lo, lo + n))
 
     def nonzero_vector(self, ctx: FieldCtx, n: int, box: int = DEFAULT_RATIONAL_BOX):
         while True:

@@ -1,8 +1,13 @@
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from altrank import _engine
 from altrank.analyze import (
+    RankProfile,
+    _rational_residues,
     duality_invariant_check,
     extract_range_lagrangian,
     flanders_atkinson_check,
@@ -17,10 +22,10 @@ from altrank.families import (
     build_operator_block_space,
     build_strictly_upper_space,
 )
-from altrank.fields import FieldCtx
-from altrank.matrices import Matrix
-from altrank.rand import CounterStream, derive_seed, random_matrix
-from altrank.spaces import AffineMatrixSpace
+from altrank.fields import FieldCtx, prime_below
+from altrank.matrices import Matrix, place_blocks
+from altrank.rand import CounterStream, derive_seed, random_invertible, random_matrix
+from altrank.spaces import AffineMatrixSpace, congruence_act, equivalence_act
 from altrank.symplectic import FormSpacePair, standard_symplectic
 
 F2 = FieldCtx.prime(2)
@@ -70,6 +75,14 @@ def test_rank_profile_rational_dim_zero():
     assert prof.constant_proved and prof.min_rank == 4
 
 
+@pytest.mark.parametrize("ctx", [F3, Q], ids=["F3", "Q"])
+@pytest.mark.parametrize("alternating", [False, True])
+def test_rank_profile_of_empty_matrices(ctx, alternating):
+    sp = AffineMatrixSpace(Matrix.zeros(ctx, 0, 0), [], alternating=alternating)
+    prof = rank_profile(sp)
+    assert prof.constant_proved and prof.min_rank == 0 and prof.checked == 1
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_rank_profile_rejects_empty_sample(samples):
     with pytest.raises(ValueError):
@@ -80,6 +93,129 @@ def test_rank_profile_rejects_empty_sample(samples):
     assert rank_profile(build_bordered_alternating(F3, 5, 1), samples=samples).constant_proved
     sp = AffineMatrixSpace(standard_symplectic(Q, 2), [], alternating=True)
     assert rank_profile(sp, samples=samples).constant_proved
+
+
+# -- rank profiles over Q through the modular engine -------------------------------------
+
+# Linear forms (constant, c1, c2) on the diagonal of the model spaces below: the
+# rank drops on the lines c1 = 0, c2 = 0, c1 = c2 and c1 = -c2.
+DROP_FORMS = [
+    (Fraction(1, 2), 0, 0),
+    (0, Fraction(1, 3), 0),
+    (0, 0, Fraction(-2, 5)),
+    (0, Fraction(1, 7), Fraction(-1, 7)),
+    (0, Fraction(5, 4), Fraction(5, 4)),
+]
+
+
+def q_drop_space(n, m, alternating, seed):
+    """A seeded space over Q with Fraction entries whose rank drops on lines:
+    a diagonal (or block-diagonal alternating) model moved by random
+    invertible factors."""
+    stream = CounterStream(derive_seed(seed, "q-drop", n, m, alternating))
+    if alternating:
+        forms, j = DROP_FORMS[: n // 2], standard_symplectic(Q, 1)
+        gens = [
+            place_blocks(Q, n, n, [(2 * i, 2 * i, j.scale(f[t])) for i, f in enumerate(forms)])
+            for t in range(3)
+        ]
+        sp = AffineMatrixSpace(gens[0], gens[1:], alternating=True)
+        return congruence_act(sp, random_invertible(Q, n, stream, box=3))
+    forms = DROP_FORMS[: min(n, m)]
+    gens = [
+        place_blocks(Q, n, m, [(i, i, Matrix(Q, [[f[t]]])) for i, f in enumerate(forms)])
+        for t in range(3)
+    ]
+    sp = AffineMatrixSpace(gens[0], gens[1:])
+    left = random_invertible(Q, n, stream, box=3)
+    return equivalence_act(sp, left, random_invertible(Q, m, stream, box=3))
+
+
+def reference_q_profile(sp, seed, samples, rank=lambda m: m.rank()):
+    """The per-member loop that ranked sampled members over Q before the
+    modular engine did."""
+    mn = mx = None
+    wmin = wmax = ()
+    for i in range(samples):
+        coords = sp.coords_for_sample(i, seed)
+        r = rank(sp.member_at(coords))
+        if sp.alternating and r % 2 != 0:
+            raise AssertionError("alternating member with odd rank")
+        if mn is None or r < mn:
+            mn, wmin = r, coords
+        if mx is None or r > mx:
+            mx, wmax = r, coords
+    return RankProfile(mn, mx, mn == mx, "sampled", samples, seed, wmin, wmax)
+
+
+Q_DROP_CASES = [
+    (4, 4, False), (4, 6, False), (5, 3, False), (6, 5, False), (6, 6, True), (7, 7, True),
+]
+
+
+@pytest.mark.parametrize("n, m, alternating", Q_DROP_CASES)
+def test_rational_profile_matches_exact_reference_loop(n, m, alternating):
+    sp = q_drop_space(n, m, alternating, 1)
+    assert any(x.denominator > 1 for g in sp.basis for x in g.flatten())
+    seed = derive_seed(2, "q-profile", n, m)
+    got = rank_profile(sp, seed=seed, samples=1500)
+    want = reference_q_profile(sp, seed, 1500)
+    assert got == want
+    assert json.dumps(got.to_json(Q)) == json.dumps(want.to_json(Q))
+    assert got.min_rank < got.max_rank  # the sample hits a drop line
+
+
+@pytest.mark.parametrize("n, m, alternating", Q_DROP_CASES)
+def test_rational_profile_matches_sympy(n, m, alternating):
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    def rank(a):
+        rows = [[QQ(x.numerator, x.denominator) for x in row] for row in a.data]
+        return DomainMatrix(rows, a.shape, QQ).rank()
+
+    sp = q_drop_space(n, m, alternating, 2)
+    seed = derive_seed(3, "q-sympy", n, m)
+    assert rank_profile(sp, seed=seed, samples=600) == reference_q_profile(sp, seed, 600, rank)
+
+
+def test_rational_profile_is_thread_independent():
+    sp = q_drop_space(5, 3, False, 4)
+    samples = 2**22 // 15 + 2**17  # two chunks
+    one, two = (rank_profile(sp, seed=6, samples=samples, threads=t) for t in (1, 2))
+    assert one == two
+    assert one.min_rank < one.max_rank
+
+
+@pytest.mark.parametrize("case", ["diag", "alternating", "two-primes"])
+def test_rational_profile_needs_more_than_one_prime(case):
+    """Members of full rank over Q whose rank halves modulo the first prime
+    taken, p1 (diag(1, c p1), and J + c p1 J block-diagonal), or modulo each
+    of the first two (c diag(p1, p2)): only a later prime sees the full rank,
+    and the Hadamard bound asks for one."""
+    p1 = prime_below(1 << 31)
+    p2 = prime_below(p1)
+    j = standard_symplectic(Q, 1)
+    if case == "diag":
+        base, step, fooled = Matrix(Q, [[1, 0], [0, 0]]), Matrix(Q, [[0, 0], [0, p1]]), 1
+    elif case == "alternating":
+        base = place_blocks(Q, 4, 4, [(0, 0, j)])
+        step, fooled = place_blocks(Q, 4, 4, [(2, 2, j.scale(p1))]), 1
+    else:
+        base, step, fooled = Matrix.zeros(Q, 2, 2), Matrix(Q, [[p1, 0], [0, p2]]), 2
+    sp = AffineMatrixSpace(base, [step], alternating=case == "alternating")
+    residues = _rational_residues(sp, 1000)
+    assert [r[0] for r in residues[:2]] == [p1, p2] and len(residues) > fooled
+    n = full = sp.shape[0]
+    low = _engine.profile_ranks(
+        residues[:fooled], n, n, 2001, exhaustive=False, total=300, seed=5, alternating=sp.alternating
+    )
+    assert low[2] == full // 2
+    prof = rank_profile(sp, seed=5, samples=300)
+    assert prof.max_rank == full
+    assert sp.member_at(prof.witness_max).rank() == full
+    assert prof == reference_q_profile(sp, 5, 300)
 
 
 # -- spectrum scans ----------------------------------------------------------------------

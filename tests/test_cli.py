@@ -133,6 +133,18 @@ def test_optimal_search_cli_at_n_zero(tmp_path):
     assert results["agrees"] and results["exists_by_dim"] == {"0": True}
 
 
+def test_optimal_search_cli_small_field_exception(tmp_path):
+    """(4, 2, F_2) beats the constant-rank formula, so the search exits 1."""
+    code, text = run(
+        tmp_path, "optimal-search", "--n", "4", "--r", "2", "--field", "Fp:2",
+        "--predicate", "constant-rank",
+    )
+    assert code == 1
+    results = json.loads(text)["results"]
+    assert results["max_dim"] == 3 and results["formula"] == 2
+    assert results["agrees"] is False
+
+
 def test_optimal_search_rejects_sampling_flags(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(

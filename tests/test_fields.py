@@ -5,12 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from altrank.fields import FieldCtx, is_prime
+from altrank.fields import FieldCtx, is_prime, prime_below
 
 
 def test_is_prime_small():
     primes = [n for n in range(2, 40) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def test_is_prime_and_prime_below_match_a_sieve():
+    sieve = [True] * 2000
+    sieve[0] = sieve[1] = False
+    for d in range(2, 45):
+        sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    assert [n for n in range(2000) if is_prime(n)] == [n for n in range(2000) if sieve[n]]
+    below = [max(m for m in range(n) if sieve[m]) for n in range(3, 2000)]
+    assert [prime_below(n) for n in range(3, 2000)] == below
+    # the first primes rational rank profiles take, 2^31 - 1 being a Mersenne prime
+    assert prime_below(1 << 31) == 2_147_483_647 and prime_below(2_147_483_647) == 2_147_483_629
+    assert not is_prime(46_337 * 46_327)  # a product of the two largest primes below isqrt(2^31)
 
 
 def test_prime_ctx_rejects_composites():

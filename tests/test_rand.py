@@ -68,6 +68,23 @@ def test_counter_stream_elements():
     assert isinstance(q, Fraction) and -3 <= q <= 3
 
 
+@pytest.mark.parametrize(
+    "ctx, box", [(F5, 1000), (FieldCtx.prime(2_147_483_629), 1000), (Q, 1000), (Q, 3)]
+)
+def test_counter_stream_vector_matches_element_draws(ctx, box):
+    seed = derive_seed(11, "vec", ctx.to_str())
+    fast, slow = CounterStream(seed), CounterStream(seed)
+    for n in (0, 1, 4, 9, 4):
+        want = tuple(slow.element(ctx, box) for _ in range(n))
+        got = fast.vector(ctx, n, box)
+        assert got == want and fast.counter == slow.counter
+        assert all(type(x) is type(ctx.zero()) for x in got)
+    want = ()
+    while not any(want):
+        want = tuple(slow.element(ctx, box) for _ in range(2))
+    assert fast.nonzero_vector(ctx, 2, box) == want and fast.counter == slow.counter
+
+
 def test_random_matrix_helpers():
     s = CounterStream(derive_seed(3, "m"))
     inv = random_invertible(F5, 3, s)

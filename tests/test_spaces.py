@@ -6,7 +6,7 @@ import pytest
 
 from altrank import _engine, spaces
 from altrank.errors import BudgetExceededError
-from altrank.families import build_bordered_alternating
+from altrank.families import build_bordered_alternating, optimal_dimension_formula
 from altrank.fields import FieldCtx
 from altrank.matrices import Matrix, alternating_from_upper, span_dim, upper_pairs
 from altrank.rand import CounterStream, derive_seed, random_invertible
@@ -316,6 +316,18 @@ def test_optimal_search_rank_at_least_frozen():
     assert res.witness is not None
     for _, m in res.witness.enumerate():
         assert m.rank() >= 2
+
+
+def test_optimal_search_small_field_exception_at_4_2_f2():
+    """At (4, 2, F_2), n = r + 2 and q = 2, outside the paper's field-size
+    hypothesis: a 3-dimensional constant-rank-2 space exists, one more than
+    the formula s(n - s - 1) = 2."""
+    res = exhaustive_optimal_dimension(4, 2, FieldCtx.prime(2), "constant-rank")
+    assert res.max_dim == 3
+    assert res.exists_by_dim == {0: True, 1: True, 2: True, 3: True, 4: False}
+    assert optimal_dimension_formula(4, 2, "constant_rank") == 2
+    assert res.witness.dim == 3
+    assert {m.rank() for _, m in res.witness.enumerate()} == {2}
 
 
 def test_optimal_search_budgets():
