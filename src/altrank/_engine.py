@@ -4,9 +4,11 @@ This is infrastructure, not arithmetic authority: entries are canonical
 residues with p < 2^31, every product fits in an int64, and the exact
 object-level linear algebra in :mod:`altrank.matrices` independently covers
 the same operations at small scale (the test suite cross-checks the two).
-The same kernels serve sampled rank profiles over Q: ``profile_ranks`` ranks
-integer members modulo several primes and keeps the largest rank, which is
-the rank over Q once the primes' product exceeds a bound on every minor
+Every scan over the members of a space (``profile_ranks``, ``first_index``,
+``rank_counts``, ``unit_eigen_hits``) ranks them through one block ranker,
+which also serves sampled members over Q: it ranks integer members modulo
+several primes and keeps the largest rank, which is the rank over Q once the
+primes' product exceeds a bound on every minor
 (:func:`altrank.analyze.rank_profile` picks the primes).
 
 Alternating members are stored as their strict upper triangles, row-major
@@ -43,8 +45,12 @@ def resolve_threads(threads: int | None) -> int:
         return 1
 
 
+def _chunk_size(entry_size: int) -> int:
+    return max(1024, _CHUNK_ELEMS // max(1, entry_size))
+
+
 def chunk_ranges(lo: int, hi: int, entry_size: int) -> Iterator[tuple[int, int]]:
-    step = max(1024, _CHUNK_ELEMS // max(1, entry_size))
+    step = _chunk_size(entry_size)
     cur = lo
     while cur < hi:
         nxt = min(hi, cur + step)
@@ -148,7 +154,7 @@ def _inverse_table(p: int) -> np.ndarray:
     return table
 
 
-def batch_rank(mats: np.ndarray, p: int, inv_table: np.ndarray | None = None) -> np.ndarray:
+def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a stack of matrices over F_p, entries canonical residues.
     Mutates ``mats``.
 
@@ -172,8 +178,7 @@ def batch_rank(mats: np.ndarray, p: int, inv_table: np.ndarray | None = None) ->
     computed by ``inverse_mod`` otherwise.
     """
     k, n, m = mats.shape
-    if inv_table is None and p <= k:
-        inv_table = _inverse_table(p)
+    inv_table = _inverse_table(p) if p <= k else None
     r = np.zeros(k, dtype=np.int64)
     every = np.arange(k)
     full = min(n, m)
@@ -300,25 +305,39 @@ def alternating_ranks(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     return ranks
 
 
-def _ranker(n: int, m: int, p: int, alternating: bool):
-    """(column selection, rank function) for stacks of members over F_p: the
-    strict upper triangle and ``alternating_ranks`` for alternating spaces,
-    every entry and ``batch_rank`` otherwise."""
-    if alternating:
-        pi, pj = _skew_maps(n)[:2]
-        return pi * n + pj, lambda upper: alternating_ranks(upper, n, p)
-    return slice(None), lambda flat: batch_rank(flat.reshape(len(flat), n, m), p)
+Residues = Sequence[tuple[int, np.ndarray, np.ndarray]]  # (p, base_flat, basis_flat) per prime
+
+
+def _block_ranker(residues: Residues, n: int, m: int, alternating: bool):
+    """Rank function of coordinate blocks: a (k, dim) block of coordinates in,
+    the ranks of the k members ``base + c @ basis`` out, each the largest of
+    its ranks modulo the primes of ``residues`` ((p, base_flat, basis_flat)
+    per prime, canonical residue entries).  Alternating members are assembled
+    on their strict upper triangles and ranked by ``alternating_ranks``,
+    others on every entry by ``batch_rank``."""
+    mods = []
+    for p, base_flat, basis_flat in residues:
+        if alternating:
+            pi, pj = _skew_maps(n)[:2]
+            cols, ranks_of = pi * n + pj, lambda upper, p=p: alternating_ranks(upper, n, p)
+        else:
+            cols, ranks_of = slice(None), lambda flat, p=p: batch_rank(flat.reshape(len(flat), n, m), p)
+        mods.append((p, base_flat[cols], basis_flat[:, cols], ranks_of))
+
+    def ranks(coords: np.ndarray) -> np.ndarray:
+        return reduce(np.maximum, (
+            ranks_of(members_from_coords(coords, base, basis, p))
+            for p, base, basis, ranks_of in mods
+        ))
+    return ranks
+
+
+def _coords(lo: int, hi: int, dim: int, q: int, exhaustive: bool, seed: int) -> np.ndarray:
+    """Coordinates of members lo..hi-1: lexicographic, or the seeded draws."""
+    return lex_coords(lo, hi, dim, q) if exhaustive else sampled_coords(seed, lo, hi, dim, q)
 
 
 # -- folded scans -------------------------------------------------------------------
-
-
-def _merge_extremes(acc, part):
-    if acc is None:
-        return part
-    mn = min((acc[0], acc[1]), (part[0], part[1]))
-    mx = max((acc[2], -acc[3]), (part[2], -part[3]))
-    return (mn[0], mn[1], mx[0], -mx[1])
 
 
 def _run_chunks(worker: Callable, ranges: list[tuple[int, int]], threads: int):
@@ -329,16 +348,8 @@ def _run_chunks(worker: Callable, ranges: list[tuple[int, int]], threads: int):
 
 
 def profile_ranks(
-    residues: Sequence[tuple[int, np.ndarray, np.ndarray]],
-    n: int,
-    m: int,
-    q: int,
-    *,
-    exhaustive: bool,
-    total: int,
-    seed: int = 0,
-    alternating: bool = False,
-    threads: int | None = None,
+    residues: Residues, n: int, m: int, q: int, *, exhaustive: bool, total: int,
+    seed: int = 0, alternating: bool = False, threads: int | None = None,
 ) -> tuple[int, int, int, int]:
     """Fold (min_rank, min_index, max_rank, max_index) over members.
 
@@ -348,53 +359,56 @@ def profile_ranks(
     each of one or more primes p >= q, with canonical residue entries; a
     member's rank is the largest of its ranks modulo these primes, so one prime
     gives ranks over F_p.  Ties resolve to the least index regardless of
-    chunking or thread scheduling.  ``alternating`` members are assembled on
-    their strict upper triangles and ranked by ``skew_rank``.
+    chunking or thread scheduling.
     """
     dim = residues[0][2].shape[0]
-    mods = []
-    for p, base_flat, basis_flat in residues:
-        cols, ranks_of = _ranker(n, m, p, alternating)
-        mods.append((p, base_flat[cols], basis_flat[:, cols], ranks_of))
+    ranks_of = _block_ranker(residues, n, m, alternating)
 
     def worker(lo: int, hi: int):
-        coords = (
-            lex_coords(lo, hi, dim, q) if exhaustive else sampled_coords(seed, lo, hi, dim, q)
-        )
-        ranks = reduce(np.maximum, (
-            ranks_of(members_from_coords(coords, base, basis, p))
-            for p, base, basis, ranks_of in mods
-        ))
-        mn = int(ranks.min())
-        mx = int(ranks.max())
-        i_mn = lo + int((ranks == mn).argmax())
-        i_mx = lo + int((ranks == mx).argmax())
-        return (mn, i_mn, mx, i_mx)
+        ranks = ranks_of(_coords(lo, hi, dim, q, exhaustive, seed))
+        mn, mx = int(ranks.min()), int(ranks.max())
+        return mn, lo + int((ranks == mn).argmax()), mx, lo + int((ranks == mx).argmax())
 
-    acc = None
     parts = _run_chunks(worker, list(chunk_ranges(0, total, n * m)), resolve_threads(threads))
-    for part in parts:
-        acc = _merge_extremes(acc, part)
-    return acc
+    mn, i_mn = min((part[0], part[1]) for part in parts)
+    mx, neg_i_mx = max((part[2], -part[3]) for part in parts)
+    return mn, i_mn, mx, -neg_i_mx
+
+
+def first_index(
+    residues: Residues, n: int, m: int, q: int, accept: Callable[[np.ndarray], np.ndarray], *,
+    exhaustive: bool, total: int, seed: int = 0, alternating: bool = False,
+) -> int:
+    """The least member index i < total whose rank satisfies ``accept`` (a
+    predicate on an array of ranks, elementwise), or -1.
+
+    Members, coordinates and ranks are those of ``profile_ranks``.  Index
+    ranges start at 64 members and grow x16 up to the ``chunk_ranges`` size,
+    so an early hit costs one small call.
+    """
+    dim = residues[0][2].shape[0]
+    ranks_of = _block_ranker(residues, n, m, alternating)
+    cap = _chunk_size(n * m)
+    lo, size = 0, min(64, cap)
+    while lo < total:
+        hi = min(total, lo + size)
+        hits = np.flatnonzero(accept(ranks_of(_coords(lo, hi, dim, q, exhaustive, seed))))
+        if hits.size:
+            return lo + int(hits[0])
+        lo, size = hi, min(cap, 16 * size)
+    return -1
 
 
 def rank_counts(
-    base_flat: np.ndarray,
-    basis_flat: np.ndarray,
-    n: int,
-    m: int,
-    p: int,
-    total: int,
+    base_flat: np.ndarray, basis_flat: np.ndarray, n: int, m: int, p: int, total: int,
     alternating: bool = False,
 ) -> np.ndarray:
     """Exhaustive rank multiset as a counts vector of length min(n, m) + 1."""
     dim = basis_flat.shape[0]
-    cols, ranks_of = _ranker(n, m, p, alternating)
-    base, basis = base_flat[cols], basis_flat[:, cols]
+    ranks_of = _block_ranker([(p, base_flat, basis_flat)], n, m, alternating)
     counts = np.zeros(min(n, m) + 1, dtype=np.int64)
     for lo, hi in chunk_ranges(0, total, n * m):
-        ranks = ranks_of(members_from_coords(lex_coords(lo, hi, dim, p), base, basis, p))
-        counts += np.bincount(ranks, minlength=counts.size)
+        counts += np.bincount(ranks_of(lex_coords(lo, hi, dim, p)), minlength=counts.size)
     return counts
 
 
@@ -404,12 +418,10 @@ def unit_eigen_hits(
     """Indices of span members M (lex order) with det(M - I) == 0."""
     dim = basis_flat.shape[0]
     neg_ident = (-np.eye(n, dtype=np.int64).reshape(n * n)) % p
+    ranks_of = _block_ranker([(p, neg_ident, basis_flat)], n, n, False)
 
     def worker(lo: int, hi: int):
-        coords = lex_coords(lo, hi, dim, p)
-        mats = members_from_coords(coords, neg_ident, basis_flat, p).reshape(-1, n, n)
-        ranks = batch_rank(mats, p)
-        return lo + np.nonzero(ranks < n)[0]
+        return lo + np.nonzero(ranks_of(lex_coords(lo, hi, dim, p)) < n)[0]
 
     parts = _run_chunks(worker, list(chunk_ranges(0, total, n * n)), resolve_threads(threads))
     hits = [part for part in parts if part.size]

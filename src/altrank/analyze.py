@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -81,35 +81,14 @@ def rank_profile(
     of those ranks is the exact rank over Q.  ``threads`` splits the chunks
     over either field and never changes the result.
     """
-    ctx = sp.ctx
-    if ctx.kind == "prime":
-        q = ctx.p
-        exhaustive = q**sp.dim <= budget
-        residues = [(q, *sp.flat_arrays())]
-    else:
-        q = 2 * rand.DEFAULT_RATIONAL_BOX + 1
-        exhaustive = sp.dim == 0
-        residues = _rational_residues(sp, rand.DEFAULT_RATIONAL_BOX)
+    q, exhaustive, count, residues = _engine_walk(sp, budget, samples)
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled rank profile needs at least one sample, got {samples}")
-    count = q**sp.dim if exhaustive else samples
     mn, mn_idx, mx, mx_idx = _engine.profile_ranks(
-        residues,
-        sp.shape[0],
-        sp.shape[1],
-        q,
-        exhaustive=exhaustive,
-        total=count,
-        seed=seed,
-        alternating=sp.alternating,
-        threads=threads,
+        residues, *sp.shape, q, exhaustive=exhaustive, total=count, seed=seed,
+        alternating=sp.alternating, threads=threads,
     )
-    if exhaustive:
-        wmin = _engine.index_to_coords(mn_idx, sp.dim, q)
-        wmax = _engine.index_to_coords(mx_idx, sp.dim, q)
-    else:
-        wmin = sp.coords_for_sample(mn_idx, seed)
-        wmax = sp.coords_for_sample(mx_idx, seed)
+    wmin, wmax = (_member_coords(sp, i, exhaustive, q, seed) for i in (mn_idx, mx_idx))
     for coords, expect in ((wmin, mn), (wmax, mx)):
         if sp.member_at(coords).rank() != expect:
             raise AssertionError("engine witness failed exact re-verification")
@@ -117,6 +96,57 @@ def rank_profile(
         mn, mx, mn == mx, "exhaustive" if exhaustive else "sampled",
         count, None if exhaustive else seed, wmin, wmax,
     )
+
+
+def first_member(
+    sp: AffineMatrixSpace, accept: Callable[[np.ndarray], np.ndarray], *,
+    budget: int = DEFAULT_ENUM_BUDGET, samples: int = DEFAULT_SAMPLES, seed: int = 0,
+) -> Optional[tuple[tuple, Matrix]]:
+    """First member, as (coords, member), whose rank satisfies ``accept`` (a
+    predicate on an array of ranks, elementwise), or None.
+
+    Members are walked as in ``rank_profile``: in enumeration order when
+    exhaustive, in seeded sample order over ``samples`` draws otherwise.  One
+    engine scan finds the hit, and the hit alone is re-ranked exactly.
+    """
+    q, exhaustive, count, residues = _engine_walk(sp, budget, samples)
+    idx = _engine.first_index(
+        residues, *sp.shape, q, accept, exhaustive=exhaustive, total=count, seed=seed,
+        alternating=sp.alternating,
+    )
+    if idx < 0:
+        return None
+    coords = _member_coords(sp, idx, exhaustive, q, seed)
+    member = sp.member_at(coords)
+    if not accept(np.array([member.rank()]))[0]:
+        raise AssertionError("engine witness failed exact re-verification")
+    return coords, member
+
+
+def _engine_walk(sp: AffineMatrixSpace, budget: int, samples: int):
+    """(q, exhaustive, count, residues): how the engine walks the members of
+    sp.  Over F_p every member when there are at most ``budget`` of them;
+    over Q only at dimension zero.  Otherwise ``samples`` seeded draws, with
+    coordinates in [0, q) taken as integers in [-box, box] over Q (``box``
+    is ``rand.DEFAULT_RATIONAL_BOX``)."""
+    if sp.ctx.kind == "prime":
+        q = sp.ctx.p
+        exhaustive = q**sp.dim <= budget
+        residues = [(q, *sp.flat_arrays())]
+    else:
+        q = 2 * rand.DEFAULT_RATIONAL_BOX + 1
+        exhaustive = sp.dim == 0
+        residues = _rational_residues(sp, rand.DEFAULT_RATIONAL_BOX)
+    return q, exhaustive, q**sp.dim if exhaustive else samples, residues
+
+
+def _member_coords(sp: AffineMatrixSpace, index: int, exhaustive: bool, q: int, seed: int) -> tuple:
+    """Coordinates of member ``index`` of the walk ``_engine_walk`` describes."""
+    if exhaustive:
+        return _engine.index_to_coords(index, sp.dim, q)
+    shift = 0 if sp.ctx.kind == "prime" else rand.DEFAULT_RATIONAL_BOX
+    row = _engine.sampled_coords(seed, index, index + 1, sp.dim, q)[0]
+    return tuple(sp.ctx.normalize(int(c) - shift) for c in row)
 
 
 def _rational_residues(sp: AffineMatrixSpace, box: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -255,7 +285,9 @@ def flanders_atkinson_check(
     Conclusions with M split into blocks at row/column r:
     the lower-right block D vanishes, and the moment products vanish for
     k = 0..r-1 (B A^k C in the first two modes; B^T K^{-1} (A K^{-1})^k B in
-    alternating mode).  Higher k reduce to these by Cayley-Hamilton.
+    alternating mode).  Higher k reduce to these by Cayley-Hamilton.  The
+    hypothesis is scanned in one engine pass, and the first failing member
+    it reports is re-ranked exactly.
     """
     ctx = m.ctx
     if ctx.kind != "prime":
@@ -279,20 +311,23 @@ def flanders_atkinson_check(
     else:
         j = place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, r))])
 
-    def fail(witness) -> FAReport:
-        return FAReport(mode, r, False, None, None, ("hypothesis", witness))
-
-    if mode == "pencil":
-        for s in range(ctx.p):
-            for t in range(ctx.p):
-                rk = (j.scale(s) + m.scale(t)).rank()
-                if rk > r:
-                    return fail((s, t, rk))
-    else:
-        for t in range(ctx.p):
-            rk = (j + m.scale(t)).rank()
-            if rk > r:
-                return fail((1, t, rk))
+    p = ctx.p
+    jm = np.array([j.flatten(), m.flatten()], dtype=np.int64)
+    if mode == "pencil":  # s*J + t*M at lex index s*p + t
+        base, basis = np.zeros(n * n, dtype=np.int64), jm
+    else:  # J + t*M at index t
+        base, basis = jm[0], jm[1:]
+    # ranked by batch_rank alone, even in alternating mode: on the skew path a
+    # short line would be ranked twice, once more by the guard
+    idx = _engine.first_index(
+        [(p, base, basis)], n, n, p, lambda ranks: ranks > r, exhaustive=True, total=p ** len(basis)
+    )
+    if idx >= 0:
+        s, t = _engine.index_to_coords(idx, 2, p) if mode == "pencil" else (1, idx)
+        rk = (j.scale(s) + m.scale(t)).rank()
+        if rk <= r:
+            raise AssertionError("engine witness failed exact re-verification")
+        return FAReport(mode, r, False, None, None, ("hypothesis", (s, t, rk)))
 
     a = m.block(0, r, 0, r)
     d = m.block(r, n, r, n)

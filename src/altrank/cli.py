@@ -295,7 +295,7 @@ def _hypothesis_met(problem: str, n: int, r: int, ctx: FieldCtx) -> bool:
     if problem == "invertible":
         return ctx.cardinality_at_least(max(r - 1, 1))
     if problem == "constant_rank":
-        return ctx.cardinality_at_least(max(r - 1, 2 + r // 2))
+        return ctx.cardinality_at_least(families.constant_rank_field_bound(r))
     if problem == "rank_at_least":
         return ctx.cardinality_at_least(n - 1 if n % 2 == 0 else n - 2)
     raise ValueError(problem)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import analyze
+from .errors import BudgetExceededError
 from .fields import Element, FieldCtx
 from .matrices import Matrix, alternating_units, pfaffian, place_blocks, upper_pairs
 from .spaces import AffineMatrixSpace
@@ -254,6 +255,12 @@ def optimal_dimension_formula(n: int, r: int, problem: str) -> int:
     raise ValueError(f"unknown problem {problem!r}")
 
 
+def constant_rank_field_bound(r: int) -> int:
+    """Least field size, max(r - 1, 2 + r/2), at which the constant-rank
+    dimension formula is claimed and the canonical reduction runs."""
+    return max(r - 1, 2 + r // 2)
+
+
 @dataclass(frozen=True)
 class PlaneCertificate:
     """Exact anisotropy certificate for the plane's translation Pfaffian form."""
@@ -319,23 +326,19 @@ def plane_rank_drop_witness(
 ) -> Optional[tuple[tuple, Matrix]]:
     """First plane member (lexicographic coordinates) with rank below 4."""
     plane = build_counterexample_plane(ctx)
-    for coords, member in plane.enumerate(budget):
-        if member.rank() < 4:
-            return coords, member
-    return None
+    if ctx.kind != "prime":
+        raise ValueError("exhaustive enumeration needs a prime field")
+    if ctx.p**2 > budget:
+        raise BudgetExceededError(f"{ctx.p**2} members exceed budget {budget}")
+    return analyze.first_member(plane, lambda ranks: ranks < 4, budget=budget)
 
 
 def translation_rank_two_witness(ctx: FieldCtx) -> Optional[tuple[tuple, Matrix]]:
     """First nonzero translation combination of rank 2, scanning lexicographically."""
     if ctx.kind != "prime":
         raise ValueError("witness scan needs a prime field")
-    g1 = a_xyz(ctx, 1, 0, 0)
-    g2 = a_xyz(ctx, 0, 1, 0)
-    for x in range(ctx.p):
-        for y in range(ctx.p):
-            if x == 0 and y == 0:
-                continue
-            m = g1.scale(x) + g2.scale(y)
-            if m.rank() == 2:
-                return (x, y), m
-    return None
+    translations = AffineMatrixSpace(
+        Matrix.zeros(ctx, 4, 4), [a_xyz(ctx, 1, 0, 0), a_xyz(ctx, 0, 1, 0)], alternating=True
+    )
+    # the zero combination, first in the scan, has rank 0
+    return analyze.first_member(translations, lambda ranks: ranks == 2, budget=ctx.p**2)

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import analyze
 from .errors import ContractError
-from .families import build_bordered_alternating, build_row_block_family
+from .families import build_bordered_alternating, build_row_block_family, constant_rank_field_bound
 from .matrices import Matrix, Vector, alternating_units, form_value, place_blocks, rows_matrix, span_dim
 from .spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act, spaces_equal
 from .symplectic import symplectic_basis, totally_singular_witness
@@ -79,14 +79,9 @@ def find_rank_r_member(
 ) -> Optional[tuple[tuple, Matrix]]:
     """First member of rank exactly r, in enumeration order when the space is
     small enough to enumerate and in seeded sample order otherwise."""
-    if sp.ctx.kind == "prime" and sp.member_count() <= enum_budget:
-        it = sp.enumerate(enum_budget)
-    else:
-        it = sp.sample(samples, seed)
-    for coords, member in it:
-        if member.rank() == r:
-            return coords, member
-    return None
+    return analyze.first_member(
+        sp, lambda ranks: ranks == r, budget=enum_budget, samples=samples, seed=seed
+    )
 
 
 def normalize_radical_to_tail(sp: AffineMatrixSpace, s0: Matrix) -> tuple[Matrix, Matrix]:
@@ -334,7 +329,7 @@ def canonical_reduction(
         raise ValueError("needs an alternating square space")
     if n < r + 3:
         raise ValueError("needs n >= r + 3")
-    bound = max(r - 1, 2 + s)
+    bound = constant_rank_field_bound(r)
     if not ctx.cardinality_at_least(bound):
         raise ValueError(f"field must have at least {bound} elements")
     if sp.dim != s * (n - s - 1):

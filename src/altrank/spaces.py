@@ -1,16 +1,16 @@
-"""Affine spaces of matrices: enumeration, sampling, actions, and searches.
+"""Affine spaces of matrices: enumeration, actions, and searches.
 
 An affine space is a base matrix plus the span of an independent translation
-basis.  Enumeration is ordered lexicographically by coordinate tuple, and
-sampled draws depend only on (seed, stream index), so both can be
-partitioned across workers without changing any member.
+basis.  Enumeration is ordered lexicographically by coordinate tuple.  Seeded
+member draws live in the engine (``_engine.sampled_coords``), where draw i
+depends only on (seed, i).
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .matrices import (
     alternating_from_upper,
     rows_matrix,
 )
-from .rand import DEFAULT_RATIONAL_BOX, uniform_below
 
 _BLOCK_ELEMS = 1 << 20  # largest temporary of one coset-scan block, in int64 elements
 
@@ -95,7 +94,7 @@ class AffineMatrixSpace:
             return False
         return self._span.contains((m - self.base).flatten())
 
-    # -- enumeration and sampling -------------------------------------------------
+    # -- enumeration ------------------------------------------------------------------
 
     def member_count(self) -> int:
         if self.ctx.kind != "prime":
@@ -112,38 +111,9 @@ class AffineMatrixSpace:
         total = self.member_count()
         if total > budget:
             raise BudgetExceededError(f"{total} members exceed budget {budget}")
-        yield from self.enumerate_range(0, total)
-
-    def enumerate_range(self, lo: int, hi: int) -> Iterator[tuple[tuple[Element, ...], Matrix]]:
-        """Members with enumeration index in [lo, hi); partition-safe."""
-        if self.ctx.kind != "prime" and self.dim > 0:
-            raise ValueError("exhaustive enumeration needs a prime field")
-        q = self.ctx.p if self.dim else 1
-        for idx in range(lo, hi):
-            coords = _engine.index_to_coords(idx, self.dim, q) if self.dim else ()
+        for idx in range(total):
+            coords = _engine.index_to_coords(idx, self.dim, self.ctx.p)
             yield coords, self.member_at(coords)
-
-    def sample(
-        self, count: int, seed: int, box: int = DEFAULT_RATIONAL_BOX
-    ) -> Iterator[tuple[tuple[Element, ...], Matrix]]:
-        """Seeded member stream; draw i is independent of any partitioning."""
-        yield from self.sample_range(0, count, seed, box)
-
-    def sample_range(
-        self, lo: int, hi: int, seed: int, box: int = DEFAULT_RATIONAL_BOX
-    ) -> Iterator[tuple[tuple[Element, ...], Matrix]]:
-        for i in range(lo, hi):
-            coords = self.coords_for_sample(i, seed, box)
-            yield coords, self.member_at(coords)
-
-    def coords_for_sample(self, i: int, seed: int, box: int = DEFAULT_RATIONAL_BOX) -> tuple[Element, ...]:
-        d = self.dim
-        if self.ctx.kind == "prime":
-            return tuple(uniform_below(seed, i * d + j, self.ctx.p) for j in range(d))
-        from fractions import Fraction
-
-        w = 2 * box + 1
-        return tuple(Fraction(uniform_below(seed, i * d + j, w) - box) for j in range(d))
 
     # -- engine bridge ---------------------------------------------------------------
 
@@ -153,11 +123,8 @@ class AffineMatrixSpace:
             raise ValueError("engine arrays exist only over prime fields")
         n, m = self.shape
         base_flat = np.array(self.base.flatten(), dtype=np.int64)
-        if self.dim:
-            basis_flat = np.array([g.flatten() for g in self.basis], dtype=np.int64)
-        else:
-            basis_flat = np.empty((0, n * m), dtype=np.int64)
-        return base_flat, basis_flat
+        basis_flat = np.array([g.flatten() for g in self.basis], dtype=np.int64)
+        return base_flat, basis_flat.reshape(self.dim, n * m)
 
     # -- serialization ------------------------------------------------------------------
 
@@ -235,14 +202,12 @@ def rank_multiset(sp: AffineMatrixSpace, budget: int = 10**4) -> dict[int, int]:
 # -- brute-force equivalence of small square spaces ------------------------------------------
 
 
-def _gl_matrices(ctx: FieldCtx, s: int) -> list[Matrix]:
-    """GL_s(F_q) in lexicographic order of the flattened entry tuple."""
-    out = []
-    for flat in product(range(ctx.p), repeat=s * s):
-        m = Matrix.from_flat(ctx, s, s, flat)
-        if m.det() != 0:
-            out.append(m)
-    return out
+def _gl_matrices(p: int, s: int) -> np.ndarray:
+    """GL_s(F_p) as a (k, s, s) stack, in lexicographic order of the
+    flattened entry tuple: the coordinates of the unit-basis space are the
+    entries themselves, ranked in one engine call."""
+    mats = _engine.lex_coords(0, p ** (s * s), s * s, p).reshape(-1, s, s)
+    return mats[_engine.batch_rank(mats.copy(), p) == s]
 
 
 def brute_equivalence_test(
@@ -251,7 +216,8 @@ def brute_equivalence_test(
     """First (P, Q) in GL_s^2 lexicographic scan with P X Q == Y, else None.
 
     Deliberately refuses s >= 3 or q > 7: the search space past |GL_2(F_7)|^2
-    stops being a meaningful brute-force certificate.
+    stops being a meaningful brute-force certificate.  The scan is vectorized
+    over blocks of P against all of Q; a witness is re-verified exactly.
     """
     if x.ctx != y.ctx or x.ctx.kind != "prime":
         raise ValueError("both spaces must live over one prime field")
@@ -262,56 +228,40 @@ def brute_equivalence_test(
         raise ValueError("brute-force envelope is s <= 2, q <= 7")
     if x.dim != y.dim:
         return None
-    p = x.ctx.p
-    gl = _gl_matrices(x.ctx, s)
-    if s == 1:
-        for pm in gl:
-            for qm in gl:
-                cand = equivalence_act(x, pm, qm)
-                if spaces_equal(cand, y):
-                    return pm, qm
-        return None
-    witness = _brute_equivalence_2x2(x, y, gl, p)
+    witness = _brute_equivalence_scan(x, y, _gl_matrices(x.ctx.p, s))
     if witness is None:
         return None
-    pm, qm = witness
+    pm, qm = (Matrix.from_flat(x.ctx, s, s, [int(v) for v in g.ravel()]) for g in witness)
     if not spaces_equal(equivalence_act(x, pm, qm), y):
         raise AssertionError("vectorized equivalence witness failed exact re-verification")
     return pm, qm
 
 
-def _brute_equivalence_2x2(x, y, gl, p: int):
+def _brute_equivalence_scan(x, y, gl: np.ndarray):
+    """The first (P, Q) of the scan as entries of ``gl``, or None."""
     # Membership in an affine space via its annihilator: v lies in the row
-    # span of B iff v @ K == 0 for K a kernel basis of B.
-    ann = rows_matrix(x.ctx, [g.flatten() for g in y.basis]).kernel_basis() if y.dim else None
-    if ann is None:
-        kmat = np.eye(4, dtype=np.int64)
-    elif not ann:
-        kmat = np.empty((4, 0), dtype=np.int64)
-    else:
-        kmat = np.array(ann, dtype=np.int64).T
-    g_arr = np.array([m.flatten() for m in gl], dtype=np.int64).reshape(-1, 2, 2)
-    x_mats = [np.array(x.base.flatten(), dtype=np.int64).reshape(2, 2)] + [
-        np.array(g.flatten(), dtype=np.int64).reshape(2, 2) for g in x.basis
-    ]
+    # span of B iff v @ K == 0 for K a kernel basis of B (one zero row for a point).
+    p = x.ctx.p
+    s = x.shape[0]
+    rows = [g.flatten() for g in y.basis] or [(0,) * (s * s)]
+    kmat = np.array(rows_matrix(x.ctx, rows).kernel_basis(), dtype=np.int64).reshape(-1, s * s).T
+    x_mats = [np.array(g.flatten(), dtype=np.int64).reshape(s, s) for g in (x.base, *x.basis)]
     y0 = np.array(y.base.flatten(), dtype=np.int64)
     count = len(gl)
     step = max(1, (1 << 20) // max(1, count))
     for lo in range(0, count, step):
-        p_blk = g_arr[lo : lo + step]
-        ok = None
+        p_blk = gl[lo : lo + step]
+        ok = np.ones((len(p_blk), count), dtype=bool)
         for t, xm in enumerate(x_mats):
             px = p_blk @ xm % p
-            pxq = np.einsum("aij,bjk->abik", px, g_arr) % p
-            flat = pxq.reshape(pxq.shape[0], pxq.shape[1], 4)
+            pxq = np.einsum("aij,bjk->abik", px, gl) % p
+            flat = pxq.reshape(pxq.shape[0], pxq.shape[1], s * s)
             if t == 0:
                 flat = (flat - y0) % p
-            resid = flat @ kmat % p if kmat.size else np.zeros(flat.shape[:2] + (1,), dtype=np.int64)
-            good = ~resid.any(axis=2)
-            ok = good if ok is None else (ok & good)
+            ok &= ~(flat @ kmat % p).any(axis=2)
             if not ok.any():
                 break
-        if ok is not None and ok.any():
+        if ok.any():
             a, b = np.argwhere(ok)[0]
             return gl[lo + int(a)], gl[int(b)]
     return None

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from . import _engine
 from .fields import FieldCtx
 from .matrices import (
     Matrix,
@@ -217,13 +220,23 @@ def phi_operators_to_forms(pair: FormSpacePair) -> AffineMatrixSpace:
 
 def pencil_symplectic_iff_trivial_spectrum(k: Matrix, g: Matrix) -> tuple[bool, bool]:
     """(every K + t G invertible, spectrum of K^{-1} G inside {0}); the two
-    booleans agree whenever K is invertible alternating over a prime field."""
+    booleans agree whenever K is invertible alternating over a prime field.
+
+    The pencil is scanned by one engine pass; a singular member it reports is
+    re-checked exactly."""
     ctx = k.ctx
     if ctx.kind != "prime":
         raise ValueError("pencil scan needs a prime field")
     if k.det() == 0:
         raise ValueError("pencil base must be invertible")
-    pencil_ok = all((k + g.scale(t)).det() != 0 for t in range(ctx.p))
+    n, p = k.nrows, ctx.p
+    kg = np.array([k.flatten(), g.flatten()], dtype=np.int64)
+    t = _engine.first_index(
+        [(p, kg[0], kg[1:])], n, n, p, lambda ranks: ranks < n, exhaustive=True, total=p
+    )
+    if t >= 0 and (k + g.scale(t)).det() != 0:
+        raise AssertionError("engine witness failed exact re-verification")
+    pencil_ok = t < 0
     eigs = eigenvalues_in_field(k.inverse() @ g)
     trivial = all(e == 0 for e in eigs)
     return pencil_ok, trivial

@@ -10,6 +10,7 @@ from altrank.analyze import (
     _rational_residues,
     duality_invariant_check,
     extract_range_lagrangian,
+    first_member,
     flanders_atkinson_check,
     kernel_to_image_check,
     rank_profile,
@@ -24,9 +25,18 @@ from altrank.families import (
 )
 from altrank.fields import FieldCtx, prime_below
 from altrank.matrices import Matrix, place_blocks
-from altrank.rand import CounterStream, derive_seed, random_invertible, random_matrix
+from altrank.rand import (
+    DEFAULT_RATIONAL_BOX,
+    CounterStream,
+    derive_seed,
+    random_invertible,
+    random_alternating,
+    random_invertible_alternating,
+    random_matrix,
+    uniform_below,
+)
 from altrank.spaces import AffineMatrixSpace, congruence_act, equivalence_act
-from altrank.symplectic import FormSpacePair, standard_symplectic
+from altrank.symplectic import FormSpacePair, pencil_symplectic_iff_trivial_spectrum, standard_symplectic
 
 F2 = FieldCtx.prime(2)
 F3 = FieldCtx.prime(3)
@@ -131,13 +141,22 @@ def q_drop_space(n, m, alternating, seed):
     return equivalence_act(sp, left, random_invertible(Q, m, stream, box=3))
 
 
+def sample_coords(sp, i, seed, box=DEFAULT_RATIONAL_BOX):
+    """Scalar reference for the coordinates of sampled member i: coordinate j
+    is draw i * dim + j, a residue over F_p or an integer in [-box, box] over Q."""
+    d = sp.dim
+    if sp.ctx.kind == "prime":
+        return tuple(uniform_below(seed, i * d + j, sp.ctx.p) for j in range(d))
+    return tuple(Fraction(uniform_below(seed, i * d + j, 2 * box + 1) - box) for j in range(d))
+
+
 def reference_q_profile(sp, seed, samples, rank=lambda m: m.rank()):
     """The per-member loop that ranked sampled members over Q before the
     modular engine did."""
     mn = mx = None
     wmin = wmax = ()
     for i in range(samples):
-        coords = sp.coords_for_sample(i, seed)
+        coords = sample_coords(sp, i, seed)
         r = rank(sp.member_at(coords))
         if sp.alternating and r % 2 != 0:
             raise AssertionError("alternating member with odd rank")
@@ -343,6 +362,80 @@ def test_fa_guards():
         flanders_atkinson_check(m5, 2, "sideways")
     with pytest.raises(ValueError):
         flanders_atkinson_check(m5, 2, "alternating", gram=Matrix.identity(F5, 2))
+
+
+def reference_fa_failure(m, r, mode, gram=None):
+    """The exact-layer hypothesis loop, one ``rank()`` per pencil member, that
+    the engine scan replaced."""
+    ctx, n = m.ctx, m.nrows
+    j = place_blocks(ctx, n, n, [(0, 0, gram if mode == "alternating" else Matrix.identity(ctx, r))])
+    if mode == "pencil":
+        pairs = [(s, t) for s in range(ctx.p) for t in range(ctx.p)]
+    else:
+        pairs = [(1, t) for t in range(ctx.p)]
+    for s, t in pairs:
+        rk = (j.scale(s) + m.scale(t)).rank()
+        if rk > r:
+            return ("hypothesis", (s, t, rk))
+    return None
+
+
+def fa_cases(ctx, mode, stream):
+    """(M, gram) pairs for a rank bound of 2 on 4 x 4 matrices: random ones,
+    low-rank ones (whose pencils fail late, if at all), and the dependent
+    pencils M = 0 and M = 2J."""
+    n, r = 4, 2
+    if mode == "alternating":
+        out = []
+        for _ in range(4):
+            k = random_invertible_alternating(ctx, r, stream)
+            x, y = stream.vector(ctx, n), stream.vector(ctx, n)
+            wedge = Matrix(ctx, [[x[a] * y[b] - y[a] * x[b] for b in range(n)] for a in range(n)])
+            out += [(random_alternating(ctx, n, stream), k), (wedge, k)]
+        k = standard_symplectic(ctx, 1)
+        jk = place_blocks(ctx, n, n, [(0, 0, k)])
+        return out + [(Matrix.zeros(ctx, n), k), (jk.scale(2), k)]
+    j = place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, r))])
+    out = []
+    for _ in range(4):
+        x, y = stream.vector(ctx, n), stream.vector(ctx, n)
+        rank_one = Matrix(ctx, [[a * b for b in y] for a in x])
+        out += [(random_matrix(ctx, n, n, stream), None), (rank_one, None)]
+    return out + [(Matrix.zeros(ctx, n), None), (j.scale(2), None)]
+
+
+@pytest.mark.parametrize("mode", ["pencil", "line", "alternating"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fa_first_failure_matches_exact_reference_loop(p, mode):
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(6, "fa-scan", p, mode))
+    held = failed = 0
+    for m, gram in fa_cases(ctx, mode, stream):
+        rep = flanders_atkinson_check(m, 2, mode, gram=gram)
+        want = reference_fa_failure(m, 2, mode, gram)
+        assert rep.hypothesis_held == (want is None)
+        if want is None:
+            held += 1
+        else:
+            failed += 1
+            assert rep.first_failure == want
+            assert all(type(x) is int for x in rep.first_failure[1])
+            json.dumps(rep.to_json())
+    assert held >= 2 and failed >= 1
+
+
+def test_first_hit_witnesses_are_rechecked_exactly(monkeypatch):
+    # an engine that always reports member 0: each caller's exact re-rank
+    # must reject it, since member 0 fails each predicate below
+    monkeypatch.setattr(_engine, "first_index", lambda *args, **kwargs: 0)
+    sp = build_bordered_alternating(F5, 5, 1)  # constant rank 2
+    with pytest.raises(AssertionError, match="re-verification"):
+        first_member(sp, lambda ranks: ranks == 4)
+    with pytest.raises(AssertionError, match="re-verification"):
+        flanders_atkinson_check(unit(F5, 3, 0, 1), 2, "pencil")  # member 0 is zero
+    k = standard_symplectic(F5, 1)
+    with pytest.raises(AssertionError, match="re-verification"):
+        pencil_symplectic_iff_trivial_spectrum(k, Matrix.zeros(F5, 2))  # member 0 is K
 
 
 # -- kernel-to-image ----------------------------------------------------------------------

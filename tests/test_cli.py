@@ -13,6 +13,9 @@ from altrank.families import (
     optimal_dimension_formula,
 )
 from altrank.fields import FieldCtx
+from altrank.matrices import Matrix, place_blocks
+from altrank.spaces import AffineMatrixSpace
+from altrank.symplectic import standard_symplectic
 
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
@@ -290,3 +293,34 @@ def test_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3 and text == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("internal error: skew elimination gave rank")
+
+
+@pytest.mark.parametrize("mode", ["pencil", "line", "alternating"])
+def test_verify_flanders_atkinson_failing_hypothesis_exits_1(tmp_path, mode):
+    # the leading block J is I_2 (pencil, line) or the 2 x 2 symplectic K
+    # (alternating); the generator adds a rank-2 block on the last two
+    # coordinates, so J + tG has rank 4 from t = 1 on, and s = 0 never fails
+    n = 4
+    if mode == "alternating":
+        lead = standard_symplectic(F5, 1)
+        gen = place_blocks(F5, n, n, [(2, 2, lead)])
+    else:
+        lead = Matrix.identity(F5, 2)
+        gen = place_blocks(F5, n, n, [(2, 2, Matrix.identity(F5, 2))])
+    sp = AffineMatrixSpace(place_blocks(F5, n, n, [(0, 0, lead)]), [gen], alternating=mode == "alternating")
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(sp.to_json()))
+    argv = ("verify", "--in", str(src), "--check", "flanders-atkinson", "--rank", "2", "--fa-mode", mode)
+    code, text = run(tmp_path, *argv)
+    assert code == 1
+    assert run(tmp_path, *argv) == (code, text)
+    results = json.loads(text)["results"]
+    assert results["verdict"] is False
+    [rep] = results["generators"]
+    assert rep == {
+        "mode": mode,
+        "r": 2,
+        "hypothesis_held": False,
+        "first_failure": {"kind": "hypothesis", "detail": [1, 1, 4]},
+    }
+    assert all(type(x) is int for x in rep["first_failure"]["detail"])

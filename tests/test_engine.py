@@ -117,8 +117,8 @@ def test_batch_rank_matches_exact_on_general_stacks(p, n, m):
     assert 2 * pivots_in_column(ctx, mats, 0) < k
     assert m < 3 or max(pivots_in_column(ctx, mats, c) for c in range(1, m - 1)) * 2 >= k
     assert _engine.batch_rank(mats.copy(), p).tolist() == exact
-    if p < 1000:  # a passed table; without one, p <= k builds it and MID, BIG use inverse_mod
-        assert _engine.batch_rank(mats.copy(), p, _engine._inverse_table(p)).tolist() == exact
+    # with p <= k the pivot inverses come from a table; fewer than p members use inverse_mod
+    assert _engine.batch_rank(mats[: p - 1].copy(), p).tolist() == exact[: p - 1]
 
 
 @pytest.mark.parametrize("p", [3, 7, BIG])
@@ -262,3 +262,53 @@ def test_profile_is_partition_independent_on_the_skew_path():
     one, two = (rank_profile(sp, seed=5, samples=samples, threads=t) for t in (1, 2))
     assert one == two
     assert one.min_rank < one.max_rank
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+def test_first_index_finds_a_planted_member_in_every_block(alternating):
+    # 7^5 members walked in blocks of 64, 1024 and then the rest; the member
+    # at the planted index is the only zero one, since the basis is independent
+    p, dim, n = 7, 5, 4
+    m = n if alternating else 3
+    rng = np.random.default_rng(5)
+    if alternating:
+        pi, pj = np.triu_indices(n, 1)
+        basis = np.zeros((dim, n, n), dtype=np.int64)
+        basis[:, pi, pj] = rng.integers(0, p, (dim, pi.size))
+        basis[:, pj, pi] = -basis[:, pi, pj] % p
+        basis = basis.reshape(dim, n * n)
+    else:
+        basis = rng.integers(0, p, (dim, n * m))
+    assert Matrix(FieldCtx.prime(p), basis.tolist()).rank() == dim
+    total = p**dim
+    for planted in (0, 63, 64, 1087, 1088, 5000, total - 1):
+        base = -(_engine.lex_coords(planted, planted + 1, dim, p)[0] @ basis) % p
+        got = _engine.first_index(
+            [(p, base, basis)], n, m, p, lambda ranks: ranks == 0,
+            exhaustive=True, total=total, alternating=alternating,
+        )
+        assert got == planted and type(got) is int
+    never = _engine.first_index(
+        [(p, base, basis)], n, m, p, lambda ranks: ranks > n,
+        exhaustive=True, total=total, alternating=alternating,
+    )
+    assert never == -1
+
+
+@pytest.mark.parametrize("target", [0, 1, 2, 3])
+def test_first_index_sampled_matches_exact_reference_loop(target):
+    p, dim, n, m, seed = 3, 4, 3, 4, 21
+    rng = np.random.default_rng(6)
+    base, basis = rng.integers(0, p, n * m), rng.integers(0, p, (dim, n * m))
+    ctx = FieldCtx.prime(p)
+    coords = _engine.sampled_coords(seed, 0, 400, dim, p)
+    members = (base + coords @ basis) % p
+    want = next(
+        (i for i, flat in enumerate(members) if Matrix(ctx, flat.reshape(n, m).tolist()).rank() == target),
+        -1,
+    )
+    got = _engine.first_index(
+        [(p, base, basis)], n, m, p, lambda ranks: ranks == target,
+        exhaustive=False, total=400, seed=seed,
+    )
+    assert got == want

@@ -108,13 +108,18 @@ def test_engine_uniform_block_matches_scalar():
 def test_engine_sampled_coords_match_space_sampling():
     import numpy as np
 
+    from altrank.analyze import _member_coords
     from altrank.families import build_bordered_alternating
 
     sp = build_bordered_alternating(F5, 5, 1)
     d = sp.dim
     coords = _engine.sampled_coords(17, 0, 25, d, 5)
-    ref = np.array([sp.coords_for_sample(i, 17) for i in range(25)])
+    # scalar reference: coordinate j of sampled member i is draw i * d + j
+    ref = np.array([[uniform_below(17, i * d + j, 5) for j in range(d)] for i in range(25)])
     assert (coords == ref).all()
+    helper = [_member_coords(sp, i, False, 5, 17) for i in range(25)]
+    assert helper == [tuple(int(c) for c in row) for row in ref]
+    assert all(type(c) is int for row in helper for c in row)
 
 
 def test_engine_lex_coords_round_trip():
@@ -139,5 +144,5 @@ def test_engine_batch_rank_matches_exact():
         mats.append(np.array([list(r) for r in m.data], dtype=np.int64))
         exact.append(m.rank())
     arr = np.stack(mats)
-    got = _engine.batch_rank(arr, 5, _engine._inverse_table(5))
+    got = _engine.batch_rank(arr, 5)  # 40 members >= p: pivot inverses from the table
     assert [int(x) for x in got] == exact

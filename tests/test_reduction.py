@@ -1,4 +1,5 @@
 from copy import copy
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,15 @@ from altrank.families import (
 )
 from altrank.fields import FieldCtx
 from altrank.matrices import Matrix, Span, alternating_from_upper, form_value, rows_matrix, upper_pairs
-from altrank.rand import CounterStream, derive_seed, random_invertible
+from altrank.rand import (
+    DEFAULT_RATIONAL_BOX,
+    CounterStream,
+    derive_seed,
+    random_alternating,
+    random_invertible,
+    random_matrix,
+    uniform_below,
+)
 from altrank.reduction import (
     VERDICT_KEYS,
     _rank_two_slab_witness,
@@ -50,6 +59,73 @@ def test_find_rank_r_member_enumeration_order():
     assert member.rank() == 4
     small = build_bordered_alternating(F5, 5, 1)
     assert find_rank_r_member(small, 4) is None  # constant rank 2 throughout
+
+
+def sample_coords(sp, i, seed, box=DEFAULT_RATIONAL_BOX):
+    """Scalar reference for the coordinates of sampled member i: coordinate j
+    is draw i * dim + j, a residue over F_p or an integer in [-box, box] over Q."""
+    d = sp.dim
+    if sp.ctx.kind == "prime":
+        return tuple(uniform_below(seed, i * d + j, sp.ctx.p) for j in range(d))
+    return tuple(Fraction(uniform_below(seed, i * d + j, 2 * box + 1) - box) for j in range(d))
+
+
+def reference_find_rank_r_member(sp, r, enum_budget, samples, seed):
+    """The exact-layer loop, one ``rank()`` per member, that the engine scan replaced."""
+    if sp.ctx.kind == "prime" and sp.member_count() <= enum_budget:
+        members = sp.enumerate(enum_budget)
+    else:
+        members = ((c, sp.member_at(c)) for c in (sample_coords(sp, i, seed) for i in range(samples)))
+    for coords, member in members:
+        if member.rank() == r:
+            return coords, member
+    return None
+
+
+@pytest.mark.parametrize("budget", [10**6, 10], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("alternating", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_find_rank_r_member_matches_exact_reference_loop(p, alternating, budget):
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(5, "find-rank", p, alternating))
+    if alternating:
+        gens = [random_alternating(ctx, 6, stream) for _ in range(4)]
+    else:
+        gens = [random_matrix(ctx, 4, 5, stream) for _ in range(4)]
+    # the second space's last member in enumeration order is zero, so the
+    # rank-0 scan runs past the first engine block when p = 7
+    last = (gens[1] + gens[2] + gens[3]).scale(p - 1)
+    hits = []
+    for base in (gens[0], -last):
+        sp = AffineMatrixSpace(base, gens[1:], alternating=alternating)
+        for r in range(min(sp.shape) + 1):
+            got = find_rank_r_member(sp, r, enum_budget=budget, samples=300, seed=3)
+            assert got == reference_find_rank_r_member(sp, r, budget, 300, 3)
+            if got is not None:
+                assert all(type(c) is int for c in got[0])
+            hits.append(got)
+    assert any(h is None for h in hits) and any(h is not None for h in hits)
+
+
+def test_find_rank_r_member_over_q_matches_exact_reference_loop():
+    stream = CounterStream(derive_seed(5, "find-rank", "Q"))
+    third = Q.normalize(Fraction(1, 3))
+    gens = [random_matrix(Q, 3, 4, stream, box=2).scale(third) for _ in range(3)]
+    gens[0] = gens[0] + Matrix(Q, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    spaces = [
+        AffineMatrixSpace(gens[0], gens[1:]),
+        AffineMatrixSpace(gens[0], []),  # dimension zero: the base alone
+        AffineMatrixSpace(Matrix.zeros(Q, 4), [alt_unit(Q, 4, 0, 1), alt_unit(Q, 4, 2, 3)], alternating=True),
+    ]
+    found = 0
+    for sp in spaces:
+        for r in range(min(sp.shape) + 1):
+            got = find_rank_r_member(sp, r, samples=40, seed=8)
+            assert got == reference_find_rank_r_member(sp, r, 10**6, 40, 8)
+            if got is not None:
+                found += 1
+                assert all(type(c) is Fraction for c in got[0])
+    assert found >= 3
 
 
 def test_normalize_radical_to_tail():

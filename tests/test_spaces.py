@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -5,11 +6,19 @@ import numpy as np
 import pytest
 
 from altrank import _engine, spaces
+from altrank.analyze import _member_coords
 from altrank.errors import BudgetExceededError
 from altrank.families import build_bordered_alternating, optimal_dimension_formula
 from altrank.fields import FieldCtx
 from altrank.matrices import Matrix, alternating_from_upper, span_dim, upper_pairs
-from altrank.rand import CounterStream, derive_seed, random_invertible
+from altrank.rand import (
+    DEFAULT_RATIONAL_BOX,
+    CounterStream,
+    derive_seed,
+    random_invertible,
+    random_matrix,
+    uniform_below,
+)
 from altrank.spaces import (
     AffineMatrixSpace,
     Span,
@@ -184,26 +193,40 @@ def test_enumerate_lex_order_and_partition():
         (0, 0, 2),
         (0, 1, 0),
     ]
-    split = list(sp.enumerate_range(0, 13)) + list(sp.enumerate_range(13, 27))
-    assert [c for c, _ in split] == [c for c, _ in all_members]
+    coords = [c for c, _ in all_members]
+    assert coords == [_engine.index_to_coords(i, 3, 3) for i in range(27)]
+    split = np.concatenate([_engine.lex_coords(0, 13, 3, 3), _engine.lex_coords(13, 27, 3, 3)])
+    assert [tuple(int(c) for c in row) for row in split] == coords
     with pytest.raises(BudgetExceededError):
         list(sp.enumerate(budget=5))
 
 
+def sample_coords(sp, i, seed, box=DEFAULT_RATIONAL_BOX):
+    """Scalar reference for the coordinates of sampled member i: coordinate j
+    is draw i * dim + j, a residue over F_p or an integer in [-box, box] over Q."""
+    d = sp.dim
+    if sp.ctx.kind == "prime":
+        return tuple(uniform_below(seed, i * d + j, sp.ctx.p) for j in range(d))
+    return tuple(Fraction(uniform_below(seed, i * d + j, 2 * box + 1) - box) for j in range(d))
+
+
 def test_sampling_is_partition_safe():
     sp = build_bordered_alternating(F5, 6, 2)
-    full = [c for c, _ in sp.sample(30, seed=11)]
-    split = [c for c, _ in sp.sample_range(0, 7, 11)] + [
-        c for c, _ in sp.sample_range(7, 30, 11)
-    ]
-    assert full == split
-    assert full != [c for c, _ in sp.sample(30, seed=12)]
+    d = sp.dim
+    full = _engine.sampled_coords(11, 0, 30, d, 5)
+    split = np.concatenate([_engine.sampled_coords(11, 0, 7, d, 5), _engine.sampled_coords(11, 7, 30, d, 5)])
+    assert (full == split).all()
+    assert [tuple(int(c) for c in row) for row in full] == [sample_coords(sp, i, 11) for i in range(30)]
+    assert (full != _engine.sampled_coords(12, 0, 30, d, 5)).any()
 
 
 def test_rational_sampling_box():
     sp = AffineMatrixSpace(Matrix.zeros(Q, 2), [unit(Q, 2, 0, 1)])
-    coords = sp.coords_for_sample(0, 3, box=10)
-    assert all(-10 <= c <= 10 for c in coords)
+    box = DEFAULT_RATIONAL_BOX
+    coords = [_member_coords(sp, i, False, 2 * box + 1, 3) for i in range(200)]
+    assert coords == [sample_coords(sp, i, 3) for i in range(200)]
+    assert all(type(c) is Fraction and -box <= c <= box for cs in coords for c in cs)
+    assert min(c for (c,) in coords) < 0 < max(c for (c,) in coords)
     with pytest.raises(ValueError):
         sp.member_count()
     with pytest.raises(ValueError):
@@ -281,6 +304,77 @@ def test_brute_equivalence_negative_and_envelope():
     tiny = AffineMatrixSpace(Matrix.zeros(f11, 1), [])
     with pytest.raises(ValueError):
         brute_equivalence_test(tiny, tiny)
+
+
+def reference_gl(ctx, s):
+    return [
+        m for m in (Matrix.from_flat(ctx, s, s, flat) for flat in product(range(ctx.p), repeat=s * s))
+        if m.det() != 0
+    ]
+
+
+def reference_brute_equivalence(x, y):
+    """The nested-loop scan over GL_s x GL_s that the vectorized one replaced."""
+    if x.dim != y.dim:
+        return None
+    gl = reference_gl(x.ctx, x.shape[0])
+    for pm in gl:
+        for qm in gl:
+            if spaces_equal(equivalence_act(x, pm, qm), y):
+                return pm, qm
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gl_matrices_match_determinant_filter(p):
+    ctx = FieldCtx.prime(p)
+    for s in (1, 2):
+        got = spaces._gl_matrices(p, s)
+        assert [Matrix.from_flat(ctx, s, s, g.ravel().tolist()) for g in got] == reference_gl(ctx, s)
+        assert len(got) == ((p * p - 1) * (p * p - p) if s == 2 else p - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_brute_equivalence_s1_matches_nested_loop_reference(p):
+    ctx = FieldCtx.prime(p)
+
+    def point(v, dim=0):
+        return AffineMatrixSpace(Matrix(ctx, [[v]]), [Matrix(ctx, [[1]])] * dim)
+
+    a, b = 1, p - 1
+    cases = [
+        (point(a), point(b)),  # both nonzero: a witness
+        (point(0), point(0)),
+        (point(0), point(b)),  # zero cannot map to a unit
+        (point(a), point(0)),
+        (point(0, 1), point(a, 1)),  # the whole line, twice
+        (point(a), point(0, 1)),  # dimensions differ
+    ]
+    results = []
+    for x, y in cases:
+        got = brute_equivalence_test(x, y)
+        assert got == reference_brute_equivalence(x, y)
+        results.append(got)
+    assert results[0] is not None and results[2] is None
+    pm, qm = results[0]
+    assert (pm @ Matrix(ctx, [[a]]) @ qm) == Matrix(ctx, [[b]])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_brute_equivalence_2x2_matches_nested_loop_reference(p):
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(12, "brute", p))
+    found = 0
+    for dim in (0, 1, 2):
+        gens = [random_matrix(ctx, 2, 2, stream) for _ in range(2 * dim + 2)]
+        x = AffineMatrixSpace(gens[0], gens[1 : dim + 1])
+        y = AffineMatrixSpace(gens[dim + 1], gens[dim + 2 :])
+        moved = equivalence_act(x, random_invertible(ctx, 2, stream), random_invertible(ctx, 2, stream))
+        for target in (y, moved):
+            got = brute_equivalence_test(x, target)
+            assert got == reference_brute_equivalence(x, target)
+            found += got is not None
+    assert 3 <= found < 6
 
 
 # -- subspace enumeration and optimal search ----------------------------------------------

@@ -203,3 +203,26 @@ def test_pencil_negative_case():
     g = k.scale(3)  # K + tG singular at t = -1/3
     pencil_ok, spectrum_ok = pencil_symplectic_iff_trivial_spectrum(k, g)
     assert not pencil_ok and not spectrum_ok
+
+
+def pencil_cases():
+    """The seeded pairs of the three tests above, plus the dependent pencils
+    G = 0 and G = 2K."""
+    k7 = standard_symplectic(F7, 2)
+    stream = CounterStream(derive_seed(4, "pencil"))
+    cases = [(k7, random_alternating(F7, 4, stream)) for _ in range(60)]
+    k5 = standard_symplectic(F5, 2)
+    cases.append((k5, k5 @ Matrix(F5, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])))
+    k1 = standard_symplectic(F5, 1)
+    cases.append((k1, k1.scale(3)))
+    return cases + [(k5, Matrix.zeros(F5, 4)), (k5, k5.scale(2))]
+
+
+def test_pencil_scan_matches_det_reference_loop():
+    seen = set()
+    for k, g in pencil_cases():
+        want = all((k + g.scale(t)).det() != 0 for t in range(k.ctx.p))
+        pencil_ok, _ = pencil_symplectic_iff_trivial_spectrum(k, g)
+        assert pencil_ok is want
+        seen.add(want)
+    assert seen == {True, False}
