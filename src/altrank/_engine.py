@@ -4,12 +4,15 @@ This is infrastructure, not arithmetic authority: entries are canonical
 residues with p < 2^31, every product fits in an int64, and the exact
 object-level linear algebra in :mod:`altrank.matrices` independently covers
 the same operations at small scale (the test suite cross-checks the two).
-Every scan over the members of a space (``profile_ranks``, ``first_index``,
-``rank_counts``, ``unit_eigen_hits``) ranks them through one block ranker,
-which also serves sampled members over Q: it ranks integer members modulo
-several primes and keeps the largest rank, which is the rank over Q once the
-primes' product exceeds a bound on every minor
-(:func:`altrank.analyze.rank_profile` picks the primes).
+Every rank scan over the members of a space (``profile_ranks``,
+``first_index``, ``rank_counts``) ranks them through one block ranker, which
+also serves sampled members over Q: it ranks integer members modulo several
+primes and keeps the largest rank, which is the rank over Q once the primes'
+product exceeds a bound on every minor (:func:`altrank.analyze.rank_profile`
+picks the primes).  The spectrum scan ``unit_eigen_hits`` ranks one member z
+per line, the one with leading coordinate 1 (lex indices [p^k, 2 p^k)), as
+z^(p-1) - I: it is singular iff z has an eigenvalue in F_p^*.  Its caller
+still reports, and budgets, all p^dim members as checked.
 
 Alternating members are stored as their strict upper triangles, row-major
 in (i, j), and ranked by skew elimination (``skew_rank``); every other
@@ -118,33 +121,38 @@ def index_to_coords(index: int, dim: int, q: int) -> tuple[int, ...]:
 # -- batched members and ranks ----------------------------------------------------
 
 
+def _matmul_mod(a: np.ndarray, b: np.ndarray, acc, p: int) -> np.ndarray:
+    """``(a @ b + acc) % p`` on canonical residues, broadcast to the product's shape, exact for
+    every p < 2^31: terms are summed in groups so small that no partial sum leaves int64."""
+    group = max(1, (_INT64_MAX - (p - 1)) // max(1, (p - 1) ** 2))
+    for t in range(0, max(1, a.shape[-1]), group):
+        prod = a[..., t : t + group] @ b[..., t : t + group, :]
+        prod += acc
+        acc = np.remainder(prod, p, out=prod)
+    return acc
+
+
 def members_from_coords(
     coords: np.ndarray, base: np.ndarray, basis: np.ndarray, p: int
 ) -> np.ndarray:
-    """Rows ``(base + coords @ basis) % p``, exact for every p < 2^31.
+    """Rows ``(base + coords @ basis) % p``, exact for every p < 2^31."""
+    return _matmul_mod(coords, basis, base % p, p)
 
-    Terms are summed in groups small enough that no partial sum leaves int64;
-    for small p that is a single product.
-    """
-    k, dim = coords.shape
-    acc = base % p
-    group = max(1, (_INT64_MAX - (p - 1)) // max(1, (p - 1) ** 2))
-    for t in range(0, dim, group):
-        acc = (coords[:, t : t + group] @ basis[t : t + group] + acc) % p
-    return acc if dim else np.broadcast_to(acc, (k, acc.size)).copy()
+
+def power(a: np.ndarray, e: int, mul: Callable) -> np.ndarray:
+    """a^e under the product ``mul``, by repeated squaring; e >= 1."""
+    out = None
+    while e:
+        if e & 1:
+            out = a if out is None else mul(out, a)
+        e >>= 1
+        a = mul(a, a) if e else a
+    return out
 
 
 def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     """a^(p-2) mod p elementwise (Fermat): the inverse of every nonzero residue."""
-    out = np.ones_like(a)
-    sq = a % p
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * sq % p
-        sq = sq * sq % p
-        e >>= 1
-    return out
+    return power(a % p, p - 2, lambda x, y: x * y % p) if p > 2 else a % p
 
 
 def _inverse_table(p: int) -> np.ndarray:
@@ -412,39 +420,28 @@ def rank_counts(
     return counts
 
 
-def unit_eigen_hits(
-    basis_flat: np.ndarray, n: int, p: int, total: int, threads: int | None = None
-) -> np.ndarray:
-    """Indices of span members M (lex order) with det(M - I) == 0."""
-    dim = basis_flat.shape[0]
-    neg_ident = (-np.eye(n, dtype=np.int64).reshape(n * n)) % p
-    ranks_of = _block_ranker([(p, neg_ident, basis_flat)], n, n, False)
+def unit_eigen_hits(basis_flat: np.ndarray, n: int, p: int, threads: int | None = None):
+    """Sorted lex indices of the span members z with an eigenvalue in F_p^*, among those whose
+    leading nonzero coordinate is 1: one member per line of the span, the lex index ranges
+    [p^k, 2 p^k) for k < dim.
+
+    ``lam * z`` has eigenvalue lam * mu iff z has eigenvalue mu, so the lines of these z carry
+    every member with a nonzero eigenvalue in F_p.  As x^(p-1) - 1 is the product of x - lam
+    over lam in F_p^*, z has one iff rank(z^(p-1) - I) < n: (p^dim - 1)/(p - 1) ranks instead
+    of p^dim, after ceil(log2(p - 1)) batched squarings.  A chunk may span several ranges, so
+    a small space costs one round of numpy calls."""
+    dim, diag = basis_flat.shape[0], np.arange(n)
+    starts = (p ** np.arange(dim) - 1) // (p - 1)  # position of p^k among the line members
 
     def worker(lo: int, hi: int):
-        return lo + np.nonzero(ranks_of(lex_coords(lo, hi, dim, p)) < n)[0]
+        j = np.arange(lo, hi)
+        k = np.searchsorted(starts, j, side="right") - 1
+        idx = j - starts[k] + p**k
+        coords = idx[:, None] // p ** np.arange(dim - 1, -1, -1) % p
+        z = members_from_coords(coords, np.zeros(n * n, np.int64), basis_flat, p).reshape(-1, n, n)
+        out = power(z, p - 1, lambda x, y: _matmul_mod(x, y, 0, p))
+        out[:, diag, diag] = (out[:, diag, diag] - 1) % p
+        return idx[batch_rank(out, p) < n]
 
-    parts = _run_chunks(worker, list(chunk_ranges(0, total, n * n)), resolve_threads(threads))
-    hits = [part for part in parts if part.size]
-    return np.sort(np.concatenate(hits)) if hits else np.empty(0, dtype=np.int64)
-
-
-def least_scaled_hit(hits: np.ndarray, dim: int, p: int) -> tuple[int, int]:
-    """The least (index of lam * z, lam) over hits z (lex indices of nonzero
-    coordinate tuples) and lam in 1..p-1.
-
-    Scaling keeps a tuple's leading position, so for each z the least scaled
-    index is taken exactly at lam = 1 / (leading digit of z), which makes
-    that digit 1; ties between hits on one line go to the least lam.
-    """
-    def digits():  # most significant first, one at a time to keep memory O(hits)
-        return (hits // p ** (dim - 1 - t) % p for t in range(dim))
-
-    lead = np.zeros_like(hits)
-    for d in digits():
-        lead = np.where(lead == 0, d, lead)
-    lam = inverse_mod(lead, p)
-    idx = np.zeros_like(hits)
-    for d in digits():
-        idx = idx * p + d * lam % p
-    best = idx.min()
-    return int(best), int(lam[idx == best].min())
+    parts = _run_chunks(worker, list(chunk_ranges(0, (p**dim - 1) // (p - 1), n * n)), resolve_threads(threads))
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

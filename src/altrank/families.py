@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import analyze
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ContractError
 from .fields import Element, FieldCtx
 from .matrices import Matrix, alternating_units, pfaffian, place_blocks, upper_pairs
 from .spaces import AffineMatrixSpace
@@ -200,7 +200,8 @@ def build_operator_block_space(
     if ctx.kind == "prime":
         report = analyze.trivial_spectrum_check(core, budget)
         if not report.trivial:
-            raise ValueError("core space fails the trivial-spectrum gate")
+            member, lam = report.witness
+            raise ContractError(f"core space fails the trivial-spectrum gate: {member!r} has eigenvalue {lam}")
     nn = 2 * n
     ops: list[Matrix] = []
     for a in core.basis:

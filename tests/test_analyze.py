@@ -276,9 +276,83 @@ def test_trivial_spectrum_guards():
         trivial_spectrum_check(rect)
 
 
+def reference_spectrum_witness(sp):
+    """The exact-layer loop: every member in lex order, every lam in 1..p-1,
+    and det(M - lam I); the first (member, lam) pair where it vanishes, or None."""
+    p = sp.ctx.p
+    eye = Matrix.identity(sp.ctx, sp.shape[0])
+    for _, m in sp.enumerate():
+        for lam in range(1, p):
+            if (m - eye.scale(lam)).det() == 0:
+                return m, lam
+    return None
+
+
+@pytest.mark.parametrize(
+    "n, dim, p, seed",
+    [
+        (2, 1, 7, 11), (2, 2, 5, 1), (2, 3, 2, 2), (3, 2, 5, 3), (3, 3, 5, 4), (3, 3, 3, 5), (4, 2, 3, 6),
+        (2, 2, 11, 7), (3, 3, 2, 8), (4, 4, 2, 9), (3, 1, 2, 10),
+    ],
+)
+def test_spectrum_witness_matches_reference_loop(n, dim, p, seed):
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(seed, "spectrum-witness"))
+    sp = AffineMatrixSpace(Matrix.zeros(ctx, n), [random_matrix(ctx, n, n, stream) for _ in range(dim)])
+    want = reference_spectrum_witness(sp)
+    assert want is not None  # a nontrivial spectrum, so there is a witness to find
+    rep = trivial_spectrum_check(sp)
+    assert not rep.trivial and rep.checked == p**dim
+    assert rep.witness == want
+
+
+@pytest.mark.parametrize("p, comp", [(2, [[0, 1], [1, 1]]), (3, [[0, 2], [1, 0]]), (5, [[0, 2], [1, 0]])])
+def test_trivial_spectrum_is_not_nilpotence(p, comp):
+    # C is the companion matrix of an irreducible quadratic (x^2 + x + 1 or
+    # x^2 - 2): every lam C has its eigenvalues outside F_p, so the scan, which
+    # sees eigenvalues in F_p only, calls the space trivial though C^k != 0
+    ctx = FieldCtx.prime(p)
+    c = Matrix(ctx, comp)
+    units = [unit(ctx, 4, 0, 2), unit(ctx, 4, 1, 3), unit(ctx, 4, 2, 3)]
+    sp = AffineMatrixSpace(Matrix.zeros(ctx, 4), [place_blocks(ctx, 4, 4, [(0, 0, c)])] + units)
+    assert reference_spectrum_witness(sp) is None
+    rep = trivial_spectrum_check(sp)
+    assert rep.trivial and rep.checked == p**4
+    power = c
+    for _ in range(4):
+        power = power @ c
+    assert not power.is_zero()
+    # one more direction with a nonzero eigenvalue in F_p makes it nontrivial
+    nontrivial = AffineMatrixSpace(Matrix.zeros(ctx, 4), list(sp.basis) + [unit(ctx, 4, 3, 3)])
+    rep = trivial_spectrum_check(nontrivial)
+    assert not rep.trivial and rep.witness == reference_spectrum_witness(nontrivial)
+
+
+def least_scaled_hit(hits, dim, p):
+    """The least (index of lam * z, lam) over hits z (lex indices of nonzero
+    coordinate tuples) and lam in 1..p-1: the witness rule of the full-member
+    scan, vectorised.
+
+    Scaling keeps a tuple's leading position, so for each z the least scaled
+    index is taken exactly at lam = 1 / (leading digit of z), which makes
+    that digit 1; ties between hits on one line go to the least lam.
+    """
+    def digits():  # most significant first
+        return (hits // p ** (dim - 1 - t) % p for t in range(dim))
+
+    lead = np.zeros_like(hits)
+    for d in digits():
+        lead = np.where(lead == 0, d, lead)
+    lam = _engine.inverse_mod(lead, p)
+    idx = np.zeros_like(hits)
+    for d in digits():
+        idx = idx * p + d * lam % p
+    best = idx.min()
+    return int(best), int(lam[idx == best].min())
+
+
 def reference_least_scaled_hit(hits, dim, p):
-    """The member-major, eigenvalue-minor loop the vectorised witness search
-    replaced: the least (index of lam * z, lam) over hits z and lam in 1..p-1."""
+    """``least_scaled_hit`` as a member-major, eigenvalue-minor loop."""
     best = None
     for z in hits:
         coords = _engine.index_to_coords(int(z), dim, p)
@@ -291,21 +365,65 @@ def reference_least_scaled_hit(hits, dim, p):
     return best
 
 
+def full_member_scan(sp):
+    """The scan the line scan replaced: the lex indices of every member M with
+    rank(M - I) < n, ranked by ``batch_rank``."""
+    n, p = sp.shape[0], sp.ctx.p
+    neg_ident = -np.eye(n, dtype=np.int64).reshape(n * n) % p
+    coords = _engine.lex_coords(0, p**sp.dim, sp.dim, p)
+    mats = _engine.members_from_coords(coords, neg_ident, sp.flat_arrays()[1], p).reshape(-1, n, n)
+    return np.nonzero(_engine.batch_rank(mats, p) < n)[0]
+
+
 @pytest.mark.parametrize(
-    "n, dim, p, seed",
-    [(2, 1, 7, 11), (2, 2, 5, 1), (2, 3, 2, 2), (3, 2, 5, 3), (3, 3, 5, 4), (3, 3, 3, 5), (4, 2, 3, 6), (2, 2, 11, 7)],
+    "n, dim, p, seed, upper",
+    [(4, 4, 11, 1, False), (4, 4, 11, 2, True), (3, 5, 7, 3, False), (5, 3, 11, 4, False), (3, 6, 5, 5, False),
+     (4, 8, 3, 6, False)],
 )
-def test_spectrum_witness_matches_reference_loop(n, dim, p, seed):
+def test_line_scan_matches_full_member_scan(n, dim, p, seed, upper):
     ctx = FieldCtx.prime(p)
-    stream = CounterStream(derive_seed(seed, "spectrum-witness"))
-    sp = AffineMatrixSpace(Matrix.zeros(ctx, n), [random_matrix(ctx, n, n, stream) for _ in range(dim)])
-    hits = _engine.unit_eigen_hits(sp.flat_arrays()[1], n, p, p**dim)
-    assert hits.size  # a nontrivial spectrum, so there is a witness to find
-    idx, lam = reference_least_scaled_hit(hits, dim, p)
+    stream = CounterStream(derive_seed(seed, "line-scan"))
+    if upper:  # a trivial space: strictly upper directions, conjugated
+        g = random_invertible(ctx, n, stream)
+        units = [unit(ctx, n, i, j) for i in range(n) for j in range(i + 1, n)][:dim]
+        basis = [g.inverse() @ u @ g for u in units]
+    else:
+        basis = [random_matrix(ctx, n, n, stream) for _ in range(dim)]
+    sp = AffineMatrixSpace(Matrix.zeros(ctx, n), basis)
+    old = full_member_scan(sp)
     rep = trivial_spectrum_check(sp)
-    assert not rep.trivial and rep.checked == p**dim
-    member, got_lam = rep.witness
-    assert (member, got_lam) == (sp.member_at(_engine.index_to_coords(idx, dim, p)), lam)
+    assert rep.trivial == (old.size == 0) and rep.checked == p**dim
+    if old.size:
+        idx, lam = least_scaled_hit(old, dim, p)
+        assert rep.witness == (sp.member_at(_engine.index_to_coords(idx, dim, p)), lam)
+    # the new hits are the old hits' lines, each named by its leading-digit-1 member
+    lines = set()
+    for z in old.tolist():
+        coords = _engine.index_to_coords(z, dim, p)
+        inv = pow(next(c for c in coords if c), -1, p)
+        lines.add(sum(c * inv % p * p ** (dim - 1 - t) for t, c in enumerate(coords)))
+    assert _engine.unit_eigen_hits(sp.flat_arrays()[1], n, p).tolist() == sorted(lines)
+
+
+def test_spectrum_scan_at_large_primes():
+    # one line of p members; the budget counts all p of them
+    big = FieldCtx.prime(1_048_583)
+    stream = CounterStream(derive_seed(1, "spectrum-large-p"))
+    g = random_invertible(big, 5, stream)
+    nil = Matrix(big, [[stream.element(big) if j > i else 0 for j in range(5)] for i in range(5)])
+    sp = AffineMatrixSpace(Matrix.zeros(big, 5), [g.inverse() @ nil @ g])
+    rep = trivial_spectrum_check(sp, budget=big.p)
+    assert rep.trivial and rep.checked == big.p
+    with pytest.raises(BudgetExceededError):
+        trivial_spectrum_check(sp, budget=big.p - 1)
+    # eigenvalues 0, 17 and 9000: the witness is the one member, at 17
+    mid = FieldCtx.prime(10_007)
+    g = random_invertible(mid, 5, stream)
+    tri = Matrix(mid, [[0, 1, 2, 3, 4], [0, 17, 5, 6, 7], [0, 0, 0, 8, 9], [0, 0, 0, 9000, 10], [0, 0, 0, 0, 17]])
+    member = g.inverse() @ tri @ g
+    rep = trivial_spectrum_check(AffineMatrixSpace(Matrix.zeros(mid, 5), [member]), budget=mid.p)
+    assert not rep.trivial and rep.checked == mid.p
+    assert rep.witness == (member, 17)
 
 
 @pytest.mark.parametrize("dim, p", [(1, 2), (3, 2), (2, 3), (3, 5), (2, 7)])
@@ -315,7 +433,7 @@ def test_least_scaled_hit_matches_reference_loop(dim, p):
     rng = np.random.default_rng(100 * dim + p)
     for _ in range(20):
         hits = np.unique(rng.integers(1, p**dim, rng.integers(1, 12)))
-        assert _engine.least_scaled_hit(hits, dim, p) == reference_least_scaled_hit(hits, dim, p)
+        assert least_scaled_hit(hits, dim, p) == reference_least_scaled_hit(hits, dim, p)
 
 
 # -- rank-degeneration conclusions ---------------------------------------------------------
@@ -436,6 +554,9 @@ def test_first_hit_witnesses_are_rechecked_exactly(monkeypatch):
     k = standard_symplectic(F5, 1)
     with pytest.raises(AssertionError, match="re-verification"):
         pencil_symplectic_iff_trivial_spectrum(k, Matrix.zeros(F5, 2))  # member 0 is K
+    monkeypatch.setattr(_engine, "unit_eigen_hits", lambda *args, **kwargs: np.array([1]))
+    with pytest.raises(AssertionError, match="re-verification"):
+        trivial_spectrum_check(build_strictly_upper_space(F3, 3))  # member 1 is nilpotent
 
 
 # -- kernel-to-image ----------------------------------------------------------------------

@@ -135,6 +135,45 @@ def test_batch_rank_matches_sympy(p, n, m):
         assert DomainMatrix([[K(int(x)) for x in row] for row in a], (n, m), K).rank() == r
 
 
+def exact_line_hits(sp: AffineMatrixSpace) -> list[int]:
+    """Lex indices of the members whose leading nonzero coordinate is 1 and
+    that have det(M - lam I) = 0 for some lam in 1..p-1, by exact determinants."""
+    p = sp.ctx.p
+    eye = Matrix.identity(sp.ctx, sp.shape[0])
+    return [
+        i for i, (coords, m) in enumerate(sp.enumerate())
+        if next((c for c in coords if c), 0) == 1
+        and any((m - eye.scale(lam)).det() == 0 for lam in range(1, p))
+    ]
+
+
+def random_space(p: int, n: int, dim: int, seed: int) -> AffineMatrixSpace:
+    rng = np.random.default_rng([p, n, dim, seed])
+    ctx = FieldCtx.prime(p)
+    return AffineMatrixSpace(Matrix.zeros(ctx, n), [Matrix(ctx, rng.integers(0, p, (n, n)).tolist()) for _ in range(dim)])
+
+
+def extension_only_space(p: int) -> AffineMatrixSpace:
+    """4 x 4 members [[a C, X], [0, N]] over F_p: C the companion matrix of an
+    irreducible quadratic, X free and N strictly upper.  Every a C has its
+    eigenvalues in F_(p^2) outside F_p, so no member has a nonzero eigenvalue
+    in F_p, yet C is not nilpotent."""
+    ctx = FieldCtx.prime(p)
+    if p == 2:
+        comp = [[0, 1], [1, 1]]  # x^2 + x + 1
+    else:
+        a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+        comp = [[0, a], [1, 0]]  # x^2 - a, a a non-residue
+    first = [[0] * 4 for _ in range(4)]
+    first[0][:2], first[1][:2] = comp
+    units = []
+    for i, j in ((0, 2), (1, 3), (2, 3)):
+        u = [[0] * 4 for _ in range(4)]
+        u[i][j] = 1
+        units.append(Matrix(ctx, u))
+    return AffineMatrixSpace(Matrix.zeros(ctx, 4), [Matrix(ctx, first)] + units)
+
+
 def test_unit_eigen_hits_match_exact_determinants():
     ctx = FieldCtx.prime(5)
     basis = [
@@ -142,12 +181,46 @@ def test_unit_eigen_hits_match_exact_determinants():
         Matrix(ctx, [[0, 1, 1], [2, 0, 0], [1, 1, 3]]),
         Matrix(ctx, [[2, 0, 4], [1, 1, 0], [0, 3, 1]]),
     ]
-    sp = AffineMatrixSpace(Matrix.zeros(ctx, 3), basis)
-    hits = _engine.unit_eigen_hits(sp.flat_arrays()[1], 3, 5, 125)
-    eye = Matrix.identity(ctx, 3)
-    want = [i for i, (_, m) in enumerate(sp.enumerate()) if (m - eye).det() == 0]
-    assert 0 < len(want) < 125
-    assert hits.tolist() == want
+    nontrivial = [AffineMatrixSpace(Matrix.zeros(ctx, 3), basis)]
+    nontrivial += [random_space(*args) for args in ((2, 2, 3, 2), (2, 3, 4, 1), (2, 4, 5, 1), (3, 3, 3, 1), (7, 2, 2, 1))]
+    trivial = [extension_only_space(p) for p in (2, 3, 5)]
+    for sp, some in [(sp, True) for sp in nontrivial] + [(sp, False) for sp in trivial]:
+        hits = _engine.unit_eigen_hits(sp.flat_arrays()[1], sp.shape[0], sp.ctx.p)
+        assert hits.tolist() == exact_line_hits(sp), (sp.ctx.p, sp.shape, sp.dim)
+        assert bool(hits.size) == some
+
+
+def test_unit_eigen_hits_chunks_span_index_ranges(monkeypatch):
+    # chunks of 1024 line members over 3280 lines: chunk boundaries fall
+    # inside the index ranges [3^k, 2 * 3^k) and a chunk holds several ranges
+    sp = random_space(3, 3, 8, 1)
+    want = exact_line_hits(sp)
+    monkeypatch.setattr(_engine, "_CHUNK_ELEMS", 1)
+    for threads in (1, 2):
+        assert _engine.unit_eigen_hits(sp.flat_arrays()[1], 3, 3, threads=threads).tolist() == want
+    assert 0 < len(want) < 3280
+
+
+def reference_matrix_power(a: list[list[int]], e: int, p: int) -> list[list[int]]:
+    """a^e mod p in Python integers, by repeated squaring."""
+    def mul(x, y):
+        return [[sum(x[i][t] * y[t][j] for t in range(len(y))) % p for j in range(len(y[0]))] for i in range(len(x))]
+    out = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        a, e = mul(a, a), e >> 1
+    return out
+
+
+@pytest.mark.parametrize("p", [1_048_583, BIG])
+def test_matrix_power_is_exact_near_2_31(p):
+    rng = np.random.default_rng(p)
+    stack = rng.integers(0, p, (6, 5, 5))
+    stack[0] = p - 1  # every product term as large as it gets
+    for e in (1, 2, 3, 1000, p - 1):
+        got = _engine.power(stack, e, lambda x, y: _engine._matmul_mod(x, y, 0, p))
+        assert got.tolist() == [reference_matrix_power(a.tolist(), e, p) for a in stack], e
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -20,6 +20,7 @@ from altrank.families import (
     plane_rank_drop_witness,
     translation_rank_two_witness,
 )
+from altrank.errors import ContractError
 from altrank.fields import FieldCtx
 from altrank.matrices import Matrix, pfaffian
 from altrank.spaces import AffineMatrixSpace
@@ -131,7 +132,14 @@ def test_operator_block_rejects_nontrivial_core():
     core = AffineMatrixSpace(
         Matrix.zeros(F5, 2), [Matrix.identity(F5, 2)]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError, match=r"Matrix\(Fp:5, \[1 0; 0 1\]\) has eigenvalue 1$"):
+        build_operator_block_space(F5, 2, core=core)
+
+
+def test_operator_block_gate_names_a_witness_off_the_basis():
+    # both basis members are nilpotent; their sum [[0, 1], [1, 0]] has eigenvalues 1 and 4
+    core = AffineMatrixSpace(Matrix.zeros(F5, 2), [unit(F5, 2, 0, 1), unit(F5, 2, 1, 0)])
+    with pytest.raises(ContractError, match=r"Matrix\(Fp:5, \[0 1; 1 0\]\) has eigenvalue 1$"):
         build_operator_block_space(F5, 2, core=core)
 
 

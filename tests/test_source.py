@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import altrank
@@ -17,10 +18,12 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_perfbench_wrapped_names_exist():
+def test_perfbench_wrapped_names_exist(monkeypatch):
     """Every name the benchmark's tracer wraps resolves in the package, so a
-    rename fails here rather than in ``perfbench/run.py --trace 1``."""
+    rename fails here rather than in ``perfbench/run.py --trace 1``.  The
+    tracer's file is loaded read-only: no bytecode is written next to it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
