@@ -1,18 +1,21 @@
-"""Vectorized 64-bit kernels for enumeration-scale verification over F_p.
+"""Vectorized integer kernels for enumeration-scale verification over F_p.
 
 This is infrastructure, not arithmetic authority: entries are canonical
-residues with p < 2^31, every product fits in an int64, and the exact
-object-level linear algebra in :mod:`altrank.matrices` independently covers
-the same operations at small scale (the test suite cross-checks the two).
-Every rank scan over the members of a space (``profile_ranks``,
-``first_index``, ``rank_counts``) ranks them through one block ranker, which
-also serves sampled members over Q: it ranks integer members modulo several
-primes and keeps the largest rank, which is the rank over Q once the primes'
-product exceeds a bound on every minor (:func:`altrank.analyze.rank_profile`
-picks the primes).  The spectrum scan ``unit_eigen_hits`` ranks one member z
-per line, the one with leading coordinate 1 (lex indices [p^k, 2 p^k)), as
-z^(p-1) - I: it is singular iff z has an eigenvalue in F_p^*.  Its caller
-still reports, and budgets, all p^dim members as checked.
+residues with p < 2^31 in int64, where every product of two fits (skew
+elimination works in the narrowest signed type that holds its bound, int16
+for p <= 127 and int32 for p <= 32,749), every array is reduced by ``mod``,
+and the exact object-level linear algebra in :mod:`altrank.matrices`
+independently covers the same operations at small scale (the test suite
+cross-checks the two).  Every rank scan over the members of a space
+(``profile_ranks``, ``first_index``, ``rank_counts``) ranks them through one
+block ranker, which also serves sampled members over Q: it ranks integer
+members modulo several primes and keeps the largest rank, which is the rank
+over Q once the primes' product exceeds a bound on every minor
+(:func:`altrank.analyze.rank_profile` picks the primes).  The spectrum scan
+``unit_eigen_hits`` ranks one member z per line, the one with leading
+coordinate 1 (lex indices [p^k, 2 p^k)), as z^(p-1) - I: it is singular iff
+z has an eigenvalue in F_p^*.  Its caller still reports, and budgets, all
+p^dim members as checked.
 
 Alternating members are stored as their strict upper triangles, row-major
 in (i, j), and ranked by skew elimination (``skew_rank``); every other
@@ -34,6 +37,7 @@ import numpy as np
 from .rand import GOLDEN
 
 _CHUNK_ELEMS = 1 << 22
+_MOD_BLOCK = 1 << 15  # entries per block of ``mod``
 _INT64_MAX = (1 << 63) - 1
 GUARD_MEMBERS = 16  # leading members of each alternating chunk re-ranked by batch_rank
 
@@ -93,7 +97,7 @@ def uniform_block(seed: int, counter_lo: int, shape: tuple[int, ...], bound: int
                 out[bad] = retry
                 bad = bad[retry >= limit]
                 attempt += 1
-    return (out % np.uint64(bound)).astype(np.int64).reshape(shape)
+    return mod(out, np.uint64(bound)).astype(np.int64).reshape(shape)
 
 
 def sampled_coords(seed: int, lo: int, hi: int, dim: int, bound: int) -> np.ndarray:
@@ -106,7 +110,7 @@ def lex_coords(lo: int, hi: int, dim: int, q: int) -> np.ndarray:
     idx = np.arange(lo, hi, dtype=np.int64)
     out = np.empty((hi - lo, dim), dtype=np.int64)
     for t in range(dim):
-        out[:, dim - 1 - t] = (idx // (q**t)) % q
+        out[:, dim - 1 - t] = mod(idx // (q**t), q)
     return out
 
 
@@ -121,6 +125,30 @@ def index_to_coords(index: int, dim: int, q: int) -> tuple[int, ...]:
 # -- batched members and ranks ----------------------------------------------------
 
 
+def mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x mod p in [0, p), into ``out`` if given, as ``x - (x // p) * p``: numpy runs floor
+    division by a scalar in SIMD but not ``np.remainder`` (about 5x slower on int64).  It
+    works over leading-axis blocks of about _MOD_BLOCK entries with one scratch buffer, so
+    no temporary is the size of ``x``; an array of at most one block goes to ``np.remainder``.
+
+    ``(x // p) * p`` lies in [x - (p - 1), x], so it cannot overflow when x >= min + p - 1
+    for the dtype's least value min.  In ``batch_rank`` every update subtracts a product of
+    two residues, so entries lie in [p - 1 - bound, p - 1] for its tracked bound <= 2^63 - 1;
+    in ``skew_rank`` |x| <= p - 1 + 2 (p - 1)^2 <= the work type's max."""
+    if x.size <= _MOD_BLOCK:
+        return np.remainder(x, p, out=out)
+    if out is None:
+        out = np.empty_like(x)
+    rows = max(1, _MOD_BLOCK * x.shape[0] // x.size)
+    scratch = np.empty((rows,) + x.shape[1:], dtype=out.dtype)
+    for lo in range(0, x.shape[0], rows):
+        part = x[lo : lo + rows]
+        quot = np.floor_divide(part, p, out=scratch[: len(part)])
+        quot *= p
+        np.subtract(part, quot, out=out[lo : lo + rows])
+    return out
+
+
 def _matmul_mod(a: np.ndarray, b: np.ndarray, acc, p: int) -> np.ndarray:
     """``(a @ b + acc) % p`` on canonical residues, broadcast to the product's shape, exact for
     every p < 2^31: terms are summed in groups so small that no partial sum leaves int64."""
@@ -128,7 +156,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, acc, p: int) -> np.ndarray:
     for t in range(0, max(1, a.shape[-1]), group):
         prod = a[..., t : t + group] @ b[..., t : t + group, :]
         prod += acc
-        acc = np.remainder(prod, p, out=prod)
+        acc = mod(prod, p, out=prod)
     return acc
 
 
@@ -136,7 +164,7 @@ def members_from_coords(
     coords: np.ndarray, base: np.ndarray, basis: np.ndarray, p: int
 ) -> np.ndarray:
     """Rows ``(base + coords @ basis) % p``, exact for every p < 2^31."""
-    return _matmul_mod(coords, basis, base % p, p)
+    return _matmul_mod(coords, basis, mod(base, p), p)
 
 
 def power(a: np.ndarray, e: int, mul: Callable) -> np.ndarray:
@@ -152,7 +180,7 @@ def power(a: np.ndarray, e: int, mul: Callable) -> np.ndarray:
 
 def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     """a^(p-2) mod p elementwise (Fermat): the inverse of every nonzero residue."""
-    return power(a % p, p - 2, lambda x, y: x * y % p) if p > 2 else a % p
+    return power(mod(a, p), p - 2, lambda x, y: mod(x * y, p)) if p > 2 else mod(a, p)
 
 
 def _inverse_table(p: int) -> np.ndarray:
@@ -195,7 +223,7 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     for c in range(m):
         if k == 0 or r.min() >= full:
             break
-        col = mats[:, :, c] % p
+        col = mod(mats[:, :, c], p)
         nz = col != 0
         has = nz.any(axis=1)
         count = int(np.count_nonzero(has))
@@ -213,12 +241,12 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
         pinv = col[np.arange(sel.size), piv]  # 0 for a member without a pivot
         pinv = inverse_mod(pinv, p) if inv_table is None else inv_table[pinv]
         col *= pinv[:, None]
-        col %= p
+        mod(col, p, out=col)
         if bound > _INT64_MAX - step:
-            np.remainder(mats[:, :, c + 1 :], p, out=mats[:, :, c + 1 :])
+            mod(mats[:, :, c + 1 :], p, out=mats[:, :, c + 1 :])
             bound = p - 1
         bound += step
-        upd = col[:, :, None] * (mats[sel, piv, c + 1 :] % p)[:, None, :]
+        upd = col[:, :, None] * mod(mats[sel, piv, c + 1 :], p)[:, None, :]
         if sel is every:
             mats[:, :, c + 1 :] -= upd
         else:
@@ -238,14 +266,14 @@ def _skew_maps(n: int):
     pi, pj = np.triu_indices(n, 1)
     at = np.zeros((n, n), dtype=np.int64)
     at[pi, pj] = at[pj, pi] = np.arange(pi.size)
-    sign = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None])
+    sign = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None]).astype(np.int8)
     start = np.array([i * n - i * (i + 1) // 2 for i in range(n)])
     return pi, pj, at, sign, start
 
 
 def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     """Ranks of a stack of alternating n x n matrices over F_p stored as strict
-    upper triangles, shape (k, n(n-1)/2).  Mutates ``upper``.
+    upper triangles, shape (k, n(n-1)/2).  Mutates ``upper`` when p > 32,749.
 
     Each step pivots every member on its first nonzero pair (i < j), row-major,
     and applies the rank-2 update u[P,Q] += (r_j[P] r_i[Q] - r_i[P] r_j[Q]) / a
@@ -254,11 +282,19 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     rank (Bunch's pairwise pivoting).  Members reduced to zero drop out.  Rows
     above the least pivot row of a step are zero in every member, so each step
     only touches the storage suffix from that row on.
+
+    The work type is the narrowest signed integer type that holds
+    |u + rj*si - si*rj| <= p - 1 + 2 (p - 1)^2: int16 for p <= 127, int32 for
+    p <= 32,749 and int64 (on ``upper`` itself) above.  Pivot inverses are looked
+    up in a table when p <= k, as in ``batch_rank``.
     """
     pi, pj, at, sign, start = _skew_maps(n)
-    rank = np.zeros(upper.shape[0], dtype=np.int64)
-    live = np.arange(upper.shape[0])
-    u = upper
+    k = upper.shape[0]
+    work = next(t for t in (np.int16, np.int32, np.int64) if p - 1 + 2 * (p - 1) ** 2 <= np.iinfo(t).max)
+    inv_table = _inverse_table(p).astype(work) if p <= k else None
+    rank = np.zeros(k, dtype=np.int64)
+    live = np.arange(k)
+    u = upper.astype(work, copy=False)
     lo = 0
     while live.size and lo < n - 1:  # rows from n - 1 on hold no pair
         s0 = start[lo]
@@ -273,18 +309,18 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
         i, j = pi[t], pj[t]
         ri = np.take_along_axis(u, at[i], axis=1) * sign[i]
         rj = np.take_along_axis(u, at[j], axis=1) * sign[j]
-        si = ri * inverse_mod(a, p)[:, None] % p
+        inv = inverse_mod(a, p) if inv_table is None else inv_table[a]
+        si = mod(ri * inv[:, None], p)
         lo = int(i.min())
         s0 = start[lo]
         P, Q = pi[s0:], pj[s0:]
-        # |u + rj*si - si*rj| < p + 2p^2 < 2^63 for p < 2^31
         w = rj.take(P, axis=1)
         w *= si.take(Q, axis=1)
         v = si.take(P, axis=1)
         v *= rj.take(Q, axis=1)
         w -= v
         w += u[:, s0:]
-        np.remainder(w, p, out=u[:, s0:])
+        mod(w, p, out=u[:, s0:])
         lo += 1
     return rank
 
@@ -294,7 +330,7 @@ def _full_from_upper(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     pi, pj = _skew_maps(n)[:2]
     mats = np.zeros((upper.shape[0], n, n), dtype=np.int64)
     mats[:, pi, pj] = upper
-    mats[:, pj, pi] = -upper % p
+    mats[:, pj, pi] = mod(-upper, p)
     return mats
 
 
@@ -437,10 +473,10 @@ def unit_eigen_hits(basis_flat: np.ndarray, n: int, p: int, threads: int | None 
         j = np.arange(lo, hi)
         k = np.searchsorted(starts, j, side="right") - 1
         idx = j - starts[k] + p**k
-        coords = idx[:, None] // p ** np.arange(dim - 1, -1, -1) % p
+        coords = mod(idx[:, None] // p ** np.arange(dim - 1, -1, -1), p)
         z = members_from_coords(coords, np.zeros(n * n, np.int64), basis_flat, p).reshape(-1, n, n)
         out = power(z, p - 1, lambda x, y: _matmul_mod(x, y, 0, p))
-        out[:, diag, diag] = (out[:, diag, diag] - 1) % p
+        out[:, diag, diag] = mod(out[:, diag, diag] - 1, p)
         return idx[batch_rank(out, p) < n]
 
     parts = _run_chunks(worker, list(chunk_ranges(0, (p**dim - 1) // (p - 1), n * n)), resolve_threads(threads))

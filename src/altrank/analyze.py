@@ -455,7 +455,8 @@ def duality_invariant_check(
     For each standard basis vector and a seeded batch of random nonzero x:
     x stays outside the orbit span S.x, and both x and S.x lie in the
     form-orthogonal of x.  The trivial-spectrum precondition is re-checked
-    when the member count fits the budget.
+    when the member count fits the budget; a failure raises ``ContractError``
+    naming a member and its eigenvalue.
     """
     ctx = pair.ctx
     k = pair.gram
@@ -465,8 +466,10 @@ def duality_invariant_check(
         span_space = AffineMatrixSpace(
             Matrix.zeros(ctx, n, n), list(ops), alternating=False
         )
-        if not trivial_spectrum_check(span_space, budget):
-            raise ValueError("operator space fails the trivial-spectrum gate")
+        report = trivial_spectrum_check(span_space, budget)
+        if not report.trivial:
+            member, lam = report.witness
+            raise ContractError(f"operator space fails the trivial-spectrum gate: {member!r} has eigenvalue {lam}")
 
     def check(x: Vector) -> bool:
         orbit = [mat_vec(u, x) for u in ops]

@@ -424,7 +424,7 @@ def _coset_scan(all_vecs: np.ndarray, bad: np.ndarray, m: int, d: int, q: int):
         red = side[:, piv] @ w_np.transpose(1, 0, 2).reshape(d, b * k)
         red = red.reshape(-1, b, k)
         np.subtract(side[:, None, nonpiv], red, out=red)
-        red %= q
+        _engine.mod(red, q, out=red)
         keys = red @ key_pows + np.arange(b) * n_cosets
         counts = np.bincount(keys.ravel(), minlength=b * n_cosets).reshape(b, n_cosets)
         ok = counts == full_count

@@ -649,5 +649,5 @@ def test_duality_invariant_on_block_operators():
 def test_duality_invariant_gate():
     k = standard_symplectic(F5, 1)
     pair = FormSpacePair(k, [Matrix.identity(F5, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError, match="has eigenvalue 1$"):
         duality_invariant_check(pair, seed=0, samples=5)

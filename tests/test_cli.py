@@ -262,6 +262,21 @@ def test_verify_duality_reads_a_construct_report(tmp_path):
     assert code == 0 and json.loads(text)["results"]["holds"] is True
 
 
+def test_verify_duality_failed_gate_exits_1_with_its_witness(tmp_path, capsys):
+    src = tmp_path / "pair.json"
+    src.write_text(json.dumps({
+        "field": "Fp:3",
+        "gram": standard_symplectic(F3, 1).to_json(),
+        "operators": [Matrix.identity(F3, 2).to_json()],
+    }))
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "duality")
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err.splitlines() == [
+        f"contract failure: operator space fails the trivial-spectrum gate: {Matrix.identity(F3, 2)!r} has eigenvalue 1"
+    ]
+
+
 @pytest.mark.parametrize("key", ["basis", "field", "rows"])
 def test_verify_space_missing_key_names_it(tmp_path, capsys, key):
     obj = build_bordered_alternating(F5, 5, 1).to_json()

@@ -261,6 +261,65 @@ def test_skew_rank_matches_sympy(p):
         assert DomainMatrix([[K(x) for x in row] for row in m], (n, n), K).rank() == r
 
 
+@pytest.mark.parametrize("p", [113, 127, 131, 32_749, 32_771, 1_048_583, BIG])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_skew_rank_at_its_work_type_boundaries(p, n):
+    # int16 holds p - 1 + 2 (p - 1)^2 up to p = 127 and int32 up to p = 32,749;
+    # below 2^16 the stack is tiled past p members, so pivot inverses come from the table
+    ctx = FieldCtx.prime(p)
+    mats = alternating_stack(p, n, seed=n + p)
+    exact = [Matrix(ctx, m).rank() for m in mats]
+    assert set(exact) == set(range(0, n + 1, 2))
+    reps = p // len(mats) + 1 if p < 1 << 16 else 1
+    upper = np.tile(upper_of(mats, n), (reps, 1))
+    before = upper.copy()
+    skew = _engine.skew_rank(upper, n, p)
+    assert skew.tolist() == exact * reps
+    assert _engine.batch_rank(np.array(mats, dtype=np.int64), p).tolist() == exact
+    if p <= 32_749:  # the narrow work type is a copy
+        assert (upper == before).all()
+
+
+def mod_cases(dtype, p):
+    """Arrays over ``dtype`` with negative entries (signed types), entries at
+    +-(max - (p-1)^2), one block or less, a partial last block, and empty."""
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng([p, info.bits, info.min < 0])
+    edge = info.max - (p - 1) ** 2
+    lo = -edge if info.min < 0 else 0
+    big = rng.integers(lo, edge, (1000, 37), dtype=dtype, endpoint=True)  # 885 rows a block
+    big[0, :4] = [edge, lo, edge - 1, lo + 1]
+    big[1, :3] = [0, p - 1, p]
+    return [
+        big,
+        big.transpose(),
+        rng.integers(lo, edge, 3 * 2**15 + 5, dtype=dtype),
+        rng.integers(lo, edge, (40, 2, 900), dtype=dtype),
+        big[:7],
+        np.zeros((0, 5), dtype=dtype),
+        np.zeros(0, dtype=dtype),
+    ]
+
+
+@pytest.mark.parametrize(
+    "dtype, p",
+    [(np.int16, 3), (np.int16, 127), (np.int32, 131), (np.int32, 32_749), (np.int64, 2),
+     (np.int64, 7), (np.int64, BIG), (np.uint64, 5), (np.uint64, BIG)],
+)
+def test_mod_matches_remainder(dtype, p):
+    cases = mod_cases(dtype, p)
+    for x in cases:
+        want = np.remainder(x, p)
+        got = _engine.mod(x, p)
+        assert got.dtype == x.dtype and got.shape == x.shape and (got == want).all()
+        inplace = x.copy()
+        assert _engine.mod(inplace, p, out=inplace) is inplace and (inplace == want).all()
+    x = cases[0]
+    u = np.full((x.shape[0], x.shape[1] + 8), 1, dtype=dtype)
+    _engine.mod(x, p, out=u[:, 8:])  # a non-contiguous out, as skew_rank writes its suffix
+    assert (u[:, 8:] == np.remainder(x, p)).all() and (u[:, :8] == 1).all()
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_inverse_mod(p):
     a = np.array(sorted({1, 2 % p or 1, p - 1, p // 2 or 1, (p * 7) // 9 or 1}), dtype=np.int64)

@@ -72,3 +72,20 @@ def test_no_floating_point_in_the_engine_or_the_profile():
                 if token in line:
                     found.append(f"{name}:{lineno}: {token}")
     assert found == []
+
+
+def test_engine_and_spaces_reduce_arrays_through_mod():
+    """``np.remainder`` on int64 is several times slower than ``_engine.mod``'s
+    floor division, so it appears only inside ``mod`` (its small-array path)."""
+    pkg = Path(altrank.__file__).parent
+    found = []
+    for name in ("_engine.py", "spaces.py"):
+        tree = ast.parse((pkg / name).read_text(), filename=name)
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "mod" and name == "_engine.py":
+                inside |= {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "remainder" and id(node) not in inside:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
