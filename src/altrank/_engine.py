@@ -3,7 +3,7 @@
 This is infrastructure, not arithmetic authority: entries are canonical
 residues with p < 2^31 in int64, where every product of two fits (skew
 elimination works in the narrowest signed type that holds its bound, int16
-for p <= 127 and int32 for p <= 32,749), every array is reduced by ``mod``,
+for p <= 181 and int32 for p <= 46,337), every array is reduced by ``mod``,
 and the exact object-level linear algebra in :mod:`altrank.matrices`
 independently covers the same operations at small scale (the test suite
 cross-checks the two).  Every rank scan over the members of a space
@@ -134,7 +134,7 @@ def mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     ``(x // p) * p`` lies in [x - (p - 1), x], so it cannot overflow when x >= min + p - 1
     for the dtype's least value min.  In ``batch_rank`` every update subtracts a product of
     two residues, so entries lie in [p - 1 - bound, p - 1] for its tracked bound <= 2^63 - 1;
-    in ``skew_rank`` |x| <= p - 1 + 2 (p - 1)^2 <= the work type's max."""
+    in ``skew_rank`` |x| <= p - 1 + (p - 1)^2 <= the work type's max."""
     if x.size <= _MOD_BLOCK:
         return np.remainder(x, p, out=out)
     if out is None:
@@ -273,7 +273,7 @@ def _skew_maps(n: int):
 
 def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     """Ranks of a stack of alternating n x n matrices over F_p stored as strict
-    upper triangles, shape (k, n(n-1)/2).  Mutates ``upper`` when p > 32,749.
+    upper triangles, shape (k, n(n-1)/2).  Mutates ``upper`` when p > 46,337.
 
     Each step pivots every member on its first nonzero pair (i < j), row-major,
     and applies the rank-2 update u[P,Q] += (r_j[P] r_i[Q] - r_i[P] r_j[Q]) / a
@@ -283,14 +283,18 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     above the least pivot row of a step are zero in every member, so each step
     only touches the storage suffix from that row on.
 
-    The work type is the narrowest signed integer type that holds
-    |u + rj*si - si*rj| <= p - 1 + 2 (p - 1)^2: int16 for p <= 127, int32 for
-    p <= 32,749 and int64 (on ``upper`` itself) above.  Pivot inverses are looked
-    up in a table when p <= k, as in ``batch_rank``.
+    The work type is the narrowest signed integer type that holds every entry
+    of u + rj[P] si[Q] - si[P] rj[Q], P < Q.  As (i, j) is the first nonzero
+    pair, row i is zero before column j, so si[P] = 0 for P < j and one product
+    vanishes; for P, Q > j both products are rows of the upper storage times
+    residues, so lie in [0, (p - 1)^2].  Hence every entry, and every partial
+    sum, is at most p - 1 + (p - 1)^2 in absolute value: int16 for p <= 181,
+    int32 for p <= 46,337 and int64 (on ``upper`` itself) above.  Pivot inverses
+    are looked up in a table when p <= k, as in ``batch_rank``.
     """
     pi, pj, at, sign, start = _skew_maps(n)
     k = upper.shape[0]
-    work = next(t for t in (np.int16, np.int32, np.int64) if p - 1 + 2 * (p - 1) ** 2 <= np.iinfo(t).max)
+    work = next(t for t in (np.int16, np.int32, np.int64) if p - 1 + (p - 1) ** 2 <= np.iinfo(t).max)
     inv_table = _inverse_table(p).astype(work) if p <= k else None
     rank = np.zeros(k, dtype=np.int64)
     live = np.arange(k)

@@ -309,11 +309,15 @@ def flanders_atkinson_check(
             raise ValueError("gram matrix must be invertible and alternating")
         if not m.is_alternating():
             raise ValueError("alternating mode needs an alternating matrix")
-        j = place_blocks(ctx, n, n, [(0, 0, gram)])
-    else:
-        j = place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, r))])
+        return _flanders_atkinson(m, r, mode, place_blocks(ctx, n, n, [(0, 0, gram)]), gram.inverse())
+    return _flanders_atkinson(m, r, mode, place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, r))]), None)
 
-    p = ctx.p
+
+def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[Matrix]) -> FAReport:
+    """``flanders_atkinson_check`` on validated input: J is I_r or the gram K
+    padded by zero, and kinv is K^-1 in alternating mode.  A caller that checks
+    many matrices against one K validates and inverts it once."""
+    n, p = m.nrows, m.ctx.p
     jm = np.array([j.flatten(), m.flatten()], dtype=np.int64)
     if mode == "pencil":  # s*J + t*M at lex index s*p + t
         base, basis = np.zeros(n * n, dtype=np.int64), jm
@@ -338,7 +342,6 @@ def flanders_atkinson_check(
     moments = []
     if mode == "alternating":
         b = m.block(0, r, r, n)
-        kinv = gram.inverse()
         step = kinv @ a
         y = kinv @ b
         bt = b.T

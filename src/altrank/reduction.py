@@ -10,12 +10,14 @@ yield a failed certificate with witnesses rather than an exception.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import analyze
+import numpy as np
+
+from . import _engine, analyze
 from .errors import ContractError
+from .fields import Element, FieldCtx
 from .families import build_bordered_alternating, build_row_block_family, constant_rank_field_bound
 from .matrices import Matrix, Vector, alternating_units, form_value, place_blocks, rows_matrix, span_dim
 from .spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act, spaces_equal
@@ -209,14 +211,19 @@ def _rank_two_slab_witness(tail: list[Vector], x: Vector, y: Vector, span: Span)
     if len(free) != 2:
         raise AssertionError("the units do not leave exactly two coordinates uncovered")
     a, b = free
-    d = ctx.sub(ctx.mul(x[a], y[b]), ctx.mul(x[b], y[a]))
+    return _slab_form(ctx, a, b, ctx.sub(ctx.mul(x[a], y[b]), ctx.mul(x[b], y[a])), x, y)
+
+
+def _slab_form(ctx: FieldCtx, a: int, b: int, d: Element, x: Vector, y: Vector) -> Matrix:
+    """d^-1 (E_ab - E_ba), checked to take the value 1 on (x, y)."""
     if d == 0:
         raise AssertionError("the defining pair is dependent modulo the tail")
-    rows = [[ctx.zero()] * span.width for _ in range(span.width)]
+    n = len(x)
+    rows = [[ctx.zero()] * n for _ in range(n)]
     rows[a][b] = ctx.inv(d)
     rows[b][a] = ctx.neg(rows[a][b])
     bmat = Matrix(ctx, rows)
-    if form_value(bmat, x, y) == 0:
+    if form_value(bmat, x, y) != 1:
         raise AssertionError("dual-basis form lost its defining pair")
     return bmat
 
@@ -226,14 +233,17 @@ def unique_totally_singular_complement(
 ) -> list[Vector]:
     """The unique (n-s)-dimensional subspace totally singular for every member.
 
-    sp must be in the bordered canonical form, so the span of the last n-s
-    coordinates qualifies.  Uniqueness is certified by (a) checking that the
-    translation span contains every alternating matrix supported on the
-    leading s x s block, (b) re-checking the dimension obstruction that rules
-    out any other candidate, and (c) rejecting a seeded family of perturbed
-    candidate subspaces with explicit witnesses.
+    sp must be in the bordered canonical form over a prime field, so the span
+    of the last n-s coordinates qualifies.  Uniqueness is certified by (a)
+    checking that the translation span contains every alternating matrix
+    supported on the leading s x s block, (b) re-checking the dimension
+    obstruction that rules out any other candidate, and (c) rejecting a
+    seeded family of perturbed candidate subspaces with explicit witnesses,
+    in one engine pass (``_reject_candidates``).
     """
     ctx = sp.ctx
+    if ctx.kind != "prime":
+        raise ValueError("the complement scan needs a prime field")
     n = sp.shape[0]
     r = 2 * s
     if n <= 2 * s + 2:
@@ -255,49 +265,120 @@ def unique_totally_singular_complement(
         if Span(ctx, cols, width=n).dim < s:
             raise ContractError("tail columns of the translation span are too thin")
 
-    tail_span = Span(ctx, tail)
-    structured: list[list[Vector]] = []
-    for i in range(s):
-        for j in range(s, n):
-            cand = [tuple(ident.row(t)) for t in range(s, n) if t != j]
-            cand.append(tuple(ident.row(i)))
-            structured.append(cand)
-    stream = CounterStream(derive_seed(seed, "complement"))
-    checked = 0
-    idx = 0
-    while checked < candidates:
-        if idx < len(structured):
-            cand = structured[idx]
-            idx += 1
-        else:
-            rows = [stream.vector(ctx, n) for _ in range(n - s)]
-            if span_dim(ctx, rows) != n - s:
-                continue
-            cand = rows
-        if all(all(c == 0 for c in v[:s]) for v in cand):
-            continue  # equals the canonical tail subspace
-        witness = totally_singular_rejection(sp, cand)
-        if witness is None:
-            raise ContractError("a second totally singular complement exists")
-        if s >= 2:
-            pair = _independent_pair_mod(cand, tail_span)
-            if pair is not None and not sp.translation_contains(_rank_two_slab_witness(tail, *pair)):
-                raise ContractError("rank-2 rejection form escaped the translation span")
-        checked += 1
+    _reject_candidates(sp, s, tail, seed, candidates)
     return tail
 
 
-def _independent_pair_mod(cand: list[Vector], tail_span: Span) -> Optional[tuple[Vector, Vector, Span]]:
-    """The first two candidate vectors independent modulo the tail span, with
-    the span of both and the tail, or None."""
-    span = copy(tail_span)
-    picked: list[Vector] = []
-    for v in cand:
-        if span.add(v):
-            picked.append(v)
-            if len(picked) == 2:
-                return picked[0], picked[1], span
-    return None
+def _complement_candidates(p: int, n: int, s: int, seed: int, candidates: int) -> tuple[np.ndarray, int]:
+    """The (candidates, n-s, n) stack of complement candidates and how many of
+    them are structured.
+
+    The structured ones come first: the tail units without e_j, plus e_i, for
+    i < s <= j.  The random ones are blocks of n-s rows drawn from consecutive
+    counters of the "complement" stream, n per row, of which those of rank
+    below n-s or equal to the tail subspace (every leading entry zero) are
+    dropped; another block is drawn only if too few survive.
+    """
+    k = n - s
+    eye = np.eye(n, dtype=np.int64)
+    structured = [eye[[t for t in range(s, n) if t != j] + [i]] for i in range(s) for j in range(s, n)]
+    parts = [np.array(structured[:candidates], dtype=np.int64).reshape(-1, k, n)]
+    need = candidates - len(parts[0])
+    stream, drawn = derive_seed(seed, "complement"), 0
+    while need > 0:
+        block = _engine.uniform_block(stream, drawn * k * n, (need, k, n), p)
+        drawn += need
+        keep = (_engine.batch_rank(block.copy(), p) == k) & block[:, :, :s].any(axis=(1, 2))
+        parts.append(block[keep][:need])
+        need -= len(parts[-1])
+    return np.concatenate(parts), len(parts[0])
+
+
+def _slab_pairs(lead: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """(has, i0, j0, a, b, d) per candidate, from the leading s columns of its rows
+    (the rows modulo the tail span), shape (m, n-s, s).
+
+    i0 is the first nonzero row and j0 the first later row with a nonzero 2 x 2
+    minor against it; ``has`` is false where there is none.  With x, y rows i0
+    and j0, b is the last coordinate where x or y is nonzero and a the last t
+    with a nonzero minor on some column pair (t, t'), t' > t: the two
+    coordinates that ``Span.extend_with_units`` leaves uncovered.  d is
+    x_a y_b - x_b y_a.
+    """
+    m, _, s = lead.shape
+    at = np.arange(m)
+    t0, t1 = np.triu_indices(s, 1)
+    i0 = lead.any(axis=2).argmax(axis=1)
+    x = lead[at, i0]
+    minors = _engine.mod(x[:, None, t0] * lead[:, :, t1] - x[:, None, t1] * lead[:, :, t0], p)
+    indep = minors.any(axis=2)
+    has, j0 = indep.any(axis=1), indep.argmax(axis=1)
+    y = lead[at, j0]
+    pair = _engine.mod(x[:, t0] * y[:, t1] - x[:, t1] * y[:, t0], p) != 0
+    b = s - 1 - ((x != 0) | (y != 0))[:, ::-1].argmax(axis=1)
+    a = np.where(pair, t0, -1).max(axis=1, initial=-1)
+    d = _engine.mod(x[at, a] * y[at, b] - x[at, b] * y[at, a], p)
+    return has, i0, j0, a, b, d
+
+
+def _rejected(sp: AffineMatrixSpace, cands: np.ndarray) -> np.ndarray:
+    """Per candidate C of the stack, whether C G C^T is nonzero mod p for some
+    member G in (base, *basis): its rows span no totally singular subspace."""
+    p, n = sp.ctx.p, sp.shape[0]
+    base_flat, basis_flat = sp.flat_arrays()
+    members = np.vstack([base_flat[None], basis_flat]).reshape(-1, n, n)
+    image = _engine._matmul_mod(cands[None], members[:, None], 0, p)
+    return _engine._matmul_mod(image, cands.transpose(0, 2, 1)[None], 0, p).any(axis=(0, 2, 3))
+
+
+def _reject_candidates(sp: AffineMatrixSpace, s: int, tail: list[Vector], seed: int, candidates: int) -> None:
+    """Step (c) of ``unique_totally_singular_complement``: every candidate must
+    have a nonzero form for some member, and the rank-2 slab form of its first
+    two rows independent modulo the tail, if any, must lie in the translation
+    span (checked once per distinct (a, b, d)).  The first candidate that fails
+    raises ``ContractError``.
+
+    Draws, ranks, forms and pairs come from the engine in one pass, so the first
+    GUARD_MEMBERS random candidates (the last GUARD_MEMBERS of the stack when
+    fewer are drawn) are first re-derived on the exact layer, one at a time,
+    and any disagreement raises ``AssertionError``.
+    """
+    ctx, p, n = sp.ctx, sp.ctx.p, sp.shape[0]
+    cands, n_struct = _complement_candidates(p, n, s, seed, candidates)
+    stack = [[tuple(v) for v in cand] for cand in cands.tolist()]
+    rejected = _rejected(sp, cands).tolist()
+    pairs = list(zip(*(v.tolist() for v in _slab_pairs(cands[:, :, :s], p))))
+
+    lo = min(n_struct, max(0, len(stack) - _engine.GUARD_MEMBERS))
+    stream = CounterStream(derive_seed(seed, "complement"))
+    for c in range(lo, min(len(stack), lo + _engine.GUARD_MEMBERS)):
+        cand = stack[c]
+        if c >= n_struct:
+            while True:
+                rows = [stream.vector(ctx, n) for _ in range(n - s)]
+                if span_dim(ctx, rows) == n - s and any(any(v[:s]) for v in rows):
+                    break
+            if rows != cand:
+                raise AssertionError(f"engine draws differ from the stream at candidate {c}")
+        if (totally_singular_rejection(sp, cand) is not None) != rejected[c]:
+            raise AssertionError(f"engine forms disagree with the exact rejection at candidate {c}")
+        span = Span(ctx, tail, width=n)
+        picked = [t for t, v in enumerate(cand) if span.dim < n - s + 2 and span.add(v)]
+        exact = (picked, _rank_two_slab_witness(tail, *(cand[t] for t in picked), span)) if len(picked) == 2 else None
+        has, i0, j0, a, b, d = pairs[c]
+        batch = ([i0, j0], _slab_form(ctx, a, b, d, cand[i0], cand[j0])) if has else None
+        if exact != batch:
+            raise AssertionError(f"engine slab form disagrees with the exact one at candidate {c}")
+
+    contained: dict[tuple, bool] = {}
+    for cand, ok, (has, i0, j0, a, b, d) in zip(stack, rejected, pairs):
+        if not ok:
+            raise ContractError("a second totally singular complement exists")
+        if has:
+            if (a, b, d) not in contained:
+                contained[a, b, d] = sp.translation_contains(_slab_form(ctx, a, b, d, cand[i0], cand[j0]))
+            if not contained[a, b, d]:
+                raise ContractError("rank-2 rejection form escaped the translation span")
 
 
 def canonical_reduction(
@@ -357,9 +438,13 @@ def canonical_reduction(
     p1, k = normalize_radical_to_tail(rebased, s0)
     sp1 = congruence_act(rebased, p1)
 
+    # k is invertible and alternating (normalize_radical_to_tail checks it), and
+    # every generator of sp1 is alternating, so K^-1 and J are built once
+    kinv = k.inverse()
+    j = place_blocks(ctx, n, n, [(0, 0, k)])
     fa_ok = True
     for g in sp1.basis:
-        report = analyze.flanders_atkinson_check(g, r, "alternating", gram=k)
+        report = analyze._flanders_atkinson(g, r, "alternating", j, kinv)
         if not report.conclusions_hold:
             fa_ok = False
             cert.witnesses["failure"] = {
@@ -371,7 +456,6 @@ def canonical_reduction(
     if not fa_ok:
         return cert
 
-    kinv = k.inverse()
     ops: list[Matrix] = []
     kept = Span(ctx, [], width=r * (n - r))
     for g in sp1.basis:

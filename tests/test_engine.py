@@ -264,7 +264,7 @@ def test_skew_rank_matches_sympy(p):
 @pytest.mark.parametrize("p", [113, 127, 131, 32_749, 32_771, 1_048_583, BIG])
 @pytest.mark.parametrize("n", range(2, 10))
 def test_skew_rank_at_its_work_type_boundaries(p, n):
-    # int16 holds p - 1 + 2 (p - 1)^2 up to p = 127 and int32 up to p = 32,749;
+    # int16 holds p - 1 + (p - 1)^2 up to p = 181 and int32 up to p = 46,337;
     # below 2^16 the stack is tiled past p members, so pivot inverses come from the table
     ctx = FieldCtx.prime(p)
     mats = alternating_stack(p, n, seed=n + p)
@@ -278,6 +278,39 @@ def test_skew_rank_at_its_work_type_boundaries(p, n):
     assert _engine.batch_rank(np.array(mats, dtype=np.int64), p).tolist() == exact
     if p <= 32_749:  # the narrow work type is a copy
         assert (upper == before).all()
+
+
+def extreme_stack(p: int, n: int, seed: int) -> list[list[list[int]]]:
+    """Alternating n x n matrices over F_p whose entries are mostly 1 and p - 1:
+    sums of t forms x^y with x, y in {0, 1, p - 1}^n for every t <= n/2, and
+    matrices with every upper entry p - 1 or 1, so that the products of a
+    skew elimination step reach (p - 1)^2 in both signs."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for t in list(range(n // 2 + 1)) * 6:
+        a = np.zeros((n, n), dtype=np.int64)
+        for _ in range(t):
+            x, y = rng.choice([0, 1, p - 1], (2, n), p=[0.2, 0.2, 0.6])
+            a = (a + np.outer(x, y) - np.outer(y, x)) % p
+        mats.append(a)
+    for fill in (p - 1, 1):
+        a = np.triu(np.full((n, n), fill, dtype=np.int64), 1)
+        mats.append((a - a.T) % p)
+    return [m.tolist() for m in mats]
+
+
+@pytest.mark.parametrize("p", [127, 131, 181, 191, 32_749, 32_771, 46_337, 46_349])
+def test_skew_rank_on_extreme_entries_at_the_work_type_bounds(p):
+    # each pair is the last prime that one work type holds and the next
+    # prime, which needs the wider type: a type one prime too narrow
+    # overflows on these stacks
+    ctx = FieldCtx.prime(p)
+    for n in (4, 7, 8):
+        mats = extreme_stack(p, n, seed=p + n)
+        exact = [Matrix(ctx, m).rank() for m in mats]
+        assert set(exact) == set(range(0, n + 1, 2))
+        assert _engine.skew_rank(upper_of(mats, n), n, p).tolist() == exact
+        assert _engine.batch_rank(np.array(mats, dtype=np.int64), p).tolist() == exact
 
 
 def mod_cases(dtype, p):

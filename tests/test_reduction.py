@@ -1,8 +1,10 @@
 from copy import copy
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from altrank import _engine
 from altrank.errors import ContractError
 from altrank.families import (
     build_bordered_alternating,
@@ -10,7 +12,7 @@ from altrank.families import (
     build_row_block_family,
 )
 from altrank.fields import FieldCtx
-from altrank.matrices import Matrix, Span, alternating_from_upper, form_value, rows_matrix, upper_pairs
+from altrank.matrices import Matrix, Span, alternating_from_upper, form_value, rows_matrix, span_dim, upper_pairs
 from altrank.rand import (
     DEFAULT_RATIONAL_BOX,
     CounterStream,
@@ -22,7 +24,11 @@ from altrank.rand import (
 )
 from altrank.reduction import (
     VERDICT_KEYS,
+    _complement_candidates,
     _rank_two_slab_witness,
+    _reject_candidates,
+    _rejected,
+    _slab_pairs,
     canonical_reduction,
     find_rank_r_member,
     normalize_radical_to_tail,
@@ -273,6 +279,156 @@ def test_unique_complement_guards():
     thin = AffineMatrixSpace(Matrix.zeros(F5, 5), [alt_unit(F5, 5, 0, 1)], alternating=True)
     with pytest.raises(ContractError):
         unique_totally_singular_complement(thin, 1)  # tail columns all zero
+
+
+def reference_complement_scan(sp, s, seed, candidates):
+    """The one-candidate loop that the batched complement scan replaced, per
+    candidate in order: its rows, whether ``totally_singular_rejection``
+    rejects it, and for s >= 2 (i0, j0, slab form) of its first two rows
+    independent modulo the tail span, or None; plus the number of draws."""
+    ctx = sp.ctx
+    n = sp.shape[0]
+    ident = Matrix.identity(ctx, n)
+    tail = [tuple(ident.row(i)) for i in range(s, n)]
+    tail_span = Span(ctx, tail)
+    structured = [
+        [tuple(ident.row(t)) for t in range(s, n) if t != j] + [tuple(ident.row(i))]
+        for i in range(s) for j in range(s, n)
+    ]
+    stream = CounterStream(derive_seed(seed, "complement"))
+    out, draws = [], 0
+    while len(out) < candidates:
+        if len(out) < len(structured):
+            cand = structured[len(out)]
+        else:
+            draws += 1
+            cand = [stream.vector(ctx, n) for _ in range(n - s)]
+            if span_dim(ctx, cand) != n - s:
+                continue
+        if all(all(c == 0 for c in v[:s]) for v in cand):
+            continue
+        pair = None
+        if s >= 2:
+            span, picked = copy(tail_span), []
+            for t, v in enumerate(cand):
+                if len(picked) < 2 and span.add(v):
+                    picked.append(t)
+            if len(picked) == 2:
+                pair = (*picked, _rank_two_slab_witness(tail, cand[picked[0]], cand[picked[1]], span))
+        out.append((cand, totally_singular_rejection(sp, cand) is not None, pair))
+    return out, draws
+
+
+def thinned(sp, keep):
+    return AffineMatrixSpace(sp.base, sp.basis[:keep], alternating=True)
+
+
+@pytest.mark.parametrize("p, s", [(3, 1), (5, 2), (7, 3), (2_147_483_629, 2)])
+def test_batched_complement_scan_matches_reference_loop(p, s):
+    # the spaces: a seeded congruence of the bordered model, which rejects
+    # every candidate, and thinned copies of the model that reject only some
+    ctx = FieldCtx.prime(p)
+    n = 2 * s + 3
+    model = build_bordered_alternating(ctx, n, s)
+    moved = congruence_act(model, seeded_invertible(ctx, n, f"scan-{p}-{s}"))
+    count = 60 if p > 7 else 200
+    for sp in (moved, thinned(model, 0), thinned(model, 1), thinned(model, 2)):
+        ref, draws = reference_complement_scan(sp, s, 11, count)
+        cands, n_struct = _complement_candidates(p, n, s, 11, count)
+        assert n_struct == min(count, s * (n - s))
+        assert [[tuple(v) for v in c] for c in cands.tolist()] == [c for c, _, _ in ref]
+        assert _rejected(sp, cands).tolist() == [rej for _, rej, _ in ref]
+        if s == 1:
+            continue
+        has, i0, j0, a, b, d = _slab_pairs(cands[:, :, :s], p)
+        assert has.tolist() == [pair is not None for _, _, pair in ref]
+        for c, (_, _, pair) in enumerate(ref):
+            if pair is not None:
+                ri0, rj0, form = pair
+                ((ra, rb),) = [(t, u) for t in range(n) for u in range(t + 1, n) if form.row(t)[u]]
+                assert (i0[c], j0[c], a[c], b[c], d[c]) == (ri0, rj0, ra, rb, ctx.inv(form.row(ra)[rb]))
+    if p == 3:
+        assert draws > count - n_struct  # the rank filter and the leading-zero skip dropped draws
+    if p == 7:
+        pairs = {(a[c], b[c]) for c in range(count) if has[c]}
+        assert has.sum() > 150 and len(pairs) == 3
+
+
+@pytest.mark.parametrize("p", [5, 7, 2_147_483_629])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_slab_pairs_match_reference_on_sparse_leading_blocks(p, s):
+    # random candidates almost always pivot on rows 0 and 1; here each row's
+    # leading block is zero, or a multiple of the row before, some of the time,
+    # and leading columns are cleared, so i0, j0 and the uncovered pair (a, b)
+    # move around
+    ctx = FieldCtx.prime(p)
+    n = 2 * s + 3
+    ident = Matrix.identity(ctx, n)
+    tail = [tuple(ident.row(t)) for t in range(s, n)]
+    rng = np.random.default_rng([p % 1000, s])
+    cands = rng.integers(0, p, (300, n - s, n))
+    for row in range(n - s):
+        cands[rng.random(300) < 0.3, row, :s] = 0
+        if row:
+            copy_prev = rng.random(300) < 0.3
+            cands[copy_prev, row, :s] = cands[copy_prev, row - 1, :s] * 3 % p
+    cands[:, :, :s] *= rng.random((300, 1, s)) < 0.7  # and each leading column is cleared in 30%
+    has, i0, j0, a, b, d = _slab_pairs(cands[:, :, :s], p)
+    seen = set()
+    for c, cand in enumerate(cands.tolist()):
+        cand = [tuple(v) for v in cand]
+        span = Span(ctx, tail)
+        picked = [t for t, v in enumerate(cand) if span.dim < n - s + 2 and span.add(v)]
+        assert has[c] == (len(picked) == 2)
+        if has[c]:
+            form = _rank_two_slab_witness(tail, cand[picked[0]], cand[picked[1]], span)
+            ((ra, rb),) = [(t, u) for t in range(n) for u in range(t + 1, n) if form.row(t)[u]]
+            assert (i0[c], j0[c], a[c], b[c], d[c]) == (*picked, ra, rb, ctx.inv(form.row(ra)[rb]))
+            seen.add((int(i0[c]), int(j0[c]), ra, rb))
+    assert not has.all() and len({key[:2] for key in seen}) > 5
+    assert len({key[2:] for key in seen}) == s * (s - 1) // 2
+
+
+def test_batched_complement_scan_raises_on_a_totally_singular_candidate():
+    # every candidate is totally singular for the zero space; the slab escape
+    # is only reported when it comes first
+    zero = AffineMatrixSpace(Matrix.zeros(F5, 7), [], alternating=True)
+    ident = Matrix.identity(F5, 7)
+    tail = [tuple(ident.row(i)) for i in range(2, 7)]
+    with pytest.raises(ContractError, match="second totally singular complement"):
+        _reject_candidates(zero, 2, tail, 0, 200)
+    model = build_bordered_alternating(F5, 7, 2)
+    with pytest.raises(ContractError, match="second totally singular complement"):
+        _reject_candidates(thinned(model, 1), 2, tail, 0, 200)
+    _reject_candidates(model, 2, tail, 0, 200)
+
+
+def test_batched_complement_scan_raises_on_an_escaped_slab_form():
+    # the model without its leading-block generator still rejects every
+    # candidate through its other members, but no slab form lies in its span
+    model = build_bordered_alternating(F5, 7, 2)
+    gens = [g for g in model.basis if g.block(0, 2, 0, 2).is_zero()]
+    assert len(gens) == len(model.basis) - 1
+    sp = AffineMatrixSpace(model.base, gens, alternating=True)
+    ident = Matrix.identity(F5, 7)
+    tail = [tuple(ident.row(i)) for i in range(2, 7)]
+    with pytest.raises(ContractError, match="escaped the translation span"):
+        _reject_candidates(sp, 2, tail, 0, 200)
+
+
+def test_batched_complement_scan_is_guarded_by_the_exact_layer(monkeypatch):
+    # an engine whose forms all vanish would report a second complement; the
+    # guard's exact rejection of the first random candidates disagrees first
+    sp = build_bordered_alternating(F5, 7, 2)
+    real = _engine._matmul_mod
+    monkeypatch.setattr(_engine, "_matmul_mod", lambda a, b, acc, p: real(a, b, acc, p) * 0)
+    with pytest.raises(AssertionError, match="engine forms disagree"):
+        unique_totally_singular_complement(sp, 2)
+    monkeypatch.setattr(_engine, "_matmul_mod", real)
+    draws = _engine.uniform_block
+    monkeypatch.setattr(_engine, "uniform_block", lambda seed, lo, shape, bound: draws(seed, lo + 1, shape, bound))
+    with pytest.raises(AssertionError, match="engine draws differ"):
+        unique_totally_singular_complement(sp, 2)
 
 
 # -- the full pipeline -------------------------------------------------------------------------
