@@ -291,12 +291,18 @@ def flanders_atkinson_check(
     hypothesis is scanned in one engine pass, and the first failing member
     it reports is re-ranked exactly.
     """
-    ctx = m.ctx
+    return _flanders_atkinson(m, r, mode, *_fa_frame([m], r, mode, gram))
+
+
+def _fa_frame(ms: Sequence[Matrix], r: int, mode: str, gram: Optional[Matrix]) -> tuple[Matrix, Optional[Matrix]]:
+    """Validate the input for matrices ms of one field and shape; return J (I_r
+    or the gram K, padded by zero) and K^-1 (None outside alternating mode)."""
+    ctx = ms[0].ctx
     if ctx.kind != "prime":
         raise ValueError("hypothesis scanning needs a prime field")
-    if not m.is_square:
+    if not ms[0].is_square:
         raise ValueError("square matrix required")
-    n = m.nrows
+    n = ms[0].nrows
     if not 0 <= r <= n:
         raise ValueError("rank bound out of range")
     if mode not in ("pencil", "line", "alternating"):
@@ -307,16 +313,15 @@ def flanders_atkinson_check(
             raise ValueError("alternating mode needs an r x r gram matrix")
         if not gram.is_alternating() or gram.det() == 0:
             raise ValueError("gram matrix must be invertible and alternating")
-        if not m.is_alternating():
+        if not all(m.is_alternating() for m in ms):
             raise ValueError("alternating mode needs an alternating matrix")
-        return _flanders_atkinson(m, r, mode, place_blocks(ctx, n, n, [(0, 0, gram)]), gram.inverse())
-    return _flanders_atkinson(m, r, mode, place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, r))]), None)
+        return place_blocks(ctx, n, n, [(0, 0, gram)]), gram.inverse()
+    return place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, r))]), None
 
 
 def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[Matrix]) -> FAReport:
-    """``flanders_atkinson_check`` on validated input: J is I_r or the gram K
-    padded by zero, and kinv is K^-1 in alternating mode.  A caller that checks
-    many matrices against one K validates and inverts it once."""
+    """``flanders_atkinson_check`` with J and K^-1 from ``_fa_frame``, which a
+    caller checking many matrices against one K runs once."""
     n, p = m.nrows, m.ctx.p
     jm = np.array([j.flatten(), m.flatten()], dtype=np.int64)
     if mode == "pencil":  # s*J + t*M at lex index s*p + t

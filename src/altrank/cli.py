@@ -240,14 +240,13 @@ def cmd_verify(args) -> int:
         if not base.block(0, n, r, n).is_zero() or not base.block(r, n, 0, n).is_zero():
             raise ValueError("base must be zero outside its leading block")
         lead = base.block(0, r, 0, r)
+        if space.basis:  # K is validated and inverted once, and never for a dim-0 space
+            if args.fa_mode != "alternating" and lead != Matrix.identity(ctx, r):
+                raise ValueError("pencil and line modes need an identity leading block")
+            frame = analyze._fa_frame(space.basis, r, args.fa_mode, lead)
         reports = []
         for g in space.basis:
-            if args.fa_mode == "alternating":
-                rep = analyze.flanders_atkinson_check(g, r, "alternating", gram=lead)
-            else:
-                if lead != Matrix.identity(ctx, r):
-                    raise ValueError("pencil and line modes need an identity leading block")
-                rep = analyze.flanders_atkinson_check(g, r, args.fa_mode)
+            rep = analyze._flanders_atkinson(g, r, args.fa_mode, *frame)
             reports.append(rep.to_json())
             ok = ok and rep.conclusions_hold
         results["generators"] = reports

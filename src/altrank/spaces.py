@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .matrices import (
     rows_matrix,
 )
 
-_BLOCK_ELEMS = 1 << 20  # largest temporary of one coset-scan block, in int64 elements
+_WALK_ELEMS = 1 << 16  # parent-mask entries behind one block of the coset walk (at least one pair)
 
 
 class AffineMatrixSpace:
@@ -283,39 +283,16 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     return num // den
 
 
-def _echelon_blocks(
-    m: int, d: int, q: int, per_space: int
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Reduced-echelon representatives of the d-dim subspaces of F_q^m as
-    (pivots, (b, d, m) stack) blocks, in enumeration order.
-
-    Each pivot pattern starts with a block of one space, and blocks grow x4
-    while b * per_space stays within ``_BLOCK_ELEMS`` int64 elements.
-    """
-    limit = max(1, _BLOCK_ELEMS // max(1, per_space))
-    for pivots in combinations(range(m), d):
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(pivots[i] + 1, m)
-            if j not in pivots
-        ]
-        fi, fj = [i for i, _ in free], [j for _, j in free]
-        count = q ** len(free)
-        lo, size = 0, 1
-        while lo < count:
-            hi = min(count, lo + size)
-            w = np.zeros((hi - lo, d, m), dtype=np.int64)
-            w[:, range(d), pivots] = 1
-            w[:, fi, fj] = _engine.lex_coords(lo, hi, len(free), q)
-            yield pivots, w
-            lo, size = hi, min(limit, 4 * size)
-
-
 def echelon_bases(m: int, d: int, q: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Reduced-echelon representatives of the d-dim subspaces of F_q^m."""
-    for pivots, block in _echelon_blocks(m, d, q, d * m):
-        for w in block:
+    """Reduced-echelon representatives of the d-dim subspaces of F_q^m: pivot
+    patterns in lex order, then the free entries (row by row, left to right)
+    in lex order.  The optimal search walks its direction spaces in this order."""
+    for pivots in combinations(range(m), d):
+        free = [(i, j) for i in range(d) for j in range(pivots[i] + 1, m) if j not in pivots]
+        for coords in product(range(q), repeat=len(free)):
+            w = np.zeros((d, m), dtype=np.int64)
+            w[range(d), pivots] = 1
+            w[[i for i, _ in free], [j for _, j in free]] = coords
             yield pivots, w
 
 
@@ -338,12 +315,14 @@ def exhaustive_optimal_dimension(
     """Exact maximum dimension of an affine subspace of A_n(F_q) satisfying
     ``predicate`` ("constant-rank" or "rank-at-least" relative to r).
 
-    Enumerates direction spaces as echelon representatives, a block of them
-    at a time, and counts for every coset of every space in the block how many
-    of its members are bad (or good, whichever side of the ambient rank table
-    is smaller) in one round of numpy calls.  Both predicates pass to affine
-    subspaces, so the scan walks dimensions upward and stops at the first
-    empty level.
+    Each dimension walks the direction spaces in ``echelon_bases`` order, one
+    echelon row at a time, and tracks which cosets of the rows chosen so far
+    hold no bad member; a prefix with too few of them to make up one coset of
+    a d-space prunes every space that extends it.  The witness is the first
+    space with a good coset, its least one by reduced representative, and
+    that coset's least member.  Both predicates pass to affine subspaces, so
+    the search stops at the first empty level.  ``work_budget`` bounds spaces
+    x ambient table per dimension, as if no space were pruned.
     """
     if ctx.kind != "prime":
         raise ValueError("exhaustive search needs a prime field")
@@ -382,7 +361,7 @@ def exhaustive_optimal_dimension(
                 raise BudgetExceededError(
                     f"dimension {d} needs {n_spaces} x {total} work units"
                 )
-            found = _coset_scan(all_vecs, bad, m, d, q)
+            found = _coset_walk(all_vecs, bad, m, d, q)
         exists_by_dim[d] = found is not None
         if found is None:
             break
@@ -402,36 +381,69 @@ def exhaustive_optimal_dimension(
     return OptimalSearchResult(max_dim=max_dim, exists_by_dim=exists_by_dim, witness=witness)
 
 
-def _coset_scan(all_vecs: np.ndarray, bad: np.ndarray, m: int, d: int, q: int):
-    """First (direction rows, coset representative index) whose coset avoids bad.
+def _coset_walk(all_vecs: np.ndarray, bad: np.ndarray, m: int, d: int, q: int):
+    """First (direction rows, coset representative index) whose coset avoids
+    bad, in ``echelon_bases`` order: its least such coset by reduced
+    representative, and that coset's least member.
 
-    The coset key of v is the non-pivot part of v - v[piv] @ W read in base q,
-    linear in v, so one matmul keys a whole block of direction spaces.  Only
-    the smaller of the bad and good vectors is keyed: a coset avoids bad
-    exactly when it holds no bad vector, or all q^d of its vectors are good.
+    A depth-first walk over the echelon rows of each pivot pattern.  A node is
+    the span P of the rows chosen so far, and its state the mask of P's good
+    cosets (no bad member), indexed lexicographically by the reduced
+    representative's non-pivot coordinates, then the pivots still to come.
     """
-    count_bad = 2 * int(bad.sum()) <= bad.size
-    side = all_vecs[bad if count_bad else ~bad]
-    full_count = 0 if count_bad else q**d
-    k = m - d
-    key_pows = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    n_cosets = q**k
-    for pivots, w in _echelon_blocks(m, d, q, max(side.shape[0] * k, n_cosets, d * m)):
-        b = w.shape[0]
-        piv = list(pivots)
+    good = ~bad.reshape((q,) * m)
+    if np.count_nonzero(good) < q**d:  # a good coset has q^d good members
+        return None
+    for pivots in combinations(range(m), d):
         nonpiv = [j for j in range(m) if j not in pivots]
-        w_np = w[:, :, nonpiv]
-        red = side[:, piv] @ w_np.transpose(1, 0, 2).reshape(d, b * k)
-        red = red.reshape(-1, b, k)
-        np.subtract(side[:, None, nonpiv], red, out=red)
-        _engine.mod(red, q, out=red)
-        keys = red @ key_pows + np.arange(b) * n_cosets
-        counts = np.bincount(keys.ravel(), minlength=b * n_cosets).reshape(b, n_cosets)
-        ok = counts == full_count
-        found = ok.any(axis=1)
-        if found.any():
-            s = int(found.argmax())
-            hit = int(ok[s].argmax())
-            keys = (all_vecs[:, nonpiv] - all_vecs[:, piv] @ w_np[s]) % q @ key_pows
-            return w[s], int(np.argmax(keys == hit))
+        found = _walk(good.transpose(nonpiv + list(pivots)).reshape(1, -1), pivots, nonpiv, q, 0)
+        if found is not None:
+            _, rows, leaf = found
+            w = np.array(rows, dtype=np.int64)
+            key_pows = q ** np.arange(m - d - 1, -1, -1, dtype=np.int64)
+            keys = (all_vecs[:, nonpiv] - all_vecs[:, list(pivots)] @ w[:, nonpiv]) % q @ key_pows
+            return w, int(np.argmax(keys == int(leaf.argmax())))
+    return None
+
+
+def _walk(masks: np.ndarray, pivots: tuple[int, ...], nonpiv: list[int], q: int, i: int):
+    """First (node, rows i.., leaf mask) below a stack of depth-i nodes, or None.
+
+    Row i (pivot p, free entries on the non-pivots after p) is zero on the
+    other pivots, so a coset of P + w with representative t, t[p] = 0, is good
+    iff t + lambda w is a good coset of P for every lambda in F_q.  The (node,
+    candidate row) pairs go in blocks that start at one pair and grow x4 up to
+    ``_WALK_ELEMS``.  A good coset of a full space is a union of q^(d-i-1)
+    good cosets of a depth-(i+1) child, so a child with fewer is pruned.
+    """
+    if i == len(pivots):
+        return 0, [], masks[0]
+    cols = [j for j in nonpiv if j > pivots[i]]
+    g, later = q ** len(cols), q ** (len(pivots) - 1 - i)
+    s = masks.reshape(len(masks), -1, g, q, later)
+    digits = _engine.lex_coords(0, g, len(cols), q)
+    pows = q ** np.arange(len(cols) - 1, -1, -1, dtype=np.int64)
+    lo, size = 0, 1
+    while lo < len(masks) * g:
+        hi = min(len(masks) * g, lo + size)
+        node, cand = np.divmod(np.arange(lo, hi), g)
+        # (pair, head, free, tail digits) of each good t with t[p] = 0, dropped
+        # once some t + lambda w is bad: only the free digits shift
+        child = s[node, :, :, 0]
+        pair, a, x, z = np.nonzero(child)
+        for lam in range(1, q):
+            ok = s[node[pair], a, (digits[x] + lam * digits[cand[pair]]) % q @ pows, lam, z]
+            pair, a, x, z = pair[ok], a[ok], x[ok], z[ok]
+        child = np.zeros_like(child)
+        child[pair, a, x, z] = True
+        keep = np.flatnonzero(np.bincount(pair, minlength=hi - lo) >= later)
+        found = _walk(child[keep].reshape(len(keep), -1), pivots, nonpiv, q, i + 1) if len(keep) else None
+        if found is not None:
+            k, rows, leaf = found
+            node_k, cand_k = divmod(lo + int(keep[k]), g)
+            row = np.zeros(len(pivots) + len(nonpiv), dtype=np.int64)
+            row[pivots[i]] = 1
+            row[cols] = digits[cand_k]
+            return node_k, [row] + rows, leaf
+        lo, size = hi, min(max(1, _WALK_ELEMS // masks.shape[1]), 4 * size)
     return None

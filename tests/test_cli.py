@@ -339,3 +339,30 @@ def test_verify_flanders_atkinson_failing_hypothesis_exits_1(tmp_path, mode):
         "first_failure": {"kind": "hypothesis", "detail": [1, 1, 4]},
     }
     assert all(type(x) is int for x in rep["first_failure"]["detail"])
+
+
+def test_verify_flanders_atkinson_validates_the_gram_once_for_all_generators(tmp_path, capsys):
+    # K is checked only when there is a generator to scan against it: a dim-0
+    # space with a singular leading block passes with no reports, while one
+    # generator makes it a usage error; a non-alternating second generator is
+    # rejected with the per-generator message
+    n, k = 4, standard_symplectic(F5, 1)
+    gen = place_blocks(F5, n, n, [(2, 2, k)])
+    stray = Matrix(F5, [[1 if (i, j) == (0, 3) else 0 for j in range(n)] for i in range(n)])
+    cases = [
+        (AffineMatrixSpace(Matrix.zeros(F5, n, n), []), 0, "", "{"),
+        (AffineMatrixSpace(Matrix.zeros(F5, n, n), [gen]), 2, "error: gram matrix must be invertible and alternating", ""),
+        (AffineMatrixSpace(place_blocks(F5, n, n, [(0, 0, k)]), [gen, stray]), 2,
+         "error: alternating mode needs an alternating matrix", ""),
+    ]
+    for sp, want_code, want_err, want_text in cases:
+        src = tmp_path / "space.json"
+        src.write_text(json.dumps(sp.to_json()))
+        argv = ("verify", "--in", str(src), "--check", "flanders-atkinson", "--rank", "2", "--fa-mode", "alternating")
+        code, text = run(tmp_path, *argv)
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("[time]")]
+        assert code == want_code and text.startswith(want_text)
+        assert err == ([want_err] if want_err else [])
+        if code == 0:
+            results = json.loads(text)["results"]
+            assert results["generators"] == [] and results["verdict"] is True

@@ -506,19 +506,54 @@ def per_space_coset_scan(all_vecs, bad, m, d, q):
 @pytest.mark.parametrize("m,d,q", [(4, 2, 3), (5, 3, 2), (3, 1, 5), (6, 3, 2)])
 def test_blocked_coset_scan_matches_per_space_loop(monkeypatch, m, d, q):
     # seeded bad sets of three densities put the first qualifying space deep
-    # inside a block, or leave none, and switch which side gets counted
+    # inside a block of the walk, or leave none
     all_vecs = _engine.lex_coords(0, q**m, m, q)
     for density in (0.35, 0.5, 0.65):
         for seed in range(4):
             bad = np.random.default_rng([m, d, q, seed]).random(q**m) < density
             want = per_space_coset_scan(all_vecs, bad, m, d, q)
-            for cap in (spaces._BLOCK_ELEMS, 1, 2000):
-                monkeypatch.setattr(spaces, "_BLOCK_ELEMS", cap)
-                got = spaces._coset_scan(all_vecs, bad, m, d, q)
+            for cap in (spaces._WALK_ELEMS, 1, 2000):
+                monkeypatch.setattr(spaces, "_WALK_ELEMS", cap)
+                got = spaces._coset_walk(all_vecs, bad, m, d, q)
                 if want is None:
                     assert got is None
                 else:
                     assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+
+
+def alternating_bad(n, r, q, predicate):
+    """The optimal search's bad set: the lex-ordered strict upper triangles
+    whose alternating matrix fails the predicate."""
+    all_vecs = _engine.lex_coords(0, q ** (n * (n - 1) // 2), n * (n - 1) // 2, q)
+    ranks = _engine.alternating_ranks(all_vecs.copy(), n, q)
+    return all_vecs, (ranks != r) if predicate == "constant-rank" else (ranks < r)
+
+
+@pytest.mark.parametrize(
+    "n,q,dims",
+    [(4, 2, range(1, 6)), (3, 5, range(1, 3)), (4, 3, range(1, 3))],
+)
+def test_coset_walk_matches_per_space_loop_on_rank_tables(n, q, dims):
+    m = n * (n - 1) // 2
+    for r in range(0, n + 1, 2):
+        for predicate in ("constant-rank", "rank-at-least"):
+            all_vecs, bad = alternating_bad(n, r, q, predicate)
+            for d in dims:
+                want = per_space_coset_scan(all_vecs, bad, m, d, q)
+                got = spaces._coset_walk(all_vecs, bad, m, d, q)
+                if want is None:
+                    assert got is None, (r, predicate, d)
+                else:
+                    assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1]), (r, predicate, d)
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_coset_walk_finds_no_constant_rank_solid_at_4_f3(r):
+    """Dimension 3 at (4, r, F_3) is the level the optimal search proves
+    empty: every one of the 33,880 direction spaces is checked or pruned."""
+    all_vecs, bad = alternating_bad(4, r, 3, "constant-rank")
+    assert per_space_coset_scan(all_vecs, bad, 6, 3, 3) is None
+    assert spaces._coset_walk(all_vecs, bad, 6, 3, 3) is None
 
 
 @pytest.mark.parametrize(
@@ -528,9 +563,10 @@ def test_blocked_coset_scan_matches_per_space_loop(monkeypatch, m, d, q):
 def test_optimal_search_is_independent_of_block_size(monkeypatch, n, r, q, predicate):
     ctx = FieldCtx.prime(q)
     want = exhaustive_optimal_dimension(n, r, ctx, predicate)
-    # 1: one space per block; 5000: blocks of a few spaces, growth capped off a power of 4
+    # 1: one (node, row) pair per block; 5000: blocks of a few pairs, growth
+    # capped off a power of 4
     for cap in (1, 5000):
-        monkeypatch.setattr(spaces, "_BLOCK_ELEMS", cap)
+        monkeypatch.setattr(spaces, "_WALK_ELEMS", cap)
         got = exhaustive_optimal_dimension(n, r, ctx, predicate)
         assert (got.max_dim, got.exists_by_dim) == (want.max_dim, want.exists_by_dim)
         assert got.witness.to_json() == want.witness.to_json()
