@@ -90,24 +90,14 @@ def build_bordered_alternating(
     s x s, B in the inner family of invertible s x s matrices (dimension
     s(s-1)/2), and C free s x (n-2s).  Total dimension s(n-s-1).
     """
-    if s < 1 or n < 2 * s:
-        raise ValueError("needs s >= 1 and n >= 2s")
-    if inner is None:
-        inner = build_unitriangular_space(ctx, s)
-    _check_inner(ctx, inner, s, s * (s - 1) // 2, alternating=False)
+    rows = build_row_block_family(ctx, n, s, inner)
 
-    def bordered(a, b, c):  # [[a, b, c], [-b^T, 0, 0], [-c^T, 0, 0]]
-        return place_blocks(ctx, n, n, [(0, 0, a), (0, s, b), (s, 0, -b.T), (0, 2 * s, c), (2 * s, 0, -c.T)])
+    def bordered(x):  # [[0, x], [-x^T, 0]] for an s x (n-s) row block x
+        return place_blocks(ctx, n, n, [(0, s, x), (s, 0, -x.T)])
 
-    zs = Matrix.zeros(ctx, s, s)
-    zc = Matrix.zeros(ctx, s, n - 2 * s)
-    base = bordered(zs, inner.base, zc)
-    gens = [bordered(a, zs, zc) for a in alternating_units(ctx, s)]
-    gens += [bordered(zs, b, zc) for b in inner.basis]
-    for i in range(s):
-        for j in range(n - 2 * s):
-            gens.append(bordered(zs, zs, _unit(ctx, s, n - 2 * s, i, j)))
-    return AffineMatrixSpace(base, gens, alternating=True)
+    gens = [place_blocks(ctx, n, n, [(0, 0, a)]) for a in alternating_units(ctx, s)]
+    gens += [bordered(x) for x in rows.basis]
+    return AffineMatrixSpace(bordered(rows.base), gens, alternating=True)
 
 
 def build_row_block_family(

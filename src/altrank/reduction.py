@@ -17,9 +17,8 @@ import numpy as np
 
 from . import _engine, analyze
 from .errors import ContractError
-from .fields import Element, FieldCtx
 from .families import build_bordered_alternating, build_row_block_family, constant_rank_field_bound
-from .matrices import Matrix, Vector, alternating_units, form_value, place_blocks, rows_matrix, span_dim
+from .matrices import Matrix, Vector, alternating_units, place_blocks, rows_matrix, span_dim
 from .spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act, spaces_equal
 from .symplectic import symplectic_basis, totally_singular_witness
 from .rand import CounterStream, derive_seed
@@ -194,40 +193,6 @@ def totally_singular_rejection(
     return None
 
 
-def _rank_two_slab_witness(tail: list[Vector], x: Vector, y: Vector, span: Span) -> Matrix:
-    """Rank-2 alternating form that pairs x and y and whose radical contains the tail.
-
-    tail is a list of unit vectors and span the span of x, y and the tail,
-    with x and y independent modulo the tail.  The form is phi1 ^ phi2 for
-    the functionals dual to x and y in the basis (x, y, tail units) extended
-    by the lowest-index unit vectors.  Both functionals vanish off the two
-    coordinates a < b that no unit covers, so the form is
-    (x_a y_b - x_b y_a)^-1 (E_ab - E_ba).
-    """
-    ctx = span.ctx
-    one = ctx.one()
-    covered = {u.index(one) for u in tail + span.extend_with_units(span.width - span.dim)}
-    free = [t for t in range(span.width) if t not in covered]
-    if len(free) != 2:
-        raise AssertionError("the units do not leave exactly two coordinates uncovered")
-    a, b = free
-    return _slab_form(ctx, a, b, ctx.sub(ctx.mul(x[a], y[b]), ctx.mul(x[b], y[a])), x, y)
-
-
-def _slab_form(ctx: FieldCtx, a: int, b: int, d: Element, x: Vector, y: Vector) -> Matrix:
-    """d^-1 (E_ab - E_ba), checked to take the value 1 on (x, y)."""
-    if d == 0:
-        raise AssertionError("the defining pair is dependent modulo the tail")
-    n = len(x)
-    rows = [[ctx.zero()] * n for _ in range(n)]
-    rows[a][b] = ctx.inv(d)
-    rows[b][a] = ctx.neg(rows[a][b])
-    bmat = Matrix(ctx, rows)
-    if form_value(bmat, x, y) != 1:
-        raise AssertionError("dual-basis form lost its defining pair")
-    return bmat
-
-
 def unique_totally_singular_complement(
     sp: AffineMatrixSpace, s: int, *, seed: int = 0, candidates: int = 200
 ) -> list[Vector]:
@@ -238,12 +203,16 @@ def unique_totally_singular_complement(
     checking that the translation span contains every alternating matrix
     supported on the leading s x s block, (b) re-checking the dimension
     obstruction that rules out any other candidate, and (c) rejecting a
-    seeded family of perturbed candidate subspaces with explicit witnesses,
-    in one engine pass (``_reject_candidates``).
+    seeded family of candidate subspaces, each by a member whose form is
+    nonzero on it, in one engine pass (``_reject_candidates``).  A rank-2 form
+    that pairs a candidate's rows modulo the tail is supported on the leading
+    s x s block, so (a) has already put it in the translation span.
     """
     ctx = sp.ctx
     if ctx.kind != "prime":
         raise ValueError("the complement scan needs a prime field")
+    if candidates < 0:
+        raise ValueError("the candidate count must be non-negative")
     n = sp.shape[0]
     r = 2 * s
     if n <= 2 * s + 2:
@@ -265,7 +234,7 @@ def unique_totally_singular_complement(
         if Span(ctx, cols, width=n).dim < s:
             raise ContractError("tail columns of the translation span are too thin")
 
-    _reject_candidates(sp, s, tail, seed, candidates)
+    _reject_candidates(sp, s, seed, candidates)
     return tail
 
 
@@ -294,33 +263,6 @@ def _complement_candidates(p: int, n: int, s: int, seed: int, candidates: int) -
     return np.concatenate(parts), len(parts[0])
 
 
-def _slab_pairs(lead: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
-    """(has, i0, j0, a, b, d) per candidate, from the leading s columns of its rows
-    (the rows modulo the tail span), shape (m, n-s, s).
-
-    i0 is the first nonzero row and j0 the first later row with a nonzero 2 x 2
-    minor against it; ``has`` is false where there is none.  With x, y rows i0
-    and j0, b is the last coordinate where x or y is nonzero and a the last t
-    with a nonzero minor on some column pair (t, t'), t' > t: the two
-    coordinates that ``Span.extend_with_units`` leaves uncovered.  d is
-    x_a y_b - x_b y_a.
-    """
-    m, _, s = lead.shape
-    at = np.arange(m)
-    t0, t1 = np.triu_indices(s, 1)
-    i0 = lead.any(axis=2).argmax(axis=1)
-    x = lead[at, i0]
-    minors = _engine.mod(x[:, None, t0] * lead[:, :, t1] - x[:, None, t1] * lead[:, :, t0], p)
-    indep = minors.any(axis=2)
-    has, j0 = indep.any(axis=1), indep.argmax(axis=1)
-    y = lead[at, j0]
-    pair = _engine.mod(x[:, t0] * y[:, t1] - x[:, t1] * y[:, t0], p) != 0
-    b = s - 1 - ((x != 0) | (y != 0))[:, ::-1].argmax(axis=1)
-    a = np.where(pair, t0, -1).max(axis=1, initial=-1)
-    d = _engine.mod(x[at, a] * y[at, b] - x[at, b] * y[at, a], p)
-    return has, i0, j0, a, b, d
-
-
 def _rejected(sp: AffineMatrixSpace, cands: np.ndarray) -> np.ndarray:
     """Per candidate C of the stack, whether C G C^T is nonzero mod p for some
     member G in (base, *basis): its rows span no totally singular subspace."""
@@ -331,28 +273,23 @@ def _rejected(sp: AffineMatrixSpace, cands: np.ndarray) -> np.ndarray:
     return _engine._matmul_mod(image, cands.transpose(0, 2, 1)[None], 0, p).any(axis=(0, 2, 3))
 
 
-def _reject_candidates(sp: AffineMatrixSpace, s: int, tail: list[Vector], seed: int, candidates: int) -> None:
-    """Step (c) of ``unique_totally_singular_complement``: every candidate must
-    have a nonzero form for some member, and the rank-2 slab form of its first
-    two rows independent modulo the tail, if any, must lie in the translation
-    span (checked once per distinct (a, b, d)).  The first candidate that fails
-    raises ``ContractError``.
+def _reject_candidates(sp: AffineMatrixSpace, s: int, seed: int, candidates: int) -> None:
+    """Step (c) of ``unique_totally_singular_complement``: every candidate C
+    must have C G C^T nonzero for some member G, or ``ContractError`` is raised.
 
-    Draws, ranks, forms and pairs come from the engine in one pass, so the first
+    Draws, ranks and forms come from the engine in one pass, so the first
     GUARD_MEMBERS random candidates (the last GUARD_MEMBERS of the stack when
     fewer are drawn) are first re-derived on the exact layer, one at a time,
     and any disagreement raises ``AssertionError``.
     """
     ctx, p, n = sp.ctx, sp.ctx.p, sp.shape[0]
     cands, n_struct = _complement_candidates(p, n, s, seed, candidates)
-    stack = [[tuple(v) for v in cand] for cand in cands.tolist()]
-    rejected = _rejected(sp, cands).tolist()
-    pairs = list(zip(*(v.tolist() for v in _slab_pairs(cands[:, :, :s], p))))
+    rejected = _rejected(sp, cands)
 
-    lo = min(n_struct, max(0, len(stack) - _engine.GUARD_MEMBERS))
+    lo = min(n_struct, max(0, len(cands) - _engine.GUARD_MEMBERS))
     stream = CounterStream(derive_seed(seed, "complement"))
-    for c in range(lo, min(len(stack), lo + _engine.GUARD_MEMBERS)):
-        cand = stack[c]
+    for c in range(lo, min(len(cands), lo + _engine.GUARD_MEMBERS)):
+        cand = [tuple(v) for v in cands[c].tolist()]
         if c >= n_struct:
             while True:
                 rows = [stream.vector(ctx, n) for _ in range(n - s)]
@@ -362,23 +299,8 @@ def _reject_candidates(sp: AffineMatrixSpace, s: int, tail: list[Vector], seed: 
                 raise AssertionError(f"engine draws differ from the stream at candidate {c}")
         if (totally_singular_rejection(sp, cand) is not None) != rejected[c]:
             raise AssertionError(f"engine forms disagree with the exact rejection at candidate {c}")
-        span = Span(ctx, tail, width=n)
-        picked = [t for t, v in enumerate(cand) if span.dim < n - s + 2 and span.add(v)]
-        exact = (picked, _rank_two_slab_witness(tail, *(cand[t] for t in picked), span)) if len(picked) == 2 else None
-        has, i0, j0, a, b, d = pairs[c]
-        batch = ([i0, j0], _slab_form(ctx, a, b, d, cand[i0], cand[j0])) if has else None
-        if exact != batch:
-            raise AssertionError(f"engine slab form disagrees with the exact one at candidate {c}")
-
-    contained: dict[tuple, bool] = {}
-    for cand, ok, (has, i0, j0, a, b, d) in zip(stack, rejected, pairs):
-        if not ok:
-            raise ContractError("a second totally singular complement exists")
-        if has:
-            if (a, b, d) not in contained:
-                contained[a, b, d] = sp.translation_contains(_slab_form(ctx, a, b, d, cand[i0], cand[j0]))
-            if not contained[a, b, d]:
-                raise ContractError("rank-2 rejection form escaped the translation span")
+    if not rejected.all():
+        raise ContractError("a second totally singular complement exists")
 
 
 def canonical_reduction(
@@ -396,14 +318,17 @@ def canonical_reduction(
     Preconditions (errors): prime field of size at least max(r-1, 2 + r/2),
     alternating n x n space with n >= r+3 and dimension exactly s(n-s-1),
     constant rank r established exhaustively within budget unless
-    rank_certified is set.  Mathematical failures during the pipeline are
-    recorded as false verdicts, not exceptions.
+    rank_certified is set, and a non-negative candidate count.  Mathematical
+    failures during the pipeline are recorded as false verdicts, not
+    exceptions.
     """
     ctx = sp.ctx
     if ctx.kind != "prime":
         raise ValueError("the reduction pipeline scans pencils over a prime field")
     if r < 2 or r % 2 == 1:
         raise ValueError("rank must be even and positive")
+    if candidates < 0:
+        raise ValueError("the candidate count must be non-negative")
     s = r // 2
     n = sp.shape[0]
     if not sp.alternating or sp.shape != (n, n):

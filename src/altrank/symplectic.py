@@ -29,7 +29,9 @@ from .spaces import AffineMatrixSpace, Span
 
 
 def standard_symplectic(ctx: FieldCtx, s: int) -> Matrix:
-    """The 2s x 2s block matrix [[0, I_s], [-I_s, 0]]."""
+    """The 2s x 2s block matrix [[0, I_s], [-I_s, 0]], for s >= 0."""
+    if s < 0:
+        raise ValueError("the symplectic half-size must be non-negative")
     z, o = ctx.zero(), ctx.one()
     n = 2 * s
     rows = [[z] * n for _ in range(n)]

@@ -94,6 +94,25 @@ def test_reduce_small_field_is_usage_error(tmp_path):
     assert code == 2  # cardinality hypothesis not met
 
 
+def test_reduce_negative_candidate_count_is_usage_error(tmp_path, capsys):
+    sp = build_bordered_alternating(F5, 5, 1)
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(sp.to_json()))
+    code, text = run(tmp_path, "reduce", "--in", str(src), "--rank", "2", "--candidates", "-3")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "candidate" in err
+
+
+def test_construct_negative_symplectic_size_is_usage_error(tmp_path, capsys):
+    code, text = run(tmp_path, "construct", "--family", "standard-symplectic", "--field", "Fp:3", "--s", "-1")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    code, text = run(tmp_path, "construct", "--family", "standard-symplectic", "--field", "Fp:3", "--s", "0")
+    assert code == 0 and json.loads(text)["results"]["dimension"] == 0
+
+
 def test_table_rows_and_agreement(tmp_path):
     out = tmp_path / "table.tsv"
     code = main([

@@ -12,7 +12,7 @@ from altrank.families import (
     build_row_block_family,
 )
 from altrank.fields import FieldCtx
-from altrank.matrices import Matrix, Span, alternating_from_upper, form_value, rows_matrix, span_dim, upper_pairs
+from altrank.matrices import Matrix, Span, alternating_from_upper, form_value, place_blocks, rows_matrix, span_dim, upper_pairs
 from altrank.rand import (
     DEFAULT_RATIONAL_BOX,
     CounterStream,
@@ -25,10 +25,8 @@ from altrank.rand import (
 from altrank.reduction import (
     VERDICT_KEYS,
     _complement_candidates,
-    _rank_two_slab_witness,
     _reject_candidates,
     _rejected,
-    _slab_pairs,
     canonical_reduction,
     find_rank_r_member,
     normalize_radical_to_tail,
@@ -36,7 +34,7 @@ from altrank.reduction import (
     totally_singular_rejection,
     unique_totally_singular_complement,
 )
-from altrank.spaces import AffineMatrixSpace, congruence_act, equivalence_act, spaces_equal
+from altrank.spaces import AffineMatrixSpace, congruence_act, echelon_bases, equivalence_act, spaces_equal
 
 F2 = FieldCtx.prime(2)
 F3 = FieldCtx.prime(3)
@@ -232,6 +230,10 @@ def dual_basis_slab_witness(tail, x, y, span):
 @pytest.mark.parametrize("p", [3, 5, 7, 2_147_483_629])
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_rank_two_slab_witness_matches_dual_basis_reference(p, s):
+    # the rank-2 form that pairs x and y modulo the tail is d^-1 (E_ab - E_ba)
+    # on the two coordinates a < b that no unit covers, with a < b < s: a
+    # multiple of a leading-block unit, which step (a) of the complement scan
+    # finds in the translation span, so step (c) need not build it
     ctx = FieldCtx.prime(p)
     n = 2 * s + 3
     ident = Matrix.identity(ctx, n)
@@ -252,30 +254,24 @@ def test_rank_two_slab_witness_matches_dual_basis_reference(p, s):
         if not (span.add(x) and span.add(y)):
             continue
         expected = dual_basis_slab_witness(tail, x, y, copy(span))
-        got = _rank_two_slab_witness(tail, x, y, span)
+        covered = {u.index(1) for u in tail + span.extend_with_units(n - span.dim)}
+        a, b = (t for t in range(n) if t not in covered)
+        assert b < s
+        unit = place_blocks(ctx, n, n, [(0, 0, alt_unit(ctx, s, a, b))])
+        got = unit.scale(ctx.inv(ctx.sub(ctx.mul(x[a], y[b]), ctx.mul(x[b], y[a]))))
         assert got == expected
-        assert got.is_alternating() and got.rank() == 2 and form_value(got, x, y) == 1
-        free_pairs.add(tuple(t for t in range(n) if any(got.row(t))))
+        assert got.rank() == 2 and form_value(got, x, y) == 1
+        free_pairs.add((a, b))
         checked += 1
     assert len(free_pairs) > 1 or s == 2
-
-
-def test_rank_two_slab_witness_dependent_pair_is_internal_fault():
-    # y = 2x, but the span passed in holds x, z and the tail: the units leave
-    # two coordinates free, and the 2x2 determinant of x and y on them is zero
-    ctx = F5
-    ident = Matrix.identity(ctx, 7)
-    tail = [ident.row(t) for t in range(2, 7)]
-    x, y, z = (1, 2, 0, 0, 0, 0, 0), (2, 4, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)
-    span = Span(ctx, tail + [x, z])
-    with pytest.raises(AssertionError, match="dependent"):
-        _rank_two_slab_witness(tail, x, y, span)
 
 
 def test_unique_complement_guards():
     sp = build_bordered_alternating(F5, 6, 2)
     with pytest.raises(ValueError):
         unique_totally_singular_complement(sp, 2)  # needs n > 2s + 2
+    with pytest.raises(ValueError, match="candidate count"):
+        unique_totally_singular_complement(build_bordered_alternating(F5, 7, 2), 2, candidates=-3)
     thin = AffineMatrixSpace(Matrix.zeros(F5, 5), [alt_unit(F5, 5, 0, 1)], alternating=True)
     with pytest.raises(ContractError):
         unique_totally_singular_complement(thin, 1)  # tail columns all zero
@@ -283,14 +279,11 @@ def test_unique_complement_guards():
 
 def reference_complement_scan(sp, s, seed, candidates):
     """The one-candidate loop that the batched complement scan replaced, per
-    candidate in order: its rows, whether ``totally_singular_rejection``
-    rejects it, and for s >= 2 (i0, j0, slab form) of its first two rows
-    independent modulo the tail span, or None; plus the number of draws."""
+    candidate in order: its rows and whether ``totally_singular_rejection``
+    rejects it; plus the number of draws."""
     ctx = sp.ctx
     n = sp.shape[0]
     ident = Matrix.identity(ctx, n)
-    tail = [tuple(ident.row(i)) for i in range(s, n)]
-    tail_span = Span(ctx, tail)
     structured = [
         [tuple(ident.row(t)) for t in range(s, n) if t != j] + [tuple(ident.row(i))]
         for i in range(s) for j in range(s, n)
@@ -307,15 +300,7 @@ def reference_complement_scan(sp, s, seed, candidates):
                 continue
         if all(all(c == 0 for c in v[:s]) for v in cand):
             continue
-        pair = None
-        if s >= 2:
-            span, picked = copy(tail_span), []
-            for t, v in enumerate(cand):
-                if len(picked) < 2 and span.add(v):
-                    picked.append(t)
-            if len(picked) == 2:
-                pair = (*picked, _rank_two_slab_witness(tail, cand[picked[0]], cand[picked[1]], span))
-        out.append((cand, totally_singular_rejection(sp, cand) is not None, pair))
+        out.append((cand, totally_singular_rejection(sp, cand) is not None))
     return out, draws
 
 
@@ -332,88 +317,67 @@ def test_batched_complement_scan_matches_reference_loop(p, s):
     model = build_bordered_alternating(ctx, n, s)
     moved = congruence_act(model, seeded_invertible(ctx, n, f"scan-{p}-{s}"))
     count = 60 if p > 7 else 200
+    seen = set()
     for sp in (moved, thinned(model, 0), thinned(model, 1), thinned(model, 2)):
         ref, draws = reference_complement_scan(sp, s, 11, count)
         cands, n_struct = _complement_candidates(p, n, s, 11, count)
         assert n_struct == min(count, s * (n - s))
-        assert [[tuple(v) for v in c] for c in cands.tolist()] == [c for c, _, _ in ref]
-        assert _rejected(sp, cands).tolist() == [rej for _, rej, _ in ref]
-        if s == 1:
-            continue
-        has, i0, j0, a, b, d = _slab_pairs(cands[:, :, :s], p)
-        assert has.tolist() == [pair is not None for _, _, pair in ref]
-        for c, (_, _, pair) in enumerate(ref):
-            if pair is not None:
-                ri0, rj0, form = pair
-                ((ra, rb),) = [(t, u) for t in range(n) for u in range(t + 1, n) if form.row(t)[u]]
-                assert (i0[c], j0[c], a[c], b[c], d[c]) == (ri0, rj0, ra, rb, ctx.inv(form.row(ra)[rb]))
+        assert [[tuple(v) for v in c] for c in cands.tolist()] == [c for c, _ in ref]
+        rejected = _rejected(sp, cands).tolist()
+        assert rejected == [rej for _, rej in ref]
+        seen.add(all(rejected))
+    assert seen == {True, False}
     if p == 3:
         assert draws > count - n_struct  # the rank filter and the leading-zero skip dropped draws
-    if p == 7:
-        pairs = {(a[c], b[c]) for c in range(count) if has[c]}
-        assert has.sum() > 150 and len(pairs) == 3
-
-
-@pytest.mark.parametrize("p", [5, 7, 2_147_483_629])
-@pytest.mark.parametrize("s", [2, 3, 4])
-def test_slab_pairs_match_reference_on_sparse_leading_blocks(p, s):
-    # random candidates almost always pivot on rows 0 and 1; here each row's
-    # leading block is zero, or a multiple of the row before, some of the time,
-    # and leading columns are cleared, so i0, j0 and the uncovered pair (a, b)
-    # move around
-    ctx = FieldCtx.prime(p)
-    n = 2 * s + 3
-    ident = Matrix.identity(ctx, n)
-    tail = [tuple(ident.row(t)) for t in range(s, n)]
-    rng = np.random.default_rng([p % 1000, s])
-    cands = rng.integers(0, p, (300, n - s, n))
-    for row in range(n - s):
-        cands[rng.random(300) < 0.3, row, :s] = 0
-        if row:
-            copy_prev = rng.random(300) < 0.3
-            cands[copy_prev, row, :s] = cands[copy_prev, row - 1, :s] * 3 % p
-    cands[:, :, :s] *= rng.random((300, 1, s)) < 0.7  # and each leading column is cleared in 30%
-    has, i0, j0, a, b, d = _slab_pairs(cands[:, :, :s], p)
-    seen = set()
-    for c, cand in enumerate(cands.tolist()):
-        cand = [tuple(v) for v in cand]
-        span = Span(ctx, tail)
-        picked = [t for t, v in enumerate(cand) if span.dim < n - s + 2 and span.add(v)]
-        assert has[c] == (len(picked) == 2)
-        if has[c]:
-            form = _rank_two_slab_witness(tail, cand[picked[0]], cand[picked[1]], span)
-            ((ra, rb),) = [(t, u) for t in range(n) for u in range(t + 1, n) if form.row(t)[u]]
-            assert (i0[c], j0[c], a[c], b[c], d[c]) == (*picked, ra, rb, ctx.inv(form.row(ra)[rb]))
-            seen.add((int(i0[c]), int(j0[c]), ra, rb))
-    assert not has.all() and len({key[:2] for key in seen}) > 5
-    assert len({key[2:] for key in seen}) == s * (s - 1) // 2
 
 
 def test_batched_complement_scan_raises_on_a_totally_singular_candidate():
-    # every candidate is totally singular for the zero space; the slab escape
-    # is only reported when it comes first
+    # every candidate is totally singular for the zero space, and some are
+    # for the model thinned to its leading-block generator
     zero = AffineMatrixSpace(Matrix.zeros(F5, 7), [], alternating=True)
-    ident = Matrix.identity(F5, 7)
-    tail = [tuple(ident.row(i)) for i in range(2, 7)]
     with pytest.raises(ContractError, match="second totally singular complement"):
-        _reject_candidates(zero, 2, tail, 0, 200)
+        _reject_candidates(zero, 2, 0, 200)
     model = build_bordered_alternating(F5, 7, 2)
     with pytest.raises(ContractError, match="second totally singular complement"):
-        _reject_candidates(thinned(model, 1), 2, tail, 0, 200)
-    _reject_candidates(model, 2, tail, 0, 200)
+        _reject_candidates(thinned(model, 1), 2, 0, 200)
+    _reject_candidates(model, 2, 0, 200)
 
 
 def test_batched_complement_scan_raises_on_an_escaped_slab_form():
     # the model without its leading-block generator still rejects every
-    # candidate through its other members, but no slab form lies in its span
+    # candidate through its other members, but no rank-2 slab form lies in its
+    # span; step (a) reports the missing leading-block slab before step (c) runs
     model = build_bordered_alternating(F5, 7, 2)
     gens = [g for g in model.basis if g.block(0, 2, 0, 2).is_zero()]
     assert len(gens) == len(model.basis) - 1
     sp = AffineMatrixSpace(model.base, gens, alternating=True)
-    ident = Matrix.identity(F5, 7)
-    tail = [tuple(ident.row(i)) for i in range(2, 7)]
-    with pytest.raises(ContractError, match="escaped the translation span"):
-        _reject_candidates(sp, 2, tail, 0, 200)
+    _reject_candidates(sp, 2, 0, 200)
+    with pytest.raises(ContractError, match="leading-block slab is missing"):
+        unique_totally_singular_complement(sp, 2)
+
+
+@pytest.mark.parametrize("n, s, p", [(5, 1, 2), (6, 1, 2), (5, 1, 3), (6, 1, 3), (7, 1, 3), (5, 1, 5), (7, 2, 2)])
+def test_steps_a_and_b_alone_decide_complement_uniqueness(n, s, p):
+    # every (n-s)-subspace, on the bordered model and each generator-prefix
+    # thinning of it: whenever the scan passes with no candidates at all, every
+    # subspace but the tail is rejected, so steps (a) and (b) carry the proof
+    ctx = FieldCtx.prime(p)
+    model = build_bordered_alternating(ctx, n, s)
+    tail = np.eye(n, dtype=np.int64)[s:]
+    spaces = np.array([w for _, w in echelon_bases(n, n - s, p)])
+    others = spaces[(spaces != tail).any(axis=(1, 2))]
+    assert len(others) == len(spaces) - 1
+    passed = []
+    for keep in range(len(model.basis) + 1):
+        sp = thinned(model, keep)
+        try:
+            unique_totally_singular_complement(sp, s, candidates=0)
+        except ContractError:
+            continue
+        assert _rejected(sp, others).all()
+        passed.append(keep)
+    assert passed[-1] == len(model.basis)
+    assert not _rejected(thinned(model, 0), others).all()  # the base alone has a second complement
 
 
 def test_batched_complement_scan_is_guarded_by_the_exact_layer(monkeypatch):
@@ -481,6 +445,8 @@ def test_canonical_reduction_preconditions():
     hb = build_rank_at_least_space(F5, 7, 4)
     with pytest.raises(ValueError):
         canonical_reduction(hb, 4)  # dimension does not match the target shape
+    with pytest.raises(ValueError, match="candidate count"):
+        canonical_reduction(sp, 4, candidates=-3)
 
 
 def test_canonical_reduction_requires_certification_past_budget():
