@@ -16,9 +16,9 @@ import numpy as np
 from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
 from .fields import prime_below
-from .matrices import Matrix, Vector, eigenvalues_in_field, mat_vec, place_blocks, span_dim, vec_dot
+from .matrices import Matrix, Vector, mat_vec, place_blocks, span_dim, vec_dot
 from .spaces import AffineMatrixSpace, Span
-from .symplectic import is_totally_singular, totally_singular_witness
+from .symplectic import first_singular, is_totally_singular, totally_singular_witness
 
 DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_SAMPLES = 10**5
@@ -82,8 +82,6 @@ def rank_profile(
     over either field and never changes the result.
     """
     q, exhaustive, count, residues = _engine_walk(sp, budget, samples)
-    if not exhaustive and samples < 1:
-        raise ValueError(f"a sampled rank profile needs at least one sample, got {samples}")
     mn, mn_idx, mx, mx_idx = _engine.profile_ranks(
         residues, *sp.shape, q, exhaustive=exhaustive, total=count, seed=seed,
         alternating=sp.alternating, threads=threads,
@@ -128,7 +126,10 @@ def _engine_walk(sp: AffineMatrixSpace, budget: int, samples: int):
     sp.  Over F_p every member when there are at most ``budget`` of them;
     over Q only at dimension zero.  Otherwise ``samples`` seeded draws, with
     coordinates in [0, q) taken as integers in [-box, box] over Q (``box``
-    is ``rand.DEFAULT_RATIONAL_BOX``)."""
+    is ``rand.DEFAULT_RATIONAL_BOX``).  A negative budget, or a sampled
+    walk of fewer than one sample, raises ValueError."""
+    if budget < 0:
+        raise ValueError(f"the enumeration budget must be non-negative, got {budget}")
     if sp.ctx.kind == "prime":
         q = sp.ctx.p
         exhaustive = q**sp.dim <= budget
@@ -137,6 +138,8 @@ def _engine_walk(sp: AffineMatrixSpace, budget: int, samples: int):
         q = 2 * rand.DEFAULT_RATIONAL_BOX + 1
         exhaustive = sp.dim == 0
         residues = _rational_residues(sp, rand.DEFAULT_RATIONAL_BOX)
+    if not exhaustive and samples < 1:
+        raise ValueError(f"a sampled rank profile needs at least one sample, got {samples}")
     return q, exhaustive, q**sp.dim if exhaustive else samples, residues
 
 
@@ -209,7 +212,7 @@ def trivial_spectrum_check(
     [p^k, 2 p^k)); ``checked`` and the budget still count all p^dim members.  The witness
     is the first (member, eigenvalue) pair in member-major, eigenvalue-minor order: the
     first hit, the least member of its line, with its least nonzero eigenvalue in F_p,
-    re-verified by ``eigenvalues_in_field``.
+    found by ``symplectic.first_singular`` on member - t I and re-checked there by ``det``.
     """
     ctx = sp.ctx
     if ctx.kind != "prime":
@@ -228,10 +231,10 @@ def trivial_spectrum_check(
     if len(hits) == 0:
         return TrivialSpectrumReport(True, total, None)
     member = sp.member_at(_engine.index_to_coords(int(hits[0]), sp.dim, p))
-    lams = [lam for lam in eigenvalues_in_field(member) if lam != 0]
-    if not lams:
+    lam = first_singular(member, Matrix.identity(ctx, sp.shape[0]).scale(-1), 1)
+    if lam is None:
         raise AssertionError("spectrum witness failed exact re-verification")
-    return TrivialSpectrumReport(False, total, (member, lams[0]))
+    return TrivialSpectrumReport(False, total, (member, lam))
 
 
 @dataclass(frozen=True)

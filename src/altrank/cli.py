@@ -203,7 +203,7 @@ def cmd_verify(args) -> int:
         pair = _load_input(getattr(args, "in"), "pair")
         t0 = time.perf_counter()
         ctx = pair.ctx
-        holds = analyze.duality_invariant_check(pair, seed=args.seed)
+        holds = analyze.duality_invariant_check(pair, seed=args.seed, budget=args.budget)
         report = _report("verify", ctx, {"check": args.check}, args.seed)
         report["results"] = {"holds": holds}
         _stderr_time("verify", t0)

@@ -11,7 +11,6 @@ built on it, and the forward elimination ``_eliminate``, behind ``rank``,
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import Element, FieldCtx
@@ -566,102 +565,6 @@ def alternating_units(ctx: FieldCtx, n: int) -> list[Matrix]:
     """The alternating units E_ij - E_ji, i < j, in row-major order of (i, j)."""
     m = n * (n - 1) // 2
     return [alternating_from_upper(ctx, n, [1 if t == u else 0 for t in range(m)]) for u in range(m)]
-
-
-def eigenvalues_in_field(m: Matrix) -> list[Element]:
-    """Eigenvalues lying in the ground field, ascending.
-
-    Prime fields are scanned exhaustively.  Over the rationals the candidates
-    come from the rational-root bound on the exact characteristic polynomial,
-    which captures every rational eigenvalue; irrational and complex spectra
-    are out of scope by construction.
-    """
-    if not m.is_square:
-        raise ValueError("eigenvalues of non-square matrix")
-    ctx = m.ctx
-    n = m.nrows
-    if ctx.kind == "prime":
-        out = []
-        ident = Matrix.identity(ctx, n)
-        for lam in range(ctx.p):
-            if (m - ident.scale(lam)).det() == 0:
-                out.append(lam)
-        return out
-    coeffs = char_poly(m)
-    return _rational_roots(coeffs)
-
-
-def char_poly(m: Matrix) -> list[Fraction]:
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn] over Q.
-
-    Faddeev-LeVerrier recursion; requires characteristic zero for the exact
-    division by step counts.
-    """
-    if m.ctx.kind != "rational":
-        raise ValueError("char_poly implemented over the rationals only")
-    n = m.nrows
-    coeffs: list[Fraction] = [Fraction(1)]
-    mk = Matrix.identity(m.ctx, n)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        ck = -_trace(mk) / k
-        coeffs.append(ck)
-        if k < n:
-            mk = mk + Matrix.identity(m.ctx, n).scale(ck)
-    return coeffs
-
-
-def _trace(m: Matrix) -> Element:
-    acc = m.ctx.zero()
-    for i in range(m.nrows):
-        acc = m.ctx.add(acc, m.data[i][i])
-    return acc
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    # Clear denominators to an integer polynomial, strip powers of x, then
-    # test the finitely many p/q candidates given by the rational-root bound.
-    from math import gcd, lcm
-
-    den = lcm(*[c.denominator for c in coeffs]) if coeffs else 1
-    ints = [int(c * den) for c in coeffs]
-    roots: list[Fraction] = []
-    while ints and ints[-1] == 0:
-        ints.pop()
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-    if len(ints) <= 1:
-        return sorted(roots)
-    a_lead, a_tail = ints[0], ints[-1]
-
-    def divisors(v: int) -> list[int]:
-        v = abs(v)
-        out = set()
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.add(d)
-                out.add(v // d)
-            d += 1
-        return sorted(out)
-
-    def value(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in ints:
-            acc = acc * x + c
-        return acc
-
-    seen = set()
-    for num in divisors(a_tail):
-        for d in divisors(a_lead):
-            if gcd(num, d) != 1:
-                continue
-            for cand in (Fraction(num, d), Fraction(-num, d)):
-                if cand not in seen:
-                    seen.add(cand)
-                    if value(cand) == 0:
-                        roots.append(cand)
-    return sorted(roots)
 
 
 # -- vectors -----------------------------------------------------------------------

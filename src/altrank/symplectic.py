@@ -18,7 +18,6 @@ from .fields import FieldCtx
 from .matrices import (
     Matrix,
     Vector,
-    eigenvalues_in_field,
     form_value,
     mat_vec,
     rows_matrix,
@@ -220,25 +219,34 @@ def phi_operators_to_forms(pair: FormSpacePair) -> AffineMatrixSpace:
     )
 
 
+def first_singular(a: Matrix, b: Matrix, lo: int = 0) -> int | None:
+    """The least t in [lo, p) with a + t b singular, or None, for square a, b
+    over a prime field.  One engine pass scans the line from a + lo b; the
+    member it reports is re-checked by ``det``.  With b = -I the answer is the
+    least eigenvalue of a that is at least lo."""
+    ctx = a.ctx
+    if ctx.kind != "prime":
+        raise ValueError("pencil scan needs a prime field")
+    n, p = a.nrows, ctx.p
+    base, step = (a + b.scale(lo)).flatten(), b.flatten()
+    i = _engine.first_index(
+        [(p, np.array(base, dtype=np.int64), np.array([step], dtype=np.int64))], n, n, p,
+        lambda ranks: ranks < n, exhaustive=True, total=p - lo,
+    )
+    if i < 0:
+        return None
+    if (a + b.scale(lo + i)).det() != 0:
+        raise AssertionError("engine witness failed exact re-verification")
+    return lo + i
+
+
 def pencil_symplectic_iff_trivial_spectrum(k: Matrix, g: Matrix) -> tuple[bool, bool]:
     """(every K + t G invertible, spectrum of K^{-1} G inside {0}); the two
     booleans agree whenever K is invertible alternating over a prime field.
 
-    The pencil is scanned by one engine pass; a singular member it reports is
-    re-checked exactly."""
-    ctx = k.ctx
-    if ctx.kind != "prime":
-        raise ValueError("pencil scan needs a prime field")
+    Both come from ``first_singular``: the pencil itself, and K^{-1} G - t I
+    for t != 0."""
     if k.det() == 0:
         raise ValueError("pencil base must be invertible")
-    n, p = k.nrows, ctx.p
-    kg = np.array([k.flatten(), g.flatten()], dtype=np.int64)
-    t = _engine.first_index(
-        [(p, kg[0], kg[1:])], n, n, p, lambda ranks: ranks < n, exhaustive=True, total=p
-    )
-    if t >= 0 and (k + g.scale(t)).det() != 0:
-        raise AssertionError("engine witness failed exact re-verification")
-    pencil_ok = t < 0
-    eigs = eigenvalues_in_field(k.inverse() @ g)
-    trivial = all(e == 0 for e in eigs)
-    return pencil_ok, trivial
+    minus_one = Matrix.identity(k.ctx, k.nrows).scale(-1)
+    return first_singular(k, g) is None, first_singular(k.inverse() @ g, minus_one, 1) is None

@@ -36,7 +36,7 @@ from altrank.rand import (
     uniform_below,
 )
 from altrank.spaces import AffineMatrixSpace, congruence_act, equivalence_act
-from altrank.symplectic import FormSpacePair, pencil_symplectic_iff_trivial_spectrum, standard_symplectic
+from altrank.symplectic import FormSpacePair, first_singular, pencil_symplectic_iff_trivial_spectrum, standard_symplectic
 
 F2 = FieldCtx.prime(2)
 F3 = FieldCtx.prime(3)
@@ -424,6 +424,13 @@ def test_spectrum_scan_at_large_primes():
     rep = trivial_spectrum_check(AffineMatrixSpace(Matrix.zeros(mid, 5), [member]), budget=mid.p)
     assert not rep.trivial and rep.checked == mid.p
     assert rep.witness == (member, 17)
+    # the worst case for the witness search: the one nonzero eigenvalue is p - 2
+    big = FieldCtx.prime(100_003)
+    g = random_invertible(big, 5, stream)
+    tri = Matrix(big, [[0, 1, 2, 3, 4], [0, big.p - 2, 5, 6, 7], [0, 0, 0, 8, 9], [0, 0, 0, 0, 10], [0, 0, 0, 0, 0]])
+    member = g.inverse() @ tri @ g
+    rep = trivial_spectrum_check(AffineMatrixSpace(Matrix.zeros(big, 5), [member]), budget=big.p)
+    assert not rep.trivial and rep.witness == (member, big.p - 2)
 
 
 @pytest.mark.parametrize("dim, p", [(1, 2), (3, 2), (2, 3), (3, 5), (2, 7)])
@@ -552,11 +559,15 @@ def test_first_hit_witnesses_are_rechecked_exactly(monkeypatch):
     with pytest.raises(AssertionError, match="re-verification"):
         flanders_atkinson_check(unit(F5, 3, 0, 1), 2, "pencil")  # member 0 is zero
     k = standard_symplectic(F5, 1)
-    with pytest.raises(AssertionError, match="re-verification"):
+    with pytest.raises(AssertionError, match="engine witness failed exact re-verification"):
         pencil_symplectic_iff_trivial_spectrum(k, Matrix.zeros(F5, 2))  # member 0 is K
+    with pytest.raises(AssertionError, match="engine witness failed exact re-verification"):
+        first_singular(Matrix.identity(F5, 2), Matrix.identity(F5, 2), 1)  # member 0 is 2 I
+    monkeypatch.undo()
+    # a line hit on a nilpotent member: the exact eigenvalue scan finds none
     monkeypatch.setattr(_engine, "unit_eigen_hits", lambda *args, **kwargs: np.array([1]))
-    with pytest.raises(AssertionError, match="re-verification"):
-        trivial_spectrum_check(build_strictly_upper_space(F3, 3))  # member 1 is nilpotent
+    with pytest.raises(AssertionError, match="spectrum witness failed exact re-verification"):
+        trivial_spectrum_check(build_strictly_upper_space(F3, 3))
 
 
 # -- kernel-to-image ----------------------------------------------------------------------

@@ -104,6 +104,26 @@ def test_reduce_negative_candidate_count_is_usage_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "candidate" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--rank", "2", "--sample", "-4", "--budget", "1", "--rank-certified"),
+        ("reduce", "--rank", "2", "--sample", "0", "--budget", "1", "--rank-certified"),
+        ("verify", "--check", "rank-profile", "--budget", "-3"),
+        ("verify", "--check", "rank-profile", "--sample", "0", "--budget", "1"),
+    ],
+    ids=["reduce-negative-sample", "reduce-zero-sample", "verify-negative-budget", "verify-zero-sample"],
+)
+def test_malformed_walk_sizes_are_usage_errors(tmp_path, capsys, argv):
+    sp = build_bordered_alternating(F5, 5, 1)
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(sp.to_json()))
+    code, text = run(tmp_path, argv[0], "--in", str(src), *argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_construct_negative_symplectic_size_is_usage_error(tmp_path, capsys):
     code, text = run(tmp_path, "construct", "--family", "standard-symplectic", "--field", "Fp:3", "--s", "-1")
     err = capsys.readouterr().err
@@ -294,6 +314,24 @@ def test_verify_duality_failed_gate_exits_1_with_its_witness(tmp_path, capsys):
     assert err.splitlines() == [
         f"contract failure: operator space fails the trivial-spectrum gate: {Matrix.identity(F3, 2)!r} has eigenvalue 1"
     ]
+
+
+def test_verify_duality_budget_decides_whether_the_gate_runs(tmp_path, capsys):
+    # the span of I over F_3 has 3 members, each t I with eigenvalue t
+    src = tmp_path / "pair.json"
+    src.write_text(json.dumps({
+        "field": "Fp:3",
+        "gram": standard_symplectic(F3, 1).to_json(),
+        "operators": [Matrix.identity(F3, 2).to_json()],
+    }))
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "duality", "--budget", "1")
+    assert code == 1 and json.loads(text)["results"]["holds"] is False
+    capsys.readouterr()
+    (tmp_path / "out.json").unlink()
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "duality")
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("contract failure: ")
 
 
 @pytest.mark.parametrize("key", ["basis", "field", "rows"])

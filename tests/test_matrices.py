@@ -11,7 +11,6 @@ from altrank.matrices import (
     Matrix,
     _eliminate,
     alternating_from_upper,
-    eigenvalues_in_field,
     pfaffian,
     pfaffian_expansion,
     upper_pairs,
@@ -275,20 +274,6 @@ def test_pfaffian_agreement_hypothesis(coords):
     m = alternating_from_upper(F5, 4, coords)
     assert pfaffian(m) == pfaffian_expansion(m)
     assert F5.mul(pfaffian(m), pfaffian(m)) == m.det()
-
-
-def test_eigenvalues_prime():
-    m = Matrix(F5, [[2, 0], [0, 3]])
-    assert eigenvalues_in_field(m) == [2, 3]
-    nil = Matrix(F5, [[0, 1], [0, 0]])
-    assert eigenvalues_in_field(nil) == [0]
-
-
-def test_eigenvalues_rational():
-    m = Matrix(Q, [[2, 0], [0, 3]])
-    assert sorted(eigenvalues_in_field(m)) == [Fraction(2), Fraction(3)]
-    rot = Matrix(Q, [[0, 1], [-1, 0]])
-    assert eigenvalues_in_field(rot) == []
 
 
 def test_json_round_trip():

@@ -63,10 +63,11 @@ def test_trusted_matrix_constructor_is_private():
 
 def test_no_floating_point_in_the_engine_or_the_profile():
     """The Hadamard bound and the prime search behind rational rank profiles,
-    like every kernel, stay in integers: no float, no square root."""
+    like every kernel and the pencil scans, stay in integers: no float, no
+    square root."""
     pkg = Path(altrank.__file__).parent
     found = []
-    for name in ("_engine.py", "analyze.py"):
+    for name in ("_engine.py", "analyze.py", "symplectic.py"):
         for lineno, line in enumerate((pkg / name).read_text().splitlines(), 1):
             for token in ("float(", "sqrt(", "** 0.5", "np.float"):
                 if token in line:

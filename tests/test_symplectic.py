@@ -14,6 +14,7 @@ from altrank.spaces import AffineMatrixSpace, spaces_equal
 from altrank.symplectic import (
     FormSpacePair,
     find_lagrangian,
+    first_singular,
     is_totally_singular,
     pencil_symplectic_iff_trivial_spectrum,
     phi_forms_to_operators,
@@ -226,3 +227,36 @@ def test_pencil_scan_matches_det_reference_loop():
         assert pencil_ok is want
         seen.add(want)
     assert seen == {True, False}
+
+
+def reference_first_singular(a, b, lo):
+    """The least t in [lo, p) with det(a + t b) = 0, one exact det per t."""
+    return next((t for t in range(lo, a.ctx.p) if (a + b.scale(t)).det() == 0), None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_first_singular_matches_det_reference_loop(p):
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(p, "first-singular"))
+    seen = set()
+    for n in range(1, 5):
+        minus_one = Matrix.identity(ctx, n).scale(-1)
+        for _ in range(12):
+            a, b = random_matrix(ctx, n, n, stream), random_matrix(ctx, n, n, stream)
+            for lo in (0, 1, p - 1):
+                for step in (b, minus_one, Matrix.zeros(ctx, n)):
+                    want = reference_first_singular(a, step, lo)
+                    assert first_singular(a, step, lo) == want
+                    seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_first_singular_finds_eigenvalues():
+    minus_one = Matrix.identity(F5, 2).scale(-1)
+    diag = Matrix(F5, [[2, 0], [0, 3]])
+    assert [first_singular(diag, minus_one, lo) for lo in (0, 3, 4)] == [2, 3, None]
+    nil = Matrix(F5, [[0, 1], [0, 0]])
+    assert first_singular(nil, minus_one) == 0
+    assert first_singular(nil, minus_one, 1) is None
+    with pytest.raises(ValueError, match="prime field"):
+        first_singular(Matrix.identity(Q, 2), Matrix.identity(Q, 2))
