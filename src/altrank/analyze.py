@@ -128,8 +128,7 @@ def _engine_walk(sp: AffineMatrixSpace, budget: int, samples: int):
     coordinates in [0, q) taken as integers in [-box, box] over Q (``box``
     is ``rand.DEFAULT_RATIONAL_BOX``).  A negative budget, or a sampled
     walk of fewer than one sample, raises ValueError."""
-    if budget < 0:
-        raise ValueError(f"the enumeration budget must be non-negative, got {budget}")
+    _check_budget(budget)
     if sp.ctx.kind == "prime":
         q = sp.ctx.p
         exhaustive = q**sp.dim <= budget
@@ -141,6 +140,11 @@ def _engine_walk(sp: AffineMatrixSpace, budget: int, samples: int):
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled rank profile needs at least one sample, got {samples}")
     return q, exhaustive, q**sp.dim if exhaustive else samples, residues
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"the enumeration budget must be non-negative, got {budget}")
 
 
 def _member_coords(sp: AffineMatrixSpace, index: int, exhaustive: bool, q: int, seed: int) -> tuple:
@@ -201,18 +205,64 @@ class TrivialSpectrumReport:
         return obj
 
 
+def nilpotent_flag(sp: AffineMatrixSpace) -> Optional[Matrix]:
+    """A basis b_0..b_(n-1), as the columns of a matrix, with G b_j in
+    span(b_0..b_(j-1)) for every generator G of sp, or None if there is none.
+
+    Q_0 is F^n and Q_i the span of the rows q G, q in Q_(i-1): the row spaces
+    of all words of length i in the generators.  The chain falls until it is
+    0, and then V_i = ker Q_i is a flag with G V_i in V_(i-1); or it stops
+    at a nonzero Q_i = Q_(i-1), and the generators span no nilpotent algebra.
+    At most n steps, each one ``Span`` of (dim Q_(i-1)) * dim rows.
+    """
+    n, m = sp.shape
+    if n != m:
+        raise ValueError("members must be square")
+    ctx = sp.ctx
+    transposes = [g.T for g in sp.basis]
+    chain = [Matrix.identity(ctx, n).data]
+    while chain[-1]:
+        step = Span(ctx, [mat_vec(gt, q) for q in chain[-1] for gt in transposes], width=n)
+        if step.dim == len(chain[-1]):
+            return None
+        chain.append(step.basis())
+    flag = Span(ctx, [], width=n)
+    basis = [v for rows in chain[1:-1] for v in Matrix(ctx, rows).kernel_basis() if flag.add(v)]
+    return Matrix(ctx, zip(*basis, *flag.extend_with_units(n)))
+
+
+def _flag_holds(basis: Matrix, sp: AffineMatrixSpace) -> bool:
+    """Whether the columns b_j of ``basis`` are a basis of F^n with G b_j in
+    span(b_0..b_(j-1)) for every generator G of sp: exact arithmetic only."""
+    n = sp.shape[0]
+    if basis.shape != (n, n):
+        return False
+    below = Span(sp.ctx, [], width=n)
+    for j in range(n):
+        b = basis.col(j)
+        if not all(below.contains(mat_vec(g, b)) for g in sp.basis) or not below.add(b):
+            return False
+    return True
+
+
 def trivial_spectrum_check(
     sp: AffineMatrixSpace, budget: int = DEFAULT_ENUM_BUDGET
 ) -> TrivialSpectrumReport:
-    """Whether no member of a linear space has a nonzero eigenvalue in F_p (eigenvalues
-    in extensions of F_p are not seen).
+    """Whether no member of a linear space has a nonzero eigenvalue.
 
-    Eigenvalue sets scale along with members, so ``_engine.unit_eigen_hits`` decides each
-    line by rank(z^(p-1) - I) < n at its member z with leading coordinate 1 (lex indices
-    [p^k, 2 p^k)); ``checked`` and the budget still count all p^dim members.  The witness
-    is the first (member, eigenvalue) pair in member-major, eigenvalue-minor order: the
-    first hit, the least member of its line, with its least nonzero eigenvalue in F_p,
-    found by ``symplectic.first_singular`` on member - t I and re-checked there by ``det``.
+    First ``nilpotent_flag``: a basis in which every generator is strictly
+    upper triangular makes every member nilpotent, with no nonzero eigenvalue
+    in any extension of F_p.  The basis is re-checked exactly before it is
+    trusted.  Without one, the line scan decides, and it sees eigenvalues in
+    F_p only: eigenvalue sets scale along with members, so
+    ``_engine.unit_eigen_hits`` decides each line by rank(z^(p-1) - I) < n at
+    its member z with leading coordinate 1 (lex indices [p^k, 2 p^k)).  Either
+    way ``checked`` and the budget count all p^dim members.  The witness is
+    the first (member, eigenvalue) pair in member-major, eigenvalue-minor
+    order: the first hit, the least member of its line, with its least
+    nonzero eigenvalue in F_p, found by ``symplectic.first_singular`` on
+    member - t I and re-checked there by ``det``.  A negative budget raises
+    ValueError.
     """
     ctx = sp.ctx
     if ctx.kind != "prime":
@@ -221,12 +271,18 @@ def trivial_spectrum_check(
         raise ValueError("spectrum scan is defined for linear spaces")
     if sp.shape[0] != sp.shape[1]:
         raise ValueError("members must be square")
+    _check_budget(budget)
     p = ctx.p
     total = p**sp.dim
     if total > budget:
         raise BudgetExceededError(
             f"{total} members exceed the spectrum scan budget {budget}"
         )
+    flag = nilpotent_flag(sp)
+    if flag is not None:
+        if not _flag_holds(flag, sp):
+            raise AssertionError("nilpotent flag failed exact re-verification")
+        return TrivialSpectrumReport(True, total, None)
     hits = _engine.unit_eigen_hits(sp.flat_arrays()[1], sp.shape[0], p)
     if len(hits) == 0:
         return TrivialSpectrumReport(True, total, None)
@@ -467,8 +523,10 @@ def duality_invariant_check(
     x stays outside the orbit span S.x, and both x and S.x lie in the
     form-orthogonal of x.  The trivial-spectrum precondition is re-checked
     when the member count fits the budget; a failure raises ``ContractError``
-    naming a member and its eigenvalue.
+    naming a member and its eigenvalue.  A negative budget raises
+    ValueError.
     """
+    _check_budget(budget)
     ctx = pair.ctx
     k = pair.gram
     n = k.nrows

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altrank import _engine
+from altrank import _engine, analyze
 from altrank.analyze import (
     RankProfile,
     _rational_residues,
@@ -13,6 +13,7 @@ from altrank.analyze import (
     first_member,
     flanders_atkinson_check,
     kernel_to_image_check,
+    nilpotent_flag,
     rank_profile,
     trivial_spectrum_check,
 )
@@ -288,17 +289,21 @@ def reference_spectrum_witness(sp):
     return None
 
 
-@pytest.mark.parametrize(
-    "n, dim, p, seed",
-    [
-        (2, 1, 7, 11), (2, 2, 5, 1), (2, 3, 2, 2), (3, 2, 5, 3), (3, 3, 5, 4), (3, 3, 3, 5), (4, 2, 3, 6),
-        (2, 2, 11, 7), (3, 3, 2, 8), (4, 4, 2, 9), (3, 1, 2, 10),
-    ],
-)
-def test_spectrum_witness_matches_reference_loop(n, dim, p, seed):
+WITNESS_CASES = [
+    (2, 1, 7, 11), (2, 2, 5, 1), (2, 3, 2, 2), (3, 2, 5, 3), (3, 3, 5, 4), (3, 3, 3, 5), (4, 2, 3, 6),
+    (2, 2, 11, 7), (3, 3, 2, 8), (4, 4, 2, 9), (3, 1, 2, 10),
+]
+
+
+def witness_space(n, dim, p, seed):
     ctx = FieldCtx.prime(p)
     stream = CounterStream(derive_seed(seed, "spectrum-witness"))
-    sp = AffineMatrixSpace(Matrix.zeros(ctx, n), [random_matrix(ctx, n, n, stream) for _ in range(dim)])
+    return AffineMatrixSpace(Matrix.zeros(ctx, n), [random_matrix(ctx, n, n, stream) for _ in range(dim)])
+
+
+@pytest.mark.parametrize("n, dim, p, seed", WITNESS_CASES)
+def test_spectrum_witness_matches_reference_loop(n, dim, p, seed):
+    sp = witness_space(n, dim, p, seed)
     want = reference_spectrum_witness(sp)
     assert want is not None  # a nontrivial spectrum, so there is a witness to find
     rep = trivial_spectrum_check(sp)
@@ -316,6 +321,7 @@ def test_trivial_spectrum_is_not_nilpotence(p, comp):
     units = [unit(ctx, 4, 0, 2), unit(ctx, 4, 1, 3), unit(ctx, 4, 2, 3)]
     sp = AffineMatrixSpace(Matrix.zeros(ctx, 4), [place_blocks(ctx, 4, 4, [(0, 0, c)])] + units)
     assert reference_spectrum_witness(sp) is None
+    assert nilpotent_flag(sp) is None  # C is not nilpotent, so the scan decides
     rep = trivial_spectrum_check(sp)
     assert rep.trivial and rep.checked == p**4
     power = c
@@ -375,12 +381,13 @@ def full_member_scan(sp):
     return np.nonzero(_engine.batch_rank(mats, p) < n)[0]
 
 
-@pytest.mark.parametrize(
-    "n, dim, p, seed, upper",
-    [(4, 4, 11, 1, False), (4, 4, 11, 2, True), (3, 5, 7, 3, False), (5, 3, 11, 4, False), (3, 6, 5, 5, False),
-     (4, 8, 3, 6, False)],
-)
-def test_line_scan_matches_full_member_scan(n, dim, p, seed, upper):
+LINE_SCAN_CASES = [
+    (4, 4, 11, 1, False), (4, 4, 11, 2, True), (3, 5, 7, 3, False), (5, 3, 11, 4, False), (3, 6, 5, 5, False),
+    (4, 8, 3, 6, False),
+]
+
+
+def line_scan_space(n, dim, p, seed, upper):
     ctx = FieldCtx.prime(p)
     stream = CounterStream(derive_seed(seed, "line-scan"))
     if upper:  # a trivial space: strictly upper directions, conjugated
@@ -389,7 +396,13 @@ def test_line_scan_matches_full_member_scan(n, dim, p, seed, upper):
         basis = [g.inverse() @ u @ g for u in units]
     else:
         basis = [random_matrix(ctx, n, n, stream) for _ in range(dim)]
-    sp = AffineMatrixSpace(Matrix.zeros(ctx, n), basis)
+    return AffineMatrixSpace(Matrix.zeros(ctx, n), basis)
+
+
+@pytest.mark.parametrize("n, dim, p, seed, upper", LINE_SCAN_CASES)
+def test_line_scan_matches_full_member_scan(n, dim, p, seed, upper):
+    sp = line_scan_space(n, dim, p, seed, upper)
+    ctx = sp.ctx
     old = full_member_scan(sp)
     rep = trivial_spectrum_check(sp)
     assert rep.trivial == (old.size == 0) and rep.checked == p**dim
@@ -441,6 +454,117 @@ def test_least_scaled_hit_matches_reference_loop(dim, p):
     for _ in range(20):
         hits = np.unique(rng.integers(1, p**dim, rng.integers(1, 12)))
         assert least_scaled_hit(hits, dim, p) == reference_least_scaled_hit(hits, dim, p)
+
+
+# -- nilpotent flags -----------------------------------------------------------------------
+
+
+def nilpotent_without_flag(ctx):
+    """The span of J = [[0,1,0],[0,0,1],[0,0,0]] and Y = [[0,0,0],[1,0,0],[0,-1,0]]:
+    every member is nilpotent, but J Y = diag(1, -1, 0) is not, so J and Y
+    have no common flag."""
+    j = Matrix(ctx, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    y = Matrix(ctx, [[0, 0, 0], [1, 0, 0], [0, -1, 0]])
+    return AffineMatrixSpace(Matrix.zeros(ctx, 3), [j, y])
+
+
+def flag_cases():
+    """Seeded spaces with and without a flag: those of the witness and line-scan
+    tests, conjugated subspaces of the strictly upper space, and the
+    operator-block spaces at n = 2, 3 over F_3, F_5 and F_7."""
+    spaces = [witness_space(*case) for case in WITNESS_CASES]
+    spaces += [line_scan_space(*case) for case in LINE_SCAN_CASES]
+    for n, dim, p in ((3, 2, 3), (3, 3, 5), (4, 3, 7), (4, 5, 3), (5, 4, 5), (5, 6, 3)):
+        ctx = FieldCtx.prime(p)
+        stream = CounterStream(derive_seed(n, "flag-upper", dim, p))
+        g = random_invertible(ctx, n, stream)
+        uppers = [Matrix(ctx, [[stream.element(ctx) if j > i else 0 for j in range(n)] for i in range(n)])
+                  for _ in range(dim)]
+        spaces.append(AffineMatrixSpace(Matrix.zeros(ctx, n), [g.inverse() @ u @ g for u in uppers]))
+    for p in (3, 5, 7):
+        for n in (2, 3):
+            pair = build_operator_block_space(FieldCtx.prime(p), n)
+            spaces.append(AffineMatrixSpace(Matrix.zeros(pair.ctx, 2 * n), list(pair.operators)))
+    return spaces
+
+
+def test_nilpotent_flag_agrees_with_the_scan():
+    flagged = nontrivial = 0
+    for sp in flag_cases():
+        n, p = sp.shape[0], sp.ctx.p
+        flag = nilpotent_flag(sp)
+        hits = _engine.unit_eigen_hits(sp.flat_arrays()[1], n, p)
+        if flag is not None:
+            flagged += 1
+            assert hits.size == 0
+            inv = flag.inverse()
+            for g in sp.basis:  # P^-1 G P is strictly upper triangular
+                c = inv @ g @ flag
+                assert all(c[i, j] == 0 for i in range(n) for j in range(i + 1))
+        if hits.size:
+            nontrivial += 1
+            assert flag is None
+    assert flagged >= 12 and nontrivial >= 10
+
+
+def test_flagged_members_have_characteristic_polynomial_x_to_the_n():
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    stream = CounterStream(derive_seed(4, "flag-sympy"))
+    for sp in flag_cases():
+        if nilpotent_flag(sp) is None:
+            continue
+        n, p, field = sp.shape[0], sp.ctx.p, GF(sp.ctx.p)
+        for _ in range(3):
+            m = sp.member_at([stream.element(sp.ctx) for _ in range(sp.dim)])
+            poly = DomainMatrix([[field(x) for x in row] for row in m.data], (n, n), field).charpoly()
+            assert [int(c) % p for c in poly] == [1] + [0] * n
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_nilpotent_without_flag_still_scans_trivial(p):
+    ctx = FieldCtx.prime(p)
+    sp = nilpotent_without_flag(ctx)
+    assert all((m @ m @ m).is_zero() for _, m in sp.enumerate())
+    assert nilpotent_flag(sp) is None
+    rep = trivial_spectrum_check(sp)
+    assert rep.trivial and rep.checked == p**2
+
+
+def test_nilpotent_flag_edge_spaces():
+    assert nilpotent_flag(AffineMatrixSpace(Matrix.zeros(F3, 2), [Matrix.identity(F3, 2)])) is None
+    assert nilpotent_flag(AffineMatrixSpace(Matrix.zeros(F5, 3), [])) == Matrix.identity(F5, 3)
+    with pytest.raises(ValueError, match="square"):
+        nilpotent_flag(AffineMatrixSpace(Matrix.zeros(F3, 2, 3), []))
+
+
+def test_flagged_spaces_never_scan(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise RuntimeError("the line scan ran on a flagged space")
+
+    monkeypatch.setattr(_engine, "unit_eigen_hits", no_scan)
+    for ctx in (F3, F5):
+        for n in range(1, 6):
+            rep = trivial_spectrum_check(build_strictly_upper_space(ctx, n), budget=10**7)
+            assert rep.trivial and rep.checked == ctx.p ** (n * (n - 1) // 2)
+        for n in (2, 3):
+            pair = build_operator_block_space(ctx, n)
+            assert duality_invariant_check(pair, seed=0, samples=5)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [Matrix(F3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]), Matrix.zeros(F3, 3), Matrix.identity(F3, 2)],
+    ids=["not-triangularizing", "singular", "wrong-shape"],
+)
+def test_nilpotent_flag_is_rechecked_exactly(monkeypatch, basis):
+    sp = build_strictly_upper_space(F3, 3)
+    assert trivial_spectrum_check(sp).trivial
+    monkeypatch.setattr(analyze, "nilpotent_flag", lambda space: basis)
+    with pytest.raises(AssertionError, match="^nilpotent flag failed exact re-verification$"):
+        trivial_spectrum_check(sp)
 
 
 # -- rank-degeneration conclusions ---------------------------------------------------------
@@ -565,9 +689,10 @@ def test_first_hit_witnesses_are_rechecked_exactly(monkeypatch):
         first_singular(Matrix.identity(F5, 2), Matrix.identity(F5, 2), 1)  # member 0 is 2 I
     monkeypatch.undo()
     # a line hit on a nilpotent member: the exact eigenvalue scan finds none
+    # (a space without a common flag, so the scan runs; member 1 is Y)
     monkeypatch.setattr(_engine, "unit_eigen_hits", lambda *args, **kwargs: np.array([1]))
     with pytest.raises(AssertionError, match="spectrum witness failed exact re-verification"):
-        trivial_spectrum_check(build_strictly_upper_space(F3, 3))
+        trivial_spectrum_check(nilpotent_without_flag(F3))
 
 
 # -- kernel-to-image ----------------------------------------------------------------------

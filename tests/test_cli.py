@@ -10,6 +10,7 @@ from altrank.families import (
     build_counterexample_plane,
     build_operator_block_space,
     build_rank_at_least_space,
+    build_strictly_upper_space,
     optimal_dimension_formula,
 )
 from altrank.fields import FieldCtx
@@ -332,6 +333,22 @@ def test_verify_duality_budget_decides_whether_the_gate_runs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and text == ""
     assert len(err.splitlines()) == 1 and err.startswith("contract failure: ")
+
+
+@pytest.mark.parametrize("check", ["duality", "trivial-spectrum"])
+def test_verify_negative_spectrum_budget_is_usage_error(tmp_path, capsys, check):
+    # with -1 the duality gate used to be skipped silently, and the scan said
+    # that 27 members exceed the budget
+    src = tmp_path / "input.json"
+    if check == "duality":
+        assert main(["construct", "--family", "operator-block", "--field", "Fp:3", "--n", "2", "--out", str(src)]) == 0
+    else:
+        src.write_text(json.dumps(build_strictly_upper_space(F3, 3).to_json()))
+    capsys.readouterr()
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", check, "--budget", "-1")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.splitlines() == ["error: the enumeration budget must be non-negative, got -1"]
 
 
 @pytest.mark.parametrize("key", ["basis", "field", "rows"])
