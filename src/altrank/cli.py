@@ -269,17 +269,11 @@ def cmd_reduce(args) -> int:
         space,
         args.rank,
         seed=args.seed,
-        rank_certified=args.rank_certified,
         enum_budget=args.budget,
         samples=args.sample,
         candidates=args.candidates,
     )
-    report = _report(
-        "reduce",
-        space.ctx,
-        {"rank": args.rank, "candidates": args.candidates, "rank_certified": args.rank_certified},
-        args.seed,
-    )
+    report = _report("reduce", space.ctx, {"rank": args.rank, "candidates": args.candidates}, args.seed)
     report["certificate"] = cert.to_json()
     report["results"] = {"all_verdicts_true": cert.all_verdicts_true}
     _stderr_time("reduce", t0)
@@ -527,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run the canonical reduction pipeline")
     p.add_argument("--in", default="-", help="space JSON path or - for stdin")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--rank-certified", action="store_true")
     p.add_argument("--candidates", type=int, default=200)
     common(p, with_field=False)
     p.set_defaults(func=cmd_reduce)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _engine, analyze
+from . import _engine, analyze, families
 from .errors import ContractError
 from .families import build_bordered_alternating, build_row_block_family, constant_rank_field_bound
 from .matrices import Matrix, Vector, alternating_units, place_blocks, rows_matrix, span_dim
@@ -106,22 +106,19 @@ def normalize_radical_to_tail(sp: AffineMatrixSpace, s0: Matrix) -> tuple[Matrix
     return p1, k
 
 
-def reduce_full_row_rank(
-    t: AffineMatrixSpace,
-    *,
-    enum_budget: int = 10**6,
-    samples: int = 10**4,
-    seed: int = 0,
-    rank_certified: bool = False,
-) -> tuple[Matrix, Matrix, AffineMatrixSpace]:
+def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, Matrix, AffineMatrixSpace]:
     """Equivalence (Q, Q') carrying a full-row-rank space onto [B C] form.
 
-    t consists of s x (n-s) matrices of rank s whose codimension is at most
-    s(s+1)/2.  The construction finds the universal column space
+    t consists of s x (n-s) matrices whose codimension is at most s(s+1)/2.
+    The construction finds the universal column space
     W = { v : u v^T lies in the translation span for every u }, sends a
     complement of W to the first s coordinates, and reads off the recovered
     family M from the leading block.  Returns (Q, Q', M) with
-    Q t Q' = {[B C] : B in M, C arbitrary}, verified exactly.
+    Q t Q' = {[B C] : B in M, C arbitrary}, verified exactly.  Full row rank
+    is not assumed but proved: the builder of that form checks every B
+    invertible (exhaustively up to ``families.INNER_VERIFY_BUDGET`` members
+    of M, by sample past it), so every member [B C] has rank s.  A space
+    that fails any of this raises ``ContractError``.
     """
     ctx = t.ctx
     s, w = t.shape
@@ -132,10 +129,6 @@ def reduce_full_row_rank(
     codim = s * w - t.dim
     if codim > s * (s + 1) // 2:
         raise ValueError("codimension exceeds s(s+1)/2")
-    if not rank_certified:
-        profile = analyze.rank_profile(t, budget=enum_budget, seed=seed, samples=samples)
-        if profile.min_rank < s:
-            raise ContractError("a member drops below full row rank")
 
     span = t.translation_span()
     phi_rows = []
@@ -317,10 +310,14 @@ def canonical_reduction(
 
     Preconditions (errors): prime field of size at least max(r-1, 2 + r/2),
     alternating n x n space with n >= r+3 and dimension exactly s(n-s-1),
-    constant rank r established exhaustively within budget unless
-    rank_certified is set, and a non-negative candidate count.  Mathematical
-    failures during the pipeline are recorded as false verdicts, not
-    exceptions.
+    and a non-negative candidate count.  Constant rank r is proved, not
+    assumed: an all-true certificate lands the space on the bordered form,
+    whose members have rank 2 rank[B C] = r since every B of the inner family
+    is checked invertible, and a space without it ends in a false verdict.
+    That check is exhaustive only up to ``families.INNER_VERIFY_BUDGET``
+    members; past it (q^(s(s-1)/2) members) the call raises unless
+    rank_certified vouches for constancy.  Mathematical failures during the
+    pipeline are recorded as false verdicts, not exceptions.
     """
     ctx = sp.ctx
     if ctx.kind != "prime":
@@ -340,14 +337,10 @@ def canonical_reduction(
         raise ValueError(f"field must have at least {bound} elements")
     if sp.dim != s * (n - s - 1):
         raise ValueError(f"dimension must be the critical value {s * (n - s - 1)}")
-    if not rank_certified:
-        if sp.member_count() > enum_budget:
-            raise ValueError(
-                "constant rank must be caller-certified when enumeration exceeds the budget"
-            )
-        profile = analyze.rank_profile(sp, budget=enum_budget, seed=seed)
-        if not (profile.constant_proved and profile.min_rank == r):
-            raise ContractError("space does not have constant rank r")
+    if not rank_certified and ctx.p ** (s * (s - 1) // 2) > families.INNER_VERIFY_BUDGET:
+        raise ValueError(
+            "constant rank must be caller-certified when the inner family exceeds its verify budget"
+        )
 
     cert = ReductionCertificate(n=n, r=r, s=s, verdicts={k: False for k in VERDICT_KEYS})
 
@@ -427,13 +420,7 @@ def canonical_reduction(
             slab_gens.append(bs)
     slab = AffineMatrixSpace(slab_base, slab_gens)
     try:
-        q, qprime, m_space = reduce_full_row_rank(
-            slab,
-            enum_budget=enum_budget,
-            samples=samples,
-            seed=seed,
-            rank_certified=True,
-        )
+        q, qprime, m_space = reduce_full_row_rank(slab)
     except (ValueError, ContractError) as exc:
         cert.witnesses["failure"] = {"step": "set_equality", "error": str(exc)}
         return cert

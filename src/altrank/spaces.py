@@ -254,7 +254,7 @@ def _brute_equivalence_scan(x, y, gl: np.ndarray):
         ok = np.ones((len(p_blk), count), dtype=bool)
         for t, xm in enumerate(x_mats):
             px = p_blk @ xm % p
-            pxq = np.einsum("aij,bjk->abik", px, gl) % p
+            pxq = px[:, None] @ gl[None] % p
             flat = pxq.reshape(pxq.shape[0], pxq.shape[1], s * s)
             if t == 0:
                 flat = (flat - y0) % p

@@ -15,11 +15,13 @@ from altrank.families import (
 )
 from altrank.fields import FieldCtx
 from altrank.matrices import Matrix, place_blocks
+from altrank.rand import CounterStream, derive_seed, random_alternating
 from altrank.spaces import AffineMatrixSpace
 from altrank.symplectic import standard_symplectic
 
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
+F11 = FieldCtx.prime(11)
 Q = FieldCtx.rational()
 
 
@@ -87,6 +89,30 @@ def test_reduce_round_trip_via_cli(tmp_path):
     assert all(cert["verdicts"].values())
 
 
+def test_reduce_nonconstant_space_exits_1_with_its_witness(tmp_path):
+    sp = build_bordered_alternating(F5, 7, 2)
+    stream = CounterStream(derive_seed(7, "cli-nonconstant"))
+    moved = AffineMatrixSpace(sp.base + random_alternating(F5, 7, stream), sp.basis, alternating=True)
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(moved.to_json()))
+    code, text = run(tmp_path, "reduce", "--in", str(src), "--rank", "4")
+    report = json.loads(text)
+    assert code == 1 and report["results"]["all_verdicts_true"] is False
+    assert report["certificate"]["witnesses"]["failure"]
+
+
+def test_reduce_past_the_inner_budget_is_usage_error(tmp_path, capsys):
+    sp = build_bordered_alternating(F11, 11, 4)  # 11^6 inner members
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(sp.to_json()))
+    code, text = run(tmp_path, "reduce", "--in", str(src), "--rank", "8")
+    err = capsys.readouterr().err
+    assert code == 2 and text == "" and "caller-certified" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--in", str(src), "--rank", "8", "--rank-certified"])
+    assert exc.value.code == 2
+
+
 def test_reduce_small_field_is_usage_error(tmp_path):
     sp = build_bordered_alternating(F3, 7, 2)
     src = tmp_path / "space.json"
@@ -108,8 +134,8 @@ def test_reduce_negative_candidate_count_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("reduce", "--rank", "2", "--sample", "-4", "--budget", "1", "--rank-certified"),
-        ("reduce", "--rank", "2", "--sample", "0", "--budget", "1", "--rank-certified"),
+        ("reduce", "--rank", "2", "--sample", "-4", "--budget", "1"),
+        ("reduce", "--rank", "2", "--sample", "0", "--budget", "1"),
         ("verify", "--check", "rank-profile", "--budget", "-3"),
         ("verify", "--check", "rank-profile", "--sample", "0", "--budget", "1"),
     ],

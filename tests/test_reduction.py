@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from altrank import _engine
+from altrank.analyze import rank_profile
 from altrank.errors import ContractError
 from altrank.families import (
     build_bordered_alternating,
@@ -40,6 +41,7 @@ F2 = FieldCtx.prime(2)
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
+F11 = FieldCtx.prime(11)
 Q = FieldCtx.rational()
 
 
@@ -173,7 +175,7 @@ def test_reduce_full_row_rank_guards():
     degenerate = AffineMatrixSpace(base, [])
     with pytest.raises(ValueError):
         reduce_full_row_rank(degenerate)  # codimension too large
-    # rank defect caught by the exhaustive profile
+    # rank defect: row 1 only ever has its last entry, so the universal column space is too thin
     gens = [Matrix(F5, [[1 if (i, j) == pos else 0 for j in range(4)] for i in range(2)])
             for pos in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 3)]]
     rank_deficient = AffineMatrixSpace(base, gens)
@@ -183,7 +185,7 @@ def test_reduce_full_row_rank_guards():
 
 def test_reduce_full_row_rank_rejects_singular_recovered_family():
     # B runs over I + t*E00 with C free: the recovered family diag(1 + t, 1)
-    # is singular at t = 4, and rank_certified skips the profile that would see it.
+    # is singular at t = 4, which the [B C] builder's invertibility check sees.
     def slab(block, c):
         return Matrix(F5, [[block[0][0], block[0][1], c[0]], [block[1][0], block[1][1], c[1]]])
 
@@ -191,7 +193,7 @@ def test_reduce_full_row_rank_rejects_singular_recovered_family():
     gens = [slab([[1, 0], [0, 0]], [0, 0]), slab([[0, 0], [0, 0]], [1, 0]), slab([[0, 0], [0, 0]], [0, 1])]
     t = AffineMatrixSpace(base, gens)
     with pytest.raises(ContractError, match="recovered family contains a singular member"):
-        reduce_full_row_rank(t, rank_certified=True)
+        reduce_full_row_rank(t)
 
 
 # -- totally singular complements ------------------------------------------------------------
@@ -426,10 +428,10 @@ def test_canonical_reduction_s1():
     assert cert.recovered_M.dim == 0
 
 
-def test_canonical_reduction_rank_certified_large():
-    sp = build_bordered_alternating(F7, 9, 3)
+def test_canonical_reduction_proves_constant_rank_past_the_member_budget():
+    sp = build_bordered_alternating(F7, 9, 3)  # 7^15 members, 7^3 inner members
     p = seeded_invertible(F7, 9, "big")
-    cert = canonical_reduction(congruence_act(sp, p), 6, seed=0, rank_certified=True)
+    cert = canonical_reduction(congruence_act(sp, p), 6, seed=0)
     assert cert.all_verdicts_true
     assert cert.recovered_M.dim == 3
 
@@ -449,22 +451,78 @@ def test_canonical_reduction_preconditions():
         canonical_reduction(sp, 4, candidates=-3)
 
 
-def test_canonical_reduction_requires_certification_past_budget():
-    sp = build_bordered_alternating(F7, 9, 3)  # 7^15 members
-    with pytest.raises(ValueError):
-        canonical_reduction(sp, 6)
+def test_canonical_reduction_requires_certification_past_inner_budget():
+    sp = build_bordered_alternating(F11, 11, 4)  # 11^6 inner members, only sampled
+    with pytest.raises(ValueError, match="caller-certified"):
+        canonical_reduction(sp, 8)
+    cert = canonical_reduction(sp, 8, seed=0, rank_certified=True)
+    assert cert.all_verdicts_true
 
 
 def test_canonical_reduction_rejects_nonconstant_rank():
     sp = build_bordered_alternating(F5, 7, 2)
     gens = list(sp.basis[:-1]) + [alt_unit(F5, 7, 5, 6)]
     broken = AffineMatrixSpace(sp.base, gens, alternating=True)
-    with pytest.raises(ContractError):
-        canonical_reduction(broken, 4, seed=0)
-    # with the profile bypassed the pipeline reports the violating generator
-    cert = canonical_reduction(broken, 4, seed=0, rank_certified=True)
+    # no up-front profile: the pipeline reports the violating generator
+    cert = canonical_reduction(broken, 4, seed=0)
     assert not cert.all_verdicts_true
     assert not cert.verdicts["generator_identities"]
+    assert cert.witnesses["failure"]["step"] == "generator_identities"
+
+
+def test_canonical_reduction_rejects_singular_inner_family():
+    # the bordered form over the inner family diag(1 + t, 1 - t), singular at
+    # t = +-1, passes every step up to the recovered family's invertibility check
+    n, s = 7, 2
+
+    def bordered(rows):
+        x = Matrix(F5, rows)
+        return place_blocks(F5, n, n, [(0, s, x), (s, 0, -x.T)])
+
+    units = [[[int((i, j) == (a, b)) for b in range(5)] for a in range(2)] for i in range(2) for j in range(2, 5)]
+    gens = [alt_unit(F5, n, 0, 1), bordered([[1, 0, 0, 0, 0], [0, -1, 0, 0, 0]])] + [bordered(u) for u in units]
+    sp = AffineMatrixSpace(bordered([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]), gens, alternating=True)
+    assert sp.dim == s * (n - s - 1)
+    for trial in range(3):
+        cert = canonical_reduction(congruence_act(sp, seeded_invertible(F5, n, f"si{trial}")), 4, seed=trial)
+        assert not cert.all_verdicts_true
+        assert cert.witnesses["failure"] == {
+            "step": "set_equality", "error": "recovered family contains a singular member",
+        }
+
+
+def nonconstant_space(ctx, n, s, kind, trial):
+    """A seeded space of critical dimension s(n-s-1) that is not of constant
+    rank 2s: a congruent copy of the bordered model with one generator or the
+    base moved by a random alternating matrix, or a fully random space."""
+    stream = CounterStream(derive_seed(7, "nonconstant", n, s, kind, trial))
+    if kind == "random":
+        gens = [random_alternating(ctx, n, stream) for _ in range(s * (n - s - 1))]
+        return AffineMatrixSpace(random_alternating(ctx, n, stream), gens, alternating=True)
+    sp = congruence_act(build_bordered_alternating(ctx, n, s), random_invertible(ctx, n, stream))
+    base, gens = sp.base, list(sp.basis)
+    if kind == "base":
+        base = base + random_alternating(ctx, n, stream)
+    else:
+        i = stream.below(len(gens))
+        gens[i] = gens[i] + random_alternating(ctx, n, stream)
+    return AffineMatrixSpace(base, gens, alternating=True)
+
+
+@pytest.mark.parametrize("kind", ["generator", "base", "random"])
+@pytest.mark.parametrize("n, r, ctx", [(7, 4, F5), (9, 6, F7), (8, 4, F7)], ids=["7-4-5", "9-6-7", "8-4-7"])
+def test_canonical_reduction_fails_cleanly_on_nonconstant_rank(n, r, ctx, kind):
+    # constancy is the certificate's to prove: without it the pipeline ends in
+    # a false verdict with a failure witness, never in an exception
+    s = r // 2
+    for trial in range(4):
+        sp = nonconstant_space(ctx, n, s, kind, trial)
+        assert sp.dim == s * (n - s - 1)
+        prof = rank_profile(sp, budget=0, samples=64, seed=trial)
+        assert not prof.min_rank == prof.max_rank == r  # a sampled member proves it
+        cert = canonical_reduction(sp, r, seed=trial)
+        assert not cert.all_verdicts_true
+        assert "failure" in cert.witnesses
 
 
 def test_certificate_json_shape():

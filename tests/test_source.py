@@ -47,6 +47,29 @@ def test_perfbench_wrapped_names_exist(monkeypatch):
     assert missing == []
 
 
+def test_perfbench_workload_calls_bind():
+    """Every ``A.<name>(...)`` call in the benchmark's workloads binds to the
+    signature of ``altrank.<name>``, so a dropped or renamed keyword fails
+    here rather than in a benchmark run.  The file is parsed, not imported."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    bad, seen = [], 0
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name) and func.value.id == "A"):
+            continue
+        seen += 1
+        fn = getattr(altrank, func.attr, None)
+        if not callable(fn):
+            bad.append(f"workloads.py:{node.lineno}: altrank.{func.attr} is missing")
+            continue
+        try:
+            inspect.signature(fn).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            bad.append(f"workloads.py:{node.lineno}: altrank.{func.attr}: {exc}")
+    assert seen and bad == []
+
+
 def test_trusted_matrix_constructor_is_private():
     """``Matrix._trusted`` skips normalization, so only ``matrices.py`` (whose
     own arithmetic yields canonical entries) may call it; input from anywhere
