@@ -257,7 +257,8 @@ def trivial_spectrum_check(
     F_p only: eigenvalue sets scale along with members, so
     ``_engine.unit_eigen_hits`` decides each line by rank(z^(p-1) - I) < n at
     its member z with leading coordinate 1 (lex indices [p^k, 2 p^k)).  Either
-    way ``checked`` and the budget count all p^dim members.  The witness is
+    way ``checked`` counts all p^dim members, but only the line scan is held
+    to the budget: the flag enumerates nothing.  The witness is
     the first (member, eigenvalue) pair in member-major, eigenvalue-minor
     order: the first hit, the least member of its line, with its least
     nonzero eigenvalue in F_p, found by ``symplectic.first_singular`` on
@@ -274,15 +275,15 @@ def trivial_spectrum_check(
     _check_budget(budget)
     p = ctx.p
     total = p**sp.dim
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} members exceed the spectrum scan budget {budget}"
-        )
     flag = nilpotent_flag(sp)
     if flag is not None:
         if not _flag_holds(flag, sp):
             raise AssertionError("nilpotent flag failed exact re-verification")
         return TrivialSpectrumReport(True, total, None)
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} members exceed the spectrum scan budget {budget}"
+        )
     hits = _engine.unit_eigen_hits(sp.flat_arrays()[1], sp.shape[0], p)
     if len(hits) == 0:
         return TrivialSpectrumReport(True, total, None)
@@ -333,9 +334,10 @@ class FAReport:
 
 
 def flanders_atkinson_check(
-    m: Matrix, r: int, mode: str, gram: Optional[Matrix] = None
-) -> FAReport:
-    """Scan a rank-degeneration hypothesis and, if it holds, its conclusions.
+    ms: Sequence[Matrix], r: int, mode: str, gram: Optional[Matrix] = None
+) -> list[FAReport]:
+    """Scan a rank-degeneration hypothesis and, if it holds, its conclusions,
+    for each matrix M of ms: one report per matrix, in order.
 
     Modes:
       pencil       rank(s*J + t*M) <= r for all (s, t); J = I_r padded by zero
@@ -346,27 +348,27 @@ def flanders_atkinson_check(
     Conclusions with M split into blocks at row/column r:
     the lower-right block D vanishes, and the moment products vanish for
     k = 0..r-1 (B A^k C in the first two modes; B^T K^{-1} (A K^{-1})^k B in
-    alternating mode).  Higher k reduce to these by Cayley-Hamilton.  The
+    alternating mode).  Higher k reduce to these by Cayley-Hamilton.  Each
     hypothesis is scanned in one engine pass, and the first failing member
     it reports is re-ranked exactly.
+
+    The matrices share one field and one square shape.  The input, K and
+    every M included, is validated and K inverted once for the whole
+    family; an empty ms returns [] without looking at K.
     """
-    return _flanders_atkinson(m, r, mode, *_fa_frame([m], r, mode, gram))
-
-
-def _fa_frame(ms: Sequence[Matrix], r: int, mode: str, gram: Optional[Matrix]) -> tuple[Matrix, Optional[Matrix]]:
-    """Validate the input for matrices ms of one field and shape; return J (I_r
-    or the gram K, padded by zero) and K^-1 (None outside alternating mode)."""
-    ctx = ms[0].ctx
+    if not ms:
+        return []
+    ctx, shape = ms[0].ctx, ms[0].shape
     if ctx.kind != "prime":
         raise ValueError("hypothesis scanning needs a prime field")
-    if not ms[0].is_square:
-        raise ValueError("square matrix required")
-    n = ms[0].nrows
+    if not ms[0].is_square or any(m.ctx != ctx or m.shape != shape for m in ms):
+        raise ValueError("square matrices of one field and shape required")
+    n = shape[0]
     if not 0 <= r <= n:
         raise ValueError("rank bound out of range")
     if mode not in ("pencil", "line", "alternating"):
         raise ValueError(f"unknown mode {mode!r}")
-
+    kinv = None
     if mode == "alternating":
         if gram is None or gram.shape != (r, r):
             raise ValueError("alternating mode needs an r x r gram matrix")
@@ -374,13 +376,14 @@ def _fa_frame(ms: Sequence[Matrix], r: int, mode: str, gram: Optional[Matrix]) -
             raise ValueError("gram matrix must be invertible and alternating")
         if not all(m.is_alternating() for m in ms):
             raise ValueError("alternating mode needs an alternating matrix")
-        return place_blocks(ctx, n, n, [(0, 0, gram)]), gram.inverse()
-    return place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, r))]), None
+        kinv = gram.inverse()
+    j = place_blocks(ctx, n, n, [(0, 0, gram if mode == "alternating" else Matrix.identity(ctx, r))])
+    return [_flanders_atkinson(m, r, mode, j, kinv) for m in ms]
 
 
 def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[Matrix]) -> FAReport:
-    """``flanders_atkinson_check`` with J and K^-1 from ``_fa_frame``, which a
-    caller checking many matrices against one K runs once."""
+    """``flanders_atkinson_check`` for one matrix, given J and K^-1 (None
+    outside alternating mode)."""
     n, p = m.nrows, m.ctx.p
     jm = np.array([j.flatten(), m.flatten()], dtype=np.int64)
     if mode == "pencil":  # s*J + t*M at lex index s*p + t
@@ -399,34 +402,22 @@ def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[M
             raise AssertionError("engine witness failed exact re-verification")
         return FAReport(mode, r, False, None, None, ("hypothesis", (s, t, rk)))
 
-    a = m.block(0, r, 0, r)
+    a, upper = m.block(0, r, 0, r), m.block(0, r, r, n)
     d = m.block(r, n, r, n)
     d_zero = d.is_zero()
     first = None if d_zero else ("D", d)
-    moments = []
+    # the k-th moment is left @ step^k @ y
     if mode == "alternating":
-        b = m.block(0, r, r, n)
-        step = kinv @ a
-        y = kinv @ b
-        bt = b.T
-        for k in range(r):
-            prod = bt @ y
-            ok = prod.is_zero()
-            moments.append(ok)
-            if not ok and first is None:
-                first = ("moment", (k, prod))
-            y = step @ y
+        left, step, y = upper.T, kinv @ a, kinv @ upper
     else:
-        b = m.block(r, n, 0, r)
-        c = m.block(0, r, r, n)
-        y = c
-        for k in range(r):
-            prod = b @ y
-            ok = prod.is_zero()
-            moments.append(ok)
-            if not ok and first is None:
-                first = ("moment", (k, prod))
-            y = a @ y
+        left, step, y = m.block(r, n, 0, r), a, upper
+    moments = []
+    for k in range(r):
+        prod = left @ y
+        moments.append(prod.is_zero())
+        if not moments[-1] and first is None:
+            first = ("moment", (k, prod))
+        y = step @ y
     return FAReport(mode, r, True, d_zero, tuple(moments), first)
 
 

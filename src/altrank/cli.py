@@ -35,18 +35,6 @@ FAMILY_NAMES = (
 )
 
 
-def _emit(text: str, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _emit_json(obj: dict, out: str) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
-
-
 def _load_json(path: str) -> dict:
     if path == "-":
         return json.load(sys.stdin)
@@ -65,10 +53,6 @@ def _load_input(path: str, key: str):
         return parse(obj)
     except KeyError as exc:
         raise ValueError(f"{key} JSON is missing the key {exc.args[0]!r}") from None
-
-
-def _stderr_time(label: str, t0: float) -> None:
-    print(f"[time] {label}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
 
 
 def _report(command: str, ctx: Optional[FieldCtx], parameters: dict, seed: Optional[int]) -> dict:
@@ -153,12 +137,11 @@ def _verify_rank(space, kind: str, value: int, budget: int, samples: int, seed: 
 # -- construct --------------------------------------------------------------------------
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[dict, bool]:
     ctx = FieldCtx.parse(args.field)
     inner = None
     if args.inner is not None:
         inner = _load_input(args.inner, "space")
-    t0 = time.perf_counter()
     built, expected, expectation = build_family(
         args.family, ctx, n=args.n, r=args.r, s=args.s, inner=inner
     )
@@ -190,28 +173,21 @@ def cmd_construct(args) -> int:
         report["space"] = built.to_json()
     results["verdict"] = ok
     report["results"] = results
-    _stderr_time("construct", t0)
-    _emit_json(report, args.out)
-    return 0 if ok else 1
+    return report, ok
 
 
 # -- verify -----------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     if args.check == "duality":
         pair = _load_input(getattr(args, "in"), "pair")
-        t0 = time.perf_counter()
-        ctx = pair.ctx
         holds = analyze.duality_invariant_check(pair, seed=args.seed, budget=args.budget)
-        report = _report("verify", ctx, {"check": args.check}, args.seed)
+        report = _report("verify", pair.ctx, {"check": args.check}, args.seed)
         report["results"] = {"holds": holds}
-        _stderr_time("verify", t0)
-        _emit_json(report, args.out)
-        return 0 if holds else 1
+        return report, holds
 
     space = _load_input(getattr(args, "in"), "space")
-    t0 = time.perf_counter()
     ctx = space.ctx
     params = {"check": args.check, "rank": args.rank, "profile_mode": args.profile_mode}
     report = _report("verify", ctx, params, args.seed)
@@ -234,37 +210,28 @@ def cmd_verify(args) -> int:
     elif args.check == "flanders-atkinson":
         if args.rank is None:
             raise ValueError("flanders-atkinson needs --rank")
-        r = args.rank
-        n = space.shape[0]
-        base = space.base
+        r, n, base = args.rank, space.shape[0], space.base
         if not base.block(0, n, r, n).is_zero() or not base.block(r, n, 0, n).is_zero():
             raise ValueError("base must be zero outside its leading block")
         lead = base.block(0, r, 0, r)
-        if space.basis:  # K is validated and inverted once, and never for a dim-0 space
-            if args.fa_mode != "alternating" and lead != Matrix.identity(ctx, r):
-                raise ValueError("pencil and line modes need an identity leading block")
-            frame = analyze._fa_frame(space.basis, r, args.fa_mode, lead)
-        reports = []
-        for g in space.basis:
-            rep = analyze._flanders_atkinson(g, r, args.fa_mode, *frame)
-            reports.append(rep.to_json())
-            ok = ok and rep.conclusions_hold
-        results["generators"] = reports
+        # a dim-0 space has no generator to check its leading block against
+        if space.basis and args.fa_mode != "alternating" and lead != Matrix.identity(ctx, r):
+            raise ValueError("pencil and line modes need an identity leading block")
+        reports = analyze.flanders_atkinson_check(space.basis, r, args.fa_mode, lead)
+        results["generators"] = [rep.to_json() for rep in reports]
+        ok = all(rep.conclusions_hold for rep in reports)
     else:
         raise ValueError(f"unknown check {args.check!r}")
     results["verdict"] = ok
     report["results"] = results
-    _stderr_time("verify", t0)
-    _emit_json(report, args.out)
-    return 0 if ok else 1
+    return report, ok
 
 
 # -- reduce -----------------------------------------------------------------------------
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[dict, bool]:
     space = _load_input(getattr(args, "in"), "space")
-    t0 = time.perf_counter()
     cert = reduction.canonical_reduction(
         space,
         args.rank,
@@ -276,9 +243,7 @@ def cmd_reduce(args) -> int:
     report = _report("reduce", space.ctx, {"rank": args.rank, "candidates": args.candidates}, args.seed)
     report["certificate"] = cert.to_json()
     report["results"] = {"all_verdicts_true": cert.all_verdicts_true}
-    _stderr_time("reduce", t0)
-    _emit_json(report, args.out)
-    return 0 if cert.all_verdicts_true else 1
+    return report, cert.all_verdicts_true
 
 
 # -- table ------------------------------------------------------------------------------
@@ -363,10 +328,9 @@ def dimension_table(
     return rows
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[str, bool]:
     ctxs = [FieldCtx.parse(f) for f in args.fields.split(",")]
     r_values = sorted({int(x) for x in args.r.split(",")})
-    t0 = time.perf_counter()
     rows = dimension_table(
         ctxs,
         r_values,
@@ -389,17 +353,14 @@ def cmd_table(args) -> int:
     for row in rows:
         ok = ok and row["agree"] and row["rank_verdict"] != "fail"
         lines.append("\t".join(str(row[k]) for k in header))
-    _stderr_time("table", t0)
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    return "\n".join(lines) + "\n", ok
 
 
 # -- optimal search ----------------------------------------------------------------------
 
 
-def cmd_optimal_search(args) -> int:
+def cmd_optimal_search(args) -> tuple[dict, bool]:
     ctx = FieldCtx.parse(args.field)
-    t0 = time.perf_counter()
     result = exhaustive_optimal_dimension(
         args.n,
         args.r,
@@ -423,16 +384,13 @@ def cmd_optimal_search(args) -> int:
         "agrees": result.max_dim == formula,
         "witness": result.witness.to_json() if result.witness is not None else None,
     }
-    _stderr_time("optimal-search", t0)
-    _emit_json(report, args.out)
-    return 0 if result.max_dim == formula else 1
+    return report, result.max_dim == formula
 
 
 # -- counterexample ----------------------------------------------------------------------
 
 
-def cmd_counterexample(args) -> int:
-    t0 = time.perf_counter()
+def cmd_counterexample(args) -> tuple[dict, bool]:
     ratctx = FieldCtx.rational()
     coeffs = families.pfaffian_form_coefficients(ratctx)
     coeffs_ok = all(coeffs[k] == 1 for k in ("xx", "yy", "zz")) and all(
@@ -470,9 +428,7 @@ def cmd_counterexample(args) -> int:
     }
     ok = bool(coeffs_ok and cert.no_rank_two and rational_ok and drop3 and two5)
     report["results"]["verdict"] = ok
-    _stderr_time("counterexample", t0)
-    _emit_json(report, args.out)
-    return 0 if ok else 1
+    return report, ok
 
 
 # -- parser -----------------------------------------------------------------------------
@@ -554,7 +510,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        report, ok = args.func(args)  # a JSON object, or the text of a table
+        print(f"[time] {args.command}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+        text = report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return 0 if ok else 1
     except ContractError as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return 1

@@ -346,7 +346,7 @@ def canonical_reduction(
 
     hit = find_rank_r_member(sp, r, enum_budget=enum_budget, samples=samples, seed=seed)
     if hit is None:
-        cert.witnesses["failure"] = "no member of rank exactly r was found"
+        cert.witnesses["failure"] = {"step": "base_point_rank", "error": "no member of rank exactly r was found"}
         return cert
     coords0, s0 = hit
     cert.verdicts["base_point_rank"] = True
@@ -356,24 +356,14 @@ def canonical_reduction(
     p1, k = normalize_radical_to_tail(rebased, s0)
     sp1 = congruence_act(rebased, p1)
 
-    # k is invertible and alternating (normalize_radical_to_tail checks it), and
-    # every generator of sp1 is alternating, so K^-1 and J are built once
-    kinv = k.inverse()
-    j = place_blocks(ctx, n, n, [(0, 0, k)])
-    fa_ok = True
-    for g in sp1.basis:
-        report = analyze._flanders_atkinson(g, r, "alternating", j, kinv)
-        if not report.conclusions_hold:
-            fa_ok = False
-            cert.witnesses["failure"] = {
-                "step": "generator_identities",
-                "report": report.to_json(),
-            }
-            break
-    cert.verdicts["generator_identities"] = fa_ok
-    if not fa_ok:
+    reports = analyze.flanders_atkinson_check(sp1.basis, r, "alternating", k)
+    failed = next((rep for rep in reports if not rep.conclusions_hold), None)
+    if failed is not None:
+        cert.witnesses["failure"] = {"step": "generator_identities", "report": failed.to_json()}
         return cert
+    cert.verdicts["generator_identities"] = True
 
+    kinv = k.inverse()
     ops: list[Matrix] = []
     kept = Span(ctx, [], width=r * (n - r))
     for g in sp1.basis:

@@ -347,32 +347,19 @@ def exhaustive_optimal_dimension(
     witness = None
     max_dim = -1
     for d in range(0, m + 1):
-        found = None
-        if d == 0:
-            idx = int(np.argmin(bad)) if not bad.all() else -1
-            if idx >= 0:
-                found = (None, idx)
-        elif d == m:
-            if not bad.any():
-                found = (np.eye(m, dtype=np.int64), 0)
-        else:
-            n_spaces = gaussian_binomial(m, d, q)
-            if n_spaces * total > work_budget:
-                raise BudgetExceededError(
-                    f"dimension {d} needs {n_spaces} x {total} work units"
-                )
-            found = _coset_walk(all_vecs, bad, m, d, q)
+        n_spaces = gaussian_binomial(m, d, q)
+        if n_spaces * total > work_budget:
+            raise BudgetExceededError(
+                f"dimension {d} needs {n_spaces} x {total} work units"
+            )
+        found = _coset_walk(all_vecs, bad, m, d, q)
         exists_by_dim[d] = found is not None
         if found is None:
             break
         max_dim = d
         w_rows, rep_idx = found
         base = alternating_from_upper(ctx, n, [int(v) for v in all_vecs[rep_idx]])
-        gens = (
-            [alternating_from_upper(ctx, n, [int(v) for v in row]) for row in w_rows]
-            if w_rows is not None
-            else []
-        )
+        gens = [alternating_from_upper(ctx, n, [int(v) for v in row]) for row in w_rows]
         witness = AffineMatrixSpace(base, gens, alternating=True)
         for _, mat in witness.enumerate(10**6):
             k = mat.rank()
@@ -399,7 +386,7 @@ def _coset_walk(all_vecs: np.ndarray, bad: np.ndarray, m: int, d: int, q: int):
         found = _walk(good.transpose(nonpiv + list(pivots)).reshape(1, -1), pivots, nonpiv, q, 0)
         if found is not None:
             _, rows, leaf = found
-            w = np.array(rows, dtype=np.int64)
+            w = np.array(rows, dtype=np.int64).reshape(d, m)
             key_pows = q ** np.arange(m - d - 1, -1, -1, dtype=np.int64)
             keys = (all_vecs[:, nonpiv] - all_vecs[:, list(pivots)] @ w[:, nonpiv]) % q @ key_pows
             return w, int(np.argmax(keys == int(leaf.argmax())))

@@ -204,8 +204,7 @@ def test_05_degeneration_conclusions():
             moved = congruence_act(sp, p0)
             p1, k = normalize_radical_to_tail(moved, moved.base)
             conj = congruence_act(moved, p1)
-            for b in conj.basis:
-                rep = flanders_atkinson_check(b, r, "alternating", gram=k)
+            for rep in flanders_atkinson_check(conj.basis, r, "alternating", gram=k):
                 if not (rep.hypothesis_held and rep.conclusions_hold):
                     violations.append((n, s, q, trial, rep.first_failure))
     ok = not violations

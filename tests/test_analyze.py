@@ -266,9 +266,12 @@ def test_trivial_spectrum_strictly_upper():
 
 
 def test_trivial_spectrum_guards():
-    sp = build_strictly_upper_space(F3, 3)
+    # the budget holds the line scan alone: the span of I over F_3 has no
+    # common nilpotent flag, while the strictly upper space passes on its flag
     with pytest.raises(BudgetExceededError):
-        trivial_spectrum_check(sp, budget=5)
+        trivial_spectrum_check(AffineMatrixSpace(Matrix.zeros(F3, 2), [Matrix.identity(F3, 2)]), budget=2)
+    rep = trivial_spectrum_check(build_strictly_upper_space(F3, 3), budget=5)
+    assert rep.trivial and rep.checked == 27
     nonlinear = AffineMatrixSpace(Matrix.identity(F3, 2), [])
     with pytest.raises(ValueError):
         trivial_spectrum_check(nonlinear)
@@ -419,24 +422,27 @@ def test_line_scan_matches_full_member_scan(n, dim, p, seed, upper):
 
 
 def test_spectrum_scan_at_large_primes():
-    # one line of p members; the budget counts all p of them
+    # one line of p members; checked counts all p of them, and the flag
+    # passes the space past the budget too
     big = FieldCtx.prime(1_048_583)
     stream = CounterStream(derive_seed(1, "spectrum-large-p"))
     g = random_invertible(big, 5, stream)
     nil = Matrix(big, [[stream.element(big) if j > i else 0 for j in range(5)] for i in range(5)])
     sp = AffineMatrixSpace(Matrix.zeros(big, 5), [g.inverse() @ nil @ g])
-    rep = trivial_spectrum_check(sp, budget=big.p)
-    assert rep.trivial and rep.checked == big.p
-    with pytest.raises(BudgetExceededError):
-        trivial_spectrum_check(sp, budget=big.p - 1)
+    for budget in (big.p, big.p - 1):
+        rep = trivial_spectrum_check(sp, budget=budget)
+        assert rep.trivial and rep.checked == big.p
     # eigenvalues 0, 17 and 9000: the witness is the one member, at 17
     mid = FieldCtx.prime(10_007)
     g = random_invertible(mid, 5, stream)
     tri = Matrix(mid, [[0, 1, 2, 3, 4], [0, 17, 5, 6, 7], [0, 0, 0, 8, 9], [0, 0, 0, 9000, 10], [0, 0, 0, 0, 17]])
     member = g.inverse() @ tri @ g
-    rep = trivial_spectrum_check(AffineMatrixSpace(Matrix.zeros(mid, 5), [member]), budget=mid.p)
+    sp = AffineMatrixSpace(Matrix.zeros(mid, 5), [member])
+    rep = trivial_spectrum_check(sp, budget=mid.p)
     assert not rep.trivial and rep.checked == mid.p
     assert rep.witness == (member, 17)
+    with pytest.raises(BudgetExceededError):  # no flag, so the line scan and its budget decide
+        trivial_spectrum_check(sp, budget=mid.p - 1)
     # the worst case for the witness search: the one nonzero eigenvalue is p - 2
     big = FieldCtx.prime(100_003)
     g = random_invertible(big, 5, stream)
@@ -486,6 +492,16 @@ def flag_cases():
             pair = build_operator_block_space(FieldCtx.prime(p), n)
             spaces.append(AffineMatrixSpace(Matrix.zeros(pair.ctx, 2 * n), list(pair.operators)))
     return spaces
+
+
+def test_flag_decides_past_the_budget():
+    # a conjugate of the strictly upper 9 x 9 space over F_7: 7^36 members, far
+    # past any budget, none of them enumerated
+    ctx = FieldCtx.prime(7)
+    g = random_invertible(ctx, 9, CounterStream(derive_seed(2, "flag-past-budget")))
+    sp = AffineMatrixSpace(Matrix.zeros(ctx, 9), [g.inverse() @ u @ g for u in build_strictly_upper_space(ctx, 9).basis])
+    rep = trivial_spectrum_check(sp, budget=0)
+    assert rep.trivial and rep.checked == 7**36 and rep.witness is None
 
 
 def test_nilpotent_flag_agrees_with_the_scan():
@@ -572,7 +588,7 @@ def test_nilpotent_flag_is_rechecked_exactly(monkeypatch, basis):
 
 def test_fa_pencil_block_supported_matrix():
     m = Matrix(F5, [[1, 2, 0], [3, 4, 0], [0, 0, 0]])
-    rep = flanders_atkinson_check(m, 2, "pencil")
+    rep = flanders_atkinson_check([m], 2, "pencil")[0]
     assert rep.hypothesis_held and rep.D_zero
     assert all(rep.moment_vanishing)
     assert rep.conclusions_hold and rep.first_failure is None
@@ -580,7 +596,7 @@ def test_fa_pencil_block_supported_matrix():
 
 def test_fa_hypothesis_failure_reported():
     m = unit(F5, 3, 2, 2)
-    rep = flanders_atkinson_check(m, 2, "pencil")
+    rep = flanders_atkinson_check([m], 2, "pencil")[0]
     assert not rep.hypothesis_held
     assert rep.first_failure[0] == "hypothesis"
     assert not rep.conclusions_hold
@@ -588,7 +604,7 @@ def test_fa_hypothesis_failure_reported():
 
 def test_fa_line_mode():
     m = Matrix(F5, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    rep = flanders_atkinson_check(m, 2, "line")
+    rep = flanders_atkinson_check([m], 2, "line")[0]
     assert rep.hypothesis_held and rep.conclusions_hold
 
 
@@ -596,21 +612,47 @@ def test_fa_alternating_mode_on_bordered_generators():
     sp = build_bordered_alternating(F5, 7, 2)
     k = sp.base.block(0, 4, 0, 4)
     assert k == standard_symplectic(F5, 2)
-    for g in sp.basis:
-        rep = flanders_atkinson_check(g, 4, "alternating", gram=k)
+    reports = flanders_atkinson_check(sp.basis, 4, "alternating", gram=k)
+    assert len(reports) == len(sp.basis)
+    for rep in reports:
         assert rep.hypothesis_held and rep.D_zero
         assert all(rep.moment_vanishing)
 
 
+def test_fa_checks_a_family_against_one_gram(monkeypatch):
+    # one report per matrix, in order, each as a one-matrix call gives it; K is
+    # inverted once for the whole family, and an empty family returns [] without
+    # looking at K at all
+    sp = build_bordered_alternating(F5, 7, 2)
+    k = sp.base.block(0, 4, 0, 4)
+    stream = CounterStream(derive_seed(3, "fa-family"))
+    ms = [*sp.basis, random_alternating(F5, 7, stream), Matrix.zeros(F5, 7)]
+    singles = [flanders_atkinson_check([m], 4, "alternating", gram=k)[0] for m in ms]
+    assert [rep.conclusions_hold for rep in singles] == [True] * len(sp.basis) + [False, True]
+    inverses = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda self: inverses.append(self) or inverse(self))
+    assert flanders_atkinson_check(ms, 4, "alternating", gram=k) == singles
+    assert inverses == [k]
+    assert flanders_atkinson_check([], 4, "alternating", gram=Matrix.zeros(F5, 4)) == []
+    assert flanders_atkinson_check((), 4, "alternating") == []
+
+
 def test_fa_guards():
+    with pytest.raises(ValueError, match="one field and shape"):
+        flanders_atkinson_check([unit(F5, 3, 0, 1), unit(F5, 4, 0, 1)], 2, "pencil")
+    with pytest.raises(ValueError, match="one field and shape"):
+        flanders_atkinson_check([unit(F5, 3, 0, 1), unit(FieldCtx.prime(7), 3, 0, 1)], 2, "pencil")
+    with pytest.raises(ValueError, match="^alternating mode needs an alternating matrix$"):
+        flanders_atkinson_check([Matrix.zeros(F5, 3), unit(F5, 3, 0, 1)], 2, "alternating", gram=standard_symplectic(F5, 1))
     m = Matrix(Q, [[0, 1], [0, 0]])
     with pytest.raises(ValueError):
-        flanders_atkinson_check(m, 1, "pencil")
+        flanders_atkinson_check([m], 1, "pencil")
     m5 = unit(F5, 3, 0, 1)
     with pytest.raises(ValueError):
-        flanders_atkinson_check(m5, 2, "sideways")
+        flanders_atkinson_check([m5], 2, "sideways")
     with pytest.raises(ValueError):
-        flanders_atkinson_check(m5, 2, "alternating", gram=Matrix.identity(F5, 2))
+        flanders_atkinson_check([m5], 2, "alternating", gram=Matrix.identity(F5, 2))
 
 
 def reference_fa_failure(m, r, mode, gram=None):
@@ -660,7 +702,7 @@ def test_fa_first_failure_matches_exact_reference_loop(p, mode):
     stream = CounterStream(derive_seed(6, "fa-scan", p, mode))
     held = failed = 0
     for m, gram in fa_cases(ctx, mode, stream):
-        rep = flanders_atkinson_check(m, 2, mode, gram=gram)
+        [rep] = flanders_atkinson_check([m], 2, mode, gram=gram)
         want = reference_fa_failure(m, 2, mode, gram)
         assert rep.hypothesis_held == (want is None)
         if want is None:
@@ -681,7 +723,7 @@ def test_first_hit_witnesses_are_rechecked_exactly(monkeypatch):
     with pytest.raises(AssertionError, match="re-verification"):
         first_member(sp, lambda ranks: ranks == 4)
     with pytest.raises(AssertionError, match="re-verification"):
-        flanders_atkinson_check(unit(F5, 3, 0, 1), 2, "pencil")  # member 0 is zero
+        flanders_atkinson_check([unit(F5, 3, 0, 1)], 2, "pencil")  # member 0 is zero
     k = standard_symplectic(F5, 1)
     with pytest.raises(AssertionError, match="engine witness failed exact re-verification"):
         pencil_symplectic_iff_trivial_spectrum(k, Matrix.zeros(F5, 2))  # member 0 is K

@@ -320,6 +320,34 @@ def test_readme_construct_pipelines_run_as_written(tmp_path, monkeypatch, capsys
     assert main(commands[at]) == 0, capsys.readouterr().err
 
 
+def test_construct_operator_block_past_the_spectrum_budget(tmp_path):
+    # the core's 11^6 members exceed the spectrum budget, but its common
+    # nilpotent flag decides the gate without enumerating them
+    code, text = run(tmp_path, "construct", "--family", "operator-block", "--field", "Fp:11", "--n", "4")
+    results = json.loads(text)["results"]
+    assert code == 0 and results["dimension"] == results["expected_dimension"] == 12
+
+
+def test_main_times_and_writes_each_report_once(tmp_path, capsys):
+    # one [time] line and one report per run, exit 1 included; a usage error
+    # writes neither
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(build_strictly_upper_space(F3, 2).to_json()))
+    for argv, want in [
+        (("verify", "--in", str(src), "--check", "trivial-spectrum"), 0),
+        (("verify", "--in", str(src), "--check", "rank-profile", "--rank", "2"), 1),
+        (("table", "--n-min", "2", "--n-max", "2", "--r", "2", "--fields", "Fp:3"), 0),
+    ]:
+        code, text = run(tmp_path, *argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == want and text.endswith("\n")
+        assert len(err) == 1 and err[0].startswith(f"[time] {argv[0]}: ")
+        (tmp_path / "out.json").unlink()
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "flanders-atkinson")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: flanders-atkinson needs --rank\n"
+
+
 def test_verify_duality_reads_a_construct_report(tmp_path):
     src = tmp_path / "pair.json"
     assert main(["construct", "--family", "operator-block", "--field", "Fp:3", "--n", "2", "--out", str(src)]) == 0

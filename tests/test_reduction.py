@@ -522,7 +522,9 @@ def test_canonical_reduction_fails_cleanly_on_nonconstant_rank(n, r, ctx, kind):
         assert not prof.min_rank == prof.max_rank == r  # a sampled member proves it
         cert = canonical_reduction(sp, r, seed=trial)
         assert not cert.all_verdicts_true
-        assert "failure" in cert.witnesses
+        # every failure, a base-point miss included, names the step it stopped at
+        first_false = next(key for key in VERDICT_KEYS if not cert.verdicts[key])
+        assert cert.witnesses["failure"]["step"] == first_false
 
 
 def test_certificate_json_shape():

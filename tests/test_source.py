@@ -84,6 +84,23 @@ def test_trusted_matrix_constructor_is_private():
     assert found == []
 
 
+def test_analyze_privates_stay_in_analyze():
+    """Other modules reach ``analyze`` through its public checks only, such as
+    ``flanders_atkinson_check`` for a whole family of generators: no
+    ``analyze._name`` attribute and no ``from .analyze import _name``."""
+    found = []
+    for path in sorted(Path(altrank.__file__).parent.glob("*.py")):
+        if path.name == "analyze.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "analyze" and node.attr.startswith("_")):
+                found.append(f"{path.name}:{node.lineno}: analyze.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "analyze":
+                found += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
 def test_no_floating_point_in_the_engine_or_the_profile():
     """The Hadamard bound and the prime search behind rational rank profiles,
     like every kernel and the pencil scans, stay in integers: no float, no
