@@ -349,8 +349,10 @@ def flanders_atkinson_check(
     the lower-right block D vanishes, and the moment products vanish for
     k = 0..r-1 (B A^k C in the first two modes; B^T K^{-1} (A K^{-1})^k B in
     alternating mode).  Higher k reduce to these by Cayley-Hamilton.  Each
-    hypothesis is scanned in one engine pass, and the first failing member
-    it reports is re-ranked exactly.
+    line is scanned in one engine pass, and the first failing member it
+    reports is re-ranked exactly.  A pencil is one exact rank(M) plus its
+    line: its first failure in (s, t) order is (0, 1, rank M) when rank M > r,
+    and else the line's first (1, t), since s*J + t*M = s(J + (t/s)*M).
 
     The matrices share one field and one square shape.  The input, K and
     every M included, is validated and K inverted once for the whole
@@ -385,22 +387,21 @@ def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[M
     """``flanders_atkinson_check`` for one matrix, given J and K^-1 (None
     outside alternating mode)."""
     n, p = m.nrows, m.ctx.p
-    jm = np.array([j.flatten(), m.flatten()], dtype=np.int64)
-    if mode == "pencil":  # s*J + t*M at lex index s*p + t
-        base, basis = np.zeros(n * n, dtype=np.int64), jm
-    else:  # J + t*M at index t
-        base, basis = jm[0], jm[1:]
-    # ranked by batch_rank alone, even in alternating mode: on the skew path a
-    # short line would be ranked twice, once more by the guard
+    # pencil members at s = 0 have rank(M); each one at s != 0 has a line member's rank
+    if mode == "pencil" and (rk := m.rank()) > r:
+        return FAReport(mode, r, False, None, None, ("hypothesis", (0, 1, rk)))
+    # the line J + t*M at index t, ranked by batch_rank alone, even in
+    # alternating mode: on the skew path a short line would be ranked twice,
+    # once more by the guard
     idx = _engine.first_index(
-        [(p, base, basis)], n, n, p, lambda ranks: ranks > r, exhaustive=True, total=p ** len(basis)
+        [(p, np.array(j.flatten(), dtype=np.int64), np.array([m.flatten()], dtype=np.int64))],
+        n, n, p, lambda ranks: ranks > r, exhaustive=True, total=p,
     )
     if idx >= 0:
-        s, t = _engine.index_to_coords(idx, 2, p) if mode == "pencil" else (1, idx)
-        rk = (j.scale(s) + m.scale(t)).rank()
+        rk = (j + m.scale(idx)).rank()
         if rk <= r:
             raise AssertionError("engine witness failed exact re-verification")
-        return FAReport(mode, r, False, None, None, ("hypothesis", (s, t, rk)))
+        return FAReport(mode, r, False, None, None, ("hypothesis", (1, idx, rk)))
 
     a, upper = m.block(0, r, 0, r), m.block(0, r, r, n)
     d = m.block(r, n, r, n)
@@ -512,8 +513,10 @@ def duality_invariant_check(
 
     For each standard basis vector and a seeded batch of random nonzero x:
     x stays outside the orbit span S.x, and both x and S.x lie in the
-    form-orthogonal of x.  The trivial-spectrum precondition is re-checked
-    when the member count fits the budget; a failure raises ``ContractError``
+    form-orthogonal of x.  Over a prime field the trivial-spectrum
+    precondition is re-checked by ``trivial_spectrum_check``: a nilpotent
+    flag decides it at any size, and a space without one past the budget
+    raises ``BudgetExceededError``.  A failure raises ``ContractError``
     naming a member and its eigenvalue.  A negative budget raises
     ValueError.
     """
@@ -522,7 +525,7 @@ def duality_invariant_check(
     k = pair.gram
     n = k.nrows
     ops = pair.operators
-    if ctx.kind == "prime" and ctx.p ** len(ops) <= budget:
+    if ctx.kind == "prime":
         span_space = AffineMatrixSpace(
             Matrix.zeros(ctx, n, n), list(ops), alternating=False
         )

@@ -11,7 +11,7 @@ yield a failed certificate with witnesses rather than an exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import _engine, analyze, families
 from .errors import ContractError
 from .families import build_bordered_alternating, build_row_block_family, constant_rank_field_bound
 from .matrices import Matrix, Vector, alternating_units, place_blocks, rows_matrix, span_dim
-from .spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act, spaces_equal
+from .spaces import AffineMatrixSpace, Span, congruence_act, spaces_equal
 from .symplectic import symplectic_basis, totally_singular_witness
 from .rand import CounterStream, derive_seed
 
@@ -49,29 +49,20 @@ class ReductionCertificate:
 
     @property
     def all_verdicts_true(self) -> bool:
-        return all(self.verdicts.get(k, False) for k in VERDICT_KEYS)
+        return all(self.verdicts.values())
 
     def to_json(self) -> dict:
-        obj = {
+        return {
             "n": self.n,
             "r": self.r,
             "s": self.s,
-            "verdicts": {k: self.verdicts.get(k, False) for k in VERDICT_KEYS},
+            "verdicts": self.verdicts,
             "witnesses": self.witnesses,
+            "P": self.P.to_json() if self.P is not None else None,
+            # the pipeline is prime-only, where an element's text is its str
+            "lagrangian": None if self.lagrangian is None else [[str(c) for c in v] for v in self.lagrangian],
+            "recovered_M": self.recovered_M.to_json() if self.recovered_M is not None else None,
         }
-        obj["P"] = self.P.to_json() if self.P is not None else None
-        if self.lagrangian is not None:
-            ctx = self.P.ctx if self.P is not None else None
-            obj["lagrangian"] = [
-                [ctx.element_to_str(c) if ctx else str(c) for c in v]
-                for v in self.lagrangian
-            ]
-        else:
-            obj["lagrangian"] = None
-        obj["recovered_M"] = (
-            self.recovered_M.to_json() if self.recovered_M is not None else None
-        )
-        return obj
 
 
 def find_rank_r_member(
@@ -85,14 +76,14 @@ def find_rank_r_member(
     )
 
 
-def normalize_radical_to_tail(sp: AffineMatrixSpace, s0: Matrix) -> tuple[Matrix, Matrix]:
-    """Congruence P1 moving the radical of member s0 onto the last coordinates.
+def normalize_radical_to_tail(s0: Matrix) -> tuple[Matrix, Matrix]:
+    """Congruence P1 moving the radical of the alternating matrix s0 onto the
+    last coordinates.
 
     Returns (P1, K) with P1^T s0 P1 = [[K, 0], [0, 0]] and K invertible
     alternating of size rank(s0).
     """
-    ctx = sp.ctx
-    n = sp.shape[0]
+    ctx, n = s0.ctx, s0.nrows
     radical = s0.kernel_basis()
     r = n - len(radical)
     complement = Span(ctx, radical, width=n).extend_with_units(r)
@@ -106,15 +97,23 @@ def normalize_radical_to_tail(sp: AffineMatrixSpace, s0: Matrix) -> tuple[Matrix
     return p1, k
 
 
-def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, Matrix, AffineMatrixSpace]:
-    """Equivalence (Q, Q') carrying a full-row-rank space onto [B C] form.
+def _independent(mats: Sequence[Matrix]) -> list[Matrix]:
+    """The matrices of mats, in order, that are independent of those before them."""
+    if not mats:
+        return []
+    span = Span(mats[0].ctx, [], width=mats[0].nrows * mats[0].ncols)
+    return [m for m in mats if span.add(m.flatten())]
+
+
+def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpace]:
+    """Column change Q' carrying a full-row-rank space onto [B C] form.
 
     t consists of s x (n-s) matrices whose codimension is at most s(s+1)/2.
     The construction finds the universal column space
     W = { v : u v^T lies in the translation span for every u }, sends a
     complement of W to the first s coordinates, and reads off the recovered
-    family M from the leading block.  Returns (Q, Q', M) with
-    Q t Q' = {[B C] : B in M, C arbitrary}, verified exactly.  Full row rank
+    family M from the leading block.  Returns (Q', M) with
+    t Q' = {[B C] : B in M, C arbitrary}, verified exactly.  Full row rank
     is not assumed but proved: the builder of that form checks every B
     invertible (exhaustively up to ``families.INNER_VERIFY_BUDGET`` members
     of M, by sample past it), so every member [B C] has rank s.  A space
@@ -147,18 +146,12 @@ def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, Matrix, AffineMa
             f"universal column space has dimension {len(wbasis)}, expected {w - s}"
         )
     complement = Span(ctx, wbasis, width=w).extend_with_units(s)
-    g = rows_matrix(ctx, complement + list(wbasis))
-    qprime = g.inverse()
-    q = Matrix.identity(ctx, s)
+    qprime = rows_matrix(ctx, complement + list(wbasis)).inverse()
 
-    base_b = (t.base @ qprime).block(0, s, 0, s)
-    gen_bs = []
-    kept = Span(ctx, [], width=s * s)
-    for gmat in t.basis:
-        b = (gmat @ qprime).block(0, s, 0, s)
-        if kept.add(b.flatten()):
-            gen_bs.append(b)
-    m_space = AffineMatrixSpace(base_b, gen_bs)
+    moved = AffineMatrixSpace(t.base @ qprime, [g @ qprime for g in t.basis])
+    m_space = AffineMatrixSpace(
+        moved.base.block(0, s, 0, s), _independent([g.block(0, s, 0, s) for g in moved.basis])
+    )
     if m_space.dim != s * (s - 1) // 2:
         raise ContractError(
             f"recovered family has dimension {m_space.dim}, expected {s * (s - 1) // 2}"
@@ -169,9 +162,9 @@ def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, Matrix, AffineMa
         # Field, shape and dimension of m_space hold by construction, so the
         # builder's one objection left is its check that every member is invertible.
         raise ContractError("recovered family contains a singular member") from exc
-    if not spaces_equal(equivalence_act(t, q, qprime), target):
+    if not spaces_equal(moved, target):
         raise ContractError("slab space does not match the [B C] form")
-    return q, qprime, m_space
+    return qprime, m_space
 
 
 def totally_singular_rejection(
@@ -317,7 +310,8 @@ def canonical_reduction(
     That check is exhaustive only up to ``families.INNER_VERIFY_BUDGET``
     members; past it (q^(s(s-1)/2) members) the call raises unless
     rank_certified vouches for constancy.  Mathematical failures during the
-    pipeline are recorded as false verdicts, not exceptions.
+    pipeline are recorded, not raised: the verdicts are true exactly for the
+    steps before the first failing one, whose record is witnesses["failure"].
     """
     ctx = sp.ctx
     if ctx.kind != "prime":
@@ -342,99 +336,72 @@ def canonical_reduction(
             "constant rank must be caller-certified when the inner family exceeds its verify budget"
         )
 
-    cert = ReductionCertificate(n=n, r=r, s=s, verdicts={k: False for k in VERDICT_KEYS})
+    cert = ReductionCertificate(n=n, r=r, s=s, verdicts={})
+    failure = _reduce(cert, sp, seed, enum_budget, samples, candidates)
+    passed = len(VERDICT_KEYS) if failure is None else VERDICT_KEYS.index(failure["step"])
+    cert.verdicts = {k: i < passed for i, k in enumerate(VERDICT_KEYS)}
+    if failure is not None:
+        cert.witnesses["failure"] = failure
+    return cert
 
+
+def _reduce(
+    cert: ReductionCertificate, sp: AffineMatrixSpace, seed: int, enum_budget: int,
+    samples: int, candidates: int,
+) -> Optional[dict]:
+    """The steps of ``canonical_reduction``, one per verdict in ``VERDICT_KEYS``
+    order, filling in cert as they pass.  Returns the failure record of the
+    first failing step, whose "step" names its verdict, or None."""
+    ctx, n, r, s = sp.ctx, cert.n, cert.r, cert.s
     hit = find_rank_r_member(sp, r, enum_budget=enum_budget, samples=samples, seed=seed)
     if hit is None:
-        cert.witnesses["failure"] = {"step": "base_point_rank", "error": "no member of rank exactly r was found"}
-        return cert
+        return {"step": "base_point_rank", "error": "no member of rank exactly r was found"}
     coords0, s0 = hit
-    cert.verdicts["base_point_rank"] = True
     cert.witnesses["base_point_coords"] = [ctx.element_to_str(c) for c in coords0]
 
-    rebased = AffineMatrixSpace(s0, sp.basis, alternating=True)
-    p1, k = normalize_radical_to_tail(rebased, s0)
-    sp1 = congruence_act(rebased, p1)
-
+    p1, k = normalize_radical_to_tail(s0)
+    sp1 = congruence_act(AffineMatrixSpace(s0, sp.basis, alternating=True), p1)
     reports = analyze.flanders_atkinson_check(sp1.basis, r, "alternating", k)
     failed = next((rep for rep in reports if not rep.conclusions_hold), None)
     if failed is not None:
-        cert.witnesses["failure"] = {"step": "generator_identities", "report": failed.to_json()}
-        return cert
-    cert.verdicts["generator_identities"] = True
+        return {"step": "generator_identities", "report": failed.to_json()}
 
     kinv = k.inverse()
-    ops: list[Matrix] = []
-    kept = Span(ctx, [], width=r * (n - r))
-    for g in sp1.basis:
-        b = g.block(0, r, r, n)
-        if kept.add(b.flatten()):
-            ops.append(kinv @ b)
+    ops = [kinv @ b for b in _independent([g.block(0, r, r, n) for g in sp1.basis])]
     try:
         lag = analyze.extract_range_lagrangian(ops, k)
     except (ValueError, ContractError) as exc:
-        cert.witnesses["failure"] = {"step": "lagrangian_extraction", "error": str(exc)}
-        return cert
+        return {"step": "lagrangian_extraction", "error": str(exc)}
     if lag is None:
-        cert.witnesses["failure"] = {
-            "step": "lagrangian_extraction",
-            "error": "slab span sits below the equality bound",
-        }
-        return cert
-    cert.verdicts["lagrangian_extraction"] = True
+        return {"step": "lagrangian_extraction", "error": "slab span sits below the equality bound"}
     cert.lagrangian = lag
 
     for member in (sp1.base, *sp1.basis):
         if totally_singular_witness(member.block(0, r, 0, r), lag) is not None:
-            cert.witnesses["failure"] = {"step": "lagrangian_singularity", "member": member.to_json()}
-            return cert
-    cert.verdicts["lagrangian_singularity"] = True
+            return {"step": "lagrangian_singularity", "member": member.to_json()}
 
     p2r = symplectic_basis(k, lag)
     p2 = place_blocks(ctx, n, n, [(0, 0, p2r), (r, r, Matrix.identity(ctx, n - r))])
     sp2 = congruence_act(sp1, p2)
-    nf_ok = all(
-        m.block(s, n, s, n).is_zero() for m in (sp2.base, *sp2.basis)
+    if not all(m.block(s, n, s, n).is_zero() for m in (sp2.base, *sp2.basis)):
+        return {"step": "normal_form"}
+
+    slab = AffineMatrixSpace(
+        sp2.base.block(0, s, s, n), _independent([g.block(0, s, s, n) for g in sp2.basis])
     )
-    cert.verdicts["normal_form"] = nf_ok
-    if not nf_ok:
-        cert.witnesses["failure"] = {"step": "normal_form"}
-        return cert
-
-    slab_base = sp2.base.block(0, s, s, n)
-    slab_gens: list[Matrix] = []
-    kept = Span(ctx, [], width=s * (n - s))
-    for g in sp2.basis:
-        bs = g.block(0, s, s, n)
-        if kept.add(bs.flatten()):
-            slab_gens.append(bs)
-    slab = AffineMatrixSpace(slab_base, slab_gens)
     try:
-        q, qprime, m_space = reduce_full_row_rank(slab)
+        qprime, m_space = reduce_full_row_rank(slab)
     except (ValueError, ContractError) as exc:
-        cert.witnesses["failure"] = {"step": "set_equality", "error": str(exc)}
-        return cert
+        return {"step": "set_equality", "error": str(exc)}
     cert.recovered_M = m_space
-
-    p3t = place_blocks(ctx, n, n, [(0, 0, q.T), (s, s, qprime)])
-    p_total = p1 @ p2 @ p3t
-    cert.P = p_total
-    try:
-        target = build_bordered_alternating(ctx, n, s, inner=m_space)
-    except ValueError as exc:
-        cert.witnesses["failure"] = {"step": "set_equality", "error": str(exc)}
-        return cert
-    moved = congruence_act(sp, p_total)
-    eq_ok = spaces_equal(moved, target)
-    cert.verdicts["set_equality"] = eq_ok
-    if not eq_ok:
-        cert.witnesses["failure"] = {"step": "set_equality"}
-        return cert
+    cert.P = p1 @ p2 @ place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, s)), (s, s, qprime)])
+    moved = congruence_act(sp, cert.P)
+    if not spaces_equal(moved, build_bordered_alternating(ctx, n, s, inner=m_space)):
+        return {"step": "set_equality"}
 
     try:
         unique_totally_singular_complement(moved, s, seed=seed, candidates=candidates)
-        cert.verdicts["complement_uniqueness"] = True
-        cert.witnesses["complement_candidates_rejected"] = candidates
     except ContractError as exc:
-        cert.witnesses["failure"] = {"step": "complement_uniqueness", "error": str(exc)}
-    return cert
+        return {"step": "complement_uniqueness", "error": str(exc)}
+    cert.witnesses["complement_candidates_rejected"] = candidates
+    return None

@@ -202,7 +202,7 @@ def test_05_degeneration_conclusions():
             stream = CounterStream(derive_seed(MASTER_SEED, "fa", n, s, q, trial))
             p0 = random_invertible(ctx, n, stream)
             moved = congruence_act(sp, p0)
-            p1, k = normalize_radical_to_tail(moved, moved.base)
+            p1, k = normalize_radical_to_tail(moved.base)
             conj = congruence_act(moved, p1)
             for rep in flanders_atkinson_check(conj.basis, r, "alternating", gram=k):
                 if not (rep.hypothesis_held and rep.conclusions_hold):

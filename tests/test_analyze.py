@@ -723,7 +723,7 @@ def test_first_hit_witnesses_are_rechecked_exactly(monkeypatch):
     with pytest.raises(AssertionError, match="re-verification"):
         first_member(sp, lambda ranks: ranks == 4)
     with pytest.raises(AssertionError, match="re-verification"):
-        flanders_atkinson_check([unit(F5, 3, 0, 1)], 2, "pencil")  # member 0 is zero
+        flanders_atkinson_check([unit(F5, 3, 0, 1)], 2, "pencil")  # line member 0 is J, of rank 2
     k = standard_symplectic(F5, 1)
     with pytest.raises(AssertionError, match="engine witness failed exact re-verification"):
         pencil_symplectic_iff_trivial_spectrum(k, Matrix.zeros(F5, 2))  # member 0 is K
@@ -829,3 +829,13 @@ def test_duality_invariant_gate():
     pair = FormSpacePair(k, [Matrix.identity(F5, 2)])
     with pytest.raises(ContractError, match="has eigenvalue 1$"):
         duality_invariant_check(pair, seed=0, samples=5)
+
+
+def test_duality_gate_runs_past_the_budget():
+    # the operator-block space is strictly upper triangular in a flag, so the
+    # gate decides it with nothing enumerated; the span of I has no flag, and
+    # its 5 members exceed a budget of 1
+    assert duality_invariant_check(build_operator_block_space(F3, 2), seed=0, samples=5, budget=0)
+    pair = FormSpacePair(standard_symplectic(F5, 1), [Matrix.identity(F5, 2)])
+    with pytest.raises(BudgetExceededError, match="exceed the spectrum scan budget 1"):
+        duality_invariant_check(pair, seed=0, samples=5, budget=1)

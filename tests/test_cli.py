@@ -371,18 +371,20 @@ def test_verify_duality_failed_gate_exits_1_with_its_witness(tmp_path, capsys):
     ]
 
 
-def test_verify_duality_budget_decides_whether_the_gate_runs(tmp_path, capsys):
-    # the span of I over F_3 has 3 members, each t I with eigenvalue t
+def test_verify_duality_gate_runs_past_the_budget(tmp_path, capsys):
+    # the span of I over F_3 has 3 members, each t I with eigenvalue t, and no
+    # nilpotent flag, so past the budget the gate refuses with a usage error
     src = tmp_path / "pair.json"
     src.write_text(json.dumps({
         "field": "Fp:3",
         "gram": standard_symplectic(F3, 1).to_json(),
         "operators": [Matrix.identity(F3, 2).to_json()],
     }))
-    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "duality", "--budget", "1")
-    assert code == 1 and json.loads(text)["results"]["holds"] is False
     capsys.readouterr()
-    (tmp_path / "out.json").unlink()
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "duality", "--budget", "1")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.splitlines() == ["error: 3 members exceed the spectrum scan budget 1"]
     code, text = run(tmp_path, "verify", "--in", str(src), "--check", "duality")
     err = capsys.readouterr().err
     assert code == 1 and text == ""

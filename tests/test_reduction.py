@@ -1,10 +1,11 @@
+import json
 from copy import copy
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from altrank import _engine
+from altrank import _engine, analyze, reduction
 from altrank.analyze import rank_profile
 from altrank.errors import ContractError
 from altrank.families import (
@@ -139,7 +140,7 @@ def test_normalize_radical_to_tail():
     p = seeded_invertible(F5, 7, "radical")
     moved = congruence_act(sp, p)
     s0 = moved.base
-    p1, k = normalize_radical_to_tail(moved, s0)
+    p1, k = normalize_radical_to_tail(s0)
     out = p1.T @ s0 @ p1
     assert out.block(0, 4, 0, 4) == k
     assert out.block(0, 7, 4, 7).is_zero() and out.block(4, 7, 0, 7).is_zero()
@@ -148,11 +149,12 @@ def test_normalize_radical_to_tail():
 
 def test_reduce_full_row_rank_identity_fixed_point():
     t = build_row_block_family(F5, 7, 2)
-    q, qprime, m_space = reduce_full_row_rank(t)
-    assert q == Matrix.identity(F5, 2)
+    qprime, m_space = reduce_full_row_rank(t)
     assert qprime == Matrix.identity(F5, 5)
     assert m_space.dim == 1
-    assert spaces_equal(equivalence_act(t, q, qprime), build_row_block_family(F5, 7, 2, inner=m_space))
+    assert spaces_equal(
+        equivalence_act(t, Matrix.identity(F5, 2), qprime), build_row_block_family(F5, 7, 2, inner=m_space)
+    )
 
 
 def test_reduce_full_row_rank_column_mixer():
@@ -160,9 +162,9 @@ def test_reduce_full_row_rank_column_mixer():
     pm = seeded_invertible(F5, 2, "rows")
     qm = seeded_invertible(F5, 5, "cols")
     mixed = equivalence_act(t, pm, qm)
-    q, qprime, m_space = reduce_full_row_rank(mixed)
+    qprime, m_space = reduce_full_row_rank(mixed)
     assert spaces_equal(
-        equivalence_act(mixed, q, qprime),
+        equivalence_act(mixed, Matrix.identity(F5, 2), qprime),
         build_row_block_family(F5, 7, 2, inner=m_space),
     )
 
@@ -489,6 +491,34 @@ def test_canonical_reduction_rejects_singular_inner_family():
         assert cert.witnesses["failure"] == {
             "step": "set_equality", "error": "recovered family contains a singular member",
         }
+
+
+def _refuse_complement(*args, **kwargs):
+    raise ContractError("a second totally singular complement exists")
+
+
+LATE_FAILURES = [
+    # (step, module, attribute, stand-in that makes the step fail)
+    ("lagrangian_extraction", analyze, "extract_range_lagrangian", lambda ops, k: None),
+    ("lagrangian_singularity", reduction, "totally_singular_witness", lambda member, lag: (0, 1)),
+    ("normal_form", reduction, "symplectic_basis", lambda k, lag: Matrix.identity(k.ctx, k.nrows)),
+    ("complement_uniqueness", reduction, "unique_totally_singular_complement", _refuse_complement),
+]
+
+
+@pytest.mark.parametrize("step, module, attr, stand_in", LATE_FAILURES, ids=[c[0] for c in LATE_FAILURES])
+def test_canonical_reduction_records_late_failures(monkeypatch, step, module, attr, stand_in):
+    # no real space reaches these steps and fails them, so the stage each one
+    # runs is replaced by one that fails
+    moved = congruence_act(build_bordered_alternating(F5, 7, 2), seeded_invertible(F5, 7, "late"))
+    monkeypatch.setattr(module, attr, stand_in)
+    cert = canonical_reduction(moved, 4, seed=0)
+    failing = VERDICT_KEYS.index(step)
+    assert cert.verdicts == {k: i < failing for i, k in enumerate(VERDICT_KEYS)}
+    assert not cert.all_verdicts_true
+    assert cert.witnesses["failure"]["step"] == step
+    obj = json.loads(json.dumps(cert.to_json()))
+    assert obj["verdicts"] == cert.verdicts and obj["witnesses"]["failure"]["step"] == step
 
 
 def nonconstant_space(ctx, n, s, kind, trial):

@@ -130,3 +130,21 @@ def test_engine_and_spaces_reduce_arrays_through_mod():
             if isinstance(node, ast.Attribute) and node.attr == "remainder" and id(node) not in inside:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_reduction_steps_appear_in_verdict_order():
+    """A certificate's verdicts are true exactly before the step its failure
+    record names, which is right only if the pipeline runs its steps in
+    ``VERDICT_KEYS`` order: the ``"step"`` literals of ``reduction.py``, in
+    source order, first appear in that order."""
+    from altrank.reduction import VERDICT_KEYS
+
+    path = Path(altrank.__file__).parent / "reduction.py"
+    steps = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value == "step" and isinstance(value, ast.Constant):
+                    steps.append((value.lineno, value.col_offset, value.value))
+    first = list(dict.fromkeys(step for _, _, step in sorted(steps)))
+    assert first == list(VERDICT_KEYS)
