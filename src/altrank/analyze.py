@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
-from .fields import prime_below
+from .fields import FieldCtx, prime_below
 from .matrices import Matrix, Vector, mat_vec, place_blocks, span_dim, vec_dot
 from .spaces import AffineMatrixSpace, Span
 from .symplectic import first_singular, is_totally_singular, totally_singular_witness
@@ -41,10 +41,8 @@ class RankProfile:
     def constant_proved(self) -> bool:
         return self.constant and self.method == "exhaustive"
 
-    def to_json(self, ctx=None) -> dict:
+    def to_json(self, ctx: FieldCtx) -> dict:
         def enc(coords):
-            if ctx is None:
-                return [str(c) for c in coords]
             return [ctx.element_to_str(c) for c in coords]
 
         obj = {

@@ -151,17 +151,12 @@ def cmd_construct(args) -> tuple[dict, bool]:
         {"family": args.family, "n": args.n, "r": args.r, "s": args.s},
         args.seed,
     )
-    results: dict = {}
+    results: dict = {"dimension": built.dim, "expected_dimension": expected}
+    ok = built.dim == expected
     if isinstance(built, FormSpacePair):
-        results["dimension"] = built.dim
-        results["expected_dimension"] = expected
         results["alternating_invariant"] = True  # validated at construction
         report["pair"] = built.to_json()
-        ok = built.dim == expected
     else:
-        results["dimension"] = built.dim
-        results["expected_dimension"] = expected
-        ok = built.dim == expected
         if expectation is not None:
             kind, value = expectation
             rank_ok, profile = _verify_rank(

@@ -170,7 +170,6 @@ def build_operator_block_space(
     ctx: FieldCtx,
     n: int,
     core: Optional[AffineMatrixSpace] = None,
-    budget: int = INNER_VERIFY_BUDGET,
 ) -> FormSpacePair:
     """Trivial-spectrum operator space paired with the standard symplectic form.
 
@@ -188,7 +187,7 @@ def build_operator_block_space(
     if not core.base.is_zero():
         raise ValueError("core space must be linear")
     if ctx.kind == "prime":
-        report = analyze.trivial_spectrum_check(core, budget)
+        report = analyze.trivial_spectrum_check(core, INNER_VERIFY_BUDGET)
         if not report.trivial:
             member, lam = report.witness
             raise ContractError(f"core space fails the trivial-spectrum gate: {member!r} has eigenvalue {lam}")
@@ -275,12 +274,8 @@ class PlaneCertificate:
 def certify_plane_anisotropy() -> PlaneCertificate:
     """Extract the translation plane's Pfaffian form over the rationals and
     certify it anisotropic, so the plane holds no rank-2 matrix."""
-    ctx = FieldCtx.rational()
-    g1 = a_xyz(ctx, 1, 0, 0)
-    g2 = a_xyz(ctx, 0, 1, 0)
-    a = pfaffian(g1)
-    c = pfaffian(g2)
-    b = ctx.sub(ctx.sub(pfaffian(g1 + g2), a), c)
+    form = pfaffian_form_coefficients(FieldCtx.rational())
+    a, b, c = form["xx"], form["xy"], form["yy"]
     diagonal = b == 0
     positive = a > 0 and c > 0
     anisotropic = diagonal and positive
@@ -312,13 +307,12 @@ def pfaffian_form_coefficients(ctx: FieldCtx) -> dict[str, Element]:
     return out
 
 
-def plane_rank_drop_witness(
-    ctx: FieldCtx, budget: int = 10**6
-) -> Optional[tuple[tuple, Matrix]]:
+def plane_rank_drop_witness(ctx: FieldCtx) -> Optional[tuple[tuple, Matrix]]:
     """First plane member (lexicographic coordinates) with rank below 4."""
     plane = build_counterexample_plane(ctx)
     if ctx.kind != "prime":
         raise ValueError("exhaustive enumeration needs a prime field")
+    budget = analyze.DEFAULT_ENUM_BUDGET
     if ctx.p**2 > budget:
         raise BudgetExceededError(f"{ctx.p**2} members exceed budget {budget}")
     return analyze.first_member(plane, lambda ranks: ranks < 4, budget=budget)

@@ -15,15 +15,7 @@ import numpy as np
 
 from . import _engine
 from .fields import FieldCtx
-from .matrices import (
-    Matrix,
-    Vector,
-    form_value,
-    mat_vec,
-    rows_matrix,
-    span_dim,
-    vec_dot,
-)
+from .matrices import Matrix, Vector, mat_vec, place_blocks, rows_matrix, span_dim, vec_dot
 from .spaces import AffineMatrixSpace, Span
 
 
@@ -31,13 +23,8 @@ def standard_symplectic(ctx: FieldCtx, s: int) -> Matrix:
     """The 2s x 2s block matrix [[0, I_s], [-I_s, 0]], for s >= 0."""
     if s < 0:
         raise ValueError("the symplectic half-size must be non-negative")
-    z, o = ctx.zero(), ctx.one()
-    n = 2 * s
-    rows = [[z] * n for _ in range(n)]
-    for i in range(s):
-        rows[i][s + i] = o
-        rows[s + i][i] = ctx.neg(o)
-    return Matrix(ctx, rows)
+    i = Matrix.identity(ctx, s)
+    return place_blocks(ctx, 2 * s, 2 * s, [(0, s, i), (s, 0, -i)])
 
 
 def radical(a: Matrix) -> list[Vector]:
@@ -76,12 +63,9 @@ def find_lagrangian(k: Matrix) -> list[Vector]:
     basis: list[Vector] = []
     span = Span(ctx, [], width=n)
     while len(basis) < s:
-        if basis:
-            constraints = rows_matrix(ctx, basis) @ k
-            candidates = constraints.kernel_basis()
-        else:
-            candidates = [tuple(Matrix.identity(ctx, n).row(i)) for i in range(n)]
-        for v in candidates:
+        # with no basis yet, the zero row's kernel is the unit vectors in order
+        constraints = rows_matrix(ctx, basis or [(ctx.zero(),) * n]) @ k
+        for v in constraints.kernel_basis():
             if span.add(v):
                 basis.append(v)
                 break
@@ -93,9 +77,13 @@ def find_lagrangian(k: Matrix) -> list[Vector]:
 def symplectic_basis(k: Matrix, lagrangian: Sequence[Vector] | None = None) -> Matrix:
     """Invertible P with P^T K P in standard block form.
 
-    If a Lagrangian is supplied, its vectors become the last s columns of P,
-    so P^{-1} carries the Lagrangian onto the span of the last s coordinate
-    vectors.  All postconditions are re-verified before returning.
+    The Lagrangian (default: ``find_lagrangian(k)``) becomes the last s
+    columns Y of P, so P^{-1} carries it onto the span of the last s
+    coordinate vectors.  The first s columns are X - Y U: X solves
+    Y^T K X = -I with free coordinates zero, and U is the strict upper
+    triangle of X^T K X, which skew-corrects X without dividing by 2.  The
+    postconditions det P != 0 and P^T K P = [[0, I], [-I, 0]] are verified
+    before returning.
     """
     n = k.nrows
     if n % 2 == 1 or not k.is_alternating() or k.det() == 0:
@@ -111,38 +99,20 @@ def symplectic_basis(k: Matrix, lagrangian: Sequence[Vector] | None = None) -> M
         if not is_totally_singular(k, ys):
             raise ValueError("supplied subspace is not totally singular")
 
-    # Dual family: x_i with x_i^T K y_j = delta_ij, free coordinates zero.
-    # Row j of the constraint matrix is y_j^T K and y_j^T K x = -(x^T K y_j).
-    constraints = rows_matrix(ctx, ys) @ k
-    neg_one = ctx.neg(ctx.one())
-    xs: list[Vector] = []
-    for i in range(s):
-        target = tuple(neg_one if t == i else ctx.zero() for t in range(s))
-        sol = constraints.solve(target)
-        if sol is None:
-            raise AssertionError("nondegeneracy guarantees a dual solution")
-        xs.append(sol)
-    # Skew-correct the x block against itself; adding Lagrangian vectors keeps
-    # the pairing with ys intact and needs no division by 2.
-    for t in range(s):
-        xt = xs[t]
-        for i in range(t):
-            c = form_value(k, xs[i], xt)
-            if c != 0:
-                xt = tuple(ctx.sub(a, ctx.mul(c, b)) for a, b in zip(xt, ys[i]))
-        xs[t] = xt
-
-    cols = xs + ys
-    p = rows_matrix(ctx, cols).transpose()
-    static = standard_symplectic(ctx, s)
-    if p.det() == 0 or (p.T @ k @ p) != static:
+    yt = rows_matrix(ctx, ys)
+    # Y^T K has full row rank, so every pivot of [Y^T K | -I] lies in its first
+    # n columns: the rref row pivoting at column j holds row j of X past
+    # column n, and the rows of X at free columns are zero.
+    aug, pivots = (yt @ k).hstack(-Matrix.identity(ctx, s)).rref()
+    solved = {pc: row[n:] for pc, row in zip(pivots, aug.data)}
+    zero = (ctx.zero(),) * s
+    x = Matrix(ctx, [solved.get(j, zero) for j in range(n)])
+    xkx = x.T @ k @ x
+    u = Matrix(ctx, [[xkx[i, t] if i < t else ctx.zero() for t in range(s)] for i in range(s)])
+    y = yt.T
+    p = (x - y @ u).hstack(y)
+    if p.det() == 0 or (p.T @ k @ p) != standard_symplectic(ctx, s):
         raise AssertionError("symplectic basis postcondition failed")
-    if lagrangian is not None:
-        inv = p.inverse()
-        for v in ys:
-            image = mat_vec(inv, v)
-            if any(image[t] != 0 for t in range(s)):
-                raise AssertionError("lagrangian was not carried onto the last coordinates")
     return p
 
 
@@ -195,17 +165,15 @@ class FormSpacePair:
         )
 
 
-def phi_forms_to_operators(sp: AffineMatrixSpace, s0: Matrix | None = None) -> FormSpacePair:
-    """Translate an affine space of alternating forms to operators at a base point.
+def phi_forms_to_operators(sp: AffineMatrixSpace) -> FormSpacePair:
+    """Translate an affine space of alternating forms to operators at its base.
 
-    The base point s0 (default: the space's base) must be an invertible member;
-    each translation generator G maps to the operator K^{-1} G.
+    The base K must be invertible; each translation generator G maps to the
+    operator K^{-1} G.
     """
     if not sp.alternating:
         raise ValueError("needs an alternating space")
-    k = sp.base if s0 is None else s0
-    if not sp.contains(k):
-        raise ValueError("base point must belong to the space")
+    k = sp.base
     if k.det() == 0:
         raise ValueError("base point must be invertible")
     kinv = k.inverse()

@@ -2,11 +2,12 @@ import pytest
 
 from altrank.families import build_operator_block_space, build_strictly_upper_space
 from altrank.fields import FieldCtx
-from altrank.matrices import Matrix, form_value, mat_vec, pfaffian, place_blocks, vec_dot
+from altrank.matrices import Matrix, Span, form_value, mat_vec, pfaffian, place_blocks, rows_matrix, vec_dot
 from altrank.rand import (
     CounterStream,
     derive_seed,
     random_alternating,
+    random_invertible,
     random_invertible_alternating,
     random_matrix,
 )
@@ -122,6 +123,51 @@ def test_symplectic_basis_carries_lagrangian_to_tail():
             for i in range(2 * s)
         )
         assert all(c == 0 for c in moved[:s])  # lands in the last s coordinates
+
+
+def reference_find_lagrangian(k):
+    """Greedy Lagrangian with the unit vectors as the first step's candidates."""
+    ctx, n = k.ctx, k.nrows
+    basis = []
+    span = Span(ctx, [], width=n)
+    while len(basis) < n // 2:
+        if basis:
+            candidates = (rows_matrix(ctx, basis) @ k).kernel_basis()
+        else:
+            candidates = [Matrix.identity(ctx, n).row(i) for i in range(n)]
+        basis.append(next(v for v in candidates if span.add(v)))
+    return basis
+
+
+def reference_symplectic_basis(k, ys):
+    """Vector by vector: one solve per dual vector x_i (y_j^T K x_i = -delta_ij),
+    then x_t -= (x_i^T K x_t) y_i for i < t against the corrected x_i."""
+    ctx, s = k.ctx, k.nrows // 2
+    constraints = rows_matrix(ctx, ys) @ k
+    minus_one = ctx.neg(ctx.one())
+    xs = [constraints.solve(tuple(minus_one if t == i else ctx.zero() for t in range(s))) for i in range(s)]
+    for t in range(s):
+        for i in range(t):
+            c = form_value(k, xs[i], xs[t])
+            xs[t] = tuple(ctx.sub(a, ctx.mul(c, b)) for a, b in zip(xs[t], ys[i]))
+    return rows_matrix(ctx, xs + list(ys)).transpose()
+
+
+@pytest.mark.parametrize("ctx", [F3, F5, F7, FieldCtx.prime(11), FieldCtx.prime(101), Q], ids=str)
+def test_symplectic_constructions_match_vector_reference(ctx):
+    for n in (0, 2, 4, 6, 8):
+        for trial in range(2):
+            stream = CounterStream(derive_seed(trial, "sb-ref", str(ctx), n))
+            k = random_invertible_alternating(ctx, n, stream, box=4)
+            greedy = find_lagrangian(k)
+            assert greedy == reference_find_lagrangian(k)
+            mix = random_invertible(ctx, n // 2, stream, box=4)
+            rebased = list((mix @ rows_matrix(ctx, greedy)).data)
+            for lag in (None, greedy, rebased):
+                got = symplectic_basis(k, lag)
+                want = reference_symplectic_basis(k, greedy if lag is None else lag)
+                assert got.shape == (n, n) and got.data == want.data, (n, trial)
+                assert all(type(a) is type(b) for a, b in zip(got.flatten(), want.flatten()))
 
 
 def test_symplectic_basis_rejects_degenerate():
