@@ -243,6 +243,24 @@ def _flag_holds(basis: Matrix, sp: AffineMatrixSpace) -> bool:
     return True
 
 
+def _checked_flag(sp: AffineMatrixSpace) -> bool:
+    """Whether ``nilpotent_flag`` finds a flag of sp, re-checked exactly."""
+    flag = nilpotent_flag(sp)
+    if flag is not None and not _flag_holds(flag, sp):
+        raise AssertionError("nilpotent flag failed exact re-verification")
+    return flag is not None
+
+
+def invertible_by_flag(sp: AffineMatrixSpace) -> bool:
+    """Whether a nilpotent flag of the B_0^-1 G_i proves every member B_0 + sum x_i G_i of a
+    square space invertible, as B_0 times the unipotent I + sum x_i B_0^-1 G_i.  False proves nothing."""
+    try:
+        b0inv = sp.base.inverse()
+    except ValueError:  # B_0 is singular
+        return False
+    return _checked_flag(AffineMatrixSpace(Matrix.zeros(sp.ctx, *sp.shape), [b0inv @ g for g in sp.basis]))
+
+
 def trivial_spectrum_check(
     sp: AffineMatrixSpace, budget: int = DEFAULT_ENUM_BUDGET
 ) -> TrivialSpectrumReport:
@@ -273,10 +291,7 @@ def trivial_spectrum_check(
     _check_budget(budget)
     p = ctx.p
     total = p**sp.dim
-    flag = nilpotent_flag(sp)
-    if flag is not None:
-        if not _flag_holds(flag, sp):
-            raise AssertionError("nilpotent flag failed exact re-verification")
+    if _checked_flag(sp):
         return TrivialSpectrumReport(True, total, None)
     if total > budget:
         raise BudgetExceededError(

@@ -19,7 +19,6 @@ from .spaces import AffineMatrixSpace
 from .symplectic import FormSpacePair, standard_symplectic
 
 INNER_VERIFY_BUDGET = 10**6
-INNER_VERIFY_SAMPLES = 10**4
 
 
 def _unit(ctx: FieldCtx, rows: int, cols: int, i: int, j: int) -> Matrix:
@@ -37,16 +36,19 @@ def _check_inner(
     ctx: FieldCtx, inner: AffineMatrixSpace, size: int, dim: int, alternating: bool
 ) -> None:
     """The inner-family contract: field, size x size shape, dimension, the
-    alternating flag when asked for, and every member invertible."""
+    alternating flag when asked for, and every member invertible, proved by a
+    unipotent flag or an exhaustive rank profile (else BudgetExceededError)."""
     if inner.ctx != ctx or inner.shape != (size, size):
         raise ValueError("inner family has the wrong field or shape")
     if inner.dim != dim or (alternating and not inner.alternating):
         raise ValueError(f"inner family must be {'alternating ' if alternating else ''}of dimension {dim}")
-    profile = analyze.rank_profile(
-        inner, budget=INNER_VERIFY_BUDGET, seed=0, samples=INNER_VERIFY_SAMPLES
-    )
+    if analyze.invertible_by_flag(inner):
+        return
+    profile = analyze.rank_profile(inner, budget=INNER_VERIFY_BUDGET)
     if profile.min_rank < size:
         raise ValueError("inner family contains a singular member")
+    if profile.method != "exhaustive":
+        raise BudgetExceededError(f"inner family has no unipotent flag and over {INNER_VERIFY_BUDGET} members")
 
 
 def build_strictly_upper_space(ctx: FieldCtx, n: int) -> AffineMatrixSpace:
@@ -90,7 +92,12 @@ def build_bordered_alternating(
     s x s, B in the inner family of invertible s x s matrices (dimension
     s(s-1)/2), and C free s x (n-2s).  Total dimension s(n-s-1).
     """
-    rows = build_row_block_family(ctx, n, s, inner)
+    return border_row_blocks(build_row_block_family(ctx, n, s, inner))
+
+
+def border_row_blocks(rows: AffineMatrixSpace) -> AffineMatrixSpace:
+    """The alternating family {[[A, X], [-X^T, 0]]}: A alternating s x s, X in the s x (n-s) family rows."""
+    ctx, s, n = rows.ctx, rows.shape[0], sum(rows.shape)
 
     def bordered(x):  # [[0, x], [-x^T, 0]] for an s x (n-s) row block x
         return place_blocks(ctx, n, n, [(0, s, x), (s, 0, -x.T)])

@@ -21,7 +21,7 @@ Vector = tuple[Element, ...]
 class Matrix:
     """Immutable dense matrix over a :class:`FieldCtx`."""
 
-    __slots__ = ("ctx", "data", "nrows", "ncols")
+    __slots__ = ("ctx", "data", "nrows", "ncols", "_inverse")
 
     def __init__(self, ctx: FieldCtx, rows: Iterable[Iterable[Element]]):
         norm = ctx.normalize
@@ -252,27 +252,16 @@ class Matrix:
         return ctx.neg(acc) if swaps % 2 else acc
 
     def inverse(self) -> "Matrix":
-        if not self.is_square:
-            raise ValueError("inverse of non-square matrix")
-        n = self.nrows
-        aug, pivots = self.hstack(Matrix.identity(self.ctx, n)).rref()
-        if pivots[:n] != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return aug.block(0, n, n, 2 * n)
-
-    def solve(self, b: Vector) -> Vector | None:
-        """A particular solution of ``self @ x = b`` (free variables zero), or None."""
-        if len(b) != self.nrows:
-            raise ValueError("length mismatch")
-        ctx = self.ctx
-        aug = self.hstack(Matrix(ctx, [[x] for x in b]))
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [ctx.zero()] * self.ncols
-        for i, pc in enumerate(pivots):
-            x[pc] = R.data[i][self.ncols]
-        return tuple(x)
+        """The inverse, kept once computed; ValueError if there is none."""
+        if not hasattr(self, "_inverse"):
+            if not self.is_square:
+                raise ValueError("inverse of non-square matrix")
+            n = self.nrows
+            aug, pivots = self.hstack(Matrix.identity(self.ctx, n)).rref()
+            if pivots[:n] != tuple(range(n)):
+                raise ValueError("matrix is singular")
+            object.__setattr__(self, "_inverse", aug.block(0, n, n, 2 * n))
+        return self._inverse
 
     # -- serialization -----------------------------------------------------------
 
@@ -586,11 +575,6 @@ def vec_dot(ctx: FieldCtx, u: Vector, v: Vector) -> Element:
     if ctx.kind == "prime":
         return sum([a * b for a, b in zip(u, v)]) % ctx.p
     return sum((a * b for a, b in zip(u, v)), ctx.zero())
-
-
-def form_value(gram: Matrix, x: Vector, y: Vector) -> Element:
-    """Bilinear form value x^T gram y."""
-    return vec_dot(gram.ctx, x, mat_vec(gram, y))
 
 
 def rows_matrix(ctx: FieldCtx, vecs: Sequence[Vector]) -> Matrix:

@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _engine, analyze, families
+from . import _engine, analyze
 from .errors import ContractError
-from .families import build_bordered_alternating, build_row_block_family, constant_rank_field_bound
+from .families import border_row_blocks, build_row_block_family, constant_rank_field_bound
 from .matrices import Matrix, Vector, alternating_units, place_blocks, rows_matrix, span_dim
 from .spaces import AffineMatrixSpace, Span, congruence_act, spaces_equal
 from .symplectic import symplectic_basis, totally_singular_witness
@@ -114,10 +114,10 @@ def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpac
     complement of W to the first s coordinates, and reads off the recovered
     family M from the leading block.  Returns (Q', M) with
     t Q' = {[B C] : B in M, C arbitrary}, verified exactly.  Full row rank
-    is not assumed but proved: the builder of that form checks every B
-    invertible (exhaustively up to ``families.INNER_VERIFY_BUDGET`` members
-    of M, by sample past it), so every member [B C] has rank s.  A space
-    that fails any of this raises ``ContractError``.
+    is not assumed but proved: the builder of that form proves every B
+    invertible (``families._check_inner``), so every member [B C] has rank s.
+    A space that fails any of this raises ``ContractError``, and a flagless
+    M past the inner budget ``BudgetExceededError``.
     """
     ctx = t.ctx
     s, w = t.shape
@@ -306,12 +306,12 @@ def canonical_reduction(
     and a non-negative candidate count.  Constant rank r is proved, not
     assumed: an all-true certificate lands the space on the bordered form,
     whose members have rank 2 rank[B C] = r since every B of the inner family
-    is checked invertible, and a space without it ends in a false verdict.
-    That check is exhaustive only up to ``families.INNER_VERIFY_BUDGET``
-    members; past it (q^(s(s-1)/2) members) the call raises unless
-    rank_certified vouches for constancy.  Mathematical failures during the
-    pipeline are recorded, not raised: the verdicts are true exactly for the
-    steps before the first failing one, whose record is witnesses["failure"].
+    is proved invertible, by a unipotent flag or by enumerating at most
+    ``families.INNER_VERIFY_BUDGET`` members (else ``BudgetExceededError``),
+    and a space without it ends in a false verdict.  rank_certified has no
+    effect.  Mathematical failures during the pipeline are recorded, not
+    raised: the verdicts are true exactly for the steps before the first
+    failing one, whose record is witnesses["failure"].
     """
     ctx = sp.ctx
     if ctx.kind != "prime":
@@ -331,10 +331,6 @@ def canonical_reduction(
         raise ValueError(f"field must have at least {bound} elements")
     if sp.dim != s * (n - s - 1):
         raise ValueError(f"dimension must be the critical value {s * (n - s - 1)}")
-    if not rank_certified and ctx.p ** (s * (s - 1) // 2) > families.INNER_VERIFY_BUDGET:
-        raise ValueError(
-            "constant rank must be caller-certified when the inner family exceeds its verify budget"
-        )
 
     cert = ReductionCertificate(n=n, r=r, s=s, verdicts={})
     failure = _reduce(cert, sp, seed, enum_budget, samples, candidates)
@@ -366,8 +362,7 @@ def _reduce(
     if failed is not None:
         return {"step": "generator_identities", "report": failed.to_json()}
 
-    kinv = k.inverse()
-    ops = [kinv @ b for b in _independent([g.block(0, r, r, n) for g in sp1.basis])]
+    ops = [k.inverse() @ b for b in _independent([g.block(0, r, r, n) for g in sp1.basis])]
     try:
         lag = analyze.extract_range_lagrangian(ops, k)
     except (ValueError, ContractError) as exc:
@@ -396,7 +391,9 @@ def _reduce(
     cert.recovered_M = m_space
     cert.P = p1 @ p2 @ place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, s)), (s, s, qprime)])
     moved = congruence_act(sp, cert.P)
-    if not spaces_equal(moved, build_bordered_alternating(ctx, n, s, inner=m_space)):
+    # reduce_full_row_rank has proved that slab Q' is the [B C] family over m_space
+    rows = AffineMatrixSpace(slab.base @ qprime, [g @ qprime for g in slab.basis])
+    if not spaces_equal(moved, border_row_blocks(rows)):
         return {"step": "set_equality"}
 
     try:

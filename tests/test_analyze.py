@@ -12,6 +12,7 @@ from altrank.analyze import (
     extract_range_lagrangian,
     first_member,
     flanders_atkinson_check,
+    invertible_by_flag,
     kernel_to_image_check,
     nilpotent_flag,
     rank_profile,
@@ -23,6 +24,7 @@ from altrank.families import (
     build_counterexample_plane,
     build_operator_block_space,
     build_strictly_upper_space,
+    build_unitriangular_space,
 )
 from altrank.fields import FieldCtx, prime_below
 from altrank.matrices import Matrix, place_blocks
@@ -578,9 +580,13 @@ def test_flagged_spaces_never_scan(monkeypatch):
 def test_nilpotent_flag_is_rechecked_exactly(monkeypatch, basis):
     sp = build_strictly_upper_space(F3, 3)
     assert trivial_spectrum_check(sp).trivial
+    inner = build_unitriangular_space(F3, 3)
+    assert invertible_by_flag(inner)
     monkeypatch.setattr(analyze, "nilpotent_flag", lambda space: basis)
     with pytest.raises(AssertionError, match="^nilpotent flag failed exact re-verification$"):
         trivial_spectrum_check(sp)
+    with pytest.raises(AssertionError, match="^nilpotent flag failed exact re-verification$"):
+        invertible_by_flag(inner)
 
 
 # -- rank-degeneration conclusions ---------------------------------------------------------

@@ -101,16 +101,33 @@ def test_reduce_nonconstant_space_exits_1_with_its_witness(tmp_path):
     assert report["certificate"]["witnesses"]["failure"]
 
 
-def test_reduce_past_the_inner_budget_is_usage_error(tmp_path, capsys):
-    sp = build_bordered_alternating(F11, 11, 4)  # 11^6 inner members
+def test_reduce_past_the_inner_budget_proves_constant_rank(tmp_path):
+    sp = build_bordered_alternating(F11, 11, 4)  # 11^6 inner members, proved by a flag
     src = tmp_path / "space.json"
     src.write_text(json.dumps(sp.to_json()))
     code, text = run(tmp_path, "reduce", "--in", str(src), "--rank", "8")
-    err = capsys.readouterr().err
-    assert code == 2 and text == "" and "caller-certified" in err
-    with pytest.raises(SystemExit) as exc:
+    assert code == 0 and json.loads(text)["results"]["all_verdicts_true"] is True
+    with pytest.raises(SystemExit) as exc:  # reduce takes no --rank-certified option
         main(["reduce", "--in", str(src), "--rank", "8", "--rank-certified"])
     assert exc.value.code == 2
+
+
+def test_construct_over_a_flagless_inner_family_past_the_budget_is_usage_error(tmp_path, capsys):
+    # I + t [[0, 1], [a, 0]] has det 1 - a t^2, never 0 for a non-square a,
+    # and no flag; its 1,000,003 members are past the budget, so nothing is proved
+    p = 1_000_003
+    a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    ctx = FieldCtx.prime(p)
+    inner = AffineMatrixSpace(Matrix.identity(ctx, 2), [Matrix(ctx, [[0, 1], [a, 0]])])
+    src = tmp_path / "inner.json"
+    src.write_text(json.dumps(inner.to_json()))
+    code, text = run(
+        tmp_path, "construct", "--family", "m-tilde-alt", "--field", f"Fp:{p}", "--n", "5", "--s", "2",
+        "--inner", str(src),
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.count("\n") == 1 and "no unipotent flag" in err
 
 
 def test_reduce_small_field_is_usage_error(tmp_path):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from altrank.analyze import rank_profile
+from altrank.analyze import invertible_by_flag, rank_profile
 from altrank.families import (
     a_xyz,
     build_bordered_alternating,
@@ -20,7 +20,7 @@ from altrank.families import (
     plane_rank_drop_witness,
     translation_rank_two_witness,
 )
-from altrank.errors import ContractError
+from altrank.errors import BudgetExceededError, ContractError
 from altrank.fields import FieldCtx
 from altrank.matrices import Matrix, pfaffian
 from altrank.spaces import AffineMatrixSpace
@@ -86,6 +86,41 @@ def test_bordered_rejects_singular_inner():
         build_bordered_alternating(F5, 6, 2, inner=inner)
     with pytest.raises(ValueError):
         build_bordered_alternating(F5, 3, 2)  # needs n >= 2s
+
+
+@pytest.mark.parametrize("ctx", [F3, F5, F7], ids=str)
+def test_flag_verdict_agrees_with_an_exhaustive_profile_on_default_inner_families(ctx):
+    inners = [(s, build_unitriangular_space(ctx, s)) for s in (1, 2, 3, 4)]
+    inners += [(2 * s, build_invertible_alternating(ctx, s)) for s in (1, 2, 3)]
+    for size, inner in inners:
+        profile = rank_profile(inner, budget=ctx.p**inner.dim, seed=0, samples=1)
+        assert profile.method == "exhaustive" and profile.min_rank == size
+        assert invertible_by_flag(inner)
+
+
+def test_flagless_inner_family_is_proved_by_the_exhaustive_fallback():
+    # det(I + t C) = 1 + 2 t^2 != 0 over F_5, and C is not nilpotent
+    inner = AffineMatrixSpace(Matrix.identity(F5, 2), [Matrix(F5, [[0, 1], [3, 0]])])
+    assert not invertible_by_flag(inner)
+    sp = build_bordered_alternating(F5, 5, 2, inner=inner)
+    prof = rank_profile(sp, budget=5**4, seed=0, samples=10)
+    assert prof.constant_proved and prof.min_rank == 4
+
+
+def test_flagless_inner_family_past_the_budget_proves_nothing():
+    # no flag and 1,000,003 members: sampled, so no verdict of invertibility
+    p = 1_000_003
+    a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    ctx = FieldCtx.prime(p)
+    inner = AffineMatrixSpace(Matrix.identity(ctx, 2), [Matrix(ctx, [[0, 1], [a, 0]])])
+    with pytest.raises(BudgetExceededError, match="no unipotent flag"):
+        build_bordered_alternating(ctx, 5, 2, inner=inner)
+    # diag(1 + x, 1 + y, 1 + z) over F_101, singular on about 3% of its
+    # 101^3 members: a sampled singular member still rejects the family
+    f101 = FieldCtx.prime(101)
+    diag = AffineMatrixSpace(Matrix.identity(f101, 3), [unit(f101, 3, i, i) for i in range(3)])
+    with pytest.raises(ValueError, match="singular member"):
+        build_row_block_family(f101, 6, 3, inner=diag)
 
 
 def test_corank_one_frozen():

@@ -9,12 +9,23 @@ from altrank import _engine, analyze, reduction
 from altrank.analyze import rank_profile
 from altrank.errors import ContractError
 from altrank.families import (
+    INNER_VERIFY_BUDGET,
     build_bordered_alternating,
     build_rank_at_least_space,
     build_row_block_family,
 )
 from altrank.fields import FieldCtx
-from altrank.matrices import Matrix, Span, alternating_from_upper, form_value, place_blocks, rows_matrix, span_dim, upper_pairs
+from altrank.matrices import (
+    Matrix,
+    Span,
+    alternating_from_upper,
+    mat_vec,
+    place_blocks,
+    rows_matrix,
+    span_dim,
+    upper_pairs,
+    vec_dot,
+)
 from altrank.rand import (
     DEFAULT_RATIONAL_BOX,
     CounterStream,
@@ -210,7 +221,7 @@ def test_totally_singular_rejection():
     witness = totally_singular_rejection(sp, swapped)
     assert witness is not None
     member, x, y = witness
-    assert form_value(member, x, y) != 0
+    assert vec_dot(F5, x, mat_vec(member, y)) != 0
 
 
 def test_unique_complement_positive():
@@ -264,7 +275,7 @@ def test_rank_two_slab_witness_matches_dual_basis_reference(p, s):
         unit = place_blocks(ctx, n, n, [(0, 0, alt_unit(ctx, s, a, b))])
         got = unit.scale(ctx.inv(ctx.sub(ctx.mul(x[a], y[b]), ctx.mul(x[b], y[a]))))
         assert got == expected
-        assert got.rank() == 2 and form_value(got, x, y) == 1
+        assert got.rank() == 2 and vec_dot(ctx, x, mat_vec(got, y)) == 1
         free_pairs.add((a, b))
         checked += 1
     assert len(free_pairs) > 1 or s == 2
@@ -453,12 +464,28 @@ def test_canonical_reduction_preconditions():
         canonical_reduction(sp, 4, candidates=-3)
 
 
-def test_canonical_reduction_requires_certification_past_inner_budget():
-    sp = build_bordered_alternating(F11, 11, 4)  # 11^6 inner members, only sampled
-    with pytest.raises(ValueError, match="caller-certified"):
-        canonical_reduction(sp, 8)
-    cert = canonical_reduction(sp, 8, seed=0, rank_certified=True)
+def test_canonical_reduction_proves_constant_rank_past_the_inner_budget():
+    sp = build_bordered_alternating(F11, 11, 4)  # 11^6 inner members, past the budget
+    moved = congruence_act(sp, seeded_invertible(F11, 11, "past-inner"))
+    cert = canonical_reduction(moved, 8, seed=0)
     assert cert.all_verdicts_true
+    assert cert.recovered_M.member_count() > INNER_VERIFY_BUDGET
+    assert analyze.invertible_by_flag(cert.recovered_M)  # so every B is invertible
+    # rank_certified is accepted and changes nothing
+    assert canonical_reduction(moved, 8, seed=0, rank_certified=True).to_json() == cert.to_json()
+
+
+def test_canonical_reduction_over_a_flagless_inner_family():
+    # I + t C with C = [[0, 1], [3, 0]] is invertible (det 1 + 2 t^2, and -2
+    # is no square mod 5) but has no flag, since C is not nilpotent; the
+    # exhaustive fallback proves it, here and for the recovered family
+    inner = AffineMatrixSpace(Matrix.identity(F5, 2), [Matrix(F5, [[0, 1], [3, 0]])])
+    assert not analyze.invertible_by_flag(inner)
+    sp = build_bordered_alternating(F5, 7, 2, inner=inner)
+    for trial in range(2):
+        cert = canonical_reduction(congruence_act(sp, seeded_invertible(F5, 7, f"fl{trial}")), 4, seed=trial)
+        assert cert.all_verdicts_true
+        assert not analyze.invertible_by_flag(cert.recovered_M)
 
 
 def test_canonical_reduction_rejects_nonconstant_rank():

@@ -2,7 +2,7 @@ import pytest
 
 from altrank.families import build_operator_block_space, build_strictly_upper_space
 from altrank.fields import FieldCtx
-from altrank.matrices import Matrix, Span, form_value, mat_vec, pfaffian, place_blocks, rows_matrix, vec_dot
+from altrank.matrices import Matrix, Span, mat_vec, pfaffian, place_blocks, rows_matrix, vec_dot
 from altrank.rand import (
     CounterStream,
     derive_seed,
@@ -56,7 +56,7 @@ def test_totally_singular_witness():
     bad = [(1, 0, 0, 0), (0, 0, 1, 0)]
     assert not is_totally_singular(k, bad)
     i, j = totally_singular_witness(k, bad)
-    assert form_value(k, bad[i], bad[j]) != 0
+    assert vec_dot(F5, bad[i], mat_vec(k, bad[j])) != 0
 
 
 def eager_totally_singular_witness(gram, vecs):
@@ -139,16 +139,28 @@ def reference_find_lagrangian(k):
     return basis
 
 
+def particular_solution(m, b):
+    """The solution of m x = b whose free variables are zero, read off the
+    rref of [m | b]; b must lie in the column space of m."""
+    ctx = m.ctx
+    aug, pivots = m.hstack(Matrix(ctx, [[x] for x in b])).rref()
+    assert m.ncols not in pivots
+    x = [ctx.zero()] * m.ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = aug[i, m.ncols]
+    return tuple(x)
+
+
 def reference_symplectic_basis(k, ys):
     """Vector by vector: one solve per dual vector x_i (y_j^T K x_i = -delta_ij),
     then x_t -= (x_i^T K x_t) y_i for i < t against the corrected x_i."""
     ctx, s = k.ctx, k.nrows // 2
     constraints = rows_matrix(ctx, ys) @ k
     minus_one = ctx.neg(ctx.one())
-    xs = [constraints.solve(tuple(minus_one if t == i else ctx.zero() for t in range(s))) for i in range(s)]
+    xs = [particular_solution(constraints, tuple(minus_one if t == i else ctx.zero() for t in range(s))) for i in range(s)]
     for t in range(s):
         for i in range(t):
-            c = form_value(k, xs[i], xs[t])
+            c = vec_dot(ctx, xs[i], mat_vec(k, xs[t]))
             xs[t] = tuple(ctx.sub(a, ctx.mul(c, b)) for a, b in zip(xs[t], ys[i]))
     return rows_matrix(ctx, xs + list(ys)).transpose()
 
