@@ -30,12 +30,15 @@ class RankProfile:
 
     min_rank: int
     max_rank: int
-    constant: bool
     method: str  # "exhaustive" | "sampled"
     checked: int
     seed: Optional[int]
     witness_min: tuple
     witness_max: tuple
+
+    @property
+    def constant(self) -> bool:
+        return self.min_rank == self.max_rank
 
     @property
     def constant_proved(self) -> bool:
@@ -89,8 +92,7 @@ def rank_profile(
         if sp.member_at(coords).rank() != expect:
             raise AssertionError("engine witness failed exact re-verification")
     return RankProfile(
-        mn, mx, mn == mx, "exhaustive" if exhaustive else "sampled",
-        count, None if exhaustive else seed, wmin, wmax,
+        mn, mx, "exhaustive" if exhaustive else "sampled", count, None if exhaustive else seed, wmin, wmax
     )
 
 
@@ -187,9 +189,12 @@ def _rational_residues(sp: AffineMatrixSpace, box: int) -> list[tuple[int, np.nd
 
 @dataclass(frozen=True)
 class TrivialSpectrumReport:
-    trivial: bool
     checked: int
     witness: Optional[tuple]  # (member, eigenvalue)
+
+    @property
+    def trivial(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.trivial
@@ -292,19 +297,19 @@ def trivial_spectrum_check(
     p = ctx.p
     total = p**sp.dim
     if _checked_flag(sp):
-        return TrivialSpectrumReport(True, total, None)
+        return TrivialSpectrumReport(total, None)
     if total > budget:
         raise BudgetExceededError(
             f"{total} members exceed the spectrum scan budget {budget}"
         )
     hits = _engine.unit_eigen_hits(sp.flat_arrays()[1], sp.shape[0], p)
     if len(hits) == 0:
-        return TrivialSpectrumReport(True, total, None)
+        return TrivialSpectrumReport(total, None)
     member = sp.member_at(_engine.index_to_coords(int(hits[0]), sp.dim, p))
     lam = first_singular(member, Matrix.identity(ctx, sp.shape[0]).scale(-1), 1)
     if lam is None:
         raise AssertionError("spectrum witness failed exact re-verification")
-    return TrivialSpectrumReport(False, total, (member, lam))
+    return TrivialSpectrumReport(total, (member, lam))
 
 
 @dataclass(frozen=True)
@@ -438,8 +443,11 @@ def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[M
 @dataclass(frozen=True)
 class KernelImageReport:
     cardinality_ok: bool
-    holds: bool
     witness: Optional[tuple]  # (matrix, kernel vector)
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -458,17 +466,10 @@ def kernel_to_image_check(sp: AffineMatrixSpace, u0: Matrix) -> KernelImageRepor
     cardinality_ok = ctx.cardinality_at_least(r0 + 1)
     image = Span(ctx, [tuple(u0.col(j)) for j in range(u0.ncols)])
     kernel = u0.kernel_basis()
-    witness = None
-    holds = True
-    for mat in (sp.base, *sp.basis):
-        for x in kernel:
-            if not image.contains(mat_vec(mat, x)):
-                holds = False
-                witness = (mat, x)
-                break
-        if not holds:
-            break
-    return KernelImageReport(cardinality_ok, holds, witness)
+    witness = next(
+        ((mat, x) for mat in (sp.base, *sp.basis) for x in kernel if not image.contains(mat_vec(mat, x))), None
+    )
+    return KernelImageReport(cardinality_ok, witness)
 
 
 def extract_range_lagrangian(ops: Sequence[Matrix], gram: Matrix) -> Optional[list[Vector]]:
@@ -539,10 +540,7 @@ def duality_invariant_check(
     n = k.nrows
     ops = pair.operators
     if ctx.kind == "prime":
-        span_space = AffineMatrixSpace(
-            Matrix.zeros(ctx, n, n), list(ops), alternating=False
-        )
-        report = trivial_spectrum_check(span_space, budget)
+        report = trivial_spectrum_check(AffineMatrixSpace(Matrix.zeros(ctx, n, n), ops), budget)
         if not report.trivial:
             member, lam = report.witness
             raise ContractError(f"operator space fails the trivial-spectrum gate: {member!r} has eigenvalue {lam}")

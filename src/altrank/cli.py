@@ -120,7 +120,7 @@ def build_family(
             raise ValueError("standard-symplectic needs --s")
         from .symplectic import standard_symplectic
 
-        sp = AffineMatrixSpace(standard_symplectic(ctx, s), [], alternating=True)
+        sp = AffineMatrixSpace(standard_symplectic(ctx, s), [])
         return sp, 0, ("constant", 2 * s)
     raise ValueError(f"unknown family {name!r}")
 
@@ -228,14 +228,9 @@ def cmd_verify(args) -> tuple[dict, bool]:
 def cmd_reduce(args) -> tuple[dict, bool]:
     space = _load_input(getattr(args, "in"), "space")
     cert = reduction.canonical_reduction(
-        space,
-        args.rank,
-        seed=args.seed,
-        enum_budget=args.budget,
-        samples=args.sample,
-        candidates=args.candidates,
+        space, args.rank, seed=args.seed, enum_budget=args.budget, samples=args.sample
     )
-    report = _report("reduce", space.ctx, {"rank": args.rank, "candidates": args.candidates}, args.seed)
+    report = _report("reduce", space.ctx, {"rank": args.rank}, args.seed)
     report["certificate"] = cert.to_json()
     report["results"] = {"all_verdicts_true": cert.all_verdicts_true}
     return report, cert.all_verdicts_true
@@ -472,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run the canonical reduction pipeline")
     p.add_argument("--in", default="-", help="space JSON path or - for stdin")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--candidates", type=int, default=200)
     common(p, with_field=False)
     p.set_defaults(func=cmd_reduce)
 

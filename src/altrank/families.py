@@ -35,8 +35,8 @@ def _strictly_upper_units(ctx: FieldCtx, n: int) -> list[Matrix]:
 def _check_inner(
     ctx: FieldCtx, inner: AffineMatrixSpace, size: int, dim: int, alternating: bool
 ) -> None:
-    """The inner-family contract: field, size x size shape, dimension, the
-    alternating flag when asked for, and every member invertible, proved by a
+    """The inner-family contract: field, size x size shape, dimension,
+    alternating data when asked for, and every member invertible, proved by a
     unipotent flag or an exhaustive rank profile (else BudgetExceededError)."""
     if inner.ctx != ctx or inner.shape != (size, size):
         raise ValueError("inner family has the wrong field or shape")
@@ -80,7 +80,7 @@ def build_invertible_alternating(ctx: FieldCtx, s: int) -> AffineMatrixSpace:
         gens.append(place_blocks(ctx, n, n, [(0, s, u), (s, 0, -u.T)]))
     for b in alternating_units(ctx, s):
         gens.append(place_blocks(ctx, n, n, [(s, s, b)]))
-    return AffineMatrixSpace(base, gens, alternating=True)
+    return AffineMatrixSpace(base, gens)
 
 
 def build_bordered_alternating(
@@ -104,7 +104,7 @@ def border_row_blocks(rows: AffineMatrixSpace) -> AffineMatrixSpace:
 
     gens = [place_blocks(ctx, n, n, [(0, 0, a)]) for a in alternating_units(ctx, s)]
     gens += [bordered(x) for x in rows.basis]
-    return AffineMatrixSpace(bordered(rows.base), gens, alternating=True)
+    return AffineMatrixSpace(bordered(rows.base), gens)
 
 
 def build_row_block_family(
@@ -170,7 +170,7 @@ def build_rank_at_least_space(
             gens.append(place_blocks(ctx, n, n, [(0, r, c), (r, 0, -c.T)]))
     for d in alternating_units(ctx, n - r):
         gens.append(place_blocks(ctx, n, n, [(r, r, d)]))
-    return AffineMatrixSpace(base, gens, alternating=True)
+    return AffineMatrixSpace(base, gens)
 
 
 def build_operator_block_space(
@@ -228,7 +228,7 @@ def build_counterexample_plane(ctx: FieldCtx) -> AffineMatrixSpace:
     behavior separates fields: rank 4 throughout over the rationals, rank
     drops over small prime fields."""
     gens = [a_xyz(ctx, 1, 0, 0), a_xyz(ctx, 0, 1, 0)]
-    return AffineMatrixSpace(a_xyz(ctx, 0, 0, 1), gens, alternating=True)
+    return AffineMatrixSpace(a_xyz(ctx, 0, 0, 1), gens)
 
 
 def optimal_dimension_formula(n: int, r: int, problem: str) -> int:
@@ -329,8 +329,6 @@ def translation_rank_two_witness(ctx: FieldCtx) -> Optional[tuple[tuple, Matrix]
     """First nonzero translation combination of rank 2, scanning lexicographically."""
     if ctx.kind != "prime":
         raise ValueError("witness scan needs a prime field")
-    translations = AffineMatrixSpace(
-        Matrix.zeros(ctx, 4, 4), [a_xyz(ctx, 1, 0, 0), a_xyz(ctx, 0, 1, 0)], alternating=True
-    )
+    translations = AffineMatrixSpace(Matrix.zeros(ctx, 4, 4), [a_xyz(ctx, 1, 0, 0), a_xyz(ctx, 0, 1, 0)])
     # the zero combination, first in the scan, has rank 0
     return analyze.first_member(translations, lambda ranks: ranks == 2, budget=ctx.p**2)

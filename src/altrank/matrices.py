@@ -52,6 +52,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix, (self.ctx, self.data)
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod

@@ -32,6 +32,7 @@ VERDICT_KEYS = (
     "set_equality",
     "complement_uniqueness",
 )
+COMPLEMENT_CANDIDATES = 200  # complement candidates rejected in step (c) of every reduction
 
 
 @dataclass
@@ -40,12 +41,15 @@ class ReductionCertificate:
 
     n: int
     r: int
-    s: int
     verdicts: dict
     P: Optional[Matrix] = None
     lagrangian: Optional[list] = None
     recovered_M: Optional[AffineMatrixSpace] = None
     witnesses: dict = field(default_factory=dict)
+
+    @property
+    def s(self) -> int:
+        return self.r // 2
 
     @property
     def all_verdicts_true(self) -> bool:
@@ -179,26 +183,23 @@ def totally_singular_rejection(
     return None
 
 
-def unique_totally_singular_complement(
-    sp: AffineMatrixSpace, s: int, *, seed: int = 0, candidates: int = 200
-) -> list[Vector]:
+def unique_totally_singular_complement(sp: AffineMatrixSpace, s: int, *, seed: int = 0) -> list[Vector]:
     """The unique (n-s)-dimensional subspace totally singular for every member.
 
     sp must be in the bordered canonical form over a prime field, so the span
     of the last n-s coordinates qualifies.  Uniqueness is certified by (a)
     checking that the translation span contains every alternating matrix
     supported on the leading s x s block, (b) re-checking the dimension
-    obstruction that rules out any other candidate, and (c) rejecting a
-    seeded family of candidate subspaces, each by a member whose form is
-    nonzero on it, in one engine pass (``_reject_candidates``).  A rank-2 form
-    that pairs a candidate's rows modulo the tail is supported on the leading
-    s x s block, so (a) has already put it in the translation span.
+    obstruction that rules out any other candidate, and (c) rejecting
+    ``COMPLEMENT_CANDIDATES`` seeded candidate subspaces, each by a member
+    whose form is nonzero on it, in one engine pass (``_reject_candidates``).
+    A rank-2 form that pairs a candidate's rows modulo the tail is supported
+    on the leading s x s block, so (a) has already put it in the translation
+    span.
     """
     ctx = sp.ctx
     if ctx.kind != "prime":
         raise ValueError("the complement scan needs a prime field")
-    if candidates < 0:
-        raise ValueError("the candidate count must be non-negative")
     n = sp.shape[0]
     r = 2 * s
     if n <= 2 * s + 2:
@@ -220,7 +221,7 @@ def unique_totally_singular_complement(
         if Span(ctx, cols, width=n).dim < s:
             raise ContractError("tail columns of the translation span are too thin")
 
-    _reject_candidates(sp, s, seed, candidates)
+    _reject_candidates(sp, s, seed)
     return tail
 
 
@@ -259,7 +260,7 @@ def _rejected(sp: AffineMatrixSpace, cands: np.ndarray) -> np.ndarray:
     return _engine._matmul_mod(image, cands.transpose(0, 2, 1)[None], 0, p).any(axis=(0, 2, 3))
 
 
-def _reject_candidates(sp: AffineMatrixSpace, s: int, seed: int, candidates: int) -> None:
+def _reject_candidates(sp: AffineMatrixSpace, s: int, seed: int) -> None:
     """Step (c) of ``unique_totally_singular_complement``: every candidate C
     must have C G C^T nonzero for some member G, or ``ContractError`` is raised.
 
@@ -269,7 +270,7 @@ def _reject_candidates(sp: AffineMatrixSpace, s: int, seed: int, candidates: int
     and any disagreement raises ``AssertionError``.
     """
     ctx, p, n = sp.ctx, sp.ctx.p, sp.shape[0]
-    cands, n_struct = _complement_candidates(p, n, s, seed, candidates)
+    cands, n_struct = _complement_candidates(p, n, s, seed, COMPLEMENT_CANDIDATES)
     rejected = _rejected(sp, cands)
 
     lo = min(n_struct, max(0, len(cands) - _engine.GUARD_MEMBERS))
@@ -297,32 +298,29 @@ def canonical_reduction(
     rank_certified: bool = False,
     enum_budget: int = 10**6,
     samples: int = 10**4,
-    candidates: int = 200,
 ) -> ReductionCertificate:
     """Full reduction pipeline with a machine-checkable certificate.
 
     Preconditions (errors): prime field of size at least max(r-1, 2 + r/2),
-    alternating n x n space with n >= r+3 and dimension exactly s(n-s-1),
-    and a non-negative candidate count.  Constant rank r is proved, not
-    assumed: an all-true certificate lands the space on the bordered form,
-    whose members have rank 2 rank[B C] = r since every B of the inner family
-    is proved invertible, by a unipotent flag or by enumerating at most
-    ``families.INNER_VERIFY_BUDGET`` members (else ``BudgetExceededError``),
-    and a space without it ends in a false verdict.  rank_certified has no
-    effect.  Mathematical failures during the pipeline are recorded, not
-    raised: the verdicts are true exactly for the steps before the first
-    failing one, whose record is witnesses["failure"].
+    alternating n x n space (its data alternating, see ``AffineMatrixSpace``)
+    with n >= r+3 and dimension exactly s(n-s-1).  Constant rank r is proved,
+    not assumed: an all-true certificate lands the space on the bordered
+    form, whose members have rank 2 rank[B C] = r since every B of the inner
+    family is proved invertible, by a unipotent flag or by enumerating at
+    most ``families.INNER_VERIFY_BUDGET`` members (else
+    ``BudgetExceededError``), and a space without it ends in a false verdict.
+    rank_certified has no effect.  Mathematical failures during the pipeline
+    are recorded, not raised: the verdicts are true exactly for the steps
+    before the first failing one, whose record is witnesses["failure"].
     """
     ctx = sp.ctx
     if ctx.kind != "prime":
         raise ValueError("the reduction pipeline scans pencils over a prime field")
     if r < 2 or r % 2 == 1:
         raise ValueError("rank must be even and positive")
-    if candidates < 0:
-        raise ValueError("the candidate count must be non-negative")
     s = r // 2
     n = sp.shape[0]
-    if not sp.alternating or sp.shape != (n, n):
+    if not sp.alternating:
         raise ValueError("needs an alternating square space")
     if n < r + 3:
         raise ValueError("needs n >= r + 3")
@@ -332,8 +330,8 @@ def canonical_reduction(
     if sp.dim != s * (n - s - 1):
         raise ValueError(f"dimension must be the critical value {s * (n - s - 1)}")
 
-    cert = ReductionCertificate(n=n, r=r, s=s, verdicts={})
-    failure = _reduce(cert, sp, seed, enum_budget, samples, candidates)
+    cert = ReductionCertificate(n=n, r=r, verdicts={})
+    failure = _reduce(cert, sp, seed, enum_budget, samples)
     passed = len(VERDICT_KEYS) if failure is None else VERDICT_KEYS.index(failure["step"])
     cert.verdicts = {k: i < passed for i, k in enumerate(VERDICT_KEYS)}
     if failure is not None:
@@ -342,8 +340,7 @@ def canonical_reduction(
 
 
 def _reduce(
-    cert: ReductionCertificate, sp: AffineMatrixSpace, seed: int, enum_budget: int,
-    samples: int, candidates: int,
+    cert: ReductionCertificate, sp: AffineMatrixSpace, seed: int, enum_budget: int, samples: int
 ) -> Optional[dict]:
     """The steps of ``canonical_reduction``, one per verdict in ``VERDICT_KEYS``
     order, filling in cert as they pass.  Returns the failure record of the
@@ -356,7 +353,7 @@ def _reduce(
     cert.witnesses["base_point_coords"] = [ctx.element_to_str(c) for c in coords0]
 
     p1, k = normalize_radical_to_tail(s0)
-    sp1 = congruence_act(AffineMatrixSpace(s0, sp.basis, alternating=True), p1)
+    sp1 = congruence_act(AffineMatrixSpace(s0, sp.basis), p1)
     reports = analyze.flanders_atkinson_check(sp1.basis, r, "alternating", k)
     failed = next((rep for rep in reports if not rep.conclusions_hold), None)
     if failed is not None:
@@ -397,8 +394,8 @@ def _reduce(
         return {"step": "set_equality"}
 
     try:
-        unique_totally_singular_complement(moved, s, seed=seed, candidates=candidates)
+        unique_totally_singular_complement(moved, s, seed=seed)
     except ContractError as exc:
         return {"step": "complement_uniqueness", "error": str(exc)}
-    cert.witnesses["complement_candidates_rejected"] = candidates
+    cert.witnesses["complement_candidates_rejected"] = COMPLEMENT_CANDIDATES
     return None

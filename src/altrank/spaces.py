@@ -29,11 +29,13 @@ _WALK_ELEMS = 1 << 16  # parent-mask entries behind one block of the coset walk 
 
 
 class AffineMatrixSpace:
-    """base + span(basis) inside the matrices of a fixed shape."""
+    """base + span(basis) inside the matrices of a fixed shape; ``alternating``
+    is read off the data: true exactly when the base and every generator are
+    alternating (so the members are too)."""
 
     __slots__ = ("ctx", "base", "basis", "alternating", "_span")
 
-    def __init__(self, base: Matrix, basis: Sequence[Matrix], alternating: bool = False):
+    def __init__(self, base: Matrix, basis: Sequence[Matrix]):
         ctx = base.ctx
         for g in basis:
             if g.ctx != ctx:
@@ -43,17 +45,17 @@ class AffineMatrixSpace:
         span = Span(ctx, [g.flatten() for g in basis], width=base.nrows * base.ncols)
         if span.dim != len(basis):
             raise ValueError("translation basis is linearly dependent")
-        if alternating:
-            if not base.is_alternating() or any(not g.is_alternating() for g in basis):
-                raise ValueError("alternating flag set on non-alternating data")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "alternating", alternating)
+        object.__setattr__(self, "alternating", all(m.is_alternating() for m in (base, *basis)))
         object.__setattr__(self, "_span", span)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineMatrixSpace is immutable")
+
+    def __reduce__(self):
+        return AffineMatrixSpace, (self.base, self.basis)
 
     @property
     def dim(self) -> int:
@@ -150,9 +152,12 @@ class AffineMatrixSpace:
         basis = [Matrix.from_json(g) for g in obj["basis"]]
         if FieldCtx.parse(obj["field"]) != base.ctx:
             raise ValueError(f"declared field {obj['field']!r} does not match the entries' field")
-        sp = AffineMatrixSpace(base, basis, alternating=obj["alternating"])
+        sp = AffineMatrixSpace(base, basis)
         if obj["shape"] != list(sp.shape):
             raise ValueError("declared shape does not match base")
+        # a declared false is no claim: alternation is read off the data
+        if obj["alternating"] and not sp.alternating:
+            raise ValueError("alternating flag set on non-alternating data")
         return sp
 
 
@@ -161,12 +166,7 @@ class AffineMatrixSpace:
 
 def congruence_act(sp: AffineMatrixSpace, p: Matrix) -> AffineMatrixSpace:
     """X -> P^T X P member-wise; preserves rank multiset and alternation."""
-    if p.det() == 0:
-        raise ValueError("congruence requires an invertible matrix")
-    pt = p.T
-    return AffineMatrixSpace(
-        pt @ sp.base @ p, [pt @ g @ p for g in sp.basis], alternating=sp.alternating
-    )
+    return equivalence_act(sp, p.T, p)
 
 
 def equivalence_act(sp: AffineMatrixSpace, p: Matrix, q: Matrix) -> AffineMatrixSpace:
@@ -360,7 +360,7 @@ def exhaustive_optimal_dimension(
         w_rows, rep_idx = found
         base = alternating_from_upper(ctx, n, [int(v) for v in all_vecs[rep_idx]])
         gens = [alternating_from_upper(ctx, n, [int(v) for v in row]) for row in w_rows]
-        witness = AffineMatrixSpace(base, gens, alternating=True)
+        witness = AffineMatrixSpace(base, gens)
         for _, mat in witness.enumerate(10**6):
             k = mat.rank()
             if k < r or (predicate == "constant-rank" and k != r):

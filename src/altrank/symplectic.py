@@ -182,9 +182,7 @@ def phi_forms_to_operators(sp: AffineMatrixSpace) -> FormSpacePair:
 
 def phi_operators_to_forms(pair: FormSpacePair) -> AffineMatrixSpace:
     """Inverse translation: base K, translation generators K u."""
-    return AffineMatrixSpace(
-        pair.gram, [pair.gram @ u for u in pair.operators], alternating=True
-    )
+    return AffineMatrixSpace(pair.gram, [pair.gram @ u for u in pair.operators])
 
 
 def first_singular(a: Matrix, b: Matrix, lo: int = 0) -> int | None:

@@ -82,7 +82,7 @@ def test_rank_profile_rational_sampling():
 
 
 def test_rank_profile_rational_dim_zero():
-    sp = AffineMatrixSpace(standard_symplectic(Q, 2), [], alternating=True)
+    sp = AffineMatrixSpace(standard_symplectic(Q, 2), [])
     prof = rank_profile(sp, budget=10, seed=0, samples=10)
     assert prof.method == "exhaustive" and prof.checked == 1
     assert prof.constant_proved and prof.min_rank == 4
@@ -91,7 +91,13 @@ def test_rank_profile_rational_dim_zero():
 @pytest.mark.parametrize("ctx", [F3, Q], ids=["F3", "Q"])
 @pytest.mark.parametrize("alternating", [False, True])
 def test_rank_profile_of_empty_matrices(ctx, alternating):
-    sp = AffineMatrixSpace(Matrix.zeros(ctx, 0, 0), [], alternating=alternating)
+    # the empty matrix is alternating, so rank_profile ranks it on the skew
+    # path; both engine paths are reached through the engine's own flag
+    sp = AffineMatrixSpace(Matrix.zeros(ctx, 0, 0), [])
+    assert sp.alternating
+    q, exhaustive, count, residues = analyze._engine_walk(sp, 10, 10)
+    ranks = _engine.profile_ranks(residues, 0, 0, q, exhaustive=exhaustive, total=count, alternating=alternating)
+    assert ranks == (0, 0, 0, 0)
     prof = rank_profile(sp)
     assert prof.constant_proved and prof.min_rank == 0 and prof.checked == 1
 
@@ -104,8 +110,29 @@ def test_rank_profile_rejects_empty_sample(samples):
         rank_profile(build_counterexample_plane(Q), budget=0, samples=samples)
     # the exhaustive paths never read the sample count
     assert rank_profile(build_bordered_alternating(F3, 5, 1), samples=samples).constant_proved
-    sp = AffineMatrixSpace(standard_symplectic(Q, 2), [], alternating=True)
+    sp = AffineMatrixSpace(standard_symplectic(Q, 2), [])
     assert rank_profile(sp, samples=samples).constant_proved
+
+
+@pytest.mark.parametrize("ctx, n, s, budget", [(F3, 5, 1, 10**6), (F5, 7, 2, 10**3)], ids=["exhaustive", "sampled"])
+def test_rank_profile_takes_the_skew_path_on_alternating_data(monkeypatch, ctx, n, s, budget):
+    # P^T X P built by the general equivalence action is alternating data, so
+    # it is ranked by skew elimination, and its profile is the general path's
+    sp = build_bordered_alternating(ctx, n, s)
+    p = random_invertible(ctx, n, CounterStream(derive_seed(8, "skew-path", n)))
+    moved = equivalence_act(sp, p.T, p)
+    assert moved.alternating
+    q, exhaustive, count, residues = analyze._engine_walk(moved, budget, 2000)
+    general = _engine.profile_ranks(residues, n, n, q, exhaustive=exhaustive, total=count, seed=1)
+    calls = []
+    real = _engine.alternating_ranks
+    monkeypatch.setattr(_engine, "alternating_ranks", lambda *args: calls.append(1) or real(*args))
+    prof = rank_profile(moved, budget=budget, seed=1, samples=2000)
+    assert calls
+    assert prof.method == ("exhaustive" if exhaustive else "sampled") and prof.checked == count
+    got = (prof.min_rank, prof.max_rank, prof.witness_min, prof.witness_max)
+    assert got == (general[0], general[2], *(analyze._member_coords(moved, i, exhaustive, q, 1) for i in general[1::2]))
+    assert prof.min_rank == prof.max_rank == 2 * s
 
 
 # -- rank profiles over Q through the modular engine -------------------------------------
@@ -132,7 +159,7 @@ def q_drop_space(n, m, alternating, seed):
             place_blocks(Q, n, n, [(2 * i, 2 * i, j.scale(f[t])) for i, f in enumerate(forms)])
             for t in range(3)
         ]
-        sp = AffineMatrixSpace(gens[0], gens[1:], alternating=True)
+        sp = AffineMatrixSpace(gens[0], gens[1:])
         return congruence_act(sp, random_invertible(Q, n, stream, box=3))
     forms = DROP_FORMS[: min(n, m)]
     gens = [
@@ -167,7 +194,9 @@ def reference_q_profile(sp, seed, samples, rank=lambda m: m.rank()):
             mn, wmin = r, coords
         if mx is None or r > mx:
             mx, wmax = r, coords
-    return RankProfile(mn, mx, mn == mx, "sampled", samples, seed, wmin, wmax)
+    return RankProfile(
+        min_rank=mn, max_rank=mx, method="sampled", checked=samples, seed=seed, witness_min=wmin, witness_max=wmax
+    )
 
 
 Q_DROP_CASES = [
@@ -226,12 +255,13 @@ def test_rational_profile_needs_more_than_one_prime(case):
         step, fooled = place_blocks(Q, 4, 4, [(2, 2, j.scale(p1))]), 1
     else:
         base, step, fooled = Matrix.zeros(Q, 2, 2), Matrix(Q, [[p1, 0], [0, p2]]), 2
-    sp = AffineMatrixSpace(base, [step], alternating=case == "alternating")
+    sp = AffineMatrixSpace(base, [step])
+    assert sp.alternating == (case == "alternating")
     residues = _rational_residues(sp, 1000)
     assert [r[0] for r in residues[:2]] == [p1, p2] and len(residues) > fooled
     n = full = sp.shape[0]
     low = _engine.profile_ranks(
-        residues[:fooled], n, n, 2001, exhaustive=False, total=300, seed=5, alternating=sp.alternating
+        residues[:fooled], n, n, 2001, exhaustive=False, total=300, seed=5, alternating=case == "alternating"
     )
     assert low[2] == full // 2
     prof = rank_profile(sp, seed=5, samples=300)

@@ -4,10 +4,11 @@ from pathlib import Path
 import pytest
 
 from altrank import _engine
-from altrank.cli import dimension_table, main
+from altrank.cli import FAMILY_NAMES, build_family, dimension_table, main
 from altrank.families import (
     build_bordered_alternating,
     build_counterexample_plane,
+    build_invertible_alternating,
     build_operator_block_space,
     build_rank_at_least_space,
     build_strictly_upper_space,
@@ -15,9 +16,9 @@ from altrank.families import (
 )
 from altrank.fields import FieldCtx
 from altrank.matrices import Matrix, place_blocks
-from altrank.rand import CounterStream, derive_seed, random_alternating
-from altrank.spaces import AffineMatrixSpace
-from altrank.symplectic import standard_symplectic
+from altrank.rand import CounterStream, derive_seed, random_alternating, random_invertible
+from altrank.spaces import AffineMatrixSpace, congruence_act
+from altrank.symplectic import FormSpacePair, phi_operators_to_forms, standard_symplectic
 
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
@@ -92,7 +93,7 @@ def test_reduce_round_trip_via_cli(tmp_path):
 def test_reduce_nonconstant_space_exits_1_with_its_witness(tmp_path):
     sp = build_bordered_alternating(F5, 7, 2)
     stream = CounterStream(derive_seed(7, "cli-nonconstant"))
-    moved = AffineMatrixSpace(sp.base + random_alternating(F5, 7, stream), sp.basis, alternating=True)
+    moved = AffineMatrixSpace(sp.base + random_alternating(F5, 7, stream), sp.basis)
     src = tmp_path / "space.json"
     src.write_text(json.dumps(moved.to_json()))
     code, text = run(tmp_path, "reduce", "--in", str(src), "--rank", "4")
@@ -138,14 +139,68 @@ def test_reduce_small_field_is_usage_error(tmp_path):
     assert code == 2  # cardinality hypothesis not met
 
 
-def test_reduce_negative_candidate_count_is_usage_error(tmp_path, capsys):
+def test_reduce_takes_no_candidates_option(tmp_path):
+    # every reduction rejects reduction.COMPLEMENT_CANDIDATES complement candidates
     sp = build_bordered_alternating(F5, 5, 1)
     src = tmp_path / "space.json"
     src.write_text(json.dumps(sp.to_json()))
-    code, text = run(tmp_path, "reduce", "--in", str(src), "--rank", "2", "--candidates", "-3")
-    err = capsys.readouterr().err
-    assert code == 2 and text == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "candidate" in err
+    code, text = run(tmp_path, "reduce", "--in", str(src), "--rank", "2")
+    report = json.loads(text)
+    assert code == 0 and report["parameters"] == {"rank": 2}
+    assert report["certificate"]["witnesses"]["complement_candidates_rejected"] == 200
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--in", str(src), "--rank", "2", "--candidates", "200"])
+    assert exc.value.code == 2
+
+
+def write_space(path, sp, alternating):
+    """sp's JSON with its alternating entry set to the given value."""
+    path.write_text(json.dumps(sp.to_json() | {"alternating": alternating}))
+    return str(path)
+
+
+def test_a_declared_false_on_alternating_data_changes_nothing(tmp_path):
+    # the data decide: reduce and construct --inner accept the file, and every
+    # report is the one the declared-true file gives
+    moved = congruence_act(build_bordered_alternating(F5, 7, 2), random_invertible(F5, 7, CounterStream(5)))
+    inner = build_invertible_alternating(F5, 2)
+    runs = [
+        ("reduce", moved, ("--rank", "4")),
+        ("verify", moved, ("--check", "rank-profile", "--rank", "4", "--budget", "1000", "--sample", "2000")),
+        ("construct", inner, ("--family", "h-bar", "--field", "Fp:5", "--n", "6", "--r", "4", "--budget", "1000")),
+        ("construct", inner, ("--family", "h-plus", "--field", "Fp:5", "--r", "4")),
+    ]
+    for command, sp, argv in runs:
+        option = "--inner" if command == "construct" else "--in"
+        reports = []
+        for declared in (True, False):
+            path = write_space(tmp_path / f"declared-{declared}.json", sp, declared)
+            code, text = run(tmp_path, command, option, path, *argv)
+            assert code == 0
+            reports.append(text)
+        assert reports[0] == reports[1]
+    assert json.loads(reports[0])["space"]["alternating"] is True
+
+
+def test_a_declared_true_on_non_alternating_data_is_usage_error(tmp_path, capsys):
+    path = write_space(tmp_path / "space.json", build_strictly_upper_space(F5, 3), True)
+    for argv in (("verify", "--in", path, "--check", "rank-profile"), ("reduce", "--in", path, "--rank", "2"),
+                 ("construct", "--family", "h-plus", "--field", "Fp:5", "--r", "2", "--inner", path)):
+        code, text = run(tmp_path, *argv)
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("[time]")]
+        assert code == 2 and text == ""
+        assert err == ["error: alternating flag set on non-alternating data"]
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_json_round_trip_keeps_alternation_for_every_family(family):
+    # an operator-block pair is checked through the forms it pulls back to
+    built, _, _ = build_family(family, F5, n=5, r=2, s=2)
+    sp = phi_operators_to_forms(built) if isinstance(built, FormSpacePair) else built
+    back = AffineMatrixSpace.from_json(json.loads(json.dumps(sp.to_json())))
+    assert back.alternating == sp.alternating == (family not in ("nt", "m-tilde-rect"))
+    if family == "nt":  # the 1 x 1 zero space, with no generator, is alternating
+        assert build_family(family, F5, n=1)[0].to_json()["alternating"] is True
 
 
 @pytest.mark.parametrize(
@@ -469,7 +524,7 @@ def test_verify_flanders_atkinson_failing_hypothesis_exits_1(tmp_path, mode):
     else:
         lead = Matrix.identity(F5, 2)
         gen = place_blocks(F5, n, n, [(2, 2, Matrix.identity(F5, 2))])
-    sp = AffineMatrixSpace(place_blocks(F5, n, n, [(0, 0, lead)]), [gen], alternating=mode == "alternating")
+    sp = AffineMatrixSpace(place_blocks(F5, n, n, [(0, 0, lead)]), [gen])
     src = tmp_path / "space.json"
     src.write_text(json.dumps(sp.to_json()))
     argv = ("verify", "--in", str(src), "--check", "flanders-atkinson", "--rank", "2", "--fa-mode", mode)

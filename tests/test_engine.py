@@ -241,7 +241,7 @@ def test_empty_members_rank_zero():
         up = np.zeros((3, 0), dtype=np.int64)
         assert _engine.skew_rank(up.copy(), n, 3).tolist() == [0, 0, 0]
         assert _engine.alternating_ranks(up, n, 3).tolist() == [0, 0, 0]
-        sp = AffineMatrixSpace(Matrix.zeros(FieldCtx.prime(3), n), [], alternating=True)
+        sp = AffineMatrixSpace(Matrix.zeros(FieldCtx.prime(3), n), [])
         assert rank_multiset(sp) == {0: 1}
         prof = rank_profile(sp)
         assert (prof.min_rank, prof.max_rank, prof.checked) == (0, 0, 1)

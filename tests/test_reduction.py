@@ -115,7 +115,8 @@ def test_find_rank_r_member_matches_exact_reference_loop(p, alternating, budget)
     last = (gens[1] + gens[2] + gens[3]).scale(p - 1)
     hits = []
     for base in (gens[0], -last):
-        sp = AffineMatrixSpace(base, gens[1:], alternating=alternating)
+        sp = AffineMatrixSpace(base, gens[1:])
+        assert sp.alternating == alternating
         for r in range(min(sp.shape) + 1):
             got = find_rank_r_member(sp, r, enum_budget=budget, samples=300, seed=3)
             assert got == reference_find_rank_r_member(sp, r, budget, 300, 3)
@@ -133,7 +134,7 @@ def test_find_rank_r_member_over_q_matches_exact_reference_loop():
     spaces = [
         AffineMatrixSpace(gens[0], gens[1:]),
         AffineMatrixSpace(gens[0], []),  # dimension zero: the base alone
-        AffineMatrixSpace(Matrix.zeros(Q, 4), [alt_unit(Q, 4, 0, 1), alt_unit(Q, 4, 2, 3)], alternating=True),
+        AffineMatrixSpace(Matrix.zeros(Q, 4), [alt_unit(Q, 4, 0, 1), alt_unit(Q, 4, 2, 3)]),
     ]
     found = 0
     for sp in spaces:
@@ -226,7 +227,7 @@ def test_totally_singular_rejection():
 
 def test_unique_complement_positive():
     sp = build_bordered_alternating(F5, 7, 2)
-    tail = unique_totally_singular_complement(sp, 2, seed=0, candidates=50)
+    tail = unique_totally_singular_complement(sp, 2, seed=0)
     ident = Matrix.identity(F5, 7)
     assert tail == [tuple(ident.row(i)) for i in range(2, 7)]
 
@@ -285,9 +286,7 @@ def test_unique_complement_guards():
     sp = build_bordered_alternating(F5, 6, 2)
     with pytest.raises(ValueError):
         unique_totally_singular_complement(sp, 2)  # needs n > 2s + 2
-    with pytest.raises(ValueError, match="candidate count"):
-        unique_totally_singular_complement(build_bordered_alternating(F5, 7, 2), 2, candidates=-3)
-    thin = AffineMatrixSpace(Matrix.zeros(F5, 5), [alt_unit(F5, 5, 0, 1)], alternating=True)
+    thin = AffineMatrixSpace(Matrix.zeros(F5, 5), [alt_unit(F5, 5, 0, 1)])
     with pytest.raises(ContractError):
         unique_totally_singular_complement(thin, 1)  # tail columns all zero
 
@@ -320,7 +319,7 @@ def reference_complement_scan(sp, s, seed, candidates):
 
 
 def thinned(sp, keep):
-    return AffineMatrixSpace(sp.base, sp.basis[:keep], alternating=True)
+    return AffineMatrixSpace(sp.base, sp.basis[:keep])
 
 
 @pytest.mark.parametrize("p, s", [(3, 1), (5, 2), (7, 3), (2_147_483_629, 2)])
@@ -349,13 +348,13 @@ def test_batched_complement_scan_matches_reference_loop(p, s):
 def test_batched_complement_scan_raises_on_a_totally_singular_candidate():
     # every candidate is totally singular for the zero space, and some are
     # for the model thinned to its leading-block generator
-    zero = AffineMatrixSpace(Matrix.zeros(F5, 7), [], alternating=True)
+    zero = AffineMatrixSpace(Matrix.zeros(F5, 7), [])
     with pytest.raises(ContractError, match="second totally singular complement"):
-        _reject_candidates(zero, 2, 0, 200)
+        _reject_candidates(zero, 2, 0)
     model = build_bordered_alternating(F5, 7, 2)
     with pytest.raises(ContractError, match="second totally singular complement"):
-        _reject_candidates(thinned(model, 1), 2, 0, 200)
-    _reject_candidates(model, 2, 0, 200)
+        _reject_candidates(thinned(model, 1), 2, 0)
+    _reject_candidates(model, 2, 0)
 
 
 def test_batched_complement_scan_raises_on_an_escaped_slab_form():
@@ -365,17 +364,18 @@ def test_batched_complement_scan_raises_on_an_escaped_slab_form():
     model = build_bordered_alternating(F5, 7, 2)
     gens = [g for g in model.basis if g.block(0, 2, 0, 2).is_zero()]
     assert len(gens) == len(model.basis) - 1
-    sp = AffineMatrixSpace(model.base, gens, alternating=True)
-    _reject_candidates(sp, 2, 0, 200)
+    sp = AffineMatrixSpace(model.base, gens)
+    _reject_candidates(sp, 2, 0)
     with pytest.raises(ContractError, match="leading-block slab is missing"):
         unique_totally_singular_complement(sp, 2)
 
 
 @pytest.mark.parametrize("n, s, p", [(5, 1, 2), (6, 1, 2), (5, 1, 3), (6, 1, 3), (7, 1, 3), (5, 1, 5), (7, 2, 2)])
-def test_steps_a_and_b_alone_decide_complement_uniqueness(n, s, p):
+def test_steps_a_and_b_alone_decide_complement_uniqueness(n, s, p, monkeypatch):
     # every (n-s)-subspace, on the bordered model and each generator-prefix
     # thinning of it: whenever the scan passes with no candidates at all, every
     # subspace but the tail is rejected, so steps (a) and (b) carry the proof
+    monkeypatch.setattr(reduction, "COMPLEMENT_CANDIDATES", 0)
     ctx = FieldCtx.prime(p)
     model = build_bordered_alternating(ctx, n, s)
     tail = np.eye(n, dtype=np.int64)[s:]
@@ -386,7 +386,7 @@ def test_steps_a_and_b_alone_decide_complement_uniqueness(n, s, p):
     for keep in range(len(model.basis) + 1):
         sp = thinned(model, keep)
         try:
-            unique_totally_singular_complement(sp, s, candidates=0)
+            unique_totally_singular_complement(sp, s)
         except ContractError:
             continue
         assert _rejected(sp, others).all()
@@ -460,8 +460,6 @@ def test_canonical_reduction_preconditions():
     hb = build_rank_at_least_space(F5, 7, 4)
     with pytest.raises(ValueError):
         canonical_reduction(hb, 4)  # dimension does not match the target shape
-    with pytest.raises(ValueError, match="candidate count"):
-        canonical_reduction(sp, 4, candidates=-3)
 
 
 def test_canonical_reduction_proves_constant_rank_past_the_inner_budget():
@@ -491,7 +489,7 @@ def test_canonical_reduction_over_a_flagless_inner_family():
 def test_canonical_reduction_rejects_nonconstant_rank():
     sp = build_bordered_alternating(F5, 7, 2)
     gens = list(sp.basis[:-1]) + [alt_unit(F5, 7, 5, 6)]
-    broken = AffineMatrixSpace(sp.base, gens, alternating=True)
+    broken = AffineMatrixSpace(sp.base, gens)
     # no up-front profile: the pipeline reports the violating generator
     cert = canonical_reduction(broken, 4, seed=0)
     assert not cert.all_verdicts_true
@@ -510,7 +508,7 @@ def test_canonical_reduction_rejects_singular_inner_family():
 
     units = [[[int((i, j) == (a, b)) for b in range(5)] for a in range(2)] for i in range(2) for j in range(2, 5)]
     gens = [alt_unit(F5, n, 0, 1), bordered([[1, 0, 0, 0, 0], [0, -1, 0, 0, 0]])] + [bordered(u) for u in units]
-    sp = AffineMatrixSpace(bordered([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]), gens, alternating=True)
+    sp = AffineMatrixSpace(bordered([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]), gens)
     assert sp.dim == s * (n - s - 1)
     for trial in range(3):
         cert = canonical_reduction(congruence_act(sp, seeded_invertible(F5, n, f"si{trial}")), 4, seed=trial)
@@ -555,7 +553,7 @@ def nonconstant_space(ctx, n, s, kind, trial):
     stream = CounterStream(derive_seed(7, "nonconstant", n, s, kind, trial))
     if kind == "random":
         gens = [random_alternating(ctx, n, stream) for _ in range(s * (n - s - 1))]
-        return AffineMatrixSpace(random_alternating(ctx, n, stream), gens, alternating=True)
+        return AffineMatrixSpace(random_alternating(ctx, n, stream), gens)
     sp = congruence_act(build_bordered_alternating(ctx, n, s), random_invertible(ctx, n, stream))
     base, gens = sp.base, list(sp.basis)
     if kind == "base":
@@ -563,7 +561,7 @@ def nonconstant_space(ctx, n, s, kind, trial):
     else:
         i = stream.below(len(gens))
         gens[i] = gens[i] + random_alternating(ctx, n, stream)
-    return AffineMatrixSpace(base, gens, alternating=True)
+    return AffineMatrixSpace(base, gens)
 
 
 @pytest.mark.parametrize("kind", ["generator", "base", "random"])

@@ -1,3 +1,6 @@
+import copy
+import inspect
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -49,7 +52,7 @@ def full_alternating_space(ctx, n):
         alternating_from_upper(ctx, n, [1 if t == u else 0 for t in range(len(upper_pairs(n)))])
         for u in range(len(upper_pairs(n)))
     ]
-    return AffineMatrixSpace(zero, gens, alternating=True)
+    return AffineMatrixSpace(zero, gens)
 
 
 # -- Span ------------------------------------------------------------------------------
@@ -171,8 +174,32 @@ def test_space_validation():
     g = unit(F5, 2, 0, 1)
     with pytest.raises(ValueError):
         AffineMatrixSpace(z, [g, g.scale(2)])  # dependent basis
-    with pytest.raises(ValueError):
-        AffineMatrixSpace(z, [g], alternating=True)  # g is not alternating
+    assert not AffineMatrixSpace(z, [g]).alternating  # g is not alternating
+    assert AffineMatrixSpace(z, [g - g.T]).alternating
+    assert not AffineMatrixSpace(Matrix.zeros(F5, 2, 3), []).alternating  # not square
+    # a declared true is checked against the data, a declared false is no claim
+    declared = AffineMatrixSpace(z, [g]).to_json() | {"alternating": True}
+    with pytest.raises(ValueError, match="alternating flag set on non-alternating data"):
+        AffineMatrixSpace.from_json(declared)
+    assert AffineMatrixSpace.from_json(AffineMatrixSpace(z, [g - g.T]).to_json() | {"alternating": False}).alternating
+
+
+def test_alternation_is_no_constructor_option():
+    assert list(inspect.signature(AffineMatrixSpace).parameters) == ["base", "basis"]
+
+
+def test_matrices_and_spaces_survive_deepcopy_and_pickle():
+    stream = CounterStream(derive_seed(4, "pickle"))
+    half = Q.normalize(Fraction(1, 2))
+    mats = [random_matrix(F5, 3, 4, stream), random_matrix(Q, 3, 3, stream, box=4).scale(half)]
+    sp = build_bordered_alternating(F5, 7, 2)
+    for back in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        for m in mats:
+            got = back(m)
+            assert got == m and got.ctx == m.ctx and got is not m
+        got = back(sp)
+        assert spaces_equal(got, sp) and got.basis == sp.basis and got.alternating
+        assert got.to_json() == sp.to_json()
 
 
 def test_member_at_and_contains():
@@ -245,9 +272,7 @@ def test_json_round_trip():
 
 def test_spaces_equal_translation_of_base():
     sp = build_bordered_alternating(F3, 5, 1)
-    shifted = AffineMatrixSpace(
-        sp.base + sp.basis[0], sp.basis, alternating=True
-    )
+    shifted = AffineMatrixSpace(sp.base + sp.basis[0], sp.basis)
     assert spaces_equal(sp, shifted)
     moved = AffineMatrixSpace(sp.base + unit(F3, 5, 0, 0), sp.basis)
     assert not spaces_equal(sp, moved)
@@ -475,7 +500,6 @@ def reference_optimal_search(n: int, r: int, q: int, predicate: str):
         witness = AffineMatrixSpace(
             alternating_from_upper(ctx, n, list(rep)),
             [alternating_from_upper(ctx, n, list(row)) for row in rows],
-            alternating=True,
         )
     return max_dim, exists_by_dim, witness
 

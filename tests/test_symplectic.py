@@ -218,7 +218,7 @@ def test_phi_round_trip():
 
 def test_phi_forms_to_operators_requires_invertible_base():
     z = Matrix.zeros(F5, 2)
-    sp = AffineMatrixSpace(z, [standard_symplectic(F5, 1)], alternating=True)
+    sp = AffineMatrixSpace(z, [standard_symplectic(F5, 1)])
     with pytest.raises(ValueError):
         phi_forms_to_operators(sp)
 
