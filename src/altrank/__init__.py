@@ -15,6 +15,7 @@ from .analyze import (
     kernel_to_image_check,
     rank_profile,
     trivial_spectrum_check,
+    trivial_spectrum_gate,
 )
 from .errors import BudgetExceededError, ContractError
 from .families import (

@@ -42,9 +42,8 @@ _INT64_MAX = (1 << 63) - 1
 GUARD_MEMBERS = 16  # leading members of each alternating chunk re-ranked by batch_rank
 
 
-def resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
+def resolve_threads(threads: None = None) -> int:
+    """``ALTRANK_THREADS`` as a thread count, at least 1 (1 if unset or no integer); ``threads`` is ignored."""
     env = os.environ.get("ALTRANK_THREADS", "")
     try:
         return max(1, int(env)) if env else 1
@@ -397,7 +396,7 @@ def _run_chunks(worker: Callable, ranges: list[tuple[int, int]], threads: int):
 
 def profile_ranks(
     residues: Residues, n: int, m: int, q: int, *, exhaustive: bool, total: int,
-    seed: int = 0, alternating: bool = False, threads: int | None = None,
+    seed: int = 0, alternating: bool = False,
 ) -> tuple[int, int, int, int]:
     """Fold (min_rank, min_index, max_rank, max_index) over members.
 
@@ -417,7 +416,7 @@ def profile_ranks(
         mn, mx = int(ranks.min()), int(ranks.max())
         return mn, lo + int((ranks == mn).argmax()), mx, lo + int((ranks == mx).argmax())
 
-    parts = _run_chunks(worker, list(chunk_ranges(0, total, n * m)), resolve_threads(threads))
+    parts = _run_chunks(worker, list(chunk_ranges(0, total, n * m)), resolve_threads())
     mn, i_mn = min((part[0], part[1]) for part in parts)
     mx, neg_i_mx = max((part[2], -part[3]) for part in parts)
     return mn, i_mn, mx, -neg_i_mx
@@ -460,7 +459,7 @@ def rank_counts(
     return counts
 
 
-def unit_eigen_hits(basis_flat: np.ndarray, n: int, p: int, threads: int | None = None):
+def unit_eigen_hits(basis_flat: np.ndarray, n: int, p: int):
     """Sorted lex indices of the span members z with an eigenvalue in F_p^*, among those whose
     leading nonzero coordinate is 1: one member per line of the span, the lex index ranges
     [p^k, 2 p^k) for k < dim.
@@ -483,5 +482,5 @@ def unit_eigen_hits(basis_flat: np.ndarray, n: int, p: int, threads: int | None 
         out[:, diag, diag] = mod(out[:, diag, diag] - 1, p)
         return idx[batch_rank(out, p) < n]
 
-    parts = _run_chunks(worker, list(chunk_ranges(0, (p**dim - 1) // (p - 1), n * n)), resolve_threads(threads))
+    parts = _run_chunks(worker, list(chunk_ranges(0, (p**dim - 1) // (p - 1), n * n)), resolve_threads())
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

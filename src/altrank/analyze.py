@@ -16,7 +16,7 @@ import numpy as np
 from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
 from .fields import FieldCtx, prime_below
-from .matrices import Matrix, Vector, mat_vec, place_blocks, span_dim, vec_dot
+from .matrices import Matrix, Vector, mat_vec, place_blocks, span_dim
 from .spaces import AffineMatrixSpace, Span
 from .symplectic import first_singular, is_totally_singular, totally_singular_witness
 
@@ -67,7 +67,6 @@ def rank_profile(
     budget: int = DEFAULT_ENUM_BUDGET,
     seed: int = 0,
     samples: int = DEFAULT_SAMPLES,
-    threads: Optional[int] = None,
 ) -> RankProfile:
     """Min/max rank over all members (exhaustive) or a seeded sample.
 
@@ -79,13 +78,12 @@ def rank_profile(
     Over Q the sampled coordinates are integers in [-box, box] (``box`` is
     ``rand.DEFAULT_RATIONAL_BOX``) and the members are ranked by the F_p
     engine modulo several primes (see ``_rational_residues``); the largest
-    of those ranks is the exact rank over Q.  ``threads`` splits the chunks
-    over either field and never changes the result.
+    of those ranks is the exact rank over Q.
     """
     q, exhaustive, count, residues = _engine_walk(sp, budget, samples)
     mn, mn_idx, mx, mx_idx = _engine.profile_ranks(
         residues, *sp.shape, q, exhaustive=exhaustive, total=count, seed=seed,
-        alternating=sp.alternating, threads=threads,
+        alternating=sp.alternating,
     )
     wmin, wmax = (_member_coords(sp, i, exhaustive, q, seed) for i in (mn_idx, mx_idx))
     for coords, expect in ((wmin, mn), (wmax, mx)):
@@ -520,49 +518,38 @@ def extract_range_lagrangian(ops: Sequence[Matrix], gram: Matrix) -> Optional[li
     return basis
 
 
-def duality_invariant_check(
-    pair, *, seed: int = 0, samples: int = 100, budget: int = DEFAULT_ENUM_BUDGET
-) -> bool:
-    """Orthogonality invariant of a trivial-spectrum operator space.
+def trivial_spectrum_gate(sp: AffineMatrixSpace, what: str, budget: int = DEFAULT_ENUM_BUDGET) -> None:
+    """Raise unless no member of the linear square space sp has a nonzero eigenvalue.
 
-    For each standard basis vector and a seeded batch of random nonzero x:
-    x stays outside the orbit span S.x, and both x and S.x lie in the
-    form-orthogonal of x.  Over a prime field the trivial-spectrum
-    precondition is re-checked by ``trivial_spectrum_check``: a nilpotent
-    flag decides it at any size, and a space without one past the budget
-    raises ``BudgetExceededError``.  A failure raises ``ContractError``
-    naming a member and its eigenvalue.  A negative budget raises
+    Over F_p this is ``trivial_spectrum_check``, and a failure raises
+    ``ContractError`` naming ``what``, a member and its eigenvalue.  Over Q
+    no finite scan decides it, so only a nilpotent flag, re-checked exactly,
+    proves it; a flagless space raises ``BudgetExceededError``.
+    """
+    if sp.ctx.kind == "prime":
+        report = trivial_spectrum_check(sp, budget)
+        if not report.trivial:
+            member, lam = report.witness
+            raise ContractError(f"{what} fails the trivial-spectrum gate: {member!r} has eigenvalue {lam}")
+    elif not sp.base.is_zero():
+        raise ValueError("spectrum gate is defined for linear spaces")
+    elif not _checked_flag(sp):
+        raise BudgetExceededError(f"{what} has no nilpotent flag, the only proof of a trivial spectrum over Q")
+
+
+def duality_invariant_check(pair, *, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
+    """Orthogonality invariant of a trivial-spectrum operator space S.
+
+    Every nonzero x stays outside the orbit span S.x, and both x and S.x lie
+    in the form-orthogonal of x.  This is a theorem once
+    ``trivial_spectrum_gate`` passes on S, so the gate is the whole check:
+    x in S.x means u x = x for some u in S, an eigenvalue 1; x^T K x = 0 as
+    K is alternating; and (u x)^T K x = x^T (K u) x = 0, since K u is
+    alternating (``FormSpacePair`` checks it) and so u^T K = K u.  A failed
+    gate raises as ``trivial_spectrum_gate`` says; a negative budget raises
     ValueError.
     """
     _check_budget(budget)
-    ctx = pair.ctx
-    k = pair.gram
-    n = k.nrows
-    ops = pair.operators
-    if ctx.kind == "prime":
-        report = trivial_spectrum_check(AffineMatrixSpace(Matrix.zeros(ctx, n, n), ops), budget)
-        if not report.trivial:
-            member, lam = report.witness
-            raise ContractError(f"operator space fails the trivial-spectrum gate: {member!r} has eigenvalue {lam}")
-
-    def check(x: Vector) -> bool:
-        orbit = [mat_vec(u, x) for u in ops]
-        if Span(ctx, orbit, width=n).contains(x):
-            return False
-        kx = mat_vec(k, x)
-        if vec_dot(ctx, x, kx) != 0:
-            return False
-        for y in orbit:
-            if vec_dot(ctx, y, kx) != 0:
-                return False
-        return True
-
-    ident = Matrix.identity(ctx, n)
-    for i in range(n):
-        if not check(tuple(ident.row(i))):
-            return False
-    stream = rand.CounterStream(rand.derive_seed(seed, "duality"))
-    for _ in range(samples):
-        if not check(stream.nonzero_vector(ctx, n)):
-            return False
+    n = pair.gram.nrows
+    trivial_spectrum_gate(AffineMatrixSpace(Matrix.zeros(pair.ctx, n, n), pair.operators), "operator space", budget)
     return True

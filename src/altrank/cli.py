@@ -177,7 +177,7 @@ def cmd_construct(args) -> tuple[dict, bool]:
 def cmd_verify(args) -> tuple[dict, bool]:
     if args.check == "duality":
         pair = _load_input(getattr(args, "in"), "pair")
-        holds = analyze.duality_invariant_check(pair, seed=args.seed, budget=args.budget)
+        holds = analyze.duality_invariant_check(pair, budget=args.budget)
         report = _report("verify", pair.ctx, {"check": args.check}, args.seed)
         report["results"] = {"holds": holds}
         return report, holds
@@ -206,6 +206,8 @@ def cmd_verify(args) -> tuple[dict, bool]:
         if args.rank is None:
             raise ValueError("flanders-atkinson needs --rank")
         r, n, base = args.rank, space.shape[0], space.base
+        if not 0 <= r <= n:
+            raise ValueError("rank bound out of range")
         if not base.block(0, n, r, n).is_zero() or not base.block(r, n, 0, n).is_zero():
             raise ValueError("base must be zero outside its leading block")
         lead = base.block(0, r, 0, r)

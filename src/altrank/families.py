@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import analyze
-from .errors import BudgetExceededError, ContractError
+from .errors import BudgetExceededError
 from .fields import Element, FieldCtx
 from .matrices import Matrix, alternating_units, pfaffian, place_blocks, upper_pairs
 from .spaces import AffineMatrixSpace
@@ -183,7 +183,8 @@ def build_operator_block_space(
     Operators are [[A, B], [0, A^T]] with A in a trivial-spectrum core
     (default: the strictly upper-triangular space) and B free alternating.
     Dimension dim(core) + n(n-1)/2; block triangularity keeps the spectrum of
-    every member equal to that of its core part.
+    every member equal to that of its core part.  The core passes
+    ``analyze.trivial_spectrum_gate`` over every field.
     """
     if n < 1:
         raise ValueError("size must be positive")
@@ -193,11 +194,7 @@ def build_operator_block_space(
         raise ValueError("core space has the wrong field or shape")
     if not core.base.is_zero():
         raise ValueError("core space must be linear")
-    if ctx.kind == "prime":
-        report = analyze.trivial_spectrum_check(core, INNER_VERIFY_BUDGET)
-        if not report.trivial:
-            member, lam = report.witness
-            raise ContractError(f"core space fails the trivial-spectrum gate: {member!r} has eigenvalue {lam}")
+    analyze.trivial_spectrum_gate(core, "core space", INNER_VERIFY_BUDGET)
     nn = 2 * n
     ops: list[Matrix] = []
     for a in core.basis:

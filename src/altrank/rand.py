@@ -74,12 +74,6 @@ class CounterStream:
             return self.below(ctx.p)
         return Fraction(self.below(2 * box + 1) - box)
 
-    def nonzero_element(self, ctx: FieldCtx, box: int = DEFAULT_RATIONAL_BOX) -> Element:
-        while True:
-            x = self.element(ctx, box)
-            if x != 0:
-                return x
-
     def vector(self, ctx: FieldCtx, n: int, box: int = DEFAULT_RATIONAL_BOX):
         """n elements from consecutive counters, as n calls of ``element``."""
         lo, seed = self.counter, self.seed
@@ -87,12 +81,6 @@ class CounterStream:
         if ctx.kind == "prime":
             return tuple(uniform_below(seed, c, ctx.p) for c in range(lo, lo + n))
         return tuple(Fraction(uniform_below(seed, c, 2 * box + 1) - box) for c in range(lo, lo + n))
-
-    def nonzero_vector(self, ctx: FieldCtx, n: int, box: int = DEFAULT_RATIONAL_BOX):
-        while True:
-            v = self.vector(ctx, n, box)
-            if any(x != 0 for x in v):
-                return v
 
 
 def random_matrix(ctx: FieldCtx, nrows: int, ncols: int, stream: CounterStream, box: int = DEFAULT_RATIONAL_BOX):

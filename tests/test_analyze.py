@@ -17,6 +17,7 @@ from altrank.analyze import (
     nilpotent_flag,
     rank_profile,
     trivial_spectrum_check,
+    trivial_spectrum_gate,
 )
 from altrank.errors import BudgetExceededError, ContractError
 from altrank.families import (
@@ -27,7 +28,7 @@ from altrank.families import (
     build_unitriangular_space,
 )
 from altrank.fields import FieldCtx, prime_below
-from altrank.matrices import Matrix, place_blocks
+from altrank.matrices import Matrix, mat_vec, place_blocks, vec_dot
 from altrank.rand import (
     DEFAULT_RATIONAL_BOX,
     CounterStream,
@@ -38,7 +39,7 @@ from altrank.rand import (
     random_matrix,
     uniform_below,
 )
-from altrank.spaces import AffineMatrixSpace, congruence_act, equivalence_act
+from altrank.spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act
 from altrank.symplectic import FormSpacePair, first_singular, pencil_symplectic_iff_trivial_spectrum, standard_symplectic
 
 F2 = FieldCtx.prime(2)
@@ -231,10 +232,15 @@ def test_rational_profile_matches_sympy(n, m, alternating):
     assert rank_profile(sp, seed=seed, samples=600) == reference_q_profile(sp, seed, 600, rank)
 
 
-def test_rational_profile_is_thread_independent():
+def test_rational_profile_is_thread_independent(monkeypatch):
     sp = q_drop_space(5, 3, False, 4)
     samples = 2**22 // 15 + 2**17  # two chunks
-    one, two = (rank_profile(sp, seed=6, samples=samples, threads=t) for t in (1, 2))
+
+    def profile(threads):
+        monkeypatch.setenv("ALTRANK_THREADS", str(threads))
+        return rank_profile(sp, seed=6, samples=samples)
+
+    one, two = (profile(t) for t in (1, 2))
     assert one == two
     assert one.min_rank < one.max_rank
 
@@ -599,7 +605,7 @@ def test_flagged_spaces_never_scan(monkeypatch):
             assert rep.trivial and rep.checked == ctx.p ** (n * (n - 1) // 2)
         for n in (2, 3):
             pair = build_operator_block_space(ctx, n)
-            assert duality_invariant_check(pair, seed=0, samples=5)
+            assert duality_invariant_check(pair)
 
 
 @pytest.mark.parametrize(
@@ -854,24 +860,88 @@ def test_extract_range_lagrangian_contract_failure():
 # -- duality invariant -----------------------------------------------------------------------
 
 
+def sampled_duality_holds(pair, xs) -> bool:
+    """The invariant checked vector by vector, the reference for
+    ``duality_invariant_check``: each nonzero x lies outside the orbit span
+    S.x, and x and S.x lie in the form-orthogonal of x."""
+    ctx, n = pair.ctx, pair.gram.nrows
+    for x in xs:
+        orbit = [mat_vec(u, x) for u in pair.operators]
+        kx = mat_vec(pair.gram, x)
+        if Span(ctx, orbit, width=n).contains(x) or any(vec_dot(ctx, y, kx) != 0 for y in (x, *orbit)):
+            return False
+    return True
+
+
+def nonzero_draws(ctx, n, count, seed):
+    stream = CounterStream(derive_seed(seed, "duality", ctx.to_str(), n))
+    return [x for x in (stream.vector(ctx, n) for _ in range(count)) if any(x)]
+
+
+def swap_pair(ctx):
+    s = Matrix(ctx, [[0, 1], [1, 0]])
+    return FormSpacePair(standard_symplectic(ctx, 2), [place_blocks(ctx, 4, 4, [(0, 0, s), (2, 2, s.T)])])
+
+
+def test_gated_pairs_pass_the_sampled_reference():
+    # every nonzero x of F_3^4 on the n = 2 pair, and seeded x over F_5 and F_7 at n = 3
+    pair = build_operator_block_space(F3, 2)
+    every = [_engine.index_to_coords(i, 4, 3) for i in range(1, 3**4)]
+    assert duality_invariant_check(pair) and sampled_duality_holds(pair, every)
+    for p in (5, 7):
+        pair = build_operator_block_space(FieldCtx.prime(p), 3)
+        assert duality_invariant_check(pair)
+        assert sampled_duality_holds(pair, nonzero_draws(pair.ctx, 6, 300, p))
+
+
+def test_duality_over_q_needs_a_flag():
+    # diag(S, S^T), S = [[0, 1], [1, 0]], fixes (1, 1, 0, 0) and no unit vector;
+    # over Q nothing but a nilpotent flag proves the invariant
+    swap = swap_pair(Q)
+    assert not sampled_duality_holds(swap, [(1, 1, 0, 0)])
+    assert sampled_duality_holds(swap, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    with pytest.raises(BudgetExceededError, match="no nilpotent flag"):
+        duality_invariant_check(swap)
+    with pytest.raises(ContractError, match="has eigenvalue 1$"):
+        duality_invariant_check(swap_pair(F5))
+
+
+def test_duality_holds_on_the_default_rational_pair():
+    pair = build_operator_block_space(Q, 3)
+    assert duality_invariant_check(pair)
+    assert sampled_duality_holds(pair, nonzero_draws(Q, 6, 50, 0))
+
+
+@pytest.mark.parametrize("ctx", [F3, Q], ids=["F3", "Q"])
+def test_spectrum_gate_needs_a_linear_space(ctx):
+    with pytest.raises(ValueError, match="linear spaces"):
+        trivial_spectrum_gate(AffineMatrixSpace(Matrix.identity(ctx, 2), []), "space")
+
+
+@pytest.mark.parametrize("ctx", [F3, Q], ids=["F3", "Q"])
+def test_duality_of_the_empty_pair(ctx):
+    assert duality_invariant_check(FormSpacePair(Matrix.zeros(ctx, 0, 0), ()))
+
+
 def test_duality_invariant_on_block_operators():
     for n in (2, 3):
         pair = build_operator_block_space(F5, n)
-        assert duality_invariant_check(pair, seed=0, samples=25)
+        assert duality_invariant_check(pair)
 
 
 def test_duality_invariant_gate():
     k = standard_symplectic(F5, 1)
     pair = FormSpacePair(k, [Matrix.identity(F5, 2)])
+    assert not sampled_duality_holds(pair, [(1, 0)])
     with pytest.raises(ContractError, match="has eigenvalue 1$"):
-        duality_invariant_check(pair, seed=0, samples=5)
+        duality_invariant_check(pair)
 
 
 def test_duality_gate_runs_past_the_budget():
     # the operator-block space is strictly upper triangular in a flag, so the
     # gate decides it with nothing enumerated; the span of I has no flag, and
     # its 5 members exceed a budget of 1
-    assert duality_invariant_check(build_operator_block_space(F3, 2), seed=0, samples=5, budget=0)
+    assert duality_invariant_check(build_operator_block_space(F3, 2), budget=0)
     pair = FormSpacePair(standard_symplectic(F5, 1), [Matrix.identity(F5, 2)])
     with pytest.raises(BudgetExceededError, match="exceed the spectrum scan budget 1"):
-        duality_invariant_check(pair, seed=0, samples=5, budget=1)
+        duality_invariant_check(pair, budget=1)

@@ -463,6 +463,21 @@ def test_verify_duality_gate_runs_past_the_budget(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("contract failure: ")
 
 
+def test_verify_duality_over_q_without_a_flag_is_usage_error(tmp_path, capsys):
+    # diag(S, S^T), S = [[0, 1], [1, 0]], fixes (1, 1, 0, 0), and over Q only
+    # a nilpotent flag proves the invariant
+    s = Matrix(Q, [[0, 1], [1, 0]])
+    pair = FormSpacePair(standard_symplectic(Q, 2), [place_blocks(Q, 4, 4, [(0, 0, s), (2, 2, s.T)])])
+    src = tmp_path / "pair.json"
+    src.write_text(json.dumps(pair.to_json()))
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "duality")
+    err = capsys.readouterr().err
+    assert (code, text) == (2, "")
+    assert err.splitlines() == [
+        "error: operator space has no nilpotent flag, the only proof of a trivial spectrum over Q"
+    ]
+
+
 @pytest.mark.parametrize("check", ["duality", "trivial-spectrum"])
 def test_verify_negative_spectrum_budget_is_usage_error(tmp_path, capsys, check):
     # with -1 the duality gate used to be skipped silently, and the scan said
@@ -541,6 +556,19 @@ def test_verify_flanders_atkinson_failing_hypothesis_exits_1(tmp_path, mode):
         "first_failure": {"kind": "hypothesis", "detail": [1, 1, 4]},
     }
     assert all(type(x) is int for x in rep["first_failure"]["detail"])
+
+
+@pytest.mark.parametrize("rank", ["99", "-3"])
+def test_verify_flanders_atkinson_rank_out_of_range_is_usage_error(tmp_path, capsys, rank):
+    # checked before the base is sliced, and even with no generator to scan
+    lead, tail = Matrix(F5, [[1, 0], [0, 0]]), Matrix(F5, [[0, 0], [0, 1]])
+    for sp in (AffineMatrixSpace(Matrix.zeros(F5, 2), []), AffineMatrixSpace(lead, [tail])):
+        src = tmp_path / "space.json"
+        src.write_text(json.dumps(sp.to_json()))
+        capsys.readouterr()
+        code, text = run(tmp_path, "verify", "--in", str(src), "--check", "flanders-atkinson", "--rank", rank)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: rank bound out of range\n"
 
 
 def test_verify_flanders_atkinson_validates_the_gram_once_for_all_generators(tmp_path, capsys):

@@ -197,7 +197,8 @@ def test_unit_eigen_hits_chunks_span_index_ranges(monkeypatch):
     want = exact_line_hits(sp)
     monkeypatch.setattr(_engine, "_CHUNK_ELEMS", 1)
     for threads in (1, 2):
-        assert _engine.unit_eigen_hits(sp.flat_arrays()[1], 3, 3, threads=threads).tolist() == want
+        monkeypatch.setenv("ALTRANK_THREADS", str(threads))
+        assert _engine.unit_eigen_hits(sp.flat_arrays()[1], 3, 3).tolist() == want
     assert 0 < len(want) < 3280
 
 
@@ -421,10 +422,15 @@ def test_guard_catches_a_wrong_kernel_under_optimize():
     assert "AssertionError: skew elimination gave rank 4" in proc.stderr
 
 
-def test_profile_is_partition_independent_on_the_skew_path():
+def test_profile_is_partition_independent_on_the_skew_path(monkeypatch):
     sp = build_rank_at_least_space(FieldCtx.prime(3), 9, 4)
     samples = 2 * 2**22 // 81 + 7  # three chunks
-    one, two = (rank_profile(sp, seed=5, samples=samples, threads=t) for t in (1, 2))
+
+    def profile(threads):
+        monkeypatch.setenv("ALTRANK_THREADS", str(threads))
+        return rank_profile(sp, seed=5, samples=samples)
+
+    one, two = (profile(t) for t in (1, 2))
     assert one == two
     assert one.min_rank < one.max_rank
 

@@ -171,6 +171,14 @@ def test_operator_block_rejects_nontrivial_core():
         build_operator_block_space(F5, 2, core=core)
 
 
+@pytest.mark.parametrize("core", [[[0, 1], [1, 0]], [[0, -1], [1, 0]]], ids=["swap", "rotation"])
+def test_operator_block_over_q_needs_a_flagged_core(core):
+    # the swap has eigenvalue 1; the rotation has none over Q, but no flag proves that
+    core = AffineMatrixSpace(Matrix.zeros(Q, 2), [Matrix(Q, core)])
+    with pytest.raises(BudgetExceededError, match="core space has no nilpotent flag"):
+        build_operator_block_space(Q, 2, core=core)
+
+
 def test_operator_block_gate_names_a_witness_off_the_basis():
     # both basis members are nilpotent; their sum [[0, 1], [1, 0]] has eigenvalues 1 and 4
     core = AffineMatrixSpace(Matrix.zeros(F5, 2), [unit(F5, 2, 0, 1), unit(F5, 2, 1, 0)])
