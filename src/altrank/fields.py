@@ -79,7 +79,7 @@ class FieldCtx:
             raise ValueError(f"field spec must be a string, got {text!r}")
         if text == "Q":
             return FieldCtx.rational()
-        if text.startswith("Fp:"):
+        if text.startswith("Fp:") and text[3:].isdecimal():
             return FieldCtx.prime(int(text[3:]))
         raise ValueError(f"unrecognized field spec {text!r}")
 
@@ -170,11 +170,10 @@ class FieldCtx:
         if not isinstance(text, str):
             raise ValueError(f"field element must be a string, got {text!r}")
         text = text.strip()
-        if self.kind == "prime":
-            return int(text) % self.p
-        if "/" in text:
-            num, den = text.split("/")
-            if int(den) == 0:
-                raise ValueError(f"zero denominator in {text!r}")
+        try:
+            if self.kind == "prime":
+                return int(text) % self.p
+            num, den = text.split("/") if "/" in text else (text, 1)
             return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"malformed element {text!r} for {self.to_str()}") from None

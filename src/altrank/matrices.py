@@ -5,7 +5,8 @@ magnitude, so kernels, echelon forms and certificates are reproducible
 bit for bit across runs and platforms.  There are two eliminations: the
 incremental Gauss-Jordan of :class:`Span`, behind ``rref`` and everything
 built on it, and the forward elimination ``_eliminate``, behind ``rank``,
-``det`` and ``span_dim``.
+``det`` and ``span_dim``.  ``pfaffian`` pivots pairwise instead: one 2x2
+block and its Schur complement per step, as ``_engine.skew_rank`` does.
 """
 
 from __future__ import annotations
@@ -446,7 +447,12 @@ def place_blocks(
 
 
 def pfaffian(m: Matrix) -> Element:
-    """Pfaffian by skew-symmetric elimination, valid in every characteristic.
+    """Pfaffian by pairwise pivoting, valid in every characteristic.
+
+    Row 0 pivots on its first nonzero entry a = a_0j, and
+    Pf(A) = (-1)^(j-1) * a * Pf(S), where S is the Schur complement of the
+    2x2 block on {0, j}: row i of S is a_i - (a_0i/a) a_j - (a_ij/a) a_0, with
+    entries 0 and j dropped.  A zero row 0 makes the Pfaffian zero.
 
     Sign convention: pfaffian([[0, 1], [-1, 0]]) == 1.  Odd-sized input
     returns the scalar zero by contract.  Raises ValueError if the input is
@@ -454,51 +460,25 @@ def pfaffian(m: Matrix) -> Element:
     """
     if not m.is_alternating():
         raise ValueError("pfaffian requires an alternating matrix")
-    n = m.nrows
-    ctx = m.ctx
-    if n % 2 == 1:
+    ctx, p = m.ctx, m.ctx.p
+    if m.nrows % 2 == 1:
         return ctx.zero()
-    rows = [list(r) for r in m.data]
+    rows = m.data
     acc = ctx.one()
-    negate = False
-    for k in range(0, n - 1, 2):
-        if rows[k][k + 1] == 0:
-            j = None
-            for cand in range(k + 2, n):
-                if rows[k][cand] != 0:
-                    j = cand
-                    break
-            if j is None:
-                return ctx.zero()
-            _swap_symmetric(rows, k + 1, j)
-            negate = not negate
-        piv = rows[k][k + 1]
-        inv = ctx.inv(piv)
-        # Clear row k / column k beyond position k+1 using row and column k+1.
-        for j in range(k + 2, n):
-            if rows[k][j] != 0:
-                _add_symmetric_multiple(ctx, rows, j, k + 1, ctx.neg(ctx.mul(rows[k][j], inv)))
-        # Clear row k+1 / column k+1 beyond position k+1 using row and column k.
-        inv_neg = ctx.inv(rows[k + 1][k])
-        for j in range(k + 2, n):
-            if rows[k + 1][j] != 0:
-                _add_symmetric_multiple(ctx, rows, j, k, ctx.neg(ctx.mul(rows[k + 1][j], inv_neg)))
-        acc = ctx.mul(acc, piv)
-    return ctx.neg(acc) if negate else acc
-
-
-def _swap_symmetric(rows: list[list[Element]], i: int, j: int) -> None:
-    rows[i], rows[j] = rows[j], rows[i]
-    for r in rows:
-        r[i], r[j] = r[j], r[i]
-
-
-def _add_symmetric_multiple(ctx: FieldCtx, rows: list[list[Element]], dst: int, src: int, f: Element) -> None:
-    """Congruence update: row dst += f * row src, then column dst += f * column src."""
-    add, mul = ctx.add, ctx.mul
-    rows[dst] = [add(x, mul(f, y)) for x, y in zip(rows[dst], rows[src])]
-    for r in rows:
-        r[dst] = add(r[dst], mul(f, r[src]))
+    while rows:
+        top = rows[0]
+        j = next((k for k, x in enumerate(top) if x), None)
+        if j is None:
+            return ctx.zero()
+        a, inv = top[j], ctx.inv(top[j])
+        acc = ctx.mul(acc, a if j % 2 else ctx.neg(a))
+        a0, aj = top[1:j] + top[j + 1 :], rows[j][1:j] + rows[j][j + 1 :]
+        rows = [
+            _sub_multiple(p, _sub_multiple(p, r[1:j] + r[j + 1 :], top[i] * inv, aj), r[j] * inv, a0)
+            for i, r in enumerate(rows)
+            if i and i != j
+        ]
+    return acc
 
 
 def pfaffian_expansion(m: Matrix) -> Element:

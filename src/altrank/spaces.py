@@ -352,13 +352,13 @@ def exhaustive_optimal_dimension(
             raise BudgetExceededError(
                 f"dimension {d} needs {n_spaces} x {total} work units"
             )
-        found = _coset_walk(all_vecs, bad, m, d, q)
+        found = _coset_walk(bad, m, d, q)
         exists_by_dim[d] = found is not None
         if found is None:
             break
         max_dim = d
-        w_rows, rep_idx = found
-        base = alternating_from_upper(ctx, n, [int(v) for v in all_vecs[rep_idx]])
+        w_rows, rep = found
+        base = alternating_from_upper(ctx, n, [int(v) for v in rep])
         gens = [alternating_from_upper(ctx, n, [int(v) for v in row]) for row in w_rows]
         witness = AffineMatrixSpace(base, gens)
         for _, mat in witness.enumerate(10**6):
@@ -368,10 +368,11 @@ def exhaustive_optimal_dimension(
     return OptimalSearchResult(max_dim=max_dim, exists_by_dim=exists_by_dim, witness=witness)
 
 
-def _coset_walk(all_vecs: np.ndarray, bad: np.ndarray, m: int, d: int, q: int):
-    """First (direction rows, coset representative index) whose coset avoids
-    bad, in ``echelon_bases`` order: its least such coset by reduced
-    representative, and that coset's least member.
+def _coset_walk(bad: np.ndarray, m: int, d: int, q: int):
+    """First (direction rows, coset representative) whose coset avoids bad, in
+    ``echelon_bases`` order: its least such coset by reduced representative,
+    and that representative (zero at the pivots), which is the coset's least
+    member since each pivot coordinate is set by its own row alone.
 
     A depth-first walk over the echelon rows of each pivot pattern.  A node is
     the span P of the rows chosen so far, and its state the mask of P's good
@@ -386,10 +387,9 @@ def _coset_walk(all_vecs: np.ndarray, bad: np.ndarray, m: int, d: int, q: int):
         found = _walk(good.transpose(nonpiv + list(pivots)).reshape(1, -1), pivots, nonpiv, q, 0)
         if found is not None:
             _, rows, leaf = found
-            w = np.array(rows, dtype=np.int64).reshape(d, m)
-            key_pows = q ** np.arange(m - d - 1, -1, -1, dtype=np.int64)
-            keys = (all_vecs[:, nonpiv] - all_vecs[:, list(pivots)] @ w[:, nonpiv]) % q @ key_pows
-            return w, int(np.argmax(keys == int(leaf.argmax())))
+            rep = np.zeros(m, dtype=np.int64)
+            rep[nonpiv] = _engine.index_to_coords(int(leaf.argmax()), m - d, q)
+            return np.array(rows, dtype=np.int64).reshape(d, m), rep
     return None
 
 

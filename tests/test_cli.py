@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from altrank import _engine
 from altrank.cli import FAMILY_NAMES, build_family, dimension_table, main
@@ -596,3 +598,68 @@ def test_verify_flanders_atkinson_validates_the_gram_once_for_all_generators(tmp
         if code == 0:
             results = json.loads(text)["results"]
             assert results["generators"] == [] and results["verdict"] is True
+
+
+def test_malformed_field_and_element_are_one_line_usage_errors(tmp_path, capsys):
+    code, text = run(tmp_path, "construct", "--family", "nt", "--field", "Fp:x", "--n", "3")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: unrecognized field spec 'Fp:x'\n"
+    obj = build_counterexample_plane(Q).to_json()
+    obj["base"]["data"][0][1] = "1/2/3"
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(obj))
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "rank-profile", "--sample", "10")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: malformed element '1/2/3' for Q\n"
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.sampled_from(["", "x", "-1", "1/2", "1/2/3", "1e5", "1/0", "Q", "Fp:x", "Fp:4", "Fp:7"]),
+    st.sampled_from([[], {}, [[]], ["1"]]),
+)
+
+
+def mutated(data, obj):
+    """obj with one value replaced by junk, one key or list entry dropped, or
+    one list entry duplicated."""
+    if not isinstance(obj, (dict, list)) or not obj:
+        return data.draw(JUNK)
+    if isinstance(obj, dict):
+        key, out = data.draw(st.sampled_from(list(obj))), dict(obj)
+        action = data.draw(st.sampled_from(["descend", "drop", "replace"]))
+    else:
+        key, out = data.draw(st.sampled_from(range(len(obj)))), list(obj)
+        action = data.draw(st.sampled_from(["descend", "drop", "duplicate", "replace"]))
+    if action == "drop":
+        del out[key]
+    elif action == "duplicate":
+        out.insert(key, out[key])
+    elif action == "replace":
+        return data.draw(JUNK)
+    else:
+        out[key] = mutated(data, obj[key])
+    return out
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_space_json_never_ends_in_a_traceback(tmp_path, capsys, data):
+    """Fuzzing: a mutated space file is parsed by ``from_json``, or refused with
+    ValueError (KeyError for a missing key, which ``main`` maps to exit 2), and
+    every ``verify`` check on it exits 0, 1 or 2 with no traceback."""
+    sp = build_bordered_alternating(F5, 5, 1) if data.draw(st.booleans()) else build_counterexample_plane(Q)
+    obj = mutated(data, sp.to_json())
+    try:
+        AffineMatrixSpace.from_json(obj)
+    except (ValueError, KeyError):
+        pass
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(obj))
+    check = data.draw(st.sampled_from(["rank-profile", "trivial-spectrum", "flanders-atkinson", "duality"]))
+    argv = ("verify", "--in", str(src), "--check", check, "--rank", "2", "--budget", "200", "--sample", "10")
+    code, _ = run(tmp_path, *argv)
+    err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("[time]")]
+    assert code in (0, 1, 2) and len(err) <= 1

@@ -111,6 +111,23 @@ def test_element_str_round_trip():
     assert q.parse_element(q.element_to_str(x)) == x
 
 
+@pytest.mark.parametrize(
+    "field, text",
+    [("Q", "1/2/3"), ("Q", "1e5"), ("Q", "1/0"), ("Q", "x"), ("Fp:5", "1/2"), ("Fp:5", "")],
+)
+def test_malformed_element_names_the_text_and_the_field(field, text):
+    with pytest.raises(ValueError) as exc:
+        FieldCtx.parse(field).parse_element(text)
+    assert str(exc.value) == f"malformed element {text!r} for {field}"
+
+
+@pytest.mark.parametrize("text", ["Fp:x", "Fp:", "Fp:-5", "Fp:1.5"])
+def test_malformed_field_spec_names_it(text):
+    with pytest.raises(ValueError) as exc:
+        FieldCtx.parse(text)
+    assert str(exc.value) == f"unrecognized field spec {text!r}"
+
+
 @given(st.integers(), st.integers())
 def test_field_axioms_f13(a, b):
     f = FieldCtx.prime(13)

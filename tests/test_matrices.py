@@ -262,6 +262,106 @@ def test_pfaffian_congruence_scaling():
             assert lhs == ctx.mul(p.det(), pfaffian(m))
 
 
+PF_FIELDS = [FieldCtx.prime(2), F7, FieldCtx.prime(2_147_483_629), Q]
+
+
+def checked_pfaffian(m, want=None):
+    """pfaffian(m), checked against ``want`` (the expansion oracle by default),
+    against det as its square, and for its type: an int over F_p and a Fraction
+    over Q, since a float would pass every equality."""
+    pf = pfaffian(m)
+    assert type(pf) is (Fraction if m.ctx.kind == "rational" else int)
+    assert pf == (pfaffian_expansion(m) if want is None else want)
+    assert m.ctx.mul(pf, pf) == m.det()
+    return pf
+
+
+def nonzero(ctx, stream):
+    while True:
+        x = stream.element(ctx, 9)
+        if x:
+            return x
+
+
+def fractional(ctx, n, coords):
+    """An alternating matrix from upper coordinates, with non-integer entries over Q."""
+    if ctx.kind == "rational":
+        coords = [Fraction(c, k % 5 + 2) for k, c in enumerate(coords)]
+    return alternating_from_upper(ctx, n, coords)
+
+
+@pytest.mark.parametrize("ctx", PF_FIELDS, ids=FieldCtx.to_str)
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_pfaffian_pivots_on_the_first_nonzero_entry_of_row_0(ctx, j):
+    # row 0 is zero before column j, so the first step pivots on a_0j, with
+    # sign (-1)^(j-1), and the rest of the matrix is dense
+    stream = CounterStream(derive_seed(9, "pfpivot", j))
+    for n in (4, 6):
+        for _ in range(5):
+            coords = [0 if r == 0 and c < j else nonzero(ctx, stream) for r, c in upper_pairs(n)]
+            m = fractional(ctx, n, coords)
+            assert next(k for k, x in enumerate(m.row(0)) if x) == j
+            checked_pfaffian(m)
+    # the sign alone: a_0j a_kl on the one perfect matching of {0, j} and the rest
+    rest = [k for k in range(1, 4) if k != j]
+    coords = [3 if (r, c) in ((0, j), tuple(rest)) else 0 for r, c in upper_pairs(4)]
+    sign = 1 if j % 2 else -1
+    checked_pfaffian(alternating_from_upper(ctx, 4, coords), ctx.normalize(9 * sign))
+
+
+@pytest.mark.parametrize("ctx", PF_FIELDS, ids=FieldCtx.to_str)
+def test_pfaffian_zero_and_empty_cases_keep_the_field_type(ctx):
+    stream = CounterStream(derive_seed(10, "pfzero"))
+    # a zero row 0 under nonzero rows, at n = 4 and 6; an odd size
+    for n in (4, 6):
+        coords = [0 if r == 0 else nonzero(ctx, stream) for r, _ in upper_pairs(n)]
+        checked_pfaffian(fractional(ctx, n, coords), ctx.zero())
+    checked_pfaffian(fractional(ctx, 5, [stream.element(ctx, 9) for _ in upper_pairs(5)]), ctx.zero())
+    # a dense row 0 whose first Schur complement is zero, its row 0 included:
+    # Pf = a01 a23 - a02 a13 + a03 a12 = 0 - 1 + 1
+    m = alternating_from_upper(ctx, 4, [1, 1, 1, 1, 1, 0])
+    checked_pfaffian(m, ctx.zero())
+    checked_pfaffian(Matrix(ctx, []), ctx.one())
+
+
+def with_schur_complement(ctx, a, x, s):
+    """The alternating A with A[0][1] = a, rows 0 and 1 beyond column 1 given by
+    the two rows of x, and the Schur complement of its leading 2x2 block equal
+    to s: the lower block is s - x^T B^-1 x with B^-1 = [[0, -1/a], [1/a, 0]]."""
+    binv = Matrix(ctx, [[0, ctx.neg(ctx.inv(a))], [ctx.inv(a), 0]])
+    c = s - x.T @ binv @ x
+    n = s.nrows + 2
+    rows = [[0, a, *x.row(0)], [ctx.neg(a), 0, *x.row(1)]]
+    rows += [[ctx.neg(x[0, i]), ctx.neg(x[1, i]), *c.row(i)] for i in range(n - 2)]
+    return Matrix(ctx, rows)
+
+
+@pytest.mark.parametrize("ctx", PF_FIELDS, ids=FieldCtx.to_str)
+def test_pfaffian_follows_the_schur_complement(ctx):
+    # Pf(A) = a Pf(S) for A built around a chosen S; where S has a zero first
+    # row the elimination stops there, one step in, and A itself is dense
+    stream = CounterStream(derive_seed(11, "pfschur"))
+    for n in (4, 6, 8):
+        for vanish in (False, True):
+            coords = [0 if vanish and r == 0 else stream.element(ctx, 9) for r, _ in upper_pairs(n - 2)]
+            s = fractional(ctx, n - 2, coords)
+            a = nonzero(ctx, stream)
+            x = Matrix(ctx, [[nonzero(ctx, stream) for _ in range(n - 2)] for _ in range(2)])
+            m = with_schur_complement(ctx, a, x, s)
+            assert m.is_alternating()
+            pf = checked_pfaffian(m, ctx.mul(a, pfaffian_expansion(s)))
+            assert pf == 0 or not vanish
+
+
+@pytest.mark.parametrize("ctx", PF_FIELDS, ids=FieldCtx.to_str)
+@pytest.mark.parametrize("n", [10, 12])
+def test_pfaffian_matches_the_expansion_at_sizes_10_and_12(ctx, n):
+    stream = CounterStream(derive_seed(12, "pfbig", n))
+    for spread in (3, 1):  # about one entry in three drawn, then all of them
+        coords = [stream.element(ctx, 9) if stream.below(spread) == 0 else 0 for _ in upper_pairs(n)]
+        checked_pfaffian(fractional(ctx, n, coords))
+
+
 def test_alternating_rank_is_even():
     stream = CounterStream(derive_seed(8, "even"))
     for _ in range(50):

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -101,17 +102,16 @@ def test_analyze_privates_stay_in_analyze():
     assert found == []
 
 
-def test_no_floating_point_in_the_engine_or_the_profile():
-    """The Hadamard bound and the prime search behind rational rank profiles,
-    like every kernel and the pencil scans, stay in integers: no float, no
-    square root."""
-    pkg = Path(altrank.__file__).parent
+def test_no_floating_point_in_the_package():
+    """Every module stays in integers and fractions: the kernels, the Hadamard
+    bound and the prime search behind rational rank profiles, the pencil scans
+    and the exact layer's divisions alike.  No float and no square root;
+    ``math.isqrt`` is an integer square root."""
+    token = re.compile(r"float\(|(?<!i)sqrt\(|\*\* 0\.5|np\.float")
     found = []
-    for name in ("_engine.py", "analyze.py", "symplectic.py"):
-        for lineno, line in enumerate((pkg / name).read_text().splitlines(), 1):
-            for token in ("float(", "sqrt(", "** 0.5", "np.float"):
-                if token in line:
-                    found.append(f"{name}:{lineno}: {token}")
+    for path in sorted(Path(altrank.__file__).parent.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            found += [f"{path.name}:{lineno}: {m.group()}" for m in token.finditer(line)]
     assert found == []
 
 

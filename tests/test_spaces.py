@@ -538,11 +538,12 @@ def test_blocked_coset_scan_matches_per_space_loop(monkeypatch, m, d, q):
             want = per_space_coset_scan(all_vecs, bad, m, d, q)
             for cap in (spaces._WALK_ELEMS, 1, 2000):
                 monkeypatch.setattr(spaces, "_WALK_ELEMS", cap)
-                got = spaces._coset_walk(all_vecs, bad, m, d, q)
+                got = spaces._coset_walk(bad, m, d, q)
                 if want is None:
                     assert got is None
                 else:
-                    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+                    assert got[0].tolist() == want[0].tolist()
+                    assert got[1].tolist() == all_vecs[want[1]].tolist()
 
 
 def alternating_bad(n, r, q, predicate):
@@ -564,11 +565,12 @@ def test_coset_walk_matches_per_space_loop_on_rank_tables(n, q, dims):
             all_vecs, bad = alternating_bad(n, r, q, predicate)
             for d in dims:
                 want = per_space_coset_scan(all_vecs, bad, m, d, q)
-                got = spaces._coset_walk(all_vecs, bad, m, d, q)
+                got = spaces._coset_walk(bad, m, d, q)
                 if want is None:
                     assert got is None, (r, predicate, d)
                 else:
-                    assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1]), (r, predicate, d)
+                    want_rep = all_vecs[want[1]].tolist()
+                    assert (got[0].tolist(), got[1].tolist()) == (want[0].tolist(), want_rep), (r, predicate, d)
 
 
 @pytest.mark.parametrize("r", [2, 4])
@@ -577,7 +579,7 @@ def test_coset_walk_finds_no_constant_rank_solid_at_4_f3(r):
     empty: every one of the 33,880 direction spaces is checked or pruned."""
     all_vecs, bad = alternating_bad(4, r, 3, "constant-rank")
     assert per_space_coset_scan(all_vecs, bad, 6, 3, 3) is None
-    assert spaces._coset_walk(all_vecs, bad, 6, 3, 3) is None
+    assert spaces._coset_walk(bad, 6, 3, 3) is None
 
 
 @pytest.mark.parametrize(
