@@ -111,18 +111,18 @@ class FieldCtx:
         A Fraction whose denominator is divisible by p raises ZeroDivisionError.
         Over Q an integral input such as ``numpy.int64`` becomes a Python
         ``int`` first, so the Fraction's numerator never wraps at 64 bits.
+        Anything but an integral value, a Fraction or a string (a float, say,
+        which is not exact) raises ValueError.
         """
         if isinstance(x, int) and self.kind == "prime":
             return x % self.p
         if isinstance(x, str):
             return self.parse_element(x)
-        if self.kind == "prime":
-            if isinstance(x, Fraction):
-                return self.div(x.numerator % self.p, x.denominator % self.p)
-            return int(x) % self.p
         if isinstance(x, Fraction):
-            return x
-        return Fraction(int(x)) if isinstance(x, Integral) else Fraction(x)
+            return self.div(x.numerator % self.p, x.denominator % self.p) if self.kind == "prime" else x
+        if not isinstance(x, Integral):
+            raise ValueError(f"not an exact field element: {x!r}")
+        return int(x) % self.p if self.kind == "prime" else Fraction(int(x))
 
     def zero(self) -> Element:
         return 0 if self.kind == "prime" else Fraction(0)

@@ -5,13 +5,17 @@ magnitude, so kernels, echelon forms and certificates are reproducible
 bit for bit across runs and platforms.  There are two eliminations: the
 incremental Gauss-Jordan of :class:`Span`, behind ``rref`` and everything
 built on it, and the forward elimination ``_eliminate``, behind ``rank``,
-``det`` and ``span_dim``.  ``pfaffian`` pivots pairwise instead: one 2x2
-block and its Schur complement per step, as ``_engine.skew_rank`` does.
+``det`` and ``span_dim``, fraction-free over Q: it runs on the integers L*A,
+L the common denominator, and forms a Fraction only for the answer.
+``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur complement
+per step as ``_engine.skew_rank`` does; both Pfaffians run on one integer lift.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .fields import Element, FieldCtx
@@ -220,8 +224,8 @@ class Matrix:
         return Matrix._trusted(self.ctx, rows), tuple(span.pivots)
 
     def rank(self) -> int:
-        """Rank by Gaussian elimination; asserts even rank on alternating input."""
-        r = len(_eliminate(self)[0])
+        """Rank by ``_eliminate`` (fraction-free over Q); asserts even rank on alternating input."""
+        r = _eliminate(self)[0]
         if r % 2 and self.is_square and self.is_alternating():
             raise AssertionError("alternating matrix with odd rank")
         return r
@@ -242,18 +246,13 @@ class Matrix:
         return basis
 
     def det(self) -> Element:
-        """Determinant from the rank elimination: (-1)^swaps times the product
-        of the pivots when the rank is full, zero otherwise."""
+        """Determinant from the rank elimination when the rank is full, zero
+        otherwise: (-1)^swaps times the product of the pivots, or over Q the
+        last fraction-free pivot over L^n (see ``_eliminate``)."""
         if not self.is_square:
             raise ValueError("determinant of non-square matrix")
-        ctx = self.ctx
-        pivots, swaps = _eliminate(self)
-        if len(pivots) < self.nrows:
-            return ctx.zero()
-        acc = ctx.one()
-        for piv in pivots:
-            acc = ctx.mul(acc, piv)
-        return ctx.neg(acc) if swaps % 2 else acc
+        rank, _, d = _eliminate(self)
+        return d if rank == self.nrows else self.ctx.zero()
 
     def inverse(self) -> "Matrix":
         """The inverse, kept once computed; ValueError if there is none."""
@@ -389,20 +388,35 @@ def _sub_multiple(p: int | None, xs: Sequence[Element], c: Element, ys: Sequence
     return [x - c * y for x, y in zip(xs, ys)]
 
 
-def _eliminate(m: Matrix) -> tuple[list[Element], int]:
+def _lift(m: Matrix) -> tuple[list[list[int]], int]:
+    """Integer rows B and a scale L: over Q, L is the common denominator of
+    the entries and B = L*A; over F_p, B holds the residues and L = 1."""
+    if m.ctx.kind == "prime":
+        return [list(r) for r in m.data], 1
+    scale = lcm(*[x.denominator for r in m.data for x in r])
+    return [[x.numerator * (scale // x.denominator) for x in r] for r in m.data], scale
+
+
+def _unlift(ctx: FieldCtx, x: int, scale: int) -> Element:
+    """The field element x computed on a lift: x mod p, or x / scale over Q."""
+    return x % ctx.p if ctx.kind == "prime" else Fraction(x, scale)
+
+
+def _eliminate(m: Matrix) -> tuple[int, int, Element]:
     """Forward elimination, pivoting on the first nonzero entry of each column:
-    the pivot values in column order and the number of row swaps made."""
+    the rank r, the number of row swaps, and (-1)^swaps times the determinant
+    of the r x r pivot block, which is det(m) when m is square of full rank.
+    Over Q it is fraction-free on the lift (Bareiss, Math. Comp. 22, 1968):
+    each row below the pivot, zero in column c or not, becomes
+    (piv * row - row[c] * pivot_row) // prev, divided exactly by the previous
+    pivot, so the last pivot is the block's determinant times L^r."""
     prime, p = m.ctx.kind == "prime", m.ctx.p
-    rows = [list(r) for r in m.data]
+    rows, scale = _lift(m)
     nrows, ncols = m.nrows, m.ncols
-    pivots: list[Element] = []
     rank = swaps = 0
+    d = prev = 1
     for c in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(rank, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != rank:
@@ -410,24 +424,27 @@ def _eliminate(m: Matrix) -> tuple[list[Element], int]:
             swaps += 1
         prow = rows[rank]
         piv = prow[c]
-        pivots.append(piv)
-        inv = pow(piv, -1, p) if prime else 1 / piv
-        for i in range(rank + 1, nrows):
-            ric = rows[i][c]
-            if not ric:
-                continue
-            if prime:
+        if prime:
+            d = d * piv % p
+            inv = pow(piv, -1, p)
+            for i in range(rank + 1, nrows):
+                ric = rows[i][c]
+                if not ric:
+                    continue
                 f = ric * inv % p
                 ri = rows[i]
                 for j in range(c, ncols):
                     ri[j] = (ri[j] - f * prow[j]) % p
-            else:
-                f = ric * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+        else:
+            tail = prow[c:]
+            for i in range(rank + 1, nrows):
+                ri, ric = rows[i], rows[i][c]
+                ri[c:] = [(piv * x - ric * y) // prev for x, y in zip(ri[c:], tail)]
+            d = prev = piv
         rank += 1
         if rank == nrows:
             break
-    return pivots, swaps
+    return rank, swaps, _unlift(m.ctx, -d if swaps % 2 else d, scale**rank)
 
 
 def place_blocks(
@@ -446,68 +463,76 @@ def place_blocks(
 # -- Pfaffians ------------------------------------------------------------------
 
 
+def _alternating_lift(m: Matrix) -> tuple[list[list[int]], int]:
+    """The lift of ``_lift`` rebuilt from its upper triangle, alternating over Z (over
+    F_p a_ji = p - a_ij is not -a_ij); ValueError unless m, checked on it, is alternating."""
+    rows, scale = _lift(m)
+    if m.is_square:
+        cols = list(zip(*rows))
+        alt = [[-y for y in cols[i][:i]] + [0] + r[i + 1 :] for i, r in enumerate(rows)]
+        if ([[x % m.ctx.p for x in r] for r in alt] if m.ctx.p else alt) == rows:
+            return alt, scale
+    raise ValueError("pfaffian requires an alternating matrix")
+
+
 def pfaffian(m: Matrix) -> Element:
     """Pfaffian by pairwise pivoting, valid in every characteristic.
 
     Row 0 pivots on its first nonzero entry a = a_0j, and
     Pf(A) = (-1)^(j-1) * a * Pf(S), where S is the Schur complement of the
     2x2 block on {0, j}: row i of S is a_i - (a_0i/a) a_j - (a_ij/a) a_0, with
-    entries 0 and j dropped.  A zero row 0 makes the Pfaffian zero.
+    entries 0 and j dropped.  A zero row 0 makes the Pfaffian zero.  On the
+    integer lift the steps are fraction-free (Galbiati and Maffioli, Discrete
+    Appl. Math. 51, 1994): row i becomes (a a_i - a_0i a_j - a_ij a_0) // prev,
+    and Pf is the sign times the last pivot, mod p or over L^(n/2).
 
     Sign convention: pfaffian([[0, 1], [-1, 0]]) == 1.  Odd-sized input
     returns the scalar zero by contract.  Raises ValueError if the input is
     not alternating.
     """
-    if not m.is_alternating():
-        raise ValueError("pfaffian requires an alternating matrix")
-    ctx, p = m.ctx, m.ctx.p
+    rows, scale = _alternating_lift(m)
     if m.nrows % 2 == 1:
-        return ctx.zero()
-    rows = m.data
-    acc = ctx.one()
+        return m.ctx.zero()
+    sign = prev = 1
     while rows:
         top = rows[0]
         j = next((k for k, x in enumerate(top) if x), None)
         if j is None:
-            return ctx.zero()
-        a, inv = top[j], ctx.inv(top[j])
-        acc = ctx.mul(acc, a if j % 2 else ctx.neg(a))
+            return m.ctx.zero()
+        a = top[j]
+        sign = sign if j % 2 else -sign
         a0, aj = top[1:j] + top[j + 1 :], rows[j][1:j] + rows[j][j + 1 :]
         rows = [
-            _sub_multiple(p, _sub_multiple(p, r[1:j] + r[j + 1 :], top[i] * inv, aj), r[j] * inv, a0)
+            [(a * x - top[i] * y - r[j] * z) // prev for x, y, z in zip(r[1:j] + r[j + 1 :], aj, a0)]
             for i, r in enumerate(rows)
             if i and i != j
         ]
-    return acc
+        prev = a
+    return _unlift(m.ctx, sign * prev, scale ** (m.nrows // 2))
 
 
 def pfaffian_expansion(m: Matrix) -> Element:
-    """Independent Pfaffian oracle: recursive expansion along the first row.
-
-    Exponential cost; intended as a cross-check for sizes up to about 10.
-    """
-    if not m.is_alternating():
-        raise ValueError("pfaffian requires an alternating matrix")
+    """Independent Pfaffian oracle: recursive expansion along the first row,
+    summed on the integer lift.  Exponential cost; a cross-check up to n = 10."""
+    rows, scale = _alternating_lift(m)
     if m.nrows % 2 == 1:
         return m.ctx.zero()
     if m.nrows > 12:
         raise ValueError("expansion oracle limited to small sizes")
-    return _pf_expand(m.ctx, m.data, list(range(m.nrows)))
+    return _unlift(m.ctx, _pf_expand(rows, list(range(m.nrows))), scale ** (m.nrows // 2))
 
 
-def _pf_expand(ctx: FieldCtx, d, idx: list[int]) -> Element:
+def _pf_expand(d: list[list[int]], idx: list[int]) -> int:
     if not idx:
-        return ctx.one()
+        return 1
     i0 = idx[0]
-    acc = ctx.zero()
+    acc = 0
     for t in range(1, len(idx)):
         a = d[i0][idx[t]]
-        if a == 0:
-            continue
-        rest = idx[1:t] + idx[t + 1 :]
-        term = ctx.mul(a, _pf_expand(ctx, d, rest))
-        # Expansion sign alternates with the position of the struck column.
-        acc = ctx.add(acc, term) if t % 2 == 1 else ctx.sub(acc, term)
+        if a:
+            term = a * _pf_expand(d, idx[1:t] + idx[t + 1 :])
+            # Expansion sign alternates with the position of the struck column.
+            acc += term if t % 2 == 1 else -term
     return acc
 
 
@@ -567,4 +592,4 @@ def rows_matrix(ctx: FieldCtx, vecs: Sequence[Vector]) -> Matrix:
 def span_dim(ctx: FieldCtx, vecs: Sequence[Vector]) -> int:
     if not vecs:
         return 0
-    return len(_eliminate(rows_matrix(ctx, vecs))[0])
+    return _eliminate(rows_matrix(ctx, vecs))[0]

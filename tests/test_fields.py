@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altrank.fields import FieldCtx, is_prime, prime_below
+from altrank.matrices import Matrix
 
 
 def test_is_prime_small():
@@ -86,6 +89,18 @@ def test_normalize_rational_keeps_numpy_integers_exact():
 def test_normalize_rejects_denominator_divisible_by_p():
     with pytest.raises(ZeroDivisionError):
         FieldCtx.prime(5).normalize(Fraction(1, 5))
+
+
+@pytest.mark.parametrize("x", [2.5, 0.1, 3.0, np.float64(2.0), Decimal("1.5"), 1j, None])
+@pytest.mark.parametrize("field", ["Fp:7", "Q"])
+def test_normalize_rejects_inexact_values(field, x):
+    # over F_7, int(2.5) would read 2 where 5/2 is 6; over Q, Fraction(0.1)
+    # is the binary fraction 3602879701896397/36028797018963968
+    ctx = FieldCtx.parse(field)
+    with pytest.raises(ValueError, match=re.escape(repr(x))):
+        ctx.normalize(x)
+    with pytest.raises(ValueError):
+        Matrix(ctx, [[1, x]])
 
 
 def test_normalize_rational():

@@ -14,6 +14,7 @@ from altrank.matrices import (
     mat_vec,
     pfaffian,
     pfaffian_expansion,
+    span_dim,
     upper_pairs,
 )
 from altrank.rand import CounterStream, derive_seed, random_alternating, random_invertible, random_matrix
@@ -113,20 +114,33 @@ def oracle_cases(ctx, seed):
         yield Matrix(ctx, rows)
 
 
+def sympy_field(ctx):
+    from sympy import GF, QQ
+
+    return QQ if ctx.kind == "rational" else GF(ctx.p)
+
+
+def sympy_element(ctx, x):
+    k = sympy_field(ctx)
+    return k(x.numerator, x.denominator) if ctx.kind == "rational" else k(x)
+
+
+def sympy_matrix(ctx, rows, shape):
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix([[sympy_element(ctx, x) for x in row] for row in rows], shape, sympy_field(ctx))
+
+
 @pytest.mark.parametrize("ctx", [FieldCtx.prime(2), F5, F7, FieldCtx.prime(2_147_483_629), Q])
 def test_exact_layer_matches_sympy(ctx):
     pytest.importorskip("sympy")
-    from sympy import GF, QQ
-    from sympy.polys.matrices import DomainMatrix
     from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-    K = QQ if ctx.kind == "rational" else GF(ctx.p)
-
     def to_k(x):
-        return QQ(x.numerator, x.denominator) if ctx.kind == "rational" else K(x)
+        return sympy_element(ctx, x)
 
     def to_dm(a):
-        return DomainMatrix([[to_k(x) for x in row] for row in a.data], a.shape, K)
+        return sympy_matrix(ctx, a.data, a.shape)
 
     parities = set()
     for a in oracle_cases(ctx, derive_seed(5, "sympy", ctx.to_str())):
@@ -266,13 +280,14 @@ PF_FIELDS = [FieldCtx.prime(2), F7, FieldCtx.prime(2_147_483_629), Q]
 
 
 def checked_pfaffian(m, want=None):
-    """pfaffian(m), checked against ``want`` (the expansion oracle by default),
-    against det as its square, and for its type: an int over F_p and a Fraction
-    over Q, since a float would pass every equality."""
-    pf = pfaffian(m)
-    assert type(pf) is (Fraction if m.ctx.kind == "rational" else int)
-    assert pf == (pfaffian_expansion(m) if want is None else want)
-    assert m.ctx.mul(pf, pf) == m.det()
+    """pfaffian(m), checked against the expansion oracle and ``want`` if given,
+    against det as its square, and for the type of all three: an int over F_p
+    and a Fraction over Q, since a float would pass every equality."""
+    pf, expansion, det = pfaffian(m), pfaffian_expansion(m), m.det()
+    kind = Fraction if m.ctx.kind == "rational" else int
+    assert type(pf) is kind and type(expansion) is kind and type(det) is kind
+    assert pf == expansion and (want is None or pf == want)
+    assert m.ctx.mul(pf, pf) == det
     return pf
 
 
@@ -360,6 +375,62 @@ def test_pfaffian_matches_the_expansion_at_sizes_10_and_12(ctx, n):
     for spread in (3, 1):  # about one entry in three drawn, then all of them
         coords = [stream.element(ctx, 9) if stream.below(spread) == 0 else 0 for _ in upper_pairs(n)]
         checked_pfaffian(fractional(ctx, n, coords))
+
+
+@pytest.mark.parametrize("ctx", PF_FIELDS, ids=FieldCtx.to_str)
+def test_det_keeps_the_field_type_on_every_path(ctx):
+    # empty, zero, a scalar, singular, one row swap, odd alternating
+    cases = ([], [[0]], [[3]], [[1, 2], [2, 4]], [[0, 1], [1, 0]], fractional(ctx, 3, [1, 2, 3]).data)
+    for rows in cases:
+        m = Matrix(ctx, rows)
+        assert type(m.det()) is (Fraction if ctx.kind == "rational" else int)
+        assert type(m.rank()) is int
+    assert Matrix(ctx, [[0, 1], [1, 0]]).det() == ctx.normalize(-1)
+
+
+def test_pfaffian_lifts_f7_residues_with_the_sign_flip():
+    # the one perfect matching {0,5} {1,4} {2,3} gives Pf = a05 a14 a23 = 1.
+    # Below the diagonal the residues are 6, not -1 over Z: eliminating on
+    # them as they are makes the exact divisions inexact, and Pf reads 0
+    pairs = ((0, 2), (0, 3), (0, 5), (1, 4), (2, 3))
+    m = alternating_from_upper(F7, 6, [1 if pair in pairs else 0 for pair in upper_pairs(6)])
+    checked_pfaffian(m, 1)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_fractional_pfaffians_square_to_the_sympy_determinant(n):
+    # unequal denominators 2 to 6, so the common denominator L is not 1 and
+    # Pf carries L^(n/2) where det carries L^n
+    pytest.importorskip("sympy")
+    stream = CounterStream(derive_seed(13, "pffrac", n))
+    for _ in range(3 if n < 10 else 1):
+        m = fractional(Q, n, [stream.element(Q, 9) for _ in upper_pairs(n)])
+        pf = checked_pfaffian(m)
+        assert sympy_element(Q, pf) ** 2 == sympy_matrix(Q, m.data, m.shape).det()
+
+
+def test_pfaffian_congruence_with_fractional_entries():
+    stream = CounterStream(derive_seed(14, "pfcongfrac"))
+    for n in (2, 4, 6, 8):
+        for _ in range(3):
+            a = fractional(Q, n, [stream.element(Q, 9) for _ in upper_pairs(n)])
+            p = Matrix(Q, [[Fraction(stream.element(Q, 9), stream.below(6) + 1) for _ in range(n)] for _ in range(n)])
+            assert checked_pfaffian(p.T @ a @ p) == p.det() * pfaffian(a)
+
+
+def test_span_dim_of_fractional_rows_matches_sympy_rank():
+    pytest.importorskip("sympy")
+    rng = random.Random(15)
+    assert span_dim(Q, []) == 0
+    for trial in range(60):
+        k, width = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.6 else 0 for _ in range(width)]
+            for _ in range(k)
+        ]
+        if trial % 3 == 0 and k > 2:  # a row in the span of the first two
+            rows[-1] = [x * Fraction(2, 3) - Fraction(y, 5) for x, y in zip(rows[0], rows[1])]
+        assert span_dim(Q, rows) == sympy_matrix(Q, rows, (k, width)).rank()
 
 
 def test_alternating_rank_is_even():
