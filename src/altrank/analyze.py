@@ -365,10 +365,10 @@ def flanders_atkinson_check(
     the lower-right block D vanishes, and the moment products vanish for
     k = 0..r-1 (B A^k C in the first two modes; B^T K^{-1} (A K^{-1})^k B in
     alternating mode).  Higher k reduce to these by Cayley-Hamilton.  Each
-    line is scanned in one engine pass, and the first failing member it
-    reports is re-ranked exactly.  A pencil is one exact rank(M) plus its
-    line: its first failure in (s, t) order is (0, 1, rank M) when rank M > r,
-    and else the line's first (1, t), since s*J + t*M = s(J + (t/s)*M).
+    line is scanned at t < min(p, r+2), which holds its least failure if any,
+    in one engine pass whose hit is re-ranked exactly.  A pencil is one exact
+    rank(M) plus its line: its first failure in (s, t) order is (0, 1, rank M)
+    when rank M > r, and else the line's first (1, t), as s*J + t*M = s(J + (t/s)*M).
 
     The matrices share one field and one square shape.  The input, K and
     every M included, is validated and K inverted once for the whole
@@ -408,10 +408,11 @@ def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[M
         return FAReport(mode, r, False, None, None, ("hypothesis", (0, 1, rk)))
     # the line J + t*M at index t, ranked by batch_rank alone, even in
     # alternating mode: on the skew path a short line would be ranked twice,
-    # once more by the guard
+    # once more by the guard.  An (r+1)-minor of J + t*M nonzero at some t has
+    # degree <= r+1 in t, so it is nonzero at some t <= r+1 too.
     idx = _engine.first_index(
         [(p, np.array(j.flatten(), dtype=np.int64), np.array([m.flatten()], dtype=np.int64))],
-        n, n, p, lambda ranks: ranks > r, exhaustive=True, total=p,
+        n, n, p, lambda ranks: ranks > r, exhaustive=True, total=min(p, r + 2),
     )
     if idx >= 0:
         rk = (j + m.scale(idx)).rank()

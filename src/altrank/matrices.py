@@ -555,7 +555,7 @@ def alternating_from_upper(ctx: FieldCtx, n: int, coords: Sequence[Element]) -> 
         c = ctx.normalize(c)
         rows[i][j] = c
         rows[j][i] = ctx.neg(c)
-    return Matrix(ctx, rows)
+    return Matrix._trusted(ctx, tuple(map(tuple, rows)))
 
 
 def alternating_units(ctx: FieldCtx, n: int) -> list[Matrix]:

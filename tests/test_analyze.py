@@ -757,6 +757,58 @@ def test_fa_first_failure_matches_exact_reference_loop(p, mode):
     assert held >= 2 and failed >= 1
 
 
+def full_line_failure(m, r, mode, gram=None):
+    """The first hypothesis failure by one exact ``rank()`` at every t of the
+    whole line J + t*M, after rank(M) in pencil mode."""
+    ctx, n = m.ctx, m.nrows
+    j = place_blocks(ctx, n, n, [(0, 0, gram if mode == "alternating" else Matrix.identity(ctx, r))])
+    if mode == "pencil" and (rk := m.rank()) > r:
+        return ("hypothesis", (0, 1, rk))
+    for t in range(ctx.p):
+        rk = (j + m.scale(t)).rank()
+        if rk > r:
+            return ("hypothesis", (1, t, rk))
+    return None
+
+
+def late_fa_cases(ctx, mode):
+    """(M, gram, least failing t on the line) for r = 2 and n = 4, with the
+    failure as late as the degree bound allows: det diag(1 - t, 1 - t/2, t)
+    vanishes at t = 0, 1, 2, and det diag(1 - t, 1, t) and Pf(J_K + t*M) =
+    t(1 - t) at t = 0, 1."""
+    if mode == "alternating":
+        m = Matrix(ctx, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        return [(m, standard_symplectic(ctx, 1), 2)]
+    cases = [(Matrix(ctx, [[-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]), None, 2)]
+    if mode == "line":  # rank(M) = 3 would fail the pencil at (0, 1)
+        half = ctx.neg(ctx.inv(2))
+        cases.append((Matrix(ctx, [[-1, 0, 0, 0], [0, half, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]), None, 3))
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["pencil", "line", "alternating"])
+@pytest.mark.parametrize("p", [5, 7, 11, 101])
+def test_fa_bounded_scan_matches_full_line_reference(p, mode):
+    # the scan stops at t = r + 1; the full line finds the same verdicts and
+    # first witnesses, the latest of them at t = r + 1 itself
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(6, "fa-bounded", p, mode))
+    cases = [(m, gram, None) for m, gram in fa_cases(ctx, mode, stream)] + late_fa_cases(ctx, mode)
+    held = failed = 0
+    for m, gram, late in cases:
+        [rep] = flanders_atkinson_check([m], 2, mode, gram=gram)
+        want = full_line_failure(m, 2, mode, gram)
+        assert rep.hypothesis_held == (want is None)
+        if want is None:
+            held += 1
+        else:
+            failed += 1
+            assert rep.first_failure == want
+        if late is not None:
+            assert want[1][:2] == (1, late)
+    assert held >= 2 and failed >= 2
+
+
 def test_first_hit_witnesses_are_rechecked_exactly(monkeypatch):
     # an engine that always reports member 0: each caller's exact re-rank
     # must reject it, since member 0 fails each predicate below

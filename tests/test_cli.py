@@ -142,7 +142,8 @@ def test_reduce_small_field_is_usage_error(tmp_path):
 
 
 def test_reduce_takes_no_candidates_option(tmp_path):
-    # every reduction rejects reduction.COMPLEMENT_CANDIDATES complement candidates
+    # the complement step is a proof and takes no options; its witness keeps
+    # the count of 200 candidates that earlier scans drew and rejected
     sp = build_bordered_alternating(F5, 5, 1)
     src = tmp_path / "space.json"
     src.write_text(json.dumps(sp.to_json()))

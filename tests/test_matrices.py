@@ -220,6 +220,20 @@ def test_alternating_from_upper_layout():
     assert upper_pairs(3) == [(0, 1), (0, 2), (1, 2)]
 
 
+@pytest.mark.parametrize("ctx", [F7, Q], ids=["F7", "Q"])
+def test_alternating_from_upper_matches_the_normalizing_constructor(ctx):
+    # one normalization per coordinate gives the entries Matrix(...) would
+    coords = [-3, 10, Fraction(4, 2), "5", 0, Fraction(-7, 3) if ctx is Q else 13]
+    m = alternating_from_upper(ctx, 4, coords)
+    rows = [[0] * 4 for _ in range(4)]
+    for (i, j), c in zip(upper_pairs(4), coords):
+        rows[i][j], rows[j][i] = ctx.normalize(c), ctx.neg(ctx.normalize(c))
+    want = Matrix(ctx, rows)
+    assert m == want and (m.nrows, m.ncols) == (4, 4)
+    assert [[type(x) for x in row] for row in m.data] == [[type(x) for x in row] for row in want.data]
+    assert alternating_from_upper(ctx, 0, []) == Matrix(ctx, [])
+
+
 def test_alternating_char_2_needs_zero_diagonal():
     f2 = FieldCtx.prime(2)
     sym = Matrix(f2, [[1, 1], [1, 1]])

@@ -1,11 +1,14 @@
 import json
-from copy import copy
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from altrank import _engine, analyze, reduction
+from altrank import analyze, reduction
 from altrank.analyze import rank_profile
 from altrank.errors import ContractError
 from altrank.families import (
@@ -17,12 +20,9 @@ from altrank.families import (
 from altrank.fields import FieldCtx
 from altrank.matrices import (
     Matrix,
-    Span,
     alternating_from_upper,
     mat_vec,
     place_blocks,
-    rows_matrix,
-    span_dim,
     upper_pairs,
     vec_dot,
 )
@@ -37,9 +37,6 @@ from altrank.rand import (
 )
 from altrank.reduction import (
     VERDICT_KEYS,
-    _complement_candidates,
-    _reject_candidates,
-    _rejected,
     canonical_reduction,
     find_rank_r_member,
     normalize_radical_to_tail,
@@ -227,59 +224,16 @@ def test_totally_singular_rejection():
 
 def test_unique_complement_positive():
     sp = build_bordered_alternating(F5, 7, 2)
-    tail = unique_totally_singular_complement(sp, 2, seed=0)
+    tail = unique_totally_singular_complement(sp, 2)
     ident = Matrix.identity(F5, 7)
     assert tail == [tuple(ident.row(i)) for i in range(2, 7)]
 
 
-def dual_basis_slab_witness(tail, x, y, span):
-    """Reference for the rank-2 slab form: phi1 phi2^T - phi2 phi1^T from the
-    first two rows of the inverse of the basis (x, y, tail units, lowest-index
-    units), as the reduction built it before the closed form."""
-    ctx = span.ctx
-    basis = [x, y] + tail + span.extend_with_units(span.width - span.dim)
-    binv = rows_matrix(ctx, basis).transpose().inverse()
-    phi1, phi2 = rows_matrix(ctx, [binv.row(0)]), rows_matrix(ctx, [binv.row(1)])
-    return phi1.T @ phi2 - phi2.T @ phi1
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 2_147_483_629])
-@pytest.mark.parametrize("s", [2, 3, 4])
-def test_rank_two_slab_witness_matches_dual_basis_reference(p, s):
-    # the rank-2 form that pairs x and y modulo the tail is d^-1 (E_ab - E_ba)
-    # on the two coordinates a < b that no unit covers, with a < b < s: a
-    # multiple of a leading-block unit, which step (a) of the complement scan
-    # finds in the translation span, so step (c) need not build it
-    ctx = FieldCtx.prime(p)
-    n = 2 * s + 3
-    ident = Matrix.identity(ctx, n)
-    tail = [ident.row(t) for t in range(s, n)]
-    tail_span = Span(ctx, tail)
-    stream = CounterStream(derive_seed(99, "slab-witness", p, s))
-    free_pairs = set()
-    checked = 0
-    while checked < 12:
-        # x and y supported, off the tail, on a random set of 2..s leading
-        # coordinates, so the uncovered pair (a, b) moves around
-        support = {t for t in range(s) if stream.below(2)}
-        x, y = (
-            tuple(c if t in support or t >= s else 0 for t, c in enumerate(stream.vector(ctx, n)))
-            for _ in range(2)
-        )
-        span = copy(tail_span)
-        if not (span.add(x) and span.add(y)):
-            continue
-        expected = dual_basis_slab_witness(tail, x, y, copy(span))
-        covered = {u.index(1) for u in tail + span.extend_with_units(n - span.dim)}
-        a, b = (t for t in range(n) if t not in covered)
-        assert b < s
-        unit = place_blocks(ctx, n, n, [(0, 0, alt_unit(ctx, s, a, b))])
-        got = unit.scale(ctx.inv(ctx.sub(ctx.mul(x[a], y[b]), ctx.mul(x[b], y[a]))))
-        assert got == expected
-        assert got.rank() == 2 and vec_dot(ctx, x, mat_vec(got, y)) == 1
-        free_pairs.add((a, b))
-        checked += 1
-    assert len(free_pairs) > 1 or s == 2
+def test_unique_complement_over_q():
+    # the radical argument holds over every field
+    sp = build_bordered_alternating(Q, 7, 2)
+    tail = unique_totally_singular_complement(sp, 2)
+    assert tail == [tuple(Matrix.identity(Q, 7).row(i)) for i in range(2, 7)]
 
 
 def test_unique_complement_guards():
@@ -288,94 +242,73 @@ def test_unique_complement_guards():
         unique_totally_singular_complement(sp, 2)  # needs n > 2s + 2
     thin = AffineMatrixSpace(Matrix.zeros(F5, 5), [alt_unit(F5, 5, 0, 1)])
     with pytest.raises(ContractError):
-        unique_totally_singular_complement(thin, 1)  # tail columns all zero
+        unique_totally_singular_complement(thin, 1)  # U_0 is not in the span
 
 
-def reference_complement_scan(sp, s, seed, candidates):
-    """The one-candidate loop that the batched complement scan replaced, per
-    candidate in order: its rows and whether ``totally_singular_rejection``
-    rejects it; plus the number of draws."""
-    ctx = sp.ctx
-    n = sp.shape[0]
-    ident = Matrix.identity(ctx, n)
-    structured = [
-        [tuple(ident.row(t)) for t in range(s, n) if t != j] + [tuple(ident.row(i))]
-        for i in range(s) for j in range(s, n)
-    ]
-    stream = CounterStream(derive_seed(seed, "complement"))
-    out, draws = [], 0
-    while len(out) < candidates:
-        if len(out) < len(structured):
-            cand = structured[len(out)]
-        else:
-            draws += 1
-            cand = [stream.vector(ctx, n) for _ in range(n - s)]
-            if span_dim(ctx, cand) != n - s:
-                continue
-        if all(all(c == 0 for c in v[:s]) for v in cand):
-            continue
-        out.append((cand, totally_singular_rejection(sp, cand) is not None))
-    return out, draws
+def test_unique_complement_contract_failures():
+    model = build_bordered_alternating(F5, 7, 2)
+    ident = Matrix.identity(F5, 7)
+    tail = [tuple(ident.row(i)) for i in range(2, 7)]
+    low_rank = AffineMatrixSpace(Matrix.zeros(F5, 7), model.basis)
+    with pytest.raises(ContractError, match="^the base has rank 0, not 4$"):
+        unique_totally_singular_complement(low_rank, 2)
+    without_u1 = AffineMatrixSpace(model.base, [g for g in model.basis if g[1, 4] == 0])
+    with pytest.raises(ContractError, match="^U_1 is missing from the translation span$"):
+        unique_totally_singular_complement(without_u1, 2)
+    # R0 = E_(0,2) + E_(1,3) in slab coordinates: adding U_i rescales a row of
+    # R0, so every member has the radical ker R0, of dimension 3 < 5
+    narrow = AffineMatrixSpace(alt_unit(F5, 7, 0, 4) + alt_unit(F5, 7, 1, 5), model.basis)
+    assert totally_singular_rejection(narrow, tail) is None
+    with pytest.raises(ContractError, match="^the member radicals do not span the tail$"):
+        unique_totally_singular_complement(narrow, 2)
+
+
+RADICAL_CHECK_UNDER_OPTIMIZE = """
+from altrank.families import build_bordered_alternating
+from altrank.fields import FieldCtx
+from altrank.matrices import Matrix
+from altrank.reduction import unique_totally_singular_complement
+from altrank.spaces import AffineMatrixSpace
+
+f5 = FieldCtx.prime(5)
+model = build_bordered_alternating(f5, 7, 2)
+unique_totally_singular_complement(AffineMatrixSpace(Matrix.zeros(f5, 7), model.basis), 2)
+"""
+
+
+def test_radical_check_raises_under_optimize():
+    src = str(Path(reduction.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", RADICAL_CHECK_UNDER_OPTIMIZE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "altrank.errors.ContractError: the base has rank 0, not 4" in proc.stderr
 
 
 def thinned(sp, keep):
     return AffineMatrixSpace(sp.base, sp.basis[:keep])
 
 
-@pytest.mark.parametrize("p, s", [(3, 1), (5, 2), (7, 3), (2_147_483_629, 2)])
-def test_batched_complement_scan_matches_reference_loop(p, s):
-    # the spaces: a seeded congruence of the bordered model, which rejects
-    # every candidate, and thinned copies of the model that reject only some
-    ctx = FieldCtx.prime(p)
-    n = 2 * s + 3
-    model = build_bordered_alternating(ctx, n, s)
-    moved = congruence_act(model, seeded_invertible(ctx, n, f"scan-{p}-{s}"))
-    count = 60 if p > 7 else 200
-    seen = set()
-    for sp in (moved, thinned(model, 0), thinned(model, 1), thinned(model, 2)):
-        ref, draws = reference_complement_scan(sp, s, 11, count)
-        cands, n_struct = _complement_candidates(p, n, s, 11, count)
-        assert n_struct == min(count, s * (n - s))
-        assert [[tuple(v) for v in c] for c in cands.tolist()] == [c for c, _ in ref]
-        rejected = _rejected(sp, cands).tolist()
-        assert rejected == [rej for _, rej in ref]
-        seen.add(all(rejected))
-    assert seen == {True, False}
-    if p == 3:
-        assert draws > count - n_struct  # the rank filter and the leading-zero skip dropped draws
-
-
-def test_batched_complement_scan_raises_on_a_totally_singular_candidate():
-    # every candidate is totally singular for the zero space, and some are
-    # for the model thinned to its leading-block generator
-    zero = AffineMatrixSpace(Matrix.zeros(F5, 7), [])
-    with pytest.raises(ContractError, match="second totally singular complement"):
-        _reject_candidates(zero, 2, 0)
-    model = build_bordered_alternating(F5, 7, 2)
-    with pytest.raises(ContractError, match="second totally singular complement"):
-        _reject_candidates(thinned(model, 1), 2, 0)
-    _reject_candidates(model, 2, 0)
-
-
-def test_batched_complement_scan_raises_on_an_escaped_slab_form():
-    # the model without its leading-block generator still rejects every
-    # candidate through its other members, but no rank-2 slab form lies in its
-    # span; step (a) reports the missing leading-block slab before step (c) runs
-    model = build_bordered_alternating(F5, 7, 2)
-    gens = [g for g in model.basis if g.block(0, 2, 0, 2).is_zero()]
-    assert len(gens) == len(model.basis) - 1
-    sp = AffineMatrixSpace(model.base, gens)
-    _reject_candidates(sp, 2, 0)
-    with pytest.raises(ContractError, match="leading-block slab is missing"):
-        unique_totally_singular_complement(sp, 2)
+def rejected(sp, cands):
+    """Per candidate C of the (k, n-s, n) stack, whether C G C^T is nonzero
+    mod p for some member G in (base, *basis): its rows span no totally
+    singular subspace."""
+    p, n = sp.ctx.p, sp.shape[0]
+    base_flat, basis_flat = sp.flat_arrays()
+    members = np.vstack([base_flat[None], basis_flat]).reshape(-1, 1, n, n)
+    forms = (cands @ members % p) @ cands.transpose(0, 2, 1) % p
+    return forms.any(axis=(0, 2, 3))
 
 
 @pytest.mark.parametrize("n, s, p", [(5, 1, 2), (6, 1, 2), (5, 1, 3), (6, 1, 3), (7, 1, 3), (5, 1, 5), (7, 2, 2)])
-def test_steps_a_and_b_alone_decide_complement_uniqueness(n, s, p, monkeypatch):
+def test_radical_check_alone_decides_complement_uniqueness(n, s, p):
     # every (n-s)-subspace, on the bordered model and each generator-prefix
-    # thinning of it: whenever the scan passes with no candidates at all, every
-    # subspace but the tail is rejected, so steps (a) and (b) carry the proof
-    monkeypatch.setattr(reduction, "COMPLEMENT_CANDIDATES", 0)
+    # thinning of it: wherever the radical check passes, every subspace but
+    # the tail is rejected by some member, and the base alone does not pass
     ctx = FieldCtx.prime(p)
     model = build_bordered_alternating(ctx, n, s)
     tail = np.eye(n, dtype=np.int64)[s:]
@@ -389,25 +322,13 @@ def test_steps_a_and_b_alone_decide_complement_uniqueness(n, s, p, monkeypatch):
             unique_totally_singular_complement(sp, s)
         except ContractError:
             continue
-        assert _rejected(sp, others).all()
+        assert rejected(sp, others).all()
         passed.append(keep)
-    assert passed[-1] == len(model.basis)
-    assert not _rejected(thinned(model, 0), others).all()  # the base alone has a second complement
-
-
-def test_batched_complement_scan_is_guarded_by_the_exact_layer(monkeypatch):
-    # an engine whose forms all vanish would report a second complement; the
-    # guard's exact rejection of the first random candidates disagrees first
-    sp = build_bordered_alternating(F5, 7, 2)
-    real = _engine._matmul_mod
-    monkeypatch.setattr(_engine, "_matmul_mod", lambda a, b, acc, p: real(a, b, acc, p) * 0)
-    with pytest.raises(AssertionError, match="engine forms disagree"):
-        unique_totally_singular_complement(sp, 2)
-    monkeypatch.setattr(_engine, "_matmul_mod", real)
-    draws = _engine.uniform_block
-    monkeypatch.setattr(_engine, "uniform_block", lambda seed, lo, shape, bound: draws(seed, lo + 1, shape, bound))
-    with pytest.raises(AssertionError, match="engine draws differ"):
-        unique_totally_singular_complement(sp, 2)
+    # the generators run A units, inner units, then C units row by row, so
+    # the check passes once U_(s-1), the C unit at row s-1 and column 0, is in
+    first = s * (s - 1) + (s - 1) * (n - 2 * s) + 1
+    assert passed == list(range(first, len(model.basis) + 1))
+    assert not rejected(thinned(model, 0), others).all()  # the base alone has a second complement
 
 
 # -- the full pipeline -------------------------------------------------------------------------
@@ -431,6 +352,18 @@ def test_canonical_reduction_round_trip():
         assert cert.all_verdicts_true
         target = build_bordered_alternating(F5, 7, 2, inner=cert.recovered_M)
         assert spaces_equal(congruence_act(moved, cert.P), target)
+
+
+def test_canonical_reduction_at_a_large_prime():
+    # the hypothesis lines of the flanders-atkinson step are scanned at
+    # t < r + 2 only, so a reduction costs no time linear in p
+    ctx = FieldCtx.prime(1_048_583)
+    sp = build_bordered_alternating(ctx, 7, 2)
+    moved = congruence_act(sp, seeded_invertible(ctx, 7, "large-prime"))
+    cert = canonical_reduction(moved, 4, seed=3)
+    assert cert.all_verdicts_true
+    target = build_bordered_alternating(ctx, 7, 2, inner=cert.recovered_M)
+    assert spaces_equal(congruence_act(moved, cert.P), target)
 
 
 def test_canonical_reduction_s1():
