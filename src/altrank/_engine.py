@@ -11,14 +11,17 @@ cross-checks the two).  Every rank scan over the members of a space
 block ranker, which also serves sampled members over Q: it ranks integer
 members modulo several primes and keeps the largest rank, which is the rank
 over Q once the primes' product exceeds a bound on every minor
-(:func:`altrank.analyze.rank_profile` picks the primes).  The spectrum scan
+(:func:`altrank.analyze.rank_profile` picks the primes); it assembles
+lexicographic members by outer sums (``lex_members``).  The spectrum scan
 ``unit_eigen_hits`` ranks one member z per line, the one with leading
 coordinate 1 (lex indices [p^k, 2 p^k)), as z^(p-1) - I: it is singular iff
 z has an eigenvalue in F_p^*.  Its caller still reports, and budgets, all
 p^dim members as checked.
 
 Alternating members are stored as their strict upper triangles, row-major
-in (i, j), and ranked by skew elimination (``skew_rank``); every other
+in (i, j), and ranked by skew elimination (``skew_rank``: each member is
+permuted to pivot on (0, 1), and the step keeps only the Schur complement on
+the other indices, so the storage shrinks by two rows and columns); every other
 stack is ranked by general column elimination (``batch_rank``), which swaps
 no rows (a pivot row clears itself, so it is zero in every later column) and
 delays its ``% p``: it lets entries leave [0, p) while a tracked bound on
@@ -38,6 +41,7 @@ from .rand import GOLDEN
 
 _CHUNK_ELEMS = 1 << 22
 _MOD_BLOCK = 1 << 15  # entries per block of ``mod``
+LEX_TABLE = 1 << 12  # most rows of a ``lex_members`` outer-sum table
 _INT64_MAX = (1 << 63) - 1
 GUARD_MEMBERS = 16  # leading members of each alternating chunk re-ranked by batch_rank
 
@@ -254,54 +258,51 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _skew_maps(n: int):
-    """Index maps of the strict-upper storage of n x n alternating matrices.
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (i, j) at each position of n x n strict-upper storage, row-major."""
+    return np.triu_indices(n, 1)
 
-    ``pi, pj``: the pair (i, j) at each storage position.  ``at[i], sign[i]``:
-    row i of the full matrix is ``u[at[i]] * sign[i]`` (a[i][Q] = -a[Q][i] for
-    Q < i, and the diagonal reads position 0 with sign 0).  ``start[i]``: the
-    first position of row i, so pairs in rows >= i form the suffix from it.
-    """
-    pi, pj = np.triu_indices(n, 1)
-    at = np.zeros((n, n), dtype=np.int64)
+
+@lru_cache(maxsize=None)
+def _pivot_moves(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row t: the storage of the m x m alternating matrix permuted to the index
+    order [i, j, the others ascending], (i, j) pair t, reads position s from
+    ``u[at[t, s]]``, negated (p - x for x != 0) where ``flip[t, s]``."""
+    pi, pj = _pairs(m)
+    at = np.zeros((m, m), dtype=np.int64)
     at[pi, pj] = at[pj, pi] = np.arange(pi.size)
-    sign = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None]).astype(np.int8)
-    start = np.array([i * n - i * (i + 1) // 2 for i in range(n)])
-    return pi, pj, at, sign, start
+    order = np.array([[i, j, *(l for l in range(m) if l != i and l != j)] for i, j in zip(pi, pj)])
+    rows, cols = order[:, pi], order[:, pj]
+    return at[rows, cols], rows > cols
 
 
 def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     """Ranks of a stack of alternating n x n matrices over F_p stored as strict
-    upper triangles, shape (k, n(n-1)/2).  Mutates ``upper`` when p > 46,337.
+    upper triangles, shape (k, n(n-1)/2); ``upper`` is left unchanged.
 
-    Each step pivots every member on its first nonzero pair (i < j), row-major,
-    and applies the rank-2 update u[P,Q] += (r_j[P] r_i[Q] - r_i[P] r_j[Q]) / a
-    with a = u[i,j] and r_i, r_j rows i and j of the full matrix.  This clears
-    rows and columns i and j, keeps the member alternating and adds 2 to its
-    rank (Bunch's pairwise pivoting).  Members reduced to zero drop out.  Rows
-    above the least pivot row of a step are zero in every member, so each step
-    only touches the storage suffix from that row on.
+    Bunch's pairwise pivoting on the Schur complement itself.  Each step moves
+    every member whose first nonzero pair (i < j), row-major, is not (0, 1) by
+    the symmetric permutation [i, j, the others in order] (``_pivot_moves``).
+    With a = u[0,1], s0 = row 0 past column 1 over a and r1 = row 1 past column
+    1, the rank is 2 plus that of S = u[R,R] + r1 s0^T - s0 r1^T on the other
+    indices R; rows 0, 1 and u[R,R] are slices of the storage, which shrinks to
+    S.  Members reduced to zero drop out.
 
-    The work type is the narrowest signed integer type that holds every entry
-    of u + rj[P] si[Q] - si[P] rj[Q], P < Q.  As (i, j) is the first nonzero
-    pair, row i is zero before column j, so si[P] = 0 for P < j and one product
-    vanishes; for P, Q > j both products are rows of the upper storage times
-    residues, so lie in [0, (p - 1)^2].  Hence every entry, and every partial
-    sum, is at most p - 1 + (p - 1)^2 in absolute value: int16 for p <= 181,
-    int32 for p <= 46,337 and int64 (on ``upper`` itself) above.  Pivot inverses
-    are looked up in a table when p <= k, as in ``batch_rank``.
+    s0 and r1 are canonical residues, so both products lie in [0, (p - 1)^2]
+    and every entry and partial sum of S is at most p - 1 + (p - 1)^2 in
+    absolute value: the work type is int16 for p <= 181, int32 for p <= 46,337
+    and int64 above.  Pivot inverses are looked up in a table when p <= k, as
+    in ``batch_rank``.
     """
-    pi, pj, at, sign, start = _skew_maps(n)
     k = upper.shape[0]
     work = next(t for t in (np.int16, np.int32, np.int64) if p - 1 + (p - 1) ** 2 <= np.iinfo(t).max)
     inv_table = _inverse_table(p).astype(work) if p <= k else None
     rank = np.zeros(k, dtype=np.int64)
     live = np.arange(k)
-    u = upper.astype(work, copy=False)
-    lo = 0
-    while live.size and lo < n - 1:  # rows from n - 1 on hold no pair
-        s0 = start[lo]
-        t = (u[:, s0:] != 0).argmax(axis=1) + s0
+    u = upper.astype(work)
+    m = n
+    while live.size and m > 1:
+        t = (u != 0).argmax(axis=1)
         a = u[np.arange(live.size), t]
         has = a != 0
         if not has.all():
@@ -309,28 +310,30 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
             if not live.size:
                 break
         rank[live] += 2
-        i, j = pi[t], pj[t]
-        ri = np.take_along_axis(u, at[i], axis=1) * sign[i]
-        rj = np.take_along_axis(u, at[j], axis=1) * sign[j]
+        move = np.flatnonzero(t)
+        if move.size:
+            at, flip = _pivot_moves(m)
+            moved = u.take(move[:, None] * u.shape[1] + at[t[move]])
+            np.subtract(p, moved, out=moved, where=flip[t[move]] & (moved != 0))
+            u[move] = moved
         inv = inverse_mod(a, p) if inv_table is None else inv_table[a]
-        si = mod(ri * inv[:, None], p)
-        lo = int(i.min())
-        s0 = start[lo]
-        P, Q = pi[s0:], pj[s0:]
-        w = rj.take(P, axis=1)
-        w *= si.take(Q, axis=1)
-        v = si.take(P, axis=1)
-        v *= rj.take(Q, axis=1)
+        s0 = mod(u[:, 1 : m - 1] * inv[:, None], p)
+        r1, rest = u[:, m - 1 : 2 * m - 3], u[:, 2 * m - 3 :]
+        m -= 2
+        P, Q = _pairs(m)
+        w = r1.take(P, axis=1)
+        w *= s0.take(Q, axis=1)
+        v = s0.take(P, axis=1)
+        v *= r1.take(Q, axis=1)
         w -= v
-        w += u[:, s0:]
-        mod(w, p, out=u[:, s0:])
-        lo += 1
+        w += rest
+        u = mod(w, p, out=w)
     return rank
 
 
 def _full_from_upper(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     """The (k, n, n) alternating stack stored in ``upper``."""
-    pi, pj = _skew_maps(n)[:2]
+    pi, pj = _pairs(n)
     mats = np.zeros((upper.shape[0], n, n), dtype=np.int64)
     mats[:, pi, pj] = upper
     mats[:, pj, pi] = mod(-upper, p)
@@ -339,7 +342,7 @@ def _full_from_upper(upper: np.ndarray, n: int, p: int) -> np.ndarray:
 
 def alternating_ranks(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     """``skew_rank`` with its leading GUARD_MEMBERS members re-ranked by
-    ``batch_rank``; any disagreement raises.  Mutates ``upper``."""
+    ``batch_rank``; any disagreement raises.  ``upper`` is left unchanged."""
     check = _full_from_upper(upper[:GUARD_MEMBERS], n, p)
     ranks = skew_rank(upper, n, p)
     expect = batch_rank(check, p)
@@ -352,36 +355,59 @@ def alternating_ranks(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     return ranks
 
 
+def lex_members(base: np.ndarray, basis: np.ndarray, p: int, q: int) -> Callable[[int, int], np.ndarray]:
+    """``members(lo, hi)``: ``members_from_coords(lex_coords(lo, hi, dim, q), base, basis, p)``
+    by outer sums, head[i // q^L] + tab[i % q^L] mod p for member i: ``tab`` holds all
+    q^L combinations of the last L coordinates (built once per L), q^L <= LEX_TABLE
+    and <= hi - lo, and the head rows the other coordinates on ``base``."""
+    dim, width = basis.shape
+    tables: dict[int, np.ndarray] = {}
+
+    def members(lo: int, hi: int) -> np.ndarray:
+        low = 0
+        while low < dim and q ** (low + 1) <= min(LEX_TABLE, hi - lo):
+            low += 1
+        size, high = q**low, dim - low
+        if low not in tables:
+            tables[low] = members_from_coords(lex_coords(0, size, low, q), np.zeros(width, np.int64), basis[high:], p)
+        h0, h1 = lo // size, -(-hi // size)
+        head = members_from_coords(lex_coords(h0, h1, high, q), base, basis[:high], p)
+        out = (head[:, None] + tables[low]).reshape((h1 - h0) * size, width)[lo - h0 * size : hi - h0 * size]
+        np.subtract(out, p, out=out, where=out >= p)
+        return out
+
+    return members
+
+
 Residues = Sequence[tuple[int, np.ndarray, np.ndarray]]  # (p, base_flat, basis_flat) per prime
 
 
-def _block_ranker(residues: Residues, n: int, m: int, alternating: bool):
-    """Rank function of coordinate blocks: a (k, dim) block of coordinates in,
-    the ranks of the k members ``base + c @ basis`` out, each the largest of
-    its ranks modulo the primes of ``residues`` ((p, base_flat, basis_flat)
-    per prime, canonical residue entries).  Alternating members are assembled
-    on their strict upper triangles and ranked by ``alternating_ranks``,
-    others on every entry by ``batch_rank``."""
+def _block_ranker(residues: Residues, n: int, m: int, q: int, exhaustive: bool, seed: int, alternating: bool):
+    """Rank function of index ranges: (lo, hi) in, the ranks of members lo..hi-1
+    out, each the largest of its ranks modulo the primes of ``residues``
+    ((p, base_flat, basis_flat) per prime, canonical residue entries).  Member i
+    is ``base + c @ basis`` for the i-th lexicographic coordinate tuple c over
+    [0, q) (assembled by ``lex_members``) when exhaustive, or the i-th seeded
+    draw.  Alternating members are assembled on their strict upper triangles
+    and ranked by ``alternating_ranks``, others on every entry by ``batch_rank``."""
+    dim = residues[0][2].shape[0]
     mods = []
     for p, base_flat, basis_flat in residues:
         if alternating:
-            pi, pj = _skew_maps(n)[:2]
+            pi, pj = _pairs(n)
             cols, ranks_of = pi * n + pj, lambda upper, p=p: alternating_ranks(upper, n, p)
         else:
             cols, ranks_of = slice(None), lambda flat, p=p: batch_rank(flat.reshape(len(flat), n, m), p)
-        mods.append((p, base_flat[cols], basis_flat[:, cols], ranks_of))
+        base, basis = base_flat[cols], basis_flat[:, cols]
+        mods.append((p, base, basis, lex_members(base, basis, p, q), ranks_of))
 
-    def ranks(coords: np.ndarray) -> np.ndarray:
+    def ranks(lo: int, hi: int) -> np.ndarray:
+        coords = None if exhaustive else sampled_coords(seed, lo, hi, dim, q)
         return reduce(np.maximum, (
-            ranks_of(members_from_coords(coords, base, basis, p))
-            for p, base, basis, ranks_of in mods
+            ranks_of(lex(lo, hi) if coords is None else members_from_coords(coords, base, basis, p))
+            for p, base, basis, lex, ranks_of in mods
         ))
     return ranks
-
-
-def _coords(lo: int, hi: int, dim: int, q: int, exhaustive: bool, seed: int) -> np.ndarray:
-    """Coordinates of members lo..hi-1: lexicographic, or the seeded draws."""
-    return lex_coords(lo, hi, dim, q) if exhaustive else sampled_coords(seed, lo, hi, dim, q)
 
 
 # -- folded scans -------------------------------------------------------------------
@@ -408,11 +434,10 @@ def profile_ranks(
     gives ranks over F_p.  Ties resolve to the least index regardless of
     chunking or thread scheduling.
     """
-    dim = residues[0][2].shape[0]
-    ranks_of = _block_ranker(residues, n, m, alternating)
+    ranks_of = _block_ranker(residues, n, m, q, exhaustive, seed, alternating)
 
     def worker(lo: int, hi: int):
-        ranks = ranks_of(_coords(lo, hi, dim, q, exhaustive, seed))
+        ranks = ranks_of(lo, hi)
         mn, mx = int(ranks.min()), int(ranks.max())
         return mn, lo + int((ranks == mn).argmax()), mx, lo + int((ranks == mx).argmax())
 
@@ -433,13 +458,12 @@ def first_index(
     ranges start at 64 members and grow x16 up to the ``chunk_ranges`` size,
     so an early hit costs one small call.
     """
-    dim = residues[0][2].shape[0]
-    ranks_of = _block_ranker(residues, n, m, alternating)
+    ranks_of = _block_ranker(residues, n, m, q, exhaustive, seed, alternating)
     cap = _chunk_size(n * m)
     lo, size = 0, min(64, cap)
     while lo < total:
         hi = min(total, lo + size)
-        hits = np.flatnonzero(accept(ranks_of(_coords(lo, hi, dim, q, exhaustive, seed))))
+        hits = np.flatnonzero(accept(ranks_of(lo, hi)))
         if hits.size:
             return lo + int(hits[0])
         lo, size = hi, min(cap, 16 * size)
@@ -451,11 +475,10 @@ def rank_counts(
     alternating: bool = False,
 ) -> np.ndarray:
     """Exhaustive rank multiset as a counts vector of length min(n, m) + 1."""
-    dim = basis_flat.shape[0]
-    ranks_of = _block_ranker([(p, base_flat, basis_flat)], n, m, alternating)
+    ranks_of = _block_ranker([(p, base_flat, basis_flat)], n, m, p, True, 0, alternating)
     counts = np.zeros(min(n, m) + 1, dtype=np.int64)
     for lo, hi in chunk_ranges(0, total, n * m):
-        counts += np.bincount(ranks_of(lex_coords(lo, hi, dim, p)), minlength=counts.size)
+        counts += np.bincount(ranks_of(lo, hi), minlength=counts.size)
     return counts
 
 

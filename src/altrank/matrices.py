@@ -8,7 +8,8 @@ built on it, and the forward elimination ``_eliminate``, behind ``rank``,
 ``det`` and ``span_dim``, fraction-free over Q: it runs on the integers L*A,
 L the common denominator, and forms a Fraction only for the answer.
 ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur complement
-per step as ``_engine.skew_rank`` does; both Pfaffians run on one integer lift.
+per step; ``_engine.skew_rank`` does the same on whole stacks, after moving
+each member's pivot pair to (0, 1).  Both Pfaffians run on one integer lift.
 """
 
 from __future__ import annotations
@@ -112,16 +113,17 @@ class Matrix:
         return all(x == 0 for row in self.data for x in row)
 
     def is_alternating(self) -> bool:
-        """Square, zero diagonal, and a[i][j] == -a[j][i] (all characteristics)."""
+        """Square, zero diagonal, and a[i][j] == -a[j][i] (all characteristics); over Q
+        the Fractions, in lowest terms, are compared by numerator and denominator."""
         if not self.is_square:
             return False
-        neg = self.ctx.neg
-        d = self.data
-        for i in range(self.nrows):
+        d, n, p = self.data, self.nrows, self.ctx.p
+        for i in range(n):
             if d[i][i] != 0:
                 return False
-            for j in range(i + 1, self.nrows):
-                if d[i][j] != neg(d[j][i]):
+            for j in range(i + 1, n):
+                x, y = d[i][j], d[j][i]
+                if (x + y) % p if p else x.numerator != -y.numerator or x.denominator != y.denominator:
                     return False
         return True
 

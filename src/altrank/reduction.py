@@ -195,9 +195,10 @@ def unique_totally_singular_complement(sp: AffineMatrixSpace, s: int) -> list[Ve
     ctx, n = sp.ctx, sp.shape[0]
     if n <= 2 * s + 2:
         raise ValueError("needs n >= 2s + 3")
-    tail = list(Matrix.identity(ctx, n).data[s:])
-    if totally_singular_rejection(sp, tail) is not None:
+    # T is totally singular for a member exactly when its lower-right (n-s) x (n-s) block is zero
+    if any(any(row[s:]) for g in (sp.base, *sp.basis) for row in g.data[s:]):
         raise ContractError("the canonical tail subspace is not totally singular")
+    tail = list(Matrix.identity(ctx, n).data[s:])
 
     members = [("the base", sp.base)]
     for i in range(s):

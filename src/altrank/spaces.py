@@ -11,6 +11,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -77,12 +78,11 @@ class AffineMatrixSpace:
     def member_at(self, coords: Sequence[Element]) -> Matrix:
         if len(coords) != self.dim:
             raise ValueError("coordinate count mismatch")
-        acc = self.base
-        for c, g in zip(coords, self.basis):
-            c = self.ctx.normalize(c)
-            if c != 0:
-                acc = acc + g.scale(c)
-        return acc
+        # each entry once: base + the sum of c * g over the nonzero c, normalized by the constructor
+        terms = [(c, g.data) for c, g in zip(map(self.ctx.normalize, coords), self.basis) if c != 0]
+        cs = [1, *(c for c, _ in terms)]
+        rows = zip(self.base.data, *(g for _, g in terms))
+        return Matrix(self.ctx, ([sum(map(mul, cs, col)) for col in zip(*r)] for r in rows))
 
     def translation_span(self) -> Span:
         """A copy of the translation span, free to be extended with ``add``."""
@@ -340,7 +340,7 @@ def exhaustive_optimal_dimension(
     all_vecs = _engine.lex_coords(0, total, m, q)
     ranks = np.empty(total, dtype=np.int64)
     for lo, hi in _engine.chunk_ranges(0, total, n * n):
-        ranks[lo:hi] = _engine.alternating_ranks(all_vecs[lo:hi].copy(), n, q)
+        ranks[lo:hi] = _engine.alternating_ranks(all_vecs[lo:hi], n, q)
     bad = (ranks != r) if predicate == "constant-rank" else (ranks < r)
 
     exists_by_dim: dict[int, bool] = {}

@@ -64,7 +64,7 @@ def upper_of(mats: list, n: int) -> np.ndarray:
     return full[:, pi, pj].copy()
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + (181, 193, 46_337, 46_349))
 @pytest.mark.parametrize("n", range(1, 10))
 def test_skew_rank_matches_batch_rank_and_exact(p, n):
     ctx = FieldCtx.prime(p)
@@ -277,8 +277,7 @@ def test_skew_rank_at_its_work_type_boundaries(p, n):
     skew = _engine.skew_rank(upper, n, p)
     assert skew.tolist() == exact * reps
     assert _engine.batch_rank(np.array(mats, dtype=np.int64), p).tolist() == exact
-    if p <= 32_749:  # the narrow work type is a copy
-        assert (upper == before).all()
+    assert (upper == before).all()
 
 
 def extreme_stack(p: int, n: int, seed: int) -> list[list[list[int]]]:
@@ -312,6 +311,146 @@ def test_skew_rank_on_extreme_entries_at_the_work_type_bounds(p):
         assert set(exact) == set(range(0, n + 1, 2))
         assert _engine.skew_rank(upper_of(mats, n), n, p).tolist() == exact
         assert _engine.batch_rank(np.array(mats, dtype=np.int64), p).tolist() == exact
+
+
+def pivoting_at(p: int, n: int, t: int, seed: int) -> np.ndarray:
+    """An alternating n x n matrix over F_p whose first nonzero pair, row-major,
+    is storage position t: the pairs before t are zero, pair t is not, and the
+    pairs after t are random."""
+    pi, pj = np.triu_indices(n, 1)
+    rng = np.random.default_rng(seed)
+    up = rng.integers(0, p, pi.size)
+    up[:t] = 0
+    up[t] = rng.integers(1, p)
+    a = np.zeros((n, n), dtype=np.int64)
+    a[pi, pj] = up
+    a[pj, pi] = -up % p
+    return a
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_pivot_moves_store_the_permuted_matrix(m):
+    # every pair t = (i, j) at every local size: the gather with its sign flips
+    # is the storage of the matrix permuted to the index order [i, j, the rest]
+    p = 101
+    pi, pj = np.triu_indices(m, 1)
+    at, flip = _engine._pivot_moves(m)
+    assert at.shape == flip.shape == (pi.size, pi.size)
+    a = np.zeros((m, m), dtype=np.int64)
+    a[pi, pj] = np.arange(1, pi.size + 1)  # distinct and nonzero, so is each negation
+    a[pj, pi] = -a[pi, pj] % p
+    u = a[pi, pj]
+    for t, (i, j) in enumerate(zip(pi, pj)):
+        order = [i, j, *(l for l in range(m) if l not in (i, j))]
+        want = a[np.ix_(order, order)][pi, pj]
+        got = u[at[t]]
+        got = np.where(flip[t] & (got != 0), p - got, got)
+        assert got.tolist() == want.tolist(), (m, t)
+
+
+@pytest.mark.parametrize("p", [3, 7, 193, BIG])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_skew_rank_pivots_from_every_position(p, n):
+    # one member per pivot position t of the first step at local size n, three
+    # seeds each, so every t is moved to (0, 1) and later steps move again
+    ctx = FieldCtx.prime(p)
+    count = n * (n - 1) // 2
+    mats = [pivoting_at(p, n, t, seed=[p % 1000, n, t, s]) for t in range(count) for s in range(3)]
+    up = upper_of(mats, n)
+    assert sorted(set((up != 0).argmax(axis=1).tolist())) == list(range(count))
+    exact = [Matrix(ctx, a.tolist()).rank() for a in mats]
+    assert _engine.skew_rank(up, n, p).tolist() == exact
+    assert _engine.batch_rank(np.array(mats), p).tolist() == exact
+
+
+@pytest.mark.parametrize("p", [2, 5, 181, 46_337, BIG])
+@pytest.mark.parametrize("zero_rows", [1, 2, 3])
+def test_skew_rank_when_no_member_pivots_at_0_1(p, zero_rows):
+    # the leading rows and columns are zero in every member, so every member
+    # of the first step is moved, and some are moved again later
+    ctx = FieldCtx.prime(p)
+    n = 8
+    mats = []
+    for a in alternating_stack(p, n, seed=zero_rows + p % 1000):
+        a = np.array(a)
+        a[:zero_rows] = 0
+        a[:, :zero_rows] = 0
+        mats.append(a)
+    up = upper_of(mats, n)
+    assert not up[:, 0].any()
+    exact = [Matrix(ctx, a.tolist()).rank() for a in mats]
+    assert len(set(exact)) >= 3
+    assert _engine.skew_rank(up, n, p).tolist() == exact
+    assert _engine.alternating_ranks(up, n, p).tolist() == exact
+
+
+@pytest.mark.parametrize("p", [2, 3, 181, 193, 46_337, 46_349, BIG])
+def test_skew_rank_leaves_its_input_unchanged(p):
+    n = 7
+    up = upper_of(alternating_stack(p, n, seed=p % 1000), n)
+    before = up.copy()
+    _engine.skew_rank(up, n, p)
+    _engine.alternating_ranks(up, n, p)
+    assert (up == before).all()
+
+
+def lex_reference(base, basis, p, q, lo, hi):
+    return _engine.members_from_coords(_engine.lex_coords(lo, hi, basis.shape[0], q), base, basis, p)
+
+
+def lex_ranges(q: int, dim: int):
+    """Index ranges of the q^dim lexicographic members: single members, ranges
+    inside one block and across blocks of every table size, none aligned."""
+    total = q**dim
+    out = {(0, total), (0, 1), (total - 1, total), (0, min(total, 64))}
+    for size in {q**k for k in range(dim + 1)}:
+        for lo in (1, size - 1, size + 1):
+            for length in (1, size - 1, size + 2, 3 * size + 1):
+                if lo < total and length:
+                    out.add((lo, min(total, lo + length)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p, q, dim, width", [
+    (7, 7, 4, 21), (3, 3, 6, 10), (5, 5, 3, 1), (7, 7, 3, 0), (5, 5, 0, 6), (5, 5, 0, 0), (BIG, 2, 5, 9),
+])
+def test_lex_members_match_members_from_coords(p, q, dim, width):
+    # width 0 is the storage of an alternating n x n space with n in {0, 1}
+    rng = np.random.default_rng([p % 1000, q, dim, width])
+    base, basis = rng.integers(0, p, width), rng.integers(0, p, (dim, width))
+    members = _engine.lex_members(base, basis, p, q)
+    for lo, hi in lex_ranges(q, dim):
+        got = members(lo, hi)
+        assert got.shape == (hi - lo, width) and got.dtype == np.int64
+        assert (got == lex_reference(base, basis, p, q, lo, hi)).all(), (lo, hi)
+
+
+def test_lex_members_at_the_table_cap():
+    # 2^12 = LEX_TABLE, so a range of at least 4096 members uses the whole
+    # 12-coordinate table, with one more high coordinate in the head rows
+    p, q, dim = 2, 2, 13
+    assert q**12 == _engine.LEX_TABLE
+    rng = np.random.default_rng(12)
+    base, basis = rng.integers(0, p, 15), rng.integers(0, p, (dim, 15))
+    members = _engine.lex_members(base, basis, p, q)
+    for lo, hi in [(0, 4096), (0, 2**13), (1, 4097), (4095, 2**13), (100, 8000), (5, 6)]:
+        assert (members(lo, hi) == lex_reference(base, basis, p, q, lo, hi)).all(), (lo, hi)
+
+
+def test_lex_members_for_the_primes_of_a_rational_walk():
+    # over Q the coordinates run over [0, 2 box + 1) and the residues are taken
+    # modulo several primes below 2^31, each assembled on its own table
+    from altrank.analyze import _rational_residues
+    from altrank.rand import DEFAULT_RATIONAL_BOX
+
+    sp = build_corank_one_space(FieldCtx.rational(), 2)
+    residues = _rational_residues(sp, DEFAULT_RATIONAL_BOX)
+    assert len(residues) >= 2 and sp.dim >= 2
+    q = 2 * DEFAULT_RATIONAL_BOX + 1
+    for p, base, basis in residues:
+        members = _engine.lex_members(base, basis, p, q)
+        for lo, hi in [(0, q), (1, 2 * q + 5), (q - 1, q + 1), (3 * q + 7, 3 * q + 4103), (q**sp.dim - 9, q**sp.dim)]:
+            assert (members(lo, hi) == lex_reference(base, basis, p, q, lo, hi)).all(), (p, lo, hi)
 
 
 def mod_cases(dtype, p):
@@ -350,7 +489,7 @@ def test_mod_matches_remainder(dtype, p):
         assert _engine.mod(inplace, p, out=inplace) is inplace and (inplace == want).all()
     x = cases[0]
     u = np.full((x.shape[0], x.shape[1] + 8), 1, dtype=dtype)
-    _engine.mod(x, p, out=u[:, 8:])  # a non-contiguous out, as skew_rank writes its suffix
+    _engine.mod(x, p, out=u[:, 8:])  # a non-contiguous out
     assert (u[:, 8:] == np.remainder(x, p)).all() and (u[:, :8] == 1).all()
 
 
@@ -433,6 +572,30 @@ def test_profile_is_partition_independent_on_the_skew_path(monkeypatch):
     one, two = (profile(t) for t in (1, 2))
     assert one == two
     assert one.min_rank < one.max_rank
+
+
+def test_exhaustive_profile_is_thread_independent(monkeypatch):
+    # the chunks of one exhaustive walk share their ranker's outer-sum tables;
+    # ranked by more threads than cores, with frequent thread switches, they
+    # fold to the single-thread profile
+    p, n, dim = 3, 5, 12
+    pi, pj = np.triu_indices(n, 1)
+    rng = np.random.default_rng(8)
+    basis = np.zeros((dim, n, n), dtype=np.int64)
+    basis[:, pi, pj] = rng.integers(0, p, (dim, pi.size))
+    basis[:, pj, pi] = -basis[:, pi, pj] % p
+    residues = [(p, np.zeros(n * n, dtype=np.int64), basis.reshape(dim, n * n))]
+    assert p**dim > 3 * _engine._chunk_size(n * n)
+    got, switch = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for threads in (1, 6):
+            monkeypatch.setenv("ALTRANK_THREADS", str(threads))
+            got.append(_engine.profile_ranks(residues, n, n, p, exhaustive=True, total=p**dim, alternating=True))
+    finally:
+        sys.setswitchinterval(switch)
+    assert got[0] == got[1]
+    assert got[0][0] == 0 and got[0][2] == 4
 
 
 @pytest.mark.parametrize("alternating", [False, True])

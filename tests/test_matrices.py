@@ -242,6 +242,37 @@ def test_alternating_char_2_needs_zero_diagonal():
     assert alt.is_alternating()
 
 
+@pytest.mark.parametrize("p", [2, 7, 2_147_483_629, None])
+def test_is_alternating_matches_the_negation_reference(p):
+    # seeded alternating matrices, n = 0 to 6, and one-entry perturbations of
+    # them: a nonzero diagonal entry, or a[i][j] that is not -a[j][i] (over Q
+    # also the same numerator over another denominator)
+    ctx = FieldCtx.prime(p) if p else Q
+    rng = random.Random(p)
+
+    def reference(m):
+        d = m.data
+        return all(d[i][i] == 0 and all(d[i][j] == ctx.neg(d[j][i]) for j in range(i)) for i in range(m.nrows))
+
+    seen = []
+    for n in range(7):
+        for _ in range(12):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    x = Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if ctx is Q else rng.randrange(p)
+                    rows[i][j], rows[j][i] = x, -x
+            if n and rng.random() < 0.6:
+                i, j = rng.randrange(n), rng.randrange(n)
+                x = Fraction(rows[i][j])
+                rows[i][j] = rng.choice([x + 1, 2 * x + 1] + [Fraction(x.numerator, x.denominator + 1)] * (ctx is Q))
+            m = Matrix(ctx, rows)
+            seen.append(m.is_alternating())
+            assert seen[-1] == reference(m)
+    assert True in seen and False in seen
+    assert not Matrix(ctx, [[0, 1, 0], [-1, 0, 0]]).is_alternating()
+
+
 # -- Pfaffian ---------------------------------------------------------------------------
 
 

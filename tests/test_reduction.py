@@ -261,6 +261,15 @@ def test_unique_complement_contract_failures():
     assert totally_singular_rejection(narrow, tail) is None
     with pytest.raises(ContractError, match="^the member radicals do not span the tail$"):
         unique_totally_singular_complement(narrow, 2)
+    # a nonzero pair inside the tail block, in the base or in a generator: the
+    # block check and the pairwise scan of totally_singular_rejection agree
+    for i, j in ((2, 3), (2, 6), (5, 6)):
+        unit = alt_unit(F5, 7, i, j)
+        for moved in (AffineMatrixSpace(model.base + unit, model.basis),
+                      AffineMatrixSpace(model.base, [*model.basis[:-1], model.basis[-1] + unit])):
+            assert totally_singular_rejection(moved, tail) is not None
+            with pytest.raises(ContractError, match="^the canonical tail subspace is not totally singular$"):
+                unique_totally_singular_complement(moved, 2)
 
 
 RADICAL_CHECK_UNDER_OPTIMIZE = """
