@@ -7,12 +7,13 @@ for p <= 181 and int32 for p <= 46,337), every array is reduced by ``mod``,
 and the exact object-level linear algebra in :mod:`altrank.matrices`
 independently covers the same operations at small scale (the test suite
 cross-checks the two).  Every rank scan over the members of a space
-(``profile_ranks``, ``first_index``, ``rank_counts``) ranks them through one
-block ranker, which also serves sampled members over Q: it ranks integer
-members modulo several primes and keeps the largest rank, which is the rank
-over Q once the primes' product exceeds a bound on every minor
+(``profile_ranks``, ``first_index``) ranks them through one block ranker,
+which also serves sampled members over Q: it ranks integer members modulo
+several primes and keeps the largest rank, which is the rank over Q once the
+primes' product exceeds a bound on every minor
 (:func:`altrank.analyze.rank_profile` picks the primes); it assembles
-lexicographic members by outer sums (``lex_members``).  The spectrum scan
+lexicographic members by outer sums (``lex_members``).  Chunks run one after
+another on the calling thread.  The spectrum scan
 ``unit_eigen_hits`` ranks one member z per line, the one with leading
 coordinate 1 (lex indices [p^k, 2 p^k)), as z^(p-1) - I: it is singular iff
 z has an eigenvalue in F_p^*.  Its caller still reports, and budgets, all
@@ -30,8 +31,6 @@ delays its ``% p``: it lets entries leave [0, p) while a tracked bound on
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, reduce
 from typing import Callable, Iterator, Sequence
 
@@ -47,12 +46,9 @@ GUARD_MEMBERS = 16  # leading members of each alternating chunk re-ranked by bat
 
 
 def resolve_threads(threads: None = None) -> int:
-    """``ALTRANK_THREADS`` as a thread count, at least 1 (1 if unset or no integer); ``threads`` is ignored."""
-    env = os.environ.get("ALTRANK_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+    """1: the engine runs on one thread.  Kept for the benchmark, which reports it as
+    ``engine.threads``, and for the source test that checks it exists."""
+    return 1
 
 
 def _chunk_size(entry_size: int) -> int:
@@ -413,13 +409,6 @@ def _block_ranker(residues: Residues, n: int, m: int, q: int, exhaustive: bool, 
 # -- folded scans -------------------------------------------------------------------
 
 
-def _run_chunks(worker: Callable, ranges: list[tuple[int, int]], threads: int):
-    if threads <= 1 or len(ranges) <= 1:
-        return [worker(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda lohi: worker(*lohi), ranges))
-
-
 def profile_ranks(
     residues: Residues, n: int, m: int, q: int, *, exhaustive: bool, total: int,
     seed: int = 0, alternating: bool = False,
@@ -432,16 +421,16 @@ def profile_ranks(
     each of one or more primes p >= q, with canonical residue entries; a
     member's rank is the largest of its ranks modulo these primes, so one prime
     gives ranks over F_p.  Ties resolve to the least index regardless of
-    chunking or thread scheduling.
+    chunking.
     """
     ranks_of = _block_ranker(residues, n, m, q, exhaustive, seed, alternating)
 
-    def worker(lo: int, hi: int):
+    def extremes(lo: int, hi: int):
         ranks = ranks_of(lo, hi)
         mn, mx = int(ranks.min()), int(ranks.max())
         return mn, lo + int((ranks == mn).argmax()), mx, lo + int((ranks == mx).argmax())
 
-    parts = _run_chunks(worker, list(chunk_ranges(0, total, n * m)), resolve_threads())
+    parts = [extremes(lo, hi) for lo, hi in chunk_ranges(0, total, n * m)]
     mn, i_mn = min((part[0], part[1]) for part in parts)
     mx, neg_i_mx = max((part[2], -part[3]) for part in parts)
     return mn, i_mn, mx, -neg_i_mx
@@ -470,18 +459,6 @@ def first_index(
     return -1
 
 
-def rank_counts(
-    base_flat: np.ndarray, basis_flat: np.ndarray, n: int, m: int, p: int, total: int,
-    alternating: bool = False,
-) -> np.ndarray:
-    """Exhaustive rank multiset as a counts vector of length min(n, m) + 1."""
-    ranks_of = _block_ranker([(p, base_flat, basis_flat)], n, m, p, True, 0, alternating)
-    counts = np.zeros(min(n, m) + 1, dtype=np.int64)
-    for lo, hi in chunk_ranges(0, total, n * m):
-        counts += np.bincount(ranks_of(lo, hi), minlength=counts.size)
-    return counts
-
-
 def unit_eigen_hits(basis_flat: np.ndarray, n: int, p: int):
     """Sorted lex indices of the span members z with an eigenvalue in F_p^*, among those whose
     leading nonzero coordinate is 1: one member per line of the span, the lex index ranges
@@ -495,7 +472,7 @@ def unit_eigen_hits(basis_flat: np.ndarray, n: int, p: int):
     dim, diag = basis_flat.shape[0], np.arange(n)
     starts = (p ** np.arange(dim) - 1) // (p - 1)  # position of p^k among the line members
 
-    def worker(lo: int, hi: int):
+    def hits(lo: int, hi: int):
         j = np.arange(lo, hi)
         k = np.searchsorted(starts, j, side="right") - 1
         idx = j - starts[k] + p**k
@@ -505,5 +482,5 @@ def unit_eigen_hits(basis_flat: np.ndarray, n: int, p: int):
         out[:, diag, diag] = mod(out[:, diag, diag] - 1, p)
         return idx[batch_rank(out, p) < n]
 
-    parts = _run_chunks(worker, list(chunk_ranges(0, (p**dim - 1) // (p - 1), n * n)), resolve_threads())
+    parts = [hits(lo, hi) for lo, hi in chunk_ranges(0, (p**dim - 1) // (p - 1), n * n)]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

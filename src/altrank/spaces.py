@@ -8,6 +8,7 @@ depends only on (seed, i).
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import copy
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -113,8 +114,7 @@ class AffineMatrixSpace:
         total = self.member_count()
         if total > budget:
             raise BudgetExceededError(f"{total} members exceed budget {budget}")
-        for idx in range(total):
-            coords = _engine.index_to_coords(idx, self.dim, self.ctx.p)
+        for coords in product(range(self.ctx.p), repeat=self.dim):
             yield coords, self.member_at(coords)
 
     # -- engine bridge ---------------------------------------------------------------
@@ -187,16 +187,9 @@ def spaces_equal(x: AffineMatrixSpace, y: AffineMatrixSpace) -> bool:
 
 
 def rank_multiset(sp: AffineMatrixSpace, budget: int = 10**4) -> dict[int, int]:
-    """Exhaustive rank -> count map (prime field, budgeted)."""
-    if sp.ctx.kind != "prime":
-        raise ValueError("rank multiset needs a prime field")
-    total = sp.member_count()
-    if total > budget:
-        raise BudgetExceededError(f"{total} members exceed budget {budget}")
-    n, m = sp.shape
-    base_flat, basis_flat = sp.flat_arrays()
-    counts = _engine.rank_counts(base_flat, basis_flat, n, m, sp.ctx.p, total, sp.alternating)
-    return {r: int(c) for r, c in enumerate(counts) if c}
+    """Exhaustive rank -> count map, ascending; budgeted, and refusing Q past dimension 0, as
+    ``enumerate`` is.  Ranks come from ``Matrix.rank``, so the engine's scans have an oracle."""
+    return dict(sorted(Counter(m.rank() for _, m in sp.enumerate(budget)).items()))
 
 
 # -- brute-force equivalence of small square spaces ------------------------------------------

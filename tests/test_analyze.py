@@ -232,17 +232,14 @@ def test_rational_profile_matches_sympy(n, m, alternating):
     assert rank_profile(sp, seed=seed, samples=600) == reference_q_profile(sp, seed, 600, rank)
 
 
-def test_rational_profile_is_thread_independent(monkeypatch):
+def test_rational_profile_is_chunk_independent(monkeypatch):
+    # two chunks by default, 95 of up to 4369 members when _CHUNK_ELEMS is 2^16
     sp = q_drop_space(5, 3, False, 4)
-    samples = 2**22 // 15 + 2**17  # two chunks
-
-    def profile(threads):
-        monkeypatch.setenv("ALTRANK_THREADS", str(threads))
-        return rank_profile(sp, seed=6, samples=samples)
-
-    one, two = (profile(t) for t in (1, 2))
-    assert one == two
-    assert one.min_rank < one.max_rank
+    samples = 2**22 // 15 + 2**17
+    default = rank_profile(sp, seed=6, samples=samples)
+    monkeypatch.setattr(_engine, "_CHUNK_ELEMS", 1 << 16)
+    assert rank_profile(sp, seed=6, samples=samples) == default
+    assert default.min_rank < default.max_rank
 
 
 @pytest.mark.parametrize("case", ["diag", "alternating", "two-primes"])

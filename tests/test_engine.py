@@ -196,9 +196,7 @@ def test_unit_eigen_hits_chunks_span_index_ranges(monkeypatch):
     sp = random_space(3, 3, 8, 1)
     want = exact_line_hits(sp)
     monkeypatch.setattr(_engine, "_CHUNK_ELEMS", 1)
-    for threads in (1, 2):
-        monkeypatch.setenv("ALTRANK_THREADS", str(threads))
-        assert _engine.unit_eigen_hits(sp.flat_arrays()[1], 3, 3).tolist() == want
+    assert _engine.unit_eigen_hits(sp.flat_arrays()[1], 3, 3).tolist() == want
     assert 0 < len(want) < 3280
 
 
@@ -246,6 +244,53 @@ def test_empty_members_rank_zero():
         assert rank_multiset(sp) == {0: 1}
         prof = rank_profile(sp)
         assert (prof.min_rank, prof.max_rank, prof.checked) == (0, 0, 1)
+
+
+def oracle_spaces(p: int):
+    """Seeded spaces over F_p of at most about 800 members, alternating (n = 2..6)
+    and general (2 x 3, 3 x 3, 4 x 2, 3 x 5), dimension 0 included; a zero base
+    now and then, so rank 0 occurs."""
+    ctx = FieldCtx.prime(p)
+    rng = np.random.default_rng([p, 28])
+    shapes = [(n, n, True) for n in range(2, 7)] + [(2, 3, False), (3, 3, False), (4, 2, False), (3, 5, False)]
+    for n, m, alternating in shapes:
+        def draw():
+            a = rng.integers(0, p, (n, m))
+            return Matrix(ctx, ((np.triu(a, 1) - np.triu(a, 1).T) % p if alternating else a).tolist())
+
+        top = max(d for d in range(1 + (n * (n - 1) // 2 if alternating else n * m)) if p**d <= 800)
+        for dim in sorted({0, 1, top}):
+            base = Matrix.zeros(ctx, n, m) if rng.integers(0, 3) == 0 else draw()
+            while True:
+                try:
+                    yield AffineMatrixSpace(base, [draw() for _ in range(dim)])
+                    break
+                except ValueError:  # a dependent draw
+                    continue
+
+
+@pytest.mark.parametrize("table", [_engine.LEX_TABLE, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_exhaustive_profile_matches_the_exact_rank_multiset(p, table, monkeypatch):
+    # rank_multiset ranks every member by Matrix.rank, outside the engine; a
+    # 2-row outer-sum table puts most coordinates in the head rows
+    monkeypatch.setattr(_engine, "LEX_TABLE", table)
+    seen = 0
+    for sp in oracle_spaces(p):
+        counts = rank_multiset(sp)
+        prof = rank_profile(sp)
+        assert prof.method == "exhaustive"
+        assert (prof.min_rank, prof.max_rank, prof.checked) == (min(counts), max(counts), sum(counts.values())), sp
+        seen += len(counts) > 1
+    assert seen >= 10  # most spaces mix ranks
+
+
+def test_rank_multiset_over_q_only_at_dimension_zero():
+    q = FieldCtx.rational()
+    base = Matrix(q, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    assert rank_multiset(AffineMatrixSpace(base, [])) == {2: 1}
+    with pytest.raises(ValueError):
+        rank_multiset(AffineMatrixSpace(base, [Matrix(q, [[0, 0, 1], [0, 0, 0], [-1, 0, 0]])]))
 
 
 @pytest.mark.parametrize("p", [3, 7, BIG])
@@ -562,22 +607,20 @@ def test_guard_catches_a_wrong_kernel_under_optimize():
 
 
 def test_profile_is_partition_independent_on_the_skew_path(monkeypatch):
+    # three chunks by default, about a hundred of 1024 members each when
+    # _CHUNK_ELEMS is 1: both fold to one profile
     sp = build_rank_at_least_space(FieldCtx.prime(3), 9, 4)
-    samples = 2 * 2**22 // 81 + 7  # three chunks
-
-    def profile(threads):
-        monkeypatch.setenv("ALTRANK_THREADS", str(threads))
-        return rank_profile(sp, seed=5, samples=samples)
-
-    one, two = (profile(t) for t in (1, 2))
-    assert one == two
-    assert one.min_rank < one.max_rank
+    samples = 2 * 2**22 // 81 + 7
+    default = rank_profile(sp, seed=5, samples=samples)
+    monkeypatch.setattr(_engine, "_CHUNK_ELEMS", 1)
+    assert rank_profile(sp, seed=5, samples=samples) == default
+    assert default.min_rank < default.max_rank
 
 
-def test_exhaustive_profile_is_thread_independent(monkeypatch):
-    # the chunks of one exhaustive walk share their ranker's outer-sum tables;
-    # ranked by more threads than cores, with frequent thread switches, they
-    # fold to the single-thread profile
+def test_exhaustive_profile_is_chunk_independent(monkeypatch):
+    # the chunks of one exhaustive walk share their ranker's outer-sum tables:
+    # four chunks by default, and 519 of 1024 members (not a multiple of the
+    # 3^6-row table) when _CHUNK_ELEMS is 1, fold to one profile
     p, n, dim = 3, 5, 12
     pi, pj = np.triu_indices(n, 1)
     rng = np.random.default_rng(8)
@@ -586,14 +629,9 @@ def test_exhaustive_profile_is_thread_independent(monkeypatch):
     basis[:, pj, pi] = -basis[:, pi, pj] % p
     residues = [(p, np.zeros(n * n, dtype=np.int64), basis.reshape(dim, n * n))]
     assert p**dim > 3 * _engine._chunk_size(n * n)
-    got, switch = [], sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-5)
-        for threads in (1, 6):
-            monkeypatch.setenv("ALTRANK_THREADS", str(threads))
-            got.append(_engine.profile_ranks(residues, n, n, p, exhaustive=True, total=p**dim, alternating=True))
-    finally:
-        sys.setswitchinterval(switch)
+    got = [_engine.profile_ranks(residues, n, n, p, exhaustive=True, total=p**dim, alternating=True)]
+    monkeypatch.setattr(_engine, "_CHUNK_ELEMS", 1)
+    got.append(_engine.profile_ranks(residues, n, n, p, exhaustive=True, total=p**dim, alternating=True))
     assert got[0] == got[1]
     assert got[0][0] == 0 and got[0][2] == 4
 

@@ -115,6 +115,24 @@ def test_no_floating_point_in_the_package():
     assert found == []
 
 
+def test_no_knobs_in_the_package():
+    """Arguments and data alone set what a run does: no module reads the
+    environment, and none imports a thread or process pool, so the tests and
+    the benchmark run the one configuration there is."""
+    env = re.compile(r"os\.environ|getenv")
+    pools = {"threading", "concurrent", "multiprocessing"}
+    found = []
+    for path in sorted(Path(altrank.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for lineno, line in enumerate(text.splitlines(), 1):
+            found += [f"{path.name}:{lineno}: {m.group()}" for m in env.finditer(line)]
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level else []
+            found += [f"{path.name}:{node.lineno}: import {name}" for name in names if name.split(".")[0] in pools]
+    assert found == []
+
+
 def test_engine_and_spaces_reduce_arrays_through_mod():
     """``np.remainder`` on int64 is several times slower than ``_engine.mod``'s
     floor division, so it appears only inside ``mod`` (its small-array path)."""
