@@ -6,13 +6,11 @@ __version__ = "0.1.0"
 
 from .analyze import (
     FAReport,
-    KernelImageReport,
     RankProfile,
     TrivialSpectrumReport,
     duality_invariant_check,
     extract_range_lagrangian,
     flanders_atkinson_check,
-    kernel_to_image_check,
     rank_profile,
     trivial_spectrum_check,
     trivial_spectrum_gate,
@@ -43,7 +41,6 @@ from .rand import (
     derive_seed,
     random_alternating,
     random_invertible,
-    random_invertible_alternating,
     random_matrix,
     uniform_below,
 )
@@ -60,20 +57,16 @@ from .spaces import (
     AffineMatrixSpace,
     OptimalSearchResult,
     Span,
-    brute_equivalence_test,
     congruence_act,
     equivalence_act,
     exhaustive_optimal_dimension,
     gaussian_binomial,
-    rank_multiset,
     spaces_equal,
 )
 from .symplectic import (
     FormSpacePair,
     find_lagrangian,
     is_totally_singular,
-    pencil_symplectic_iff_trivial_spectrum,
-    phi_forms_to_operators,
     phi_operators_to_forms,
     radical,
     standard_symplectic,

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .rand import GOLDEN
+from .rand import GOLDEN, MASK64
 
 _CHUNK_ELEMS = 1 << 22
 _MOD_BLOCK = 1 << 15  # entries per block of ``mod``
@@ -74,13 +74,15 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def uniform_block(seed: int, counter_lo: int, shape: tuple[int, ...], bound: int) -> np.ndarray:
-    """Uniform integers in [0, bound), counters assigned row-major from counter_lo."""
+    """Uniform integers in [0, bound), counters assigned row-major from counter_lo;
+    the seed is taken modulo 2^64, as ``rand.raw_word`` takes it."""
     total = int(np.prod(shape)) if shape else 1
+    seed = np.uint64(seed & MASK64)
     counters = np.arange(counter_lo, counter_lo + total, dtype=np.uint64)
     limit_int = (1 << 64) - ((1 << 64) % bound)
     with np.errstate(over="ignore"):
         base = (counters << np.uint64(16)) + np.uint64(1)
-        out = _mix64(np.uint64(seed) + np.uint64(GOLDEN) * base)
+        out = _mix64(seed + np.uint64(GOLDEN) * base)
         if limit_int < (1 << 64):
             limit = np.uint64(limit_int)
             bad = np.nonzero(out >= limit)[0]
@@ -89,7 +91,7 @@ def uniform_block(seed: int, counter_lo: int, shape: tuple[int, ...], bound: int
                 if attempt >= (1 << 16):
                     raise RuntimeError("rejection sampling failed to terminate")
                 retry = _mix64(
-                    np.uint64(seed)
+                    seed
                     + np.uint64(GOLDEN)
                     * (((counters[bad] << np.uint64(16)) | np.uint64(attempt)) + np.uint64(1))
                 )

@@ -439,38 +439,6 @@ def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[M
     return FAReport(mode, r, True, d_zero, tuple(moments), first)
 
 
-@dataclass(frozen=True)
-class KernelImageReport:
-    cardinality_ok: bool
-    witness: Optional[tuple]  # (matrix, kernel vector)
-
-    @property
-    def holds(self) -> bool:
-        return self.witness is None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def kernel_to_image_check(sp: AffineMatrixSpace, u0: Matrix) -> KernelImageReport:
-    """Whether every member maps ker(u0) into im(u0).
-
-    u0 must attain the maximum rank in the space (caller-certified).  The
-    condition is linear in the member, so the base point and the translation
-    generators suffice.  The cardinality gate |F| > rank(u0) is reported, not
-    asserted, so undersized fields can still be explored.
-    """
-    ctx = sp.ctx
-    r0 = u0.rank()
-    cardinality_ok = ctx.cardinality_at_least(r0 + 1)
-    image = Span(ctx, [tuple(u0.col(j)) for j in range(u0.ncols)])
-    kernel = u0.kernel_basis()
-    witness = next(
-        ((mat, x) for mat in (sp.base, *sp.basis) for x in kernel if not image.contains(mat_vec(mat, x))), None
-    )
-    return KernelImageReport(cardinality_ok, witness)
-
-
 def extract_range_lagrangian(ops: Sequence[Matrix], gram: Matrix) -> Optional[list[Vector]]:
     """Common range Lagrangian of an independent family of maps, if forced.
 

@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_field:
             p.add_argument("--field", required=True, help="Fp:<p> or Q")
         if with_sampling:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=0, help="any integer, taken modulo 2^64")
         if with_budget:
             p.add_argument("--budget", type=int, default=10**6, help="max enumerated members")
         if with_sampling:

@@ -209,12 +209,6 @@ class Matrix:
         """Row-major vectorization."""
         return tuple(x for row in self.data for x in row)
 
-    @staticmethod
-    def from_flat(ctx: FieldCtx, nrows: int, ncols: int, flat: Sequence[Element]) -> "Matrix":
-        if len(flat) != nrows * ncols:
-            raise ValueError("length mismatch")
-        return Matrix(ctx, [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)])
-
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:

@@ -102,14 +102,3 @@ def random_invertible(ctx: FieldCtx, n: int, stream: CounterStream, box: int = D
         m = random_matrix(ctx, n, n, stream, box)
         if m.det() != 0:
             return m
-
-
-def random_invertible_alternating(ctx: FieldCtx, n: int, stream: CounterStream, box: int = DEFAULT_RATIONAL_BOX):
-    from .matrices import pfaffian
-
-    if n % 2 == 1:
-        raise ValueError("odd alternating matrices are singular")
-    while True:
-        m = random_alternating(ctx, n, stream, box)
-        if pfaffian(m) != 0:
-            return m

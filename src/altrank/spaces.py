@@ -8,7 +8,6 @@ depends only on (seed, i).
 
 from __future__ import annotations
 
-from collections import Counter
 from copy import copy
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -20,12 +19,7 @@ import numpy as np
 from . import _engine
 from .errors import BudgetExceededError
 from .fields import Element, FieldCtx
-from .matrices import (
-    Matrix,
-    Span,
-    alternating_from_upper,
-    rows_matrix,
-)
+from .matrices import Matrix, Span, alternating_from_upper
 
 _WALK_ELEMS = 1 << 16  # parent-mask entries behind one block of the coset walk (at least one pair)
 
@@ -184,80 +178,6 @@ def spaces_equal(x: AffineMatrixSpace, y: AffineMatrixSpace) -> bool:
     if not span.contains((x.base - y.base).flatten()):
         return False
     return all(span.contains(g.flatten()) for g in x.basis)
-
-
-def rank_multiset(sp: AffineMatrixSpace, budget: int = 10**4) -> dict[int, int]:
-    """Exhaustive rank -> count map, ascending; budgeted, and refusing Q past dimension 0, as
-    ``enumerate`` is.  Ranks come from ``Matrix.rank``, so the engine's scans have an oracle."""
-    return dict(sorted(Counter(m.rank() for _, m in sp.enumerate(budget)).items()))
-
-
-# -- brute-force equivalence of small square spaces ------------------------------------------
-
-
-def _gl_matrices(p: int, s: int) -> np.ndarray:
-    """GL_s(F_p) as a (k, s, s) stack, in lexicographic order of the
-    flattened entry tuple: the coordinates of the unit-basis space are the
-    entries themselves, ranked in one engine call."""
-    mats = _engine.lex_coords(0, p ** (s * s), s * s, p).reshape(-1, s, s)
-    return mats[_engine.batch_rank(mats.copy(), p) == s]
-
-
-def brute_equivalence_test(
-    x: AffineMatrixSpace, y: AffineMatrixSpace
-) -> tuple[Matrix, Matrix] | None:
-    """First (P, Q) in GL_s^2 lexicographic scan with P X Q == Y, else None.
-
-    Deliberately refuses s >= 3 or q > 7: the search space past |GL_2(F_7)|^2
-    stops being a meaningful brute-force certificate.  The scan is vectorized
-    over blocks of P against all of Q; a witness is re-verified exactly.
-    """
-    if x.ctx != y.ctx or x.ctx.kind != "prime":
-        raise ValueError("both spaces must live over one prime field")
-    s = x.shape[0]
-    if x.shape != (s, s) or y.shape != (s, s):
-        raise ValueError("square spaces of equal size required")
-    if s > 2 or x.ctx.p > 7:
-        raise ValueError("brute-force envelope is s <= 2, q <= 7")
-    if x.dim != y.dim:
-        return None
-    witness = _brute_equivalence_scan(x, y, _gl_matrices(x.ctx.p, s))
-    if witness is None:
-        return None
-    pm, qm = (Matrix.from_flat(x.ctx, s, s, [int(v) for v in g.ravel()]) for g in witness)
-    if not spaces_equal(equivalence_act(x, pm, qm), y):
-        raise AssertionError("vectorized equivalence witness failed exact re-verification")
-    return pm, qm
-
-
-def _brute_equivalence_scan(x, y, gl: np.ndarray):
-    """The first (P, Q) of the scan as entries of ``gl``, or None."""
-    # Membership in an affine space via its annihilator: v lies in the row
-    # span of B iff v @ K == 0 for K a kernel basis of B (one zero row for a point).
-    p = x.ctx.p
-    s = x.shape[0]
-    rows = [g.flatten() for g in y.basis] or [(0,) * (s * s)]
-    kmat = np.array(rows_matrix(x.ctx, rows).kernel_basis(), dtype=np.int64).reshape(-1, s * s).T
-    x_mats = [np.array(g.flatten(), dtype=np.int64).reshape(s, s) for g in (x.base, *x.basis)]
-    y0 = np.array(y.base.flatten(), dtype=np.int64)
-    count = len(gl)
-    step = max(1, (1 << 20) // max(1, count))
-    for lo in range(0, count, step):
-        p_blk = gl[lo : lo + step]
-        ok = np.ones((len(p_blk), count), dtype=bool)
-        for t, xm in enumerate(x_mats):
-            px = p_blk @ xm % p
-            pxq = px[:, None] @ gl[None] % p
-            flat = pxq.reshape(pxq.shape[0], pxq.shape[1], s * s)
-            if t == 0:
-                flat = (flat - y0) % p
-            ok &= ~(flat @ kmat % p).any(axis=2)
-            if not ok.any():
-                break
-        if ok.any():
-            a, b = np.argwhere(ok)[0]
-            return gl[lo + int(a)], gl[int(b)]
-    return None
 
 
 # -- exhaustive optimal-dimension search -----------------------------------------------------

