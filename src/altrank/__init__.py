@@ -66,7 +66,6 @@ from .spaces import (
 from .symplectic import (
     FormSpacePair,
     find_lagrangian,
-    is_totally_singular,
     phi_operators_to_forms,
     radical,
     standard_symplectic,

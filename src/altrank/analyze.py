@@ -18,7 +18,7 @@ from .errors import BudgetExceededError, ContractError
 from .fields import FieldCtx, prime_below
 from .matrices import Matrix, Vector, mat_vec, place_blocks, span_dim
 from .spaces import AffineMatrixSpace, Span
-from .symplectic import first_singular, is_totally_singular, totally_singular_witness
+from .symplectic import totally_singular_witness
 
 DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_SAMPLES = 10**5
@@ -87,8 +87,7 @@ def rank_profile(
     )
     wmin, wmax = (_member_coords(sp, i, exhaustive, q, seed) for i in (mn_idx, mx_idx))
     for coords, expect in ((wmin, mn), (wmax, mx)):
-        if sp.member_at(coords).rank() != expect:
-            raise AssertionError("engine witness failed exact re-verification")
+        _exact_rank(sp.member_at(coords), lambda ranks: ranks == expect)
     return RankProfile(
         mn, mx, "exhaustive" if exhaustive else "sampled", count, None if exhaustive else seed, wmin, wmax
     )
@@ -114,9 +113,42 @@ def first_member(
         return None
     coords = _member_coords(sp, idx, exhaustive, q, seed)
     member = sp.member_at(coords)
-    if not accept(np.array([member.rank()]))[0]:
-        raise AssertionError("engine witness failed exact re-verification")
+    _exact_rank(member, accept)
     return coords, member
+
+
+def _exact_rank(member: Matrix, accept: Callable[[np.ndarray], np.ndarray]) -> int:
+    """The exact rank of an engine hit, which must satisfy ``accept``: the one
+    place where the engine's answers are checked against the exact layer."""
+    rank = member.rank()
+    if not accept(np.array([rank]))[0]:
+        raise AssertionError("engine witness failed exact re-verification")
+    return rank
+
+
+def _first_on_line(
+    a: Matrix, b: Matrix, accept: Callable[[np.ndarray], np.ndarray], total: int
+) -> Optional[tuple[int, int]]:
+    """(t, rank) for the least t < total with rank(a + t b) satisfying ``accept``, or
+    None, for square a, b over a prime field: one exhaustive engine pass, by
+    ``batch_rank`` even when a and b are alternating (on the skew path a short
+    line would be ranked twice, once more by the guard), its hit re-ranked exactly."""
+    n, p = a.nrows, a.ctx.p
+    t = _engine.first_index(
+        [(p, np.array(a.flatten(), dtype=np.int64), np.array([b.flatten()], dtype=np.int64))],
+        n, n, p, accept, exhaustive=True, total=total,
+    )
+    return None if t < 0 else (t, _exact_rank(a + b.scale(t), accept))
+
+
+def first_singular(a: Matrix, b: Matrix, lo: int = 0) -> Optional[int]:
+    """The least t in [lo, p) with a + t b singular, or None, for square a, b
+    over a prime field: one ``_first_on_line`` scan from a + lo b.  With
+    b = -I the answer is the least eigenvalue of a that is at least lo."""
+    if a.ctx.kind != "prime":
+        raise ValueError("pencil scan needs a prime field")
+    hit = _first_on_line(a + b.scale(lo), b, lambda ranks: ranks < a.nrows, a.ctx.p - lo)
+    return None if hit is None else lo + hit[0]
 
 
 def _engine_walk(sp: AffineMatrixSpace, budget: int, samples: int):
@@ -280,8 +312,8 @@ def trivial_spectrum_check(
     to the budget: the flag enumerates nothing.  The witness is
     the first (member, eigenvalue) pair in member-major, eigenvalue-minor
     order: the first hit, the least member of its line, with its least
-    nonzero eigenvalue in F_p, found by ``symplectic.first_singular`` on
-    member - t I and re-checked there by ``det``.  A negative budget raises
+    nonzero eigenvalue in F_p, found by ``first_singular`` on
+    member - t I and re-ranked there exactly.  A negative budget raises
     ValueError.
     """
     ctx = sp.ctx
@@ -406,19 +438,11 @@ def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[M
     # pencil members at s = 0 have rank(M); each one at s != 0 has a line member's rank
     if mode == "pencil" and (rk := m.rank()) > r:
         return FAReport(mode, r, False, None, None, ("hypothesis", (0, 1, rk)))
-    # the line J + t*M at index t, ranked by batch_rank alone, even in
-    # alternating mode: on the skew path a short line would be ranked twice,
-    # once more by the guard.  An (r+1)-minor of J + t*M nonzero at some t has
-    # degree <= r+1 in t, so it is nonzero at some t <= r+1 too.
-    idx = _engine.first_index(
-        [(p, np.array(j.flatten(), dtype=np.int64), np.array([m.flatten()], dtype=np.int64))],
-        n, n, p, lambda ranks: ranks > r, exhaustive=True, total=min(p, r + 2),
-    )
-    if idx >= 0:
-        rk = (j + m.scale(idx)).rank()
-        if rk <= r:
-            raise AssertionError("engine witness failed exact re-verification")
-        return FAReport(mode, r, False, None, None, ("hypothesis", (1, idx, rk)))
+    # an (r+1)-minor of J + t*M nonzero at some t has degree <= r+1 in t, so it
+    # is nonzero at some t <= r+1 too
+    hit = _first_on_line(j, m, lambda ranks: ranks > r, min(p, r + 2))
+    if hit is not None:
+        return FAReport(mode, r, False, None, None, ("hypothesis", (1, *hit)))
 
     a, upper = m.block(0, r, 0, r), m.block(0, r, r, n)
     d = m.block(r, n, r, n)
@@ -482,7 +506,7 @@ def extract_range_lagrangian(ops: Sequence[Matrix], gram: Matrix) -> Optional[li
             f"combined range has dimension {lag.dim}, expected {qprime // 2}"
         )
     basis = lag.basis()
-    if not is_totally_singular(gram, basis):
+    if totally_singular_witness(gram, basis) is not None:
         raise ContractError("combined range is not totally singular")
     return basis
 

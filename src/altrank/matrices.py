@@ -27,7 +27,7 @@ Vector = tuple[Element, ...]
 class Matrix:
     """Immutable dense matrix over a :class:`FieldCtx`."""
 
-    __slots__ = ("ctx", "data", "nrows", "ncols", "_inverse")
+    __slots__ = ("ctx", "data", "nrows", "ncols")
 
     def __init__(self, ctx: FieldCtx, rows: Iterable[Iterable[Element]]):
         norm = ctx.normalize
@@ -251,16 +251,14 @@ class Matrix:
         return d if rank == self.nrows else self.ctx.zero()
 
     def inverse(self) -> "Matrix":
-        """The inverse, kept once computed; ValueError if there is none."""
-        if not hasattr(self, "_inverse"):
-            if not self.is_square:
-                raise ValueError("inverse of non-square matrix")
-            n = self.nrows
-            aug, pivots = self.hstack(Matrix.identity(self.ctx, n)).rref()
-            if pivots[:n] != tuple(range(n)):
-                raise ValueError("matrix is singular")
-            object.__setattr__(self, "_inverse", aug.block(0, n, n, 2 * n))
-        return self._inverse
+        """The inverse; ValueError if there is none."""
+        if not self.is_square:
+            raise ValueError("inverse of non-square matrix")
+        n = self.nrows
+        aug, pivots = self.hstack(Matrix.identity(self.ctx, n)).rref()
+        if pivots[:n] != tuple(range(n)):
+            raise ValueError("matrix is singular")
+        return aug.block(0, n, n, 2 * n)
 
     # -- serialization -----------------------------------------------------------
 
@@ -581,11 +579,7 @@ def vec_dot(ctx: FieldCtx, u: Vector, v: Vector) -> Element:
     return sum((a * b for a, b in zip(u, v)), ctx.zero())
 
 
-def rows_matrix(ctx: FieldCtx, vecs: Sequence[Vector]) -> Matrix:
-    return Matrix(ctx, list(vecs))
-
-
 def span_dim(ctx: FieldCtx, vecs: Sequence[Vector]) -> int:
     if not vecs:
         return 0
-    return _eliminate(rows_matrix(ctx, vecs))[0]
+    return _eliminate(Matrix(ctx, vecs))[0]

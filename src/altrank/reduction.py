@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import analyze
 from .errors import ContractError
 from .families import border_row_blocks, build_row_block_family, constant_rank_field_bound
-from .matrices import Matrix, Vector, alternating_from_upper, place_blocks, rows_matrix, span_dim, upper_pairs
+from .matrices import Matrix, Vector, alternating_from_upper, place_blocks, span_dim, upper_pairs
 from .spaces import AffineMatrixSpace, Span, congruence_act, spaces_equal
 from .symplectic import radical, symplectic_basis, totally_singular_witness
 
@@ -88,7 +88,7 @@ def normalize_radical_to_tail(s0: Matrix) -> tuple[Matrix, Matrix]:
     kernel = s0.kernel_basis()
     r = n - len(kernel)
     complement = Span(ctx, kernel, width=n).extend_with_units(r)
-    p1 = rows_matrix(ctx, complement + list(kernel)).transpose()
+    p1 = Matrix(ctx, complement + kernel).transpose()
     moved = p1.T @ s0 @ p1
     k = moved.block(0, r, 0, r)
     if not moved.block(0, n, r, n).is_zero() or not moved.block(r, n, 0, n).is_zero():
@@ -140,14 +140,14 @@ def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpac
             cols.append(span.reduce(tuple(flat)))
         phi_rows.append([x for col in cols for x in col])
     # column j of phi is the stacked residual of the unit slabs e_i e_j^T
-    phi = rows_matrix(ctx, phi_rows).transpose()
+    phi = Matrix(ctx, phi_rows).transpose()
     wbasis = phi.kernel_basis()
     if len(wbasis) != w - s:
         raise ContractError(
             f"universal column space has dimension {len(wbasis)}, expected {w - s}"
         )
     complement = Span(ctx, wbasis, width=w).extend_with_units(s)
-    qprime = rows_matrix(ctx, complement + list(wbasis)).inverse()
+    qprime = Matrix(ctx, complement + wbasis).inverse()
 
     moved = AffineMatrixSpace(t.base @ qprime, [g @ qprime for g in t.basis])
     m_space = AffineMatrixSpace(
@@ -286,7 +286,8 @@ def _reduce(
     if failed is not None:
         return {"step": "generator_identities", "report": failed.to_json()}
 
-    ops = [k.inverse() @ b for b in _independent([g.block(0, r, r, n) for g in sp1.basis])]
+    kinv = k.inverse()
+    ops = [kinv @ b for b in _independent([g.block(0, r, r, n) for g in sp1.basis])]
     try:
         lag = analyze.extract_range_lagrangian(ops, k)
     except (ValueError, ContractError) as exc:

@@ -11,11 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from . import _engine
 from .fields import FieldCtx
-from .matrices import Matrix, Vector, mat_vec, place_blocks, rows_matrix, span_dim, vec_dot
+from .matrices import Matrix, Vector, mat_vec, place_blocks, span_dim, vec_dot
 from .spaces import AffineMatrixSpace, Span
 
 
@@ -32,10 +29,6 @@ def radical(a: Matrix) -> list[Vector]:
     if not a.is_alternating():
         raise ValueError("radical is defined for alternating matrices")
     return a.kernel_basis()
-
-
-def is_totally_singular(gram: Matrix, vecs: Sequence[Vector]) -> bool:
-    return totally_singular_witness(gram, vecs) is None
 
 
 def totally_singular_witness(gram: Matrix, vecs: Sequence[Vector]) -> tuple[int, int] | None:
@@ -64,7 +57,7 @@ def find_lagrangian(k: Matrix) -> list[Vector]:
     span = Span(ctx, [], width=n)
     while len(basis) < s:
         # with no basis yet, the zero row's kernel is the unit vectors in order
-        constraints = rows_matrix(ctx, basis or [(ctx.zero(),) * n]) @ k
+        constraints = Matrix(ctx, basis or [(ctx.zero(),) * n]) @ k
         for v in constraints.kernel_basis():
             if span.add(v):
                 basis.append(v)
@@ -96,10 +89,10 @@ def symplectic_basis(k: Matrix, lagrangian: Sequence[Vector] | None = None) -> M
         ys = [tuple(ctx.normalize(x) for x in v) for v in lagrangian]
         if len(ys) != s or span_dim(ctx, ys) != s:
             raise ValueError("lagrangian must be an independent family of half dimension")
-        if not is_totally_singular(k, ys):
+        if totally_singular_witness(k, ys) is not None:
             raise ValueError("supplied subspace is not totally singular")
 
-    yt = rows_matrix(ctx, ys)
+    yt = Matrix(ctx, ys)
     # Y^T K has full row rank, so every pivot of [Y^T K | -I] lies in its first
     # n columns: the rref row pivoting at column j holds row j of X past
     # column n, and the rows of X at free columns are zero.
@@ -168,24 +161,3 @@ class FormSpacePair:
 def phi_operators_to_forms(pair: FormSpacePair) -> AffineMatrixSpace:
     """Inverse translation: base K, translation generators K u."""
     return AffineMatrixSpace(pair.gram, [pair.gram @ u for u in pair.operators])
-
-
-def first_singular(a: Matrix, b: Matrix, lo: int = 0) -> int | None:
-    """The least t in [lo, p) with a + t b singular, or None, for square a, b
-    over a prime field.  One engine pass scans the line from a + lo b; the
-    member it reports is re-checked by ``det``.  With b = -I the answer is the
-    least eigenvalue of a that is at least lo."""
-    ctx = a.ctx
-    if ctx.kind != "prime":
-        raise ValueError("pencil scan needs a prime field")
-    n, p = a.nrows, ctx.p
-    base, step = (a + b.scale(lo)).flatten(), b.flatten()
-    i = _engine.first_index(
-        [(p, np.array(base, dtype=np.int64), np.array([step], dtype=np.int64))], n, n, p,
-        lambda ranks: ranks < n, exhaustive=True, total=p - lo,
-    )
-    if i < 0:
-        return None
-    if (a + b.scale(lo + i)).det() != 0:
-        raise AssertionError("engine witness failed exact re-verification")
-    return lo + i

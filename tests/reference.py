@@ -10,10 +10,10 @@ from collections import Counter
 import numpy as np
 
 from altrank import _engine
-from altrank.matrices import Matrix, pfaffian, rows_matrix
+from altrank.analyze import first_singular
+from altrank.matrices import Matrix, pfaffian
 from altrank.rand import DEFAULT_RATIONAL_BOX, random_alternating
 from altrank.spaces import equivalence_act, spaces_equal
-from altrank.symplectic import first_singular
 
 
 def rank_multiset(sp, budget=10**4):
@@ -87,7 +87,7 @@ def _brute_equivalence_scan(x, y, gl):
     p = x.ctx.p
     s = x.shape[0]
     rows = [g.flatten() for g in y.basis] or [(0,) * (s * s)]
-    kmat = np.array(rows_matrix(x.ctx, rows).kernel_basis(), dtype=np.int64).reshape(-1, s * s).T
+    kmat = np.array(Matrix(x.ctx, rows).kernel_basis(), dtype=np.int64).reshape(-1, s * s).T
     x_mats = [np.array(g.flatten(), dtype=np.int64).reshape(s, s) for g in (x.base, *x.basis)]
     y0 = np.array(y.base.flatten(), dtype=np.int64)
     count = len(gl)

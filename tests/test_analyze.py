@@ -11,6 +11,7 @@ from altrank.analyze import (
     duality_invariant_check,
     extract_range_lagrangian,
     first_member,
+    first_singular,
     flanders_atkinson_check,
     invertible_by_flag,
     nilpotent_flag,
@@ -18,6 +19,7 @@ from altrank.analyze import (
     trivial_spectrum_check,
     trivial_spectrum_gate,
 )
+from altrank.cli import main
 from altrank.errors import BudgetExceededError, ContractError
 from altrank.families import (
     build_bordered_alternating,
@@ -38,7 +40,7 @@ from altrank.rand import (
     uniform_below,
 )
 from altrank.spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act
-from altrank.symplectic import FormSpacePair, first_singular, standard_symplectic
+from altrank.symplectic import FormSpacePair, standard_symplectic
 from reference import pencil_symplectic_iff_trivial_spectrum, random_invertible_alternating
 
 F2 = FieldCtx.prime(2)
@@ -803,6 +805,31 @@ def test_fa_bounded_scan_matches_full_line_reference(p, mode):
         if late is not None:
             assert want[1][:2] == (1, late)
     assert held >= 2 and failed >= 2
+
+
+@pytest.mark.parametrize("extreme", [0, 2], ids=["min", "max"])
+def test_rank_profile_witnesses_are_rechecked_exactly(monkeypatch, tmp_path, capsys, extreme):
+    # an engine that reports one extreme two ranks off, at the true witness:
+    # the exact re-rank of that witness must reject it, and the command that
+    # runs the profile reports an internal error in one line
+    real = _engine.profile_ranks
+
+    def wrong(*args, **kwargs):
+        out = list(real(*args, **kwargs))
+        out[extreme] += 2 if extreme else -2
+        return tuple(out)
+
+    monkeypatch.setattr(_engine, "profile_ranks", wrong)
+    sp = build_bordered_alternating(F5, 5, 1)  # constant rank 2
+    with pytest.raises(AssertionError, match="re-verification"):
+        rank_profile(sp)
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(sp.to_json()))
+    out = tmp_path / "out.json"
+    code = main(["verify", "--in", str(src), "--check", "rank-profile", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert err == "internal error: engine witness failed exact re-verification\n"
 
 
 def test_first_hit_witnesses_are_rechecked_exactly(monkeypatch):

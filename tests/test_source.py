@@ -190,3 +190,23 @@ def test_every_export_is_reached():
         and not re.search(rf"\b{name}\b", bench)
     ]
     assert unreached == []
+
+
+def test_engine_is_reached_through_analyze_and_spaces():
+    """The int64 engine is a fast path that the exact layer cross-checks, so
+    the package reaches it through two modules: only ``_engine.py``,
+    ``analyze.py`` and ``spaces.py`` import numpy or ``_engine``, and only
+    ``analyze.py`` names ``first_index``, whose hits it re-ranks in one place."""
+    found = []
+    for path in sorted(Path(altrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(a.name for a in node.names)]
+            if path.name not in ("_engine.py", "analyze.py", "spaces.py"):
+                found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] in ("numpy", "_engine")]
+            if path.name != "analyze.py" and "first_index" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                found.append(f"{path.name}:{node.lineno}: first_index")
+    assert found == []
