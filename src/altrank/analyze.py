@@ -7,7 +7,6 @@ pure arithmetic in this package before they are reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
 from .fields import FieldCtx, prime_below
-from .matrices import Matrix, Vector, mat_vec, place_blocks, span_dim
+from .matrices import Matrix, Vector, integer_lift, place_blocks, span_dim
 from .spaces import AffineMatrixSpace, Span
 from .symplectic import totally_singular_witness
 
@@ -192,19 +191,16 @@ def _rational_residues(sp: AffineMatrixSpace, box: int) -> list[tuple[int, np.nd
     [-box, box]^dim.  The base is shifted by ``-box * sum(basis)``, so the
     engine's coordinates are c + box, in [0, 2 box + 1).
 
-    Scaling by the lcm L of all denominators keeps every rank and makes every
-    entry of a scaled member an integer of absolute value at most A, the
-    largest |L base_e| + box * sum_t |L basis_te|.  By Hadamard's bound every
-    minor is then at most (k A^2)^(k/2) in absolute value, k = min(n, m).  A
-    rank mod p never exceeds the rank over Q, and a nonzero maximal minor
-    smaller than the product of the primes is nonzero modulo one of them; so
-    primes are taken downward from 2^31 until (prod p)^2 > (k A^2)^k.
+    Scaling by the lcm L of all denominators (``integer_lift``) keeps every
+    rank and makes every entry of a scaled member an integer of absolute value
+    at most A, the largest |L base_e| + box * sum_t |L basis_te|.  By
+    Hadamard's bound every minor is then at most (k A^2)^(k/2) in absolute
+    value, k = min(n, m).  A rank mod p never exceeds the rank over Q, and a
+    nonzero maximal minor below the product of the primes is nonzero modulo one
+    of them; so primes go downward from 2^31 until (prod p)^2 > (k A^2)^k.
     """
-    flats = [sp.base.flatten(), *(g.flatten() for g in sp.basis)]
-    lcm = math.lcm(*(x.denominator for flat in flats for x in flat))
-    ints = np.array(
-        [[x.numerator * (lcm // x.denominator) for x in flat] for flat in flats], dtype=object
-    )
+    rows, _ = integer_lift(Matrix(sp.ctx, [sp.base.flatten(), *(g.flatten() for g in sp.basis)]))
+    ints = np.array(rows, dtype=object)
     base, basis = ints[0] - box * ints[1:].sum(axis=0), ints[1:]
     a = max(abs(ints[0]) + box * abs(basis).sum(axis=0), default=0)
     k = min(sp.shape)
@@ -246,21 +242,20 @@ def nilpotent_flag(sp: AffineMatrixSpace) -> Optional[Matrix]:
     of all words of length i in the generators.  The chain falls until it is
     0, and then V_i = ker Q_i is a flag with G V_i in V_(i-1); or it stops
     at a nonzero Q_i = Q_(i-1), and the generators span no nilpotent algebra.
-    At most n steps, each one ``Span`` of (dim Q_(i-1)) * dim rows.
+    At most n steps, each one ``Span`` of the rows of the products Q_(i-1) G.
     """
     n, m = sp.shape
     if n != m:
         raise ValueError("members must be square")
     ctx = sp.ctx
-    transposes = [g.T for g in sp.basis]
-    chain = [Matrix.identity(ctx, n).data]
-    while chain[-1]:
-        step = Span(ctx, [mat_vec(gt, q) for q in chain[-1] for gt in transposes], width=n)
-        if step.dim == len(chain[-1]):
+    chain = [Matrix.identity(ctx, n)]
+    while chain[-1].nrows:
+        step = Span(ctx, [row for g in sp.basis for row in (chain[-1] @ g).data], width=n)
+        if step.dim == chain[-1].nrows:
             return None
-        chain.append(step.basis())
+        chain.append(Matrix(ctx, step.basis()))
     flag = Span(ctx, [], width=n)
-    basis = [v for rows in chain[1:-1] for v in Matrix(ctx, rows).kernel_basis() if flag.add(v)]
+    basis = [v for q in chain[1:-1] for v in q.kernel_basis() if flag.add(v)]
     return Matrix(ctx, zip(*basis, *flag.extend_with_units(n)))
 
 
@@ -271,9 +266,9 @@ def _flag_holds(basis: Matrix, sp: AffineMatrixSpace) -> bool:
     if basis.shape != (n, n):
         return False
     below = Span(sp.ctx, [], width=n)
+    images = [g @ basis for g in sp.basis]
     for j in range(n):
-        b = basis.col(j)
-        if not all(below.contains(mat_vec(g, b)) for g in sp.basis) or not below.add(b):
+        if not all(below.contains(image.col(j)) for image in images) or not below.add(basis.col(j)):
             return False
     return True
 

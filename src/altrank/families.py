@@ -311,21 +311,24 @@ def pfaffian_form_coefficients(ctx: FieldCtx) -> dict[str, Element]:
     return out
 
 
+def _first_exhaustive(sp: AffineMatrixSpace, accept) -> Optional[tuple[tuple, Matrix]]:
+    """First member of sp in enumeration order whose rank passes ``accept``, or
+    None: always exhaustive, so BudgetExceededError past the default budget."""
+    if sp.ctx.kind != "prime":
+        raise ValueError("exhaustive enumeration needs a prime field")
+    budget, members = analyze.DEFAULT_ENUM_BUDGET, sp.ctx.p**sp.dim
+    if members > budget:
+        raise BudgetExceededError(f"{members} members exceed budget {budget}")
+    return analyze.first_member(sp, accept, budget=budget)
+
+
 def plane_rank_drop_witness(ctx: FieldCtx) -> Optional[tuple[tuple, Matrix]]:
     """First plane member (lexicographic coordinates) with rank below 4."""
-    plane = build_counterexample_plane(ctx)
-    if ctx.kind != "prime":
-        raise ValueError("exhaustive enumeration needs a prime field")
-    budget = analyze.DEFAULT_ENUM_BUDGET
-    if ctx.p**2 > budget:
-        raise BudgetExceededError(f"{ctx.p**2} members exceed budget {budget}")
-    return analyze.first_member(plane, lambda ranks: ranks < 4, budget=budget)
+    return _first_exhaustive(build_counterexample_plane(ctx), lambda ranks: ranks < 4)
 
 
 def translation_rank_two_witness(ctx: FieldCtx) -> Optional[tuple[tuple, Matrix]]:
     """First nonzero translation combination of rank 2, scanning lexicographically."""
-    if ctx.kind != "prime":
-        raise ValueError("witness scan needs a prime field")
     translations = AffineMatrixSpace(Matrix.zeros(ctx, 4, 4), [a_xyz(ctx, 1, 0, 0), a_xyz(ctx, 0, 1, 0)])
     # the zero combination, first in the scan, has rank 0
-    return analyze.first_member(translations, lambda ranks: ranks == 2, budget=ctx.p**2)
+    return _first_exhaustive(translations, lambda ranks: ranks == 2)

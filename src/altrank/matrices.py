@@ -9,7 +9,9 @@ built on it, and the forward elimination ``_eliminate``, behind ``rank``,
 L the common denominator, and forms a Fraction only for the answer.
 ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur complement
 per step; ``_engine.skew_rank`` does the same on whole stacks, after moving
-each member's pivot pair to (0, 1).  Both Pfaffians run on one integer lift.
+each member's pivot pair to (0, 1).  One ``integer_lift`` serves both
+Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every
+sum of products, form values x^T K y included, is one ``Matrix`` product.
 """
 
 from __future__ import annotations
@@ -382,7 +384,7 @@ def _sub_multiple(p: int | None, xs: Sequence[Element], c: Element, ys: Sequence
     return [x - c * y for x, y in zip(xs, ys)]
 
 
-def _lift(m: Matrix) -> tuple[list[list[int]], int]:
+def integer_lift(m: Matrix) -> tuple[list[list[int]], int]:
     """Integer rows B and a scale L: over Q, L is the common denominator of
     the entries and B = L*A; over F_p, B holds the residues and L = 1."""
     if m.ctx.kind == "prime":
@@ -405,7 +407,7 @@ def _eliminate(m: Matrix) -> tuple[int, int, Element]:
     (piv * row - row[c] * pivot_row) // prev, divided exactly by the previous
     pivot, so the last pivot is the block's determinant times L^r."""
     prime, p = m.ctx.kind == "prime", m.ctx.p
-    rows, scale = _lift(m)
+    rows, scale = integer_lift(m)
     nrows, ncols = m.nrows, m.ncols
     rank = swaps = 0
     d = prev = 1
@@ -458,9 +460,9 @@ def place_blocks(
 
 
 def _alternating_lift(m: Matrix) -> tuple[list[list[int]], int]:
-    """The lift of ``_lift`` rebuilt from its upper triangle, alternating over Z (over
+    """The lift of ``integer_lift`` rebuilt from its upper triangle, alternating over Z (over
     F_p a_ji = p - a_ij is not -a_ij); ValueError unless m, checked on it, is alternating."""
-    rows, scale = _lift(m)
+    rows, scale = integer_lift(m)
     if m.is_square:
         cols = list(zip(*rows))
         alt = [[-y for y in cols[i][:i]] + [0] + r[i + 1 :] for i, r in enumerate(rows)]
@@ -559,24 +561,6 @@ def alternating_units(ctx: FieldCtx, n: int) -> list[Matrix]:
 
 
 # -- vectors -----------------------------------------------------------------------
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    if len(v) != m.ncols:
-        raise ValueError("length mismatch")
-    ctx = m.ctx
-    if ctx.kind == "prime":
-        p = ctx.p
-        return tuple([sum([a * b for a, b in zip(row, v)]) % p for row in m.data])
-    return tuple([sum([a * b for a, b in zip(row, v)]) for row in m.data])
-
-
-def vec_dot(ctx: FieldCtx, u: Vector, v: Vector) -> Element:
-    if len(u) != len(v):
-        raise ValueError("length mismatch")
-    if ctx.kind == "prime":
-        return sum([a * b for a, b in zip(u, v)]) % ctx.p
-    return sum((a * b for a, b in zip(u, v)), ctx.zero())
 
 
 def span_dim(ctx: FieldCtx, vecs: Sequence[Vector]) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import FieldCtx
-from .matrices import Matrix, Vector, mat_vec, place_blocks, span_dim, vec_dot
+from .matrices import Matrix, Vector, place_blocks, span_dim
 from .spaces import AffineMatrixSpace, Span
 
 
@@ -32,18 +32,13 @@ def radical(a: Matrix) -> list[Vector]:
 
 
 def totally_singular_witness(gram: Matrix, vecs: Sequence[Vector]) -> tuple[int, int] | None:
-    """First (i, j) with gram(vecs[i], vecs[j]) != 0, scanning i <= j.
-
-    gram @ vecs[j] is computed when the scan first reaches column j, so a
-    candidate rejected early costs only the images it used."""
-    images: list[Vector] = []
-    for i in range(len(vecs)):
-        for j in range(i, len(vecs)):
-            if j == len(images):
-                images.append(mat_vec(gram, vecs[j]))
-            if vec_dot(gram.ctx, vecs[i], images[j]) != 0:
-                return (i, j)
-    return None
+    """First (i, j), i <= j in row-major order, with vecs[i]^T gram vecs[j] != 0:
+    the first nonzero upper-triangle entry of V gram V^T, V the rows ``vecs``."""
+    if not vecs:
+        return None
+    v = Matrix(gram.ctx, vecs)
+    values = (v @ gram @ v.T).data
+    return next(((i, j) for i, row in enumerate(values) for j in range(i, len(row)) if row[j] != 0), None)
 
 
 def find_lagrangian(k: Matrix) -> list[Vector]:

@@ -44,6 +44,30 @@ def pencil_symplectic_iff_trivial_spectrum(k, g):
     return first_singular(k, g) is None, first_singular(k.inverse() @ g, minus_one, 1) is None
 
 
+def lazy_totally_singular_witness(gram, vecs):
+    """First (i, j), i <= j in row-major order, with vecs[i]^T gram vecs[j] != 0,
+    or None: the scan that ``symplectic.totally_singular_witness`` replaced.
+
+    Pure field arithmetic, no ``Matrix`` product: gram @ vecs[j] is formed
+    when the scan first reaches column j, one ``ctx.mul``/``ctx.add`` at a time."""
+    ctx = gram.ctx
+
+    def dot(u, v):
+        total = ctx.zero()
+        for a, b in zip(u, v, strict=True):
+            total = ctx.add(total, ctx.mul(a, b))
+        return total
+
+    images = []
+    for i in range(len(vecs)):
+        for j in range(i, len(vecs)):
+            if j == len(images):
+                images.append(tuple(dot(row, vecs[j]) for row in gram.data))
+            if dot(vecs[i], images[j]) != 0:
+                return (i, j)
+    return None
+
+
 # -- brute-force equivalence of small square spaces ------------------------------------------
 
 

@@ -29,7 +29,7 @@ from altrank.families import (
     build_unitriangular_space,
 )
 from altrank.fields import FieldCtx, prime_below
-from altrank.matrices import Matrix, mat_vec, place_blocks, vec_dot
+from altrank.matrices import Matrix, place_blocks
 from altrank.rand import (
     DEFAULT_RATIONAL_BOX,
     CounterStream,
@@ -917,9 +917,9 @@ def sampled_duality_holds(pair, xs) -> bool:
     S.x, and x and S.x lie in the form-orthogonal of x."""
     ctx, n = pair.ctx, pair.gram.nrows
     for x in xs:
-        orbit = [mat_vec(u, x) for u in pair.operators]
-        kx = mat_vec(pair.gram, x)
-        if Span(ctx, orbit, width=n).contains(x) or any(vec_dot(ctx, y, kx) != 0 for y in (x, *orbit)):
+        column = Matrix(ctx, [x]).T
+        orbit = [(u @ column).col(0) for u in pair.operators]
+        if Span(ctx, orbit, width=n).contains(x) or not (Matrix(ctx, [x, *orbit]) @ pair.gram @ column).is_zero():
             return False
     return True
 

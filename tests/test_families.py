@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -276,3 +277,22 @@ def test_plane_witnesses_frozen():
     # x^2 + y^2 is anisotropic mod 3 and mod 7: no rank-two translation
     assert translation_rank_two_witness(F3) is None
     assert translation_rank_two_witness(F7) is None
+
+
+@pytest.mark.parametrize("p", [10_007, 2_147_483_647])
+@pytest.mark.parametrize("witness", [plane_rank_drop_witness, translation_rank_two_witness])
+def test_plane_witnesses_refuse_fields_past_the_budget(witness, p):
+    # Both scans are exhaustive, so p^2 members past the default budget are
+    # refused up front; an unbudgeted scan walks all of them (p = 10,007 is
+    # 3 mod 4, so it finds no rank-two translation and returns None only at
+    # the end).
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"{p * p} members exceed budget 1000000"):
+        witness(FieldCtx.prime(p))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("witness", [plane_rank_drop_witness, translation_rank_two_witness])
+def test_plane_witnesses_need_a_prime_field(witness):
+    with pytest.raises(ValueError, match="needs a prime field"):
+        witness(Q)

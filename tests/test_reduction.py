@@ -21,10 +21,8 @@ from altrank.fields import FieldCtx
 from altrank.matrices import (
     Matrix,
     alternating_from_upper,
-    mat_vec,
     place_blocks,
     upper_pairs,
-    vec_dot,
 )
 from altrank.rand import (
     DEFAULT_RATIONAL_BOX,
@@ -219,7 +217,7 @@ def test_totally_singular_rejection():
     witness = totally_singular_rejection(sp, swapped)
     assert witness is not None
     member, x, y = witness
-    assert vec_dot(F5, x, mat_vec(member, y)) != 0
+    assert (Matrix(F5, [x]) @ member @ Matrix(F5, [y]).T)[0, 0] != 0
 
 
 def test_unique_complement_positive():

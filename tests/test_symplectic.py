@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from altrank.analyze import first_singular
 from altrank.families import build_operator_block_space, build_strictly_upper_space
 from altrank.fields import FieldCtx
-from altrank.matrices import Matrix, Span, mat_vec, pfaffian, place_blocks, vec_dot
+from altrank.matrices import Matrix, Span, pfaffian, place_blocks
 from altrank.rand import (
     CounterStream,
     derive_seed,
@@ -21,8 +23,13 @@ from altrank.symplectic import (
     symplectic_basis,
     totally_singular_witness,
 )
-from reference import pencil_symplectic_iff_trivial_spectrum, random_invertible_alternating
+from reference import (
+    lazy_totally_singular_witness,
+    pencil_symplectic_iff_trivial_spectrum,
+    random_invertible_alternating,
+)
 
+F2 = FieldCtx.prime(2)
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
@@ -45,6 +52,11 @@ def test_radical():
     assert radical(standard_symplectic(F5, 2)) == []
 
 
+def form_value(gram, x, y):
+    """x^T gram y, as a 1 x 1 ``Matrix`` product."""
+    return (Matrix(gram.ctx, [x]) @ gram @ Matrix(gram.ctx, [y]).T)[0, 0]
+
+
 def test_totally_singular_witness():
     k = standard_symplectic(F5, 2)
     good = [(1, 0, 0, 0), (0, 1, 0, 0)]
@@ -52,40 +64,54 @@ def test_totally_singular_witness():
     bad = [(1, 0, 0, 0), (0, 0, 1, 0)]
     assert totally_singular_witness(k, bad) is not None
     i, j = totally_singular_witness(k, bad)
-    assert vec_dot(F5, bad[i], mat_vec(k, bad[j])) != 0
+    assert form_value(k, bad[i], bad[j]) != 0
 
 
-def eager_totally_singular_witness(gram, vecs):
-    """Reference scan with every image gram @ v computed up front."""
-    images = [mat_vec(gram, v) for v in vecs]
-    for i in range(len(vecs)):
-        for j in range(i, len(vecs)):
-            if vec_dot(gram.ctx, vecs[i], images[j]) != 0:
-                return (i, j)
-    return None
-
-
+@pytest.mark.parametrize("ctx", [F2, F5, FieldCtx.prime(2147483629), Q], ids=str)
 @pytest.mark.parametrize("alternating", [True, False], ids=["alternating", "general"])
-def test_lazy_totally_singular_witness_matches_eager_reference(alternating):
-    # The gram lives on the leading k x k block, so vectors supported on the
-    # last n - k coordinates lie in its radical; a few dense vectors at random
-    # positions put the first hit anywhere in the scan, or nowhere.
-    n, k = 6, 3
-    hits = set()
-    for trial in range(120):
-        ctx = (F3, F5, F7)[trial % 3]
-        stream = CounterStream(derive_seed(17, "witness", trial))
+def test_totally_singular_witness_matches_lazy_scan(ctx, alternating):
+    # The gram is random on its leading k x k block, so it is singular for
+    # k < n and vectors supported on the last n - k coordinates lie in its
+    # radical.  The lists are empty, single or longer, and some members are
+    # combinations of earlier ones, so the first hit falls anywhere in the
+    # scan, or nowhere.
+    n = 4
+    hits, sizes, dependent = set(), set(), 0
+    for trial in range(56):
+        stream = CounterStream(derive_seed(31, "witness", str(ctx), alternating, trial))
+        k = (2, 3, 4)[trial % 3]
         block = random_alternating(ctx, k, stream) if alternating else random_matrix(ctx, k, k, stream)
         gram = place_blocks(ctx, n, n, [(0, 0, block)])
         vecs = []
-        for _ in range(2 + stream.below(5)):
+        for _ in range(trial % 7):
             v = stream.vector(ctx, n)
-            vecs.append(v if stream.below(3) == 0 else (0,) * k + v[k:])
-        expected = eager_totally_singular_witness(gram, vecs)
+            if vecs and stream.below(4) == 0:
+                v = (Matrix(ctx, [stream.vector(ctx, len(vecs))]) @ Matrix(ctx, vecs)).row(0)
+                dependent += 1
+            elif stream.below(3) == 0:
+                v = (0,) * k + v[k:]
+            vecs.append(v if ctx.kind == "prime" else tuple(Fraction(x) / 3 for x in v))
+        expected = lazy_totally_singular_witness(gram, vecs)
         assert totally_singular_witness(gram, vecs) == expected
         hits.add(expected)
+        sizes.add(len(vecs))
+    assert sizes == set(range(7)) and dependent >= 3
     assert None in hits
-    assert len({hit for hit in hits if hit is not None and hit[0] > 0}) >= 3
+    assert len({hit for hit in hits if hit is not None and hit[0] > 0}) >= 2
+
+
+@pytest.mark.parametrize("ctx", [F2, F5, FieldCtx.prime(2147483629), Q], ids=str)
+def test_totally_singular_witness_scans_the_upper_triangle(ctx):
+    # x^T K y = x_1 y_0: of the pair (e_0, e_1) only the lower entry (1, 0)
+    # of V K V^T is nonzero, so the scan over i <= j finds nothing; with
+    # the pair reversed the nonzero entry is (0, 1).
+    k = Matrix(ctx, [[0, 0], [1, 0]])
+    e0, e1 = (1, 0), (0, 1)
+    for vecs in ([e0, e1], [e1, e0]):
+        assert totally_singular_witness(k, vecs) == lazy_totally_singular_witness(k, vecs)
+    assert totally_singular_witness(k, [e0, e1]) is None
+    assert totally_singular_witness(k, [e1, e0]) == (0, 1)
+    assert totally_singular_witness(k, []) is None
 
 
 def test_find_lagrangian_dimension():
@@ -156,7 +182,7 @@ def reference_symplectic_basis(k, ys):
     xs = [particular_solution(constraints, tuple(minus_one if t == i else ctx.zero() for t in range(s))) for i in range(s)]
     for t in range(s):
         for i in range(t):
-            c = vec_dot(ctx, xs[i], mat_vec(k, xs[t]))
+            c = form_value(k, xs[i], xs[t])
             xs[t] = tuple(ctx.sub(a, ctx.mul(c, b)) for a, b in zip(xs[t], ys[i]))
     return Matrix(ctx, xs + list(ys)).transpose()
 
