@@ -1,10 +1,10 @@
 """Vectorized integer kernels for enumeration-scale verification over F_p.
 
-This is infrastructure, not arithmetic authority: entries are canonical
-residues with p < 2^31 in int64, where every product of two fits (skew
-elimination works in the narrowest signed type that holds its bound, int16
-for p <= 181 and int32 for p <= 46,337), every array is reduced by ``mod``,
-and the exact object-level linear algebra in :mod:`altrank.matrices`
+This is infrastructure, not arithmetic authority: entries are canonical residues, p < 2^31, in
+the narrowest signed type of one width ladder (``work_type``) that holds a kernel's bound: for
+members dim (p-1)^2 + p - 1 (int16 for p <= 7 at dim <= 35), for skew elimination (p-1)^2 + p - 1
+(int16 for p <= 181, int32 for p <= 46,337); ``batch_rank`` and powers work in int64.  Every array
+is reduced by ``mod``, and the exact object-level linear algebra in :mod:`altrank.matrices`
 independently covers the same operations at small scale (the test suite
 cross-checks the two).  Every rank scan over the members of a space
 (``profile_ranks``, ``first_index``) ranks them through one block ranker,
@@ -39,7 +39,7 @@ import numpy as np
 from .rand import GOLDEN, MASK64
 
 _CHUNK_ELEMS = 1 << 22
-_MOD_BLOCK = 1 << 15  # entries per block of ``mod``
+_MOD_BLOCK = 1 << 15  # entries per block of ``mod`` and draws per block of ``uniform_block``
 LEX_TABLE = 1 << 12  # most rows of a ``lex_members`` outer-sum table
 _INT64_MAX = (1 << 63) - 1
 GUARD_MEMBERS = 16  # leading members of each alternating chunk re-ranked by batch_rank
@@ -55,6 +55,12 @@ def _chunk_size(entry_size: int) -> int:
     return max(1024, _CHUNK_ELEMS // max(1, entry_size))
 
 
+def work_type(bound: int) -> type:
+    """The narrowest of int16, int32 and int64 whose max is at least ``bound`` (int64 past
+    that, where the caller sums in groups): the one width ladder of the engine."""
+    return np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
+
+
 def chunk_ranges(lo: int, hi: int, entry_size: int) -> Iterator[tuple[int, int]]:
     step = _chunk_size(entry_size)
     cur = lo
@@ -67,38 +73,46 @@ def chunk_ranges(lo: int, hi: int, entry_size: int) -> Iterator[tuple[int, int]]
 # -- counter-based sampling (mirrors altrank.rand bit for bit) -------------------
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on the uint64 words ``z``, in place; ``tmp`` is scratch of z's shape."""
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= np.uint64(mul)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
 
 
 def uniform_block(seed: int, counter_lo: int, shape: tuple[int, ...], bound: int) -> np.ndarray:
-    """Uniform integers in [0, bound), counters assigned row-major from counter_lo;
-    the seed is taken modulo 2^64, as ``rand.raw_word`` takes it."""
+    """Uniform integers in [0, bound), in ``work_type(bound - 1)``, counters row-major from counter_lo,
+    the seed taken modulo 2^64 as by ``rand.raw_word``.  Attempt a at draw lo + i mixes seed + GOLDEN
+    ((counter_lo + lo + i) 2^16 + a + 1) = const(lo, a) + i step mod 2^64, so a block of _MOD_BLOCK
+    draws is one ``arange`` times step plus a constant, mixed in place on one scratch buffer."""
     total = int(np.prod(shape)) if shape else 1
-    seed = np.uint64(seed & MASK64)
-    counters = np.arange(counter_lo, counter_lo + total, dtype=np.uint64)
-    limit_int = (1 << 64) - ((1 << 64) % bound)
+    step, most = np.uint64((GOLDEN << 16) & MASK64), np.uint64(MASK64 - (1 << 64) % bound)
+    ramp = np.arange(min(total, _MOD_BLOCK), dtype=np.uint64) * step
+    words, tmp, draws = np.empty_like(ramp), np.empty_like(ramp), np.empty(shape, work_type(bound - 1))
+
+    def mix(lo: int, attempt: int, offsets: np.ndarray, out: np.ndarray) -> np.ndarray:
+        const = (seed + GOLDEN * (((counter_lo + lo) << 16) + attempt + 1)) & MASK64
+        return _mix64(np.add(offsets, np.uint64(const), out=out), tmp[: out.size])
+
     with np.errstate(over="ignore"):
-        base = (counters << np.uint64(16)) + np.uint64(1)
-        out = _mix64(seed + np.uint64(GOLDEN) * base)
-        if limit_int < (1 << 64):
-            limit = np.uint64(limit_int)
-            bad = np.nonzero(out >= limit)[0]
-            attempt = 1
+        for lo in range(0, total, _MOD_BLOCK):
+            n = min(_MOD_BLOCK, total - lo)
+            z = mix(lo, 0, ramp[:n], words[:n])
+            bad, attempt = np.flatnonzero(z > most), 1
             while bad.size:
                 if attempt >= (1 << 16):
                     raise RuntimeError("rejection sampling failed to terminate")
-                retry = _mix64(
-                    seed
-                    + np.uint64(GOLDEN)
-                    * (((counters[bad] << np.uint64(16)) | np.uint64(attempt)) + np.uint64(1))
-                )
-                out[bad] = retry
-                bad = bad[retry >= limit]
+                offsets = bad.astype(np.uint64) * step
+                retry = mix(lo, attempt, offsets, offsets)
+                z[bad] = retry
+                bad = bad[retry > most]
                 attempt += 1
-    return mod(out, np.uint64(bound)).astype(np.int64).reshape(shape)
+            quot = np.floor_divide(z, np.uint64(bound), out=tmp[:n])
+            quot *= np.uint64(bound)
+            np.subtract(z, quot, out=draws.reshape(total)[lo : lo + n], casting="unsafe")
+    return draws
 
 
 def sampled_coords(seed: int, lo: int, hi: int, dim: int, bound: int) -> np.ndarray:
@@ -161,11 +175,16 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, acc, p: int) -> np.ndarray:
     return acc
 
 
-def members_from_coords(
-    coords: np.ndarray, base: np.ndarray, basis: np.ndarray, p: int
-) -> np.ndarray:
-    """Rows ``(base + coords @ basis) % p``, exact for every p < 2^31."""
-    return _matmul_mod(coords, basis, mod(base, p), p)
+def members_from_coords(coords: np.ndarray, base: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+    """Rows ``(base + coords @ basis) % p`` of canonical residues, exact for every p < 2^31, in ``work_type(dim
+    (p - 1)^2 + p - 1)``, which holds every partial sum: one integer ``einsum`` on C-contiguous copies in int16
+    or int32 (on a Fortran-ordered basis it is no faster than int64), else the int64 ``_matmul_mod``."""
+    work = work_type(basis.shape[0] * (p - 1) ** 2 + p - 1)
+    if work is np.int64:
+        return _matmul_mod(coords, basis, mod(base, p), p)
+    out = np.einsum("ij,jk->ik", np.ascontiguousarray(coords, work), np.ascontiguousarray(basis, work))
+    out += base.astype(work)
+    return mod(out, p, out=out)
 
 
 def power(a: np.ndarray, e: int, mul: Callable) -> np.ndarray:
@@ -193,7 +212,7 @@ def _inverse_table(p: int) -> np.ndarray:
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a stack of matrices over F_p, entries canonical residues.
-    Mutates ``mats``.
+    Mutates ``mats`` if it is int64; a narrower stack is widened into a copy.
 
     Column elimination without row swaps: column c pivots on its first row
     that is nonzero mod p, and every row takes the update
@@ -215,6 +234,7 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     computed by ``inverse_mod`` otherwise.
     """
     k, n, m = mats.shape
+    mats = mats.astype(np.int64, copy=False)
     inv_table = _inverse_table(p) if p <= k else None
     r = np.zeros(k, dtype=np.int64)
     every = np.arange(k)
@@ -293,7 +313,7 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     in ``batch_rank``.
     """
     k = upper.shape[0]
-    work = next(t for t in (np.int16, np.int32, np.int64) if p - 1 + (p - 1) ** 2 <= np.iinfo(t).max)
+    work = work_type(p - 1 + (p - 1) ** 2)
     inv_table = _inverse_table(p).astype(work) if p <= k else None
     rank = np.zeros(k, dtype=np.int64)
     live = np.arange(k)
@@ -479,7 +499,8 @@ def unit_eigen_hits(basis_flat: np.ndarray, n: int, p: int):
         k = np.searchsorted(starts, j, side="right") - 1
         idx = j - starts[k] + p**k
         coords = mod(idx[:, None] // p ** np.arange(dim - 1, -1, -1), p)
-        z = members_from_coords(coords, np.zeros(n * n, np.int64), basis_flat, p).reshape(-1, n, n)
+        z = members_from_coords(coords, np.zeros(n * n, np.int64), basis_flat, p).astype(np.int64)
+        z = z.reshape(-1, n, n)
         out = power(z, p - 1, lambda x, y: _matmul_mod(x, y, 0, p))
         out[:, diag, diag] = mod(out[:, diag, diag] - 1, p)
         return idx[batch_rank(out, p) < n]

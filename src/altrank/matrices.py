@@ -27,41 +27,39 @@ Vector = tuple[Element, ...]
 
 
 class Matrix:
-    """Immutable dense matrix over a :class:`FieldCtx`."""
+    """Immutable dense matrix over a :class:`FieldCtx`.  Its width is kept, not read from a first row, so 0 x k
+    and k x 0 shapes are faithful: ``ncols`` is the width of empty ``rows`` (0 if omitted), else their length."""
 
     __slots__ = ("ctx", "data", "nrows", "ncols")
 
-    def __init__(self, ctx: FieldCtx, rows: Iterable[Iterable[Element]]):
+    def __init__(self, ctx: FieldCtx, rows: Iterable[Iterable[Element]], ncols: int | None = None):
         norm = ctx.normalize
         data = tuple(tuple(norm(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
+        width = len(data[0]) if data else ncols or 0
+        if any(len(r) != width for r in data) or ncols not in (None, width):
+            raise ValueError("ragged rows, or rows of a length other than ncols")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nrows", len(data))
         object.__setattr__(self, "ncols", width)
 
     @staticmethod
-    def _trusted(ctx: FieldCtx, data: tuple[Vector, ...]) -> "Matrix":
-        """A matrix over ``data`` as given: a tuple of equal-length tuples of
+    def _trusted(ctx: FieldCtx, data: tuple[Vector, ...], ncols: int) -> "Matrix":
+        """A matrix over ``data`` as given: a tuple of tuples of length ``ncols`` of
         canonical entries.  Only for results of this module's own arithmetic,
         which are canonical already; outside input goes through ``Matrix(...)``."""
         m = object.__new__(Matrix)
         object.__setattr__(m, "ctx", ctx)
         object.__setattr__(m, "data", data)
         object.__setattr__(m, "nrows", len(data))
-        object.__setattr__(m, "ncols", len(data[0]) if data else 0)
+        object.__setattr__(m, "ncols", ncols)
         return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     def __reduce__(self):
-        return Matrix, (self.ctx, self.data)
+        return Matrix, (self.ctx, self.data, self.ncols)
 
     # -- constructors --------------------------------------------------------
 
@@ -69,7 +67,7 @@ class Matrix:
     def zeros(ctx: FieldCtx, nrows: int, ncols: int | None = None) -> "Matrix":
         ncols = nrows if ncols is None else ncols
         z = ctx.zero()
-        return Matrix(ctx, [[z] * ncols for _ in range(nrows)])
+        return Matrix(ctx, [[z] * ncols for _ in range(nrows)], ncols)
 
     @staticmethod
     def identity(ctx: FieldCtx, n: int) -> "Matrix":
@@ -99,6 +97,7 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.ctx == other.ctx
+            and self.ncols == other.ncols
             and self.data == other.data
         )
 
@@ -140,6 +139,7 @@ class Matrix:
                 tuple([add(a, b) for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.data, other.data)
             ),
+            self.ncols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -151,22 +151,23 @@ class Matrix:
                 tuple([sub(a, b) for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.data, other.data)
             ),
+            self.ncols,
         )
 
     def __neg__(self) -> "Matrix":
         neg = self.ctx.neg
-        return Matrix._trusted(self.ctx, tuple(tuple([neg(a) for a in row]) for row in self.data))
+        return Matrix._trusted(self.ctx, tuple(tuple([neg(a) for a in row]) for row in self.data), self.ncols)
 
     def scale(self, c: Element) -> "Matrix":
         mul, c = self.ctx.mul, self.ctx.normalize(c)
-        return Matrix._trusted(self.ctx, tuple(tuple([mul(c, a) for a in row]) for row in self.data))
+        return Matrix._trusted(self.ctx, tuple(tuple([mul(c, a) for a in row]) for row in self.data), self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ctx != other.ctx:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        bt = list(zip(*other.data))
+        bt = list(zip(*other.data)) or [()] * other.ncols
         if self.ctx.kind == "prime":
             p = self.ctx.p
             return Matrix._trusted(
@@ -175,15 +176,17 @@ class Matrix:
                     tuple([sum([a * b for a, b in zip(row, col)]) % p for col in bt])
                     for row in self.data
                 ),
+                other.ncols,
             )
         z = self.ctx.zero()
         return Matrix._trusted(
             self.ctx,
             tuple(tuple([sum([a * b for a, b in zip(row, col)], z) for col in bt]) for row in self.data),
+            other.ncols,
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(self.ctx, tuple(zip(*self.data))) if self.data else self
+        return Matrix._trusted(self.ctx, tuple(zip(*self.data)) or ((),) * self.ncols, self.nrows)
 
     @property
     def T(self) -> "Matrix":
@@ -198,14 +201,16 @@ class Matrix:
     # -- slicing and stacking ----------------------------------------------------
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        return Matrix._trusted(self.ctx, tuple(row[c0:c1] for row in self.data[r0:r1]))
+        rows = tuple(row[c0:c1] for row in self.data[r0:r1])
+        return Matrix._trusted(self.ctx, rows, len(range(self.ncols)[c0:c1]))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.ctx != other.ctx:
             raise ValueError("field mismatch")
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Matrix._trusted(self.ctx, tuple(ra + rb for ra, rb in zip(self.data, other.data)))
+        rows = tuple(ra + rb for ra, rb in zip(self.data, other.data))
+        return Matrix._trusted(self.ctx, rows, self.ncols + other.ncols)
 
     def flatten(self) -> Vector:
         """Row-major vectorization."""
@@ -219,7 +224,7 @@ class Matrix:
         span = Span(self.ctx, self.data, width=self.ncols)
         zero_row = (self.ctx.zero(),) * self.ncols
         rows = tuple(span.rows) + (zero_row,) * (self.nrows - span.dim)
-        return Matrix._trusted(self.ctx, rows), tuple(span.pivots)
+        return Matrix._trusted(self.ctx, rows, self.ncols), tuple(span.pivots)
 
     def rank(self) -> int:
         """Rank by ``_eliminate`` (fraction-free over Q); asserts even rank on alternating input."""
@@ -453,7 +458,7 @@ def place_blocks(
     for r0, c0, block in blocks:
         for i, row in enumerate(block.data):
             data[r0 + i][c0 : c0 + len(row)] = row
-    return Matrix(ctx, data)
+    return Matrix(ctx, data, ncols)
 
 
 # -- Pfaffians ------------------------------------------------------------------
@@ -551,7 +556,7 @@ def alternating_from_upper(ctx: FieldCtx, n: int, coords: Sequence[Element]) -> 
         c = ctx.normalize(c)
         rows[i][j] = c
         rows[j][i] = ctx.neg(c)
-    return Matrix._trusted(ctx, tuple(map(tuple, rows)))
+    return Matrix._trusted(ctx, tuple(map(tuple, rows)), n)
 
 
 def alternating_units(ctx: FieldCtx, n: int) -> list[Matrix]:

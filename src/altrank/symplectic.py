@@ -34,9 +34,7 @@ def radical(a: Matrix) -> list[Vector]:
 def totally_singular_witness(gram: Matrix, vecs: Sequence[Vector]) -> tuple[int, int] | None:
     """First (i, j), i <= j in row-major order, with vecs[i]^T gram vecs[j] != 0:
     the first nonzero upper-triangle entry of V gram V^T, V the rows ``vecs``."""
-    if not vecs:
-        return None
-    v = Matrix(gram.ctx, vecs)
+    v = Matrix(gram.ctx, vecs, gram.nrows)
     values = (v @ gram @ v.T).data
     return next(((i, j) for i, row in enumerate(values) for j in range(i, len(row)) if row[j] != 0), None)
 
@@ -51,8 +49,8 @@ def find_lagrangian(k: Matrix) -> list[Vector]:
     basis: list[Vector] = []
     span = Span(ctx, [], width=n)
     while len(basis) < s:
-        # with no basis yet, the zero row's kernel is the unit vectors in order
-        constraints = Matrix(ctx, basis or [(ctx.zero(),) * n]) @ k
+        # with no basis yet there is no constraint, and the kernel basis is the unit vectors in order
+        constraints = Matrix(ctx, basis, n) @ k
         for v in constraints.kernel_basis():
             if span.add(v):
                 basis.append(v)

@@ -467,7 +467,7 @@ def test_lex_members_match_members_from_coords(p, q, dim, width):
     members = _engine.lex_members(base, basis, p, q)
     for lo, hi in lex_ranges(q, dim):
         got = members(lo, hi)
-        assert got.shape == (hi - lo, width) and got.dtype == np.int64
+        assert got.shape == (hi - lo, width) and got.dtype == _engine.work_type(dim * (p - 1) ** 2 + p - 1)
         assert (got == lex_reference(base, basis, p, q, lo, hi)).all(), (lo, hi)
 
 
@@ -543,6 +543,50 @@ def test_mod_matches_remainder(dtype, p):
 def test_inverse_mod(p):
     a = np.array(sorted({1, 2 % p or 1, p - 1, p // 2 or 1, (p * 7) // 9 or 1}), dtype=np.int64)
     assert ((_engine.inverse_mod(a, p) * a) % p == 1).all()
+
+
+@pytest.mark.parametrize("p, dims, work", [
+    (181, [1], np.int16), (181, [2], np.int32), (191, [1], np.int32),
+    (46_337, [1], np.int32), (46_337, [2], np.int64),
+    (3, range(36), np.int16), (5, range(36), np.int16), (7, range(36), np.int16),
+])
+def test_narrow_assembly_matches_matmul_mod(p, dims, work):
+    # both sides of each step of the width ladder: the bound dim (p-1)^2 + p - 1
+    # is 32,580 at (181, 1), 64,980 at (181, 2), 36,290 at (191, 1), 2,147,071,232
+    # at (46,337, 1) and past 2^31 at (46,337, 2); and the grid's own shapes, p <= 7
+    # at dim <= 35.  Row 0, column 0 is the bound itself.
+    for dim in dims:
+        rng = np.random.default_rng([p, dim])
+        coords = np.vstack([np.full((1, dim), p - 1), rng.integers(0, p, (300, dim))])
+        basis, base = rng.integers(0, p, (dim, 36)), rng.integers(0, p, 36)
+        basis[:, 0], base[0] = p - 1, p - 1
+        want = _engine._matmul_mod(coords, basis, base, p)
+        assert want[0, 0] == (dim * (p - 1) ** 2 + p - 1) % p
+        # sampled coordinates come in their own ladder type, and a column gather
+        # of the flat basis (as the block ranker makes) is Fortran-ordered
+        for c, b in ((coords, basis), (coords.astype(_engine.work_type(p - 1)), np.asfortranarray(basis))):
+            got = _engine.members_from_coords(c, base, b, p)
+            assert got.dtype == work and (got == want).all(), dim
+
+
+def test_sampled_profile_of_the_9_6_f7_h_bar_cell_is_unchanged():
+    # a sampled grid cell (dim 27 over F_7), assembled in int16: the extremes and
+    # their indices are those the int64 product gave, and those of an int64
+    # reference built with _matmul_mod and ranked by batch_rank
+    p, n, seed, total = 7, 9, 20260814, 20000
+    sp = build_rank_at_least_space(FieldCtx.prime(p), n, 6)
+    base, basis = sp.flat_arrays()
+    got = _engine.profile_ranks(
+        [(p, base, basis)], n, n, p, exhaustive=False, total=total, seed=seed, alternating=True
+    )
+    assert got == (6, 193, 8, 0)
+    coords = _engine.sampled_coords(seed, 0, total, sp.dim, p)
+    assert coords.dtype == np.int16
+    ranks = _engine.batch_rank(_engine._matmul_mod(coords.astype(np.int64), basis, base, p).reshape(-1, n, n), p)
+    assert got == (ranks.min(), ranks.argmin(), ranks.max(), ranks.argmax())
+    prof = rank_profile(sp, budget=10**5, samples=total, seed=seed)
+    assert (prof.min_rank, prof.max_rank) == (6, 8)
+    assert (prof.witness_min, prof.witness_max) == tuple(tuple(int(c) for c in coords[i]) for i in (193, 0))
 
 
 def test_members_from_coords_is_exact_near_2_31():

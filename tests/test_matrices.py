@@ -53,6 +53,21 @@ def test_identity_and_zeros():
     assert Matrix.zeros(F3, 2, 4).shape == (2, 4)
 
 
+def test_empty_shapes_are_faithful():
+    # the width is kept, not read from a first row that an empty matrix lacks
+    assert Matrix.zeros(F5, 0, 3).shape == (0, 3)
+    assert Matrix.zeros(F5, 3, 0).T.shape == (0, 3)
+    assert Matrix.zeros(F5, 0, 3).T.shape == (3, 0)
+    assert Matrix.zeros(F5, 2, 0) @ Matrix.zeros(F5, 2, 0).T == Matrix.zeros(F5, 2)
+    assert Matrix.zeros(F5, 0, 2) @ Matrix.zeros(F5, 2, 4) == Matrix.zeros(F5, 0, 4)
+    assert Matrix.zeros(F5, 0, 3) != Matrix.zeros(F5, 0, 2)
+    assert Matrix.zeros(F5, 0, 3).hstack(Matrix.zeros(F5, 0, 2)).shape == (0, 5)
+    assert Matrix.zeros(F5, 2, 3).block(0, 2, 1, 9).shape == (2, 2)
+    assert Matrix(F5, [], 4).shape == (0, 4) and Matrix(F5, [[1, 2]], 2).shape == (1, 2)
+    with pytest.raises(ValueError):
+        Matrix(F5, [[1, 2]], 3)
+
+
 def test_matmul_shapes():
     a = Matrix(Q, [[1, 2, 3]])
     b = Matrix(Q, [[1], [0], [2]])

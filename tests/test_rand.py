@@ -100,6 +100,28 @@ def test_engine_uniform_block_matches_scalar():
     blk = _engine.uniform_block(42, 100, 60, 7)
     ref = np.array([uniform_below(42, c, 7) for c in range(100, 160)])
     assert (blk == ref).all()
+    # written straight into the narrowest ladder type that holds bound - 1, at
+    # seeds taken modulo 2^64; the last bound rejects about a third of raw
+    # words, so it takes the retry path
+    big = (1 << 64) // 3 + 1
+    ladder = [(7, np.int16), (32_768, np.int16), (32_769, np.int32), (46_337, np.int32), (big, np.int64)]
+    for seed in (42, -1, MASK64, MASK64 + 1):
+        for bound, dtype in ladder:
+            blk = _engine.uniform_block(seed, 100, (6, 10), bound)
+            assert blk.dtype == dtype and blk.shape == (6, 10)
+            assert blk.reshape(60).tolist() == [uniform_below(seed, c, bound) for c in range(100, 160)]
+    # draws run in blocks of _MOD_BLOCK: check both sides of each boundary, the
+    # retries in later blocks included, and that a split range draws the same
+    step = _engine._MOD_BLOCK
+    near = [i for b in (step, 2 * step) for i in range(b - 12, min(b + 12, 2 * step + 7))]
+    limit = (1 << 64) - (1 << 64) % big
+    assert any(raw_word(-1, 3 + i, 0) >= limit for i in near if i >= step)
+    for bound in (5, big):
+        blk = _engine.uniform_block(-1, 3, 2 * step + 7, bound)
+        assert [int(blk[i]) for i in near] == [uniform_below(-1, 3 + i, bound) for i in near]
+        head = _engine.uniform_block(-1, 3, step + 1, bound)
+        tail = _engine.uniform_block(-1, 3 + step + 1, step + 6, bound)
+        assert (np.concatenate([head, tail]) == blk).all()
 
 
 @pytest.mark.parametrize("seed", [-1, MASK64, MASK64 + 1, MASK64 + 6])

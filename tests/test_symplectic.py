@@ -65,6 +65,9 @@ def test_totally_singular_witness():
     assert totally_singular_witness(k, bad) is not None
     i, j = totally_singular_witness(k, bad)
     assert form_value(k, bad[i], bad[j]) != 0
+    # no vectors, and zero-width vectors of a 0 x 0 gram, whose forms are all zero
+    assert totally_singular_witness(k, []) is None
+    assert totally_singular_witness(Matrix.zeros(F5, 0), [(), ()]) is None
 
 
 @pytest.mark.parametrize("ctx", [F2, F5, FieldCtx.prime(2147483629), Q], ids=str)
