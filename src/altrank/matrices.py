@@ -11,7 +11,8 @@ L the common denominator, and forms a Fraction only for the answer.
 per step; ``_engine.skew_rank`` does the same on whole stacks, after moving
 each member's pivot pair to (0, 1).  One ``integer_lift`` serves both
 Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every
-sum of products, form values x^T K y included, is one ``Matrix`` product.
+sum of products, form values x^T K y included, is one ``Matrix`` product,
+whose entries are each one ``sum(map(mul, row, col))``, reduced once mod p.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .fields import Element, FieldCtx
@@ -170,20 +172,11 @@ class Matrix:
         bt = list(zip(*other.data)) or [()] * other.ncols
         if self.ctx.kind == "prime":
             p = self.ctx.p
-            return Matrix._trusted(
-                self.ctx,
-                tuple(
-                    tuple([sum([a * b for a, b in zip(row, col)]) % p for col in bt])
-                    for row in self.data
-                ),
-                other.ncols,
-            )
-        z = self.ctx.zero()
-        return Matrix._trusted(
-            self.ctx,
-            tuple(tuple([sum([a * b for a, b in zip(row, col)], z) for col in bt]) for row in self.data),
-            other.ncols,
-        )
+            data = tuple(tuple([sum(map(mul, row, col)) % p for col in bt]) for row in self.data)
+        else:
+            z = self.ctx.zero()
+            data = tuple(tuple([sum(map(mul, row, col), z) for col in bt]) for row in self.data)
+        return Matrix._trusted(self.ctx, data, other.ncols)
 
     def transpose(self) -> "Matrix":
         return Matrix._trusted(self.ctx, tuple(zip(*self.data)) or ((),) * self.ncols, self.nrows)
@@ -286,10 +279,13 @@ class Matrix:
         data = obj["data"]
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix data must be a list of rows")
-        m = Matrix(ctx, [[ctx.parse_element(x) for x in row] for row in data])
-        if m.shape != (obj["rows"], obj["cols"]):
+        nrows, ncols = obj["rows"], obj["cols"]
+        if not all(type(x) is int and x >= 0 for x in (nrows, ncols)):
+            raise ValueError("declared rows and cols must be non-negative integers")
+        entries = [[ctx.parse_element(x) for x in row] for row in data]
+        if len(entries) != nrows or any(len(row) != ncols for row in entries):
             raise ValueError("declared shape does not match data")
-        return m
+        return Matrix(ctx, entries, ncols)
 
 
 # -- echelon spans -------------------------------------------------------------------

@@ -280,14 +280,18 @@ def _reduce(
     cert.witnesses["base_point_coords"] = [ctx.element_to_str(c) for c in coords0]
 
     p1, k = normalize_radical_to_tail(s0)
-    sp1 = congruence_act(AffineMatrixSpace(s0, sp.basis), p1)
-    reports = analyze.flanders_atkinson_check(sp1.basis, r, "alternating", k)
+    # The images under P1 and P2 stay a base and a generator list: congruence by an
+    # invertible matrix keeps generators independent, P1 is invertible by construction,
+    # symplectic_basis checks det P2 != 0, and the final congruence_act proves
+    # det P = det P1 det P2 det Q' != 0 before set equality.
+    base1, gens1 = p1.T @ s0 @ p1, [p1.T @ g @ p1 for g in sp.basis]
+    reports = analyze.flanders_atkinson_check(gens1, r, "alternating", k)
     failed = next((rep for rep in reports if not rep.conclusions_hold), None)
     if failed is not None:
         return {"step": "generator_identities", "report": failed.to_json()}
 
     kinv = k.inverse()
-    ops = [kinv @ b for b in _independent([g.block(0, r, r, n) for g in sp1.basis])]
+    ops = [kinv @ b for b in _independent([g.block(0, r, r, n) for g in gens1])]
     try:
         lag = analyze.extract_range_lagrangian(ops, k)
     except (ValueError, ContractError) as exc:
@@ -296,19 +300,17 @@ def _reduce(
         return {"step": "lagrangian_extraction", "error": "slab span sits below the equality bound"}
     cert.lagrangian = lag
 
-    for member in (sp1.base, *sp1.basis):
+    for member in (base1, *gens1):
         if totally_singular_witness(member.block(0, r, 0, r), lag) is not None:
             return {"step": "lagrangian_singularity", "member": member.to_json()}
 
     p2r = symplectic_basis(k, lag)
     p2 = place_blocks(ctx, n, n, [(0, 0, p2r), (r, r, Matrix.identity(ctx, n - r))])
-    sp2 = congruence_act(sp1, p2)
-    if not all(m.block(s, n, s, n).is_zero() for m in (sp2.base, *sp2.basis)):
+    base2, gens2 = p2.T @ base1 @ p2, [p2.T @ g @ p2 for g in gens1]
+    if not all(m.block(s, n, s, n).is_zero() for m in (base2, *gens2)):
         return {"step": "normal_form"}
 
-    slab = AffineMatrixSpace(
-        sp2.base.block(0, s, s, n), _independent([g.block(0, s, s, n) for g in sp2.basis])
-    )
+    slab = AffineMatrixSpace(base2.block(0, s, s, n), _independent([g.block(0, s, s, n) for g in gens2]))
     try:
         qprime, m_space = reduce_full_row_rank(slab)
     except (ValueError, ContractError) as exc:

@@ -44,6 +44,24 @@ def pencil_symplectic_iff_trivial_spectrum(k, g):
     return first_singular(k, g) is None, first_singular(k.inverse() @ g, minus_one, 1) is None
 
 
+def reference_matmul(a, b):
+    """a @ b from the definition: entry (i, j) summed one ``ctx.mul``/``ctx.add``
+    at a time, the oracle of the one-dot-per-entry ``Matrix.__matmul__``."""
+    ctx = a.ctx
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = ctx.zero()
+            for k in range(a.ncols):
+                acc = ctx.add(acc, ctx.mul(a[i, k], b[k, j]))
+            row.append(acc)
+        rows.append(row)
+    return Matrix(ctx, rows, b.ncols)
+
+
 def lazy_totally_singular_witness(gram, vecs):
     """First (i, j), i <= j in row-major order, with vecs[i]^T gram vecs[j] != 0,
     or None: the scan that ``symplectic.totally_singular_witness`` replaced.

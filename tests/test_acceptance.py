@@ -4,6 +4,8 @@ Every check is exact (zero tolerance); runtime caps are asserted so a
 regression that silently blows the budget fails loudly.
 """
 
+import hashlib
+import json
 import time
 
 from altrank import (
@@ -214,9 +216,14 @@ def test_05_degeneration_conclusions():
     assert not violations, violations[:3]
 
 
+# sha256 over the 100 certificates below, each fed in order as sorted-key JSON
+CERTIFICATES_SHA256 = "e129e6d47e06c6ab126df3a733c612f466535250c6d404d1f32f4bea13f093d5"
+
+
 def test_06_reduction_round_trip():
     t0 = time.monotonic()
     failures = []
+    digest = hashlib.sha256()
 
     sp7 = build_bordered_alternating(F5, 7, 2)
     planted2 = build_unitriangular_space(F5, 2)
@@ -225,6 +232,7 @@ def test_06_reduction_round_trip():
         p0 = random_invertible(F5, 7, stream)
         moved = congruence_act(sp7, p0)
         cert = canonical_reduction(moved, 4, seed=trial)
+        digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
         good = all(cert.verdicts.values())
         good = good and spaces_equal(
             congruence_act(moved, cert.P),
@@ -242,6 +250,7 @@ def test_06_reduction_round_trip():
         p0 = random_invertible(F7, 9, stream)
         moved = congruence_act(sp9, p0)
         cert = canonical_reduction(moved, 6, seed=trial)
+        digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
         good = all(cert.verdicts.values())
         good = good and spaces_equal(
             congruence_act(moved, cert.P),
@@ -252,10 +261,11 @@ def test_06_reduction_round_trip():
         if not good:
             failures.append(("rt9", trial, cert.verdicts))
 
-    ok = not failures
+    pinned = digest.hexdigest() == CERTIFICATES_SHA256
     elapsed = time.monotonic() - t0
-    report(6, "reduction round trip", ok and elapsed < 600, t0)
+    report(6, "reduction round trip", not failures and pinned and elapsed < 600, t0)
     assert not failures, failures[:3]
+    assert pinned, digest.hexdigest()
     assert elapsed < 600
 
 

@@ -239,6 +239,18 @@ def test_malformed_walk_sizes_are_usage_errors(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("cols", [-5, True, "5"], ids=["negative", "bool", "string"])
+def test_malformed_matrix_width_is_usage_error(tmp_path, capsys, cols):
+    obj = build_bordered_alternating(F5, 5, 1).to_json()
+    obj["base"]["cols"] = cols
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(obj))
+    code, text = run(tmp_path, "verify", "--in", str(src), "--check", "rank-profile")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_construct_negative_symplectic_size_is_usage_error(tmp_path, capsys):
     code, text = run(tmp_path, "construct", "--family", "standard-symplectic", "--field", "Fp:3", "--s", "-1")
     err = capsys.readouterr().err

@@ -17,11 +17,13 @@ from altrank.matrices import (
     upper_pairs,
 )
 from altrank.rand import CounterStream, derive_seed, random_alternating, random_invertible, random_matrix
+from reference import reference_matmul
 
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
 Q = FieldCtx.rational()
+F_BIG = FieldCtx.prime(2147483629)
 
 
 def det_permutation_oracle(m):
@@ -511,3 +513,45 @@ def test_json_round_trip():
     assert Matrix.from_json(m.to_json()) == m
     mq = Matrix(Q, [[Fraction(1, 3), 2]])
     assert Matrix.from_json(mq.to_json()) == mq
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_json_round_trip_of_empty_shapes(shape):
+    m = Matrix.zeros(F5, *shape)
+    back = Matrix.from_json(m.to_json())
+    assert back == m and back.shape == shape
+
+
+@pytest.mark.parametrize("key", ["rows", "cols"])
+@pytest.mark.parametrize("bad", [-1, True, False, "2", 2.0, None])
+def test_json_shape_must_be_non_negative_ints(key, bad):
+    obj = Matrix.zeros(F5, 1, 1).to_json() | {key: bad}
+    with pytest.raises(ValueError):
+        Matrix.from_json(obj)
+
+
+def _product_operand(ctx, rng, nrows, ncols):
+    """Seeded entries: over F_p half of them within 3 of p - 1 (big-integer
+    products at p near 2^31), over Q fractions with denominators up to 7."""
+
+    def draw():
+        if ctx.kind != "prime":
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+        p = ctx.p
+        return rng.randrange(max(0, p - 4), p) if rng.random() < 0.5 else rng.randrange(p)
+
+    return Matrix(ctx, [[draw() for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.prime(2), F7, F_BIG, Q], ids=["F2", "F7", "F2147483629", "Q"])
+def test_product_matches_entrywise_reference(ctx):
+    rng = random.Random(f"matmul-{ctx.to_str()}")
+    shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1), (2, 5, 3), (5, 7, 3), (9, 9, 9), (4, 1, 6)]
+    for m, k, n in shapes:
+        for _ in range(3):
+            a, b = _product_operand(ctx, rng, m, k), _product_operand(ctx, rng, k, n)
+            prod = a @ b
+            assert prod.shape == (m, n) and prod == reference_matmul(a, b)
+            kind = int if ctx.kind == "prime" else Fraction
+            assert all(type(x) is kind for row in prod.data for x in row)
+            assert ctx.kind != "prime" or all(0 <= x < ctx.p for row in prod.data for x in row)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -434,7 +435,13 @@ def test_canonical_reduction_rejects_nonconstant_rank():
     cert = canonical_reduction(broken, 4, seed=0)
     assert not cert.all_verdicts_true
     assert not cert.verdicts["generator_identities"]
-    assert cert.witnesses["failure"]["step"] == "generator_identities"
+    assert json.loads(json.dumps(cert.witnesses["failure"])) == {
+        "step": "generator_identities",
+        "report": {
+            "mode": "alternating", "r": 4, "hypothesis_held": False,
+            "first_failure": {"kind": "hypothesis", "detail": [1, 1, 6]},
+        },
+    }
 
 
 def test_canonical_reduction_rejects_singular_inner_family():
@@ -470,6 +477,15 @@ LATE_FAILURES = [
     ("complement_uniqueness", reduction, "unique_totally_singular_complement", _refuse_complement),
 ]
 
+# sha256 of each late failure's whole certificate as sorted-key JSON, pinned so
+# that no change to the pipeline's intermediate steps alters a recorded witness
+LATE_FAILURE_DIGESTS = {
+    "lagrangian_extraction": "3916c64ee4cc3a9726ff1b9fd7e268ac46953de9129008790df22eafc90af333",
+    "lagrangian_singularity": "a4d8180fef1450542619efd34c9b0369a5be4154bf0bfec346f314a96d373f8a",
+    "normal_form": "ddb64e31cbe0963058d8a4bd891f1c16440a5472e4b8633159a644206eb3148b",
+    "complement_uniqueness": "3c80490f8bf6f3eb961f3f294aa957765294707c7bfdfa317032ced6d293fb2d",
+}
+
 
 @pytest.mark.parametrize("step, module, attr, stand_in", LATE_FAILURES, ids=[c[0] for c in LATE_FAILURES])
 def test_canonical_reduction_records_late_failures(monkeypatch, step, module, attr, stand_in):
@@ -484,6 +500,8 @@ def test_canonical_reduction_records_late_failures(monkeypatch, step, module, at
     assert cert.witnesses["failure"]["step"] == step
     obj = json.loads(json.dumps(cert.to_json()))
     assert obj["verdicts"] == cert.verdicts and obj["witnesses"]["failure"]["step"] == step
+    blob = json.dumps(cert.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == LATE_FAILURE_DIGESTS[step]
 
 
 def nonconstant_space(ctx, n, s, kind, trial):
