@@ -86,7 +86,7 @@ class CounterStream:
 def random_matrix(ctx: FieldCtx, nrows: int, ncols: int, stream: CounterStream, box: int = DEFAULT_RATIONAL_BOX):
     from .matrices import Matrix
 
-    return Matrix(ctx, [[stream.element(ctx, box) for _ in range(ncols)] for _ in range(nrows)])
+    return Matrix(ctx, [[stream.element(ctx, box) for _ in range(ncols)] for _ in range(nrows)], ncols)
 
 
 def random_alternating(ctx: FieldCtx, n: int, stream: CounterStream, box: int = DEFAULT_RATIONAL_BOX):

@@ -19,7 +19,7 @@ import numpy as np
 from . import _engine
 from .errors import BudgetExceededError
 from .fields import Element, FieldCtx
-from .matrices import Matrix, Span, alternating_from_upper
+from .matrices import Matrix, Span, alternating_from_upper, upper_pairs
 
 _WALK_ELEMS = 1 << 16  # parent-mask entries behind one block of the coset walk (at least one pair)
 
@@ -228,10 +228,15 @@ def exhaustive_optimal_dimension(
     """Exact maximum dimension of an affine subspace of A_n(F_q) satisfying
     ``predicate`` ("constant-rank" or "rank-at-least" relative to r).
 
-    Each dimension walks the direction spaces in ``echelon_bases`` order, one
-    echelon row at a time, and tracks which cosets of the rows chosen so far
-    hold no bad member; a prefix with too few of them to make up one coset of
-    a d-space prunes every space that extends it.  The witness is the first
+    Each dimension is first decided by ``_level_nonempty``: for d >= 1, a
+    good d-flat exists iff one exists whose direction space holds the rank-2k
+    representative e_01 + ... + e_(2k-2)(2k-1) for some k, which is one
+    (d-1)-dimensional walk over the cosets of that representative per k.
+    Only a nonempty level is then walked in full: the direction spaces in
+    ``echelon_bases`` order, one echelon row at a time, tracking which cosets
+    of the rows chosen so far hold no bad member; a prefix with too few of
+    them to make up one coset of a d-space prunes every space that extends
+    it, and the walk stops at its first witness.  The witness is the first
     space with a good coset, its least one by reduced representative, and
     that coset's least member.  Both predicates pass to affine subspaces, so
     the search stops at the first empty level.  ``work_budget`` bounds spaces
@@ -265,10 +270,12 @@ def exhaustive_optimal_dimension(
             raise BudgetExceededError(
                 f"dimension {d} needs {n_spaces} x {total} work units"
             )
-        found = _coset_walk(bad, m, d, q)
-        exists_by_dim[d] = found is not None
-        if found is None:
+        exists_by_dim[d] = _level_nonempty(bad, n, d, q)
+        if not exists_by_dim[d]:
             break
+        found = _coset_walk(bad, m, d, q)
+        if found is None:
+            raise AssertionError(f"dimension {d}: the per-class decision found a space the ordered walk missed")
         max_dim = d
         w_rows, rep = found
         base = alternating_from_upper(ctx, n, [int(v) for v in rep])
@@ -279,6 +286,33 @@ def exhaustive_optimal_dimension(
             if k < r or (predicate == "constant-rank" and k != r):
                 raise AssertionError("optimal-search witness failed exact re-verification")
     return OptimalSearchResult(max_dim=max_dim, exists_by_dim=exists_by_dim, witness=witness)
+
+
+def _level_nonempty(bad: np.ndarray, n: int, d: int, q: int) -> bool:
+    """Whether some d-flat of strict upper triangles avoids ``bad``; for d >= 1,
+    decided one congruence class of directions at a time.
+
+    Congruence X -> P^T X P keeps every rank and acts transitively on the
+    alternating matrices of each rank 2k, so a good d-flat exists iff one
+    exists whose direction space W holds w_k = e_01 + e_23 + ... +
+    e_(2k-2)(2k-1) for some k.  Coordinate 0 of w_k (the pair (0, 1)) is 1,
+    so W = <w_k> + (W meet {x_0 = 0}), and the flat is good iff its image in
+    F_q^(m-1), a (d-1)-flat, holds only good cosets u + <w_k> (u_0 = 0): those
+    with u + lambda w_k good for every lambda in F_q.
+    """
+    if d == 0:
+        return not bad.all()
+    m = n * (n - 1) // 2
+    good = ~bad.reshape((q,) * m)
+    pairs = upper_pairs(n)
+    for k in range(1, n // 2 + 1):
+        axes = tuple(pairs.index((2 * i, 2 * i + 1)) for i in range(1, k))
+        # entry u of the slice x_0 = lambda rolled back by lambda is u + lambda w_k;
+        # each slice keeps its axis 0, so a roll never meets a 0-d array
+        coset_good = np.logical_and.reduce([np.roll(good[lam : lam + 1], -lam, axis=axes) for lam in range(q)])
+        if _coset_walk(~coset_good, m - 1, d - 1, q) is not None:
+            return True
+    return False
 
 
 def _coset_walk(bad: np.ndarray, m: int, d: int, q: int):

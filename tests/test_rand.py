@@ -13,6 +13,7 @@ from altrank.rand import (
     mix64,
     random_alternating,
     random_invertible,
+    random_matrix,
     raw_word,
     uniform_below,
 )
@@ -92,6 +93,12 @@ def test_random_matrix_helpers():
     assert pfaffian(ia) != 0
     with pytest.raises(ValueError):
         random_invertible_alternating(F5, 3, s)
+
+
+@pytest.mark.parametrize("nrows,ncols", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_random_matrix_keeps_its_shape(nrows, ncols):
+    s = CounterStream(derive_seed(5, "shape"))
+    assert random_matrix(F5, nrows, ncols, s).shape == (nrows, ncols)
 
 
 def test_engine_uniform_block_matches_scalar():

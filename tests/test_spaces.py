@@ -460,6 +460,28 @@ def test_optimal_search_budgets():
         exhaustive_optimal_dimension(3, 1, F3, "constant-rank")
 
 
+@pytest.mark.parametrize(
+    "n,r,q,message,max_dim,exists_by_dim,base,basis",
+    [
+        # 5.6 s and 1.3 s by the ordered walk alone; the values are that walk's
+        (4, 4, 5, "dimension 2 needs 508431 x 15625", 2, {0: True, 1: True, 2: True, 3: False},
+         (0, 0, 1, 1, 0, 0), [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]),
+        (5, 2, 2, "dimension 3 needs 6347715 x 1024", 3, {0: True, 1: True, 2: True, 3: True, 4: False},
+         (0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+         [(1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0, 0, 0)]),
+    ],
+)
+def test_optimal_search_beyond_default_budget_is_pinned(n, r, q, message, max_dim, exists_by_dim, base, basis):
+    ctx = FieldCtx.prime(q)
+    with pytest.raises(BudgetExceededError, match=message):
+        exhaustive_optimal_dimension(n, r, ctx, "constant-rank")
+    res = exhaustive_optimal_dimension(n, r, ctx, "constant-rank", work_budget=10**12)
+    want = AffineMatrixSpace(
+        alternating_from_upper(ctx, n, list(base)), [alternating_from_upper(ctx, n, list(g)) for g in basis]
+    )
+    assert (res.max_dim, res.exists_by_dim, res.witness.to_json()) == (max_dim, exists_by_dim, want.to_json())
+
+
 def reference_optimal_search(n: int, r: int, q: int, predicate: str):
     """Per-space optimal search on the exact layer: every coset member of every
     echelon direction space is ranked with ``Matrix.rank``.  The first space in
@@ -580,6 +602,24 @@ def test_coset_walk_finds_no_constant_rank_solid_at_4_f3(r):
     all_vecs, bad = alternating_bad(4, r, 3, "constant-rank")
     assert per_space_coset_scan(all_vecs, bad, 6, 3, 3) is None
     assert spaces._coset_walk(bad, 6, 3, 3) is None
+    assert not spaces._level_nonempty(bad, 4, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "n,q,dims",
+    [(4, 2, range(1, 7)), (3, 5, range(1, 4)), (4, 3, range(1, 4)), (5, 2, range(1, 5))],
+)
+def test_level_decision_matches_ordered_walk(n, q, dims):
+    """The per-class decision (one (d-1)-walk over the cosets of each rank
+    class's representative) says a level is nonempty exactly when the
+    ordered walk over every direction space finds a space."""
+    m = n * (n - 1) // 2
+    for r in range(0, n + 1, 2):
+        for predicate in ("constant-rank", "rank-at-least"):
+            _, bad = alternating_bad(n, r, q, predicate)
+            for d in dims:
+                want = spaces._coset_walk(bad, m, d, q) is not None
+                assert spaces._level_nonempty(bad, n, d, q) == want, (r, predicate, d)
 
 
 @pytest.mark.parametrize(
