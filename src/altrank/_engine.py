@@ -19,14 +19,14 @@ coordinate 1 (lex indices [p^k, 2 p^k)), as z^(p-1) - I: it is singular iff
 z has an eigenvalue in F_p^*.  Its caller still reports, and budgets, all
 p^dim members as checked.
 
-Alternating members are stored as their strict upper triangles, row-major
-in (i, j), and ranked by skew elimination (``skew_rank``: each member is
-permuted to pivot on (0, 1), and the step keeps only the Schur complement on
-the other indices, so the storage shrinks by two rows and columns); every other
-stack is ranked by general column elimination (``batch_rank``), which swaps
-no rows (a pivot row clears itself, so it is zero in every later column) and
-delays its ``% p``: it lets entries leave [0, p) while a tracked bound on
-|entries| plus one more update, (p-1)^2, stays within int64.
+Members are assembled members-last, shape (entries, members): a storage row is one entry of every
+member.  Alternating members are stored as their strict upper triangles, row-major in (i, j), and
+ranked by skew elimination (``skew_rank``: congruences give each member a nonzero (0, 1) pivot, and
+the step keeps only the Schur complement on the other indices, of whole-row products, so the storage
+shrinks by two rows and columns of the matrices); every other stack is ranked by general column
+elimination (``batch_rank``, on a transposed int64 copy), which swaps no rows (a pivot row clears
+itself, so it is zero in every later column) and delays its ``% p``: it lets entries leave [0, p)
+while a tracked bound on |entries| plus one more update, (p-1)^2, stays within int64.
 """
 
 from __future__ import annotations
@@ -176,14 +176,14 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, acc, p: int) -> np.ndarray:
 
 
 def members_from_coords(coords: np.ndarray, base: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
-    """Rows ``(base + coords @ basis) % p`` of canonical residues, exact for every p < 2^31, in ``work_type(dim
-    (p - 1)^2 + p - 1)``, which holds every partial sum: one integer ``einsum`` on C-contiguous copies in int16
-    or int32 (on a Fortran-ordered basis it is no faster than int64), else the int64 ``_matmul_mod``."""
+    """Members ``(base + coords @ basis) % p`` members-last, shape (width, members), exact for every
+    p < 2^31, in ``work_type(dim (p - 1)^2 + p - 1)``, which holds every partial sum: one integer ``einsum``
+    of C-contiguous copies of basis^T and coords^T in int16 or int32, else the int64 ``_matmul_mod``."""
     work = work_type(basis.shape[0] * (p - 1) ** 2 + p - 1)
     if work is np.int64:
-        return _matmul_mod(coords, basis, mod(base, p), p)
-    out = np.einsum("ij,jk->ik", np.ascontiguousarray(coords, work), np.ascontiguousarray(basis, work))
-    out += base.astype(work)
+        return _matmul_mod(basis.T, coords.T, mod(base, p)[:, None], p)
+    out = np.einsum("kj,ji->ki", np.ascontiguousarray(basis.T, work), np.ascontiguousarray(coords.T, work))
+    out += base.astype(work)[:, None]
     return mod(out, p, out=out)
 
 
@@ -211,8 +211,9 @@ def _inverse_table(p: int) -> np.ndarray:
 
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a stack of matrices over F_p, entries canonical residues.
-    Mutates ``mats`` if it is int64; a narrower stack is widened into a copy.
+    """Ranks of a (k, n, m) stack of matrices over F_p, entries canonical residues.  Mutates
+    ``mats`` if it is C-contiguous int64; any other, such as a members-last view
+    ``flat.T.reshape(k, n, m)``, is widened into a C-contiguous copy, its transpose.
 
     Column elimination without row swaps: column c pivots on its first row
     that is nonzero mod p, and every row takes the update
@@ -234,7 +235,7 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     computed by ``inverse_mod`` otherwise.
     """
     k, n, m = mats.shape
-    mats = mats.astype(np.int64, copy=False)
+    mats = mats.astype(np.int64, order="C", copy=False)
     inv_table = _inverse_table(p) if p <= k else None
     r = np.zeros(k, dtype=np.int64)
     every = np.arange(k)
@@ -282,29 +283,54 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _pivot_moves(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row t: the storage of the m x m alternating matrix permuted to the index
-    order [i, j, the others ascending], (i, j) pair t, reads position s from
-    ``u[at[t, s]]``, negated (p - x for x != 0) where ``flip[t, s]``."""
+def _row_reads(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column c: row c + 1 of an m x m alternating matrix in its columns 2..m-1 is ``sign[:, c] *
+    u[at[:, c]]`` on strict-upper storage; sign is -1 across the diagonal and 0 on it."""
     pi, pj = _pairs(m)
-    at = np.zeros((m, m), dtype=np.int64)
+    at = np.zeros((m, m), dtype=np.intp)
     at[pi, pj] = at[pj, pi] = np.arange(pi.size)
-    order = np.array([[i, j, *(l for l in range(m) if l != i and l != j)] for i, j in zip(pi, pj)])
-    rows, cols = order[:, pi], order[:, pj]
-    return at[rows, cols], rows > cols
+    sign = np.sign(np.arange(m) - np.arange(m)[:, None])  # X[r, l] = sign(l - r) u[min(r, l), max(r, l)]
+    return at[1:, 2:].T.copy(), sign[1:, 2:].T.astype(np.int8)
+
+
+def _fix_pivots(u: np.ndarray, m: int, p: int) -> bool:
+    """Make u[0,1] nonzero, in place, in each nonzero member of the C-contiguous m x m stack ``u`` by
+    congruences, which keep the rank: u[0,1] = 0 with row 0 first nonzero at column j takes "add index j
+    to index 1" (u[0,1] := u[0,j], row 1 += row j past column 1, mod p); a zero row 0 first takes "add
+    index i to index 0", i the first nonzero row (row 0 := row i).  Moves gather m - 2 entries per member
+    by flat index (numpy gathers index pairs several times slower).  False iff some member is zero."""
+    fix = np.flatnonzero(u[0] == 0)
+    if not fix.size:
+        return True
+    k, flat = u.shape[1], u.reshape(-1)
+    at, sign = _row_reads(m)
+    c = (u[: m - 1].take(fix, axis=1) != 0).argmax(axis=0)
+    a = flat[c * k + fix]
+    zero = a == 0
+    if zero.any():
+        empty, (pi, pj) = fix[zero], _pairs(m)
+        t = (u.take(empty, axis=1) != 0).argmax(axis=0)
+        i = np.maximum(pi[t], 1) - 1  # a zero member reads row 1, which is zero too
+        row_i = sign.take(i, axis=1) * flat[at.take(i, axis=1) * k + empty]
+        flat[np.arange(k, (m - 1) * k, k)[:, None] + empty] = row_i
+        c[zero], a[zero] = pj[t] - 1, flat[t * k + empty]
+    flat[fix] = a
+    r1 = np.arange((m - 1) * k, (2 * m - 3) * k, k)[:, None] + fix
+    flat[r1] = mod(flat[r1] + sign.take(c, axis=1) * flat[at.take(c, axis=1) * k + fix], p)
+    return bool(a.all())
 
 
 def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     """Ranks of a stack of alternating n x n matrices over F_p stored as strict
-    upper triangles, shape (k, n(n-1)/2); ``upper`` is left unchanged.
+    upper triangles members-last, shape (n(n-1)/2, k): row t holds pair t
+    (i < j, row-major) of every member.  ``upper`` is left unchanged.
 
-    Bunch's pairwise pivoting on the Schur complement itself.  Each step moves
-    every member whose first nonzero pair (i < j), row-major, is not (0, 1) by
-    the symmetric permutation [i, j, the others in order] (``_pivot_moves``).
-    With a = u[0,1], s0 = row 0 past column 1 over a and r1 = row 1 past column
-    1, the rank is 2 plus that of S = u[R,R] + r1 s0^T - s0 r1^T on the other
-    indices R; rows 0, 1 and u[R,R] are slices of the storage, which shrinks to
-    S.  Members reduced to zero drop out.
+    Bunch's pairwise pivoting on the Schur complement itself.  Each step makes
+    u[0,1] nonzero by congruences (``_fix_pivots``).  With a = u[0,1], s0 = row
+    0 past column 1 over a and r1 = row 1 past column 1, the rank is 2 plus that
+    of S = u[R,R] + r1 s0^T - s0 r1^T on the other indices R, whole-row products
+    of row gathers; the storage shrinks to S.  Members reduced to zero drop out;
+    at m <= 3 a member has rank 2 iff it is nonzero, so no step runs there.
 
     s0 and r1 are canonical residues, so both products lie in [0, (p - 1)^2]
     and every entry and partial sum of S is at most p - 1 + (p - 1)^2 in
@@ -312,56 +338,48 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     and int64 above.  Pivot inverses are looked up in a table when p <= k, as
     in ``batch_rank``.
     """
-    k = upper.shape[0]
+    k = upper.shape[1]
     work = work_type(p - 1 + (p - 1) ** 2)
     inv_table = _inverse_table(p).astype(work) if p <= k else None
     rank = np.zeros(k, dtype=np.int64)
     live = np.arange(k)
-    u = upper.astype(work)
+    u = upper.astype(work, order="C")
     m = n
-    while live.size and m > 1:
-        t = (u != 0).argmax(axis=1)
-        a = u[np.arange(live.size), t]
-        has = a != 0
-        if not has.all():
-            live, u, t, a = live[has], u[has], t[has], a[has]
-            if not live.size:
-                break
-        rank[live] += 2
-        move = np.flatnonzero(t)
-        if move.size:
-            at, flip = _pivot_moves(m)
-            moved = u.take(move[:, None] * u.shape[1] + at[t[move]])
-            np.subtract(p, moved, out=moved, where=flip[t[move]] & (moved != 0))
-            u[move] = moved
-        inv = inverse_mod(a, p) if inv_table is None else inv_table[a]
-        s0 = mod(u[:, 1 : m - 1] * inv[:, None], p)
-        r1, rest = u[:, m - 1 : 2 * m - 3], u[:, 2 * m - 3 :]
+    while live.size and m > 3:
+        if not _fix_pivots(u, m, p):  # zero members drop out with the rank found so far
+            keep = u[0] != 0
+            rank[live[~keep]] = n - m
+            live, u = live[keep], u[:, keep]
+        inv = inverse_mod(u[0], p) if inv_table is None else inv_table[u[0]]
+        s0 = mod(u[1 : m - 1] * inv, p)
+        r1, rest = u[m - 1 : 2 * m - 3], u[2 * m - 3 :]
         m -= 2
         P, Q = _pairs(m)
-        w = r1.take(P, axis=1)
-        w *= s0.take(Q, axis=1)
-        v = s0.take(P, axis=1)
-        v *= r1.take(Q, axis=1)
+        w = r1.take(P, axis=0)
+        w *= s0.take(Q, axis=0)
+        v = s0.take(P, axis=0)
+        v *= r1.take(Q, axis=0)
         w -= v
         w += rest
         u = mod(w, p, out=w)
+        del s0, r1, rest, v  # the old storage goes before the next step's fix-ups
+    rank[live] = n - m + 2 * u.any(axis=0)
     return rank
 
 
 def _full_from_upper(upper: np.ndarray, n: int, p: int) -> np.ndarray:
-    """The (k, n, n) alternating stack stored in ``upper``."""
+    """The (k, n, n) alternating stack stored members-last in ``upper``."""
     pi, pj = _pairs(n)
-    mats = np.zeros((upper.shape[0], n, n), dtype=np.int64)
-    mats[:, pi, pj] = upper
-    mats[:, pj, pi] = mod(-upper, p)
+    mats = np.zeros((upper.shape[1], n, n), dtype=np.int64)
+    mats[:, pi, pj] = upper.T
+    mats[:, pj, pi] = mod(-upper.T, p)
     return mats
 
 
 def alternating_ranks(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     """``skew_rank`` with its leading GUARD_MEMBERS members re-ranked by
     ``batch_rank``; any disagreement raises.  ``upper`` is left unchanged."""
-    check = _full_from_upper(upper[:GUARD_MEMBERS], n, p)
+    check = _full_from_upper(upper[:, :GUARD_MEMBERS], n, p)
     ranks = skew_rank(upper, n, p)
     expect = batch_rank(check, p)
     bad = np.nonzero(ranks[: expect.size] != expect)[0]
@@ -375,9 +393,9 @@ def alternating_ranks(upper: np.ndarray, n: int, p: int) -> np.ndarray:
 
 def lex_members(base: np.ndarray, basis: np.ndarray, p: int, q: int) -> Callable[[int, int], np.ndarray]:
     """``members(lo, hi)``: ``members_from_coords(lex_coords(lo, hi, dim, q), base, basis, p)``
-    by outer sums, head[i // q^L] + tab[i % q^L] mod p for member i: ``tab`` holds all
-    q^L combinations of the last L coordinates (built once per L), q^L <= LEX_TABLE
-    and <= hi - lo, and the head rows the other coordinates on ``base``."""
+    by outer sums, head[:, i // q^L] + tab[:, i % q^L] mod p for member i, members-last as
+    (width, heads, table): ``tab`` holds all q^L combinations of the last L coordinates (built
+    once per L), q^L <= LEX_TABLE and <= hi - lo, and the heads the other coordinates on ``base``."""
     dim, width = basis.shape
     tables: dict[int, np.ndarray] = {}
 
@@ -390,7 +408,8 @@ def lex_members(base: np.ndarray, basis: np.ndarray, p: int, q: int) -> Callable
             tables[low] = members_from_coords(lex_coords(0, size, low, q), np.zeros(width, np.int64), basis[high:], p)
         h0, h1 = lo // size, -(-hi // size)
         head = members_from_coords(lex_coords(h0, h1, high, q), base, basis[:high], p)
-        out = (head[:, None] + tables[low]).reshape((h1 - h0) * size, width)[lo - h0 * size : hi - h0 * size]
+        out = (head[:, :, None] + tables[low][:, None]).reshape(width, (h1 - h0) * size)
+        out = out[:, lo - h0 * size : hi - h0 * size]
         np.subtract(out, p, out=out, where=out >= p)
         return out
 
@@ -406,8 +425,9 @@ def _block_ranker(residues: Residues, n: int, m: int, q: int, exhaustive: bool, 
     ((p, base_flat, basis_flat) per prime, canonical residue entries).  Member i
     is ``base + c @ basis`` for the i-th lexicographic coordinate tuple c over
     [0, q) (assembled by ``lex_members``) when exhaustive, or the i-th seeded
-    draw.  Alternating members are assembled on their strict upper triangles
-    and ranked by ``alternating_ranks``, others on every entry by ``batch_rank``."""
+    draw.  Members are assembled members-last; alternating ones on their strict
+    upper triangles and ranked by ``alternating_ranks``, others on every entry by
+    ``batch_rank``."""
     dim = residues[0][2].shape[0]
     mods = []
     for p, base_flat, basis_flat in residues:
@@ -415,7 +435,7 @@ def _block_ranker(residues: Residues, n: int, m: int, q: int, exhaustive: bool, 
             pi, pj = _pairs(n)
             cols, ranks_of = pi * n + pj, lambda upper, p=p: alternating_ranks(upper, n, p)
         else:
-            cols, ranks_of = slice(None), lambda flat, p=p: batch_rank(flat.reshape(len(flat), n, m), p)
+            cols, ranks_of = slice(None), lambda flat, p=p: batch_rank(flat.T.reshape(flat.shape[1], n, m), p)
         base, basis = base_flat[cols], basis_flat[:, cols]
         mods.append((p, base, basis, lex_members(base, basis, p, q), ranks_of))
 
@@ -499,8 +519,8 @@ def unit_eigen_hits(basis_flat: np.ndarray, n: int, p: int):
         k = np.searchsorted(starts, j, side="right") - 1
         idx = j - starts[k] + p**k
         coords = mod(idx[:, None] // p ** np.arange(dim - 1, -1, -1), p)
-        z = members_from_coords(coords, np.zeros(n * n, np.int64), basis_flat, p).astype(np.int64)
-        z = z.reshape(-1, n, n)
+        z = members_from_coords(coords, np.zeros(n * n, np.int64), basis_flat, p)
+        z = z.T.reshape(-1, n, n).astype(np.int64, order="C")
         out = power(z, p - 1, lambda x, y: _matmul_mod(x, y, 0, p))
         out[:, diag, diag] = mod(out[:, diag, diag] - 1, p)
         return idx[batch_rank(out, p) < n]

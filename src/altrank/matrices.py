@@ -8,8 +8,8 @@ built on it, and the forward elimination ``_eliminate``, behind ``rank``,
 ``det`` and ``span_dim``, fraction-free over Q: it runs on the integers L*A,
 L the common denominator, and forms a Fraction only for the answer.
 ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur complement
-per step; ``_engine.skew_rank`` does the same on whole stacks, after moving
-each member's pivot pair to (0, 1).  One ``integer_lift`` serves both
+per step; ``_engine.skew_rank`` does the same on whole stacks, after making
+each member's (0, 1) entry nonzero by congruences.  One ``integer_lift`` serves both
 Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every
 sum of products, form values x^T K y included, is one ``Matrix`` product,
 whose entries are each one ``sum(map(mul, row, col))``, reduced once mod p.

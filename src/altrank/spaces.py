@@ -29,7 +29,7 @@ class AffineMatrixSpace:
     is read off the data: true exactly when the base and every generator are
     alternating (so the members are too)."""
 
-    __slots__ = ("ctx", "base", "basis", "alternating", "_span")
+    __slots__ = ("ctx", "base", "basis", "alternating", "_span", "_flat")
 
     def __init__(self, base: Matrix, basis: Sequence[Matrix]):
         ctx = base.ctx
@@ -46,6 +46,7 @@ class AffineMatrixSpace:
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "alternating", all(m.is_alternating() for m in (base, *basis)))
         object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_flat", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineMatrixSpace is immutable")
@@ -114,13 +115,17 @@ class AffineMatrixSpace:
     # -- engine bridge ---------------------------------------------------------------
 
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Residue arrays (base_flat, basis_flat) for the vectorized engine."""
+        """Residue arrays (base_flat, basis_flat) for the vectorized engine, built on the
+        first call and kept read-only."""
         if self.ctx.kind != "prime":
             raise ValueError("engine arrays exist only over prime fields")
-        n, m = self.shape
-        base_flat = np.array(self.base.flatten(), dtype=np.int64)
-        basis_flat = np.array([g.flatten() for g in self.basis], dtype=np.int64)
-        return base_flat, basis_flat.reshape(self.dim, n * m)
+        if self._flat is None:
+            n, m = self.shape
+            base_flat = np.array(self.base.flatten(), dtype=np.int64)
+            basis_flat = np.array([g.flatten() for g in self.basis], dtype=np.int64).reshape(self.dim, n * m)
+            base_flat.flags.writeable = basis_flat.flags.writeable = False
+            object.__setattr__(self, "_flat", (base_flat, basis_flat))
+        return self._flat
 
     # -- serialization ------------------------------------------------------------------
 
@@ -258,7 +263,7 @@ def exhaustive_optimal_dimension(
     all_vecs = _engine.lex_coords(0, total, m, q)
     ranks = np.empty(total, dtype=np.int64)
     for lo, hi in _engine.chunk_ranges(0, total, n * n):
-        ranks[lo:hi] = _engine.alternating_ranks(all_vecs[lo:hi], n, q)
+        ranks[lo:hi] = _engine.alternating_ranks(all_vecs[lo:hi].T, n, q)
     bad = (ranks != r) if predicate == "constant-rank" else (ranks < r)
 
     exists_by_dim: dict[int, bool] = {}

@@ -416,7 +416,7 @@ def full_member_scan(sp):
     n, p = sp.shape[0], sp.ctx.p
     neg_ident = -np.eye(n, dtype=np.int64).reshape(n * n) % p
     coords = _engine.lex_coords(0, p**sp.dim, sp.dim, p)
-    mats = _engine.members_from_coords(coords, neg_ident, sp.flat_arrays()[1], p).reshape(-1, n, n)
+    mats = _engine.members_from_coords(coords, neg_ident, sp.flat_arrays()[1], p).T.reshape(-1, n, n)
     return np.nonzero(_engine.batch_rank(mats, p) < n)[0]
 
 

@@ -1,6 +1,7 @@
 """The batched F_p kernels against each other and against exact elimination.
 
-``skew_rank`` (alternating members on strict-upper storage) is cross-checked
+``skew_rank`` (alternating members on strict-upper storage, members on the
+last axis as the engine assembles them) is cross-checked
 with the general ``batch_rank`` and with ``Matrix.rank`` on seeded stacks that
 mix ranks, so members finish at different elimination steps.  ``batch_rank``
 is also checked on its own on non-square, non-alternating stacks, at primes
@@ -60,9 +61,10 @@ def alternating_stack(p: int, n: int, seed: int) -> list[list[list[int]]]:
 
 
 def upper_of(mats: list, n: int) -> np.ndarray:
+    """The strict upper triangles of ``mats``, members-last: shape (n(n-1)/2, k)."""
     pi, pj = np.triu_indices(n, 1)
     full = np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
-    return full[:, pi, pj].copy()
+    return np.ascontiguousarray(full[:, pi, pj].T)
 
 
 @pytest.mark.parametrize("p", PRIMES + (181, 193, 46_337, 46_349))
@@ -228,7 +230,7 @@ def test_matrix_power_is_exact_near_2_31(p):
 def test_tiny_stacks(p, k):
     n = 6
     mats = alternating_stack(p, n, seed=7)[:k]
-    up = upper_of(mats, n) if k else np.zeros((0, n * (n - 1) // 2), dtype=np.int64)
+    up = upper_of(mats, n) if k else np.zeros((n * (n - 1) // 2, 0), dtype=np.int64)
     full = np.array(mats, dtype=np.int64).reshape(k, n, n)
     skew = _engine.skew_rank(up.copy(), n, p)
     assert skew.shape == (k,) and (skew == _engine.batch_rank(full, p)).all()
@@ -238,7 +240,7 @@ def test_tiny_stacks(p, k):
 def test_empty_members_rank_zero():
     # n = 0: every member is the empty matrix, so the elimination loop must not run
     for n in (0, 1):
-        up = np.zeros((3, 0), dtype=np.int64)
+        up = np.zeros((0, 3), dtype=np.int64)
         assert _engine.skew_rank(up.copy(), n, 3).tolist() == [0, 0, 0]
         assert _engine.alternating_ranks(up, n, 3).tolist() == [0, 0, 0]
         sp = AffineMatrixSpace(Matrix.zeros(FieldCtx.prime(3), n), [])
@@ -318,7 +320,7 @@ def test_skew_rank_at_its_work_type_boundaries(p, n):
     exact = [Matrix(ctx, m).rank() for m in mats]
     assert set(exact) == set(range(0, n + 1, 2))
     reps = p // len(mats) + 1 if p < 1 << 16 else 1
-    upper = np.tile(upper_of(mats, n), (reps, 1))
+    upper = np.tile(upper_of(mats, n), (1, reps))
     before = upper.copy()
     skew = _engine.skew_rank(upper, n, p)
     assert skew.tolist() == exact * reps
@@ -374,46 +376,102 @@ def pivoting_at(p: int, n: int, t: int, seed: int) -> np.ndarray:
     return a
 
 
+def congruence(a: list, r: int, j: int, p: int) -> list:
+    """E a E^T for E = I + e_r e_j^T: "add index j to index r", exactly."""
+    ctx = FieldCtx.prime(p)
+    e = Matrix(ctx, [[int(x == y or (x, y) == (r, j)) for y in range(len(a))] for x in range(len(a))])
+    return [list(row) for row in (e @ Matrix(ctx, a) @ e.T).data]
+
+
 @pytest.mark.parametrize("m", range(2, 10))
-def test_pivot_moves_store_the_permuted_matrix(m):
-    # every pair t = (i, j) at every local size: the gather with its sign flips
-    # is the storage of the matrix permuted to the index order [i, j, the rest]
+def test_pivot_fixups_store_the_congruent_matrix(m):
+    # u[0,1] = 0 with row 0 first nonzero at column j: "add index j to index 1";
+    # row 0 zero with the first nonzero pair (i, j): "add index i to index 0" and
+    # then "add index j to index 1"; members with u[0,1] != 0 and zero members
+    # are left alone.  Every j and i at size m, against the exact congruences,
+    # on entries near 0 and near p
     p = 101
     pi, pj = np.triu_indices(m, 1)
-    at, flip = _engine._pivot_moves(m)
-    assert at.shape == flip.shape == (pi.size, pi.size)
-    a = np.zeros((m, m), dtype=np.int64)
-    a[pi, pj] = np.arange(1, pi.size + 1)  # distinct and nonzero, so is each negation
-    a[pj, pi] = -a[pi, pj] % p
-    u = a[pi, pj]
+    rng = np.random.default_rng(m)
+    mats, moves = [], []
     for t, (i, j) in enumerate(zip(pi, pj)):
-        order = [i, j, *(l for l in range(m) if l not in (i, j))]
-        want = a[np.ix_(order, order)][pi, pj]
-        got = u[at[t]]
-        got = np.where(flip[t] & (got != 0), p - got, got)
-        assert got.tolist() == want.tolist(), (m, t)
+        for _ in range(2):
+            up = rng.choice([0, 1, 2, p - 2, p - 1], pi.size)
+            up[:t] = 0
+            up[t] = rng.integers(1, p)
+            a = np.zeros((m, m), dtype=np.int64)
+            a[pi, pj], a[pj, pi] = up, -up % p
+            mats.append(a.tolist())
+            moves.append([(0, int(i))] * int(i > 0) + [(1, int(j))] * int(j > 1))
+    mats.append([[0] * m for _ in range(m)])
+    moves.append([])
+    up = upper_of(mats, m)
+    fixed = up.copy()
+    assert _engine._fix_pivots(fixed, m, p) is False  # the zero member
+    for t, (a, seq) in enumerate(zip(mats, moves)):
+        for r, j in seq:
+            a = congruence(a, r, j, p)
+        assert fixed[:, t].tolist() == np.array(a)[pi, pj].tolist(), (m, seq)
+    assert (fixed[0, :-1] != 0).all() and not fixed[:, -1].any()
+    assert _engine._fix_pivots(fixed[:, :-1].copy(), m, p) is True
 
 
 @pytest.mark.parametrize("p", [3, 7, 193, BIG])
 @pytest.mark.parametrize("n", range(2, 10))
 def test_skew_rank_pivots_from_every_position(p, n):
-    # one member per pivot position t of the first step at local size n, three
-    # seeds each, so every t is moved to (0, 1) and later steps move again
+    # one member per first nonzero pair t of the first step at local size n,
+    # three seeds each: row 0 first nonzero at every column, and a zero row 0
+    # with the first nonzero pair in every later row; later steps fix again
     ctx = FieldCtx.prime(p)
     count = n * (n - 1) // 2
     mats = [pivoting_at(p, n, t, seed=[p % 1000, n, t, s]) for t in range(count) for s in range(3)]
     up = upper_of(mats, n)
-    assert sorted(set((up != 0).argmax(axis=1).tolist())) == list(range(count))
+    assert sorted(set((up != 0).argmax(axis=0).tolist())) == list(range(count))
     exact = [Matrix(ctx, a.tolist()).rank() for a in mats]
     assert _engine.skew_rank(up, n, p).tolist() == exact
     assert _engine.batch_rank(np.array(mats), p).tolist() == exact
+
+
+def wedge_sum(p: int, n: int, s: int, rng) -> np.ndarray:
+    """A sum of s forms x^y, with x and y half zero: rank at most 2s, and
+    pivot fix-ups at later steps too."""
+    a = np.zeros((n, n), dtype=np.int64)
+    for _ in range(s):
+        x, y = rng.integers(0, p, (2, n)) * rng.integers(0, 2, (2, n))
+        a = (a + np.outer(x, y) - np.outer(y, x)) % p
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 181, 191, 46_337, 46_349, BIG])
+def test_skew_rank_on_every_kind_of_pivot_fixup(p):
+    # one stack per size of: members with u[0,1] != 0; with u[0,1] = 0 and row
+    # 0 first nonzero at each column; with row 0 zero and the first nonzero
+    # pair in each later row; zero members; and sums of s sparse forms, which
+    # drop out after s steps for every s
+    ctx = FieldCtx.prime(p)
+    for n in (8, 9):
+        rng = np.random.default_rng([p % 1000, n])
+        pi, pj = np.triu_indices(n, 1)
+        firsts = [t for t in range(pi.size) if pi[t] == 0 or pj[t] == pi[t] + 1]
+        mats = [pivoting_at(p, n, t, seed=[p % 1000, n, t, s]) for t in firsts for s in range(3)]
+        mats += [wedge_sum(p, n, s, rng) for s in range(n // 2 + 1) for _ in range(6)]
+        mats += [np.zeros((n, n), dtype=np.int64)] * 3
+        mats = [mats[i] for i in rng.permutation(len(mats))]
+        up = upper_of(mats, n)
+        assert set(firsts) <= set((up != 0).argmax(axis=0).tolist())
+        exact = [Matrix(ctx, a.tolist()).rank() for a in mats]
+        assert set(exact) == set(range(0, n + 1, 2))
+        assert _engine.skew_rank(up, n, p).tolist() == exact
+        assert _engine.alternating_ranks(up, n, p).tolist() == exact
+        assert _engine.batch_rank(np.array(mats), p).tolist() == exact
 
 
 @pytest.mark.parametrize("p", [2, 5, 181, 46_337, BIG])
 @pytest.mark.parametrize("zero_rows", [1, 2, 3])
 def test_skew_rank_when_no_member_pivots_at_0_1(p, zero_rows):
     # the leading rows and columns are zero in every member, so every member
-    # of the first step is moved, and some are moved again later
+    # of the first step first takes "add index i to index 0", and some are
+    # fixed again later
     ctx = FieldCtx.prime(p)
     n = 8
     mats = []
@@ -423,7 +481,7 @@ def test_skew_rank_when_no_member_pivots_at_0_1(p, zero_rows):
         a[:, :zero_rows] = 0
         mats.append(a)
     up = upper_of(mats, n)
-    assert not up[:, 0].any()
+    assert not up[0].any()
     exact = [Matrix(ctx, a.tolist()).rank() for a in mats]
     assert len(set(exact)) >= 3
     assert _engine.skew_rank(up, n, p).tolist() == exact
@@ -441,7 +499,8 @@ def test_skew_rank_leaves_its_input_unchanged(p):
 
 
 def lex_reference(base, basis, p, q, lo, hi):
-    return _engine.members_from_coords(_engine.lex_coords(lo, hi, basis.shape[0], q), base, basis, p)
+    """Lexicographic members lo..hi-1 by the int64 ``_matmul_mod``, transposed to members-last."""
+    return _engine._matmul_mod(_engine.lex_coords(lo, hi, basis.shape[0], q), basis, base, p).T
 
 
 def lex_ranges(q: int, dim: int):
@@ -458,17 +517,22 @@ def lex_ranges(q: int, dim: int):
 
 
 @pytest.mark.parametrize("p, q, dim, width", [
-    (7, 7, 4, 21), (3, 3, 6, 10), (5, 5, 3, 1), (7, 7, 3, 0), (5, 5, 0, 6), (5, 5, 0, 0), (BIG, 2, 5, 9),
+    (7, 7, 4, 21), (3, 3, 6, 10), (5, 5, 3, 1), (7, 7, 3, 0), (5, 5, 0, 6), (5, 5, 0, 0), (10_007, 3, 4, 6),
+    (BIG, 2, 5, 9),
 ])
 def test_lex_members_match_members_from_coords(p, q, dim, width):
-    # width 0 is the storage of an alternating n x n space with n in {0, 1}
+    # width 0 is the storage of an alternating n x n space with n in {0, 1};
+    # the work type is int16, then int32 at p = 10,007 and int64 at BIG
     rng = np.random.default_rng([p % 1000, q, dim, width])
     base, basis = rng.integers(0, p, width), rng.integers(0, p, (dim, width))
     members = _engine.lex_members(base, basis, p, q)
+    work = _engine.work_type(dim * (p - 1) ** 2 + p - 1)
     for lo, hi in lex_ranges(q, dim):
-        got = members(lo, hi)
-        assert got.shape == (hi - lo, width) and got.dtype == _engine.work_type(dim * (p - 1) ** 2 + p - 1)
-        assert (got == lex_reference(base, basis, p, q, lo, hi)).all(), (lo, hi)
+        want = lex_reference(base, basis, p, q, lo, hi)
+        direct = _engine.members_from_coords(_engine.lex_coords(lo, hi, dim, q), base, basis, p)
+        for got in (members(lo, hi), direct):
+            assert got.shape == (width, hi - lo) and got.dtype == work
+            assert (got == want).all(), (lo, hi)
 
 
 def test_lex_members_at_the_table_cap():
@@ -566,7 +630,7 @@ def test_narrow_assembly_matches_matmul_mod(p, dims, work):
         # of the flat basis (as the block ranker makes) is Fortran-ordered
         for c, b in ((coords, basis), (coords.astype(_engine.work_type(p - 1)), np.asfortranarray(basis))):
             got = _engine.members_from_coords(c, base, b, p)
-            assert got.dtype == work and (got == want).all(), dim
+            assert got.dtype == work and (got == want.T).all(), dim
 
 
 def test_sampled_profile_of_the_9_6_f7_h_bar_cell_is_unchanged():
@@ -590,16 +654,20 @@ def test_sampled_profile_of_the_9_6_f7_h_bar_cell_is_unchanged():
 
 
 def test_members_from_coords_is_exact_near_2_31():
-    rng = np.random.default_rng(5)
-    coords = rng.integers(BIG - 50, BIG, (40, 6))
-    basis = rng.integers(BIG - 50, BIG, (6, 10))
-    base = rng.integers(0, BIG, 10)
-    got = _engine.members_from_coords(coords, base, basis, BIG)
-    want = [
-        [(int(base[c]) + sum(int(coords[i, t]) * int(basis[t, c]) for t in range(6))) % BIG for c in range(10)]
-        for i in range(40)
-    ]
-    assert got.tolist() == want
+    # coordinates and generators just below p, members-last, on each rung of
+    # the width ladder: int16 at p = 73, int32 at 10,007 and int64 near 2^31
+    for p, work in ((73, np.int16), (10_007, np.int32), (BIG, np.int64)):
+        rng = np.random.default_rng(5)
+        coords = rng.integers(p - 50, p, (40, 6))
+        basis = rng.integers(p - 50, p, (6, 10))
+        base = rng.integers(0, p, 10)
+        got = _engine.members_from_coords(coords, base, basis, p)
+        want = [
+            [(int(base[c]) + sum(int(coords[i, t]) * int(basis[t, c]) for t in range(6))) % p for i in range(40)]
+            for c in range(10)
+        ]
+        assert got.dtype == work and got.tolist() == want
+        assert (got == _engine._matmul_mod(coords, basis, base, p).T).all()
 
 
 @pytest.mark.parametrize(

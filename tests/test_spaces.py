@@ -202,6 +202,19 @@ def test_matrices_and_spaces_survive_deepcopy_and_pickle():
         assert got.to_json() == sp.to_json()
 
 
+def test_engine_arrays_are_built_once_and_read_only():
+    sp = build_bordered_alternating(F5, 5, 1)
+    base, basis = sp.flat_arrays()
+    assert sp.flat_arrays()[0] is base and sp.flat_arrays()[1] is basis
+    assert base.tolist() == list(sp.base.flatten())
+    assert basis.tolist() == [list(g.flatten()) for g in sp.basis]
+    for arr in (base, basis):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    with pytest.raises(ValueError, match="only over prime fields"):
+        AffineMatrixSpace(Matrix.zeros(Q, 2), [unit(Q, 2, 0, 1)]).flat_arrays()
+
+
 def test_member_at_and_contains():
     sp = build_bordered_alternating(F3, 5, 1)
     coords = (1, 2, 0)
@@ -572,7 +585,7 @@ def alternating_bad(n, r, q, predicate):
     """The optimal search's bad set: the lex-ordered strict upper triangles
     whose alternating matrix fails the predicate."""
     all_vecs = _engine.lex_coords(0, q ** (n * (n - 1) // 2), n * (n - 1) // 2, q)
-    ranks = _engine.alternating_ranks(all_vecs.copy(), n, q)
+    ranks = _engine.alternating_ranks(all_vecs.T.copy(), n, q)
     return all_vecs, (ranks != r) if predicate == "constant-rank" else (ranks < r)
 
 
