@@ -20,19 +20,21 @@ from .errors import BudgetExceededError, ContractError
 from .fields import FieldCtx
 from .matrices import Matrix
 from .spaces import AffineMatrixSpace, exhaustive_optimal_dimension
-from .symplectic import FormSpacePair, phi_operators_to_forms
+from .symplectic import FormSpacePair, phi_operators_to_forms, standard_symplectic
 
-FAMILY_NAMES = (
-    "nt",
-    "nonsingular-alt",
-    "m-tilde-alt",
-    "h-plus",
-    "h-bar",
-    "m-tilde-rect",
-    "operator-block",
-    "counterexample-plane",
-    "standard-symplectic",
-)
+# each family's flags, in the order its usage error names them
+FAMILY_NEEDS = {
+    "nt": "n",
+    "nonsingular-alt": "s",
+    "m-tilde-alt": "ns",
+    "h-plus": "r",
+    "h-bar": "nr",
+    "m-tilde-rect": "ns",
+    "operator-block": "n",
+    "counterexample-plane": "",
+    "standard-symplectic": "s",
+}
+FAMILY_NAMES = tuple(FAMILY_NEEDS)
 
 
 def _load_json(path: str) -> dict:
@@ -74,55 +76,33 @@ def build_family(
     s: Optional[int] = None,
     inner: Optional[AffineMatrixSpace] = None,
 ):
-    """(space or pair, expected dimension, rank expectation) for a family name."""
+    """(space or pair, expected dimension, rank contract) for a family name."""
+    if name not in FAMILY_NEEDS:
+        raise ValueError(f"unknown family {name!r}")
+    flags = {"n": n, "r": r, "s": s}
+    if any(flags[f] is None for f in FAMILY_NEEDS[name]):
+        raise ValueError(f"{name} needs " + " and ".join(f"--{f}" for f in FAMILY_NEEDS[name]))
+    half = (r or 0) // 2
     if name == "nt":
-        if n is None:
-            raise ValueError("nt needs --n")
-        sp = families.build_strictly_upper_space(ctx, n)
-        return sp, n * (n - 1) // 2, None
+        return families.build_strictly_upper_space(ctx, n), n * (n - 1) // 2, None
     if name == "nonsingular-alt":
-        if s is None:
-            raise ValueError("nonsingular-alt needs --s")
-        sp = families.build_invertible_alternating(ctx, s)
-        return sp, s * (s - 1), ("constant", 2 * s)
+        return families.build_invertible_alternating(ctx, s), s * (s - 1), ("constant", 2 * s)
     if name == "m-tilde-alt":
-        if n is None or s is None:
-            raise ValueError("m-tilde-alt needs --n and --s")
         sp = families.build_bordered_alternating(ctx, n, s, inner=inner)
         return sp, s * (n - s - 1), ("constant", 2 * s)
     if name == "h-plus":
-        if r is None:
-            raise ValueError("h-plus needs --r")
-        sp = families.build_corank_one_space(ctx, r, inner=inner)
-        sval = r // 2
-        return sp, sval * (sval + 1), ("constant", r)
+        return families.build_corank_one_space(ctx, r, inner=inner), half * (half + 1), ("constant", r)
     if name == "h-bar":
-        if n is None or r is None:
-            raise ValueError("h-bar needs --n and --r")
         sp = families.build_rank_at_least_space(ctx, n, r, inner=inner)
-        sval = r // 2
-        return sp, n * (n - 1) // 2 - sval * sval, ("at_least", r)
+        return sp, n * (n - 1) // 2 - half * half, ("at_least", r)
     if name == "m-tilde-rect":
-        if n is None or s is None:
-            raise ValueError("m-tilde-rect needs --n and --s")
         sp = families.build_row_block_family(ctx, n, s, inner=inner)
         return sp, s * (s - 1) // 2 + s * (n - 2 * s), ("constant", s)
     if name == "operator-block":
-        if n is None:
-            raise ValueError("operator-block needs --n")
-        pair = families.build_operator_block_space(ctx, n)
-        return pair, n * (n - 1), None
+        return families.build_operator_block_space(ctx, n), n * (n - 1), None
     if name == "counterexample-plane":
-        sp = families.build_counterexample_plane(ctx)
-        return sp, 2, None
-    if name == "standard-symplectic":
-        if s is None:
-            raise ValueError("standard-symplectic needs --s")
-        from .symplectic import standard_symplectic
-
-        sp = AffineMatrixSpace(standard_symplectic(ctx, s), [])
-        return sp, 0, ("constant", 2 * s)
-    raise ValueError(f"unknown family {name!r}")
+        return families.build_counterexample_plane(ctx), 2, None
+    return AffineMatrixSpace(standard_symplectic(ctx, s), []), 0, ("constant", 2 * s)
 
 
 def _verify_rank(space, kind: str, value: int, budget: int, samples: int, seed: int):
@@ -139,12 +119,8 @@ def _verify_rank(space, kind: str, value: int, budget: int, samples: int, seed: 
 
 def cmd_construct(args) -> tuple[dict, bool]:
     ctx = FieldCtx.parse(args.field)
-    inner = None
-    if args.inner is not None:
-        inner = _load_input(args.inner, "space")
-    built, expected, expectation = build_family(
-        args.family, ctx, n=args.n, r=args.r, s=args.s, inner=inner
-    )
+    inner = _load_input(args.inner, "space") if args.inner is not None else None
+    built, expected, contract = build_family(args.family, ctx, n=args.n, r=args.r, s=args.s, inner=inner)
     report = _report(
         "construct",
         ctx,
@@ -157,11 +133,8 @@ def cmd_construct(args) -> tuple[dict, bool]:
         results["alternating_invariant"] = True  # validated at construction
         report["pair"] = built.to_json()
     else:
-        if expectation is not None:
-            kind, value = expectation
-            rank_ok, profile = _verify_rank(
-                built, kind, value, args.budget, args.sample, args.seed
-            )
+        if contract is not None:
+            rank_ok, profile = _verify_rank(built, *contract, args.budget, args.sample, args.seed)
             results["rank"] = profile.to_json(ctx)
             results["rank_verdict"] = rank_ok
             ok = ok and rank_ok
@@ -241,16 +214,6 @@ def cmd_reduce(args) -> tuple[dict, bool]:
 # -- table ------------------------------------------------------------------------------
 
 
-def _hypothesis_met(problem: str, n: int, r: int, ctx: FieldCtx) -> bool:
-    if problem == "invertible":
-        return ctx.cardinality_at_least(max(r - 1, 1))
-    if problem == "constant_rank":
-        return ctx.cardinality_at_least(families.constant_rank_field_bound(r))
-    if problem == "rank_at_least":
-        return ctx.cardinality_at_least(n - 1 if n % 2 == 0 else n - 2)
-    raise ValueError(problem)
-
-
 def dimension_table(
     ctxs: list[FieldCtx],
     r_values: list[int],
@@ -264,7 +227,7 @@ def dimension_table(
 ) -> list[dict]:
     """Rows comparing closed-form dimensions against constructed families.
 
-    For each (n, r, field) satisfying the relevant cardinality hypothesis:
+    For each (n, r, field) meeting the problem's ``families.field_size_bound``:
     the rank-at-least family, the constant-rank family (the bordered family,
     or the corank-one family at n = r+1), and at n = r both witnesses of the
     invertible problem.  Row order is fixed by (n, r, field, problem, family).
@@ -275,28 +238,20 @@ def dimension_table(
             if r > n:
                 continue
             s = r // 2
+            cells = [("rank_at_least", "h-bar")]
+            cells.append(("constant_rank", "h-plus" if n == r + 1 else "m-tilde-alt"))
+            if n == r:
+                cells += [("invertible", "nonsingular-alt"), ("invertible", "operator-pullback")]
             for ctx in ctxs:
-                cells = []
-                if _hypothesis_met("rank_at_least", n, r, ctx):
-                    cells.append(("rank_at_least", "h-bar"))
-                if _hypothesis_met("constant_rank", n, r, ctx):
-                    cells.append(
-                        ("constant_rank", "h-plus" if n == r + 1 else "m-tilde-alt")
-                    )
-                if n == r and _hypothesis_met("invertible", n, r, ctx):
-                    cells.append(("invertible", "nonsingular-alt"))
-                    cells.append(("invertible", "operator-pullback"))
                 for problem, family in cells:
+                    if not ctx.cardinality_at_least(families.field_size_bound(problem, n, r)):
+                        continue
                     theorem_dim = families.optimal_dimension_formula(n, r, problem)
                     if family == "operator-pullback":
-                        pair = families.build_operator_block_space(ctx, s)
-                        space = phi_operators_to_forms(pair)
-                        expected = space.dim
-                        expectation = ("constant", r)
+                        pair, expected, _ = build_family("operator-block", ctx, n=s)
+                        space, contract = phi_operators_to_forms(pair), ("constant", r)
                     else:
-                        space, expected, expectation = build_family(
-                            family, ctx, n=n, r=r, s=s
-                        )
+                        space, expected, contract = build_family(family, ctx, n=n, r=r, s=s)
                     row = {
                         "n": n,
                         "r": r,
@@ -307,9 +262,8 @@ def dimension_table(
                         "constructed_dim": space.dim,
                         "agree": space.dim == theorem_dim == expected,
                     }
-                    if rank_checks and expectation is not None:
-                        kind, value = expectation
-                        ok, profile = _verify_rank(space, kind, value, budget, samples, seed)
+                    if rank_checks:
+                        ok, profile = _verify_rank(space, *contract, budget, samples, seed)
                         row["rank_verdict"] = "pass" if ok else "fail"
                         row["method"] = profile.method
                         row["agree"] = row["agree"] and ok
@@ -398,6 +352,9 @@ def cmd_counterexample(args) -> tuple[dict, bool]:
     drop3 = families.plane_rank_drop_witness(f3)
     two5 = families.translation_rank_two_witness(f5)
 
+    def witness(hit):
+        return {"coords": [str(c) for c in hit[0]], "member": hit[1].to_json()} if hit else None
+
     report = _report("counterexample", None, {"samples": args.sample}, args.seed)
     report["results"] = {
         "pfaffian_form": {k: str(v) for k, v in sorted(coeffs.items())},
@@ -405,18 +362,8 @@ def cmd_counterexample(args) -> tuple[dict, bool]:
         "anisotropy_certificate": cert.to_json(),
         "rational_plane": profile.to_json(ratctx),
         "rational_all_rank_4": rational_ok,
-        "mod_3_rank_drop": {
-            "coords": [str(c) for c in drop3[0]],
-            "member": drop3[1].to_json(),
-        }
-        if drop3
-        else None,
-        "mod_5_rank_two": {
-            "coords": [str(c) for c in two5[0]],
-            "member": two5[1].to_json(),
-        }
-        if two5
-        else None,
+        "mod_3_rank_drop": witness(drop3),
+        "mod_5_rank_two": witness(two5),
     }
     ok = bool(coeffs_ok and cert.no_rank_two and rational_ok and drop3 and two5)
     report["results"]["verdict"] = ok
@@ -514,7 +461,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, BudgetExceededError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, BudgetExceededError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:  # an internal invariant, such as the engine guard

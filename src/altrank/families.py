@@ -249,10 +249,18 @@ def optimal_dimension_formula(n: int, r: int, problem: str) -> int:
     raise ValueError(f"unknown problem {problem!r}")
 
 
-def constant_rank_field_bound(r: int) -> int:
-    """Least field size, max(r - 1, 2 + r/2), at which the constant-rank
-    dimension formula is claimed and the canonical reduction runs."""
-    return max(r - 1, 2 + r // 2)
+def field_size_bound(problem: str, n: int, r: int) -> int:
+    """Least field size at which ``optimal_dimension_formula`` is claimed:
+    max(r - 1, 1) for "invertible", max(r - 1, 2 + r/2) for "constant_rank"
+    (the canonical reduction's bound too), and n - 1 for even n, n - 2 for
+    odd n, for "rank_at_least"."""
+    if problem == "invertible":
+        return max(r - 1, 1)
+    if problem == "constant_rank":
+        return max(r - 1, 2 + r // 2)
+    if problem == "rank_at_least":
+        return n - 1 if n % 2 == 0 else n - 2
+    raise ValueError(f"unknown problem {problem!r}")
 
 
 @dataclass(frozen=True)

@@ -132,33 +132,19 @@ class Matrix:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
         self._check_same_shape(other)
-        add = self.ctx.add
-        return Matrix._trusted(
-            self.ctx,
-            tuple(
-                tuple([add(a, b) for a, b in zip(ra, rb)])
-                for ra, rb in zip(self.data, other.data)
-            ),
-            self.ncols,
-        )
+        rows = tuple(tuple([op(a, b) for a, b in zip(ra, rb)]) for ra, rb in zip(self.data, other.data))
+        return Matrix._trusted(self.ctx, rows, self.ncols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, self.ctx.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        sub = self.ctx.sub
-        return Matrix._trusted(
-            self.ctx,
-            tuple(
-                tuple([sub(a, b) for a, b in zip(ra, rb)])
-                for ra, rb in zip(self.data, other.data)
-            ),
-            self.ncols,
-        )
+        return self._entrywise(other, self.ctx.sub)
 
     def __neg__(self) -> "Matrix":
-        neg = self.ctx.neg
-        return Matrix._trusted(self.ctx, tuple(tuple([neg(a) for a in row]) for row in self.data), self.ncols)
+        return self.scale(-1)
 
     def scale(self, c: Element) -> "Matrix":
         mul, c = self.ctx.mul, self.ctx.normalize(c)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import analyze
 from .errors import ContractError
-from .families import border_row_blocks, build_row_block_family, constant_rank_field_bound
+from .families import border_row_blocks, build_row_block_family, field_size_bound
 from .matrices import Matrix, Vector, alternating_from_upper, place_blocks, span_dim, upper_pairs
 from .spaces import AffineMatrixSpace, Span, congruence_act, spaces_equal
 from .symplectic import radical, symplectic_basis, totally_singular_witness
@@ -251,7 +251,7 @@ def canonical_reduction(
         raise ValueError("needs an alternating square space")
     if n < r + 3:
         raise ValueError("needs n >= r + 3")
-    bound = constant_rank_field_bound(r)
+    bound = field_size_bound("constant_rank", n, r)
     if not ctx.cardinality_at_least(bound):
         raise ValueError(f"field must have at least {bound} elements")
     if sp.dim != s * (n - s - 1):

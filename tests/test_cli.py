@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from altrank import _engine
-from altrank.cli import FAMILY_NAMES, build_family, dimension_table, main
+from altrank.cli import FAMILY_NAMES, FAMILY_NEEDS, build_family, dimension_table, main
 from altrank.families import (
     build_bordered_alternating,
     build_counterexample_plane,
@@ -70,6 +71,65 @@ def test_seed_is_taken_modulo_2_64(tmp_path):
 def test_construct_missing_parameter_is_usage_error(tmp_path):
     code, _ = run(tmp_path, "construct", "--family", "m-tilde-alt", "--field", "Fp:3", "--n", "6")
     assert code == 2
+
+
+# sha256 of each report at fixed flags and seed: a refactor of the command
+# line keeps every report byte for byte
+CONSTRUCT_SHA256 = {
+    "nt": "2bae46a0685b02392533c8d854aab082243d4965f3eeed1a60ece41581382a53",
+    "nonsingular-alt": "ef77b28f8c3e669ff3a9818858a838d1a2636ec137830f7444dd29e5e558f666",
+    "m-tilde-alt": "7a9066035c3a092c7fa4110319bdb9f1c3909c79f72f5ab3a2d7410b1b13c6af",
+    "h-plus": "01035101fdd304923bf023494741c6095dbee1a928b7a97d01fbe52384a95032",
+    "h-bar": "52ffdd08848b971d16d037ff4d34b9ea9bc7a6145492b9da87631e4d7f39f76e",
+    "m-tilde-rect": "21094ac85cd7b1bac27a2786d9f41d10cb747e9be001fd7a1ad01a234c2cc23b",
+    "operator-block": "de72940d75aa63c4da194c23add8cdadb8b11ac5592a80b7925d58a86eb396f7",
+    "counterexample-plane": "eab6bef762991c4bfc3125ec560767a40693392aadf3f7726eaf2409a1c184fe",
+    "standard-symplectic": "18a7b75035e5ff8f536e38f75c2339f606e38241378d17548edaed05721d3ee9",
+}
+TABLE_SHA256 = "b19596923d6b424bc245f7139647a06e77529864d61fc5f0a65c5a19839f3e5f"
+COUNTEREXAMPLE_SHA256 = "b0c284541d402e5d82e2ab0f5d4a8b72dfa176b1c400eb3cad008c50fcf44e09"
+
+
+def report_sha256(tmp_path, *argv):
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_construct_report_bytes_are_pinned(tmp_path, family):
+    argv = ("construct", "--family", family, "--field", "Fp:5", "--n", "5", "--r", "4", "--s", "2")
+    assert report_sha256(tmp_path, *argv) == CONSTRUCT_SHA256[family]
+
+
+def test_table_and_counterexample_report_bytes_are_pinned(tmp_path):
+    table = ("table", "--n-min", "2", "--n-max", "6", "--r", "2,4", "--fields", "Fp:3,Fp:5")
+    assert report_sha256(tmp_path, *table) == TABLE_SHA256
+    assert report_sha256(tmp_path, "counterexample", "--sample", "200") == COUNTEREXAMPLE_SHA256
+
+
+NEEDS_MESSAGE = {
+    "nt": "--n",
+    "nonsingular-alt": "--s",
+    "m-tilde-alt": "--n and --s",
+    "h-plus": "--r",
+    "h-bar": "--n and --r",
+    "m-tilde-rect": "--n and --s",
+    "operator-block": "--n",
+    "standard-symplectic": "--s",
+}
+
+
+@pytest.mark.parametrize(
+    "family, missing", [(family, flag) for family in FAMILY_NAMES for flag in FAMILY_NEEDS[family]]
+)
+def test_construct_without_a_needed_flag_names_every_flag(tmp_path, capsys, family, missing):
+    argv = ["construct", "--family", family, "--field", "Fp:5"]
+    for flag in FAMILY_NEEDS[family].replace(missing, ""):
+        argv += [f"--{flag}", "4"]
+    code, text = run(tmp_path, *argv)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {family} needs {NEEDS_MESSAGE[family]}\n"
 
 
 def test_construct_unknown_family_exits_2(tmp_path):
@@ -146,12 +206,13 @@ def test_construct_over_a_flagless_inner_family_past_the_budget_is_usage_error(t
     assert err.count("\n") == 1 and "no unipotent flag" in err
 
 
-def test_reduce_small_field_is_usage_error(tmp_path):
+def test_reduce_small_field_is_usage_error(tmp_path, capsys):
     sp = build_bordered_alternating(F3, 7, 2)
     src = tmp_path / "space.json"
     src.write_text(json.dumps(sp.to_json()))
     code, _ = run(tmp_path, "reduce", "--in", str(src), "--rank", "4")
     assert code == 2  # cardinality hypothesis not met
+    assert capsys.readouterr().err == "error: field must have at least 4 elements\n"
 
 
 def test_reduce_takes_no_candidates_option(tmp_path):

@@ -16,6 +16,7 @@ from altrank.families import (
     build_strictly_upper_space,
     build_unitriangular_space,
     certify_plane_anisotropy,
+    field_size_bound,
     optimal_dimension_formula,
     pfaffian_form_coefficients,
     plane_rank_drop_witness,
@@ -215,6 +216,17 @@ def test_optimal_dimension_formula_rejects():
         optimal_dimension_formula(3, 4, "rank_at_least")  # r > n
     with pytest.raises(ValueError):
         optimal_dimension_formula(5, 4, "sometimes")
+
+
+def test_field_size_bound_matches_the_acceptance_hypotheses():
+    # the three cardinality hypotheses that acceptance test 1 spells out
+    for r in (2, 4, 6):
+        for n in range(r, 10):
+            assert field_size_bound("rank_at_least", n, r) == (n - 1 if n % 2 == 0 else n - 2)
+            assert field_size_bound("constant_rank", n, r) == max(r - 1, 2 + r // 2)
+            assert field_size_bound("invertible", n, r) == r - 1
+    with pytest.raises(ValueError):
+        field_size_bound("sometimes", 5, 4)
 
 
 # -- the rank-4 plane ----------------------------------------------------------------------
