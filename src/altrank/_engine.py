@@ -21,8 +21,8 @@ p^dim members as checked.
 
 Members are assembled members-last, shape (entries, members): a storage row is one entry of every
 member.  Alternating members are stored as their strict upper triangles, row-major in (i, j), and
-ranked by skew elimination (``skew_rank``: congruences give each member a nonzero (0, 1) pivot, and
-the step keeps only the Schur complement on the other indices, of whole-row products, so the storage
+ranked by skew elimination (``skew_rank``: each step moves one pivot pair per stack to (0, 1), fixes
+the members still zero there by congruences and updates the Schur complement in place, so the storage
 shrinks by two rows and columns of the matrices); every other stack is ranked by general column
 elimination (``batch_rank``, on a transposed int64 copy), which swaps no rows (a pivot row clears
 itself, so it is zero in every later column) and delays its ``% p``: it lets entries leave [0, p)
@@ -143,14 +143,14 @@ def index_to_coords(index: int, dim: int, q: int) -> tuple[int, ...]:
 def mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """x mod p in [0, p), into ``out`` if given, as ``x - (x // p) * p``: numpy runs floor
     division by a scalar in SIMD but not ``np.remainder`` (about 5x slower on int64).  It
-    works over leading-axis blocks of about _MOD_BLOCK entries with one scratch buffer, so
-    no temporary is the size of ``x``; an array of at most one block goes to ``np.remainder``.
+    works over leading-axis blocks of about _MOD_BLOCK entries with one scratch buffer, so no
+    temporary is the size of ``x``; an array of at most 1,024 entries goes to ``np.remainder``.
 
     ``(x // p) * p`` lies in [x - (p - 1), x], so it cannot overflow when x >= min + p - 1
     for the dtype's least value min.  In ``batch_rank`` every update subtracts a product of
     two residues, so entries lie in [p - 1 - bound, p - 1] for its tracked bound <= 2^63 - 1;
     in ``skew_rank`` |x| <= p - 1 + (p - 1)^2 <= the work type's max."""
-    if x.size <= _MOD_BLOCK:
+    if x.size <= 1 << 10:
         return np.remainder(x, p, out=out)
     if out is None:
         out = np.empty_like(x)
@@ -293,12 +293,34 @@ def _row_reads(m: int) -> tuple[np.ndarray, np.ndarray]:
     return at[1:, 2:].T.copy(), sign[1:, 2:].T.astype(np.int8)
 
 
+@lru_cache(maxsize=None)
+def _pair_order(m: int, t: int) -> np.ndarray:
+    """The storage rows of X, in the order of the storage of P^T X P up to sign (see ``_move_pair``)."""
+    pi, pj = _pairs(m)
+    o = np.r_[pi[t], pj[t], np.delete(np.arange(m), (pi[t], pj[t]))]
+    x, y = np.minimum(o[pi], o[pj]), np.maximum(o[pi], o[pj])
+    return x * (2 * m - x - 1) // 2 + y - x - 1
+
+
+def _move_pair(u: np.ndarray, m: int, t: int, p: int) -> np.ndarray:
+    """P^T X P for each member X of the m x m stack ``u`` (new, C-contiguous), P ordering the indices
+    (i, j, the rest ascending) for pair t = (i, j): one row gather, whose entries X[o_a, o_b] with o_a > o_b
+    are stored as -X[o_b, o_a], only in storage rows 1..i (row 0) and m-1..m+j-3 (row 1)."""
+    pi, pj = _pairs(m)
+    out = u.take(_pair_order(m, t), axis=0)
+    for flip in (out[1 : pi[t] + 1], out[m - 1 : m + pj[t] - 2]):
+        mod(np.negative(flip, out=flip), p, out=flip)
+    return out
+
+
 def _fix_pivots(u: np.ndarray, m: int, p: int) -> bool:
     """Make u[0,1] nonzero, in place, in each nonzero member of the C-contiguous m x m stack ``u`` by
     congruences, which keep the rank: u[0,1] = 0 with row 0 first nonzero at column j takes "add index j
     to index 1" (u[0,1] := u[0,j], row 1 += row j past column 1, mod p); a zero row 0 first takes "add
     index i to index 0", i the first nonzero row (row 0 := row i).  Moves gather m - 2 entries per member
-    by flat index (numpy gathers index pairs several times slower).  False iff some member is zero."""
+    by flat index, so any other stack raises ValueError.  False iff some member is zero."""
+    if not u.flags.c_contiguous:  # not an assert: the fix-ups would be lost under python -O
+        raise ValueError("_fix_pivots writes through u.reshape(-1), a copy unless u is C-contiguous")
     fix = np.flatnonzero(u[0] == 0)
     if not fix.size:
         return True
@@ -325,12 +347,15 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     upper triangles members-last, shape (n(n-1)/2, k): row t holds pair t
     (i < j, row-major) of every member.  ``upper`` is left unchanged.
 
-    Bunch's pairwise pivoting on the Schur complement itself.  Each step makes
-    u[0,1] nonzero by congruences (``_fix_pivots``).  With a = u[0,1], s0 = row
-    0 past column 1 over a and r1 = row 1 past column 1, the rank is 2 plus that
-    of S = u[R,R] + r1 s0^T - s0 r1^T on the other indices R, whole-row products
-    of row gathers; the storage shrinks to S.  Members reduced to zero drop out;
-    at m <= 3 a member has rank 2 iff it is nonzero, so no step runs there.
+    Bunch's pairwise pivoting on the Schur complement itself.  Each step moves
+    the pair most often nonzero in the first 256 members to (0, 1) (``_move_pair``),
+    and ``_fix_pivots`` makes u[0,1] nonzero in the members still zero there.  With
+    a = u[0,1], s0 = row 0 past column 1 over a and r1 = row 1 past column 1, the
+    rank is 2 plus that of S = u[R,R] + r1 s0^T - s0 r1^T on the other indices R,
+    updated in place one row block at a time; the storage shrinks to S.  Members
+    reduced to zero drop out, before any fix-up when the 256 are all zero, as in a
+    constant-rank stack after rank / 2 steps.  At m <= 3 a member has rank 2 iff
+    it is nonzero, so no step runs there.
 
     s0 and r1 are canonical residues, so both products lie in [0, (p - 1)^2]
     and every entry and partial sum of S is at most p - 1 + (p - 1)^2 in
@@ -346,23 +371,26 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     u = upper.astype(work, order="C")
     m = n
     while live.size and m > 3:
-        if not _fix_pivots(u, m, p):  # zero members drop out with the rank found so far
-            keep = u[0] != 0
+        dense = np.count_nonzero(u[:, :256], axis=1)  # nonzero entries per pair in 256 members
+        t = int(dense.argmax())
+        u = _move_pair(u, m, t, p) if dense[t] > dense[0] else u
+        if not dense[t] or not _fix_pivots(u, m, p):  # zero members drop out with the rank found so far
+            keep = u[0] != 0 if dense[t] else u.any(axis=0)
             rank[live[~keep]] = n - m
-            live, u = live[keep], u[:, keep]
+            live, u = live[keep], u.compress(keep, axis=1)
+            if not dense[t]:
+                continue  # the survivors are sampled again
         inv = inverse_mod(u[0], p) if inv_table is None else inv_table[u[0]]
         s0 = mod(u[1 : m - 1] * inv, p)
-        r1, rest = u[m - 1 : 2 * m - 3], u[2 * m - 3 :]
+        r1, u = u[m - 1 : 2 * m - 3], u[2 * m - 3 :]
         m -= 2
-        P, Q = _pairs(m)
-        w = r1.take(P, axis=0)
-        w *= s0.take(Q, axis=0)
-        v = s0.take(P, axis=0)
-        v *= r1.take(Q, axis=0)
-        w -= v
-        w += rest
-        u = mod(w, p, out=w)
-        del s0, r1, rest, v  # the old storage goes before the next step's fix-ups
+        scratch, lo = np.empty_like(s0), 0
+        for a in range(m - 1):  # row block a of S: pairs (a, b), b > a
+            block, tmp = u[lo : lo + m - 1 - a], scratch[: m - 1 - a]
+            block += np.multiply(s0[a + 1 :], r1[a], out=tmp)
+            block -= np.multiply(r1[a + 1 :], s0[a], out=tmp)
+            lo += m - 1 - a
+        u = mod(u, p, out=u)
     rank[live] = n - m + 2 * u.any(axis=0)
     return rank
 

@@ -498,6 +498,69 @@ def test_skew_rank_leaves_its_input_unchanged(p):
     assert (up == before).all()
 
 
+@pytest.mark.parametrize("p", [3, 46_349])
+@pytest.mark.parametrize("m", range(4, 10))
+def test_pair_move_is_a_congruence(m, p):
+    # for every pair t = (i, j), the moved storage is the strict upper triangle
+    # of P^T X P, P the permutation matrix of the index order (i, j, the rest
+    # ascending), exactly; at 46,349 the work type, and so each sign flip, is int64
+    ctx = FieldCtx.prime(p)
+    pi, pj = np.triu_indices(m, 1)
+    rng = np.random.default_rng([m, p])
+    mats = [np.array(a) for a in alternating_stack(p, m, seed=m + p)[:4]]
+    mats.append(np.triu(np.full((m, m), p - 1), 1) + np.tril(np.ones((m, m), dtype=np.int64), -1))
+    mats.append(pivoting_at(p, m, int(rng.integers(pi.size)), seed=m))
+    up = upper_of(mats, m).astype(_engine.work_type(p - 1 + (p - 1) ** 2))
+    before = up.copy()
+    for t, (i, j) in enumerate(zip(pi, pj)):
+        moved = _engine._move_pair(up, m, t, p)
+        assert moved.dtype == up.dtype and moved.flags.c_contiguous and (up == before).all()
+        order = [int(i), int(j)] + [x for x in range(m) if x not in (i, j)]
+        perm = Matrix(ctx, [[int(order[b] == a) for b in range(m)] for a in range(m)])
+        for c, a in enumerate(mats):
+            want = (perm.T @ Matrix(ctx, a.tolist()) @ perm).data
+            assert moved[:, c].tolist() == [want[x][y] for x, y in zip(pi, pj)], (t, c)
+            assert moved[0, c] == a[i, j]
+
+
+def test_skew_rank_fixes_pivots_of_survivors_after_members_drop(monkeypatch):
+    # zero members drop out at the first step and survivors need fix-ups at the
+    # second: the filtered stack must stay C-contiguous, or _fix_pivots would
+    # write its fix-ups into a copy (this stack gave ranks 2 for 4 that way)
+    p, n = 2, 6
+    mats = alternating_stack(p, n, seed=6002)
+    calls, real = [], _engine._fix_pivots
+
+    def spy(u, m, p):
+        calls.append((m, u.shape[1], int(np.count_nonzero((u[0] == 0) & u.any(axis=0)))))
+        return real(u, m, p)
+
+    monkeypatch.setattr(_engine, "_fix_pivots", spy)
+    ranks = _engine.skew_rank(upper_of(mats, n), n, p).tolist()
+    assert any(m == 4 and k < len(mats) and fixes for m, k, fixes in calls), calls
+    exact = [Matrix(FieldCtx.prime(p), a).rank() for a in mats]
+    assert ranks == _engine.batch_rank(np.array(mats, dtype=np.int64), p).tolist() == exact
+    assert 4 in exact and 6 in exact
+    with pytest.raises(ValueError):
+        real(upper_of(mats, n)[:, ::2], n, p)
+
+
+@pytest.mark.parametrize("build, n, p, param, samples", [
+    (build_bordered_alternating, 9, 5, 1, 1),  # exhaustive: 5^7 members, the first chunk 51,781
+    (build_rank_at_least_space, 8, 3, 6, 1 << 16),  # sampled: one chunk of 65,536
+])
+def test_skew_rank_matches_batch_rank_on_a_whole_engine_chunk(build, n, p, param, samples, monkeypatch):
+    # m-tilde-alt at (9, F_5) and h-bar at (8, F_3), as the engine assembles
+    # them: every member, not only the leading GUARD_MEMBERS
+    chunks, real = [], _engine.alternating_ranks
+    monkeypatch.setattr(_engine, "alternating_ranks", lambda up, n, p: chunks.append(up.copy()) or real(up, n, p))
+    rank_profile(build(FieldCtx.prime(p), n, param), seed=9, samples=samples)
+    upper = chunks[0]
+    assert upper.shape[1] == _engine._chunk_size(n * n) > _engine.GUARD_MEMBERS
+    ranks = _engine.skew_rank(upper, n, p)
+    assert ranks.tolist() == _engine.batch_rank(_engine._full_from_upper(upper, n, p), p).tolist()
+
+
 def lex_reference(base, basis, p, q, lo, hi):
     """Lexicographic members lo..hi-1 by the int64 ``_matmul_mod``, transposed to members-last."""
     return _engine._matmul_mod(_engine.lex_coords(lo, hi, basis.shape[0], q), basis, base, p).T
@@ -565,7 +628,8 @@ def test_lex_members_for_the_primes_of_a_rational_walk():
 
 def mod_cases(dtype, p):
     """Arrays over ``dtype`` with negative entries (signed types), entries at
-    +-(max - (p-1)^2), one block or less, a partial last block, and empty."""
+    +-(max - (p-1)^2), one block or less, a partial last block, sizes on both
+    sides of the ``np.remainder`` switch (1,024) and of one block (2^15), and empty."""
     info = np.iinfo(dtype)
     rng = np.random.default_rng([p, info.bits, info.min < 0])
     edge = info.max - (p - 1) ** 2
@@ -579,6 +643,8 @@ def mod_cases(dtype, p):
         rng.integers(lo, edge, 3 * 2**15 + 5, dtype=dtype),
         rng.integers(lo, edge, (40, 2, 900), dtype=dtype),
         big[:7],
+        *(rng.integers(lo, edge, size, dtype=dtype) for size in (1023, 1024, 1025, 2**15, 2**15 + 1)),
+        rng.integers(lo, edge, (41, 25), dtype=dtype),  # 1,025 entries over two axes
         np.zeros((0, 5), dtype=dtype),
         np.zeros(0, dtype=dtype),
     ]
