@@ -21,12 +21,13 @@ p^dim members as checked.
 
 Members are assembled members-last, shape (entries, members): a storage row is one entry of every
 member.  Alternating members are stored as their strict upper triangles, row-major in (i, j), and
-ranked by skew elimination (``skew_rank``: each step moves one pivot pair per stack to (0, 1), fixes
-the members still zero there by congruences and updates the Schur complement in place, so the storage
-shrinks by two rows and columns of the matrices); every other stack is ranked by general column
-elimination (``batch_rank``, on a transposed int64 copy), which swaps no rows (a pivot row clears
-itself, so it is zero in every later column) and delays its ``% p``: it lets entries leave [0, p)
-while a tracked bound on |entries| plus one more update, (p-1)^2, stays within int64.
+ranked by skew elimination (``skew_rank``: each step moves one pivot pair per stack to (0, 1), moves
+the members still zero there in groups by the same permutation congruence, ``_move_pair``, and
+updates the Schur complement in place, so the storage shrinks by two rows and columns of the
+matrices); every other stack is ranked by general column elimination (``batch_rank``, on a
+transposed int64 copy), which swaps no rows (a pivot row clears itself, so it is zero in every later
+column) and delays its ``% p``: it lets entries leave [0, p) while a tracked bound on |entries| plus
+one more update, (p-1)^2, stays within int64.
 """
 
 from __future__ import annotations
@@ -283,17 +284,6 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _row_reads(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column c: row c + 1 of an m x m alternating matrix in its columns 2..m-1 is ``sign[:, c] *
-    u[at[:, c]]`` on strict-upper storage; sign is -1 across the diagonal and 0 on it."""
-    pi, pj = _pairs(m)
-    at = np.zeros((m, m), dtype=np.intp)
-    at[pi, pj] = at[pj, pi] = np.arange(pi.size)
-    sign = np.sign(np.arange(m) - np.arange(m)[:, None])  # X[r, l] = sign(l - r) u[min(r, l), max(r, l)]
-    return at[1:, 2:].T.copy(), sign[1:, 2:].T.astype(np.int8)
-
-
-@lru_cache(maxsize=None)
 def _pair_order(m: int, t: int) -> np.ndarray:
     """The storage rows of X, in the order of the storage of P^T X P up to sign (see ``_move_pair``)."""
     pi, pj = _pairs(m)
@@ -313,35 +303,6 @@ def _move_pair(u: np.ndarray, m: int, t: int, p: int) -> np.ndarray:
     return out
 
 
-def _fix_pivots(u: np.ndarray, m: int, p: int) -> bool:
-    """Make u[0,1] nonzero, in place, in each nonzero member of the C-contiguous m x m stack ``u`` by
-    congruences, which keep the rank: u[0,1] = 0 with row 0 first nonzero at column j takes "add index j
-    to index 1" (u[0,1] := u[0,j], row 1 += row j past column 1, mod p); a zero row 0 first takes "add
-    index i to index 0", i the first nonzero row (row 0 := row i).  Moves gather m - 2 entries per member
-    by flat index, so any other stack raises ValueError.  False iff some member is zero."""
-    if not u.flags.c_contiguous:  # not an assert: the fix-ups would be lost under python -O
-        raise ValueError("_fix_pivots writes through u.reshape(-1), a copy unless u is C-contiguous")
-    fix = np.flatnonzero(u[0] == 0)
-    if not fix.size:
-        return True
-    k, flat = u.shape[1], u.reshape(-1)
-    at, sign = _row_reads(m)
-    c = (u[: m - 1].take(fix, axis=1) != 0).argmax(axis=0)
-    a = flat[c * k + fix]
-    zero = a == 0
-    if zero.any():
-        empty, (pi, pj) = fix[zero], _pairs(m)
-        t = (u.take(empty, axis=1) != 0).argmax(axis=0)
-        i = np.maximum(pi[t], 1) - 1  # a zero member reads row 1, which is zero too
-        row_i = sign.take(i, axis=1) * flat[at.take(i, axis=1) * k + empty]
-        flat[np.arange(k, (m - 1) * k, k)[:, None] + empty] = row_i
-        c[zero], a[zero] = pj[t] - 1, flat[t * k + empty]
-    flat[fix] = a
-    r1 = np.arange((m - 1) * k, (2 * m - 3) * k, k)[:, None] + fix
-    flat[r1] = mod(flat[r1] + sign.take(c, axis=1) * flat[at.take(c, axis=1) * k + fix], p)
-    return bool(a.all())
-
-
 def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     """Ranks of a stack of alternating n x n matrices over F_p stored as strict
     upper triangles members-last, shape (n(n-1)/2, k): row t holds pair t
@@ -349,13 +310,14 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
 
     Bunch's pairwise pivoting on the Schur complement itself.  Each step moves
     the pair most often nonzero in the first 256 members to (0, 1) (``_move_pair``),
-    and ``_fix_pivots`` makes u[0,1] nonzero in the members still zero there.  With
-    a = u[0,1], s0 = row 0 past column 1 over a and r1 = row 1 past column 1, the
-    rank is 2 plus that of S = u[R,R] + r1 s0^T - s0 r1^T on the other indices R,
-    updated in place one row block at a time; the storage shrinks to S.  Members
-    reduced to zero drop out, before any fix-up when the 256 are all zero, as in a
-    constant-rank stack after rank / 2 steps.  At m <= 3 a member has rank 2 iff
-    it is nonzero, so no step runs there.
+    and the members still zero there move their first nonzero pair to (0, 1) the
+    same way, one group per pair.  With a = u[0,1], s0 = row 0 past column 1 over a
+    and r1 = row 1 past column 1, the rank is 2 plus that of
+    S = u[R,R] + r1 s0^T - s0 r1^T on the other indices R, updated in place one
+    row block at a time; the storage shrinks to S.  Members reduced to zero drop
+    out, before any move when the 256 are all zero, as in a constant-rank stack
+    after rank / 2 steps.  At m <= 3 a member has rank 2 iff it is nonzero, so no
+    step runs there.
 
     s0 and r1 are canonical residues, so both products lie in [0, (p - 1)^2]
     and every entry and partial sum of S is at most p - 1 + (p - 1)^2 in
@@ -373,8 +335,17 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     while live.size and m > 3:
         dense = np.count_nonzero(u[:, :256], axis=1)  # nonzero entries per pair in 256 members
         t = int(dense.argmax())
-        u = _move_pair(u, m, t, p) if dense[t] > dense[0] else u
-        if not dense[t] or not _fix_pivots(u, m, p):  # zero members drop out with the rank found so far
+        drop = not dense[t]
+        if dense[t]:
+            u = _move_pair(u, m, t, p) if dense[t] > dense[0] else u
+            fix = np.flatnonzero(u[0] == 0)
+            if fix.size:  # these move their first nonzero pair to (0, 1), one group per pair
+                first = (u.take(fix, axis=1) != 0).argmax(axis=0)  # 0 in a zero member
+                for s in np.flatnonzero(np.bincount(first)[1:]) + 1:
+                    cols = fix[first == s]
+                    u[:, cols] = _move_pair(u.take(cols, axis=1), m, s, p)
+                drop = not first.all()
+        if drop:  # zero members drop out with the rank found so far
             keep = u[0] != 0 if dense[t] else u.any(axis=0)
             rank[live[~keep]] = n - m
             live, u = live[keep], u.compress(keep, axis=1)

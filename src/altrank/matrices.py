@@ -9,7 +9,7 @@ built on it, and the forward elimination ``_eliminate``, behind ``rank``,
 L the common denominator, and forms a Fraction only for the answer.
 ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur complement
 per step; ``_engine.skew_rank`` does the same on whole stacks, after making
-each member's (0, 1) entry nonzero by congruences.  One ``integer_lift`` serves both
+each member's (0, 1) entry nonzero by permutation congruences.  One ``integer_lift`` serves both
 Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every
 sum of products, form values x^T K y included, is one ``Matrix`` product,
 whose entries are each one ``sum(map(mul, row, col))``, reduced once mod p.

@@ -286,9 +286,9 @@ def _reduce(
     # det P = det P1 det P2 det Q' != 0 before set equality.
     base1, gens1 = p1.T @ s0 @ p1, [p1.T @ g @ p1 for g in sp.basis]
     reports = analyze.flanders_atkinson_check(gens1, r, "alternating", k)
-    failed = next((rep for rep in reports if not rep.conclusions_hold), None)
+    failed = next((i for i, rep in enumerate(reports) if not rep.conclusions_hold), None)
     if failed is not None:
-        return {"step": "generator_identities", "report": failed.to_json()}
+        return {"step": "generator_identities", "generator": failed, "report": reports[failed].to_json()}
 
     kinv = k.inverse()
     ops = [kinv @ b for b in _independent([g.block(0, r, r, n) for g in gens1])]

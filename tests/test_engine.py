@@ -376,46 +376,6 @@ def pivoting_at(p: int, n: int, t: int, seed: int) -> np.ndarray:
     return a
 
 
-def congruence(a: list, r: int, j: int, p: int) -> list:
-    """E a E^T for E = I + e_r e_j^T: "add index j to index r", exactly."""
-    ctx = FieldCtx.prime(p)
-    e = Matrix(ctx, [[int(x == y or (x, y) == (r, j)) for y in range(len(a))] for x in range(len(a))])
-    return [list(row) for row in (e @ Matrix(ctx, a) @ e.T).data]
-
-
-@pytest.mark.parametrize("m", range(2, 10))
-def test_pivot_fixups_store_the_congruent_matrix(m):
-    # u[0,1] = 0 with row 0 first nonzero at column j: "add index j to index 1";
-    # row 0 zero with the first nonzero pair (i, j): "add index i to index 0" and
-    # then "add index j to index 1"; members with u[0,1] != 0 and zero members
-    # are left alone.  Every j and i at size m, against the exact congruences,
-    # on entries near 0 and near p
-    p = 101
-    pi, pj = np.triu_indices(m, 1)
-    rng = np.random.default_rng(m)
-    mats, moves = [], []
-    for t, (i, j) in enumerate(zip(pi, pj)):
-        for _ in range(2):
-            up = rng.choice([0, 1, 2, p - 2, p - 1], pi.size)
-            up[:t] = 0
-            up[t] = rng.integers(1, p)
-            a = np.zeros((m, m), dtype=np.int64)
-            a[pi, pj], a[pj, pi] = up, -up % p
-            mats.append(a.tolist())
-            moves.append([(0, int(i))] * int(i > 0) + [(1, int(j))] * int(j > 1))
-    mats.append([[0] * m for _ in range(m)])
-    moves.append([])
-    up = upper_of(mats, m)
-    fixed = up.copy()
-    assert _engine._fix_pivots(fixed, m, p) is False  # the zero member
-    for t, (a, seq) in enumerate(zip(mats, moves)):
-        for r, j in seq:
-            a = congruence(a, r, j, p)
-        assert fixed[:, t].tolist() == np.array(a)[pi, pj].tolist(), (m, seq)
-    assert (fixed[0, :-1] != 0).all() and not fixed[:, -1].any()
-    assert _engine._fix_pivots(fixed[:, :-1].copy(), m, p) is True
-
-
 @pytest.mark.parametrize("p", [3, 7, 193, BIG])
 @pytest.mark.parametrize("n", range(2, 10))
 def test_skew_rank_pivots_from_every_position(p, n):
@@ -469,9 +429,8 @@ def test_skew_rank_on_every_kind_of_pivot_fixup(p):
 @pytest.mark.parametrize("p", [2, 5, 181, 46_337, BIG])
 @pytest.mark.parametrize("zero_rows", [1, 2, 3])
 def test_skew_rank_when_no_member_pivots_at_0_1(p, zero_rows):
-    # the leading rows and columns are zero in every member, so every member
-    # of the first step first takes "add index i to index 0", and some are
-    # fixed again later
+    # the leading rows and columns are zero in every member, so no pair in
+    # row 0 pivots at the first step, and some members move again later
     ctx = FieldCtx.prime(p)
     n = 8
     mats = []
@@ -524,25 +483,28 @@ def test_pair_move_is_a_congruence(m, p):
 
 
 def test_skew_rank_fixes_pivots_of_survivors_after_members_drop(monkeypatch):
-    # zero members drop out at the first step and survivors need fix-ups at the
-    # second: the filtered stack must stay C-contiguous, or _fix_pivots would
-    # write its fix-ups into a copy (this stack gave ranks 2 for 4 that way)
+    # zero members drop out at the first step and survivors still zero at
+    # (0, 1) at the second move as a group: the group move must write into the
+    # filtered stack, not into a copy of it; a strided view of the input ranks
+    # the same
     p, n = 2, 6
     mats = alternating_stack(p, n, seed=6002)
-    calls, real = [], _engine._fix_pivots
+    calls, real = [], _engine._move_pair
 
-    def spy(u, m, p):
-        calls.append((m, u.shape[1], int(np.count_nonzero((u[0] == 0) & u.any(axis=0)))))
-        return real(u, m, p)
+    def spy(u, m, t, p):
+        calls.append((m, u.shape[1]))
+        return real(u, m, t, p)
 
-    monkeypatch.setattr(_engine, "_fix_pivots", spy)
+    monkeypatch.setattr(_engine, "_move_pair", spy)
     ranks = _engine.skew_rank(upper_of(mats, n), n, p).tolist()
-    assert any(m == 4 and k < len(mats) and fixes for m, k, fixes in calls), calls
     exact = [Matrix(FieldCtx.prime(p), a).rank() for a in mats]
     assert ranks == _engine.batch_rank(np.array(mats, dtype=np.int64), p).tolist() == exact
-    assert 4 in exact and 6 in exact
-    with pytest.raises(ValueError):
-        real(upper_of(mats, n)[:, ::2], n, p)
+    assert 0 in exact and 4 in exact and 6 in exact
+    survivors = sum(r > 0 for r in exact)  # the stack at m = 4, once the zero members drop
+    assert any(m == 4 and k < survivors for m, k in calls), calls
+    strided = upper_of(mats, n)[:, ::2]
+    assert not strided.flags.c_contiguous
+    assert _engine.skew_rank(strided, n, p).tolist() == exact[::2]
 
 
 @pytest.mark.parametrize("build, n, p, param, samples", [

@@ -435,13 +435,20 @@ def test_canonical_reduction_rejects_nonconstant_rank():
     cert = canonical_reduction(broken, 4, seed=0)
     assert not cert.all_verdicts_true
     assert not cert.verdicts["generator_identities"]
-    assert json.loads(json.dumps(cert.witnesses["failure"])) == {
+    failure = json.loads(json.dumps(cert.witnesses["failure"]))
+    assert failure == {
         "step": "generator_identities",
+        "generator": len(gens) - 1,
         "report": {
             "mode": "alternating", "r": 4, "hypothesis_held": False,
             "first_failure": {"kind": "hypothesis", "detail": [1, 1, 6]},
         },
     }
+    # the named generator's own report fails, under the base point's normalization
+    s0 = broken.member_at([F5.parse_element(c) for c in cert.witnesses["base_point_coords"]])
+    p1, k = normalize_radical_to_tail(s0)
+    (own,) = analyze.flanders_atkinson_check([p1.T @ gens[failure["generator"]] @ p1], 4, "alternating", k)
+    assert not own.conclusions_hold and json.loads(json.dumps(own.to_json())) == failure["report"]
 
 
 def test_canonical_reduction_rejects_singular_inner_family():
