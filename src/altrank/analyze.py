@@ -85,7 +85,7 @@ def rank_profile(
         alternating=sp.alternating,
     )
     wmin, wmax = (_member_coords(sp, i, exhaustive, q, seed) for i in (mn_idx, mx_idx))
-    for coords, expect in ((wmin, mn), (wmax, mx)):
+    for coords, expect in dict.fromkeys([(wmin, mn), (wmax, mx)]):  # once if one member has both
         _exact_rank(sp.member_at(coords), lambda ranks: ranks == expect)
     return RankProfile(
         mn, mx, "exhaustive" if exhaustive else "sampled", count, None if exhaustive else seed, wmin, wmax
@@ -125,29 +125,23 @@ def _exact_rank(member: Matrix, accept: Callable[[np.ndarray], np.ndarray]) -> i
     return rank
 
 
-def _first_on_line(
-    a: Matrix, b: Matrix, accept: Callable[[np.ndarray], np.ndarray], total: int
-) -> Optional[tuple[int, int]]:
-    """(t, rank) for the least t < total with rank(a + t b) satisfying ``accept``, or
-    None, for square a, b over a prime field: one exhaustive engine pass, by
-    ``batch_rank`` even when a and b are alternating (on the skew path a short
-    line would be ranked twice, once more by the guard), its hit re-ranked exactly."""
-    n, p = a.nrows, a.ctx.p
-    t = _engine.first_index(
-        [(p, np.array(a.flatten(), dtype=np.int64), np.array([b.flatten()], dtype=np.int64))],
-        n, n, p, accept, exhaustive=True, total=total,
-    )
-    return None if t < 0 else (t, _exact_rank(a + b.scale(t), accept))
-
-
 def first_singular(a: Matrix, b: Matrix, lo: int = 0) -> Optional[int]:
-    """The least t in [lo, p) with a + t b singular, or None, for square a, b
-    over a prime field: one ``_first_on_line`` scan from a + lo b.  With
-    b = -I the answer is the least eigenvalue of a that is at least lo."""
+    """The least t in [lo, p) with a + t b singular, or None, for square a, b over a prime
+    field: one exhaustive ``first_index`` pass over a + lo b + t b, by ``batch_rank`` even
+    when a and b are alternating (on the skew path a short line would be ranked twice, once
+    more by the guard), its hit re-ranked exactly.  With b = -I the answer is the least
+    eigenvalue of a that is at least lo."""
     if a.ctx.kind != "prime":
         raise ValueError("pencil scan needs a prime field")
-    hit = _first_on_line(a + b.scale(lo), b, lambda ranks: ranks < a.nrows, a.ctx.p - lo)
-    return None if hit is None else lo + hit[0]
+    n, p, start = a.nrows, a.ctx.p, a + b.scale(lo)
+    singular = lambda ranks: ranks < n
+    t = _engine.first_index(
+        [(p, np.array(start.flatten(), dtype=np.int64), np.array([b.flatten()], dtype=np.int64))],
+        n, n, p, singular, exhaustive=True, total=p - lo,
+    )
+    if t >= 0:
+        _exact_rank(start + b.scale(t), singular)
+    return lo + t if t >= 0 else None
 
 
 def _engine_walk(sp: AffineMatrixSpace, budget: int, samples: int):
@@ -391,11 +385,12 @@ def flanders_atkinson_check(
     Conclusions with M split into blocks at row/column r:
     the lower-right block D vanishes, and the moment products vanish for
     k = 0..r-1 (B A^k C in the first two modes; B^T K^{-1} (A K^{-1})^k B in
-    alternating mode).  Higher k reduce to these by Cayley-Hamilton.  Each
-    line is scanned at t < min(p, r+2), which holds its least failure if any,
-    in one engine pass whose hit is re-ranked exactly.  A pencil is one exact
-    rank(M) plus its line: its first failure in (s, t) order is (0, 1, rank M)
-    when rank M > r, and else the line's first (1, t), as s*J + t*M = s(J + (t/s)*M).
+    alternating mode).  Higher k reduce to these by Cayley-Hamilton.  Each line
+    is scanned at t < min(p, r+2), which holds its least failure if any: the
+    J + t*M of every M in one ``batch_rank`` stack, chunked by ``chunk_ranges``,
+    and each M's least hit re-ranked exactly.  A pencil is one exact rank(M)
+    plus its line: its first failure in (s, t) order is (0, 1, rank M) when
+    rank M > r, and else the line's first (1, t), as s*J + t*M = s(J + (t/s)*M).
 
     The matrices share one field and one square shape.  The input, K and
     every M included, is validated and K inverted once for the whole
@@ -423,21 +418,28 @@ def flanders_atkinson_check(
             raise ValueError("alternating mode needs an alternating matrix")
         kinv = gram.inverse()
     j = place_blocks(ctx, n, n, [(0, 0, gram if mode == "alternating" else Matrix.identity(ctx, r))])
-    return [_flanders_atkinson(m, r, mode, j, kinv) for m in ms]
+    # an (r+1)-minor of J + t*M nonzero at some t has degree <= r+1 in t, so it is nonzero at
+    # some t <= r+1 too: one batch_rank stack of every J + t*M_i, member i * lines + t
+    lines, jm = min(ctx.p, r + 2), np.array([x.data for x in (j, *ms)], np.int64).reshape(len(ms) + 1, n, n)
+    ranks = np.empty(len(ms) * lines, dtype=np.int64)
+    for lo, hi in _engine.chunk_ranges(0, ranks.size, n * n):
+        i, t = np.divmod(np.arange(lo, hi), lines)
+        ranks[lo:hi] = _engine.batch_rank(_engine.mod(jm[0] + t[:, None, None] * jm[1 + i], ctx.p), ctx.p)
+    fails = ranks.reshape(len(ms), lines) > r
+    firsts = np.where(fails.any(axis=1), fails.argmax(axis=1), -1).tolist()
+    return [_flanders_atkinson(m, r, mode, j, kinv, t) for m, t in zip(ms, firsts)]
 
 
-def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[Matrix]) -> FAReport:
-    """``flanders_atkinson_check`` for one matrix, given J and K^-1 (None
-    outside alternating mode)."""
-    n, p = m.nrows, m.ctx.p
+def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[Matrix], t: int) -> FAReport:
+    """``flanders_atkinson_check`` for one matrix, given J, K^-1 (None outside
+    alternating mode) and the engine's least t with rank(J + t*M) > r (-1 if none)."""
+    n = m.nrows
     # pencil members at s = 0 have rank(M); each one at s != 0 has a line member's rank
     if mode == "pencil" and (rk := m.rank()) > r:
         return FAReport(mode, r, False, None, None, ("hypothesis", (0, 1, rk)))
-    # an (r+1)-minor of J + t*M nonzero at some t has degree <= r+1 in t, so it
-    # is nonzero at some t <= r+1 too
-    hit = _first_on_line(j, m, lambda ranks: ranks > r, min(p, r + 2))
-    if hit is not None:
-        return FAReport(mode, r, False, None, None, ("hypothesis", (1, *hit)))
+    if t >= 0:
+        rk = _exact_rank(j + m.scale(t), lambda ranks: ranks > r)
+        return FAReport(mode, r, False, None, None, ("hypothesis", (1, t, rk)))
 
     a, upper = m.block(0, r, 0, r), m.block(0, r, r, n)
     d = m.block(r, n, r, n)

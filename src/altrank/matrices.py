@@ -10,9 +10,9 @@ L the common denominator, and forms a Fraction only for the answer.
 ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur complement
 per step; ``_engine.skew_rank`` does the same on whole stacks, after making
 each member's (0, 1) entry nonzero by permutation congruences.  One ``integer_lift`` serves both
-Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every
-sum of products, form values x^T K y included, is one ``Matrix`` product,
-whose entries are each one ``sum(map(mul, row, col))``, reduced once mod p.
+Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every sum of products, form
+values x^T K y included, is one ``Matrix`` product, each entry one ``sum(map(mul, row, col))`` reduced
+once mod p, but for a family's images P X Q over F_p: one stacked pair, ``spaces.equivalence_images``.
 """
 
 from __future__ import annotations

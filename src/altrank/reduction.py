@@ -18,7 +18,7 @@ from . import analyze
 from .errors import ContractError
 from .families import border_row_blocks, build_row_block_family, field_size_bound
 from .matrices import Matrix, Vector, alternating_from_upper, place_blocks, span_dim, upper_pairs
-from .spaces import AffineMatrixSpace, Span, congruence_act, spaces_equal
+from .spaces import AffineMatrixSpace, Span, congruence_act, equivalence_images, spaces_equal
 from .symplectic import radical, symplectic_basis, totally_singular_witness
 
 VERDICT_KEYS = (
@@ -284,7 +284,7 @@ def _reduce(
     # invertible matrix keeps generators independent, P1 is invertible by construction,
     # symplectic_basis checks det P2 != 0, and the final congruence_act proves
     # det P = det P1 det P2 det Q' != 0 before set equality.
-    base1, gens1 = p1.T @ s0 @ p1, [p1.T @ g @ p1 for g in sp.basis]
+    base1, *gens1 = equivalence_images([s0, *sp.basis], p1.T, p1)
     reports = analyze.flanders_atkinson_check(gens1, r, "alternating", k)
     failed = next((i for i, rep in enumerate(reports) if not rep.conclusions_hold), None)
     if failed is not None:
@@ -306,7 +306,7 @@ def _reduce(
 
     p2r = symplectic_basis(k, lag)
     p2 = place_blocks(ctx, n, n, [(0, 0, p2r), (r, r, Matrix.identity(ctx, n - r))])
-    base2, gens2 = p2.T @ base1 @ p2, [p2.T @ g @ p2 for g in gens1]
+    base2, *gens2 = equivalence_images([base1, *gens1], p2.T, p2)
     if not all(m.block(s, n, s, n).is_zero() for m in (base2, *gens2)):
         return {"step": "normal_form"}
 

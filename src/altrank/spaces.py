@@ -172,7 +172,20 @@ def equivalence_act(sp: AffineMatrixSpace, p: Matrix, q: Matrix) -> AffineMatrix
     """X -> P X Q member-wise; preserves the rank multiset."""
     if p.det() == 0 or q.det() == 0:
         raise ValueError("equivalence requires invertible factors")
-    return AffineMatrixSpace(p @ sp.base @ q, [p @ g @ q for g in sp.basis])
+    base, *basis = equivalence_images([sp.base, *sp.basis], p, q)
+    return AffineMatrixSpace(base, basis)
+
+
+def equivalence_images(mats: Sequence[Matrix], p: Matrix, q: Matrix) -> list[Matrix]:
+    """P X Q for each X of the nonempty ``mats``, which share one shape: over F_p one stacked
+    product pair by ``_engine._matmul_mod``, exact for every p < 2^31; over Q ``@`` per X."""
+    if any(m.ctx != p.ctx for m in (q, *mats)):
+        raise ValueError("field mismatch")
+    if p.ctx.kind != "prime":
+        return [p @ x @ q for x in mats]
+    arr = lambda *ms: np.array([m.data for m in ms], dtype=np.int64).reshape(len(ms), *ms[0].shape)
+    out = _engine._matmul_mod(_engine._matmul_mod(arr(p)[0], arr(*mats), 0, p.ctx.p), arr(q)[0], 0, p.ctx.p)
+    return [Matrix(p.ctx, x, q.ncols) for x in out.tolist()]
 
 
 def spaces_equal(x: AffineMatrixSpace, y: AffineMatrixSpace) -> bool:

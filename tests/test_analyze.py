@@ -104,6 +104,20 @@ def test_rank_profile_of_empty_matrices(ctx, alternating):
     assert prof.constant_proved and prof.min_rank == 0 and prof.checked == 1
 
 
+@pytest.mark.parametrize("budget", [10**6, 10], ids=["exhaustive", "sampled"])
+def test_rank_profile_rechecks_a_member_with_both_extremes_once(monkeypatch, budget):
+    # at constant rank both witnesses are one member, re-ranked once; distinct witnesses twice
+    calls = []
+    real = analyze._exact_rank
+    monkeypatch.setattr(analyze, "_exact_rank", lambda m, accept: calls.append(m) or real(m, accept))
+    sp = build_bordered_alternating(F3, 5, 1)
+    prof = rank_profile(sp, budget=budget, seed=2, samples=50)
+    assert prof.witness_min == prof.witness_max and calls == [sp.member_at(prof.witness_min)]
+    calls.clear()
+    prof = rank_profile(AffineMatrixSpace(Matrix.zeros(F3, 2), [Matrix.identity(F3, 2)]), budget=budget, samples=50)
+    assert (prof.min_rank, prof.max_rank) == (0, 2) and len(calls) == 2
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_rank_profile_rejects_empty_sample(samples):
     with pytest.raises(ValueError):
@@ -807,6 +821,70 @@ def test_fa_bounded_scan_matches_full_line_reference(p, mode):
     assert held >= 2 and failed >= 2
 
 
+def staged_fa_family(ctx, mode, r):
+    """(generators, gram, least failing t per generator or None) at n = r + 2 for one
+    batched check: J + t*M is diagonal, or block diagonal in 2 x 2 blocks w = [[0, 1],
+    [-1, 0]] in alternating mode, with one factor t and factors 1 - t/k for k < t0, so
+    the line first exceeds rank r at t0.  That reaches t0 = r + 1 outside alternating mode
+    (an (r+1)-minor has degree r + 1 in t) and t0 = r/2 + 1 in it (a Pfaffian of order
+    r + 2 has degree r/2 + 1); a t0 past p - 1 is left out.  M = 0 and M = J always hold."""
+    n, s = r + 2, r // 2
+    w = Matrix(ctx, [[0, 1], [-1, 0]])
+    gram = place_blocks(ctx, r, r, [(2 * i, 2 * i, w) for i in range(s)]) if mode == "alternating" else None
+    j = place_blocks(ctx, n, n, [(0, 0, gram if gram is not None else Matrix.identity(ctx, r))])
+    gens, firsts = [Matrix.zeros(ctx, n), j], [None, None]
+    for t0 in range(1, min(ctx.p, (s if mode == "alternating" else r) + 2)):
+        c = [ctx.neg(ctx.inv(k)) for k in range(1, t0)] + [0] * ((s if mode == "alternating" else r) - t0 + 1)
+        if mode == "alternating":
+            m = place_blocks(ctx, n, n, [(2 * i, 2 * i, w.scale(x)) for i, x in enumerate(c)] + [(r, r, w)])
+        else:
+            m = place_blocks(ctx, n, n, [(i, i, Matrix(ctx, [[x]])) for i, x in enumerate([*c, 1])])
+        gens.insert(t0 % 3, m)  # failures at different t interleave with generators that hold
+        firsts.insert(t0 % 3, t0)
+    return gens, gram, firsts
+
+
+@pytest.mark.parametrize("mode", ["pencil", "line", "alternating"])
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 4), (3, 4), (7, 2), (11, 4), (13, 6)])
+def test_fa_batched_lines_match_per_generator_references(p, r, mode):
+    # one batch_rank stack ranks every generator's line; each report equals the exact full-line
+    # reference and the one-generator call, its failure at the planted t (at p < r + 2 the scan
+    # stops at t = p - 1), and a pencil with rank(M) = r + 1 fails at (0, 1) first
+    ctx = FieldCtx.prime(p)
+    gens, gram, firsts = staged_fa_family(ctx, mode, r)
+    reports = flanders_atkinson_check(gens, r, mode, gram=gram)
+    assert reports == [flanders_atkinson_check([m], r, mode, gram=gram)[0] for m in gens]
+    for m, rep, t0 in zip(gens, reports, firsts):
+        want = full_line_failure(m, r, mode, gram)
+        assert rep.hypothesis_held == (want is None) == (t0 is None)
+        if want is not None:
+            assert rep.first_failure == want
+            assert want[1][:2] == ((0, 1) if mode == "pencil" and t0 == r + 1 else (1, t0))
+    reached = [t0 for t0 in firsts if t0 is not None]
+    assert max(reached) == min(p - 1, r // 2 + 1 if mode == "alternating" else r + 1)
+
+
+def test_fa_lines_are_ranked_in_engine_chunks(monkeypatch):
+    # 600 generators x 4 line members, in chunks of at most 1,024 members: three
+    # batch_rank calls, with every report as the exact reference gives it
+    stream = CounterStream(derive_seed(39, "fa-chunks"))
+    x, y = stream.vector(F5, 4), stream.vector(F5, 4)
+    rank_one = Matrix(F5, [[a * b for b in y] for a in x])
+    gens = [random_matrix(F5, 4, 4, stream) if i % 3 else rank_one.scale(i) for i in range(600)]
+    whole = flanders_atkinson_check(gens, 2, "line")
+    monkeypatch.setattr(_engine, "_CHUNK_ELEMS", 1)
+    calls = []
+    batch_rank = _engine.batch_rank
+    monkeypatch.setattr(_engine, "batch_rank", lambda mats, p: calls.append(len(mats)) or batch_rank(mats, p))
+    reports = flanders_atkinson_check(gens, 2, "line")
+    assert calls == [1024, 1024, 352]
+    assert reports == whole
+    for m, rep in zip(gens, reports):
+        want = full_line_failure(m, 2, "line")
+        assert rep.hypothesis_held == (want is None) and (want is None or rep.first_failure == want)
+    assert 0 < sum(rep.hypothesis_held for rep in reports) < 600
+
+
 @pytest.mark.parametrize("extreme", [0, 2], ids=["min", "max"])
 def test_rank_profile_witnesses_are_rechecked_exactly(monkeypatch, tmp_path, capsys, extreme):
     # an engine that reports one extreme two ranks off, at the true witness:
@@ -839,6 +917,9 @@ def test_first_hit_witnesses_are_rechecked_exactly(monkeypatch):
     sp = build_bordered_alternating(F5, 5, 1)  # constant rank 2
     with pytest.raises(AssertionError, match="re-verification"):
         first_member(sp, lambda ranks: ranks == 4)
+    # the hypothesis lines are one batch_rank stack: a kernel that calls every member of
+    # full rank puts each first failure at t = 0
+    monkeypatch.setattr(_engine, "batch_rank", lambda mats, p: np.full(len(mats), mats.shape[1]))
     with pytest.raises(AssertionError, match="re-verification"):
         flanders_atkinson_check([unit(F5, 3, 0, 1)], 2, "pencil")  # line member 0 is J, of rank 2
     k = standard_symplectic(F5, 1)

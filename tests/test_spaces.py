@@ -28,6 +28,7 @@ from altrank.spaces import (
     congruence_act,
     echelon_bases,
     equivalence_act,
+    equivalence_images,
     exhaustive_optimal_dimension,
     gaussian_binomial,
     spaces_equal,
@@ -310,6 +311,23 @@ def test_equivalence_act_rectangular():
     ranks = sorted(m.rank() for _, m in sp.enumerate())
     ranks2 = sorted(m.rank() for _, m in moved.enumerate())
     assert ranks == ranks2
+
+
+@pytest.mark.parametrize("field", [2, 3, 7, 2_147_483_629, "Q"])
+def test_stacked_equivalence_matches_matrix_products(field):
+    # every image P X Q of a family against ``@``, P a x n, X n x m, Q m x b: over F_p one stacked
+    # product pair, near 2^31 in groups of two terms (three such products leave int64), over Q ``@``
+    ctx = Q if field == "Q" else FieldCtx.prime(field)
+    for a, n, m, b, count in ((1, 1, 1, 1, 1), (1, 1, 1, 1, 4), (2, 1, 1, 3, 3), (2, 2, 3, 3, 3),
+                              (5, 5, 5, 5, 6), (9, 9, 9, 9, 16), (1, 4, 7, 2, 2)):
+        stream = CounterStream(derive_seed(39, "stacked-act", field, a, n, m, b))
+        mats = [random_matrix(ctx, n, m, stream) for _ in range(count)]
+        p, q = random_matrix(ctx, a, n, stream), random_matrix(ctx, m, b, stream)
+        images = equivalence_images(mats, p, q)
+        assert images == [p @ x @ q for x in mats]
+        assert all(image.shape == (a, b) for image in images)
+    with pytest.raises(ValueError, match="field mismatch"):
+        equivalence_images([Matrix.identity(F3, 2)], Matrix.identity(F5, 2), Matrix.identity(F5, 2))
 
 
 def test_rank_multiset_frozen():
