@@ -39,10 +39,6 @@ class RankProfile:
     def constant(self) -> bool:
         return self.min_rank == self.max_rank
 
-    @property
-    def constant_proved(self) -> bool:
-        return self.constant and self.method == "exhaustive"
-
     def to_json(self, ctx: FieldCtx) -> dict:
         def enc(coords):
             return [ctx.element_to_str(c) for c in coords]
@@ -388,7 +384,10 @@ def flanders_atkinson_check(
     alternating mode).  Higher k reduce to these by Cayley-Hamilton.  Each line
     is scanned at t < min(p, r+2), which holds its least failure if any: the
     J + t*M of every M in one ``batch_rank`` stack, chunked by ``chunk_ranges``,
-    and each M's least hit re-ranked exactly.  A pencil is one exact rank(M)
+    and each M's least hit re-ranked exactly.  The conclusions are read off the
+    same int64 stack: K^{-1} A and K^{-1} B once each in alternating mode, then one
+    ``_matmul_mod`` product per moment for the whole family, exact for every p < 2^31; a
+    ``Matrix`` is built only for a witness.  A pencil is one exact rank(M)
     plus its line: its first failure in (s, t) order is (0, 1, rank M) when
     rank M > r, and else the line's first (1, t), as s*J + t*M = s(J + (t/s)*M).
 
@@ -408,7 +407,6 @@ def flanders_atkinson_check(
         raise ValueError("rank bound out of range")
     if mode not in ("pencil", "line", "alternating"):
         raise ValueError(f"unknown mode {mode!r}")
-    kinv = None
     if mode == "alternating":
         if gram is None or gram.shape != (r, r):
             raise ValueError("alternating mode needs an r x r gram matrix")
@@ -416,7 +414,7 @@ def flanders_atkinson_check(
             raise ValueError("gram matrix must be invertible and alternating")
         if not all(m.is_alternating() for m in ms):
             raise ValueError("alternating mode needs an alternating matrix")
-        kinv = gram.inverse()
+        kinv = np.array(gram.inverse().data, np.int64).reshape(r, r)
     j = place_blocks(ctx, n, n, [(0, 0, gram if mode == "alternating" else Matrix.identity(ctx, r))])
     # an (r+1)-minor of J + t*M nonzero at some t has degree <= r+1 in t, so it is nonzero at
     # some t <= r+1 too: one batch_rank stack of every J + t*M_i, member i * lines + t
@@ -427,37 +425,35 @@ def flanders_atkinson_check(
         ranks[lo:hi] = _engine.batch_rank(_engine.mod(jm[0] + t[:, None, None] * jm[1 + i], ctx.p), ctx.p)
     fails = ranks.reshape(len(ms), lines) > r
     firsts = np.where(fails.any(axis=1), fails.argmax(axis=1), -1).tolist()
-    return [_flanders_atkinson(m, r, mode, j, kinv, t) for m, t in zip(ms, firsts)]
-
-
-def _flanders_atkinson(m: Matrix, r: int, mode: str, j: Matrix, kinv: Optional[Matrix], t: int) -> FAReport:
-    """``flanders_atkinson_check`` for one matrix, given J, K^-1 (None outside
-    alternating mode) and the engine's least t with rank(J + t*M) > r (-1 if none)."""
-    n = m.nrows
-    # pencil members at s = 0 have rank(M); each one at s != 0 has a line member's rank
-    if mode == "pencil" and (rk := m.rank()) > r:
-        return FAReport(mode, r, False, None, None, ("hypothesis", (0, 1, rk)))
-    if t >= 0:
-        rk = _exact_rank(j + m.scale(t), lambda ranks: ranks > r)
-        return FAReport(mode, r, False, None, None, ("hypothesis", (1, t, rk)))
-
-    a, upper = m.block(0, r, 0, r), m.block(0, r, r, n)
-    d = m.block(r, n, r, n)
-    d_zero = d.is_zero()
-    first = None if d_zero else ("D", d)
-    # the k-th moment is left @ step^k @ y
+    # the conclusions on the same stack, blocks split at r: moment k is left @ step^k @ y
+    p, gens = ctx.p, jm[1:]
+    a, upper, lower, d = gens[:, :r, :r], gens[:, :r, r:], gens[:, r:, :r], gens[:, r:, r:]
     if mode == "alternating":
-        left, step, y = upper.T, kinv @ a, kinv @ upper
+        left, step, y = upper.transpose(0, 2, 1), *(_engine._matmul_mod(kinv, x, 0, p) for x in (a, upper))
     else:
-        left, step, y = m.block(r, n, 0, r), a, upper
+        left, step, y = lower, a, upper
     moments = []
-    for k in range(r):
-        prod = left @ y
-        moments.append(prod.is_zero())
-        if not moments[-1] and first is None:
-            first = ("moment", (k, prod))
-        y = step @ y
-    return FAReport(mode, r, True, d_zero, tuple(moments), first)
+    for _ in range(r):
+        moments.append(_engine._matmul_mod(left, y, 0, p))
+        y = _engine._matmul_mod(step, y, 0, p)
+    d_zero = (~d.any(axis=(1, 2))).tolist()
+    zero_moments = [~x.any(axis=(1, 2)) for x in moments]
+    reports = []
+    for i, (m, t) in enumerate(zip(ms, firsts)):
+        # pencil members at s = 0 have rank(M); each one at s != 0 has a line member's rank
+        if mode == "pencil" and (rk := m.rank()) > r:
+            reports.append(FAReport(mode, r, False, None, None, ("hypothesis", (0, 1, rk))))
+        elif t >= 0:
+            rk = _exact_rank(j + m.scale(t), lambda ranks: ranks > r)
+            reports.append(FAReport(mode, r, False, None, None, ("hypothesis", (1, t, rk))))
+        else:
+            vanish = tuple(bool(z[i]) for z in zero_moments)
+            first = None if d_zero[i] else ("D", m.block(r, n, r, n))
+            if first is None and not all(vanish):
+                k = vanish.index(False)
+                first = ("moment", (k, Matrix(ctx, moments[k][i].tolist(), n - r)))
+            reports.append(FAReport(mode, r, True, d_zero[i], vanish, first))
+    return reports
 
 
 def extract_range_lagrangian(ops: Sequence[Matrix], gram: Matrix) -> Optional[list[Vector]]:

@@ -12,7 +12,8 @@ per step; ``_engine.skew_rank`` does the same on whole stacks, after making
 each member's (0, 1) entry nonzero by permutation congruences.  One ``integer_lift`` serves both
 Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every sum of products, form
 values x^T K y included, is one ``Matrix`` product, each entry one ``sum(map(mul, row, col))`` reduced
-once mod p, but for a family's images P X Q over F_p: one stacked pair, ``spaces.equivalence_images``.
+once mod p, but for a family's images P X Q over F_p, one stacked pair in ``spaces.equivalence_images``,
+and its Flanders-Atkinson moments, one stacked product per moment in ``analyze.flanders_atkinson_check``.
 """
 
 from __future__ import annotations

@@ -192,10 +192,7 @@ def spaces_equal(x: AffineMatrixSpace, y: AffineMatrixSpace) -> bool:
     """Exact set equality of affine spaces."""
     if x.ctx != y.ctx or x.shape != y.shape or x.dim != y.dim:
         return False
-    span = y._span
-    if not span.contains((x.base - y.base).flatten()):
-        return False
-    return all(span.contains(g.flatten()) for g in x.basis)
+    return y.contains(x.base) and all(y.translation_contains(g) for g in x.basis)
 
 
 # -- exhaustive optimal-dimension search -----------------------------------------------------

@@ -62,6 +62,32 @@ def reference_matmul(a, b):
     return Matrix(ctx, rows, b.ncols)
 
 
+def reference_fa_conclusions(m, r, mode, gram=None):
+    """(D_zero, moment_vanishing, first_failure) of one matrix M whose rank hypothesis holds,
+    by ``Matrix`` products one generator at a time: the loop that ``flanders_atkinson_check``
+    replaced by stacked products over the whole family.  Blocks split at r; the k-th moment
+    is B^T K^-1 (A K^-1)^k B in alternating mode, with K = gram, and C A^k B otherwise."""
+    n = m.nrows
+    a, upper = m.block(0, r, 0, r), m.block(0, r, r, n)
+    d = m.block(r, n, r, n)
+    d_zero = d.is_zero()
+    first = None if d_zero else ("D", d)
+    # the k-th moment is left @ step^k @ y
+    if mode == "alternating":
+        kinv = gram.inverse()
+        left, step, y = upper.T, kinv @ a, kinv @ upper
+    else:
+        left, step, y = m.block(r, n, 0, r), a, upper
+    moments = []
+    for k in range(r):
+        prod = left @ y
+        moments.append(prod.is_zero())
+        if not moments[-1] and first is None:
+            first = ("moment", (k, prod))
+        y = step @ y
+    return d_zero, tuple(moments), first
+
+
 def lazy_totally_singular_witness(gram, vecs):
     """First (i, j), i <= j in row-major order, with vecs[i]^T gram vecs[j] != 0,
     or None: the scan that ``symplectic.totally_singular_witness`` replaced.

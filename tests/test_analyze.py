@@ -41,7 +41,11 @@ from altrank.rand import (
 )
 from altrank.spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act
 from altrank.symplectic import FormSpacePair, standard_symplectic
-from reference import pencil_symplectic_iff_trivial_spectrum, random_invertible_alternating
+from reference import (
+    pencil_symplectic_iff_trivial_spectrum,
+    random_invertible_alternating,
+    reference_fa_conclusions,
+)
 
 F2 = FieldCtx.prime(2)
 F3 = FieldCtx.prime(3)
@@ -61,7 +65,7 @@ def unit(ctx, n, i, j):
 def test_rank_profile_exhaustive_witnesses():
     sp = build_bordered_alternating(F3, 7, 2)
     prof = rank_profile(sp, budget=10**4, seed=0, samples=10)
-    assert prof.constant_proved
+    assert prof.constant and prof.method == "exhaustive"
     assert prof.witness_min == (0,) * 8  # lex-least coordinates
     assert sp.member_at(prof.witness_min).rank() == prof.min_rank
 
@@ -71,7 +75,6 @@ def test_rank_profile_sampled_mode():
     prof = rank_profile(sp, budget=10**3, seed=7, samples=400)
     assert prof.method == "sampled" and prof.checked == 400
     assert prof.seed == 7
-    assert not prof.constant_proved  # sampling never proves constancy
     assert prof.min_rank == prof.max_rank == 4
     assert sp.member_at(prof.witness_max).rank() == prof.max_rank
 
@@ -87,7 +90,7 @@ def test_rank_profile_rational_dim_zero():
     sp = AffineMatrixSpace(standard_symplectic(Q, 2), [])
     prof = rank_profile(sp, budget=10, seed=0, samples=10)
     assert prof.method == "exhaustive" and prof.checked == 1
-    assert prof.constant_proved and prof.min_rank == 4
+    assert prof.constant and prof.method == "exhaustive" and prof.min_rank == 4
 
 
 @pytest.mark.parametrize("ctx", [F3, Q], ids=["F3", "Q"])
@@ -101,7 +104,7 @@ def test_rank_profile_of_empty_matrices(ctx, alternating):
     ranks = _engine.profile_ranks(residues, 0, 0, q, exhaustive=exhaustive, total=count, alternating=alternating)
     assert ranks == (0, 0, 0, 0)
     prof = rank_profile(sp)
-    assert prof.constant_proved and prof.min_rank == 0 and prof.checked == 1
+    assert prof.constant and prof.method == "exhaustive" and prof.min_rank == 0 and prof.checked == 1
 
 
 @pytest.mark.parametrize("budget", [10**6, 10], ids=["exhaustive", "sampled"])
@@ -125,9 +128,9 @@ def test_rank_profile_rejects_empty_sample(samples):
     with pytest.raises(ValueError):
         rank_profile(build_counterexample_plane(Q), budget=0, samples=samples)
     # the exhaustive paths never read the sample count
-    assert rank_profile(build_bordered_alternating(F3, 5, 1), samples=samples).constant_proved
-    sp = AffineMatrixSpace(standard_symplectic(Q, 2), [])
-    assert rank_profile(sp, samples=samples).constant_proved
+    for sp in (build_bordered_alternating(F3, 5, 1), AffineMatrixSpace(standard_symplectic(Q, 2), [])):
+        prof = rank_profile(sp, samples=samples)
+        assert prof.constant and prof.method == "exhaustive"
 
 
 @pytest.mark.parametrize("ctx, n, s, budget", [(F3, 5, 1, 10**6), (F5, 7, 2, 10**3)], ids=["exhaustive", "sampled"])
@@ -883,6 +886,144 @@ def test_fa_lines_are_ranked_in_engine_chunks(monkeypatch):
         want = full_line_failure(m, 2, "line")
         assert rep.hypothesis_held == (want is None) and (want is None or rep.first_failure == want)
     assert 0 < sum(rep.hypothesis_held for rep in reports) < 600
+
+
+P_BIG = 2_147_483_629  # a prime below 2^31: the stacked moments sum in groups of two terms
+
+
+def fa_blocks(ctx, a, b, c, d):
+    """[[A, B], [C, D]], split at r = A's order."""
+    r, n = a.nrows, a.nrows + d.nrows
+    return place_blocks(ctx, n, n, [(0, 0, a), (0, r, b), (r, 0, c), (r, r, d)])
+
+
+def fa_change_basis(ms, gram, r, mode, stream):
+    """(P^-1 M P for each M, gram) outside alternating mode, (P^T M P, S^T K S) in it, for
+    P = diag(S, I) with S a random invertible r x r matrix: J + t*M keeps its ranks and every
+    moment its value, while the entries grow to the size of p."""
+    ctx, n = ms[0].ctx, ms[0].nrows
+    s = random_invertible(ctx, r, stream)
+    p = place_blocks(ctx, n, n, [(0, 0, s), (r, r, Matrix.identity(ctx, n - r))])
+    if mode == "alternating":
+        return [p.T @ m @ p for m in ms], s.T @ gram @ s
+    return [p.inverse() @ m @ p for m in ms], gram
+
+
+def fa_diagonal_cases(ctx, r):
+    """Three matrices of order r + 1 over F_p, r = p + 2, whose lines J + t*M are singular
+    at every t in F_p and whose pencils have rank(M) <= r, so the hypothesis holds over F_p
+    while a conclusion fails: D = 1; C B = 1; and C B = 0 with C A B = -1.  With A =
+    diag(m_i), det(J + t*M) is t D prod(1 + t m_i) when B = C = 0 and -t^2 C adj(I + tA) B
+    when D = 0; the factors 1 + t m_i with m_i = -1/k, k = 1..p - 1, leave no t != 0 out."""
+    p = ctx.p
+    kill = [ctx.neg(ctx.inv(k)) for k in range(1, p)]
+    diag = lambda ms: Matrix(ctx, [[ms[i] if i == j else 0 for j in range(r)] for i in range(r)])
+    col = lambda *xs: Matrix(ctx, [[x] for x in xs] + [[0]] * (r - len(xs)))
+    one, zero = Matrix(ctx, [[1]]), Matrix.zeros(ctx, 1)
+    pad = lambda ms: [*ms, *[0] * (r - len(ms))]
+    return [
+        fa_blocks(ctx, diag(pad(kill)), col(), col().T, one),
+        fa_blocks(ctx, diag(pad([0, *kill])), col(1), col(1).T, zero),
+        fa_blocks(ctx, diag(pad([0, 1, *kill])), col(1, 1), col(1, -1).T, zero),
+    ]
+
+
+def fa_conclusion_families(ctx, mode, stream):
+    """(generators, r, gram) families whose rank hypothesis holds or fails, and whose
+    conclusions hold or, over fields too small for the theorem, fail at D or at a moment;
+    with the edges r = 0 and r = n."""
+    if mode == "alternating":
+        sp = build_bordered_alternating(ctx, 7, 2)
+        held, gram = fa_change_basis(list(sp.basis[:4]), standard_symplectic(ctx, 2), 4, mode, stream)
+        out = [(held + [random_alternating(ctx, 7, stream)], 4, gram)]
+        if ctx.p < 10:  # Pf(J_K + t*M) = t prod(1 + t c_i) with the c_i = -1/k vanishes on F_p
+            r, w = 2 * (ctx.p - 1), Matrix(ctx, [[0, 1], [-1, 0]])
+            gram = place_blocks(ctx, r, r, [(2 * i, 2 * i, w) for i in range(r // 2)])
+            scaled = [(2 * i, 2 * i, w.scale(ctx.neg(ctx.inv(i + 1)))) for i in range(r // 2)]
+            m = place_blocks(ctx, r + 2, r + 2, scaled + [(r, r, w)])
+            out.append(([m], r, gram))
+        empty, full = Matrix.zeros(ctx, 0), random_invertible_alternating(ctx, 4, stream)
+        return out + [
+            ([Matrix.zeros(ctx, 3), random_alternating(ctx, 3, stream)], 0, empty),
+            ([random_alternating(ctx, 4, stream) for _ in range(2)], 4, full),
+        ]
+    # C A^k B = 0 for every k when A e_1 is a multiple of e_1, B is in span(e_1) and C e_1 = 0
+    invariant = []
+    for _ in range(2):
+        rows = random_matrix(ctx, 3, 3, stream).data
+        a = Matrix(ctx, [[x if i == 0 or j else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)])
+        b, c = Matrix(ctx, [[stream.element(ctx)], [0], [0]]), Matrix(ctx, [[0, *stream.vector(ctx, 2)]])
+        invariant.append(fa_blocks(ctx, a, b, c, Matrix.zeros(ctx, 1)))
+    held, _ = fa_change_basis(invariant, None, 3, mode, stream)
+    out = [(held + [random_matrix(ctx, 4, 4, stream) for _ in range(2)], 3, None)]
+    if ctx.p < 10:
+        r = ctx.p + 2
+        out.append((fa_change_basis(fa_diagonal_cases(ctx, r), None, r, mode, stream)[0], r, None))
+    return out + [
+        ([Matrix.zeros(ctx, 3), random_matrix(ctx, 3, 3, stream)], 0, None),
+        ([random_matrix(ctx, 3, 3, stream) for _ in range(2)], 3, None),
+    ]
+
+
+def fa_failure_kind(rep):
+    kind = rep.first_failure and rep.first_failure[0]
+    return f"moment {min(rep.first_failure[1][0], 1)}" if kind == "moment" else kind
+
+
+@pytest.mark.parametrize("mode", ["pencil", "line", "alternating"])
+@pytest.mark.parametrize("p", [2, 3, 7, P_BIG])
+def test_fa_stacked_conclusions_match_the_exact_reference(p, mode):
+    # every report whose hypothesis holds equals the per-generator Matrix loop, witnesses
+    # included; a failing hypothesis reports no conclusions
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(40, "fa-conclusions", p, mode))
+    seen = set()
+    for gens, r, gram in fa_conclusion_families(ctx, mode, stream):
+        for m, rep in zip(gens, flanders_atkinson_check(gens, r, mode, gram=gram), strict=True):
+            if rep.hypothesis_held:
+                want = reference_fa_conclusions(m, r, mode, gram)
+                assert (rep.D_zero, rep.moment_vanishing, rep.first_failure) == want
+                assert type(rep.D_zero) is bool and all(type(v) is bool for v in rep.moment_vanishing)
+            else:
+                assert rep.D_zero is None and rep.moment_vanishing is None
+                assert rep.first_failure == full_line_failure(m, r, mode, gram)
+                json.dumps(rep.to_json())
+            seen.add(fa_failure_kind(rep))
+    small = {"D", "moment 0", "moment 1"} if mode != "alternating" else {"D"}
+    assert seen == {None, "hypothesis"} | (small if p < 10 else set())
+
+
+@pytest.mark.parametrize("mode", ["line", "alternating"])
+@pytest.mark.parametrize("p", [7, P_BIG])
+def test_fa_conclusions_are_exact_past_the_hypothesis(monkeypatch, p, mode):
+    # a kernel that calls every line member rank 0 lets any matrix through to the conclusions,
+    # so witnesses with entries near p, which no genuine hypothesis reaches over a large field,
+    # are compared with the per-generator Matrix loop: D = w, or e_1 e_1^T outside alternating
+    # mode; B = [e_0 e_2] (K = J_2, so B^T K^-1 B != 0) or C = B^T, first failing at k = 0;
+    # and B = [e_0 e_1] with (K^-1 A K^-1)_01 = -A_23 = -1, or C = [e_2 e_3]^T with
+    # A_(2:4, 0:2) = I, first failing at k = 1
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(40, "fa-past", p, mode))
+    alt, r, n = mode == "alternating", 4, 6
+    w = Matrix(ctx, [[0, 1], [-1, 0]]) if alt else Matrix.identity(ctx, 2)
+    rand = random_alternating(ctx, n, stream) if alt else random_matrix(ctx, n, n, stream)
+    a = random_alternating(ctx, r, stream) if alt else random_matrix(ctx, r, r, stream)
+    a = place_blocks(ctx, r, r, [(0, 0, a), (2, 2 if alt else 0, w)])
+    unit_cols = lambda i, j: Matrix(ctx, [[int(k == i), int(k == j)] for k in range(r)])
+    c_of = lambda b: b.T.scale(-1) if alt else b.T
+    zero = Matrix.zeros(ctx, 2)
+    gens = [
+        place_blocks(ctx, n, n, [(0, 0, rand), (r, r, w if alt else Matrix(ctx, [[0, 0], [0, 1]]))]),
+        fa_blocks(ctx, a, unit_cols(0, 2 if alt else 1), c_of(unit_cols(0, 2 if alt else 1)), zero),
+        fa_blocks(ctx, a, unit_cols(0, 1), c_of(unit_cols(0, 1) if alt else unit_cols(2, 3)), zero),
+    ]
+    gens, gram = fa_change_basis(gens, standard_symplectic(ctx, 2) if alt else None, r, mode, stream)
+    monkeypatch.setattr(_engine, "batch_rank", lambda mats, p: np.zeros(len(mats), np.int64))
+    reports = flanders_atkinson_check(gens, r, mode, gram=gram)
+    for m, rep in zip(gens, reports, strict=True):
+        assert (rep.D_zero, rep.moment_vanishing, rep.first_failure) == reference_fa_conclusions(m, r, mode, gram)
+    assert [fa_failure_kind(rep) for rep in reports] == ["D", "moment 0", "moment 1"]
+    assert max(x for m in gens for row in m.data for x in row) > p // 2  # entries of all sizes
 
 
 @pytest.mark.parametrize("extreme", [0, 2], ids=["min", "max"])

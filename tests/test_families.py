@@ -68,7 +68,7 @@ def test_bordered_alternating_frozen():
     assert sp.alternating
     prof = rank_profile(sp, budget=10**4, seed=0, samples=10)
     assert prof.method == "exhaustive" and prof.checked == 6561
-    assert prof.constant_proved and prof.min_rank == 4
+    assert prof.constant and prof.method == "exhaustive" and prof.min_rank == 4
 
 
 def test_bordered_inner_override():
@@ -78,7 +78,7 @@ def test_bordered_inner_override():
     sp = build_bordered_alternating(F5, 6, 2, inner=inner)
     assert sp.dim == 2 * (6 - 2 - 1)
     prof = rank_profile(sp, budget=5**6, seed=0, samples=10)
-    assert prof.constant_proved and prof.min_rank == 4
+    assert prof.constant and prof.method == "exhaustive" and prof.min_rank == 4
 
 
 def test_bordered_rejects_singular_inner():
@@ -106,7 +106,7 @@ def test_flagless_inner_family_is_proved_by_the_exhaustive_fallback():
     assert not invertible_by_flag(inner)
     sp = build_bordered_alternating(F5, 5, 2, inner=inner)
     prof = rank_profile(sp, budget=5**4, seed=0, samples=10)
-    assert prof.constant_proved and prof.min_rank == 4
+    assert prof.constant and prof.method == "exhaustive" and prof.min_rank == 4
 
 
 def test_flagless_inner_family_past_the_budget_proves_nothing():
@@ -129,7 +129,7 @@ def test_corank_one_frozen():
     sp = build_corank_one_space(F5, 4)
     assert sp.shape == (5, 5) and sp.dim == 6  # s(s + 1)
     prof = rank_profile(sp, budget=5**6, seed=0, samples=10)
-    assert prof.constant_proved and prof.min_rank == 4
+    assert prof.constant and prof.method == "exhaustive" and prof.min_rank == 4
 
 
 def test_rank_at_least_frozen():
@@ -153,7 +153,7 @@ def test_row_block_family():
     assert sp.shape == (2, 3)  # B is s x s, C fills the remaining n - 2s columns
     assert sp.dim == 1 + 2  # inner dim + free slab
     prof = rank_profile(sp, budget=5**3, seed=0, samples=10)
-    assert prof.constant_proved and prof.min_rank == 2
+    assert prof.constant and prof.method == "exhaustive" and prof.min_rank == 2
 
 
 def test_operator_block_space():
@@ -162,7 +162,7 @@ def test_operator_block_space():
     forms = phi_operators_to_forms(pair)
     assert forms.dim == 6 and forms.shape == (6, 6)
     prof = rank_profile(forms, budget=5**6, seed=0, samples=10)
-    assert prof.constant_proved and prof.min_rank == 6
+    assert prof.constant and prof.method == "exhaustive" and prof.min_rank == 6
 
 
 def test_operator_block_rejects_nontrivial_core():

@@ -292,6 +292,24 @@ def test_spaces_equal_translation_of_base():
     assert not spaces_equal(sp, moved)
 
 
+def test_spaces_equal_matches_member_sets():
+    # the base by contains, each generator by translation_contains: the verdicts are those
+    # of the enumerated member sets, for a rebased and recombined copy, a base moved off
+    # the space, one generator swapped out and a smaller dimension
+    stream = CounterStream(derive_seed(40, "spaces-equal"))
+    x = AffineMatrixSpace(random_matrix(F3, 3, 3, stream), [random_matrix(F3, 3, 3, stream) for _ in range(2)])
+    g0, g1 = x.basis
+    off = next(u for i, j in product(range(3), repeat=2) if not x.translation_contains(u := unit(F3, 3, i, j)))
+    ys = [
+        AffineMatrixSpace(x.base + g0.scale(2) + g1, [g0 + g1, g1.scale(2)]),
+        AffineMatrixSpace(x.base + off, x.basis),
+        AffineMatrixSpace(x.base, [g0, off]),
+        AffineMatrixSpace(x.base, [g0]),
+    ]
+    members = lambda sp: {m for _, m in sp.enumerate(100)}
+    assert [spaces_equal(x, y) for y in ys] == [members(x) == members(y) for y in ys] == [True, False, False, False]
+
+
 def test_congruence_preserves_rank_multiset():
     sp = build_bordered_alternating(F3, 5, 1)
     p = random_invertible(F3, 5, CounterStream(derive_seed(2, "act")))
