@@ -332,7 +332,8 @@ class FAReport:
     """Outcome of a rank-degeneration conclusion check.
 
     When the rank hypothesis fails the conclusion fields are None and
-    first_failure carries the ("hypothesis", witness) tag.
+    first_failure carries the ("hypothesis", witness) tag; else it is None, ("D", block)
+    or ("moment", (k, product)), whose JSON detail is {"k": k, "witness": product}.
     """
 
     mode: str
@@ -359,10 +360,9 @@ class FAReport:
             obj["moment_vanishing"] = list(self.moment_vanishing)
         if self.first_failure is not None:
             kind, detail = self.first_failure
-            obj["first_failure"] = {
-                "kind": kind,
-                "detail": detail.to_json() if isinstance(detail, Matrix) else detail,
-            }
+            if kind == "moment":
+                detail = {"k": detail[0], "witness": detail[1].to_json()}
+            obj["first_failure"] = {"kind": kind, "detail": detail.to_json() if isinstance(detail, Matrix) else detail}
         return obj
 
 
@@ -451,7 +451,7 @@ def flanders_atkinson_check(
             first = None if d_zero[i] else ("D", m.block(r, n, r, n))
             if first is None and not all(vanish):
                 k = vanish.index(False)
-                first = ("moment", (k, Matrix(ctx, moments[k][i].tolist(), n - r)))
+                first = ("moment", (k, Matrix.from_residues(ctx, moments[k][i])))
             reports.append(FAReport(mode, r, True, d_zero[i], vanish, first))
     return reports
 

@@ -1,19 +1,17 @@
 """Dense exact matrices with deterministic elimination.
 
-All algorithms pivot on the first nonzero entry in column order, never by
-magnitude, so kernels, echelon forms and certificates are reproducible
-bit for bit across runs and platforms.  There are two eliminations: the
-incremental Gauss-Jordan of :class:`Span`, behind ``rref`` and everything
-built on it, and the forward elimination ``_eliminate``, behind ``rank``,
-``det`` and ``span_dim``, fraction-free over Q: it runs on the integers L*A,
-L the common denominator, and forms a Fraction only for the answer.
-``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur complement
-per step; ``_engine.skew_rank`` does the same on whole stacks, after making
-each member's (0, 1) entry nonzero by permutation congruences.  One ``integer_lift`` serves both
-Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every sum of products, form
-values x^T K y included, is one ``Matrix`` product, each entry one ``sum(map(mul, row, col))`` reduced
-once mod p, but for a family's images P X Q over F_p, one stacked pair in ``spaces.equivalence_images``,
-and its Flanders-Atkinson moments, one stacked product per moment in ``analyze.flanders_atkinson_check``.
+All algorithms pivot on the first nonzero entry in column order, never by magnitude, so kernels,
+echelon forms and certificates are reproducible bit for bit across runs and platforms.  There are two
+eliminations here: the incremental Gauss-Jordan of :class:`Span`, behind ``rref`` and everything built
+on it, and the forward elimination ``_eliminate``, behind ``rank``, ``det`` and ``span_dim``,
+fraction-free over Q (on the integers L*A, L the common denominator; a Fraction only for the answer).
+A space over F_p proves its generators independent, and answers membership, by its own int64 row
+echelon in ``spaces``.  ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur complement
+per step, as ``_engine.skew_rank`` does on whole stacks.  One ``integer_lift`` serves both Pfaffians,
+``_eliminate`` and the engine residues of a space over Q.  Every sum of products, x^T K y included, is
+one ``Matrix`` product, each entry one ``sum(map(mul, row, col))`` reduced once mod p, but for the
+stacked int64 products of ``spaces.equivalence_images`` and ``analyze.flanders_atkinson_check``, whose
+canonical residues come back through ``Matrix.from_residues``, range-checked once.
 """
 
 from __future__ import annotations
@@ -45,6 +43,16 @@ class Matrix:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nrows", len(data))
         object.__setattr__(self, "ncols", width)
+
+    @staticmethod
+    def from_residues(ctx: FieldCtx, arr) -> "Matrix":
+        """A matrix over F_p from a 2-D integer numpy array of residues, such as an engine product:
+        the range is checked once by numpy, not entry by entry, and ValueError raised outside [0, p)."""
+        if ctx.kind != "prime" or arr.ndim != 2 or arr.dtype.kind != "i":
+            raise ValueError("residues must be a 2-D integer array over a prime field")
+        if arr.size and not 0 <= arr.min() <= arr.max() < ctx.p:
+            raise ValueError(f"residues must lie in [0, {ctx.p})")
+        return Matrix._trusted(ctx, tuple(map(tuple, arr.tolist())), arr.shape[1])
 
     @staticmethod
     def _trusted(ctx: FieldCtx, data: tuple[Vector, ...], ncols: int) -> "Matrix":
@@ -298,13 +306,6 @@ class Span:
         self.pivots: list[int] = []
         for v in vecs:
             self.add(v)
-
-    def __copy__(self) -> "Span":
-        """An independent copy; the rows are tuples, so no elimination is redone."""
-        twin = Span.__new__(Span)
-        twin.ctx, twin.width = self.ctx, self.width
-        twin.rows, twin.pivots = list(self.rows), list(self.pivots)
-        return twin
 
     @property
     def dim(self) -> int:

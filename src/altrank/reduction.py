@@ -18,7 +18,7 @@ from . import analyze
 from .errors import ContractError
 from .families import border_row_blocks, build_row_block_family, field_size_bound
 from .matrices import Matrix, Vector, alternating_from_upper, place_blocks, span_dim, upper_pairs
-from .spaces import AffineMatrixSpace, Span, congruence_act, equivalence_images, spaces_equal
+from .spaces import AffineMatrixSpace, Span, congruence_act, equivalence_images, independent_matrices, spaces_equal
 from .symplectic import radical, symplectic_basis, totally_singular_witness
 
 VERDICT_KEYS = (
@@ -98,14 +98,6 @@ def normalize_radical_to_tail(s0: Matrix) -> tuple[Matrix, Matrix]:
     return p1, k
 
 
-def _independent(mats: Sequence[Matrix]) -> list[Matrix]:
-    """The matrices of mats, in order, that are independent of those before them."""
-    if not mats:
-        return []
-    span = Span(mats[0].ctx, [], width=mats[0].nrows * mats[0].ncols)
-    return [m for m in mats if span.add(m.flatten())]
-
-
 def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpace]:
     """Column change Q' carrying a full-row-rank space onto [B C] form.
 
@@ -151,7 +143,7 @@ def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpac
 
     moved = AffineMatrixSpace(t.base @ qprime, [g @ qprime for g in t.basis])
     m_space = AffineMatrixSpace(
-        moved.base.block(0, s, 0, s), _independent([g.block(0, s, 0, s) for g in moved.basis])
+        moved.base.block(0, s, 0, s), independent_matrices([g.block(0, s, 0, s) for g in moved.basis])
     )
     if m_space.dim != s * (s - 1) // 2:
         raise ContractError(
@@ -291,7 +283,7 @@ def _reduce(
         return {"step": "generator_identities", "generator": failed, "report": reports[failed].to_json()}
 
     kinv = k.inverse()
-    ops = [kinv @ b for b in _independent([g.block(0, r, r, n) for g in gens1])]
+    ops = [kinv @ b for b in independent_matrices([g.block(0, r, r, n) for g in gens1])]
     try:
         lag = analyze.extract_range_lagrangian(ops, k)
     except (ValueError, ContractError) as exc:
@@ -310,7 +302,7 @@ def _reduce(
     if not all(m.block(s, n, s, n).is_zero() for m in (base2, *gens2)):
         return {"step": "normal_form"}
 
-    slab = AffineMatrixSpace(base2.block(0, s, s, n), _independent([g.block(0, s, s, n) for g in gens2]))
+    slab = AffineMatrixSpace(base2.block(0, s, s, n), independent_matrices([g.block(0, s, s, n) for g in gens2]))
     try:
         qprime, m_space = reduce_full_row_rank(slab)
     except (ValueError, ContractError) as exc:

@@ -1,14 +1,16 @@
 """Affine spaces of matrices: enumeration, actions, and searches.
 
 An affine space is a base matrix plus the span of an independent translation
-basis.  Enumeration is ordered lexicographically by coordinate tuple.  Seeded
+basis.  Over F_p a space holds its base and generators as one read-only int64
+stack from construction, and one row echelon of the generators mod p proves
+them independent and answers every membership test; over Q it keeps a ``Span``.
+Enumeration is ordered lexicographically by coordinate tuple.  Seeded
 member draws live in the engine (``_engine.sampled_coords``), where draw i
 depends only on (seed, i).
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from itertools import combinations, product
 from operator import mul
@@ -29,7 +31,7 @@ class AffineMatrixSpace:
     is read off the data: true exactly when the base and every generator are
     alternating (so the members are too)."""
 
-    __slots__ = ("ctx", "base", "basis", "alternating", "_span", "_flat")
+    __slots__ = ("ctx", "base", "basis", "alternating", "_span", "_flat", "_echelon")
 
     def __init__(self, base: Matrix, basis: Sequence[Matrix]):
         ctx = base.ctx
@@ -38,15 +40,18 @@ class AffineMatrixSpace:
                 raise ValueError("field mismatch in basis")
             if g.shape != base.shape:
                 raise ValueError("shape mismatch in basis")
-        span = Span(ctx, [g.flatten() for g in basis], width=base.nrows * base.ncols)
-        if span.dim != len(basis):
+        width = base.nrows * base.ncols
+        span = None if ctx.kind == "prime" else Span(ctx, [g.flatten() for g in basis], width=width)
+        flat = ech = None
+        if span is None:  # over F_p one read-only int64 stack, and the echelon of its generators
+            stack = np.array([m.data for m in (base, *basis)], np.int64).reshape(len(basis) + 1, width)
+            stack.flags.writeable = False  # and so are its views
+            flat, ech = (stack[0], stack[1:]), _row_echelon(stack[1:], ctx.p)[:2]
+        if len(ech[1] if span is None else span.pivots) != len(basis):
             raise ValueError("translation basis is linearly dependent")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "alternating", all(m.is_alternating() for m in (base, *basis)))
-        object.__setattr__(self, "_span", span)
-        object.__setattr__(self, "_flat", None)
+        alternating = all(m.is_alternating() for m in (base, *basis))
+        for name, value in zip(self.__slots__, (ctx, base, tuple(basis), alternating, span, flat, ech)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineMatrixSpace is immutable")
@@ -81,16 +86,28 @@ class AffineMatrixSpace:
         return Matrix(self.ctx, ([sum(map(mul, cs, col)) for col in zip(*r)] for r in rows))
 
     def translation_span(self) -> Span:
-        """A copy of the translation span, free to be extended with ``add``."""
-        return copy(self._span)
+        """A new ``Span`` of the translations, free to be extended with ``add``: of the echelon
+        rows over F_p and of the kept span's rows over Q, so the generators' reduced echelon form."""
+        rows = self._span.rows if self._span is not None else map(tuple, self._echelon[0].tolist())
+        return Span(self.ctx, list(rows), width=self.shape[0] * self.shape[1])
 
     def translation_contains(self, m: Matrix) -> bool:
-        return self._span.contains(m.flatten())
+        if self._span is not None:
+            return self._span.contains(m.flatten())
+        return not self._residuals(np.array(m.data, np.int64).reshape(1, self._flat[0].size)).any()
 
     def contains(self, m: Matrix) -> bool:
         if m.shape != self.shape or m.ctx != self.ctx:
             return False
-        return self._span.contains((m - self.base).flatten())
+        return self.translation_contains(m - self.base)
+
+    def _residuals(self, stack: np.ndarray) -> np.ndarray:
+        """An int64 stack of flattened matrices over F_p, entries in (-p, p), reduced by the echelon
+        rows in order, one ``_engine.mod`` step per pivot: a row ends zero iff it is a translation."""
+        p, (rows, pivots), out = self.ctx.p, self._echelon, stack
+        for row, pc in zip(rows, pivots):
+            out = _engine.mod(out - out[:, pc, None] * row, p)
+        return out
 
     # -- enumeration ------------------------------------------------------------------
 
@@ -115,16 +132,9 @@ class AffineMatrixSpace:
     # -- engine bridge ---------------------------------------------------------------
 
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Residue arrays (base_flat, basis_flat) for the vectorized engine, built on the
-        first call and kept read-only."""
-        if self.ctx.kind != "prime":
-            raise ValueError("engine arrays exist only over prime fields")
+        """The read-only residue arrays (base_flat, basis_flat) for the vectorized engine."""
         if self._flat is None:
-            n, m = self.shape
-            base_flat = np.array(self.base.flatten(), dtype=np.int64)
-            basis_flat = np.array([g.flatten() for g in self.basis], dtype=np.int64).reshape(self.dim, n * m)
-            base_flat.flags.writeable = basis_flat.flags.writeable = False
-            object.__setattr__(self, "_flat", (base_flat, basis_flat))
+            raise ValueError("engine arrays exist only over prime fields")
         return self._flat
 
     # -- serialization ------------------------------------------------------------------
@@ -185,14 +195,44 @@ def equivalence_images(mats: Sequence[Matrix], p: Matrix, q: Matrix) -> list[Mat
         return [p @ x @ q for x in mats]
     arr = lambda *ms: np.array([m.data for m in ms], dtype=np.int64).reshape(len(ms), *ms[0].shape)
     out = _engine._matmul_mod(_engine._matmul_mod(arr(p)[0], arr(*mats), 0, p.ctx.p), arr(q)[0], 0, p.ctx.p)
-    return [Matrix(p.ctx, x, q.ncols) for x in out.tolist()]
+    return [Matrix.from_residues(p.ctx, x) for x in out]
 
 
 def spaces_equal(x: AffineMatrixSpace, y: AffineMatrixSpace) -> bool:
-    """Exact set equality of affine spaces."""
+    """Exact set equality: at equal dimension, x's base in y and x's generators y's translations;
+    over F_p one reduction of the stack [x.base - y.base; x.basis] by y's echelon."""
     if x.ctx != y.ctx or x.shape != y.shape or x.dim != y.dim:
         return False
-    return y.contains(x.base) and all(y.translation_contains(g) for g in x.basis)
+    if y._echelon is None:
+        return y.contains(x.base) and all(y.translation_contains(g) for g in x.basis)
+    return not y._residuals(np.vstack([x._flat[0] - y._flat[0], x._flat[1]])).any()
+
+
+def independent_matrices(mats: Sequence[Matrix]) -> list[Matrix]:
+    """The matrices of mats, in order, that are independent of those before them: over F_p
+    those that give a pivot in the echelon of their entries, over Q those that grow a Span."""
+    if mats and mats[0].ctx.kind == "prime":
+        stack = np.array([m.data for m in mats], np.int64).reshape(len(mats), mats[0].nrows * mats[0].ncols)
+        return [mats[i] for i in _row_echelon(stack, mats[0].ctx.p)[2]]
+    span = Span(mats[0].ctx, [], width=mats[0].nrows * mats[0].ncols) if mats else None
+    return [m for m in mats if span.add(m.flatten())]
+
+
+def _row_echelon(stack: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """Row echelon with unit pivots of a (k, w) int64 stack of residues mod p, one step per input
+    row through ``_engine.mod``: the (rank, w) rows, their pivots and the inputs that gave them.
+    A row is zero at earlier rows' pivots and later rows at its own, so reducing by the rows
+    in order leaves zero exactly on their span."""
+    a, pivots, kept = stack.copy(), [], []
+    for i in range(len(a)):
+        nonzero = np.flatnonzero(a[i])
+        if nonzero.size:
+            pc = int(nonzero[0])
+            a[i] = _engine.mod(a[i] * pow(int(a[i, pc]), -1, p), p)
+            a[i + 1 :] = _engine.mod(a[i + 1 :] - a[i + 1 :, pc, None] * a[i], p)
+            pivots.append(pc)
+            kept.append(i)
+    return a[kept], pivots, kept
 
 
 # -- exhaustive optimal-dimension search -----------------------------------------------------

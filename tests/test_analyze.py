@@ -294,12 +294,19 @@ def test_rational_profile_needs_more_than_one_prime(case):
 # -- spectrum scans ----------------------------------------------------------------------
 
 
-def test_trivial_spectrum_identity_span():
+def test_trivial_spectrum_identity_span(tmp_path):
     sp = AffineMatrixSpace(Matrix.zeros(F3, 2), [Matrix.identity(F3, 2)])
     rep = trivial_spectrum_check(sp)
     assert not rep.trivial and not rep
     member, lam = rep.witness
     assert lam == 1 and member == Matrix.identity(F3, 2)
+    # the witness is plain JSON, in process and in the report ``verify`` writes (exit 1)
+    want = {"trivial": False, "checked": 3, "witness_member": member.to_json(), "witness_eigenvalue": "1"}
+    assert json.loads(json.dumps(rep.to_json(F3))) == want
+    src, out = tmp_path / "space.json", tmp_path / "out.json"
+    src.write_text(json.dumps(sp.to_json()))
+    assert main(["verify", "--in", str(src), "--check", "trivial-spectrum", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["results"]["report"] == want
 
 
 def test_trivial_spectrum_symplectic_span():
@@ -970,6 +977,20 @@ def fa_failure_kind(rep):
     return f"moment {min(rep.first_failure[1][0], 1)}" if kind == "moment" else kind
 
 
+def assert_fa_json(rep):
+    """The report survives ``json.dumps``, with its first failure encoded as built here by hand: a
+    hypothesis triple as a list, a D block as its matrix, a moment as {"k": k, "witness": matrix}."""
+    obj = json.loads(json.dumps(rep.to_json()))
+    kind, detail = rep.first_failure or (None, None)
+    want = {
+        "hypothesis": lambda: list(detail),
+        "D": lambda: detail.to_json(),
+        "moment": lambda: {"k": detail[0], "witness": detail[1].to_json()},
+    }
+    assert obj.get("first_failure") == (kind and {"kind": kind, "detail": want[kind]()})
+    return obj
+
+
 @pytest.mark.parametrize("mode", ["pencil", "line", "alternating"])
 @pytest.mark.parametrize("p", [2, 3, 7, P_BIG])
 def test_fa_stacked_conclusions_match_the_exact_reference(p, mode):
@@ -987,7 +1008,7 @@ def test_fa_stacked_conclusions_match_the_exact_reference(p, mode):
             else:
                 assert rep.D_zero is None and rep.moment_vanishing is None
                 assert rep.first_failure == full_line_failure(m, r, mode, gram)
-                json.dumps(rep.to_json())
+            assert_fa_json(rep)
             seen.add(fa_failure_kind(rep))
     small = {"D", "moment 0", "moment 1"} if mode != "alternating" else {"D"}
     assert seen == {None, "hypothesis"} | (small if p < 10 else set())
@@ -1003,7 +1024,19 @@ def test_fa_conclusions_are_exact_past_the_hypothesis(monkeypatch, p, mode):
     # and B = [e_0 e_1] with (K^-1 A K^-1)_01 = -A_23 = -1, or C = [e_2 e_3]^T with
     # A_(2:4, 0:2) = I, first failing at k = 1
     ctx = FieldCtx.prime(p)
-    stream = CounterStream(derive_seed(40, "fa-past", p, mode))
+    gens, gram = fa_past_family(ctx, mode, CounterStream(derive_seed(40, "fa-past", p, mode)))
+    monkeypatch.setattr(_engine, "batch_rank", lambda mats, p: np.zeros(len(mats), np.int64))
+    reports = flanders_atkinson_check(gens, 4, mode, gram=gram)
+    for m, rep in zip(gens, reports, strict=True):
+        assert (rep.D_zero, rep.moment_vanishing, rep.first_failure) == reference_fa_conclusions(m, 4, mode, gram)
+        assert_fa_json(rep)
+    assert [fa_failure_kind(rep) for rep in reports] == ["D", "moment 0", "moment 1"]
+    assert max(x for m in gens for row in m.data for x in row) > p // 2  # entries of all sizes
+
+
+def fa_past_family(ctx, mode, stream):
+    """(generators, gram) of order 6 at r = 4 whose first failures past the hypothesis are D,
+    moment 0 and moment 1 (see ``test_fa_conclusions_are_exact_past_the_hypothesis``)."""
     alt, r, n = mode == "alternating", 4, 6
     w = Matrix(ctx, [[0, 1], [-1, 0]]) if alt else Matrix.identity(ctx, 2)
     rand = random_alternating(ctx, n, stream) if alt else random_matrix(ctx, n, n, stream)
@@ -1017,13 +1050,49 @@ def test_fa_conclusions_are_exact_past_the_hypothesis(monkeypatch, p, mode):
         fa_blocks(ctx, a, unit_cols(0, 2 if alt else 1), c_of(unit_cols(0, 2 if alt else 1)), zero),
         fa_blocks(ctx, a, unit_cols(0, 1), c_of(unit_cols(0, 1) if alt else unit_cols(2, 3)), zero),
     ]
-    gens, gram = fa_change_basis(gens, standard_symplectic(ctx, 2) if alt else None, r, mode, stream)
-    monkeypatch.setattr(_engine, "batch_rank", lambda mats, p: np.zeros(len(mats), np.int64))
-    reports = flanders_atkinson_check(gens, r, mode, gram=gram)
-    for m, rep in zip(gens, reports, strict=True):
-        assert (rep.D_zero, rep.moment_vanishing, rep.first_failure) == reference_fa_conclusions(m, r, mode, gram)
-    assert [fa_failure_kind(rep) for rep in reports] == ["D", "moment 0", "moment 1"]
-    assert max(x for m in gens for row in m.data for x in row) > p // 2  # entries of all sizes
+    return fa_change_basis(gens, standard_symplectic(ctx, 2) if alt else None, r, mode, stream)
+
+
+@pytest.mark.parametrize("mode", ["pencil", "line"])
+def test_verify_flanders_atkinson_moment_failure_exits_1_with_its_witness(tmp_path, mode):
+    # over F_2 the hypothesis holds at r = 4 for the generator with C B = 1 while its moment
+    # k = 0, C B, fails: ``verify`` writes that 1 x 1 witness and exits 1
+    f2 = FieldCtx.prime(2)
+    sp = AffineMatrixSpace(place_blocks(f2, 5, 5, [(0, 0, Matrix.identity(f2, 4))]), [fa_diagonal_cases(f2, 4)[1]])
+    src, out = tmp_path / "space.json", tmp_path / "out.json"
+    src.write_text(json.dumps(sp.to_json()))
+    argv = ["verify", "--in", str(src), "--check", "flanders-atkinson", "--fa-mode", mode, "--rank", "4"]
+    assert main([*argv, "--out", str(out)]) == 1
+    [rep] = json.loads(out.read_text())["results"]["generators"]
+    assert rep["hypothesis_held"] and rep["moment_vanishing"] == [False, True, True, True]
+    witness = {"field": "Fp:2", "rows": 1, "cols": 1, "data": [["1"]]}
+    assert rep["first_failure"] == {"kind": "moment", "detail": {"k": 0, "witness": witness}}
+
+
+@pytest.mark.parametrize("mode", ["pencil", "line", "alternating"])
+def test_fa_reports_of_every_kind_are_plain_json_through_the_cli(monkeypatch, tmp_path, mode):
+    # each nonzero generator, as the one generator of a space over J: the families over F_3
+    # (hypothesis failures, and D and moment failures outside alternating mode), then the
+    # family let past the hypothesis (D and moment failures in every mode); ``verify`` writes
+    # the report made in process and exits 1 exactly when a conclusion fails
+    ctx, src, out = FieldCtx.prime(3), tmp_path / "space.json", tmp_path / "out.json"
+    stream = CounterStream(derive_seed(41, "fa-json", mode))
+    past, past_gram = fa_past_family(ctx, mode, stream)
+    seen = set()
+    for gens, r, gram in [*fa_conclusion_families(ctx, mode, stream), (past, 4, past_gram)]:
+        if gens is past:
+            monkeypatch.setattr(_engine, "batch_rank", lambda mats, p: np.zeros(len(mats), np.int64))
+        n = gens[0].nrows
+        base = place_blocks(ctx, n, n, [(0, 0, gram if mode == "alternating" else Matrix.identity(ctx, r))])
+        for m, rep in zip(gens, flanders_atkinson_check(gens, r, mode, gram=gram), strict=True):
+            if m.is_zero():
+                continue
+            src.write_text(json.dumps(AffineMatrixSpace(base, [m]).to_json()))
+            argv = ["verify", "--in", str(src), "--check", "flanders-atkinson", "--fa-mode", mode, "--rank", str(r)]
+            assert main([*argv, "--out", str(out)]) == (0 if rep.conclusions_hold else 1)
+            assert json.loads(out.read_text())["results"]["generators"] == [assert_fa_json(rep)]
+            seen.add(rep.first_failure and rep.first_failure[0])
+    assert seen == {None, "hypothesis", "D", "moment"}
 
 
 @pytest.mark.parametrize("extreme", [0, 2], ids=["min", "max"])

@@ -731,13 +731,23 @@ def mutated(data, obj):
     return out
 
 
+# over F_2, base J = I_4 padded and one generator with D = 0 and C B = 1 whose rank hypothesis
+# holds at r = 4 (J + tG is singular at t = 0 and 1): its moment k = 0 fails
+MOMENT_SPACE = AffineMatrixSpace(
+    place_blocks(FieldCtx.prime(2), 5, 5, [(0, 0, Matrix.identity(FieldCtx.prime(2), 4))]),
+    [Matrix(FieldCtx.prime(2), [[0, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]])],
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_space_json_never_ends_in_a_traceback(tmp_path, capsys, data):
     """Fuzzing: a mutated space file is parsed by ``from_json``, or refused with
     ValueError (KeyError for a missing key, which ``main`` maps to exit 2), and
-    every ``verify`` check on it exits 0, 1 or 2 with no traceback."""
-    sp = build_bordered_alternating(F5, 5, 1) if data.draw(st.booleans()) else build_counterexample_plane(Q)
+    every ``verify`` check on it, flanders-atkinson in each mode, exits 0, 1 or 2
+    with no traceback.  The third space fails a flanders-atkinson moment at r = 4."""
+    spaces = [lambda: build_bordered_alternating(F5, 5, 1), lambda: build_counterexample_plane(Q), lambda: MOMENT_SPACE]
+    sp = data.draw(st.sampled_from(spaces))()
     obj = mutated(data, sp.to_json())
     try:
         AffineMatrixSpace.from_json(obj)
@@ -746,7 +756,9 @@ def test_mutated_space_json_never_ends_in_a_traceback(tmp_path, capsys, data):
     src = tmp_path / "space.json"
     src.write_text(json.dumps(obj))
     check = data.draw(st.sampled_from(["rank-profile", "trivial-spectrum", "flanders-atkinson", "duality"]))
-    argv = ("verify", "--in", str(src), "--check", check, "--rank", "2", "--budget", "200", "--sample", "10")
+    rank, mode = data.draw(st.sampled_from(["2", "4"])), data.draw(st.sampled_from(["pencil", "line", "alternating"]))
+    argv = ("verify", "--in", str(src), "--check", check, "--rank", rank, "--budget", "200", "--sample", "10")
+    argv += ("--fa-mode", mode) if check == "flanders-atkinson" else ()
     code, _ = run(tmp_path, *argv)
     err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("[time]")]
     assert code in (0, 1, 2) and len(err) <= 1

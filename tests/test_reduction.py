@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altrank import analyze, reduction
+from altrank import _engine, analyze, reduction
 from altrank.analyze import rank_profile
+from altrank.cli import main
 from altrank.errors import ContractError
 from altrank.families import (
     INNER_VERIFY_BUDGET,
@@ -156,13 +157,15 @@ def test_normalize_radical_to_tail():
 
 
 def test_reduce_full_row_rank_identity_fixed_point():
-    t = build_row_block_family(F5, 7, 2)
-    qprime, m_space = reduce_full_row_rank(t)
-    assert qprime == Matrix.identity(F5, 5)
-    assert m_space.dim == 1
-    assert spaces_equal(
-        equivalence_act(t, Matrix.identity(F5, 2), qprime), build_row_block_family(F5, 7, 2, inner=m_space)
-    )
+    # over Q the recovered family's generators are chosen by a Span, over F_p by the int64 echelon
+    for ctx in (F5, Q):
+        t = build_row_block_family(ctx, 7, 2)
+        qprime, m_space = reduce_full_row_rank(t)
+        assert qprime == Matrix.identity(ctx, 5)
+        assert m_space.dim == 1
+        assert spaces_equal(
+            equivalence_act(t, Matrix.identity(ctx, 2), qprime), build_row_block_family(ctx, 7, 2, inner=m_space)
+        )
 
 
 def test_reduce_full_row_rank_column_mixer():
@@ -449,6 +452,38 @@ def test_canonical_reduction_rejects_nonconstant_rank():
     p1, k = normalize_radical_to_tail(s0)
     (own,) = analyze.flanders_atkinson_check([p1.T @ gens[failure["generator"]] @ p1], 4, "alternating", k)
     assert not own.conclusions_hold and json.loads(json.dumps(own.to_json())) == failure["report"]
+
+
+@pytest.mark.parametrize("units, kind", [([(4, 5)], "D"), ([(0, 4), (2, 5)], "moment")], ids=["D", "moment"])
+def test_generator_identities_records_past_the_hypothesis_are_plain_json(monkeypatch, tmp_path, units, kind):
+    # where a conclusion fails over these fields the hypothesis fails first, so a check whose
+    # kernel ranks every line member 0 lets the last generator through to its conclusions: its
+    # D block, or its moment k = 0, fails, and the failure record is plain JSON, in process and
+    # in the certificate that ``altrank reduce`` writes
+    real = analyze.flanders_atkinson_check
+
+    def past_the_hypothesis(*args):
+        with monkeypatch.context() as m:
+            m.setattr(_engine, "batch_rank", lambda mats, p: np.zeros(len(mats), np.int64))
+            return real(*args)
+
+    monkeypatch.setattr(analyze, "flanders_atkinson_check", past_the_hypothesis)
+    sp = build_bordered_alternating(F5, 7, 2)
+    gen = alternating_from_upper(F5, 7, [int(pair in units) for pair in upper_pairs(7)])
+    broken = AffineMatrixSpace(sp.base, [*sp.basis[:-1], gen])
+    failure = canonical_reduction(broken, 4, seed=0).witnesses["failure"]
+    assert failure["step"] == "generator_identities" and failure["generator"] == len(broken.basis) - 1
+    assert failure["report"]["hypothesis_held"] and failure["report"]["first_failure"]["kind"] == kind
+    witness = failure["report"]["first_failure"]["detail"]
+    if kind == "moment":
+        assert witness["k"] == 0
+        witness = witness["witness"]
+    assert Matrix.from_json(witness).shape == (3, 3) and not Matrix.from_json(witness).is_zero()
+    assert json.loads(json.dumps(failure)) == failure
+    src, out = tmp_path / "space.json", tmp_path / "out.json"
+    src.write_text(json.dumps(broken.to_json()))
+    assert main(["reduce", "--in", str(src), "--rank", "4", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["certificate"]["witnesses"]["failure"] == failure
 
 
 def test_canonical_reduction_rejects_singular_inner_family():

@@ -139,8 +139,10 @@ def test_span_unit_extension_matches_greedy_loop(ctx):
 
 
 def test_space_queries_build_no_span(monkeypatch):
-    x = build_bordered_alternating(F3, 5, 1)
-    y = congruence_act(x, Matrix.identity(F3, 5))
+    # over F_p the int64 echelon proves independence and answers every query: building a space,
+    # contains, translation_contains and spaces_equal build no Span, and translation_span one;
+    # over Q the space builds its Span as it is constructed
+    family = build_bordered_alternating(F3, 5, 1)
     builds = []
     original = Span.__init__
 
@@ -149,11 +151,83 @@ def test_space_queries_build_no_span(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Span, "__init__", counting_init)
+    x = AffineMatrixSpace(family.base, family.basis)
+    y = congruence_act(x, Matrix.identity(F3, 5))
     member = x.member_at((1, 2, 0))
-    assert x.contains(member)
+    assert x.contains(member) and not x.contains(member + unit(F3, 5, 0, 0))
     assert x.translation_contains(member - x.base)
-    assert spaces_equal(x, y)
+    assert spaces_equal(x, y) and not spaces_equal(x, AffineMatrixSpace(x.base, family.basis[:2]))
     assert builds == []
+    assert x.translation_span().dim == x.dim and len(builds) == 1
+    AffineMatrixSpace(Matrix.zeros(Q, 2), [unit(Q, 2, 0, 1)])
+    assert len(builds) == 2
+
+
+P_BIG = 2_147_483_629  # a prime below 2^31: products of two residues reach 2^62
+
+
+def recombined(gens):
+    """Another basis of the span of gens: each generator plus the last one."""
+    return [g + gens[-1] if i < len(gens) - 1 else g for i, g in enumerate(gens)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, P_BIG])
+def test_space_echelon_matches_the_exact_span(p):
+    # seeded lists of 0 to 5 random matrices of order 3, the longer ones also made dependent by
+    # a combination, and the sparse generators of the bordered family, dependent copy included:
+    # a space is built exactly when the Span of its generators has full dimension (else the same
+    # ValueError), its containment and set-equality verdicts are the Span's, translation_span()
+    # has the Span's rows and pivots, and independent_matrices keeps what grows a Span
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(41, "echelon", p))
+    bordered = build_bordered_alternating(ctx, 7, 2)
+    lists = [(bordered.base, list(bordered.basis)), (bordered.base, [*bordered.basis, bordered.basis[0] + bordered.basis[3]])]
+    for k in range(6):
+        gens = [random_matrix(ctx, 3, 3, stream) for _ in range(k)]
+        lists.append((random_matrix(ctx, 3, 3, stream), gens))
+        if k >= 2:
+            lists.append((random_matrix(ctx, 3, 3, stream), gens + [gens[0].scale(stream.element(ctx)) + gens[-1]]))
+    verdicts = set()
+    for base, gens in lists:
+        n, width = base.nrows, base.nrows * base.ncols
+        span, grown = Span(ctx, [g.flatten() for g in gens], width=width), Span(ctx, [], width=width)
+        assert spaces.independent_matrices(gens) == [g for g in gens if grown.add(g.flatten())]
+        if span.dim < len(gens):
+            with pytest.raises(ValueError, match="^translation basis is linearly dependent$"):
+                AffineMatrixSpace(base, gens)
+            verdicts.add("dependent")
+            continue
+        x = AffineMatrixSpace(base, gens)
+        ts = x.translation_span()
+        assert (ts.rows, ts.pivots) == (span.rows, span.pivots)
+        inside = x.member_at(stream.vector(ctx, len(gens))) - base
+        outside = random_matrix(ctx, n, n, stream)
+        for q in [inside, outside, Matrix.zeros(ctx, n), *gens]:
+            assert x.translation_contains(q) == x.contains(base + q) == span.contains(q.flatten())
+            verdicts.add(span.contains(q.flatten()))
+        ys = [AffineMatrixSpace(base + inside, recombined(gens)) if gens else x, AffineMatrixSpace(base + outside, gens)]
+        if gens and not span.contains(outside.flatten()):
+            ys.append(AffineMatrixSpace(base, [*gens[:-1], outside]))
+        for y in ys:
+            y_span = Span(ctx, [g.flatten() for g in y.basis], width=width)
+            want = all(y_span.contains(v.flatten()) for v in [x.base - y.base, *x.basis])
+            assert spaces_equal(x, y) == want
+            verdicts.add(("equal", want))
+    assert verdicts == {"dependent", True, False, ("equal", True), ("equal", False)}
+
+
+def test_matrix_from_residues_checks_the_range_once():
+    # a range check by numpy, not an assert, so it holds under python -O too
+    f7 = FieldCtx.prime(7)
+    assert Matrix.from_residues(f7, np.array([[0, 6], [3, 1]], np.int64)) == Matrix(f7, [[0, 6], [3, 1]])
+    assert Matrix.from_residues(f7, np.zeros((0, 3), np.int64)).shape == (0, 3)
+    assert all(type(x) is int for x in Matrix.from_residues(f7, np.array([[5]], np.int16)).flatten())
+    for bad in ([[0, 7]], [[-1, 0]], [[3, 2**40]]):
+        with pytest.raises(ValueError, match=r"^residues must lie in \[0, 7\)$"):
+            Matrix.from_residues(f7, np.array(bad, np.int64))
+    for ctx, bad in [(Q, np.eye(2, dtype=np.int64)), (f7, np.arange(3)), (f7, np.eye(2))]:
+        with pytest.raises(ValueError, match="^residues must be a 2-D integer array over a prime field$"):
+            Matrix.from_residues(ctx, bad)
 
 
 def test_translation_span_copy_is_independent():
