@@ -5,13 +5,14 @@ echelon forms and certificates are reproducible bit for bit across runs and plat
 eliminations here: the incremental Gauss-Jordan of :class:`Span`, behind ``rref`` and everything built
 on it, and the forward elimination ``_eliminate``, behind ``rank``, ``det`` and ``span_dim``,
 fraction-free over Q (on the integers L*A, L the common denominator; a Fraction only for the answer).
-A space over F_p proves its generators independent, and answers membership, by its own int64 row
-echelon in ``spaces``.  ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur complement
-per step, as ``_engine.skew_rank`` does on whole stacks.  One ``integer_lift`` serves both Pfaffians,
-``_eliminate`` and the engine residues of a space over Q.  Every sum of products, x^T K y included, is
-one ``Matrix`` product, each entry one ``sum(map(mul, row, col))`` reduced once mod p, but for the
-stacked int64 products of ``spaces.equivalence_images`` and ``analyze.flanders_atkinson_check``, whose
-canonical residues come back through ``Matrix.from_residues``, range-checked once.
+A space over either field proves its generators independent, and answers membership, by its own
+array row echelon in ``spaces``.  ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur
+complement per step, as ``_engine.skew_rank`` does on whole stacks.  One ``integer_lift`` serves both
+Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every sum of products, x^T K y
+included, is one ``Matrix`` product, each entry one ``sum(map(mul, row, col))`` reduced once mod p,
+but for the stacked array products of ``spaces`` (``member_at`` and ``equivalence_images``) and of
+``analyze.flanders_atkinson_check``, whose canonical residues over F_p come back through
+``Matrix.from_residues``, range-checked once.
 """
 
 from __future__ import annotations

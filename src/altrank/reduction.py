@@ -122,17 +122,10 @@ def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpac
     if codim > s * (s + 1) // 2:
         raise ValueError("codimension exceeds s(s+1)/2")
 
-    span = t.translation_span()
-    phi_rows = []
-    for j in range(w):
-        cols = []
-        for i in range(s):
-            flat = [ctx.zero()] * (s * w)
-            flat[i * w + j] = ctx.one()
-            cols.append(span.reduce(tuple(flat)))
-        phi_rows.append([x for col in cols for x in col])
-    # column j of phi is the stacked residual of the unit slabs e_i e_j^T
-    phi = Matrix(ctx, phi_rows).transpose()
+    # row i * w + j of the identity is the flattened unit slab e_i e_j^T, and column j of phi
+    # the stacked residuals of e_0 e_j^T, ..., e_(s-1) e_j^T: row i * s * w + k holds their entries k
+    res = t.translation_residuals(Matrix.identity(ctx, s * w).data)
+    phi = Matrix(ctx, [[res[i * w + j][k] for j in range(w)] for i in range(s) for k in range(s * w)])
     wbasis = phi.kernel_basis()
     if len(wbasis) != w - s:
         raise ContractError(

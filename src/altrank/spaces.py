@@ -1,9 +1,11 @@
 """Affine spaces of matrices: enumeration, actions, and searches.
 
 An affine space is a base matrix plus the span of an independent translation
-basis.  Over F_p a space holds its base and generators as one read-only int64
-stack from construction, and one row echelon of the generators mod p proves
-them independent and answers every membership test; over Q it keeps a ``Span``.
+basis.  A space holds its base and generators as one read-only array stack from
+construction, int64 residues over F_p and Fraction objects over Q, and one row
+echelon of the generators proves them independent and answers every membership
+test.  Four array helpers, ``_stack``, ``_mod``, ``_product`` and ``_matrix``,
+are where the field picks its arithmetic.
 Enumeration is ordered lexicographically by coordinate tuple.  Seeded
 member draws live in the engine (``_engine.sampled_coords``), where draw i
 depends only on (seed, i).
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import _engine
 from .errors import BudgetExceededError
 from .fields import Element, FieldCtx
-from .matrices import Matrix, Span, alternating_from_upper, upper_pairs
+from .matrices import Matrix, Span, Vector, alternating_from_upper, upper_pairs
 
 _WALK_ELEMS = 1 << 16  # parent-mask entries behind one block of the coset walk (at least one pair)
 
@@ -31,7 +32,7 @@ class AffineMatrixSpace:
     is read off the data: true exactly when the base and every generator are
     alternating (so the members are too)."""
 
-    __slots__ = ("ctx", "base", "basis", "alternating", "_span", "_flat", "_echelon")
+    __slots__ = ("ctx", "base", "basis", "alternating", "_flat", "_echelon")
 
     def __init__(self, base: Matrix, basis: Sequence[Matrix]):
         ctx = base.ctx
@@ -40,17 +41,15 @@ class AffineMatrixSpace:
                 raise ValueError("field mismatch in basis")
             if g.shape != base.shape:
                 raise ValueError("shape mismatch in basis")
-        width = base.nrows * base.ncols
-        span = None if ctx.kind == "prime" else Span(ctx, [g.flatten() for g in basis], width=width)
-        flat = ech = None
-        if span is None:  # over F_p one read-only int64 stack, and the echelon of its generators
-            stack = np.array([m.data for m in (base, *basis)], np.int64).reshape(len(basis) + 1, width)
-            stack.flags.writeable = False  # and so are its views
-            flat, ech = (stack[0], stack[1:]), _row_echelon(stack[1:], ctx.p)[:2]
-        if len(ech[1] if span is None else span.pivots) != len(basis):
+        (n, m), k = base.shape, len(basis) + 1
+        stack = _stack(ctx, [g.data for g in (base, *basis)], k, n * m)
+        stack.flags.writeable = False  # and so are its views
+        ech = _row_echelon(ctx, stack[1:])[:2]
+        if len(ech[1]) != len(basis):
             raise ValueError("translation basis is linearly dependent")
-        alternating = all(m.is_alternating() for m in (base, *basis))
-        for name, value in zip(self.__slots__, (ctx, base, tuple(basis), alternating, span, flat, ech)):
+        cube = stack.reshape(k, n, m)  # square, a zero diagonal and X + X^T = 0 on every matrix
+        alternating = n == m and not (cube.diagonal(0, 1, 2).any() or _mod(ctx, cube + cube.swapaxes(1, 2)).any())
+        for name, value in zip(self.__slots__, (ctx, base, tuple(basis), alternating, (stack[0], stack[1:]), ech)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -79,34 +78,26 @@ class AffineMatrixSpace:
     def member_at(self, coords: Sequence[Element]) -> Matrix:
         if len(coords) != self.dim:
             raise ValueError("coordinate count mismatch")
-        # each entry once: base + the sum of c * g over the nonzero c, normalized by the constructor
-        terms = [(c, g.data) for c, g in zip(map(self.ctx.normalize, coords), self.basis) if c != 0]
-        cs = [1, *(c for c, _ in terms)]
-        rows = zip(self.base.data, *(g for _, g in terms))
-        return Matrix(self.ctx, ([sum(map(mul, cs, col)) for col in zip(*r)] for r in rows))
+        (base, basis), ctx = self._flat, self.ctx
+        c = _stack(ctx, [ctx.normalize(x) for x in coords], 1, self.dim)
+        return _matrix(ctx, _product(ctx, c, basis, base).reshape(self.shape))
 
-    def translation_span(self) -> Span:
-        """A new ``Span`` of the translations, free to be extended with ``add``: of the echelon
-        rows over F_p and of the kept span's rows over Q, so the generators' reduced echelon form."""
-        rows = self._span.rows if self._span is not None else map(tuple, self._echelon[0].tolist())
-        return Span(self.ctx, list(rows), width=self.shape[0] * self.shape[1])
+    def translation_residuals(self, vecs: Sequence[Vector]) -> list[Vector]:
+        """The residual by the echelon of each v of vecs, flattened matrices of canonical elements: the
+        one element of v + T that is zero at the echelon's pivots, a ``Span``'s too, so ``Span.reduce``'s."""
+        return list(map(tuple, self._residuals(_stack(self.ctx, vecs, len(vecs), self._flat[0].size)).tolist()))
 
     def translation_contains(self, m: Matrix) -> bool:
-        if self._span is not None:
-            return self._span.contains(m.flatten())
-        return not self._residuals(np.array(m.data, np.int64).reshape(1, self._flat[0].size)).any()
+        return not self._residuals(_stack(self.ctx, m.data, 1, self._flat[0].size)).any()
 
     def contains(self, m: Matrix) -> bool:
-        if m.shape != self.shape or m.ctx != self.ctx:
-            return False
-        return self.translation_contains(m - self.base)
+        return m.shape == self.shape and m.ctx == self.ctx and self.translation_contains(m - self.base)
 
-    def _residuals(self, stack: np.ndarray) -> np.ndarray:
-        """An int64 stack of flattened matrices over F_p, entries in (-p, p), reduced by the echelon
-        rows in order, one ``_engine.mod`` step per pivot: a row ends zero iff it is a translation."""
-        p, (rows, pivots), out = self.ctx.p, self._echelon, stack
-        for row, pc in zip(rows, pivots):
-            out = _engine.mod(out - out[:, pc, None] * row, p)
+    def _residuals(self, out: np.ndarray) -> np.ndarray:
+        """A stack of flattened matrices, over F_p entries in (-p, p), reduced by the echelon rows
+        in order, one step per pivot: a row ends zero iff it is a translation."""
+        for row, pc in zip(*self._echelon):
+            out = _mod(self.ctx, out - out[:, pc, None] * row)
         return out
 
     # -- enumeration ------------------------------------------------------------------
@@ -133,7 +124,7 @@ class AffineMatrixSpace:
 
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The read-only residue arrays (base_flat, basis_flat) for the vectorized engine."""
-        if self._flat is None:
+        if self.ctx.kind != "prime":
             raise ValueError("engine arrays exist only over prime fields")
         return self._flat
 
@@ -187,52 +178,69 @@ def equivalence_act(sp: AffineMatrixSpace, p: Matrix, q: Matrix) -> AffineMatrix
 
 
 def equivalence_images(mats: Sequence[Matrix], p: Matrix, q: Matrix) -> list[Matrix]:
-    """P X Q for each X of the nonempty ``mats``, which share one shape: over F_p one stacked
-    product pair by ``_engine._matmul_mod``, exact for every p < 2^31; over Q ``@`` per X."""
+    """P X Q for each X of the nonempty ``mats``, which share one shape, as one stacked product pair."""
     if any(m.ctx != p.ctx for m in (q, *mats)):
         raise ValueError("field mismatch")
-    if p.ctx.kind != "prime":
-        return [p @ x @ q for x in mats]
-    arr = lambda *ms: np.array([m.data for m in ms], dtype=np.int64).reshape(len(ms), *ms[0].shape)
-    out = _engine._matmul_mod(_engine._matmul_mod(arr(p)[0], arr(*mats), 0, p.ctx.p), arr(q)[0], 0, p.ctx.p)
-    return [Matrix.from_residues(p.ctx, x) for x in out]
+    ctx = p.ctx
+    xs = _stack(ctx, [x.data for x in mats], len(mats), *mats[0].shape)
+    out = _product(ctx, _product(ctx, _stack(ctx, p.data, *p.shape), xs), _stack(ctx, q.data, *q.shape))
+    return [_matrix(ctx, x) for x in out]
 
 
 def spaces_equal(x: AffineMatrixSpace, y: AffineMatrixSpace) -> bool:
-    """Exact set equality: at equal dimension, x's base in y and x's generators y's translations;
-    over F_p one reduction of the stack [x.base - y.base; x.basis] by y's echelon."""
+    """Exact set equality: at equal dimension, x's base in y and x's generators y's translations,
+    as one reduction of the stack [x.base - y.base; x.basis] by y's echelon."""
     if x.ctx != y.ctx or x.shape != y.shape or x.dim != y.dim:
         return False
-    if y._echelon is None:
-        return y.contains(x.base) and all(y.translation_contains(g) for g in x.basis)
     return not y._residuals(np.vstack([x._flat[0] - y._flat[0], x._flat[1]])).any()
 
 
 def independent_matrices(mats: Sequence[Matrix]) -> list[Matrix]:
-    """The matrices of mats, in order, that are independent of those before them: over F_p
-    those that give a pivot in the echelon of their entries, over Q those that grow a Span."""
-    if mats and mats[0].ctx.kind == "prime":
-        stack = np.array([m.data for m in mats], np.int64).reshape(len(mats), mats[0].nrows * mats[0].ncols)
-        return [mats[i] for i in _row_echelon(stack, mats[0].ctx.p)[2]]
-    span = Span(mats[0].ctx, [], width=mats[0].nrows * mats[0].ncols) if mats else None
-    return [m for m in mats if span.add(m.flatten())]
+    """The matrices of mats, in order, that are independent of those before them: those that give
+    a pivot in the echelon of their entries."""
+    if not mats:
+        return []
+    ctx, (n, m) = mats[0].ctx, mats[0].shape
+    return [mats[i] for i in _row_echelon(ctx, _stack(ctx, [g.data for g in mats], len(mats), n * m))[2]]
 
 
-def _row_echelon(stack: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Row echelon with unit pivots of a (k, w) int64 stack of residues mod p, one step per input
-    row through ``_engine.mod``: the (rank, w) rows, their pivots and the inputs that gave them.
-    A row is zero at earlier rows' pivots and later rows at its own, so reducing by the rows
-    in order leaves zero exactly on their span."""
+def _row_echelon(ctx: FieldCtx, stack: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    """Row echelon with unit pivots of a (k, w) stack of field elements, one step per input row:
+    the (rank, w) rows, their pivots and the inputs that gave them.  A row is zero at earlier
+    rows' pivots and later rows at its own, so reducing by the rows in order leaves zero exactly
+    on their span."""
     a, pivots, kept = stack.copy(), [], []
     for i in range(len(a)):
         nonzero = np.flatnonzero(a[i])
         if nonzero.size:
             pc = int(nonzero[0])
-            a[i] = _engine.mod(a[i] * pow(int(a[i, pc]), -1, p), p)
-            a[i + 1 :] = _engine.mod(a[i + 1 :] - a[i + 1 :, pc, None] * a[i], p)
+            a[i] = _mod(ctx, a[i] * ctx.inv(a.item(i, pc)))
+            a[i + 1 :] = _mod(ctx, a[i + 1 :] - a[i + 1 :, pc, None] * a[i])
             pivots.append(pc)
             kept.append(i)
     return a[kept], pivots, kept
+
+
+# -- field arithmetic on arrays: int64 residues over F_p, Fraction objects over Q ----------------
+# The one place that picks a field's arithmetic: nested canonical elements as an array of the given
+# shape, reduction to canonical residues (none over Q), a @ b + acc on canonical elements (over F_p
+# ``_engine._matmul_mod``, exact for every p < 2^31) and the Matrix of a 2-D array.
+
+
+def _stack(ctx: FieldCtx, entries, *shape: int) -> np.ndarray:
+    return np.array(entries, np.int64 if ctx.kind == "prime" else object).reshape(shape)
+
+
+def _mod(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
+    return _engine.mod(a, ctx.p) if ctx.kind == "prime" else a
+
+
+def _product(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, acc=0) -> np.ndarray:
+    return _engine._matmul_mod(a, b, acc, ctx.p) if ctx.kind == "prime" else a @ b + acc
+
+
+def _matrix(ctx: FieldCtx, a: np.ndarray) -> Matrix:
+    return Matrix.from_residues(ctx, a) if ctx.kind == "prime" else Matrix(ctx, a.tolist(), a.shape[1])
 
 
 # -- exhaustive optimal-dimension search -----------------------------------------------------

@@ -6,6 +6,7 @@ run.  The module has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from collections import Counter
+from operator import mul
 
 import numpy as np
 
@@ -20,6 +21,18 @@ def rank_multiset(sp, budget=10**4):
     """Exhaustive rank -> count map, ascending; budgeted, and refusing Q past dimension 0, as
     ``enumerate`` is.  Ranks come from ``Matrix.rank``, so the engine's scans have an oracle."""
     return dict(sorted(Counter(m.rank() for _, m in sp.enumerate(budget)).items()))
+
+
+def member_at(sp, coords):
+    """The member of sp at coords, one entry at a time: the tuple loop that
+    ``AffineMatrixSpace.member_at``'s one stacked product replaced."""
+    if len(coords) != sp.dim:
+        raise ValueError("coordinate count mismatch")
+    # each entry once: base + the sum of c * g over the nonzero c, normalized by the constructor
+    terms = [(c, g.data) for c, g in zip(map(sp.ctx.normalize, coords), sp.basis) if c != 0]
+    cs = [1, *(c for c, _ in terms)]
+    rows = zip(sp.base.data, *(g for _, g in terms))
+    return Matrix(sp.ctx, ([sum(map(mul, cs, col)) for col in zip(*r)] for r in rows))
 
 
 def random_invertible_alternating(ctx, n, stream, box=DEFAULT_RATIONAL_BOX):

@@ -742,17 +742,19 @@ MOMENT_SPACE = AffineMatrixSpace(
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_space_json_never_ends_in_a_traceback(tmp_path, capsys, data):
-    """Fuzzing: a mutated space file is parsed by ``from_json``, or refused with
-    ValueError (KeyError for a missing key, which ``main`` maps to exit 2), and
-    every ``verify`` check on it, flanders-atkinson in each mode, exits 0, 1 or 2
-    with no traceback.  The third space fails a flanders-atkinson moment at r = 4."""
+    """Fuzzing: a space file, kept as written or mutated, is parsed by ``from_json``,
+    or refused with ValueError (KeyError for a missing key, which ``main`` maps to
+    exit 2), and every ``verify`` check on it, flanders-atkinson in each mode,
+    exits 0, 1 or 2 with no traceback.  A kept space parses, so every check runs
+    on it in full; the third space fails a flanders-atkinson moment at r = 4."""
     spaces = [lambda: build_bordered_alternating(F5, 5, 1), lambda: build_counterexample_plane(Q), lambda: MOMENT_SPACE]
     sp = data.draw(st.sampled_from(spaces))()
-    obj = mutated(data, sp.to_json())
+    keep = data.draw(st.sampled_from(["keep", "mutate"])) == "keep"
+    obj = sp.to_json() if keep else mutated(data, sp.to_json())
     try:
         AffineMatrixSpace.from_json(obj)
     except (ValueError, KeyError):
-        pass
+        assert not keep
     src = tmp_path / "space.json"
     src.write_text(json.dumps(obj))
     check = data.draw(st.sampled_from(["rank-profile", "trivial-spectrum", "flanders-atkinson", "duality"]))

@@ -18,6 +18,7 @@ from altrank.rand import (
     DEFAULT_RATIONAL_BOX,
     CounterStream,
     derive_seed,
+    random_alternating,
     random_invertible,
     random_matrix,
     uniform_below,
@@ -139,10 +140,9 @@ def test_span_unit_extension_matches_greedy_loop(ctx):
 
 
 def test_space_queries_build_no_span(monkeypatch):
-    # over F_p the int64 echelon proves independence and answers every query: building a space,
-    # contains, translation_contains and spaces_equal build no Span, and translation_span one;
-    # over Q the space builds its Span as it is constructed
-    family = build_bordered_alternating(F3, 5, 1)
+    # one array echelon proves independence and answers every query over F_p and over Q alike:
+    # building a space and every query on it, residuals and independent blocks included, build no Span
+    families = [(ctx, build_bordered_alternating(ctx, 5, 1)) for ctx in (F3, Q)]
     builds = []
     original = Span.__init__
 
@@ -151,16 +151,16 @@ def test_space_queries_build_no_span(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Span, "__init__", counting_init)
-    x = AffineMatrixSpace(family.base, family.basis)
-    y = congruence_act(x, Matrix.identity(F3, 5))
-    member = x.member_at((1, 2, 0))
-    assert x.contains(member) and not x.contains(member + unit(F3, 5, 0, 0))
-    assert x.translation_contains(member - x.base)
-    assert spaces_equal(x, y) and not spaces_equal(x, AffineMatrixSpace(x.base, family.basis[:2]))
+    for ctx, family in families:
+        x = AffineMatrixSpace(family.base, family.basis)
+        y = congruence_act(x, Matrix.identity(ctx, 5))
+        member = x.member_at((1, 2, 0))
+        assert x.contains(member) and not x.contains(member + unit(ctx, 5, 0, 0))
+        assert x.translation_contains(member - x.base)
+        assert spaces_equal(x, y) and not spaces_equal(x, AffineMatrixSpace(x.base, family.basis[:2]))
+        assert x.translation_residuals([(member - x.base).flatten()]) == [(ctx.zero(),) * 25]
+        assert spaces.independent_matrices([*x.basis, member - x.base]) == list(x.basis)
     assert builds == []
-    assert x.translation_span().dim == x.dim and len(builds) == 1
-    AffineMatrixSpace(Matrix.zeros(Q, 2), [unit(Q, 2, 0, 1)])
-    assert len(builds) == 2
 
 
 P_BIG = 2_147_483_629  # a prime below 2^31: products of two residues reach 2^62
@@ -171,15 +171,14 @@ def recombined(gens):
     return [g + gens[-1] if i < len(gens) - 1 else g for i, g in enumerate(gens)]
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, P_BIG])
-def test_space_echelon_matches_the_exact_span(p):
+@pytest.mark.parametrize("ctx", [FieldCtx.prime(p) for p in (2, 3, 7, P_BIG)] + [Q], ids=lambda c: str(c.p or "Q"))
+def test_space_echelon_matches_the_exact_span(ctx):
     # seeded lists of 0 to 5 random matrices of order 3, the longer ones also made dependent by
     # a combination, and the sparse generators of the bordered family, dependent copy included:
     # a space is built exactly when the Span of its generators has full dimension (else the same
-    # ValueError), its containment and set-equality verdicts are the Span's, translation_span()
-    # has the Span's rows and pivots, and independent_matrices keeps what grows a Span
-    ctx = FieldCtx.prime(p)
-    stream = CounterStream(derive_seed(41, "echelon", p))
+    # ValueError), its containment and set-equality verdicts are the Span's, translation_residuals
+    # are Span.reduce's, and independent_matrices keeps what grows a Span
+    stream = CounterStream(derive_seed(41, "echelon", ctx.p or 0))
     bordered = build_bordered_alternating(ctx, 7, 2)
     lists = [(bordered.base, list(bordered.basis)), (bordered.base, [*bordered.basis, bordered.basis[0] + bordered.basis[3]])]
     for k in range(6):
@@ -198,13 +197,14 @@ def test_space_echelon_matches_the_exact_span(p):
             verdicts.add("dependent")
             continue
         x = AffineMatrixSpace(base, gens)
-        ts = x.translation_span()
-        assert (ts.rows, ts.pivots) == (span.rows, span.pivots)
         inside = x.member_at(stream.vector(ctx, len(gens))) - base
         outside = random_matrix(ctx, n, n, stream)
-        for q in [inside, outside, Matrix.zeros(ctx, n), *gens]:
+        queries = [inside, outside, Matrix.zeros(ctx, n), *gens]
+        for q in queries:
             assert x.translation_contains(q) == x.contains(base + q) == span.contains(q.flatten())
             verdicts.add(span.contains(q.flatten()))
+        vecs = [q.flatten() for q in queries] + list(Matrix.identity(ctx, width).data)
+        assert x.translation_residuals(vecs) == [span.reduce(v) for v in vecs]
         ys = [AffineMatrixSpace(base + inside, recombined(gens)) if gens else x, AffineMatrixSpace(base + outside, gens)]
         if gens and not span.contains(outside.flatten()):
             ys.append(AffineMatrixSpace(base, [*gens[:-1], outside]))
@@ -214,6 +214,52 @@ def test_space_echelon_matches_the_exact_span(p):
             assert spaces_equal(x, y) == want
             verdicts.add(("equal", want))
     assert verdicts == {"dependent", True, False, ("equal", True), ("equal", False)}
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.prime(p) for p in (2, 7, P_BIG)] + [Q], ids=lambda c: str(c.p or "Q"))
+def test_member_at_matches_the_entry_loop(ctx):
+    # seeded spaces of 3 x 3, 2 x 4 and 4 x 2 matrices and seeded coordinates, unreduced integers
+    # among them, over Q fractions too; at p near 2^31 every entry and coordinate p - 1 as well,
+    # whose products reach 2^62: one stacked product gives the member the entry loop does
+    stream = CounterStream(derive_seed(42, "member-at", ctx.p or 0))
+    cases = []
+    for n, m in [(3, 3), (2, 4), (4, 2)]:
+        gens = spaces.independent_matrices([random_matrix(ctx, n, m, stream) for _ in range(5)])
+        cases.append(AffineMatrixSpace(random_matrix(ctx, n, m, stream), gens))
+    if ctx.p == P_BIG:
+        top = Matrix(ctx, [[-1] * 3] * 3)
+        cases.append(AffineMatrixSpace(top, [top, *(unit(ctx, 3, i, i) for i in range(2))]))
+    for sp in cases:
+        draws = [stream.vector(ctx, sp.dim) for _ in range(4)]
+        draws += [(-1,) * sp.dim, tuple(range(-2, sp.dim - 2)), (0,) * sp.dim]
+        if ctx == Q:
+            draws += [tuple(Fraction(stream.element(ctx), 1 + stream.below(9)) for _ in range(sp.dim))]
+        for coords in draws:
+            assert sp.member_at(coords) == reference.member_at(sp, coords)
+    for shape in [(0, 0), (3, 0), (0, 3)]:  # the entry loop made a 0 x 3 member 0 x 0
+        assert AffineMatrixSpace(Matrix.zeros(ctx, *shape), []).member_at(()).shape == shape
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.prime(p) for p in (2, 7, P_BIG)] + [Q], ids=lambda c: str(c.p or "Q"))
+def test_space_alternating_flag_matches_the_entry_check(ctx):
+    # alternating matrices, then each with one diagonal entry or one entry below the diagonal
+    # moved by 1 (over F_2 a diagonal 1 leaves x + x = 0), as base or generator; non-square and
+    # empty shapes: the flag read off the stack is Matrix.is_alternating of the base and every
+    # generator
+    stream = CounterStream(derive_seed(42, "alternating", ctx.p or 0))
+    alt = [random_alternating(ctx, 4, stream) for _ in range(3)]
+    near = [a + unit(ctx, 4, i, j) for a, (i, j) in zip(alt, [(2, 2), (3, 1), (0, 0)])]
+    if ctx.p == 2:
+        near.append(Matrix(ctx, [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+    cases = [(alt[0], alt[1:]), (alt[0], [])] + [(alt[0], [alt[1], x]) for x in near] + [(x, alt[1:]) for x in near]
+    cases += [(random_matrix(ctx, 2, 3, stream), [random_matrix(ctx, 2, 3, stream)])]
+    cases += [(Matrix.zeros(ctx, *shape), []) for shape in [(0, 0), (3, 0), (0, 3), (1, 1)]]
+    flags = set()
+    for base, gens in cases:
+        want = all(m.is_alternating() for m in (base, *gens))
+        assert AffineMatrixSpace(base, gens).alternating == want
+        flags.add(want)
+    assert flags == {True, False}
 
 
 def test_matrix_from_residues_checks_the_range_once():
@@ -228,17 +274,6 @@ def test_matrix_from_residues_checks_the_range_once():
     for ctx, bad in [(Q, np.eye(2, dtype=np.int64)), (f7, np.arange(3)), (f7, np.eye(2))]:
         with pytest.raises(ValueError, match="^residues must be a 2-D integer array over a prime field$"):
             Matrix.from_residues(ctx, bad)
-
-
-def test_translation_span_copy_is_independent():
-    sp = build_bordered_alternating(F3, 5, 1)
-    outside = unit(F3, 5, 0, 0)
-    span = sp.translation_span()
-    assert span.add(outside.flatten())
-    assert span.dim == sp.dim + 1
-    assert sp.translation_span().dim == sp.dim
-    assert not sp.translation_contains(outside)
-    assert not sp.contains(sp.base + outside)
 
 
 # -- AffineMatrixSpace -----------------------------------------------------------------
