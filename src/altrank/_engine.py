@@ -122,11 +122,11 @@ def sampled_coords(seed: int, lo: int, hi: int, dim: int, bound: int) -> np.ndar
 
 
 def lex_coords(lo: int, hi: int, dim: int, q: int) -> np.ndarray:
-    """Lexicographic coordinate tuples for enumeration indices [lo, hi)."""
+    """Lexicographic coordinate tuples for enumeration indices [lo, hi); digit t is 0 where q^t >= hi."""
     idx = np.arange(lo, hi, dtype=np.int64)
     out = np.empty((hi - lo, dim), dtype=np.int64)
     for t in range(dim):
-        out[:, dim - 1 - t] = mod(idx // (q**t), q)
+        out[:, dim - 1 - t] = mod(idx // (q**t), q) if q**t < hi else 0
     return out
 
 

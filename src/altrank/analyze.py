@@ -15,7 +15,7 @@ import numpy as np
 from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
 from .fields import FieldCtx, prime_below
-from .matrices import Matrix, Vector, integer_lift, place_blocks, span_dim
+from .matrices import Matrix, Vector, place_blocks, span_dim
 from .spaces import AffineMatrixSpace, Span
 from .symplectic import totally_singular_witness
 
@@ -181,7 +181,7 @@ def _rational_residues(sp: AffineMatrixSpace, box: int) -> list[tuple[int, np.nd
     [-box, box]^dim.  The base is shifted by ``-box * sum(basis)``, so the
     engine's coordinates are c + box, in [0, 2 box + 1).
 
-    Scaling by the lcm L of all denominators (``integer_lift``) keeps every
+    Scaling by the lcm L of all denominators (``integer_stack``) keeps every
     rank and makes every entry of a scaled member an integer of absolute value
     at most A, the largest |L base_e| + box * sum_t |L basis_te|.  By
     Hadamard's bound every minor is then at most (k A^2)^(k/2) in absolute
@@ -189,8 +189,7 @@ def _rational_residues(sp: AffineMatrixSpace, box: int) -> list[tuple[int, np.nd
     nonzero maximal minor below the product of the primes is nonzero modulo one
     of them; so primes go downward from 2^31 until (prod p)^2 > (k A^2)^k.
     """
-    rows, _ = integer_lift(Matrix(sp.ctx, [sp.base.flatten(), *(g.flatten() for g in sp.basis)]))
-    ints = np.array(rows, dtype=object)
+    ints = sp.integer_stack()
     base, basis = ints[0] - box * ints[1:].sum(axis=0), ints[1:]
     a = max(abs(ints[0]) + box * abs(basis).sum(axis=0), default=0)
     k = min(sp.shape)

@@ -14,7 +14,9 @@ depends only on (seed, i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -108,7 +110,7 @@ class AffineMatrixSpace:
         return self.ctx.p**self.dim
 
     def enumerate(self, budget: int = 10**6) -> Iterator[tuple[tuple[Element, ...], Matrix]]:
-        """All members in lexicographic coordinate order."""
+        """All members in lexicographic coordinate order, one stacked product per engine block."""
         if self.dim == 0:
             yield (), self.base
             return
@@ -117,8 +119,11 @@ class AffineMatrixSpace:
         total = self.member_count()
         if total > budget:
             raise BudgetExceededError(f"{total} members exceed budget {budget}")
-        for coords in product(range(self.ctx.p), repeat=self.dim):
-            yield coords, self.member_at(coords)
+        (base, basis), (n, m) = self._flat, self.shape
+        for lo, hi in _engine.chunk_ranges(0, total, n * m):
+            coords = _engine.lex_coords(lo, hi, self.dim, self.ctx.p)
+            members = _product(self.ctx, coords, basis, base).reshape(-1, n, m)
+            yield from zip(map(tuple, coords.tolist()), (_matrix(self.ctx, x) for x in members))
 
     # -- engine bridge ---------------------------------------------------------------
 
@@ -127,6 +132,13 @@ class AffineMatrixSpace:
         if self.ctx.kind != "prime":
             raise ValueError("engine arrays exist only over prime fields")
         return self._flat
+
+    def integer_stack(self) -> np.ndarray:
+        """Over Q, the flattened [base; basis] times the lcm L of its denominators: Python integers in
+        an object array, the rows ``matrices.integer_lift`` gives for the Matrix of those rows."""
+        stack = np.vstack(self._flat)
+        scale = lcm(*(x.denominator for x in stack.flat))
+        return np.array([x.numerator * (scale // x.denominator) for x in stack.flat], object).reshape(stack.shape)
 
     # -- serialization ------------------------------------------------------------------
 
@@ -291,10 +303,10 @@ def exhaustive_optimal_dimension(
     """Exact maximum dimension of an affine subspace of A_n(F_q) satisfying
     ``predicate`` ("constant-rank" or "rank-at-least" relative to r).
 
-    Each dimension is first decided by ``_level_nonempty``: for d >= 1, a
-    good d-flat exists iff one exists whose direction space holds the rank-2k
-    representative e_01 + ... + e_(2k-2)(2k-1) for some k, which is one
-    (d-1)-dimensional walk over the cosets of that representative per k.
+    Each dimension is first decided by ``_level_nonempty``: for d >= 2, a good
+    d-flat exists iff one has in its direction w_k = e_01 + ... + e_(2k-2)(2k-1)
+    for some k and a representative v of an orbit of w_k's stabilizer on the
+    quotient by <w_k>: one (d-2)-walk over the cosets of <w_k, v> per k and v.
     Only a nonempty level is then walked in full: the direction spaces in
     ``echelon_bases`` order, one echelon row at a time, tracking which cosets
     of the rows chosen so far hold no bad member; a prefix with too few of
@@ -352,30 +364,100 @@ def exhaustive_optimal_dimension(
 
 
 def _level_nonempty(bad: np.ndarray, n: int, d: int, q: int) -> bool:
-    """Whether some d-flat of strict upper triangles avoids ``bad``; for d >= 1,
-    decided one congruence class of directions at a time.
+    """Whether some d-flat of strict upper triangles avoids ``bad``: never with fewer than q^d good
+    members; for d >= 1 decided one congruence class of first directions at a time, and for d >= 2
+    one orbit of second directions at a time.
 
-    Congruence X -> P^T X P keeps every rank and acts transitively on the
-    alternating matrices of each rank 2k, so a good d-flat exists iff one
-    exists whose direction space W holds w_k = e_01 + e_23 + ... +
-    e_(2k-2)(2k-1) for some k.  Coordinate 0 of w_k (the pair (0, 1)) is 1,
-    so W = <w_k> + (W meet {x_0 = 0}), and the flat is good iff its image in
-    F_q^(m-1), a (d-1)-flat, holds only good cosets u + <w_k> (u_0 = 0): those
-    with u + lambda w_k good for every lambda in F_q.
+    Congruence X -> P^T X P keeps every rank and is transitive on the alternating matrices of rank
+    2k, so a good d-flat exists iff one holds w_k = e_01 + e_23 + ... + e_(2k-2)(2k-1) in its
+    direction for some k, 2k the least rank there, and its image in the quotient by <w_k>, taken as
+    {x_0 = 0}, is a (d-1)-flat of good cosets u + <w_k> (every member good).  G_k = {P : P^T W_k P in
+    F_q^* W_k} and the scalings permute those cosets and keep the good ones and every rank, so for
+    d >= 2 the image can be moved until its direction holds an orbit representative v whose coset
+    has no rank below 2k (``_orbit_labels``): one (d-2)-walk over the good cosets of <w_k, v> per k
+    and v.  A subgroup's labels only split orbits; the good cosets are checked constant on each.
     """
-    if d == 0:
-        return not bad.all()
-    m = n * (n - 1) // 2
-    good = ~bad.reshape((q,) * m)
-    pairs = upper_pairs(n)
-    for k in range(1, n // 2 + 1):
-        axes = tuple(pairs.index((2 * i, 2 * i + 1)) for i in range(1, k))
-        # entry u of the slice x_0 = lambda rolled back by lambda is u + lambda w_k;
-        # each slice keeps its axis 0, so a roll never meets a 0-d array
-        coset_good = np.logical_and.reduce([np.roll(good[lam : lam + 1], -lam, axis=axes) for lam in range(q)])
-        if _coset_walk(~coset_good, m - 1, d - 1, q) is not None:
+    if np.count_nonzero(~bad) < q**d:  # a good d-flat has q^d good members
+        return False
+    good = ~bad.reshape((q,) * (n * (n - 1) // 2))
+    for k in range(1, n // 2 + 1) if d else ():
+        cosets = _good_cosets(good, _rank_rep(n, k), q)
+        if d == 1 and cosets.any():
             return True
-    return False
+        if d >= 2:
+            labels, reps = _orbit_labels(n, q, k)
+            if (cosets.flat[labels] != cosets.reshape(-1)).any():
+                raise AssertionError(f"the good cosets of w_{k} are not constant on the orbits of its stabilizer")
+            if any(_coset_walk(~_good_cosets(cosets, v, q), good.ndim - 2, d - 2, q) is not None for v in reps):
+                return True
+    return d == 0
+
+
+def _rank_rep(n: int, k: int) -> np.ndarray:
+    """w_k = e_01 + e_23 + ... + e_(2k-2)(2k-1) as a strict upper triangle."""
+    return np.array([i % 2 == 0 and j == i + 1 and i < 2 * k for i, j in upper_pairs(n)], dtype=np.int64)
+
+
+def _good_cosets(good: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
+    """The cosets u + <v> of a (q,) * L mask whose members are all good, v's first nonzero entry
+    1 at j: indexed by u, u_j = 0, over the other coordinates."""
+    j, *axes = np.flatnonzero(v).tolist()
+    # the slice x_j = lam rolled back by lam v is u + lam v; it keeps axis j, so no roll meets a 0-d array
+    rolled = [np.roll(good.take([lam], j), [-lam * v[a] for a in axes], axis=axes) for lam in range(q)]
+    return np.logical_and.reduce(rolled).reshape((q,) * (good.ndim - 1))
+
+
+@lru_cache(maxsize=None)
+def _orbit_labels(n: int, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(label of each point, representatives), read-only, on the quotient by <w_k> as {x_0 = 0}: orbits
+    of ``_stabilizer_generators`` and x -> g x, g a primitive root, each labelled by its least point,
+    which leads with a 1, and the nonzero ones whose cosets v + <w_k> have no rank below 2k.  Each
+    generator's map X -> P^T X P on coordinates (the second compound of P^T) must send w_k into F_q^* w_k
+    and, then y -> y - y_0 w_k, permute the quotient; min-label propagation along each permutation both
+    ways, with pointer jumping, labels."""
+    m, w, (pi, pj) = n * (n - 1) // 2, _rank_rep(n, k), _engine._pairs(n)
+    p = np.array(_stabilizer_generators(n, k, q))
+    c = (p[:, pi][:, :, pi] * p[:, pj][:, :, pj] - p[:, pj][:, :, pi] * p[:, pi][:, :, pj]).swapaxes(1, 2)
+    if not (image := c @ w % q)[:, 0].all() or ((image - image[:, :1] * w) % q).any():
+        raise AssertionError(f"a stabilizer generator of w_{k} moves its line")
+    scaling = _primitive_root(q) * np.eye(m - 1, dtype=np.int64)[None]
+    maps = np.concatenate([scaling, c[:, 1:, 1:] - w[1:, None] * c[:, None, 0, 1:]])
+    # row s of the basis is column s of every map: one engine product images every point
+    basis = _engine.mod(maps.transpose(2, 0, 1).reshape(m - 1, -1), q)
+    points = _engine.lex_coords(0, q ** (m - 1), m - 1, q)
+    images = _engine.members_from_coords(points, np.zeros(basis.shape[1], np.int64), basis, q)
+    perms = np.einsum("gtu,t->gu", images.reshape(-1, m - 1, len(points)), q ** np.arange(m - 2, -1, -1))
+    if not all(np.bincount(perm, minlength=len(points)).all() for perm in perms):
+        raise AssertionError(f"a stabilizer generator of w_{k} is no bijection on the quotient")
+    labels, old = np.arange(len(points)), None
+    while not np.array_equal(labels, old):
+        old = labels
+        for perm in perms:
+            labels = np.minimum(labels, labels[perm])
+            labels[perm] = np.minimum(labels[perm], labels)
+        labels = labels[labels]
+    reps = points[np.flatnonzero(labels == np.arange(len(points)))[1:]]
+    lifts = (np.insert(reps, 0, 0, axis=1)[:, None] + np.arange(q)[:, None] * w) % q  # v + lam w_k
+    reps = reps[_engine.alternating_ranks(lifts.reshape(-1, m).T.copy(), n, q).reshape(-1, q).min(1) >= 2 * k]
+    labels.flags.writeable = reps.flags.writeable = False
+    return labels, reps
+
+
+def _stabilizer_generators(n: int, k: int, q: int) -> list[np.ndarray]:
+    """Generators of G_k = {P : P^T W_k P in F_q^* W_k} = {[[A, 0], [C, D]]} in the basis (first 2k, rest), A
+    conformally symplectic: the transvections x -> x + (v^T J x) v, v = e_a and e_a + e_b, diag(1, g, 1, g, ...),
+    the unit C entries, the D transvections and diag(g) in D's first place, g a primitive root."""
+    s, g, eye = 2 * k, _primitive_root(q), np.eye(n, dtype=np.int64)
+    j = np.kron(np.eye(k, dtype=np.int64), [[0, 1], [-1, 0]])
+    vs = [eye[a, :s] for a in range(s)] + [eye[a, :s] + eye[b, :s] for a, b in combinations(range(s), 2)]
+    gens = [eye + np.pad(np.outer(v, v @ j), (0, n - s)) for v in vs]
+    gens += [eye + np.outer(eye[i], eye[a]) for i, a in product(range(s, n), range(n)) if a != i]
+    gens += [np.diag(g ** ((np.arange(n) < s) & (np.arange(n) % 2 == 1))), np.diag(g ** (np.arange(n) == s))]
+    return [x % q for x in gens]
+
+
+def _primitive_root(q: int) -> int:
+    return next(g for g in range(1, q) if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
 
 
 def _coset_walk(bad: np.ndarray, m: int, d: int, q: int):

@@ -12,9 +12,10 @@ import numpy as np
 
 from altrank import _engine
 from altrank.analyze import first_singular
-from altrank.matrices import Matrix, pfaffian
+from altrank.fields import prime_below
+from altrank.matrices import Matrix, integer_lift, pfaffian, upper_pairs
 from altrank.rand import DEFAULT_RATIONAL_BOX, random_alternating
-from altrank.spaces import equivalence_act, spaces_equal
+from altrank.spaces import _coset_walk, equivalence_act, spaces_equal
 
 
 def rank_multiset(sp, budget=10**4):
@@ -33,6 +34,52 @@ def member_at(sp, coords):
     cs = [1, *(c for c, _ in terms)]
     rows = zip(sp.base.data, *(g for _, g in terms))
     return Matrix(sp.ctx, ([sum(map(mul, cs, col)) for col in zip(*r)] for r in rows))
+
+
+def level_nonempty_per_class(bad, n, d, q):
+    """Whether some d-flat of strict upper triangles avoids ``bad``; for d >= 1,
+    decided one congruence class of directions at a time: the decision that
+    ``spaces._level_nonempty``'s walks per orbit of second directions replaced.
+
+    Congruence X -> P^T X P keeps every rank and acts transitively on the
+    alternating matrices of each rank 2k, so a good d-flat exists iff one
+    exists whose direction space W holds w_k = e_01 + e_23 + ... +
+    e_(2k-2)(2k-1) for some k.  Coordinate 0 of w_k (the pair (0, 1)) is 1,
+    so W = <w_k> + (W meet {x_0 = 0}), and the flat is good iff its image in
+    F_q^(m-1), a (d-1)-flat, holds only good cosets u + <w_k> (u_0 = 0): those
+    with u + lambda w_k good for every lambda in F_q.
+    """
+    if d == 0:
+        return not bad.all()
+    m = n * (n - 1) // 2
+    good = ~bad.reshape((q,) * m)
+    pairs = upper_pairs(n)
+    for k in range(1, n // 2 + 1):
+        axes = tuple(pairs.index((2 * i, 2 * i + 1)) for i in range(1, k))
+        # entry u of the slice x_0 = lambda rolled back by lambda is u + lambda w_k;
+        # each slice keeps its axis 0, so a roll never meets a 0-d array
+        coset_good = np.logical_and.reduce([np.roll(good[lam : lam + 1], -lam, axis=axes) for lam in range(q)])
+        if _coset_walk(~coset_good, m - 1, d - 1, q) is not None:
+            return True
+    return False
+
+
+def rational_residues_by_matrix(sp, box):
+    """``analyze._rational_residues`` with the integer lift taken of a ``Matrix`` rebuilt from the
+    flattened base and generators, every entry normalized again: the construction that the lift
+    of the space's own ``Fraction`` stack replaced."""
+    rows, _ = integer_lift(Matrix(sp.ctx, [sp.base.flatten(), *(g.flatten() for g in sp.basis)]))
+    ints = np.array(rows, dtype=object)
+    base, basis = ints[0] - box * ints[1:].sum(axis=0), ints[1:]
+    a = max(abs(ints[0]) + box * abs(basis).sum(axis=0), default=0)
+    k = min(sp.shape)
+    bound = (k * a * a) ** k
+    residues, product, p = [], 1, 1 << 31
+    while not residues or product * product <= bound:
+        p = prime_below(p)
+        product *= p
+        residues.append((p, (base % p).astype(np.int64), (basis % p).astype(np.int64)))
+    return residues
 
 
 def random_invertible_alternating(ctx, n, stream, box=DEFAULT_RATIONAL_BOX):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from altrank.symplectic import FormSpacePair, standard_symplectic
 from reference import (
     pencil_symplectic_iff_trivial_spectrum,
     random_invertible_alternating,
+    rational_residues_by_matrix,
     reference_fa_conclusions,
 )
 
@@ -289,6 +291,31 @@ def test_rational_profile_needs_more_than_one_prime(case):
     assert prof.max_rank == full
     assert sp.member_at(prof.witness_max).rank() == full
     assert prof == reference_q_profile(sp, 5, 300)
+
+
+def test_rational_residues_lift_the_fraction_stack():
+    # the counterexample plane, and seeded spaces over Q with fractional entries of shapes 4 x 4
+    # (alternating), 3 x 5 and 2 x 2, dims 0-3: the primes and residues of the rebuilt Matrix's lift
+    stream = CounterStream(derive_seed(44, "rational-residues"))
+
+    def fractional(n, m, alternating=False):
+        x = [[Fraction(stream.element(Q), 1 + stream.below(12)) for _ in range(m)] for _ in range(n)]
+        if alternating:
+            x = [[x[i][j] if i < j else -x[j][i] if i > j else 0 for j in range(n)] for i in range(n)]
+        return Matrix(Q, x)
+
+    cases = [build_counterexample_plane(Q)]
+    for (n, m), dim in zip([(4, 4), (3, 5), (2, 2), (4, 4)], range(4)):
+        alt = n == m == 4
+        gens = [fractional(n, m, alt) for _ in range(dim)]
+        cases.append(AffineMatrixSpace(fractional(n, m, alt), gens))
+    assert cases[1].alternating and any(x.denominator > 1 for x in cases[-1].base.flatten())
+    for sp, box in product(cases, (1, DEFAULT_RATIONAL_BOX)):
+        got, want = _rational_residues(sp, box), rational_residues_by_matrix(sp, box)
+        assert [p for p, *_ in got] == [p for p, *_ in want]
+        for (_, base, basis), (_, base_want, basis_want) in zip(got, want):
+            assert base.dtype == basis.dtype == np.int64
+            assert base.tolist() == base_want.tolist() and basis.tolist() == basis_want.tolist()
 
 
 # -- spectrum scans ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import copy
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +355,34 @@ def test_enumerate_lex_order_and_partition():
         list(sp.enumerate(budget=5))
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, P_BIG])
+def test_stacked_enumerate_matches_the_member_at_loop(monkeypatch, p):
+    # seeded 3 x 3 and 2 x 4 spaces of dims 0-4, at p near 2^31 one with every entry p - 1 as well;
+    # engine blocks of 1,024 coordinates, so the dim-4 spaces over F_7 cross two block boundaries;
+    # past 7^4 members only the first 7^4 are compared
+    monkeypatch.setattr(_engine, "_CHUNK_ELEMS", 1)
+    ctx = FieldCtx.prime(p)
+    stream = CounterStream(derive_seed(43, "enumerate", p))
+    cases = []
+    for dim, (n, m) in product(range(5), [(3, 3), (2, 4)]):
+        gens = spaces.independent_matrices([random_matrix(ctx, n, m, stream) for _ in range(dim + 6)])[:dim]
+        assert len(gens) == dim
+        cases.append(AffineMatrixSpace(random_matrix(ctx, n, m, stream), gens))
+    if p == P_BIG:
+        top = Matrix(ctx, [[-1] * 3] * 3)
+        cases.append(AffineMatrixSpace(top, [top, *(unit(ctx, 3, i, i) for i in range(3))]))
+    for sp in cases:
+        # the first 7^4 tuples of the lexicographic order over range(p), which product would materialize
+        loop = ((c, sp.member_at(c)) for c in product(range(min(p, 7**4)), repeat=sp.dim))
+        assert list(islice(sp.enumerate(p**sp.dim), 7**4)) == list(islice(loop, 7**4))
+    with pytest.raises(BudgetExceededError, match=f"{p**4} members exceed budget {p**4 - 1}"):
+        next(cases[8].enumerate(p**4 - 1))  # a dim-4 space
+    point = AffineMatrixSpace(Matrix(Q, [[Fraction(1, 2)]]), [])
+    assert list(point.enumerate()) == [((), point.base)]
+    with pytest.raises(ValueError, match="needs a prime field"):
+        next(AffineMatrixSpace(point.base, [Matrix(Q, [[1]])]).enumerate())
+
+
 def sample_coords(sp, i, seed, box=DEFAULT_RATIONAL_BOX):
     """Scalar reference for the coordinates of sampled member i: coordinate j
     is draw i * dim + j, a residue over F_p or an integer in [-box, box] over Q."""
@@ -627,13 +659,17 @@ def test_optimal_search_budgets():
         (5, 2, 2, "dimension 3 needs 6347715 x 1024", 3, {0: True, 1: True, 2: True, 3: True, 4: False},
          (0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
          [(1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0, 0, 0)]),
+        # 3.4 s by the per-class decision, whose values these are
+        (5, 2, 3, "dimension 1 needs 29524 x 59049", 3, {0: True, 1: True, 2: True, 3: True, 4: False},
+         (0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+         [(1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0, 0, 0)]),
     ],
 )
 def test_optimal_search_beyond_default_budget_is_pinned(n, r, q, message, max_dim, exists_by_dim, base, basis):
     ctx = FieldCtx.prime(q)
     with pytest.raises(BudgetExceededError, match=message):
         exhaustive_optimal_dimension(n, r, ctx, "constant-rank")
-    res = exhaustive_optimal_dimension(n, r, ctx, "constant-rank", work_budget=10**12)
+    res = exhaustive_optimal_dimension(n, r, ctx, "constant-rank", work_budget=10**17)
     want = AffineMatrixSpace(
         alternating_from_upper(ctx, n, list(base)), [alternating_from_upper(ctx, n, list(g)) for g in basis]
     )
@@ -768,8 +804,8 @@ def test_coset_walk_finds_no_constant_rank_solid_at_4_f3(r):
     [(4, 2, range(1, 7)), (3, 5, range(1, 4)), (4, 3, range(1, 4)), (5, 2, range(1, 5))],
 )
 def test_level_decision_matches_ordered_walk(n, q, dims):
-    """The per-class decision (one (d-1)-walk over the cosets of each rank
-    class's representative) says a level is nonempty exactly when the
+    """The level decision (one walk per rank class's representative and
+    orbit of second directions) says a level is nonempty exactly when the
     ordered walk over every direction space finds a space."""
     m = n * (n - 1) // 2
     for r in range(0, n + 1, 2):
@@ -778,6 +814,90 @@ def test_level_decision_matches_ordered_walk(n, q, dims):
             for d in dims:
                 want = spaces._coset_walk(bad, m, d, q) is not None
                 assert spaces._level_nonempty(bad, n, d, q) == want, (r, predicate, d)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 5), (3, 7), (4, 2), (4, 3), (4, 5), (5, 2)])
+def test_orbit_decision_matches_the_per_class_reference(n, q):
+    """The decision by orbits of second directions equals the per-class decision it replaced on
+    every level, r and predicate, the levels past the first empty one too."""
+    m = n * (n - 1) // 2
+    for r in range(0, n + 1, 2):
+        for predicate in ("constant-rank", "rank-at-least"):
+            _, bad = alternating_bad(n, r, q, predicate)
+            for d in range(m + 1):
+                want = reference.level_nonempty_per_class(bad, n, d, q)
+                assert spaces._level_nonempty(bad, n, d, q) == want, (r, predicate, d)
+
+
+@pytest.mark.parametrize("n,q,counts", [(4, 3, [4, 4]), (5, 2, [5, 6])])
+def test_orbit_counts_on_the_quotient_points(n, q, counts):
+    """Orbits of G_k and the scalings on the q^(m-1) points of the quotient by <w_k>, zero's own
+    orbit included, for k = 1, 2: the counts that products of at most two stabilizing
+    transvections bound from above.  The representatives kept are the orbits' least points whose
+    cosets v + <w_k> hold no rank below 2k (ranked here by ``Matrix.rank``), each leading with a 1."""
+    ctx, m = FieldCtx.prime(q), n * (n - 1) // 2
+    for k, count in enumerate(counts, 1):
+        labels, reps = spaces._orbit_labels(n, q, k)
+        leaders = np.flatnonzero(labels == np.arange(len(labels)))
+        assert len(leaders) == count and not labels.flags.writeable and not reps.flags.writeable
+        w = [1 if (i, j) in [(2 * t, 2 * t + 1) for t in range(k)] else 0 for i, j in upper_pairs(n)]
+        want = []
+        for v in _engine.lex_coords(0, q ** (m - 1), m - 1, q)[leaders[1:]].tolist():
+            lifts = [[(a + lam * b) % q for a, b in zip([0, *v], w)] for lam in range(q)]
+            coset = [alternating_from_upper(ctx, n, x) for x in lifts]
+            if min(x.rank() for x in coset) >= 2 * k:
+                want.append(v)
+        assert reps.tolist() == want and all(v[next(i for i, x in enumerate(v) if x)] == 1 for v in want)
+
+
+BROKEN_STABILIZER = """
+import sys
+import numpy as np
+from altrank import spaces
+from altrank.fields import FieldCtx
+
+real_gens, real_labels = spaces._stabilizer_generators, spaces._orbit_labels
+
+def upper_right(n, k, q):
+    p = np.eye(n, dtype=np.int64)
+    p[0, 2 * k] = 1  # a nonzero upper-right block moves the line of w_k
+    return [*real_gens(n, k, q), p]
+
+def singular(n, k, q):
+    return [*real_gens(n, k, q), np.diag([1] * (n - 1) + [0])]  # keeps W_k, drops a quotient direction
+
+def merged(n, q, k):
+    labels, reps = real_labels(n, q, k)
+    return np.zeros_like(labels), reps  # zero's orbit merged with every other
+
+case = sys.argv[1]
+if case == "merged":
+    spaces._orbit_labels = merged
+else:
+    spaces._stabilizer_generators = {"upper-right": upper_right, "singular": singular}[case]
+spaces.exhaustive_optimal_dimension(4, 2, FieldCtx.prime(3), "constant-rank")
+"""
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("upper-right", "a stabilizer generator of w_1 moves its line"),
+        ("singular", "a stabilizer generator of w_1 is no bijection on the quotient"),
+        ("merged", "the good cosets of w_1 are not constant on the orbits of its stabilizer"),
+    ],
+)
+def test_orbit_checks_raise_under_optimize(case, message):
+    src = str(Path(spaces.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_STABILIZER, case],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert f"AssertionError: {message}" in proc.stderr
 
 
 @pytest.mark.parametrize(
