@@ -328,7 +328,7 @@ def cmd_optimal_search(args) -> tuple[dict, bool]:
         "exists_by_dim": {str(d): v for d, v in result.exists_by_dim.items()},
         "formula": formula,
         "agrees": result.max_dim == formula,
-        "witness": result.witness.to_json() if result.witness is not None else None,
+        "witness": result.witness.to_json(),
     }
     return report, result.max_dim == formula
 

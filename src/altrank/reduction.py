@@ -134,7 +134,8 @@ def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpac
     complement = Span(ctx, wbasis, width=w).extend_with_units(s)
     qprime = Matrix(ctx, complement + wbasis).inverse()
 
-    moved = AffineMatrixSpace(t.base @ qprime, [g @ qprime for g in t.basis])
+    base, *gens = equivalence_images([t.base, *t.basis], Matrix.identity(ctx, s), qprime)
+    moved = AffineMatrixSpace(base, gens)
     m_space = AffineMatrixSpace(
         moved.base.block(0, s, 0, s), independent_matrices([g.block(0, s, 0, s) for g in moved.basis])
     )
@@ -304,7 +305,8 @@ def _reduce(
     cert.P = p1 @ p2 @ place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, s)), (s, s, qprime)])
     moved = congruence_act(sp, cert.P)
     # reduce_full_row_rank has proved that slab Q' is the [B C] family over m_space
-    rows = AffineMatrixSpace(slab.base @ qprime, [g @ qprime for g in slab.basis])
+    base3, *gens3 = equivalence_images([slab.base, *slab.basis], Matrix.identity(ctx, s), qprime)
+    rows = AffineMatrixSpace(base3, gens3)
     if not spaces_equal(moved, border_row_blocks(rows)):
         return {"step": "set_equality"}
 

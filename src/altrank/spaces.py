@@ -288,7 +288,7 @@ def echelon_bases(m: int, d: int, q: int) -> Iterator[tuple[tuple[int, ...], np.
 class OptimalSearchResult:
     max_dim: int
     exists_by_dim: dict[int, bool]
-    witness: AffineMatrixSpace | None
+    witness: AffineMatrixSpace
 
 
 def exhaustive_optimal_dimension(
@@ -303,19 +303,21 @@ def exhaustive_optimal_dimension(
     """Exact maximum dimension of an affine subspace of A_n(F_q) satisfying
     ``predicate`` ("constant-rank" or "rank-at-least" relative to r).
 
-    Each dimension is first decided by ``_level_nonempty``: for d >= 2, a good
+    Each dimension is decided by ``_level_nonempty``: for d >= 2, a good
     d-flat exists iff one has in its direction w_k = e_01 + ... + e_(2k-2)(2k-1)
     for some k and a representative v of an orbit of w_k's stabilizer on the
     quotient by <w_k>: one (d-2)-walk over the cosets of <w_k, v> per k and v.
-    Only a nonempty level is then walked in full: the direction spaces in
-    ``echelon_bases`` order, one echelon row at a time, tracking which cosets
-    of the rows chosen so far hold no bad member; a prefix with too few of
-    them to make up one coset of a d-space prunes every space that extends
-    it, and the walk stops at its first witness.  The witness is the first
-    space with a good coset, its least one by reduced representative, and
-    that coset's least member.  Both predicates pass to affine subspaces, so
-    the search stops at the first empty level.  ``work_budget`` bounds spaces
-    x ambient table per dimension, as if no space were pruned.
+    Both predicates pass to affine subspaces, so the search stops at the first
+    empty level, and only the top one, max_dim, is then walked in full: the
+    direction spaces in ``echelon_bases`` order, one echelon row at a time,
+    tracking which cosets of the rows chosen so far hold no bad member; a
+    prefix with too few of them to make up one coset of a d-space prunes every
+    space that extends it, and the walk stops at its first witness.  The
+    witness is the first space with a good coset, its least one by reduced
+    representative, and that coset's least member; it alone is re-ranked by
+    ``Matrix.rank``, and its flats prove every lower level.  A top level that
+    the walk cannot fill raises an ``AssertionError``.  ``work_budget`` bounds
+    spaces x ambient table per dimension, as if no space were pruned.
     """
     if ctx.kind != "prime":
         raise ValueError("exhaustive search needs a prime field")
@@ -334,39 +336,35 @@ def exhaustive_optimal_dimension(
     ranks = np.empty(total, dtype=np.int64)
     for lo, hi in _engine.chunk_ranges(0, total, n * n):
         ranks[lo:hi] = _engine.alternating_ranks(all_vecs[lo:hi].T, n, q)
-    bad = (ranks != r) if predicate == "constant-rank" else (ranks < r)
+    good = ((ranks == r) if predicate == "constant-rank" else (ranks >= r)).reshape((q,) * m)
 
-    exists_by_dim: dict[int, bool] = {}
-    witness = None
     max_dim = -1
     for d in range(0, m + 1):
         n_spaces = gaussian_binomial(m, d, q)
         if n_spaces * total > work_budget:
-            raise BudgetExceededError(
-                f"dimension {d} needs {n_spaces} x {total} work units"
-            )
-        exists_by_dim[d] = _level_nonempty(bad, n, d, q)
-        if not exists_by_dim[d]:
+            raise BudgetExceededError(f"dimension {d} needs {n_spaces} x {total} work units")
+        if not _level_nonempty(good, n, d, q):
             break
-        found = _coset_walk(bad, m, d, q)
-        if found is None:
-            raise AssertionError(f"dimension {d}: the per-class decision found a space the ordered walk missed")
         max_dim = d
-        w_rows, rep = found
-        base = alternating_from_upper(ctx, n, [int(v) for v in rep])
-        gens = [alternating_from_upper(ctx, n, [int(v) for v in row]) for row in w_rows]
-        witness = AffineMatrixSpace(base, gens)
-        for _, mat in witness.enumerate(10**6):
-            k = mat.rank()
-            if k < r or (predicate == "constant-rank" and k != r):
-                raise AssertionError("optimal-search witness failed exact re-verification")
+    # a validated r admits a rank-r matrix, so level 0 is never empty
+    found = _coset_walk(good, max_dim, q)
+    if found is None:
+        raise AssertionError(f"dimension {max_dim}: the level decision found a space the ordered walk missed")
+    rows, rep = found
+    base, *gens = (alternating_from_upper(ctx, n, v.tolist()) for v in (rep, *rows))
+    witness = AffineMatrixSpace(base, gens)
+    for _, mat in witness.enumerate(total):
+        k = mat.rank()
+        if k < r or (predicate == "constant-rank" and k != r):
+            raise AssertionError("optimal-search witness failed exact re-verification")
+    exists_by_dim = {d: d <= max_dim for d in range(min(max_dim + 1, m) + 1)}
     return OptimalSearchResult(max_dim=max_dim, exists_by_dim=exists_by_dim, witness=witness)
 
 
-def _level_nonempty(bad: np.ndarray, n: int, d: int, q: int) -> bool:
-    """Whether some d-flat of strict upper triangles avoids ``bad``: never with fewer than q^d good
-    members; for d >= 1 decided one congruence class of first directions at a time, and for d >= 2
-    one orbit of second directions at a time.
+def _level_nonempty(good: np.ndarray, n: int, d: int, q: int) -> bool:
+    """Whether some d-flat of strict upper triangles lies in ``good``, shaped (q,) * m: never with fewer
+    than q^d good members; for d >= 1 decided one congruence class of first directions at a time, and
+    for d >= 2 one orbit of second directions at a time.
 
     Congruence X -> P^T X P keeps every rank and is transitive on the alternating matrices of rank
     2k, so a good d-flat exists iff one holds w_k = e_01 + e_23 + ... + e_(2k-2)(2k-1) in its
@@ -377,9 +375,8 @@ def _level_nonempty(bad: np.ndarray, n: int, d: int, q: int) -> bool:
     has no rank below 2k (``_orbit_labels``): one (d-2)-walk over the good cosets of <w_k, v> per k
     and v.  A subgroup's labels only split orbits; the good cosets are checked constant on each.
     """
-    if np.count_nonzero(~bad) < q**d:  # a good d-flat has q^d good members
+    if np.count_nonzero(good) < q**d:  # a good d-flat has q^d good members
         return False
-    good = ~bad.reshape((q,) * (n * (n - 1) // 2))
     for k in range(1, n // 2 + 1) if d else ():
         cosets = _good_cosets(good, _rank_rep(n, k), q)
         if d == 1 and cosets.any():
@@ -388,7 +385,7 @@ def _level_nonempty(bad: np.ndarray, n: int, d: int, q: int) -> bool:
             labels, reps = _orbit_labels(n, q, k)
             if (cosets.flat[labels] != cosets.reshape(-1)).any():
                 raise AssertionError(f"the good cosets of w_{k} are not constant on the orbits of its stabilizer")
-            if any(_coset_walk(~_good_cosets(cosets, v, q), good.ndim - 2, d - 2, q) is not None for v in reps):
+            if any(_coset_walk(_good_cosets(cosets, v, q), d - 2, q) is not None for v in reps):
                 return True
     return d == 0
 
@@ -460,8 +457,8 @@ def _primitive_root(q: int) -> int:
     return next(g for g in range(1, q) if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
 
 
-def _coset_walk(bad: np.ndarray, m: int, d: int, q: int):
-    """First (direction rows, coset representative) whose coset avoids bad, in
+def _coset_walk(good: np.ndarray, d: int, q: int):
+    """First (direction rows, coset representative) whose coset lies in the (q,) * m mask ``good``, in
     ``echelon_bases`` order: its least such coset by reduced representative,
     and that representative (zero at the pivots), which is the coset's least
     member since each pivot coordinate is set by its own row alone.
@@ -471,7 +468,7 @@ def _coset_walk(bad: np.ndarray, m: int, d: int, q: int):
     cosets (no bad member), indexed lexicographically by the reduced
     representative's non-pivot coordinates, then the pivots still to come.
     """
-    good = ~bad.reshape((q,) * m)
+    m = good.ndim
     if np.count_nonzero(good) < q**d:  # a good coset has q^d good members
         return None
     for pivots in combinations(range(m), d):

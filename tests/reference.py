@@ -36,10 +36,11 @@ def member_at(sp, coords):
     return Matrix(sp.ctx, ([sum(map(mul, cs, col)) for col in zip(*r)] for r in rows))
 
 
-def level_nonempty_per_class(bad, n, d, q):
-    """Whether some d-flat of strict upper triangles avoids ``bad``; for d >= 1,
-    decided one congruence class of directions at a time: the decision that
-    ``spaces._level_nonempty``'s walks per orbit of second directions replaced.
+def level_nonempty_per_class(good, n, d, q):
+    """Whether some d-flat of strict upper triangles lies in ``good``, shaped
+    (q,) * m; for d >= 1, decided one congruence class of directions at a
+    time: the decision that ``spaces._level_nonempty``'s walks per orbit of
+    second directions replaced.
 
     Congruence X -> P^T X P keeps every rank and acts transitively on the
     alternating matrices of each rank 2k, so a good d-flat exists iff one
@@ -50,16 +51,14 @@ def level_nonempty_per_class(bad, n, d, q):
     with u + lambda w_k good for every lambda in F_q.
     """
     if d == 0:
-        return not bad.all()
-    m = n * (n - 1) // 2
-    good = ~bad.reshape((q,) * m)
+        return bool(good.any())
     pairs = upper_pairs(n)
     for k in range(1, n // 2 + 1):
         axes = tuple(pairs.index((2 * i, 2 * i + 1)) for i in range(1, k))
         # entry u of the slice x_0 = lambda rolled back by lambda is u + lambda w_k;
         # each slice keeps its axis 0, so a roll never meets a 0-d array
         coset_good = np.logical_and.reduce([np.roll(good[lam : lam + 1], -lam, axis=axes) for lam in range(q)])
-        if _coset_walk(~coset_good, m - 1, d - 1, q) is not None:
+        if _coset_walk(coset_good[0], d - 1, q) is not None:
             return True
     return False
 

@@ -676,6 +676,27 @@ def test_optimal_search_beyond_default_budget_is_pinned(n, r, q, message, max_di
     assert (res.max_dim, res.exists_by_dim, res.witness.to_json()) == (max_dim, exists_by_dim, want.to_json())
 
 
+@pytest.mark.parametrize("n,q,work_budget", [(4, 3, 3 * 10**8), (5, 2, 10**17)])
+def test_optimal_search_walks_and_rechecks_once(monkeypatch, n, q, work_budget):
+    """Every level is decided, and only the top one is walked on the ambient mask and re-checked,
+    by one enumeration whose budget is the ambient table's size q^m, which no witness exceeds."""
+    m, budgets, walks = n * (n - 1) // 2, [], []
+    enumerate_, coset_walk = AffineMatrixSpace.enumerate, spaces._coset_walk
+
+    def counting_enumerate(self, budget=10**6):
+        budgets.append(budget)
+        return enumerate_(self, budget)
+
+    def counting_walk(good, d, q):
+        walks.extend([d] if good.ndim == m else [])
+        return coset_walk(good, d, q)
+
+    monkeypatch.setattr(AffineMatrixSpace, "enumerate", counting_enumerate)
+    monkeypatch.setattr(spaces, "_coset_walk", counting_walk)
+    res = exhaustive_optimal_dimension(n, 2, FieldCtx.prime(q), "rank-at-least", work_budget=work_budget)
+    assert (budgets, walks) == ([q**m], [res.max_dim])
+
+
 def reference_optimal_search(n: int, r: int, q: int, predicate: str):
     """Per-space optimal search on the exact layer: every coset member of every
     echelon direction space is ranked with ``Matrix.rank``.  The first space in
@@ -730,13 +751,13 @@ def test_optimal_search_matches_exact_reference(n, q):
             assert res.witness.to_json() == witness.to_json(), (r, predicate)
 
 
-def per_space_coset_scan(all_vecs, bad, m, d, q):
+def per_space_coset_scan(all_vecs, good, m, d, q):
     """The coset scan one direction space at a time, every ambient vector keyed."""
     key_pows = q ** np.arange(m - d - 1, -1, -1)
     for pivots, w in echelon_bases(m, d, q):
         nonpiv = [j for j in range(m) if j not in pivots]
         keys = ((all_vecs - all_vecs[:, list(pivots)] @ w) % q)[:, nonpiv] @ key_pows
-        bad_counts = np.bincount(keys[bad], minlength=q ** (m - d))
+        bad_counts = np.bincount(keys[~good.reshape(-1)], minlength=q ** (m - d))
         hit = int(np.argmin(bad_counts))
         if bad_counts[hit] == 0:
             return w, int(np.argmax(keys == hit))
@@ -750,11 +771,11 @@ def test_blocked_coset_scan_matches_per_space_loop(monkeypatch, m, d, q):
     all_vecs = _engine.lex_coords(0, q**m, m, q)
     for density in (0.35, 0.5, 0.65):
         for seed in range(4):
-            bad = np.random.default_rng([m, d, q, seed]).random(q**m) < density
-            want = per_space_coset_scan(all_vecs, bad, m, d, q)
+            good = (np.random.default_rng([m, d, q, seed]).random(q**m) >= density).reshape((q,) * m)
+            want = per_space_coset_scan(all_vecs, good, m, d, q)
             for cap in (spaces._WALK_ELEMS, 1, 2000):
                 monkeypatch.setattr(spaces, "_WALK_ELEMS", cap)
-                got = spaces._coset_walk(bad, m, d, q)
+                got = spaces._coset_walk(good, d, q)
                 if want is None:
                     assert got is None
                 else:
@@ -762,12 +783,13 @@ def test_blocked_coset_scan_matches_per_space_loop(monkeypatch, m, d, q):
                     assert got[1].tolist() == all_vecs[want[1]].tolist()
 
 
-def alternating_bad(n, r, q, predicate):
-    """The optimal search's bad set: the lex-ordered strict upper triangles
-    whose alternating matrix fails the predicate."""
-    all_vecs = _engine.lex_coords(0, q ** (n * (n - 1) // 2), n * (n - 1) // 2, q)
+def alternating_good(n, r, q, predicate):
+    """The optimal search's good mask, shaped (q,) * m: the lex-ordered strict
+    upper triangles whose alternating matrix meets the predicate."""
+    m = n * (n - 1) // 2
+    all_vecs = _engine.lex_coords(0, q**m, m, q)
     ranks = _engine.alternating_ranks(all_vecs.T.copy(), n, q)
-    return all_vecs, (ranks != r) if predicate == "constant-rank" else (ranks < r)
+    return all_vecs, ((ranks == r) if predicate == "constant-rank" else (ranks >= r)).reshape((q,) * m)
 
 
 @pytest.mark.parametrize(
@@ -778,10 +800,10 @@ def test_coset_walk_matches_per_space_loop_on_rank_tables(n, q, dims):
     m = n * (n - 1) // 2
     for r in range(0, n + 1, 2):
         for predicate in ("constant-rank", "rank-at-least"):
-            all_vecs, bad = alternating_bad(n, r, q, predicate)
+            all_vecs, good = alternating_good(n, r, q, predicate)
             for d in dims:
-                want = per_space_coset_scan(all_vecs, bad, m, d, q)
-                got = spaces._coset_walk(bad, m, d, q)
+                want = per_space_coset_scan(all_vecs, good, m, d, q)
+                got = spaces._coset_walk(good, d, q)
                 if want is None:
                     assert got is None, (r, predicate, d)
                 else:
@@ -793,10 +815,10 @@ def test_coset_walk_matches_per_space_loop_on_rank_tables(n, q, dims):
 def test_coset_walk_finds_no_constant_rank_solid_at_4_f3(r):
     """Dimension 3 at (4, r, F_3) is the level the optimal search proves
     empty: every one of the 33,880 direction spaces is checked or pruned."""
-    all_vecs, bad = alternating_bad(4, r, 3, "constant-rank")
-    assert per_space_coset_scan(all_vecs, bad, 6, 3, 3) is None
-    assert spaces._coset_walk(bad, 6, 3, 3) is None
-    assert not spaces._level_nonempty(bad, 4, 3, 3)
+    all_vecs, good = alternating_good(4, r, 3, "constant-rank")
+    assert per_space_coset_scan(all_vecs, good, 6, 3, 3) is None
+    assert spaces._coset_walk(good, 3, 3) is None
+    assert not spaces._level_nonempty(good, 4, 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -810,10 +832,10 @@ def test_level_decision_matches_ordered_walk(n, q, dims):
     m = n * (n - 1) // 2
     for r in range(0, n + 1, 2):
         for predicate in ("constant-rank", "rank-at-least"):
-            _, bad = alternating_bad(n, r, q, predicate)
+            _, good = alternating_good(n, r, q, predicate)
             for d in dims:
-                want = spaces._coset_walk(bad, m, d, q) is not None
-                assert spaces._level_nonempty(bad, n, d, q) == want, (r, predicate, d)
+                want = spaces._coset_walk(good, d, q) is not None
+                assert spaces._level_nonempty(good, n, d, q) == want, (r, predicate, d)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 5), (3, 7), (4, 2), (4, 3), (4, 5), (5, 2)])
@@ -823,10 +845,10 @@ def test_orbit_decision_matches_the_per_class_reference(n, q):
     m = n * (n - 1) // 2
     for r in range(0, n + 1, 2):
         for predicate in ("constant-rank", "rank-at-least"):
-            _, bad = alternating_bad(n, r, q, predicate)
+            _, good = alternating_good(n, r, q, predicate)
             for d in range(m + 1):
-                want = reference.level_nonempty_per_class(bad, n, d, q)
-                assert spaces._level_nonempty(bad, n, d, q) == want, (r, predicate, d)
+                want = reference.level_nonempty_per_class(good, n, d, q)
+                assert spaces._level_nonempty(good, n, d, q) == want, (r, predicate, d)
 
 
 @pytest.mark.parametrize("n,q,counts", [(4, 3, [4, 4]), (5, 2, [5, 6])])
