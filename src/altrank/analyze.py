@@ -16,7 +16,7 @@ from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
 from .fields import FieldCtx, prime_below
 from .matrices import Matrix, Vector, place_blocks, span_dim
-from .spaces import AffineMatrixSpace, Span
+from .spaces import AffineMatrixSpace, Span, equivalence_images, word_chain_flag
 from .symplectic import totally_singular_witness
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -227,25 +227,18 @@ def nilpotent_flag(sp: AffineMatrixSpace) -> Optional[Matrix]:
     """A basis b_0..b_(n-1), as the columns of a matrix, with G b_j in
     span(b_0..b_(j-1)) for every generator G of sp, or None if there is none.
 
-    Q_0 is F^n and Q_i the span of the rows q G, q in Q_(i-1): the row spaces
-    of all words of length i in the generators.  The chain falls until it is
-    0, and then V_i = ker Q_i is a flag with G V_i in V_(i-1); or it stops
-    at a nonzero Q_i = Q_(i-1), and the generators span no nilpotent algebra.
-    At most n steps, each one ``Span`` of the rows of the products Q_(i-1) G.
+    Q_0 is F^n and Q_i the row space of the products Q_(i-1) G over the
+    generators G, the words of length i.  Q_i lies in Q_(i-1), so the chain
+    falls until it is 0, and then V_i = ker Q_i is a flag with G V_i in
+    V_(i-1); or it stops at a nonzero Q_i = Q_(i-1), and the generators span
+    no nilpotent algebra.  The basis is adapted to the flag: the kernel
+    vectors of reduced Q_1, Q_2, ... at the columns first free in each.  At
+    most n steps on the space's own stack (``spaces.word_chain_flag``).
     """
     n, m = sp.shape
     if n != m:
         raise ValueError("members must be square")
-    ctx = sp.ctx
-    chain = [Matrix.identity(ctx, n)]
-    while chain[-1].nrows:
-        step = Span(ctx, [row for g in sp.basis for row in (chain[-1] @ g).data], width=n)
-        if step.dim == chain[-1].nrows:
-            return None
-        chain.append(Matrix(ctx, step.basis()))
-    flag = Span(ctx, [], width=n)
-    basis = [v for q in chain[1:-1] for v in q.kernel_basis() if flag.add(v)]
-    return Matrix(ctx, zip(*basis, *flag.extend_with_units(n)))
+    return word_chain_flag(sp)
 
 
 def _flag_holds(basis: Matrix, sp: AffineMatrixSpace) -> bool:
@@ -277,7 +270,9 @@ def invertible_by_flag(sp: AffineMatrixSpace) -> bool:
         b0inv = sp.base.inverse()
     except ValueError:  # B_0 is singular
         return False
-    return _checked_flag(AffineMatrixSpace(Matrix.zeros(sp.ctx, *sp.shape), [b0inv @ g for g in sp.basis]))
+    ctx, n = sp.ctx, sp.shape[0]
+    _, *gens = equivalence_images([sp.base, *sp.basis], b0inv, Matrix.identity(ctx, n))  # B_0: never an empty stack
+    return _checked_flag(AffineMatrixSpace(Matrix.zeros(ctx, n), gens))
 
 
 def trivial_spectrum_check(

@@ -10,9 +10,10 @@ array row echelon in ``spaces``.  ``pfaffian`` pivots pairwise instead, one 2x2 
 complement per step, as ``_engine.skew_rank`` does on whole stacks.  One ``integer_lift`` serves both
 Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every sum of products, x^T K y
 included, is one ``Matrix`` product, each entry one ``sum(map(mul, row, col))`` reduced once mod p,
-but for the stacked array products of ``spaces`` (``member_at`` and ``equivalence_images``) and of
-``analyze.flanders_atkinson_check``, whose canonical residues over F_p come back through
-``Matrix.from_residues``, range-checked once.
+but for the stacked array products of ``spaces`` (``member_at``, ``enumerate``, ``equivalence_images``
+and the nilpotent flag's word chain) and of ``analyze.flanders_atkinson_check``, whose canonical
+residues over F_p come back through ``Matrix.from_residue_stack`` (``from_residues`` for one matrix),
+range-checked once per stack.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ class Matrix:
     def from_residues(ctx: FieldCtx, arr) -> "Matrix":
         """A matrix over F_p from a 2-D integer numpy array of residues, such as an engine product:
         the range is checked once by numpy, not entry by entry, and ValueError raised outside [0, p)."""
-        if ctx.kind != "prime" or arr.ndim != 2 or arr.dtype.kind != "i":
-            raise ValueError("residues must be a 2-D integer array over a prime field")
-        if arr.size and not 0 <= arr.min() <= arr.max() < ctx.p:
-            raise ValueError(f"residues must lie in [0, {ctx.p})")
-        return Matrix._trusted(ctx, tuple(map(tuple, arr.tolist())), arr.shape[1])
+        return Matrix._trusted(ctx, tuple(map(tuple, _residue_lists(ctx, arr, 2))), arr.shape[1])
+
+    @staticmethod
+    def from_residue_stack(ctx: FieldCtx, arr) -> list["Matrix"]:
+        """One matrix over F_p per slice of a 3-D integer array of residues, the whole range checked once."""
+        return [Matrix._trusted(ctx, tuple(map(tuple, x)), arr.shape[2]) for x in _residue_lists(ctx, arr, 3)]
 
     @staticmethod
     def _trusted(ctx: FieldCtx, data: tuple[Vector, ...], ncols: int) -> "Matrix":
@@ -364,6 +366,15 @@ class Span:
             if self.add(e):
                 added.append(e)
         return added
+
+
+def _residue_lists(ctx: FieldCtx, arr, ndim: int) -> list:
+    """``arr.tolist()`` of an ndim-D integer numpy array of residues over F_p, its range checked once by numpy."""
+    if ctx.kind != "prime" or arr.ndim != ndim or arr.dtype.kind != "i":
+        raise ValueError(f"residues must be a {ndim}-D integer array over a prime field")
+    if arr.size and not 0 <= arr.min() <= arr.max() < ctx.p:
+        raise ValueError(f"residues must lie in [0, {ctx.p})")
+    return arr.tolist()
 
 
 def _sub_multiple(p: int | None, xs: Sequence[Element], c: Element, ys: Sequence[Element]) -> list[Element]:

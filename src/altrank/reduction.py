@@ -112,6 +112,12 @@ def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpac
     A space that fails any of this raises ``ContractError``, and a flagless
     M past the inner budget ``BudgetExceededError``.
     """
+    return _slab_moved(t)[::2]  # (Q', M)
+
+
+def _slab_moved(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpace, AffineMatrixSpace]:
+    """(Q', t Q', M) of ``reduce_full_row_rank``: the moved slab t Q' too, proved equal to the [B C]
+    family over M, so that the pipeline borders it without a second product."""
     ctx = t.ctx
     s, w = t.shape
     if w < s:
@@ -151,7 +157,7 @@ def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpac
         raise ContractError("recovered family contains a singular member") from exc
     if not spaces_equal(moved, target):
         raise ContractError("slab space does not match the [B C] form")
-    return qprime, m_space
+    return qprime, moved, m_space
 
 
 def totally_singular_rejection(
@@ -298,15 +304,13 @@ def _reduce(
 
     slab = AffineMatrixSpace(base2.block(0, s, s, n), independent_matrices([g.block(0, s, s, n) for g in gens2]))
     try:
-        qprime, m_space = reduce_full_row_rank(slab)
+        qprime, rows, m_space = _slab_moved(slab)
     except (ValueError, ContractError) as exc:
         return {"step": "set_equality", "error": str(exc)}
     cert.recovered_M = m_space
     cert.P = p1 @ p2 @ place_blocks(ctx, n, n, [(0, 0, Matrix.identity(ctx, s)), (s, s, qprime)])
     moved = congruence_act(sp, cert.P)
-    # reduce_full_row_rank has proved that slab Q' is the [B C] family over m_space
-    base3, *gens3 = equivalence_images([slab.base, *slab.basis], Matrix.identity(ctx, s), qprime)
-    rows = AffineMatrixSpace(base3, gens3)
+    # rows, slab Q', is proved to be the [B C] family over m_space
     if not spaces_equal(moved, border_row_blocks(rows)):
         return {"step": "set_equality"}
 

@@ -4,8 +4,9 @@ An affine space is a base matrix plus the span of an independent translation
 basis.  A space holds its base and generators as one read-only array stack from
 construction, int64 residues over F_p and Fraction objects over Q, and one row
 echelon of the generators proves them independent and answers every membership
-test.  Four array helpers, ``_stack``, ``_mod``, ``_product`` and ``_matrix``,
-are where the field picks its arithmetic.
+test.  Four array helpers, ``_stack``, ``_mod``, ``_product`` and ``_matrices``,
+are where the field picks its arithmetic; the nilpotent flag's word chain
+(``word_chain_flag``) runs on the same stack.
 Enumeration is ordered lexicographically by coordinate tuple.  Seeded
 member draws live in the engine (``_engine.sampled_coords``), where draw i
 depends only on (seed, i).
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +83,7 @@ class AffineMatrixSpace:
             raise ValueError("coordinate count mismatch")
         (base, basis), ctx = self._flat, self.ctx
         c = _stack(ctx, [ctx.normalize(x) for x in coords], 1, self.dim)
-        return _matrix(ctx, _product(ctx, c, basis, base).reshape(self.shape))
+        return _matrices(ctx, _product(ctx, c, basis, base).reshape(1, *self.shape))[0]
 
     def translation_residuals(self, vecs: Sequence[Vector]) -> list[Vector]:
         """The residual by the echelon of each v of vecs, flattened matrices of canonical elements: the
@@ -110,7 +111,8 @@ class AffineMatrixSpace:
         return self.ctx.p**self.dim
 
     def enumerate(self, budget: int = 10**6) -> Iterator[tuple[tuple[Element, ...], Matrix]]:
-        """All members in lexicographic coordinate order, one stacked product per engine block."""
+        """All members in lexicographic coordinate order, one stacked product and one ``_matrices`` per block
+        of 2^16 entries or 1,024 members, whose Matrix objects, some 75 bytes an entry, live at once."""
         if self.dim == 0:
             yield (), self.base
             return
@@ -120,10 +122,10 @@ class AffineMatrixSpace:
         if total > budget:
             raise BudgetExceededError(f"{total} members exceed budget {budget}")
         (base, basis), (n, m) = self._flat, self.shape
-        for lo, hi in _engine.chunk_ranges(0, total, n * m):
+        for lo, hi in _engine.chunk_ranges(0, total, n * m << 6):
             coords = _engine.lex_coords(lo, hi, self.dim, self.ctx.p)
             members = _product(self.ctx, coords, basis, base).reshape(-1, n, m)
-            yield from zip(map(tuple, coords.tolist()), (_matrix(self.ctx, x) for x in members))
+            yield from zip(map(tuple, coords.tolist()), _matrices(self.ctx, members))
 
     # -- engine bridge ---------------------------------------------------------------
 
@@ -196,7 +198,7 @@ def equivalence_images(mats: Sequence[Matrix], p: Matrix, q: Matrix) -> list[Mat
     ctx = p.ctx
     xs = _stack(ctx, [x.data for x in mats], len(mats), *mats[0].shape)
     out = _product(ctx, _product(ctx, _stack(ctx, p.data, *p.shape), xs), _stack(ctx, q.data, *q.shape))
-    return [_matrix(ctx, x) for x in out]
+    return _matrices(ctx, out)
 
 
 def spaces_equal(x: AffineMatrixSpace, y: AffineMatrixSpace) -> bool:
@@ -217,26 +219,48 @@ def independent_matrices(mats: Sequence[Matrix]) -> list[Matrix]:
 
 
 def _row_echelon(ctx: FieldCtx, stack: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
-    """Row echelon with unit pivots of a (k, w) stack of field elements, one step per input row:
-    the (rank, w) rows, their pivots and the inputs that gave them.  A row is zero at earlier
-    rows' pivots and later rows at its own, so reducing by the rows in order leaves zero exactly
-    on their span."""
-    a, pivots, kept = stack.copy(), [], []
-    for i in range(len(a)):
-        nonzero = np.flatnonzero(a[i])
-        if nonzero.size:
-            pc = int(nonzero[0])
-            a[i] = _mod(ctx, a[i] * ctx.inv(a.item(i, pc)))
-            a[i + 1 :] = _mod(ctx, a[i + 1 :] - a[i + 1 :, pc, None] * a[i])
-            pivots.append(pc)
-            kept.append(i)
+    """Row echelon with unit pivots of a (k, w) stack of field elements, one step per pivot, taken at the
+    first nonzero entry of the rows not yet used, so rows that are zero by then are passed over: the
+    (rank, w) rows, their pivots and the inputs that gave them.  A row is zero at earlier rows' pivots
+    and later rows at its own, so reducing by the rows in order leaves zero exactly on their span."""
+    a, pivots, kept, i = stack.copy(), [], [], 0
+    while (nonzero := a[i:] != 0).any():
+        skip, pc = divmod(int(nonzero.argmax()), a.shape[1])
+        i += skip
+        a[i] = _mod(ctx, a[i] * ctx.inv(a.item(i, pc)))
+        a[i + 1 :] = _mod(ctx, a[i + 1 :] - a[i + 1 :, pc, None] * a[i])
+        pivots.append(pc)
+        kept.append(i)
+        i += 1
     return a[kept], pivots, kept
+
+
+def word_chain_flag(sp: AffineMatrixSpace) -> Optional[Matrix]:
+    """The flag of ``analyze.nilpotent_flag`` for a square space, on its generator stack.  Step i is one
+    stacked product of Q_(i-1)'s rows with the (dim, n, n) stack and one ``_row_echelon`` of those word
+    rows, back-substituted to reduced form, or None once Q_i = Q_(i-1) != 0.  Each column that turns
+    free at step i, in index order, gives its kernel vector: 1 there, minus the reduced rows' entries
+    there at their pivots.  A pivot column of Q_i is one of Q_(i-1), so no free column turns back."""
+    ctx, n = sp.ctx, sp.shape[0]
+    gens, rows = sp._flat[1].reshape(sp.dim, n, n), _stack(ctx, Matrix.identity(ctx, n).data, n, n)
+    flag, old_pivots = [rows[:, :0]], range(n)
+    while len(rows):
+        ech, pivots, _ = _row_echelon(ctx, _product(ctx, rows, gens).reshape(-1, n))
+        if len(pivots) == len(rows):
+            return None
+        for j, pc in enumerate(pivots):  # the rows before j get zero at pc
+            ech[:j] = _mod(ctx, ech[:j] - ech[:j, pc, None] * ech[j])
+        new = sorted(set(old_pivots).difference(pivots))
+        flag.append(np.eye(n, dtype=rows.dtype)[:, new])  # e_f, and at the pivots minus column f
+        flag[-1][pivots] = _mod(ctx, -ech[:, new])
+        rows, old_pivots = ech, pivots
+    return _matrices(ctx, np.hstack(flag)[None])[0]
 
 
 # -- field arithmetic on arrays: int64 residues over F_p, Fraction objects over Q ----------------
 # The one place that picks a field's arithmetic: nested canonical elements as an array of the given
 # shape, reduction to canonical residues (none over Q), a @ b + acc on canonical elements (over F_p
-# ``_engine._matmul_mod``, exact for every p < 2^31) and the Matrix of a 2-D array.
+# ``_engine._matmul_mod``, exact for every p < 2^31) and the Matrix of each slice of a 3-D array.
 
 
 def _stack(ctx: FieldCtx, entries, *shape: int) -> np.ndarray:
@@ -251,8 +275,10 @@ def _product(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, acc=0) -> np.ndarray:
     return _engine._matmul_mod(a, b, acc, ctx.p) if ctx.kind == "prime" else a @ b + acc
 
 
-def _matrix(ctx: FieldCtx, a: np.ndarray) -> Matrix:
-    return Matrix.from_residues(ctx, a) if ctx.kind == "prime" else Matrix(ctx, a.tolist(), a.shape[1])
+def _matrices(ctx: FieldCtx, a: np.ndarray) -> list[Matrix]:
+    if ctx.kind == "prime":
+        return Matrix.from_residue_stack(ctx, a)
+    return [Matrix(ctx, x, a.shape[2]) for x in a.tolist()]
 
 
 # -- exhaustive optimal-dimension search -----------------------------------------------------

@@ -15,7 +15,7 @@ from altrank.analyze import first_singular
 from altrank.fields import prime_below
 from altrank.matrices import Matrix, integer_lift, pfaffian, upper_pairs
 from altrank.rand import DEFAULT_RATIONAL_BOX, random_alternating
-from altrank.spaces import _coset_walk, equivalence_act, spaces_equal
+from altrank.spaces import Span, _coset_walk, equivalence_act, spaces_equal
 
 
 def rank_multiset(sp, budget=10**4):
@@ -34,6 +34,26 @@ def member_at(sp, coords):
     cs = [1, *(c for c, _ in terms)]
     rows = zip(sp.base.data, *(g for _, g in terms))
     return Matrix(sp.ctx, ([sum(map(mul, cs, col)) for col in zip(*r)] for r in rows))
+
+
+def nilpotent_flag_by_span(sp):
+    """``analyze.nilpotent_flag`` one ``Span`` step at a time: Q_i is the ``Span`` of the rows of
+    every ``Matrix`` product Q_(i-1) G, and the flag is greedy, the kernel bases of Q_1, Q_2, ...
+    added while independent and then the lowest unit vectors: the oracle for the word chain on
+    the space's stack (``spaces.word_chain_flag``)."""
+    n, m = sp.shape
+    if n != m:
+        raise ValueError("members must be square")
+    ctx = sp.ctx
+    chain = [Matrix.identity(ctx, n)]
+    while chain[-1].nrows:
+        step = Span(ctx, [row for g in sp.basis for row in (chain[-1] @ g).data], width=n)
+        if step.dim == chain[-1].nrows:
+            return None
+        chain.append(Matrix(ctx, step.basis()))
+    flag = Span(ctx, [], width=n)
+    basis = [v for q in chain[1:-1] for v in q.kernel_basis() if flag.add(v)]
+    return Matrix(ctx, zip(*basis, *flag.extend_with_units(n)))
 
 
 def level_nonempty_per_class(good, n, d, q):

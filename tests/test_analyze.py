@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -40,9 +41,10 @@ from altrank.rand import (
     random_matrix,
     uniform_below,
 )
-from altrank.spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act
+from altrank.spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act, independent_matrices
 from altrank.symplectic import FormSpacePair, standard_symplectic
 from reference import (
+    nilpotent_flag_by_span,
     pencil_symplectic_iff_trivial_spectrum,
     random_invertible_alternating,
     rational_residues_by_matrix,
@@ -641,6 +643,65 @@ def test_nilpotent_flag_edge_spaces():
     assert nilpotent_flag(AffineMatrixSpace(Matrix.zeros(F5, 3), [])) == Matrix.identity(F5, 3)
     with pytest.raises(ValueError, match="square"):
         nilpotent_flag(AffineMatrixSpace(Matrix.zeros(F3, 2, 3), []))
+
+
+def conjugated_upper(ctx, n, stream, keep):
+    """g^-1 U g for the strictly upper units U = E_ij, i < j, that ``keep`` picks, g seeded."""
+    g = random_invertible(ctx, n, stream)
+    ginv = g.inverse()
+    return [ginv @ unit(ctx, n, i, j) @ g for i in range(n) for j in range(i + 1, n) if keep()]
+
+
+def flag_oracle_cases():
+    """Seeded square linear spaces over F_2, F_3, F_7, F_p with p = 2,147,483,629 and Q at
+    n = 0..7: conjugated subsets of the strictly upper units, with and without one random
+    generator more, operator-block spaces over such a core (n = 1..3, so 2n <= 7), random
+    spaces, and ``nilpotent_without_flag``."""
+    for ctx in (F2, F3, FieldCtx.prime(7), FieldCtx.prime(2_147_483_629), Q):
+        stream = CounterStream(derive_seed(11, "flag-oracle", ctx.to_str()))
+        keep = lambda: stream.below(3) > 0
+        for n in range(8):
+            zero = Matrix.zeros(ctx, n)
+            uppers = conjugated_upper(ctx, n, stream, keep) if n else []
+            yield AffineMatrixSpace(zero, uppers)
+            yield AffineMatrixSpace(zero, independent_matrices(uppers + [random_matrix(ctx, n, n, stream)]))
+            yield AffineMatrixSpace(zero, independent_matrices([random_matrix(ctx, n, n, stream) for _ in range(3)]))
+            if 1 <= n <= 3:
+                core = AffineMatrixSpace(Matrix.zeros(ctx, n), conjugated_upper(ctx, n, stream, keep))
+                ops = build_operator_block_space(ctx, n, core).operators
+                yield AffineMatrixSpace(Matrix.zeros(ctx, 2 * n), list(ops))
+        yield nilpotent_without_flag(ctx)
+
+
+def test_word_chain_flag_matches_the_span_search():
+    verdicts = Counter()
+    for sp in flag_oracle_cases():
+        flag, want = nilpotent_flag(sp), nilpotent_flag_by_span(sp)
+        assert (flag is None) == (want is None), sp
+        if flag is not None:
+            assert analyze._flag_holds(flag, sp) and analyze._flag_holds(want, sp)
+        verdicts[sp.ctx.to_str(), flag is not None] += sp.dim > 0
+    # both verdicts, several times, on every field and spaces of positive dimension
+    assert len(verdicts) == 10 and min(verdicts.values()) >= 5, verdicts
+
+
+def test_flag_search_builds_no_span_and_no_matrix_product(monkeypatch):
+    spaces = [sp for ctx in (F3, Q) for sp in (
+        build_strictly_upper_space(ctx, 5),
+        nilpotent_without_flag(ctx),
+        AffineMatrixSpace(Matrix.zeros(ctx, 2), [Matrix.identity(ctx, 2)]),
+        AffineMatrixSpace(Matrix.zeros(ctx, 4), list(build_operator_block_space(ctx, 2).operators)),
+    )]
+    calls = Counter()
+    for cls, name in ((Span, "__init__"), (Matrix, "__matmul__")):
+        def spy(*args, _orig=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(cls, name, spy)
+    flagged = [nilpotent_flag(sp) is not None for sp in spaces]
+    assert calls == Counter() and flagged == [True, False, False, True] * 2
+    nilpotent_flag_by_span(spaces[0])  # the search it replaced trips both spies
+    assert calls["__init__"] and calls["__matmul__"]
 
 
 def test_flagged_spaces_never_scan(monkeypatch):

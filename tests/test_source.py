@@ -102,6 +102,23 @@ def test_analyze_privates_stay_in_analyze():
     assert found == []
 
 
+def test_spaces_privates_stay_in_spaces():
+    """Other modules reach ``spaces`` through its public names only, such as
+    ``word_chain_flag`` for the nilpotent flag on a space's own stack: no
+    ``spaces._name`` attribute and no ``from .spaces import _name``."""
+    found = []
+    for path in sorted(Path(altrank.__file__).parent.glob("*.py")):
+        if path.name == "spaces.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "spaces" and node.attr.startswith("_")):
+                found.append(f"{path.name}:{node.lineno}: spaces.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "spaces":
+                found += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
 def test_no_floating_point_in_the_package():
     """Every module stays in integers and fractions: the kernels, the Hadamard
     bound and the prime search behind rational rank profiles, the pencil scans

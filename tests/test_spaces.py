@@ -280,6 +280,26 @@ def test_matrix_from_residues_checks_the_range_once():
             Matrix.from_residues(ctx, bad)
 
 
+def test_matrix_from_residue_stack_checks_the_whole_stack_once():
+    f7 = FieldCtx.prime(7)
+    stack = np.arange(24, dtype=np.int64).reshape(2, 3, 4) % 7
+    mats = Matrix.from_residue_stack(f7, stack)
+    assert mats == [Matrix.from_residues(f7, x) for x in stack] and mats[1] == Matrix(f7, (stack[1] % 7).tolist())
+    assert Matrix.from_residue_stack(f7, np.zeros((0, 2, 3), np.int64)) == []
+    assert [m.shape for m in Matrix.from_residue_stack(f7, np.zeros((2, 0, 3), np.int64))] == [(0, 3)] * 2
+    assert [m.shape for m in Matrix.from_residue_stack(f7, np.zeros((2, 3, 0), np.int64))] == [(3, 0)] * 2
+    assert all(type(x) is int for x in Matrix.from_residue_stack(f7, np.array([[[5]]], np.int16))[0].flatten())
+    for bad in (7, -1, 2**40):
+        out = stack.copy()
+        out[1, 2, 3] = bad  # in the last slice only: the range of every slice is checked
+        with pytest.raises(ValueError, match=r"^residues must lie in \[0, 7\)$"):
+            Matrix.from_residue_stack(f7, out)
+    wrong = [(Q, stack), (f7, stack[0]), (f7, stack[None]), (f7, stack.astype(float)), (f7, stack.astype(object))]
+    for ctx, bad in wrong:
+        with pytest.raises(ValueError, match="^residues must be a 3-D integer array over a prime field$"):
+            Matrix.from_residue_stack(ctx, bad)
+
+
 # -- AffineMatrixSpace -----------------------------------------------------------------
 
 
