@@ -245,14 +245,11 @@ def _flag_holds(basis: Matrix, sp: AffineMatrixSpace) -> bool:
     """Whether the columns b_j of ``basis`` are a basis of F^n with G b_j in
     span(b_0..b_(j-1)) for every generator G of sp: exact arithmetic only."""
     n = sp.shape[0]
-    if basis.shape != (n, n):
+    if basis.shape != (n, n) or basis.det() == 0:
         return False
-    below = Span(sp.ctx, [], width=n)
-    images = [g @ basis for g in sp.basis]
-    for j in range(n):
-        if not all(below.contains(image.col(j)) for image in images) or not below.add(basis.col(j)):
-            return False
-    return True
+    cols, images = basis.T.data, [(g @ basis).T.data for g in sp.basis]
+    spans = (Span(sp.ctx, cols[:j], width=n) for j in range(n))  # one per j, built as the check reaches it
+    return all(below.contains(image[j]) for j, below in enumerate(spans) for image in images)
 
 
 def _checked_flag(sp: AffineMatrixSpace) -> bool:
@@ -492,10 +489,9 @@ def extract_range_lagrangian(ops: Sequence[Matrix], gram: Matrix) -> Optional[li
         raise ContractError(
             f"combined range has dimension {lag.dim}, expected {qprime // 2}"
         )
-    basis = lag.basis()
-    if totally_singular_witness(gram, basis) is not None:
+    if totally_singular_witness(gram, lag.rows) is not None:
         raise ContractError("combined range is not totally singular")
-    return basis
+    return lag.rows
 
 
 def trivial_spectrum_gate(sp: AffineMatrixSpace, what: str, budget: int = DEFAULT_ENUM_BUDGET) -> None:

@@ -1,10 +1,10 @@
 """Dense exact matrices with deterministic elimination.
 
 All algorithms pivot on the first nonzero entry in column order, never by magnitude, so kernels,
-echelon forms and certificates are reproducible bit for bit across runs and platforms.  There are two
-eliminations here: the incremental Gauss-Jordan of :class:`Span`, behind ``rref`` and everything built
-on it, and the forward elimination ``_eliminate``, behind ``rank``, ``det`` and ``span_dim``,
-fraction-free over Q (on the integers L*A, L the common denominator; a Fraction only for the answer).
+echelon forms and certificates are reproducible bit for bit across runs and platforms.  There is one
+elimination here, ``_eliminate``, fraction-free over Q (on the integers L*A, L the common denominator;
+a Fraction only for the answer): forward for ``rank``, ``det`` and ``span_dim``, Gauss-Jordan for
+``rref``, everything built on it, and :class:`Span`, a reduced echelon snapshot of its rows.
 A space over either field proves its generators independent, and answers membership, by its own
 array row echelon in ``spaces``.  ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur
 complement per step, as ``_engine.skew_rank`` does on whole stacks.  One ``integer_lift`` serves both
@@ -18,7 +18,6 @@ range-checked once per stack.
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -210,12 +209,10 @@ class Matrix:
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot column indices: the rows of a
-        :class:`Span` of this matrix's rows, padded with zero rows."""
-        span = Span(self.ctx, self.data, width=self.ncols)
-        zero_row = (self.ctx.zero(),) * self.ncols
-        rows = tuple(span.rows) + (zero_row,) * (self.nrows - span.dim)
-        return Matrix._trusted(self.ctx, rows, self.ncols), tuple(span.pivots)
+        """Reduced row echelon form and pivot columns: ``_eliminate``'s Gauss-Jordan rows, zero-padded."""
+        rows, pivots = _eliminate(self, jordan=True)
+        rows += [(self.ctx.zero(),) * self.ncols] * (self.nrows - len(rows))
+        return Matrix._trusted(self.ctx, tuple(rows), self.ncols), tuple(pivots)
 
     def rank(self) -> int:
         """Rank by ``_eliminate`` (fraction-free over Q); asserts even rank on alternating input."""
@@ -290,13 +287,9 @@ class Matrix:
 
 
 class Span:
-    """Row span kept in reduced row echelon form, grown one vector at a time.
-
-    ``rows`` are the nonzero rows of the fully reduced echelon form in pivot
-    order and ``pivots`` their pivot columns; input entries are normalized as
-    ``Matrix`` does.  This is the package's one Gauss-Jordan elimination:
-    ``Matrix.rref`` is a ``Span`` of the matrix's rows.
-    """
+    """Row span as a reduced row echelon snapshot: ``rows`` are the nonzero rows of ``_eliminate``'s
+    Gauss-Jordan form of ``vecs``, as in ``Matrix.rref``, and ``pivots`` their pivot columns; input
+    entries are normalized as ``Matrix`` does."""
 
     def __init__(self, ctx: FieldCtx, vecs: Sequence[Vector], width: int | None = None):
         if vecs:
@@ -305,17 +298,11 @@ class Span:
             raise ValueError("empty span needs an explicit width")
         self.ctx = ctx
         self.width = width
-        self.rows: list[Vector] = []
-        self.pivots: list[int] = []
-        for v in vecs:
-            self.add(v)
+        self.rows, self.pivots = _eliminate(Matrix(ctx, vecs, width), jordan=True)
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    def basis(self) -> list[Vector]:
-        return [tuple(r) for r in self.rows]
 
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after elimination against the echelon rows (linear in v)."""
@@ -327,45 +314,12 @@ class Span:
         for row, pc in zip(self.rows, self.pivots):
             c = out[pc]
             if c != 0:
-                out[pc:] = _sub_multiple(p, out[pc:], c, row[pc:])
+                tail = zip(out[pc:], row[pc:])
+                out[pc:] = [(x - c * y) % p for x, y in tail] if p else [x - c * y for x, y in tail]
         return tuple(out)
 
     def contains(self, v: Vector) -> bool:
         return all(x == 0 for x in self.reduce(v))
-
-    def add(self, v: Vector) -> bool:
-        """Extend the span by v; returns False, leaving it unchanged, if v lies in it."""
-        ctx = self.ctx
-        mul = ctx.mul
-        res = self.reduce([ctx.normalize(x) for x in v])
-        pc = next((j for j, x in enumerate(res) if x != 0), None)
-        if pc is None:
-            return False
-        inv = ctx.inv(res[pc])
-        new = res[:pc] + tuple([mul(inv, x) for x in res[pc:]])
-        # Clear the new pivot column from the older rows to stay fully reduced;
-        # the new row is zero left of pc, so only row[pc:] changes.
-        for k, row in enumerate(self.rows):
-            c = row[pc]
-            if c != 0:
-                self.rows[k] = row[:pc] + tuple(_sub_multiple(ctx.p, row[pc:], c, new[pc:]))
-        at = bisect(self.pivots, pc)
-        self.rows.insert(at, new)
-        self.pivots.insert(at, pc)
-        return True
-
-    def extend_with_units(self, count: int) -> list[Vector]:
-        """Add the lowest-index unit vectors outside the span until ``count`` of
-        them are added (or none is left); returns the added ones in index order."""
-        z, o = self.ctx.zero(), self.ctx.one()
-        added: list[Vector] = []
-        for i in range(self.width):
-            if len(added) == count:
-                break
-            e = tuple(o if t == i else z for t in range(self.width))
-            if self.add(e):
-                added.append(e)
-        return added
 
 
 def _residue_lists(ctx: FieldCtx, arr, ndim: int) -> list:
@@ -375,14 +329,6 @@ def _residue_lists(ctx: FieldCtx, arr, ndim: int) -> list:
     if arr.size and not 0 <= arr.min() <= arr.max() < ctx.p:
         raise ValueError(f"residues must lie in [0, {ctx.p})")
     return arr.tolist()
-
-
-def _sub_multiple(p: int | None, xs: Sequence[Element], c: Element, ys: Sequence[Element]) -> list[Element]:
-    """xs - c * ys entrywise: over F_p (modulus p) as one ``% p`` per entry, the
-    same residues as ``ctx.sub(x, ctx.mul(c, y))``; over Q (p is None) exactly."""
-    if p:
-        return [(x - c * y) % p for x, y in zip(xs, ys)]
-    return [x - c * y for x, y in zip(xs, ys)]
 
 
 def integer_lift(m: Matrix) -> tuple[list[list[int]], int]:
@@ -399,19 +345,26 @@ def _unlift(ctx: FieldCtx, x: int, scale: int) -> Element:
     return x % ctx.p if ctx.kind == "prime" else Fraction(x, scale)
 
 
-def _eliminate(m: Matrix) -> tuple[int, int, Element]:
+def _eliminate(m: Matrix, jordan: bool = False):
     """Forward elimination, pivoting on the first nonzero entry of each column:
     the rank r, the number of row swaps, and (-1)^swaps times the determinant
     of the r x r pivot block, which is det(m) when m is square of full rank.
     Over Q it is fraction-free on the lift (Bareiss, Math. Comp. 22, 1968):
     each row below the pivot, zero in column c or not, becomes
     (piv * row - row[c] * pivot_row) // prev, divided exactly by the previous
-    pivot, so the last pivot is the block's determinant times L^r."""
+    pivot, so the last pivot is the block's determinant times L^r.
+
+    With ``jordan`` the rows above each pivot are cleared too (Nakos, Turner and
+    Williams, SIGSAM Bull. 31, 1997), and the reduced nonzero rows and their pivot
+    columns returned instead: over F_p the pivot row is made unit first; over Q the
+    rows above take the same exact step on whole rows, so that every pivot row ends
+    holding the last pivot at its pivot, divided out once."""
     prime, p = m.ctx.kind == "prime", m.ctx.p
     rows, scale = integer_lift(m)
     nrows, ncols = m.nrows, m.ncols
     rank = swaps = 0
     d = prev = 1
+    pivots = []
     for c in range(ncols):
         pivot_row = next((i for i in range(rank, nrows) if rows[i][c]), None)
         if pivot_row is None:
@@ -421,10 +374,15 @@ def _eliminate(m: Matrix) -> tuple[int, int, Element]:
             swaps += 1
         prow = rows[rank]
         piv = prow[c]
+        pivots.append(c)
         if prime:
             d = d * piv % p
             inv = pow(piv, -1, p)
-            for i in range(rank + 1, nrows):
+            others = range(rank + 1, nrows)
+            if jordan:
+                prow[c:] = [x * inv % p for x in prow[c:]]
+                inv, others = 1, [*range(rank), *others]
+            for i in others:
                 ric = rows[i][c]
                 if not ric:
                     continue
@@ -437,10 +395,17 @@ def _eliminate(m: Matrix) -> tuple[int, int, Element]:
             for i in range(rank + 1, nrows):
                 ri, ric = rows[i], rows[i][c]
                 ri[c:] = [(piv * x - ric * y) // prev for x, y in zip(ri[c:], tail)]
+            if jordan:
+                for i in range(rank):
+                    ri, ric = rows[i], rows[i][c]
+                    ri[:] = [(piv * x - ric * y) // prev for x, y in zip(ri, prow)]
             d = prev = piv
         rank += 1
         if rank == nrows:
             break
+    if jordan:
+        reduced = rows[:rank] if prime else [[Fraction(x, d) for x in r] for r in rows[:rank]]
+        return list(map(tuple, reduced)), pivots
     return rank, swaps, _unlift(m.ctx, -d if swaps % 2 else d, scale**rank)
 
 

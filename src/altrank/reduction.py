@@ -77,6 +77,14 @@ def find_rank_r_member(
     )
 
 
+def _unit_completion(ctx, vecs: Sequence[Vector], width: int) -> list[Vector]:
+    """The unit vectors that the greedy loop adds to vecs, lowest index first, while one lies outside the
+    span: e_i lies outside span(vecs, e_0..e_(i-1)) exactly when no vector of span(vecs) has its last
+    nonzero entry at i, that is when width-1-i is no pivot of the ``Span`` of the vecs read right to left."""
+    pivots = set(Span(ctx, [v[::-1] for v in vecs], width=width).pivots)
+    return [e for i, e in enumerate(Matrix.identity(ctx, width).data) if width - 1 - i not in pivots]
+
+
 def normalize_radical_to_tail(s0: Matrix) -> tuple[Matrix, Matrix]:
     """Congruence P1 moving the radical of the alternating matrix s0 onto the
     last coordinates.
@@ -87,7 +95,7 @@ def normalize_radical_to_tail(s0: Matrix) -> tuple[Matrix, Matrix]:
     ctx, n = s0.ctx, s0.nrows
     kernel = s0.kernel_basis()
     r = n - len(kernel)
-    complement = Span(ctx, kernel, width=n).extend_with_units(r)
+    complement = _unit_completion(ctx, kernel, n)
     p1 = Matrix(ctx, complement + kernel).transpose()
     moved = p1.T @ s0 @ p1
     k = moved.block(0, r, 0, r)
@@ -137,7 +145,7 @@ def _slab_moved(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpace, Affine
         raise ContractError(
             f"universal column space has dimension {len(wbasis)}, expected {w - s}"
         )
-    complement = Span(ctx, wbasis, width=w).extend_with_units(s)
+    complement = _unit_completion(ctx, wbasis, w)
     qprime = Matrix(ctx, complement + wbasis).inverse()
 
     base, *gens = equivalence_images([t.base, *t.basis], Matrix.identity(ctx, s), qprime)

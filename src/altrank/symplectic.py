@@ -47,12 +47,11 @@ def find_lagrangian(k: Matrix) -> list[Vector]:
     s = n // 2
     ctx = k.ctx
     basis: list[Vector] = []
-    span = Span(ctx, [], width=n)
     while len(basis) < s:
         # with no basis yet there is no constraint, and the kernel basis is the unit vectors in order
-        constraints = Matrix(ctx, basis, n) @ k
+        constraints, span = Matrix(ctx, basis, n) @ k, Span(ctx, basis, width=n)
         for v in constraints.kernel_basis():
-            if span.add(v):
+            if not span.contains(v):
                 basis.append(v)
                 break
         else:

@@ -38,9 +38,9 @@ def member_at(sp, coords):
 
 def nilpotent_flag_by_span(sp):
     """``analyze.nilpotent_flag`` one ``Span`` step at a time: Q_i is the ``Span`` of the rows of
-    every ``Matrix`` product Q_(i-1) G, and the flag is greedy, the kernel bases of Q_1, Q_2, ...
-    added while independent and then the lowest unit vectors: the oracle for the word chain on
-    the space's stack (``spaces.word_chain_flag``)."""
+    every ``Matrix`` product Q_(i-1) G, and the flag is greedy, the kernel vectors of Q_1, Q_2, ...
+    and then the unit vectors, each taken while the ``Span`` of those taken does not contain it:
+    the oracle for the word chain on the space's stack (``spaces.word_chain_flag``)."""
     n, m = sp.shape
     if n != m:
         raise ValueError("members must be square")
@@ -50,10 +50,12 @@ def nilpotent_flag_by_span(sp):
         step = Span(ctx, [row for g in sp.basis for row in (chain[-1] @ g).data], width=n)
         if step.dim == chain[-1].nrows:
             return None
-        chain.append(Matrix(ctx, step.basis()))
-    flag = Span(ctx, [], width=n)
-    basis = [v for q in chain[1:-1] for v in q.kernel_basis() if flag.add(v)]
-    return Matrix(ctx, zip(*basis, *flag.extend_with_units(n)))
+        chain.append(Matrix(ctx, step.rows))
+    basis = []
+    for v in [v for q in chain[1:-1] for v in q.kernel_basis()] + list(Matrix.identity(ctx, n).data):
+        if not Span(ctx, basis, width=n).contains(v):
+            basis.append(v)
+    return Matrix(ctx, zip(*basis))
 
 
 def level_nonempty_per_class(good, n, d, q):

@@ -685,6 +685,28 @@ def test_word_chain_flag_matches_the_span_search():
     assert len(verdicts) == 10 and min(verdicts.values()) >= 5, verdicts
 
 
+def test_flag_holds_rejects_what_is_no_flag():
+    # a flag found by the search holds; the same basis singular (its last column zero, where every
+    # image condition still holds, or a column repeated), with its first and last columns swapped
+    # (the image of the new first column leaves the zero span), or of the wrong shape does not,
+    # and neither does a basis whose images only stay in span(b_0..b_j)
+    for ctx in (F3, Q):
+        operators = list(build_operator_block_space(ctx, 2).operators)
+        for sp in (build_strictly_upper_space(ctx, 4), AffineMatrixSpace(Matrix.zeros(ctx, 4), operators)):
+            flag = nilpotent_flag(sp)
+            assert analyze._flag_holds(flag, sp)
+            cols = [flag.col(j) for j in range(4)]
+            zero = (ctx.zero(),) * 4
+            for bad in ([*cols[:3], zero], [cols[0], cols[0], *cols[2:]], [cols[3], *cols[1:3], cols[0]]):
+                assert not analyze._flag_holds(Matrix(ctx, zip(*bad)), sp)
+            for shape in [(3, 3), (4, 5), (5, 4), (0, 0)]:
+                assert not analyze._flag_holds(Matrix.zeros(ctx, *shape), sp)
+            assert not analyze._flag_holds(flag.block(0, 3, 0, 3), sp)
+        # G b_j in span(b_0..b_j) is not enough: the identity's basis of F^4 is no flag of its own span
+        identity = Matrix.identity(ctx, 4)
+        assert not analyze._flag_holds(identity, AffineMatrixSpace(Matrix.zeros(ctx, 4), [identity]))
+
+
 def test_flag_search_builds_no_span_and_no_matrix_product(monkeypatch):
     spaces = [sp for ctx in (F3, Q) for sp in (
         build_strictly_upper_space(ctx, 5),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from altrank.fields import FieldCtx
 from altrank.matrices import (
     Matrix,
+    Span,
     _eliminate,
     alternating_from_upper,
     pfaffian,
@@ -108,7 +109,10 @@ def test_det_matches_permutation_oracle():
 
 def oracle_cases(ctx, seed):
     """Seeded matrices, square and not, with sparse rows, duplicated rows and
-    zero leading columns, so singular inputs and row swaps of both parities occur."""
+    zero leading columns, so singular inputs and row swaps of both parities occur;
+    then 0 x k and k x 0 shapes, sparse tall matrices up to 60 x 6 (as the slab
+    residuals of ``reduction._slab_moved``), and square A up to 10 x 10 with their
+    augmentations [A | I], where the fraction-free Gauss-Jordan entries grow."""
     rng = random.Random(seed)
     box = 9
 
@@ -128,6 +132,15 @@ def oracle_cases(ctx, seed):
         if trial % 7 == 0 and n > 1:
             rows[-1] = list(rows[0])
         yield Matrix(ctx, rows)
+    for k in range(4):
+        yield Matrix(ctx, [], k)
+        yield Matrix(ctx, [[]] * k, 0)
+    for n, m, density in [(60, 6, 0.1), (60, 6, 0.4), (40, 5, 0.05), (24, 3, 0.2)]:
+        yield Matrix(ctx, [[element() if rng.random() < density else 0 for _ in range(m)] for _ in range(n)])
+    for n in (4, 7, 10):
+        a = Matrix(ctx, [[element() for _ in range(n)] for _ in range(n)])
+        yield a
+        yield a.hstack(Matrix.identity(ctx, n))
 
 
 def sympy_field(ctx):
@@ -164,6 +177,9 @@ def test_exact_layer_matches_sympy(ctx):
         red, pivots = a.rref()
         ref_red, ref_pivots = ref.rref()
         assert to_dm(red) == ref_red and pivots == tuple(ref_pivots)
+        span = Span(ctx, a.data, width=a.ncols)
+        assert span.pivots == list(ref_pivots) and span.dim == len(ref_pivots)
+        assert to_dm(Matrix(ctx, span.rows, a.ncols)) == ref_red.extract(range(span.dim), range(a.ncols))
         assert a.rank() == ref.rank()
         assert len(a.kernel_basis()) == ref.nullspace().shape[0]
         if not a.is_square:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altrank import _engine, spaces
+from altrank import _engine, reduction, spaces
 from altrank.analyze import _member_coords
 from altrank.errors import BudgetExceededError
 from altrank.families import build_bordered_alternating, optimal_dimension_formula
@@ -41,6 +41,7 @@ from altrank.spaces import (
 import reference
 from reference import brute_equivalence_test, rank_multiset
 
+F2 = FieldCtx.prime(2)
 F3 = FieldCtx.prime(3)
 F5 = FieldCtx.prime(5)
 Q = FieldCtx.rational()
@@ -85,8 +86,7 @@ def test_span_empty_needs_width():
 
 def test_span_basis_is_echelon():
     sp = Span(F5, [(2, 4, 0), (1, 2, 1)])
-    basis = sp.basis()
-    assert basis[0][sp.pivots[0]] == 1
+    assert sp.rows == [(1, 2, 0), (0, 0, 1)] and sp.pivots == [0, 2]
 
 
 def _span_inputs(ctx, seed, count=12, width=6):
@@ -102,45 +102,55 @@ def _span_inputs(ctx, seed, count=12, width=6):
     return vecs
 
 
-def _old_unit_extension(ctx, chosen, width, count):
-    """The greedy loop Span.extend_with_units replaces."""
+def _old_unit_extension(ctx, chosen, width):
+    """The greedy loop ``reduction._unit_completion`` replaces: each unit vector in index order,
+    added when it lies outside the span of the vectors and the units added before it."""
     chosen, added = list(chosen), []
     for i in range(width):
         e = tuple(ctx.one() if t == i else ctx.zero() for t in range(width))
-        if span_dim(ctx, chosen + [e]) > len(chosen):
+        if span_dim(ctx, chosen + [e]) > span_dim(ctx, chosen):
             chosen.append(e)
             added.append(e)
-        if len(added) == count:
-            break
     return added
 
 
 @pytest.mark.parametrize("ctx", [F5, FieldCtx.prime(7), Q], ids=FieldCtx.to_str)
 def test_span_add_matches_rref_and_span_dim(ctx):
+    # the Span of each prefix: its dimension is span_dim's, it grows exactly when the next vector
+    # lies outside it, it holds every vector of the prefix, and its rows are the rref rows, which
+    # are reduced (each zero left of a unit pivot, each pivot column a unit column)
     for seed in range(4):
         vecs = _span_inputs(ctx, seed, width=4 + seed)
         width = len(vecs[0])
-        span = Span(ctx, [], width=width)
-        grew = [span.add(v) for v in vecs]
-        assert grew == [span_dim(ctx, vecs[: t + 1]) > span_dim(ctx, vecs[:t]) for t in range(len(vecs))]
-        r, pivots = Matrix(ctx, vecs).rref()
-        assert span.pivots == list(pivots)
-        assert span.rows == [r.row(i) for i in range(len(pivots))]
-        built = Span(ctx, vecs)
-        assert (built.rows, built.pivots) == (span.rows, span.pivots)
-        assert built.basis() == [tuple(row) for row in span.rows]
+        spans = [Span(ctx, vecs[:t], width=width) for t in range(len(vecs) + 1)]
+        assert [span.dim for span in spans] == [span_dim(ctx, vecs[:t]) for t in range(len(vecs) + 1)]
+        grew = [spans[t + 1].dim > spans[t].dim for t in range(len(vecs))]
+        assert grew == [not spans[t].contains(v) for t, v in enumerate(vecs)]
+        for t, span in enumerate(spans):
+            assert all(span.contains(v) for v in vecs[:t])
+            r, pivots = Matrix(ctx, vecs[:t], width).rref()
+            assert span.pivots == list(pivots) == sorted(set(pivots))
+            assert span.rows == [r.row(i) for i in range(len(pivots))]
+            for row, pc in zip(span.rows, span.pivots):
+                assert not any(row[:pc]) and row[pc] == 1
+                assert [other[pc] for other in span.rows].count(0) == span.dim - 1
 
 
-@pytest.mark.parametrize("ctx", [F5, FieldCtx.prime(7), Q], ids=FieldCtx.to_str)
+@pytest.mark.parametrize("ctx", [F5, FieldCtx.prime(7), Q, F2], ids=FieldCtx.to_str)
 def test_span_unit_extension_matches_greedy_loop(ctx):
+    # independent lists, dependent ones (every third vector a combination), the empty list and a
+    # full-rank list: the completion is the greedy loop's, and fills the span to the whole space
     for seed in range(4):
-        chosen = _span_inputs(ctx, seed, width=4 + seed)[:2]  # independent, as the old callers had
-        width = len(chosen[0])
-        assert span_dim(ctx, chosen) == 2
-        for count in range(1, width - 1):
-            expected = _old_unit_extension(ctx, chosen, width, count)
-            assert len(expected) == count
-            assert Span(ctx, chosen).extend_with_units(count) == expected
+        vecs = _span_inputs(ctx, seed, width=4 + seed)
+        width = len(vecs[0])
+        independent = Span(ctx, vecs[:4]).rows
+        assert span_dim(ctx, vecs[:3]) < 3 and span_dim(ctx, independent) == len(independent) > 1
+        full = vecs + list(Matrix.identity(ctx, width).data)
+        for chosen in [independent, vecs[:2], vecs[:3], vecs[:6], vecs, [], full]:
+            completion = reduction._unit_completion(ctx, chosen, width)
+            assert completion == _old_unit_extension(ctx, chosen, width)
+            assert len(completion) == width - span_dim(ctx, chosen)
+        assert reduction._unit_completion(ctx, full, width) == []
 
 
 def test_space_queries_build_no_span(monkeypatch):
@@ -193,8 +203,10 @@ def test_space_echelon_matches_the_exact_span(ctx):
     verdicts = set()
     for base, gens in lists:
         n, width = base.nrows, base.nrows * base.ncols
-        span, grown = Span(ctx, [g.flatten() for g in gens], width=width), Span(ctx, [], width=width)
-        assert spaces.independent_matrices(gens) == [g for g in gens if grown.add(g.flatten())]
+        flats = [g.flatten() for g in gens]
+        span = Span(ctx, flats, width=width)
+        grown = [g for t, g in enumerate(gens) if span_dim(ctx, flats[: t + 1]) > span_dim(ctx, flats[:t])]
+        assert spaces.independent_matrices(gens) == grown
         if span.dim < len(gens):
             with pytest.raises(ValueError, match="^translation basis is linearly dependent$"):
                 AffineMatrixSpace(base, gens)

@@ -5,7 +5,7 @@ import pytest
 from altrank.analyze import first_singular
 from altrank.families import build_operator_block_space, build_strictly_upper_space
 from altrank.fields import FieldCtx
-from altrank.matrices import Matrix, Span, pfaffian, place_blocks
+from altrank.matrices import Matrix, pfaffian, place_blocks, span_dim
 from altrank.rand import (
     CounterStream,
     derive_seed,
@@ -154,13 +154,12 @@ def reference_find_lagrangian(k):
     """Greedy Lagrangian with the unit vectors as the first step's candidates."""
     ctx, n = k.ctx, k.nrows
     basis = []
-    span = Span(ctx, [], width=n)
     while len(basis) < n // 2:
         if basis:
             candidates = (Matrix(ctx, basis) @ k).kernel_basis()
         else:
             candidates = [Matrix.identity(ctx, n).row(i) for i in range(n)]
-        basis.append(next(v for v in candidates if span.add(v)))
+        basis.append(next(v for v in candidates if span_dim(ctx, basis + [v]) > len(basis)))
     return basis
 
 
