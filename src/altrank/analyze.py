@@ -2,12 +2,14 @@
 
 Every check is exact.  Enumeration-scale work is delegated to the batched
 prime-field engine; witnesses coming back from it are re-verified with the
-pure arithmetic in this package before they are reported.
+pure arithmetic in this package before they are reported; a nilpotent flag
+(``spaces.nilpotent_flag``) is proved by one exact ``rref`` before it is trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -16,7 +18,7 @@ from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
 from .fields import FieldCtx, prime_below
 from .matrices import Matrix, Vector, place_blocks, span_dim
-from .spaces import AffineMatrixSpace, Span, equivalence_images, word_chain_flag
+from .spaces import AffineMatrixSpace, Span, equivalence_images, nilpotent_flag
 from .symplectic import totally_singular_witness
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -223,33 +225,16 @@ class TrivialSpectrumReport:
         return obj
 
 
-def nilpotent_flag(sp: AffineMatrixSpace) -> Optional[Matrix]:
-    """A basis b_0..b_(n-1), as the columns of a matrix, with G b_j in
-    span(b_0..b_(j-1)) for every generator G of sp, or None if there is none.
-
-    Q_0 is F^n and Q_i the row space of the products Q_(i-1) G over the
-    generators G, the words of length i.  Q_i lies in Q_(i-1), so the chain
-    falls until it is 0, and then V_i = ker Q_i is a flag with G V_i in
-    V_(i-1); or it stops at a nonzero Q_i = Q_(i-1), and the generators span
-    no nilpotent algebra.  The basis is adapted to the flag: the kernel
-    vectors of reduced Q_1, Q_2, ... at the columns first free in each.  At
-    most n steps on the space's own stack (``spaces.word_chain_flag``).
-    """
-    n, m = sp.shape
-    if n != m:
-        raise ValueError("members must be square")
-    return word_chain_flag(sp)
-
-
 def _flag_holds(basis: Matrix, sp: AffineMatrixSpace) -> bool:
-    """Whether the columns b_j of ``basis`` are a basis of F^n with G b_j in
-    span(b_0..b_(j-1)) for every generator G of sp: exact arithmetic only."""
+    """Whether the columns of ``basis`` are a basis of F^n in which every generator of sp is strictly
+    upper triangular, by one exact ``rref`` of [B | G_1 B | ... | G_k B]: its first n pivots must be
+    0..n-1 (B is invertible) and the right blocks B^-1 G_i B of [I | B^-1 G_1 B | ...] strictly upper."""
     n = sp.shape[0]
-    if basis.shape != (n, n) or basis.det() == 0:
+    if basis.shape != (n, n):
         return False
-    cols, images = basis.T.data, [(g @ basis).T.data for g in sp.basis]
-    spans = (Span(sp.ctx, cols[:j], width=n) for j in range(n))  # one per j, built as the check reaches it
-    return all(below.contains(image[j]) for j, below in enumerate(spans) for image in images)
+    reduced, pivots = reduce(Matrix.hstack, [g @ basis for g in sp.basis], basis).rref()
+    return pivots[:n] == tuple(range(n)) and not any(
+        row[k * n + j] for a, row in enumerate(reduced.data) for k in range(1, sp.dim + 1) for j in range(a + 1))
 
 
 def _checked_flag(sp: AffineMatrixSpace) -> bool:

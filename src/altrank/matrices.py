@@ -412,14 +412,17 @@ def _eliminate(m: Matrix, jordan: bool = False):
 def place_blocks(
     ctx: FieldCtx, nrows: int, ncols: int, blocks: Iterable[tuple[int, int, Matrix]]
 ) -> Matrix:
-    """The nrows x ncols zero matrix with each (r0, c0, block) written at row r0,
-    column c0; later blocks overwrite earlier ones where they overlap."""
+    """The nrows x ncols zero matrix with each (r0, c0, block) written at row r0, column c0; later
+    blocks overwrite earlier ones where they overlap.  ValueError for a block over another field
+    or one that does not fit."""
     z = ctx.zero()
     data = [[z] * ncols for _ in range(nrows)]
     for r0, c0, block in blocks:
+        if block.ctx != ctx or not (0 <= r0 <= nrows - block.nrows and 0 <= c0 <= ncols - block.ncols):
+            raise ValueError(f"the block at ({r0}, {c0}) is over another field or overruns {nrows} x {ncols}")
         for i, row in enumerate(block.data):
             data[r0 + i][c0 : c0 + len(row)] = row
-    return Matrix(ctx, data, ncols)
+    return Matrix._trusted(ctx, tuple(map(tuple, data)), ncols)
 
 
 # -- Pfaffians ------------------------------------------------------------------

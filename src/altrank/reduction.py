@@ -106,26 +106,18 @@ def normalize_radical_to_tail(s0: Matrix) -> tuple[Matrix, Matrix]:
     return p1, k
 
 
-def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpace]:
+def reduce_full_row_rank(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpace, AffineMatrixSpace]:
     """Column change Q' carrying a full-row-rank space onto [B C] form.
 
-    t consists of s x (n-s) matrices whose codimension is at most s(s+1)/2.
-    The construction finds the universal column space
-    W = { v : u v^T lies in the translation span for every u }, sends a
-    complement of W to the first s coordinates, and reads off the recovered
-    family M from the leading block.  Returns (Q', M) with
-    t Q' = {[B C] : B in M, C arbitrary}, verified exactly.  Full row rank
-    is not assumed but proved: the builder of that form proves every B
-    invertible (``families._check_inner``), so every member [B C] has rank s.
-    A space that fails any of this raises ``ContractError``, and a flagless
-    M past the inner budget ``BudgetExceededError``.
+    t consists of s x (n-s) matrices whose codimension is at most s(s+1)/2.  The construction finds
+    the universal column space W = { v : u v^T lies in the translation span for every u }, sends a
+    complement of W to the first s coordinates, and reads off the recovered family M from the
+    leading block.  Returns (Q', t Q', M) with t Q' = {[B C] : B in M, C arbitrary}, verified
+    exactly, so that the pipeline borders the moved slab t Q' without a second product.  Full row
+    rank is not assumed but proved: the builder of that form proves every B invertible
+    (``families._check_inner``), so every member [B C] has rank s.  A space that fails any of this
+    raises ``ContractError``, and a flagless M past the inner budget ``BudgetExceededError``.
     """
-    return _slab_moved(t)[::2]  # (Q', M)
-
-
-def _slab_moved(t: AffineMatrixSpace) -> tuple[Matrix, AffineMatrixSpace, AffineMatrixSpace]:
-    """(Q', t Q', M) of ``reduce_full_row_rank``: the moved slab t Q' too, proved equal to the [B C]
-    family over M, so that the pipeline borders it without a second product."""
     ctx = t.ctx
     s, w = t.shape
     if w < s:
@@ -312,7 +304,7 @@ def _reduce(
 
     slab = AffineMatrixSpace(base2.block(0, s, s, n), independent_matrices([g.block(0, s, s, n) for g in gens2]))
     try:
-        qprime, rows, m_space = _slab_moved(slab)
+        qprime, rows, m_space = reduce_full_row_rank(slab)
     except (ValueError, ContractError) as exc:
         return {"step": "set_equality", "error": str(exc)}
     cert.recovered_M = m_space

@@ -5,8 +5,8 @@ basis.  A space holds its base and generators as one read-only array stack from
 construction, int64 residues over F_p and Fraction objects over Q, and one row
 echelon of the generators proves them independent and answers every membership
 test.  Four array helpers, ``_stack``, ``_mod``, ``_product`` and ``_matrices``,
-are where the field picks its arithmetic; the nilpotent flag's word chain
-(``word_chain_flag``) runs on the same stack.
+are where the field picks its arithmetic; ``nilpotent_flag`` finds a flag on
+the same stack, and ``analyze`` proves it by one exact elimination.
 Enumeration is ordered lexicographically by coordinate tuple.  Seeded
 member draws live in the engine (``_engine.sampled_coords``), where draw i
 depends only on (seed, i).
@@ -235,13 +235,20 @@ def _row_echelon(ctx: FieldCtx, stack: np.ndarray) -> tuple[np.ndarray, list[int
     return a[kept], pivots, kept
 
 
-def word_chain_flag(sp: AffineMatrixSpace) -> Optional[Matrix]:
-    """The flag of ``analyze.nilpotent_flag`` for a square space, on its generator stack.  Step i is one
-    stacked product of Q_(i-1)'s rows with the (dim, n, n) stack and one ``_row_echelon`` of those word
-    rows, back-substituted to reduced form, or None once Q_i = Q_(i-1) != 0.  Each column that turns
-    free at step i, in index order, gives its kernel vector: 1 there, minus the reduced rows' entries
-    there at their pivots.  A pivot column of Q_i is one of Q_(i-1), so no free column turns back."""
-    ctx, n = sp.ctx, sp.shape[0]
+def nilpotent_flag(sp: AffineMatrixSpace) -> Optional[Matrix]:
+    """A basis b_0..b_(n-1), as the columns of a matrix, with G b_j in span(b_0..b_(j-1)) for every
+    generator G of sp, or None if there is none; ValueError unless sp is square.  Q_0 is F^n and Q_i
+    the row space of the words Q_(i-1) G of length i.  Q_i lies in Q_(i-1), so the chain falls to 0,
+    and then V_i = ker Q_i is a flag with G V_i in V_(i-1); or it stops at a nonzero Q_i = Q_(i-1),
+    and the generators span no nilpotent algebra.  Step i is one stacked product of Q_(i-1)'s rows
+    with the (dim, n, n) stack and one ``_row_echelon``, back-substituted to reduced form.  Each
+    column that turns free at step i, in index order, gives its kernel vector: 1 there, minus the
+    reduced rows' entries there at their pivots.  A pivot column of Q_i is one of Q_(i-1), so no
+    free column turns back, and the basis is adapted to the flag."""
+    n, m = sp.shape
+    if n != m:
+        raise ValueError("members must be square")
+    ctx = sp.ctx
     gens, rows = sp._flat[1].reshape(sp.dim, n, n), _stack(ctx, Matrix.identity(ctx, n).data, n, n)
     flag, old_pivots = [rows[:, :0]], range(n)
     while len(rows):

@@ -37,10 +37,10 @@ def member_at(sp, coords):
 
 
 def nilpotent_flag_by_span(sp):
-    """``analyze.nilpotent_flag`` one ``Span`` step at a time: Q_i is the ``Span`` of the rows of
+    """``spaces.nilpotent_flag`` one ``Span`` step at a time: Q_i is the ``Span`` of the rows of
     every ``Matrix`` product Q_(i-1) G, and the flag is greedy, the kernel vectors of Q_1, Q_2, ...
     and then the unit vectors, each taken while the ``Span`` of those taken does not contain it:
-    the oracle for the word chain on the space's stack (``spaces.word_chain_flag``)."""
+    the oracle for the word chain on the space's stack."""
     n, m = sp.shape
     if n != m:
         raise ValueError("members must be square")
@@ -56,6 +56,19 @@ def nilpotent_flag_by_span(sp):
         if not Span(ctx, basis, width=n).contains(v):
             basis.append(v)
     return Matrix(ctx, zip(*basis))
+
+
+def flag_holds_by_span(basis, sp):
+    """Whether the columns b_j of ``basis`` are a basis of F^n with G b_j in
+    span(b_0..b_(j-1)) for every generator G of sp, one column at a time: ``det``,
+    then a ``Span`` of b_0..b_(j-1) for each j that must contain every image column
+    G b_j.  The oracle for ``analyze._flag_holds``'s one elimination."""
+    n = sp.shape[0]
+    if basis.shape != (n, n) or basis.det() == 0:
+        return False
+    cols, images = basis.T.data, [(g @ basis).T.data for g in sp.basis]
+    spans = (Span(sp.ctx, cols[:j], width=n) for j in range(n))  # one per j, built as the check reaches it
+    return all(below.contains(image[j]) for j, below in enumerate(spans) for image in images)
 
 
 def level_nonempty_per_class(good, n, d, q):

@@ -44,6 +44,7 @@ from altrank.rand import (
 from altrank.spaces import AffineMatrixSpace, Span, congruence_act, equivalence_act, independent_matrices
 from altrank.symplectic import FormSpacePair, standard_symplectic
 from reference import (
+    flag_holds_by_span,
     nilpotent_flag_by_span,
     pencil_symplectic_iff_trivial_spectrum,
     random_invertible_alternating,
@@ -673,16 +674,28 @@ def flag_oracle_cases():
         yield nilpotent_without_flag(ctx)
 
 
-def test_word_chain_flag_matches_the_span_search():
-    verdicts = Counter()
+def test_nilpotent_flag_and_its_proof_match_the_span_oracles():
+    verdicts, proofs = Counter(), Counter()
+    stream = CounterStream(derive_seed(11, "flag-proof-oracle"))
     for sp in flag_oracle_cases():
+        ctx, n = sp.ctx, sp.shape[0]
         flag, want = nilpotent_flag(sp), nilpotent_flag_by_span(sp)
         assert (flag is None) == (want is None), sp
         if flag is not None:
             assert analyze._flag_holds(flag, sp) and analyze._flag_holds(want, sp)
-        verdicts[sp.ctx.to_str(), flag is not None] += sp.dim > 0
+        verdicts[ctx.to_str(), flag is not None] += sp.dim > 0
+        # the one elimination decides as the per-column Spans do: on the flag found, on it with its
+        # columns reversed, and on two seeded random bases
+        bases = [random_matrix(ctx, n, n, stream) for _ in range(2)]
+        if flag is not None:
+            bases += [flag, Matrix(ctx, [row[::-1] for row in flag.data], n)]
+        for basis in bases:
+            holds = analyze._flag_holds(basis, sp)
+            assert holds == flag_holds_by_span(basis, sp), (sp, basis)
+            proofs[ctx.to_str(), holds] += sp.dim > 0
     # both verdicts, several times, on every field and spaces of positive dimension
     assert len(verdicts) == 10 and min(verdicts.values()) >= 5, verdicts
+    assert len(proofs) == 10 and min(proofs.values()) >= 5, proofs
 
 
 def test_flag_holds_rejects_what_is_no_flag():

@@ -14,6 +14,7 @@ from altrank.matrices import (
     alternating_from_upper,
     pfaffian,
     pfaffian_expansion,
+    place_blocks,
     span_dim,
     upper_pairs,
 )
@@ -111,7 +112,7 @@ def oracle_cases(ctx, seed):
     """Seeded matrices, square and not, with sparse rows, duplicated rows and
     zero leading columns, so singular inputs and row swaps of both parities occur;
     then 0 x k and k x 0 shapes, sparse tall matrices up to 60 x 6 (as the slab
-    residuals of ``reduction._slab_moved``), and square A up to 10 x 10 with their
+    residuals of ``reduction.reduce_full_row_rank``), and square A up to 10 x 10 with their
     augmentations [A | I], where the fraction-free Gauss-Jordan entries grow."""
     rng = random.Random(seed)
     box = 9
@@ -235,11 +236,27 @@ def test_arithmetic_results_are_canonical(ctx):
             a @ b, a @ c, a + b, a - b, -a, a.scale(3), a.T, c.T,
             c.block(0, n, 1, n + 1), a.hstack(c), a.rref()[0], c.rref()[0],
             inv.inverse(), inv @ inv.inverse(),
+            place_blocks(ctx, n + 1, n + 2, [(1, 0, a), (0, 2, c.block(0, n, 0, n))]),
         ):
             assert_canonical(m)
         assert inv @ inv.inverse() == Matrix.identity(ctx, n)
     with pytest.raises(ValueError):
         Matrix.identity(F5, 2).hstack(Matrix.identity(F7, 2))
+
+
+def test_place_blocks_refuses_a_foreign_or_overrunning_block():
+    # a block is written as it is, so one over another field is refused, not re-read in this one,
+    # and so is one that overruns the rows or the columns
+    assert place_blocks(F7, 2, 3, [(1, 1, Matrix(F7, [[4, 6]]))]) == Matrix(F7, [[0, 0, 0], [0, 4, 6]])
+    for ctx, r0, c0, block in [
+        (F7, 0, 0, Matrix(F5, [[4]])),  # read in F_7 it would be 4
+        (F5, 0, 0, Matrix(Q, [[Fraction(1, 2)]])),  # read in F_5 it would be 3
+        (F5, 1, 0, Matrix.identity(F5, 2)),  # overruns the rows
+        (F5, 0, 1, Matrix.identity(F5, 2)),  # overruns the columns
+        (F5, -1, 0, Matrix.identity(F5, 1)),  # starts before the first row
+    ]:
+        with pytest.raises(ValueError, match="over another field or overruns 2 x 2"):
+            place_blocks(ctx, 2, 2, [(r0, c0, block)])
 
 
 def test_alternating_from_upper_layout():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -160,12 +161,12 @@ def test_reduce_full_row_rank_identity_fixed_point():
     # over Q the recovered family's generators are chosen by a Span, over F_p by the int64 echelon
     for ctx in (F5, Q):
         t = build_row_block_family(ctx, 7, 2)
-        qprime, m_space = reduce_full_row_rank(t)
+        qprime, moved, m_space = reduce_full_row_rank(t)
         assert qprime == Matrix.identity(ctx, 5)
         assert m_space.dim == 1
-        assert spaces_equal(
-            equivalence_act(t, Matrix.identity(ctx, 2), qprime), build_row_block_family(ctx, 7, 2, inner=m_space)
-        )
+        target = build_row_block_family(ctx, 7, 2, inner=m_space)
+        assert spaces_equal(equivalence_act(t, Matrix.identity(ctx, 2), qprime), target)
+        assert spaces_equal(moved, target)  # the returned t Q' is that family
 
 
 def test_reduce_full_row_rank_column_mixer():
@@ -173,7 +174,7 @@ def test_reduce_full_row_rank_column_mixer():
     pm = seeded_invertible(F5, 2, "rows")
     qm = seeded_invertible(F5, 5, "cols")
     mixed = equivalence_act(t, pm, qm)
-    qprime, m_space = reduce_full_row_rank(mixed)
+    qprime, _, m_space = reduce_full_row_rank(mixed)
     assert spaces_equal(
         equivalence_act(mixed, Matrix.identity(F5, 2), qprime),
         build_row_block_family(F5, 7, 2, inner=m_space),
@@ -363,6 +364,34 @@ def test_canonical_reduction_round_trip():
         assert cert.all_verdicts_true
         target = build_bordered_alternating(F5, 7, 2, inner=cert.recovered_M)
         assert spaces_equal(congruence_act(moved, cert.P), target)
+
+
+def test_canonical_reduction_reaches_every_traced_stage(monkeypatch):
+    """The benchmark's tracer times each name of its ``REDUCTION_STAGES`` where the package binds it,
+    so one reduction calls every stage by that name (a private twin would leave its span at 0 s).
+    The tracer's file is loaded read-only: no bytecode is written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    reached = set()
+    modules = [m for name, m in sys.modules.items() if name == "altrank" or name.startswith("altrank.")]
+    for stage in spans.REDUCTION_STAGES:
+        orig = getattr(reduction, stage)
+
+        def spy(*args, _orig=orig, _stage=stage, **kwargs):
+            reached.add(_stage)
+            return _orig(*args, **kwargs)
+
+        for mod in modules:  # every binding, as the tracer rebinds them
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, spy)
+    sp = congruence_act(build_bordered_alternating(F5, 7, 2), seeded_invertible(F5, 7, "traced-stages"))
+    assert reduction.canonical_reduction(sp, 4, seed=0).all_verdicts_true
+    assert reached == set(spans.REDUCTION_STAGES)
 
 
 def test_canonical_reduction_at_a_large_prime():

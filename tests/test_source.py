@@ -104,7 +104,7 @@ def test_analyze_privates_stay_in_analyze():
 
 def test_spaces_privates_stay_in_spaces():
     """Other modules reach ``spaces`` through its public names only, such as
-    ``word_chain_flag`` for the nilpotent flag on a space's own stack: no
+    ``nilpotent_flag`` for the nilpotent flag on a space's own stack: no
     ``spaces._name`` attribute and no ``from .spaces import _name``."""
     found = []
     for path in sorted(Path(altrank.__file__).parent.glob("*.py")):
