@@ -2,8 +2,8 @@
 
 This is infrastructure, not arithmetic authority: entries are canonical residues, p < 2^31, in
 the narrowest signed type of one width ladder (``work_type``) that holds a kernel's bound: for
-members dim (p-1)^2 + p - 1 (int16 for p <= 7 at dim <= 35), for skew elimination (p-1)^2 + p - 1
-(int16 for p <= 181, int32 for p <= 46,337); ``batch_rank`` and powers work in int64.  Every array
+members dim (p-1)^2 + p - 1 (int16 for p <= 7 at dim <= 35), for skew elimination 2 (p-1)^2
+(int16 for p <= 127, int32 for p <= 32,749); ``batch_rank`` and powers work in int64.  Every array
 is reduced by ``mod``, and the exact object-level linear algebra in :mod:`altrank.matrices`
 independently covers the same operations at small scale (the test suite
 cross-checks the two).  Every rank scan over the members of a space
@@ -23,11 +23,11 @@ Members are assembled members-last, shape (entries, members): a storage row is o
 member.  Alternating members are stored as their strict upper triangles, row-major in (i, j), and
 ranked by skew elimination (``skew_rank``: each step moves one pivot pair per stack to (0, 1), moves
 the members still zero there in groups by the same permutation congruence, ``_move_pair``, and
-updates the Schur complement in place, so the storage shrinks by two rows and columns of the
-matrices); every other stack is ranked by general column elimination (``batch_rank``, on a
-transposed int64 copy), which swaps no rows (a pivot row clears itself, so it is zero in every later
-column) and delays its ``% p``: it lets entries leave [0, p) while a tracked bound on |entries| plus
-one more update, (p-1)^2, stays within int64.
+updates the Schur complement times the pivot in place, so it inverts nothing and the storage shrinks
+by two rows and columns of the matrices); every other stack is ranked by general column elimination
+(``batch_rank``, on a transposed int64 copy), which swaps no rows (a pivot row clears itself, so it
+is zero in every later column) and delays its ``% p``: it lets entries leave [0, p) while a tracked
+bound on |entries| plus one more update, (p-1)^2, stays within int64.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     ``(x // p) * p`` lies in [x - (p - 1), x], so it cannot overflow when x >= min + p - 1
     for the dtype's least value min.  In ``batch_rank`` every update subtracts a product of
     two residues, so entries lie in [p - 1 - bound, p - 1] for its tracked bound <= 2^63 - 1;
-    in ``skew_rank`` |x| <= p - 1 + (p - 1)^2 <= the work type's max."""
+    in ``skew_rank`` x lies in [-(p - 1)^2, 2 (p - 1)^2], within the work type."""
     if x.size <= 1 << 10:
         return np.remainder(x, p, out=out)
     if out is None:
@@ -308,26 +308,25 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
     upper triangles members-last, shape (n(n-1)/2, k): row t holds pair t
     (i < j, row-major) of every member.  ``upper`` is left unchanged.
 
-    Bunch's pairwise pivoting on the Schur complement itself.  Each step moves
-    the pair most often nonzero in the first 256 members to (0, 1) (``_move_pair``),
-    and the members still zero there move their first nonzero pair to (0, 1) the
-    same way, one group per pair.  With a = u[0,1], s0 = row 0 past column 1 over a
-    and r1 = row 1 past column 1, the rank is 2 plus that of
-    S = u[R,R] + r1 s0^T - s0 r1^T on the other indices R, updated in place one
-    row block at a time; the storage shrinks to S.  Members reduced to zero drop
-    out, before any move when the 256 are all zero, as in a constant-rank stack
-    after rank / 2 steps.  At m <= 3 a member has rank 2 iff it is nonzero, so no
-    step runs there.
+    Bunch's pairwise pivoting on the Schur complement itself, fraction-free
+    (Bareiss, Math. Comp. 22, 1968).  Each step moves the pair most often nonzero
+    in the first 256 members to (0, 1) (``_move_pair``), and the members still
+    zero there move their first nonzero pair to (0, 1) the same way, one group per
+    pair.  With a = u[0,1], r0 = row 0 and r1 = row 1 past column 1, the rank is
+    2 plus that of S = a u[R,R] + r1 r0^T - r0 r1^T on the other indices R, a
+    times the Schur complement, so of the same rank as a != 0: no pivot is
+    inverted.  S is updated in place, one ``u *= a`` and then one row block at a
+    time; the storage shrinks to S.  Members reduced to zero drop out, before any
+    move when the 256 are all zero, as in a constant-rank stack after rank / 2
+    steps.  At m <= 3 a member has rank 2 iff it is nonzero, so no step runs there.
 
-    s0 and r1 are canonical residues, so both products lie in [0, (p - 1)^2]
-    and every entry and partial sum of S is at most p - 1 + (p - 1)^2 in
-    absolute value: the work type is int16 for p <= 181, int32 for p <= 46,337
-    and int64 above.  Pivot inverses are looked up in a table when p <= k, as
-    in ``batch_rank``.
+    a, r0, r1 and u[R,R] are canonical residues, so every product lies in
+    [0, (p - 1)^2] and every entry and partial sum of S in [-(p - 1)^2, 2 (p - 1)^2]:
+    the work type is int16 for p <= 127, int32 for p <= 32,749 and int64 above,
+    which holds it for every p < 2^31.
     """
     k = upper.shape[1]
-    work = work_type(p - 1 + (p - 1) ** 2)
-    inv_table = _inverse_table(p).astype(work) if p <= k else None
+    work = work_type(2 * (p - 1) ** 2)
     rank = np.zeros(k, dtype=np.int64)
     live = np.arange(k)
     u = upper.astype(work, order="C")
@@ -351,15 +350,14 @@ def skew_rank(upper: np.ndarray, n: int, p: int) -> np.ndarray:
             live, u = live[keep], u.compress(keep, axis=1)
             if not dense[t]:
                 continue  # the survivors are sampled again
-        inv = inverse_mod(u[0], p) if inv_table is None else inv_table[u[0]]
-        s0 = mod(u[1 : m - 1] * inv, p)
-        r1, u = u[m - 1 : 2 * m - 3], u[2 * m - 3 :]
+        piv, r0, r1, u = u[0], u[1 : m - 1], u[m - 1 : 2 * m - 3], u[2 * m - 3 :]
+        u *= piv
         m -= 2
-        scratch, lo = np.empty_like(s0), 0
+        scratch, lo = np.empty_like(r0), 0
         for a in range(m - 1):  # row block a of S: pairs (a, b), b > a
             block, tmp = u[lo : lo + m - 1 - a], scratch[: m - 1 - a]
-            block += np.multiply(s0[a + 1 :], r1[a], out=tmp)
-            block -= np.multiply(r1[a + 1 :], s0[a], out=tmp)
+            block += np.multiply(r0[a + 1 :], r1[a], out=tmp)
+            block -= np.multiply(r1[a + 1 :], r0[a], out=tmp)
             lo += m - 1 - a
         u = mod(u, p, out=u)
     rank[live] = n - m + 2 * u.any(axis=0)

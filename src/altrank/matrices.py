@@ -7,8 +7,9 @@ a Fraction only for the answer): forward for ``rank``, ``det`` and ``span_dim``,
 ``rref``, everything built on it, and :class:`Span`, a reduced echelon snapshot of its rows.
 A space over either field proves its generators independent, and answers membership, by its own
 array row echelon in ``spaces``.  ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur
-complement per step, as ``_engine.skew_rank`` does on whole stacks.  One ``integer_lift`` serves both
-Pfaffians, ``_eliminate`` and the engine residues of a space over Q.  Every sum of products, x^T K y
+complement per step, as ``_engine.skew_rank`` does on whole stacks.  One ``integer_lift``, over Q
+computed once per matrix and kept, serves both Pfaffians, ``_eliminate`` and the engine residues of a
+space over Q (``spaces.AffineMatrixSpace.integer_stack``).  Every sum of products, x^T K y
 included, is one ``Matrix`` product, each entry one ``sum(map(mul, row, col))`` reduced once mod p,
 but for the stacked array products of ``spaces`` (``member_at``, ``enumerate``, ``equivalence_images``
 and the nilpotent flag's word chain) and of ``analyze.flanders_atkinson_check``, whose canonical
@@ -32,7 +33,7 @@ class Matrix:
     """Immutable dense matrix over a :class:`FieldCtx`.  Its width is kept, not read from a first row, so 0 x k
     and k x 0 shapes are faithful: ``ncols`` is the width of empty ``rows`` (0 if omitted), else their length."""
 
-    __slots__ = ("ctx", "data", "nrows", "ncols")
+    __slots__ = ("ctx", "data", "nrows", "ncols", "_lift")  # _lift: over Q, set by the first integer_lift
 
     def __init__(self, ctx: FieldCtx, rows: Iterable[Iterable[Element]], ncols: int | None = None):
         norm = ctx.normalize
@@ -333,11 +334,17 @@ def _residue_lists(ctx: FieldCtx, arr, ndim: int) -> list:
 
 def integer_lift(m: Matrix) -> tuple[list[list[int]], int]:
     """Integer rows B and a scale L: over Q, L is the common denominator of
-    the entries and B = L*A; over F_p, B holds the residues and L = 1."""
+    the entries and B = L*A, computed once per matrix and kept; over F_p, B
+    holds the residues and L = 1.  The rows are fresh lists, the caller's to mutate."""
     if m.ctx.kind == "prime":
         return [list(r) for r in m.data], 1
-    scale = lcm(*[x.denominator for r in m.data for x in r])
-    return [[x.numerator * (scale // x.denominator) for x in r] for r in m.data], scale
+    try:
+        rows, scale = m._lift
+    except AttributeError:
+        scale = lcm(*[x.denominator for r in m.data for x in r])
+        rows = tuple(tuple([x.numerator * (scale // x.denominator) for x in r]) for r in m.data)
+        object.__setattr__(m, "_lift", (rows, scale))
+    return [list(r) for r in rows], scale
 
 
 def _unlift(ctx: FieldCtx, x: int, scale: int) -> Element:

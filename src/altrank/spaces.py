@@ -25,7 +25,7 @@ import numpy as np
 from . import _engine
 from .errors import BudgetExceededError
 from .fields import Element, FieldCtx
-from .matrices import Matrix, Span, Vector, alternating_from_upper, upper_pairs
+from .matrices import Matrix, Span, Vector, alternating_from_upper, integer_lift, upper_pairs
 
 _WALK_ELEMS = 1 << 16  # parent-mask entries behind one block of the coset walk (at least one pair)
 
@@ -137,10 +137,10 @@ class AffineMatrixSpace:
 
     def integer_stack(self) -> np.ndarray:
         """Over Q, the flattened [base; basis] times the lcm L of its denominators: Python integers in
-        an object array, the rows ``matrices.integer_lift`` gives for the Matrix of those rows."""
-        stack = np.vstack(self._flat)
-        scale = lcm(*(x.denominator for x in stack.flat))
-        return np.array([x.numerator * (scale // x.denominator) for x in stack.flat], object).reshape(stack.shape)
+        an object array, each matrix's kept ``matrices.integer_lift`` rescaled from its own scale to L."""
+        lifts = [integer_lift(g) for g in (self.base, *self.basis)]
+        scale = lcm(*(s for _, s in lifts))
+        return np.array([[x * (scale // s) for r in rows for x in r] for rows, s in lifts], object)
 
     # -- serialization ------------------------------------------------------------------
 

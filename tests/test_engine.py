@@ -296,7 +296,7 @@ def test_rank_multiset_over_q_only_at_dimension_zero():
         rank_multiset(AffineMatrixSpace(base, [Matrix(q, [[0, 0, 1], [0, 0, 0], [-1, 0, 0]])]))
 
 
-@pytest.mark.parametrize("p", [3, 7, BIG])
+@pytest.mark.parametrize("p", [3, 7, 131, 32_771, BIG])
 def test_skew_rank_matches_sympy(p):
     pytest.importorskip("sympy")
     from sympy import GF
@@ -312,9 +312,10 @@ def test_skew_rank_matches_sympy(p):
 
 @pytest.mark.parametrize("p", [113, 127, 131, 32_749, 32_771, 1_048_583, BIG])
 @pytest.mark.parametrize("n", range(2, 10))
-def test_skew_rank_at_its_work_type_boundaries(p, n):
-    # int16 holds p - 1 + (p - 1)^2 up to p = 181 and int32 up to p = 46,337;
-    # below 2^16 the stack is tiled past p members, so pivot inverses come from the table
+def test_skew_rank_at_its_work_type_boundaries(p, n, monkeypatch):
+    # the entries of a fraction-free step lie in [-(p - 1)^2, 2 (p - 1)^2]: int16
+    # holds them up to p = 127 and int32 up to p = 32,749.  Below 2^16 the stack
+    # is tiled past p members; at no size does skew_rank invert a pivot
     ctx = FieldCtx.prime(p)
     mats = alternating_stack(p, n, seed=n + p)
     exact = [Matrix(ctx, m).rank() for m in mats]
@@ -322,7 +323,12 @@ def test_skew_rank_at_its_work_type_boundaries(p, n):
     reps = p // len(mats) + 1 if p < 1 << 16 else 1
     upper = np.tile(upper_of(mats, n), (1, reps))
     before = upper.copy()
+    calls = []
+    for name in ("inverse_mod", "_inverse_table"):
+        monkeypatch.setattr(_engine, name, lambda *args, name=name: calls.append(name))
     skew = _engine.skew_rank(upper, n, p)
+    monkeypatch.undo()
+    assert not calls
     assert skew.tolist() == exact * reps
     assert _engine.batch_rank(np.array(mats, dtype=np.int64), p).tolist() == exact
     assert (upper == before).all()
@@ -349,9 +355,10 @@ def extreme_stack(p: int, n: int, seed: int) -> list[list[list[int]]]:
 
 @pytest.mark.parametrize("p", [127, 131, 181, 191, 32_749, 32_771, 46_337, 46_349])
 def test_skew_rank_on_extreme_entries_at_the_work_type_bounds(p):
-    # each pair is the last prime that one work type holds and the next
-    # prime, which needs the wider type: a type one prime too narrow
-    # overflows on these stacks
+    # 127/131 and 32,749/32,771 are the last prime that one work type holds,
+    # 2 (p - 1)^2, and the next prime, which needs the wider type: a type one
+    # prime too narrow overflows on these stacks; 181/191 and 46,337/46,349
+    # are pairs inside the wider types
     ctx = FieldCtx.prime(p)
     for n in (4, 7, 8):
         mats = extreme_stack(p, n, seed=p + n)
@@ -457,19 +464,19 @@ def test_skew_rank_leaves_its_input_unchanged(p):
     assert (up == before).all()
 
 
-@pytest.mark.parametrize("p", [3, 46_349])
+@pytest.mark.parametrize("p", [3, 32_771, 46_349])
 @pytest.mark.parametrize("m", range(4, 10))
 def test_pair_move_is_a_congruence(m, p):
     # for every pair t = (i, j), the moved storage is the strict upper triangle
     # of P^T X P, P the permutation matrix of the index order (i, j, the rest
-    # ascending), exactly; at 46,349 the work type, and so each sign flip, is int64
+    # ascending), exactly; from 32,771 on the work type, and so each sign flip, is int64
     ctx = FieldCtx.prime(p)
     pi, pj = np.triu_indices(m, 1)
     rng = np.random.default_rng([m, p])
     mats = [np.array(a) for a in alternating_stack(p, m, seed=m + p)[:4]]
     mats.append(np.triu(np.full((m, m), p - 1), 1) + np.tril(np.ones((m, m), dtype=np.int64), -1))
     mats.append(pivoting_at(p, m, int(rng.integers(pi.size)), seed=m))
-    up = upper_of(mats, m).astype(_engine.work_type(p - 1 + (p - 1) ** 2))
+    up = upper_of(mats, m).astype(_engine.work_type(2 * (p - 1) ** 2))
     before = up.copy()
     for t, (i, j) in enumerate(zip(pi, pj)):
         moved = _engine._move_pair(up, m, t, p)

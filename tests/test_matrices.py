@@ -1,17 +1,21 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altrank import matrices
 from altrank.fields import FieldCtx
 from altrank.matrices import (
     Matrix,
     Span,
     _eliminate,
     alternating_from_upper,
+    integer_lift,
     pfaffian,
     pfaffian_expansion,
     place_blocks,
@@ -509,6 +513,47 @@ def test_pfaffian_congruence_with_fractional_entries():
             a = fractional(Q, n, [stream.element(Q, 9) for _ in upper_pairs(n)])
             p = Matrix(Q, [[Fraction(stream.element(Q, 9), stream.below(6) + 1) for _ in range(n)] for _ in range(n)])
             assert checked_pfaffian(p.T @ a @ p) == p.det() * pfaffian(a)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_integer_lift_over_q_is_computed_once_and_kept(n, monkeypatch):
+    # seeded matrices over Q with denominators 1 to 6: alternating n x n, general
+    # n x n, n x (n + 1), 0 x n and n x 0.  The lift is computed once per matrix
+    # (one lcm of all its denominators), its rows are the caller's to mutate, and
+    # every call answers as on a freshly built equal matrix
+    rng = random.Random(f"lift-{n}")
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    cases = [
+        alternating_from_upper(Q, n, [draw() for _ in upper_pairs(n)]),
+        Matrix(Q, [[draw() for _ in range(n)] for _ in range(n)], n),
+        Matrix(Q, [[draw() for _ in range(n + 1)] for _ in range(n)], n + 1),
+        Matrix(Q, [], n),
+        Matrix(Q, [[]] * n, 0),
+    ]
+    assert n < 2 or any(integer_lift(Matrix(Q, m.data, m.ncols))[1] > 1 for m in cases)
+
+    def answers(m, alternating):
+        out = [integer_lift(m), m.rank(), m.rref()]
+        if m.is_square:
+            out.append(m.det())
+        if alternating:
+            out += [pfaffian(m), pfaffian_expansion(m)]
+        return out
+
+    want = [answers(Matrix(Q, [list(r) for r in m.data], m.ncols), m is cases[0]) for m in cases]
+    reads = []
+    monkeypatch.setattr(matrices, "lcm", lambda *dens: reads.append(len(dens)) or lcm(*dens))
+    for m, expect in zip(cases, want):
+        rows, _ = integer_lift(m)
+        for r in rows:
+            r[:] = [x + 1 for x in r]
+        rows.append([7] * m.ncols)
+        assert answers(m, m is cases[0]) == answers(m, m is cases[0]) == expect
+        assert pickle.loads(pickle.dumps(m)) == m
+    assert reads == [m.nrows * m.ncols for m in cases]
 
 
 def test_span_dim_of_fractional_rows_matches_sympy_rank():
