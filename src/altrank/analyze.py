@@ -18,7 +18,7 @@ from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
 from .fields import FieldCtx, prime_below
 from .matrices import Matrix, Vector, place_blocks, span_dim
-from .spaces import AffineMatrixSpace, Span, equivalence_images, nilpotent_flag
+from .spaces import AffineMatrixSpace, Span, equivalence_images, exact_rank, nilpotent_flag
 from .symplectic import totally_singular_witness
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -84,7 +84,7 @@ def rank_profile(
     )
     wmin, wmax = (_member_coords(sp, i, exhaustive, q, seed) for i in (mn_idx, mx_idx))
     for coords, expect in dict.fromkeys([(wmin, mn), (wmax, mx)]):  # once if one member has both
-        _exact_rank(sp.member_at(coords), lambda ranks: ranks == expect)
+        exact_rank(sp.member_at(coords), lambda ranks: ranks == expect)
     return RankProfile(
         mn, mx, "exhaustive" if exhaustive else "sampled", count, None if exhaustive else seed, wmin, wmax
     )
@@ -94,12 +94,14 @@ def first_member(
     sp: AffineMatrixSpace, accept: Callable[[np.ndarray], np.ndarray], *,
     budget: int = DEFAULT_ENUM_BUDGET, samples: int = DEFAULT_SAMPLES, seed: int = 0,
 ) -> Optional[tuple[tuple, Matrix]]:
-    """First member, as (coords, member), whose rank satisfies ``accept`` (a
-    predicate on an array of ranks, elementwise), or None.
+    """First member, as (coords, member), whose rank satisfies ``accept`` (an
+    elementwise predicate on ranks), or None.
 
     Members are walked as in ``rank_profile``: in enumeration order when
     exhaustive, in seeded sample order over ``samples`` draws otherwise.  One
-    engine scan finds the hit, and the hit alone is re-ranked exactly.
+    engine scan, ``accept`` applied to its arrays of ranks, finds the hit, and
+    the hit alone is re-ranked by ``exact_rank``, ``accept`` applied to its
+    exact rank.
     """
     q, exhaustive, count, residues = _engine_walk(sp, budget, samples)
     idx = _engine.first_index(
@@ -110,17 +112,8 @@ def first_member(
         return None
     coords = _member_coords(sp, idx, exhaustive, q, seed)
     member = sp.member_at(coords)
-    _exact_rank(member, accept)
+    exact_rank(member, accept)
     return coords, member
-
-
-def _exact_rank(member: Matrix, accept: Callable[[np.ndarray], np.ndarray]) -> int:
-    """The exact rank of an engine hit, which must satisfy ``accept``: the one
-    place where the engine's answers are checked against the exact layer."""
-    rank = member.rank()
-    if not accept(np.array([rank]))[0]:
-        raise AssertionError("engine witness failed exact re-verification")
-    return rank
 
 
 def first_singular(a: Matrix, b: Matrix, lo: int = 0) -> Optional[int]:
@@ -138,7 +131,7 @@ def first_singular(a: Matrix, b: Matrix, lo: int = 0) -> Optional[int]:
         n, n, p, singular, exhaustive=True, total=p - lo,
     )
     if t >= 0:
-        _exact_rank(start + b.scale(t), singular)
+        exact_rank(start + b.scale(t), singular)
     return lo + t if t >= 0 else None
 
 
@@ -420,14 +413,14 @@ def flanders_atkinson_check(
         if mode == "pencil" and (rk := m.rank()) > r:
             reports.append(FAReport(mode, r, False, None, None, ("hypothesis", (0, 1, rk))))
         elif t >= 0:
-            rk = _exact_rank(j + m.scale(t), lambda ranks: ranks > r)
+            rk = exact_rank(j + m.scale(t), lambda ranks: ranks > r)
             reports.append(FAReport(mode, r, False, None, None, ("hypothesis", (1, t, rk))))
         else:
             vanish = tuple(bool(z[i]) for z in zero_moments)
             first = None if d_zero[i] else ("D", m.block(r, n, r, n))
             if first is None and not all(vanish):
                 k = vanish.index(False)
-                first = ("moment", (k, Matrix.from_residues(ctx, moments[k][i])))
+                first = ("moment", (k, Matrix.from_residue_stack(ctx, moments[k][i : i + 1])[0]))
             reports.append(FAReport(mode, r, True, d_zero[i], vanish, first))
     return reports
 

@@ -21,15 +21,9 @@ from .symplectic import FormSpacePair, standard_symplectic
 INNER_VERIFY_BUDGET = 10**6
 
 
-def _unit(ctx: FieldCtx, rows: int, cols: int, i: int, j: int) -> Matrix:
-    z, o = ctx.zero(), ctx.one()
-    data = [[z] * cols for _ in range(rows)]
-    data[i][j] = o
-    return Matrix(ctx, data)
-
-
 def _strictly_upper_units(ctx: FieldCtx, n: int) -> list[Matrix]:
-    return [_unit(ctx, n, n, i, j) for i, j in upper_pairs(n)]
+    one = Matrix.identity(ctx, 1)
+    return [place_blocks(ctx, n, n, [(i, j, one)]) for i, j in upper_pairs(n)]
 
 
 def _check_inner(
@@ -73,14 +67,10 @@ def build_invertible_alternating(ctx: FieldCtx, s: int) -> AffineMatrixSpace:
     """
     if s < 1:
         raise ValueError("size must be positive")
-    n = 2 * s
-    base = standard_symplectic(ctx, s)
-    gens: list[Matrix] = []
-    for u in _strictly_upper_units(ctx, s):
-        gens.append(place_blocks(ctx, n, n, [(0, s, u), (s, 0, -u.T)]))
-    for b in alternating_units(ctx, s):
-        gens.append(place_blocks(ctx, n, n, [(s, s, b)]))
-    return AffineMatrixSpace(base, gens)
+    n, one = 2 * s, Matrix.identity(ctx, 1)
+    gens = [place_blocks(ctx, n, n, [(i, s + j, one), (s + j, i, -one)]) for i, j in upper_pairs(s)]
+    gens += [place_blocks(ctx, n, n, [(s, s, b)]) for b in alternating_units(ctx, s)]
+    return AffineMatrixSpace(standard_symplectic(ctx, s), gens)
 
 
 def build_bordered_alternating(
@@ -120,14 +110,9 @@ def build_row_block_family(
     if inner is None:
         inner = build_unitriangular_space(ctx, s)
     _check_inner(ctx, inner, s, s * (s - 1) // 2, alternating=False)
-    w = n - s
-    zc = Matrix.zeros(ctx, s, n - 2 * s)
-    base = inner.base.hstack(zc)
-    gens = [b.hstack(zc) for b in inner.basis]
-    zs = Matrix.zeros(ctx, s, s)
-    for i in range(s):
-        for j in range(n - 2 * s):
-            gens.append(zs.hstack(_unit(ctx, s, n - 2 * s, i, j)))
+    w, one = n - s, Matrix.identity(ctx, 1)
+    base, *gens = (place_blocks(ctx, s, w, [(0, 0, b)]) for b in (inner.base, *inner.basis))
+    gens += [place_blocks(ctx, s, w, [(i, s + j, one)]) for i in range(s) for j in range(n - 2 * s)]
     sp = AffineMatrixSpace(base, gens)
     if sp.shape != (s, w):
         raise AssertionError("row-block family has the wrong shape")
@@ -162,14 +147,10 @@ def build_rank_at_least_space(
     if inner is None:
         inner = build_invertible_alternating(ctx, s)
     _check_inner(ctx, inner, r, s * (s - 1), alternating=True)
-    base = place_blocks(ctx, n, n, [(0, 0, inner.base)])
-    gens = [place_blocks(ctx, n, n, [(0, 0, h)]) for h in inner.basis]
-    for i in range(r):
-        for j in range(n - r):
-            c = _unit(ctx, r, n - r, i, j)
-            gens.append(place_blocks(ctx, n, n, [(0, r, c), (r, 0, -c.T)]))
-    for d in alternating_units(ctx, n - r):
-        gens.append(place_blocks(ctx, n, n, [(r, r, d)]))
+    one = Matrix.identity(ctx, 1)
+    base, *gens = (place_blocks(ctx, n, n, [(0, 0, h)]) for h in (inner.base, *inner.basis))
+    gens += [place_blocks(ctx, n, n, [(i, r + j, one), (r + j, i, -one)]) for i in range(r) for j in range(n - r)]
+    gens += [place_blocks(ctx, n, n, [(r, r, d)]) for d in alternating_units(ctx, n - r)]
     return AffineMatrixSpace(base, gens)
 
 

@@ -13,8 +13,7 @@ space over Q (``spaces.AffineMatrixSpace.integer_stack``).  Every sum of product
 included, is one ``Matrix`` product, each entry one ``sum(map(mul, row, col))`` reduced once mod p,
 but for the stacked array products of ``spaces`` (``member_at``, ``enumerate``, ``equivalence_images``
 and the nilpotent flag's word chain) and of ``analyze.flanders_atkinson_check``, whose canonical
-residues over F_p come back through ``Matrix.from_residue_stack`` (``from_residues`` for one matrix),
-range-checked once per stack.
+residues over F_p come back through ``Matrix.from_residue_stack``, range-checked once per stack.
 """
 
 from __future__ import annotations
@@ -47,15 +46,15 @@ class Matrix:
         object.__setattr__(self, "ncols", width)
 
     @staticmethod
-    def from_residues(ctx: FieldCtx, arr) -> "Matrix":
-        """A matrix over F_p from a 2-D integer numpy array of residues, such as an engine product:
-        the range is checked once by numpy, not entry by entry, and ValueError raised outside [0, p)."""
-        return Matrix._trusted(ctx, tuple(map(tuple, _residue_lists(ctx, arr, 2))), arr.shape[1])
-
-    @staticmethod
     def from_residue_stack(ctx: FieldCtx, arr) -> list["Matrix"]:
-        """One matrix over F_p per slice of a 3-D integer array of residues, the whole range checked once."""
-        return [Matrix._trusted(ctx, tuple(map(tuple, x)), arr.shape[2]) for x in _residue_lists(ctx, arr, 3)]
+        """One matrix over F_p per slice of a 3-D integer numpy array of residues, such as an engine product:
+        the range of the whole stack is checked once by numpy, not entry by entry, and ValueError raised
+        outside [0, p)."""
+        if ctx.kind != "prime" or arr.ndim != 3 or arr.dtype.kind != "i":
+            raise ValueError("residues must be a 3-D integer array over a prime field")
+        if arr.size and not 0 <= arr.min() <= arr.max() < ctx.p:
+            raise ValueError(f"residues must lie in [0, {ctx.p})")
+        return [Matrix._trusted(ctx, tuple(map(tuple, x)), arr.shape[2]) for x in arr.tolist()]
 
     @staticmethod
     def _trusted(ctx: FieldCtx, data: tuple[Vector, ...], ncols: int) -> "Matrix":
@@ -80,13 +79,16 @@ class Matrix:
     @staticmethod
     def zeros(ctx: FieldCtx, nrows: int, ncols: int | None = None) -> "Matrix":
         ncols = nrows if ncols is None else ncols
-        z = ctx.zero()
-        return Matrix(ctx, [[z] * ncols for _ in range(nrows)], ncols)
+        if min(nrows, ncols) < 0:
+            raise ValueError("matrix sizes must be nonnegative")
+        return Matrix._trusted(ctx, ((ctx.zero(),) * ncols,) * nrows, ncols)
 
     @staticmethod
     def identity(ctx: FieldCtx, n: int) -> "Matrix":
+        if n < 0:
+            raise ValueError("matrix sizes must be nonnegative")
         z, o = ctx.zero(), ctx.one()
-        return Matrix(ctx, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix._trusted(ctx, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
 
     # -- basic queries --------------------------------------------------------
 
@@ -321,15 +323,6 @@ class Span:
 
     def contains(self, v: Vector) -> bool:
         return all(x == 0 for x in self.reduce(v))
-
-
-def _residue_lists(ctx: FieldCtx, arr, ndim: int) -> list:
-    """``arr.tolist()`` of an ndim-D integer numpy array of residues over F_p, its range checked once by numpy."""
-    if ctx.kind != "prime" or arr.ndim != ndim or arr.dtype.kind != "i":
-        raise ValueError(f"residues must be a {ndim}-D integer array over a prime field")
-    if arr.size and not 0 <= arr.min() <= arr.max() < ctx.p:
-        raise ValueError(f"residues must lie in [0, {ctx.p})")
-    return arr.tolist()
 
 
 def integer_lift(m: Matrix) -> tuple[list[list[int]], int]:

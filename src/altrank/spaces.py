@@ -7,9 +7,10 @@ echelon of the generators proves them independent and answers every membership
 test.  Four array helpers, ``_stack``, ``_mod``, ``_product`` and ``_matrices``,
 are where the field picks its arithmetic; ``nilpotent_flag`` finds a flag on
 the same stack, and ``analyze`` proves it by one exact elimination.
-Enumeration is ordered lexicographically by coordinate tuple.  Seeded
-member draws live in the engine (``_engine.sampled_coords``), where draw i
-depends only on (seed, i).
+``exact_rank`` is the one exact re-check of an engine hit, for ``analyze``
+and for the optimal search's witness.  Enumeration is ordered
+lexicographically by coordinate tuple.  Seeded member draws live in the
+engine (``_engine.sampled_coords``), where draw i depends only on (seed, i).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -288,6 +289,16 @@ def _matrices(ctx: FieldCtx, a: np.ndarray) -> list[Matrix]:
     return [Matrix(ctx, x, a.shape[2]) for x in a.tolist()]
 
 
+def exact_rank(member: Matrix, accept: Callable) -> int:
+    """The exact rank of an engine hit, which must satisfy ``accept``, an elementwise predicate on
+    ranks applied here to the one int: the one place where the engine's answers are checked
+    against the exact layer."""
+    rank = member.rank()
+    if not accept(rank):
+        raise AssertionError("engine witness failed exact re-verification")
+    return rank
+
+
 # -- exhaustive optimal-dimension search -----------------------------------------------------
 
 
@@ -347,8 +358,9 @@ def exhaustive_optimal_dimension(
     prefix with too few of them to make up one coset of a d-space prunes every
     space that extends it, and the walk stops at its first witness.  The
     witness is the first space with a good coset, its least one by reduced
-    representative, and that coset's least member; it alone is re-ranked by
-    ``Matrix.rank``, and its flats prove every lower level.  A top level that
+    representative, and that coset's least member; it alone is re-ranked,
+    each member by ``exact_rank`` with the predicate ``accept`` that made the
+    ambient table, and its flats prove every lower level.  A top level that
     the walk cannot fill raises an ``AssertionError``.  ``work_budget`` bounds
     spaces x ambient table per dimension, as if no space were pruned.
     """
@@ -369,7 +381,8 @@ def exhaustive_optimal_dimension(
     ranks = np.empty(total, dtype=np.int64)
     for lo, hi in _engine.chunk_ranges(0, total, n * n):
         ranks[lo:hi] = _engine.alternating_ranks(all_vecs[lo:hi].T, n, q)
-    good = ((ranks == r) if predicate == "constant-rank" else (ranks >= r)).reshape((q,) * m)
+    accept = (lambda ranks: ranks == r) if predicate == "constant-rank" else (lambda ranks: ranks >= r)
+    good = accept(ranks).reshape((q,) * m)
 
     max_dim = -1
     for d in range(0, m + 1):
@@ -387,9 +400,7 @@ def exhaustive_optimal_dimension(
     base, *gens = (alternating_from_upper(ctx, n, v.tolist()) for v in (rep, *rows))
     witness = AffineMatrixSpace(base, gens)
     for _, mat in witness.enumerate(total):
-        k = mat.rank()
-        if k < r or (predicate == "constant-rank" and k != r):
-            raise AssertionError("optimal-search witness failed exact re-verification")
+        exact_rank(mat, accept)
     exists_by_dim = {d: d <= max_dim for d in range(min(max_dim + 1, m) + 1)}
     return OptimalSearchResult(max_dim=max_dim, exists_by_dim=exists_by_dim, witness=witness)
 

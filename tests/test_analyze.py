@@ -116,8 +116,8 @@ def test_rank_profile_of_empty_matrices(ctx, alternating):
 def test_rank_profile_rechecks_a_member_with_both_extremes_once(monkeypatch, budget):
     # at constant rank both witnesses are one member, re-ranked once; distinct witnesses twice
     calls = []
-    real = analyze._exact_rank
-    monkeypatch.setattr(analyze, "_exact_rank", lambda m, accept: calls.append(m) or real(m, accept))
+    real = analyze.exact_rank
+    monkeypatch.setattr(analyze, "exact_rank", lambda m, accept: calls.append(m) or real(m, accept))
     sp = build_bordered_alternating(F3, 5, 1)
     prof = rank_profile(sp, budget=budget, seed=2, samples=50)
     assert prof.witness_min == prof.witness_max and calls == [sp.member_at(prof.witness_min)]

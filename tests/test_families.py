@@ -90,6 +90,16 @@ def test_bordered_rejects_singular_inner():
         build_bordered_alternating(F5, 3, 2)  # needs n >= 2s
 
 
+def test_inner_family_with_a_singular_base_is_refused():
+    # B_0 has no inverse, so no flag of the B_0^-1 G_i is sought, and the exhaustive profile meets B_0 itself
+    inner = AffineMatrixSpace(Matrix(F5, [[1, 0], [0, 0]]), [unit(F5, 2, 0, 1)])
+    with pytest.raises(ValueError):
+        inner.base.inverse()
+    assert not invertible_by_flag(inner)
+    with pytest.raises(ValueError, match="^inner family contains a singular member$"):
+        build_row_block_family(F5, 5, 2, inner=inner)
+
+
 @pytest.mark.parametrize("ctx", [F3, F5, F7], ids=str)
 def test_flag_verdict_agrees_with_an_exhaustive_profile_on_default_inner_families(ctx):
     inners = [(s, build_unitriangular_space(ctx, s)) for s in (1, 2, 3, 4)]

@@ -59,6 +59,12 @@ def test_constructor_normalizes():
 def test_identity_and_zeros():
     assert Matrix.identity(F3, 3) @ Matrix.identity(F3, 3) == Matrix.identity(F3, 3)
     assert Matrix.zeros(F3, 2, 4).shape == (2, 4)
+    assert Matrix.identity(Q, 2) == Matrix(Q, [[1, 0], [0, 1]]) and Matrix.zeros(Q, 1, 2) == Matrix(Q, [[0, 0]])
+    # built without Matrix(...)'s row checks, so a negative size is refused by name
+    for make in (lambda: Matrix.identity(F3, -1), lambda: Matrix.zeros(F3, -1), lambda: Matrix.zeros(F3, 0, -1),
+                 lambda: Matrix.zeros(F3, 2, -1)):
+        with pytest.raises(ValueError, match="^matrix sizes must be nonnegative$"):
+            make()
 
 
 def test_empty_shapes_are_faithful():
@@ -241,6 +247,7 @@ def test_arithmetic_results_are_canonical(ctx):
             c.block(0, n, 1, n + 1), a.hstack(c), a.rref()[0], c.rref()[0],
             inv.inverse(), inv @ inv.inverse(),
             place_blocks(ctx, n + 1, n + 2, [(1, 0, a), (0, 2, c.block(0, n, 0, n))]),
+            Matrix.identity(ctx, n), Matrix.zeros(ctx, n, n + 2),
         ):
             assert_canonical(m)
         assert inv @ inv.inverse() == Matrix.identity(ctx, n)

@@ -575,6 +575,37 @@ def test_canonical_reduction_records_late_failures(monkeypatch, step, module, at
     assert hashlib.sha256(blob).hexdigest() == LATE_FAILURE_DIGESTS[step]
 
 
+def _raise_extraction(ops, k):
+    raise ContractError("the slab operators share no range Lagrangian")
+
+
+def _unequal_when_square(x, y):
+    # the final comparison is of n x n spaces; reduce_full_row_rank's own is of s x (n-s) slabs
+    return x.shape[0] != x.shape[1] and spaces_equal(x, y)
+
+
+RECORDED_FAILURES = [
+    # (step, module, attribute, stand-in, the failure record it leaves): a stage that raises, and
+    # a final set-equality miss, which no real space reaches once the slab family is recovered
+    ("lagrangian_extraction", analyze, "extract_range_lagrangian", _raise_extraction,
+     {"step": "lagrangian_extraction", "error": "the slab operators share no range Lagrangian"}),
+    ("set_equality", reduction, "spaces_equal", _unequal_when_square, {"step": "set_equality"}),
+]
+
+
+@pytest.mark.parametrize(
+    "step, module, attr, stand_in, record", RECORDED_FAILURES, ids=[c[0] for c in RECORDED_FAILURES]
+)
+def test_canonical_reduction_records_a_raised_or_final_failure(monkeypatch, step, module, attr, stand_in, record):
+    moved = congruence_act(build_bordered_alternating(F5, 7, 2), seeded_invertible(F5, 7, "late"))
+    monkeypatch.setattr(module, attr, stand_in)
+    cert = canonical_reduction(moved, 4, seed=0)
+    failing = VERDICT_KEYS.index(step)
+    assert cert.verdicts == {k: i < failing for i, k in enumerate(VERDICT_KEYS)}
+    assert cert.witnesses["failure"] == record
+    assert json.loads(json.dumps(cert.to_json()))["witnesses"]["failure"] == record
+
+
 def nonconstant_space(ctx, n, s, kind, trial):
     """A seeded space of critical dimension s(n-s-1) that is not of constant
     rank 2s: a congruent copy of the bordered model with one generator or the

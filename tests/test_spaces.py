@@ -14,6 +14,7 @@ import pytest
 
 from altrank import _engine, reduction, spaces
 from altrank.analyze import _member_coords
+from altrank.cli import main
 from altrank.errors import BudgetExceededError
 from altrank.families import build_bordered_alternating, optimal_dimension_formula
 from altrank.fields import FieldCtx
@@ -278,25 +279,31 @@ def test_space_alternating_flag_matches_the_entry_check(ctx):
     assert flags == {True, False}
 
 
-def test_matrix_from_residues_checks_the_range_once():
-    # a range check by numpy, not an assert, so it holds under python -O too
+def test_matrix_from_residue_stack_checks_one_slice_once():
+    # a range check by numpy, not an assert, so it holds under python -O too; one matrix is a one-slice stack
     f7 = FieldCtx.prime(7)
-    assert Matrix.from_residues(f7, np.array([[0, 6], [3, 1]], np.int64)) == Matrix(f7, [[0, 6], [3, 1]])
-    assert Matrix.from_residues(f7, np.zeros((0, 3), np.int64)).shape == (0, 3)
-    assert all(type(x) is int for x in Matrix.from_residues(f7, np.array([[5]], np.int16)).flatten())
+
+    def one_slice(ctx, arr):
+        return Matrix.from_residue_stack(ctx, arr[None])
+
+    assert one_slice(f7, np.array([[0, 6], [3, 1]], np.int64)) == [Matrix(f7, [[0, 6], [3, 1]])]
+    assert [m.shape for m in one_slice(f7, np.zeros((0, 3), np.int64))] == [(0, 3)]
+    assert all(type(x) is int for x in one_slice(f7, np.array([[5]], np.int16))[0].flatten())
     for bad in ([[0, 7]], [[-1, 0]], [[3, 2**40]]):
         with pytest.raises(ValueError, match=r"^residues must lie in \[0, 7\)$"):
-            Matrix.from_residues(f7, np.array(bad, np.int64))
+            one_slice(f7, np.array(bad, np.int64))
+    # over Q, a 2-D stack of one 1-D array, and a float one
     for ctx, bad in [(Q, np.eye(2, dtype=np.int64)), (f7, np.arange(3)), (f7, np.eye(2))]:
-        with pytest.raises(ValueError, match="^residues must be a 2-D integer array over a prime field$"):
-            Matrix.from_residues(ctx, bad)
+        with pytest.raises(ValueError, match="^residues must be a 3-D integer array over a prime field$"):
+            one_slice(ctx, bad)
 
 
 def test_matrix_from_residue_stack_checks_the_whole_stack_once():
     f7 = FieldCtx.prime(7)
     stack = np.arange(24, dtype=np.int64).reshape(2, 3, 4) % 7
     mats = Matrix.from_residue_stack(f7, stack)
-    assert mats == [Matrix.from_residues(f7, x) for x in stack] and mats[1] == Matrix(f7, (stack[1] % 7).tolist())
+    assert mats == [Matrix.from_residue_stack(f7, x[None])[0] for x in stack]
+    assert mats[1] == Matrix(f7, (stack[1] % 7).tolist())
     assert Matrix.from_residue_stack(f7, np.zeros((0, 2, 3), np.int64)) == []
     assert [m.shape for m in Matrix.from_residue_stack(f7, np.zeros((2, 0, 3), np.int64))] == [(0, 3)] * 2
     assert [m.shape for m in Matrix.from_residue_stack(f7, np.zeros((2, 3, 0), np.int64))] == [(3, 0)] * 2
@@ -727,6 +734,35 @@ def test_optimal_search_walks_and_rechecks_once(monkeypatch, n, q, work_budget):
     monkeypatch.setattr(spaces, "_coset_walk", counting_walk)
     res = exhaustive_optimal_dimension(n, 2, FieldCtx.prime(q), "rank-at-least", work_budget=work_budget)
     assert (budgets, walks) == ([q**m], [res.max_dim])
+
+
+def test_optimal_search_sends_each_witness_member_through_the_one_recheck(monkeypatch):
+    # the one exact re-check of engine hits sees every member of the witness, 3^5 at (4,2,F_3) rank >= r
+    calls, real = [], spaces.exact_rank
+    monkeypatch.setattr(spaces, "exact_rank", lambda m, accept: calls.append(m) or real(m, accept))
+    res = exhaustive_optimal_dimension(4, 2, F3, "rank-at-least")
+    assert res.max_dim == 5 and len(calls) == 243
+    assert calls == [m for _, m in res.witness.enumerate()]
+
+
+def test_optimal_search_refuses_a_witness_member_whose_rank_is_wrong(monkeypatch, tmp_path, capsys):
+    # the ambient table says every witness member has rank >= 2; an exact rank of 0 for the 100th
+    # must stop the search, and the command line reports it in one line with exit 3
+    real, seen = Matrix.rank, []
+
+    def rank(m):
+        seen.append(m)
+        return 0 if len(seen) == 100 else real(m)
+
+    monkeypatch.setattr(Matrix, "rank", rank)
+    with pytest.raises(AssertionError, match="^engine witness failed exact re-verification$"):
+        exhaustive_optimal_dimension(4, 2, F3, "rank-at-least")
+    seen.clear()
+    out = tmp_path / "search.json"
+    argv = ["optimal-search", "--n", "4", "--r", "2", "--field", "Fp:3", "--predicate", "rank-at-least"]
+    assert main([*argv, "--out", str(out)]) == 3 and not out.exists()
+    assert capsys.readouterr().err == "internal error: engine witness failed exact re-verification\n"
+    assert len(seen) == 100
 
 
 def reference_optimal_search(n: int, r: int, q: int, predicate: str):
