@@ -9,7 +9,6 @@ pure arithmetic in this package before they are reported; a nilpotent flag
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -17,8 +16,8 @@ import numpy as np
 from . import _engine, rand
 from .errors import BudgetExceededError, ContractError
 from .fields import FieldCtx, prime_below
-from .matrices import Matrix, Vector, place_blocks, span_dim
-from .spaces import AffineMatrixSpace, Span, equivalence_images, exact_rank, nilpotent_flag
+from .matrices import Matrix, Vector, place_blocks
+from .spaces import AffineMatrixSpace, Span, equivalence_images, exact_rank, independent_matrices, nilpotent_flag
 from .symplectic import totally_singular_witness
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -225,7 +224,8 @@ def _flag_holds(basis: Matrix, sp: AffineMatrixSpace) -> bool:
     n = sp.shape[0]
     if basis.shape != (n, n):
         return False
-    reduced, pivots = reduce(Matrix.hstack, [g @ basis for g in sp.basis], basis).rref()
+    blocks = [(0, t * n, b) for t, b in enumerate([basis] + [g @ basis for g in sp.basis])]
+    reduced, pivots = place_blocks(sp.ctx, n, (sp.dim + 1) * n, blocks).rref()
     return pivots[:n] == tuple(range(n)) and not any(
         row[k * n + j] for a, row in enumerate(reduced.data) for k in range(1, sp.dim + 1) for j in range(a + 1))
 
@@ -447,8 +447,7 @@ def extract_range_lagrangian(ops: Sequence[Matrix], gram: Matrix) -> Optional[li
     for u in ops:
         if u.shape != (qprime, p) or u.ctx != ctx:
             raise ValueError("map shape or field mismatch")
-    flats = [u.flatten() for u in ops]
-    if span_dim(ctx, flats) != len(ops):
+    if len(independent_matrices(ops)) != len(ops):
         raise ValueError("generators must be independent")
     bound = p * qprime // 2
     if 2 * len(ops) > p * qprime:

@@ -14,7 +14,7 @@ from typing import Optional
 from . import analyze
 from .errors import BudgetExceededError
 from .fields import Element, FieldCtx
-from .matrices import Matrix, alternating_units, pfaffian, place_blocks, upper_pairs
+from .matrices import Matrix, alternating_unit, pfaffian, place_blocks, upper_pairs
 from .spaces import AffineMatrixSpace
 from .symplectic import FormSpacePair, standard_symplectic
 
@@ -67,9 +67,7 @@ def build_invertible_alternating(ctx: FieldCtx, s: int) -> AffineMatrixSpace:
     """
     if s < 1:
         raise ValueError("size must be positive")
-    n, one = 2 * s, Matrix.identity(ctx, 1)
-    gens = [place_blocks(ctx, n, n, [(i, s + j, one), (s + j, i, -one)]) for i, j in upper_pairs(s)]
-    gens += [place_blocks(ctx, n, n, [(s, s, b)]) for b in alternating_units(ctx, s)]
+    gens = [alternating_unit(ctx, 2 * s, a + i, s + j) for a in (0, s) for i, j in upper_pairs(s)]
     return AffineMatrixSpace(standard_symplectic(ctx, s), gens)
 
 
@@ -92,7 +90,7 @@ def border_row_blocks(rows: AffineMatrixSpace) -> AffineMatrixSpace:
     def bordered(x):  # [[0, x], [-x^T, 0]] for an s x (n-s) row block x
         return place_blocks(ctx, n, n, [(0, s, x), (s, 0, -x.T)])
 
-    gens = [place_blocks(ctx, n, n, [(0, 0, a)]) for a in alternating_units(ctx, s)]
+    gens = [alternating_unit(ctx, n, i, j) for i, j in upper_pairs(s)]
     gens += [bordered(x) for x in rows.basis]
     return AffineMatrixSpace(bordered(rows.base), gens)
 
@@ -113,10 +111,7 @@ def build_row_block_family(
     w, one = n - s, Matrix.identity(ctx, 1)
     base, *gens = (place_blocks(ctx, s, w, [(0, 0, b)]) for b in (inner.base, *inner.basis))
     gens += [place_blocks(ctx, s, w, [(i, s + j, one)]) for i in range(s) for j in range(n - 2 * s)]
-    sp = AffineMatrixSpace(base, gens)
-    if sp.shape != (s, w):
-        raise AssertionError("row-block family has the wrong shape")
-    return sp
+    return AffineMatrixSpace(base, gens)
 
 
 def build_corank_one_space(
@@ -147,10 +142,9 @@ def build_rank_at_least_space(
     if inner is None:
         inner = build_invertible_alternating(ctx, s)
     _check_inner(ctx, inner, r, s * (s - 1), alternating=True)
-    one = Matrix.identity(ctx, 1)
     base, *gens = (place_blocks(ctx, n, n, [(0, 0, h)]) for h in (inner.base, *inner.basis))
-    gens += [place_blocks(ctx, n, n, [(i, r + j, one), (r + j, i, -one)]) for i in range(r) for j in range(n - r)]
-    gens += [place_blocks(ctx, n, n, [(r, r, d)]) for d in alternating_units(ctx, n - r)]
+    gens += [alternating_unit(ctx, n, i, j) for i in range(r) for j in range(r, n)]
+    gens += [alternating_unit(ctx, n, r + i, r + j) for i, j in upper_pairs(n - r)]
     return AffineMatrixSpace(base, gens)
 
 
@@ -177,11 +171,8 @@ def build_operator_block_space(
         raise ValueError("core space must be linear")
     analyze.trivial_spectrum_gate(core, "core space", INNER_VERIFY_BUDGET)
     nn = 2 * n
-    ops: list[Matrix] = []
-    for a in core.basis:
-        ops.append(place_blocks(ctx, nn, nn, [(0, 0, a), (n, n, a.T)]))
-    for b in alternating_units(ctx, n):
-        ops.append(place_blocks(ctx, nn, nn, [(0, n, b)]))
+    ops = [place_blocks(ctx, nn, nn, [(0, 0, a), (n, n, a.T)]) for a in core.basis]
+    ops += [place_blocks(ctx, nn, nn, [(0, n, alternating_unit(ctx, n, i, j))]) for i, j in upper_pairs(n)]
     return FormSpacePair(standard_symplectic(ctx, n), tuple(ops))
 
 

@@ -6,10 +6,11 @@ elimination here, ``_eliminate``, fraction-free over Q (on the integers L*A, L t
 a Fraction only for the answer): forward for ``rank``, ``det`` and ``span_dim``, Gauss-Jordan for
 ``rref``, everything built on it, and :class:`Span`, a reduced echelon snapshot of its rows.
 A space over either field proves its generators independent, and answers membership, by its own
-array row echelon in ``spaces``.  ``pfaffian`` pivots pairwise instead, one 2x2 block and its Schur
-complement per step, as ``_engine.skew_rank`` does on whole stacks.  One ``integer_lift``, over Q
-computed once per matrix and kept, serves both Pfaffians, ``_eliminate`` and the engine residues of a
-space over Q (``spaces.AffineMatrixSpace.integer_stack``).  Every sum of products, x^T K y
+reduced array row echelon in ``spaces``.  ``place_blocks`` lays out every block matrix: each augmented
+system, such as ``inverse``'s [A | I], and each unit (``alternating_unit``).  ``pfaffian`` pivots
+pairwise instead, one 2x2 block and its Schur complement per step, as ``_engine.skew_rank`` does on
+whole stacks.  One ``integer_lift``, over Q computed once per matrix and kept, serves both Pfaffians,
+``_eliminate`` and the engine residues of a space over Q (``spaces.AffineMatrixSpace.integer_stack``).  Every sum of products, x^T K y
 included, is one ``Matrix`` product, each entry one ``sum(map(mul, row, col))`` reduced once mod p,
 but for the stacked array products of ``spaces`` (``member_at``, ``enumerate``, ``equivalence_images``
 and the nilpotent flag's word chain) and of ``analyze.flanders_atkinson_check``, whose canonical
@@ -103,9 +104,6 @@ class Matrix:
     def __getitem__(self, ij: tuple[int, int]) -> Element:
         return self.data[ij[0]][ij[1]]
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.data)
 
@@ -191,19 +189,11 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
-    # -- slicing and stacking ----------------------------------------------------
+    # -- slicing ----------------------------------------------------------------
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         rows = tuple(row[c0:c1] for row in self.data[r0:r1])
         return Matrix._trusted(self.ctx, rows, len(range(self.ncols)[c0:c1]))
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.ctx != other.ctx:
-            raise ValueError("field mismatch")
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        rows = tuple(ra + rb for ra, rb in zip(self.data, other.data))
-        return Matrix._trusted(self.ctx, rows, self.ncols + other.ncols)
 
     def flatten(self) -> Vector:
         """Row-major vectorization."""
@@ -253,7 +243,7 @@ class Matrix:
         if not self.is_square:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        aug, pivots = self.hstack(Matrix.identity(self.ctx, n)).rref()
+        aug, pivots = place_blocks(self.ctx, n, 2 * n, [(0, 0, self), (0, n, Matrix.identity(self.ctx, n))]).rref()
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
         return aug.block(0, n, n, 2 * n)
@@ -523,10 +513,12 @@ def alternating_from_upper(ctx: FieldCtx, n: int, coords: Sequence[Element]) -> 
     return Matrix._trusted(ctx, tuple(map(tuple, rows)), n)
 
 
-def alternating_units(ctx: FieldCtx, n: int) -> list[Matrix]:
-    """The alternating units E_ij - E_ji, i < j, in row-major order of (i, j)."""
-    m = n * (n - 1) // 2
-    return [alternating_from_upper(ctx, n, [1 if t == u else 0 for t in range(m)]) for u in range(m)]
+def alternating_unit(ctx: FieldCtx, n: int, i: int, j: int) -> Matrix:
+    """The n x n alternating unit E_ij - E_ji; ValueError unless 0 <= i < j < n."""
+    if not 0 <= i < j < n:
+        raise ValueError(f"an alternating unit needs 0 <= i < j < n, got ({i}, {j}) at n = {n}")
+    one = Matrix.identity(ctx, 1)
+    return place_blocks(ctx, n, n, [(i, j, one), (j, i, -one)])
 
 
 # -- vectors -----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import analyze
 from .errors import ContractError
 from .families import border_row_blocks, build_row_block_family, field_size_bound
-from .matrices import Matrix, Vector, place_blocks, span_dim
+from .matrices import Matrix, Vector, alternating_unit, place_blocks, span_dim
 from .spaces import AffineMatrixSpace, Span, congruence_act, equivalence_images, independent_matrices, spaces_equal
 from .symplectic import radical, symplectic_basis, totally_singular_witness
 
@@ -192,9 +192,9 @@ def unique_totally_singular_complement(sp: AffineMatrixSpace, s: int) -> list[Ve
         raise ContractError("the canonical tail subspace is not totally singular")
     tail = list(Matrix.identity(ctx, n).data[s:])
 
-    members, one = [("the base", sp.base)], Matrix.identity(ctx, 1)
+    members = [("the base", sp.base)]
     for i in range(s):
-        unit = place_blocks(ctx, n, n, [(i, 2 * s, one), (2 * s, i, -one)])
+        unit = alternating_unit(ctx, n, i, 2 * s)
         if not sp.translation_contains(unit):
             raise ContractError(f"U_{i} is missing from the translation span")
         members.append((f"the base + U_{i}", sp.base + unit))

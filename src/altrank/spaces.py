@@ -2,11 +2,11 @@
 
 An affine space is a base matrix plus the span of an independent translation
 basis.  A space holds its base and generators as one read-only array stack from
-construction, int64 residues over F_p and Fraction objects over Q, and one row
-echelon of the generators proves them independent and answers every membership
-test.  Four array helpers, ``_stack``, ``_mod``, ``_product`` and ``_matrices``,
-are where the field picks its arithmetic; ``nilpotent_flag`` finds a flag on
-the same stack, and ``analyze`` proves it by one exact elimination.
+construction, int64 residues over F_p and Fraction objects over Q, and one reduced
+row echelon of the generators proves them independent and answers every membership
+test as one stacked product.  Four array helpers, ``_stack``, ``_mod``, ``_product``
+and ``_matrices``, are where the field picks its arithmetic; ``nilpotent_flag`` finds
+a flag on the same stack, and ``analyze`` proves it by one exact elimination.
 ``exact_rank`` is the one exact re-check of an engine hit, for ``analyze``
 and for the optimal search's witness.  Enumeration is ordered
 lexicographically by coordinate tuple.  Seeded member draws live in the
@@ -87,8 +87,8 @@ class AffineMatrixSpace:
         return _matrices(ctx, _product(ctx, c, basis, base).reshape(1, *self.shape))[0]
 
     def translation_residuals(self, vecs: Sequence[Vector]) -> list[Vector]:
-        """The residual by the echelon of each v of vecs, flattened matrices of canonical elements: the
-        one element of v + T that is zero at the echelon's pivots, a ``Span``'s too, so ``Span.reduce``'s."""
+        """The residual by the reduced echelon of each v of vecs, flattened matrices, canonical: the one
+        element of v + T that is zero at the echelon's pivots, a ``Span``'s too, so ``Span.reduce``'s."""
         return list(map(tuple, self._residuals(_stack(self.ctx, vecs, len(vecs), self._flat[0].size)).tolist()))
 
     def translation_contains(self, m: Matrix) -> bool:
@@ -98,11 +98,11 @@ class AffineMatrixSpace:
         return m.shape == self.shape and m.ctx == self.ctx and self.translation_contains(m - self.base)
 
     def _residuals(self, out: np.ndarray) -> np.ndarray:
-        """A stack of flattened matrices, over F_p entries in (-p, p), reduced by the echelon rows
-        in order, one step per pivot: a row ends zero iff it is a translation."""
-        for row, pc in zip(*self._echelon):
-            out = _mod(self.ctx, out - out[:, pc, None] * row)
-        return out
+        """A stack of flattened matrices, over F_p entries in (-p, p), less its entries at the pivots
+        times the reduced echelon rows, as one stacked product: canonical, zero at every pivot, and
+        zero everywhere iff the row is a translation."""
+        rows, pivots = self._echelon
+        return _product(self.ctx, _mod(self.ctx, -out[:, pivots]), rows, out)
 
     # -- enumeration ------------------------------------------------------------------
 
@@ -220,16 +220,18 @@ def independent_matrices(mats: Sequence[Matrix]) -> list[Matrix]:
 
 
 def _row_echelon(ctx: FieldCtx, stack: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
-    """Row echelon with unit pivots of a (k, w) stack of field elements, one step per pivot, taken at the
-    first nonzero entry of the rows not yet used, so rows that are zero by then are passed over: the
-    (rank, w) rows, their pivots and the inputs that gave them.  A row is zero at earlier rows' pivots
-    and later rows at its own, so reducing by the rows in order leaves zero exactly on their span."""
+    """Reduced row echelon of a (k, w) stack of field elements, one step per pivot, taken at the first
+    nonzero entry of the rows not yet used, so rows that are zero by then are passed over: the (rank, w)
+    rows, their pivots and the inputs that gave them.  Each step makes the pivot row unit and clears its
+    column in every other row with one ``_mod`` over the whole stack, so a row is 1 at its own pivot and
+    0 at every other: the residual of v by the rows is v less v's pivot entries times the rows."""
     a, pivots, kept, i = stack.copy(), [], [], 0
     while (nonzero := a[i:] != 0).any():
         skip, pc = divmod(int(nonzero.argmax()), a.shape[1])
         i += skip
-        a[i] = _mod(ctx, a[i] * ctx.inv(a.item(i, pc)))
-        a[i + 1 :] = _mod(ctx, a[i + 1 :] - a[i + 1 :, pc, None] * a[i])
+        row = _mod(ctx, a[i] * ctx.inv(a.item(i, pc)))
+        a = _mod(ctx, a - a[:, pc, None] * row)
+        a[i] = row
         pivots.append(pc)
         kept.append(i)
         i += 1
@@ -242,7 +244,7 @@ def nilpotent_flag(sp: AffineMatrixSpace) -> Optional[Matrix]:
     the row space of the words Q_(i-1) G of length i.  Q_i lies in Q_(i-1), so the chain falls to 0,
     and then V_i = ker Q_i is a flag with G V_i in V_(i-1); or it stops at a nonzero Q_i = Q_(i-1),
     and the generators span no nilpotent algebra.  Step i is one stacked product of Q_(i-1)'s rows
-    with the (dim, n, n) stack and one ``_row_echelon``, back-substituted to reduced form.  Each
+    with the (dim, n, n) stack and one ``_row_echelon``, whose rows are reduced already.  Each
     column that turns free at step i, in index order, gives its kernel vector: 1 there, minus the
     reduced rows' entries there at their pivots.  A pivot column of Q_i is one of Q_(i-1), so no
     free column turns back, and the basis is adapted to the flag."""
@@ -256,8 +258,6 @@ def nilpotent_flag(sp: AffineMatrixSpace) -> Optional[Matrix]:
         ech, pivots, _ = _row_echelon(ctx, _product(ctx, rows, gens).reshape(-1, n))
         if len(pivots) == len(rows):
             return None
-        for j, pc in enumerate(pivots):  # the rows before j get zero at pc
-            ech[:j] = _mod(ctx, ech[:j] - ech[:j, pc, None] * ech[j])
         new = sorted(set(old_pivots).difference(pivots))
         flag.append(np.eye(n, dtype=rows.dtype)[:, new])  # e_f, and at the pivots minus column f
         flag[-1][pivots] = _mod(ctx, -ech[:, new])

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .fields import FieldCtx
 from .matrices import Matrix, Vector, place_blocks, span_dim
-from .spaces import AffineMatrixSpace, Span
+from .spaces import AffineMatrixSpace, Span, independent_matrices
 
 
 def standard_symplectic(ctx: FieldCtx, s: int) -> Matrix:
@@ -88,14 +88,14 @@ def symplectic_basis(k: Matrix, lagrangian: Sequence[Vector] | None = None) -> M
     # Y^T K has full row rank, so every pivot of [Y^T K | -I] lies in its first
     # n columns: the rref row pivoting at column j holds row j of X past
     # column n, and the rows of X at free columns are zero.
-    aug, pivots = (yt @ k).hstack(-Matrix.identity(ctx, s)).rref()
+    aug, pivots = place_blocks(ctx, s, n + s, [(0, 0, yt @ k), (0, n, -Matrix.identity(ctx, s))]).rref()
     solved = {pc: row[n:] for pc, row in zip(pivots, aug.data)}
     zero = (ctx.zero(),) * s
     x = Matrix(ctx, [solved.get(j, zero) for j in range(n)])
     xkx = x.T @ k @ x
     u = Matrix(ctx, [[xkx[i, t] if i < t else ctx.zero() for t in range(s)] for i in range(s)])
     y = yt.T
-    p = (x - y @ u).hstack(y)
+    p = place_blocks(ctx, n, n, [(0, 0, x - y @ u), (0, s, y)])
     if p.det() == 0 or (p.T @ k @ p) != standard_symplectic(ctx, s):
         raise AssertionError("symplectic basis postcondition failed")
     return p
@@ -121,8 +121,7 @@ class FormSpacePair:
                 raise ValueError("operator shape or field mismatch")
             if not (k @ u).is_alternating():
                 raise ValueError("operator is not alternating with respect to the form")
-        flats = [u.flatten() for u in self.operators]
-        if flats and span_dim(k.ctx, flats) != len(flats):
+        if len(independent_matrices(self.operators)) != len(self.operators):
             raise ValueError("operator generators are dependent")
 
     @property

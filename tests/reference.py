@@ -15,7 +15,7 @@ from altrank.analyze import first_singular
 from altrank.fields import prime_below
 from altrank.matrices import Matrix, integer_lift, pfaffian, upper_pairs
 from altrank.rand import DEFAULT_RATIONAL_BOX, random_alternating
-from altrank.spaces import Span, _coset_walk, equivalence_act, spaces_equal
+from altrank.spaces import Span, _coset_walk, _mod, equivalence_act, spaces_equal
 
 
 def rank_multiset(sp, budget=10**4):
@@ -34,6 +34,30 @@ def member_at(sp, coords):
     cs = [1, *(c for c, _ in terms)]
     rows = zip(sp.base.data, *(g for _, g in terms))
     return Matrix(sp.ctx, ([sum(map(mul, cs, col)) for col in zip(*r)] for r in rows))
+
+
+def row_echelon_forward(ctx, stack):
+    """``spaces._row_echelon`` as a forward elimination: each step makes the pivot row unit and clears its
+    column in the rows below only, so a row is zero at the earlier rows' pivots but not at the later ones'.
+    The (rank, w) rows, their pivots and the inputs that gave them."""
+    a, pivots, kept, i = stack.copy(), [], [], 0
+    while (nonzero := a[i:] != 0).any():
+        skip, pc = divmod(int(nonzero.argmax()), a.shape[1])
+        i += skip
+        a[i] = _mod(ctx, a[i] * ctx.inv(a.item(i, pc)))
+        a[i + 1 :] = _mod(ctx, a[i + 1 :] - a[i + 1 :, pc, None] * a[i])
+        pivots.append(pc)
+        kept.append(i)
+        i += 1
+    return a[kept], pivots, kept
+
+
+def residuals_pivot_by_pivot(ctx, rows, pivots, out):
+    """A stack reduced by the rows and pivots of ``row_echelon_forward``, in order, one step per pivot:
+    the membership residuals before they were one stacked product by the reduced echelon."""
+    for row, pc in zip(rows, pivots):
+        out = _mod(ctx, out - out[:, pc, None] * row)
+    return out
 
 
 def nilpotent_flag_by_span(sp):

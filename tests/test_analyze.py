@@ -1302,8 +1302,8 @@ def test_extract_range_lagrangian_guards():
         extract_range_lagrangian([Matrix(F5, [[1, 0], [0, 0]])], k)  # p = 2
     with pytest.raises(ValueError):
         extract_range_lagrangian(ops, Matrix.zeros(F5, 2))  # singular gram
-    with pytest.raises(ValueError):
-        extract_range_lagrangian(ops + [ops[0]], k)  # dependent generators
+    with pytest.raises(ValueError, match="^generators must be independent$"):
+        extract_range_lagrangian(ops + [ops[0]], k)  # a repeated generator
 
 
 def test_extract_range_lagrangian_contract_failure():

@@ -15,6 +15,7 @@ from altrank.matrices import (
     Span,
     _eliminate,
     alternating_from_upper,
+    alternating_unit,
     integer_lift,
     pfaffian,
     pfaffian_expansion,
@@ -75,7 +76,7 @@ def test_empty_shapes_are_faithful():
     assert Matrix.zeros(F5, 2, 0) @ Matrix.zeros(F5, 2, 0).T == Matrix.zeros(F5, 2)
     assert Matrix.zeros(F5, 0, 2) @ Matrix.zeros(F5, 2, 4) == Matrix.zeros(F5, 0, 4)
     assert Matrix.zeros(F5, 0, 3) != Matrix.zeros(F5, 0, 2)
-    assert Matrix.zeros(F5, 0, 3).hstack(Matrix.zeros(F5, 0, 2)).shape == (0, 5)
+    assert place_blocks(F5, 0, 5, [(0, 0, Matrix.zeros(F5, 0, 3)), (0, 3, Matrix.zeros(F5, 0, 2))]).shape == (0, 5)
     assert Matrix.zeros(F5, 2, 3).block(0, 2, 1, 9).shape == (2, 2)
     assert Matrix(F5, [], 4).shape == (0, 4) and Matrix(F5, [[1, 2]], 2).shape == (1, 2)
     with pytest.raises(ValueError):
@@ -94,8 +95,8 @@ def test_rref_known():
     m = Matrix(Q, [[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     red, pivots = m.rref()
     assert pivots == (0, 1)
-    assert red.row(0) == (Fraction(1), Fraction(0), Fraction(-1))
-    assert red.row(1) == (Fraction(0), Fraction(1), Fraction(2))
+    assert red.data[0] == (Fraction(1), Fraction(0), Fraction(-1))
+    assert red.data[1] == (Fraction(0), Fraction(1), Fraction(2))
 
 
 def test_rank_and_kernel():
@@ -151,7 +152,7 @@ def oracle_cases(ctx, seed):
     for n in (4, 7, 10):
         a = Matrix(ctx, [[element() for _ in range(n)] for _ in range(n)])
         yield a
-        yield a.hstack(Matrix.identity(ctx, n))
+        yield place_blocks(ctx, n, 2 * n, [(0, 0, a), (0, n, Matrix.identity(ctx, n))])
 
 
 def sympy_field(ctx):
@@ -244,7 +245,7 @@ def test_arithmetic_results_are_canonical(ctx):
         inv = random_invertible(ctx, n, stream, box=7)
         for m in (
             a @ b, a @ c, a + b, a - b, -a, a.scale(3), a.T, c.T,
-            c.block(0, n, 1, n + 1), a.hstack(c), a.rref()[0], c.rref()[0],
+            c.block(0, n, 1, n + 1), place_blocks(ctx, n, 2 * n + 2, [(0, 0, a), (0, n, c)]), a.rref()[0], c.rref()[0],
             inv.inverse(), inv @ inv.inverse(),
             place_blocks(ctx, n + 1, n + 2, [(1, 0, a), (0, 2, c.block(0, n, 0, n))]),
             Matrix.identity(ctx, n), Matrix.zeros(ctx, n, n + 2),
@@ -252,7 +253,7 @@ def test_arithmetic_results_are_canonical(ctx):
             assert_canonical(m)
         assert inv @ inv.inverse() == Matrix.identity(ctx, n)
     with pytest.raises(ValueError):
-        Matrix.identity(F5, 2).hstack(Matrix.identity(F7, 2))
+        place_blocks(F5, 2, 4, [(0, 0, Matrix.identity(F5, 2)), (0, 2, Matrix.identity(F7, 2))])
 
 
 def test_place_blocks_refuses_a_foreign_or_overrunning_block():
@@ -268,6 +269,21 @@ def test_place_blocks_refuses_a_foreign_or_overrunning_block():
     ]:
         with pytest.raises(ValueError, match="over another field or overruns 2 x 2"):
             place_blocks(ctx, 2, 2, [(r0, c0, block)])
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.prime(2), F7, Q], ids=lambda c: str(c.p or "Q"))
+def test_alternating_unit_is_the_one_hot_upper_triangle(ctx):
+    # E_ij - E_ji for every i < j up to n = 7 is the alternating matrix of the one-hot coordinate
+    # of (i, j), canonical; a pair that is not 0 <= i < j < n is refused
+    for n in range(8):
+        pairs = upper_pairs(n)
+        for u, (i, j) in enumerate(pairs):
+            unit = alternating_unit(ctx, n, i, j)
+            assert unit == alternating_from_upper(ctx, n, [1 if t == u else 0 for t in range(len(pairs))])
+            assert_canonical(unit)
+        for i, j in [(0, 0), (1, 0), (n, n), (0, n), (n - 1, n + 1), (-1, 0)]:
+            with pytest.raises(ValueError, match=r"^an alternating unit needs 0 <= i < j < n"):
+                alternating_unit(ctx, n, i, j)
 
 
 def test_alternating_from_upper_layout():
@@ -419,7 +435,7 @@ def test_pfaffian_pivots_on_the_first_nonzero_entry_of_row_0(ctx, j):
         for _ in range(5):
             coords = [0 if r == 0 and c < j else nonzero(ctx, stream) for r, c in upper_pairs(n)]
             m = fractional(ctx, n, coords)
-            assert next(k for k, x in enumerate(m.row(0)) if x) == j
+            assert next(k for k, x in enumerate(m.data[0]) if x) == j
             checked_pfaffian(m)
     # the sign alone: a_0j a_kl on the one perfect matching of {0, j} and the rest
     rest = [k for k in range(1, 4) if k != j]
@@ -450,8 +466,8 @@ def with_schur_complement(ctx, a, x, s):
     binv = Matrix(ctx, [[0, ctx.neg(ctx.inv(a))], [ctx.inv(a), 0]])
     c = s - x.T @ binv @ x
     n = s.nrows + 2
-    rows = [[0, a, *x.row(0)], [ctx.neg(a), 0, *x.row(1)]]
-    rows += [[ctx.neg(x[0, i]), ctx.neg(x[1, i]), *c.row(i)] for i in range(n - 2)]
+    rows = [[0, a, *x.data[0]], [ctx.neg(a), 0, *x.data[1]]]
+    rows += [[ctx.neg(x[0, i]), ctx.neg(x[1, i]), *c.data[i]] for i in range(n - 2)]
     return Matrix(ctx, rows)
 
 

@@ -216,9 +216,9 @@ def test_reduce_full_row_rank_rejects_singular_recovered_family():
 def test_totally_singular_rejection():
     sp = build_bordered_alternating(F5, 7, 2)
     ident = Matrix.identity(F5, 7)
-    tail = [tuple(ident.row(i)) for i in range(2, 7)]
+    tail = [tuple(ident.data[i]) for i in range(2, 7)]
     assert totally_singular_rejection(sp, tail) is None
-    swapped = [tuple(ident.row(i)) for i in range(3, 7)] + [tuple(ident.row(0))]
+    swapped = [tuple(ident.data[i]) for i in range(3, 7)] + [tuple(ident.data[0])]
     witness = totally_singular_rejection(sp, swapped)
     assert witness is not None
     member, x, y = witness
@@ -229,14 +229,14 @@ def test_unique_complement_positive():
     sp = build_bordered_alternating(F5, 7, 2)
     tail = unique_totally_singular_complement(sp, 2)
     ident = Matrix.identity(F5, 7)
-    assert tail == [tuple(ident.row(i)) for i in range(2, 7)]
+    assert tail == [tuple(ident.data[i]) for i in range(2, 7)]
 
 
 def test_unique_complement_over_q():
     # the radical argument holds over every field
     sp = build_bordered_alternating(Q, 7, 2)
     tail = unique_totally_singular_complement(sp, 2)
-    assert tail == [tuple(Matrix.identity(Q, 7).row(i)) for i in range(2, 7)]
+    assert tail == [tuple(Matrix.identity(Q, 7).data[i]) for i in range(2, 7)]
 
 
 def test_unique_complement_guards():
@@ -251,7 +251,7 @@ def test_unique_complement_guards():
 def test_unique_complement_contract_failures():
     model = build_bordered_alternating(F5, 7, 2)
     ident = Matrix.identity(F5, 7)
-    tail = [tuple(ident.row(i)) for i in range(2, 7)]
+    tail = [tuple(ident.data[i]) for i in range(2, 7)]
     low_rank = AffineMatrixSpace(Matrix.zeros(F5, 7), model.basis)
     with pytest.raises(ContractError, match="^the base has rank 0, not 4$"):
         unique_totally_singular_complement(low_rank, 2)

@@ -131,7 +131,7 @@ def test_span_add_matches_rref_and_span_dim(ctx):
             assert all(span.contains(v) for v in vecs[:t])
             r, pivots = Matrix(ctx, vecs[:t], width).rref()
             assert span.pivots == list(pivots) == sorted(set(pivots))
-            assert span.rows == [r.row(i) for i in range(len(pivots))]
+            assert span.rows == [r.data[i] for i in range(len(pivots))]
             for row, pc in zip(span.rows, span.pivots):
                 assert not any(row[:pc]) and row[pc] == 1
                 assert [other[pc] for other in span.rows].count(0) == span.dim - 1
@@ -231,6 +231,78 @@ def test_space_echelon_matches_the_exact_span(ctx):
             assert spaces_equal(x, y) == want
             verdicts.add(("equal", want))
     assert verdicts == {"dependent", True, False, ("equal", True), ("equal", False)}
+
+
+def echelon_stacks(ctx):
+    """Seeded (k, w) stacks of field elements, over Q fractions: dense and sparse rows, zero rows and
+    repeated rows, more rows than columns and fewer, and the (0, w), (k, 0) and (0, 0) shapes."""
+    stream = CounterStream(derive_seed(50, "echelon stacks", ctx.p or 0))
+
+    def element(density):
+        if stream.below(100) >= density:
+            return ctx.zero()
+        x = stream.element(ctx)
+        return x / (1 + stream.below(6)) if ctx.kind == "rational" else x
+
+    for k, w in [(0, 5), (4, 0), (0, 0), (1, 1), (2, 5), (3, 3), (5, 4), (4, 9), (8, 6), (12, 16), (7, 7)]:
+        for density in (100, 40, 10):
+            rows = [[element(density) for _ in range(w)] for _ in range(k)]
+            if k >= 3:
+                rows[1] = [ctx.zero()] * w
+                rows[-1] = list(rows[0])
+            yield spaces._stack(ctx, rows, k, w)
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.prime(p) for p in (2, 7, P_BIG)] + [Q], ids=lambda c: str(c.p or "Q"))
+def test_row_echelon_is_reduced_with_the_forward_pivots(ctx):
+    # every row is 1 at its own pivot and 0 at every other, canonical, and the pivots and kept rows
+    # are the forward elimination's, which clears each pivot column below the pivot only
+    ranks = set()
+    for stack in echelon_stacks(ctx):
+        rows, pivots, kept = spaces._row_echelon(ctx, stack)
+        _, want_pivots, want_kept = reference.row_echelon_forward(ctx, stack)
+        assert (pivots, kept) == (want_pivots, want_kept)
+        assert rows.shape == (len(pivots), stack.shape[1])
+        assert rows[:, pivots].tolist() == np.eye(len(pivots), dtype=np.int64).tolist()
+        if ctx.kind == "prime":
+            assert rows.dtype == np.int64 and ((0 <= rows) & (rows < ctx.p)).all()
+        else:
+            assert all(type(x) is Fraction for x in rows.flat)
+        ranks.add((len(pivots) == 0, len(pivots) < len(stack)))
+    assert ranks == {(True, False), (True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.prime(p) for p in (2, 7, P_BIG)] + [Q], ids=lambda c: str(c.p or "Q"))
+def test_translation_residuals_match_the_pivot_by_pivot_reduction(ctx):
+    # a space of 1 x w matrices spanned by the independent rows of each stack: the residuals of the
+    # rows, of the unit vectors and of seeded vectors are the forward echelon's reduction, one step
+    # per pivot, and a row of the stack has residual zero
+    stream = CounterStream(derive_seed(50, "residuals", ctx.p or 0))
+    for stack in echelon_stacks(ctx):
+        k, w = stack.shape
+        kept = spaces._row_echelon(ctx, stack)[2]
+        x = AffineMatrixSpace(Matrix.zeros(ctx, 1, w), [Matrix(ctx, [row], w) for row in stack[kept].tolist()])
+        vecs = [tuple(row) for row in stack.tolist()] + list(Matrix.identity(ctx, w).data)
+        vecs += [stream.vector(ctx, w) for _ in range(3)]
+        rows, pivots, _ = reference.row_echelon_forward(ctx, x._flat[1])
+        want = reference.residuals_pivot_by_pivot(ctx, rows, pivots, spaces._stack(ctx, vecs, len(vecs), w))
+        assert x.translation_residuals(vecs) == list(map(tuple, want.tolist()))
+        assert x.translation_residuals(vecs[:k]) == [(ctx.zero(),) * w] * k
+
+
+def test_residuals_of_a_dimension_zero_space_are_canonical():
+    # with no pivot the product still reduces: over F_p every entry lands in [0, p), and the
+    # stack of x.base - y.base decides spaces_equal
+    f7 = FieldCtx.prime(7)
+    x = AffineMatrixSpace(Matrix.zeros(f7, 2, 3), [])
+    assert x.translation_residuals([(7, -1, 15, 0, 8, -6), (0, 1, 2, 3, 4, 5)]) == [(0, 6, 1, 0, 1, 1), (0, 1, 2, 3, 4, 5)]
+    assert x.translation_residuals([]) == []
+    assert spaces_equal(x, AffineMatrixSpace(Matrix.zeros(f7, 2, 3), []))
+    assert not spaces_equal(x, AffineMatrixSpace(Matrix(f7, [[0, 0, 6], [0, 0, 0]]), []))
+    q = AffineMatrixSpace(Matrix.zeros(Q, 2, 2), [])
+    assert q.translation_residuals([(Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 3))]) == [
+        (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 3))
+    ]
 
 
 @pytest.mark.parametrize("ctx", [FieldCtx.prime(p) for p in (2, 7, P_BIG)] + [Q], ids=lambda c: str(c.p or "Q"))

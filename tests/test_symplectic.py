@@ -89,7 +89,7 @@ def test_totally_singular_witness_matches_lazy_scan(ctx, alternating):
         for _ in range(trial % 7):
             v = stream.vector(ctx, n)
             if vecs and stream.below(4) == 0:
-                v = (Matrix(ctx, [stream.vector(ctx, len(vecs))]) @ Matrix(ctx, vecs)).row(0)
+                v = (Matrix(ctx, [stream.vector(ctx, len(vecs))]) @ Matrix(ctx, vecs)).data[0]
                 dependent += 1
             elif stream.below(3) == 0:
                 v = (0,) * k + v[k:]
@@ -158,7 +158,7 @@ def reference_find_lagrangian(k):
         if basis:
             candidates = (Matrix(ctx, basis) @ k).kernel_basis()
         else:
-            candidates = [Matrix.identity(ctx, n).row(i) for i in range(n)]
+            candidates = [Matrix.identity(ctx, n).data[i] for i in range(n)]
         basis.append(next(v for v in candidates if span_dim(ctx, basis + [v]) > len(basis)))
     return basis
 
@@ -167,7 +167,7 @@ def particular_solution(m, b):
     """The solution of m x = b whose free variables are zero, read off the
     rref of [m | b]; b must lie in the column space of m."""
     ctx = m.ctx
-    aug, pivots = m.hstack(Matrix(ctx, [[x] for x in b])).rref()
+    aug, pivots = place_blocks(ctx, m.nrows, m.ncols + 1, [(0, 0, m), (0, m.ncols, Matrix(ctx, [[x] for x in b]))]).rref()
     assert m.ncols not in pivots
     x = [ctx.zero()] * m.ncols
     for i, pc in enumerate(pivots):
@@ -227,8 +227,11 @@ def test_form_space_pair_validation():
         FormSpacePair(Matrix(F5, [[0, 0], [0, 0]]), [])  # singular gram
     with pytest.raises(ValueError):
         FormSpacePair(k, [Matrix(F5, [[0, 1], [0, 0]])])  # K u not alternating
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^operator generators are dependent$"):
         FormSpacePair(k, [Matrix.identity(F5, 2), Matrix.identity(F5, 2).scale(2)])
+    ops = build_operator_block_space(F5, 2).operators
+    with pytest.raises(ValueError, match="^operator generators are dependent$"):
+        FormSpacePair(standard_symplectic(F5, 2), (*ops, ops[1]))  # a repeated operator
 
 
 def test_phi_round_trip():
